@@ -151,6 +151,21 @@ class GFMatrix:
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank == self.rows
 
+    def point_code(self) -> tuple:
+        """The rows: the images of the unit vectors, which determine M.
+        ``(f*g).point_code() == g.point_action(f.point_code())``."""
+        return self.entries
+
+    def point_action(self, points) -> tuple:
+        """v @ M for each v in ``points``."""
+        if self.rows != self.cols:
+            raise ValueError("dimension mismatch")
+        p = self.p
+        cols = tuple(zip(*self.entries))
+        return tuple(
+            tuple(sum(map(operator.mul, v, col)) % p for col in cols) for v in points
+        )
+
 
 def mat_compose(f: GFMatrix, g: GFMatrix) -> GFMatrix:
     """Matrix product F.G; under the row action this is f-then-g."""

@@ -1,13 +1,21 @@
 """Finite semigroups of hashable elements, with brute-force property oracles.
 
-Works uniformly over Transformation and GFMatrix elements (anything
-immutable whose ``*`` is an associative composition).  For semigroups of
-at most ``table_cap`` elements the full Cayley table is precomputed once
-and every oracle runs on small-integer indices.
+Works uniformly over Transformation and GFMatrix elements, both read as
+maps of points: the points of X, or the vectors of GF(p)^n.  Each element
+gives a *point code*, the images of the points that determine it
+(``Transformation.map``, or a matrix's rows), and a *point action*, its
+images of any given points; the code of ``a * b`` is b's action on a's
+code.  For semigroups of at most ``table_cap`` elements the full Cayley
+table is built from integer tuples alone: the points occurring in the
+codes are numbered, each element's action on them is taken once, and
+each product's code is gathered from those actions.  Only points that
+occur in codes are used, never all of GF(p)^n.  Every oracle then runs
+on small-integer indices.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -51,13 +59,27 @@ def _check_same_kind(elements) -> None:
             raise ValueError("mixed element kinds or sizes")
 
 
+def _gatherer(code: tuple):
+    """The function sending b's numbered action to the numbered point code
+    of a * b, where ``code`` is a's numbered point code (itemgetter returns
+    a bare entry for one index, so codes of length 0 and 1 are handled
+    here)."""
+    if len(code) > 1:
+        return operator.itemgetter(*code)
+    if code:
+        (c,) = code
+        return lambda action: (action[c],)
+    return lambda action: ()
+
+
 class FiniteSemigroup:
     """Explicit finite semigroup: a duplicate-free element list closed
     under ``a * b``.
 
     Closure is verified at construction (the verification doubles as the
-    Cayley-table build).  A two-sided identity is detected by scan, never
-    assumed.  Instances are immutable after construction and safe to share.
+    Cayley-table build, which gathers point codes and multiplies no
+    elements).  A two-sided identity is detected by scan, never assumed.
+    Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, elements, table_cap: int = _DEFAULT_TABLE_CAP) -> None:
@@ -74,17 +96,28 @@ class FiniteSemigroup:
         self._index = index
         m = len(elems)
         if m <= table_cap:
+            # Index the points that occur in the elements' point codes.  A
+            # closed semigroup maps them into themselves, so a point sent
+            # outside them (None in an action) shows a missing product.
+            point_index: dict = {}
+            codes = [
+                tuple(point_index.setdefault(x, len(point_index)) for x in el.point_code())
+                for el in elems
+            ]
+            points = tuple(point_index)
+            actions = [tuple(map(point_index.get, el.point_action(points))) for el in elems]
+            by_code = {code: k for k, code in enumerate(codes)}
+            index_of_code = by_code.__getitem__
             table = []
-            for a in elems:
-                row = []
-                for b in elems:
-                    k = index.get(a * b)
-                    if k is None:
-                        raise ValueError(
-                            f"not closed under composition: {a!r} * {b!r} missing"
-                        )
-                    row.append(k)
-                table.append(row)
+            for a, code in zip(elems, codes):
+                gather = _gatherer(code)
+                try:
+                    table.append(list(map(index_of_code, map(gather, actions))))
+                except KeyError:
+                    j = next(j for j, act in enumerate(actions) if gather(act) not in by_code)
+                    raise ValueError(
+                        f"not closed under composition: {a!r} * {elems[j]!r} missing"
+                    ) from None
             self.table = table
         else:
             for a in elems:
@@ -96,7 +129,6 @@ class FiniteSemigroup:
             self.table = None
         self.identity_index = self._find_identity()
         self._units: list[int] | None = None
-        self._inverse_of: dict[int, int] | None = None
         self._idempotents: list[int] | None = None
 
     # -- basics ---------------------------------------------------------
@@ -171,26 +203,21 @@ class FiniteSemigroup:
         no identity)."""
         if self._units is None:
             units: list[int] = []
-            inverse: dict[int, int] = {}
             e = self.identity_index
             if e is not None:
                 m = len(self.elements)
                 for u in range(m):
-                    for v in range(m):
-                        if self.compose_idx(u, v) == e and self.compose_idx(v, u) == e:
-                            units.append(u)
-                            inverse[u] = v
-                            break
+                    row = self.table[u] if self.table is not None else [
+                        self.compose_idx(u, v) for v in range(m)]
+                    # in a finite monoid a right inverse is unique when it exists
+                    try:
+                        v = row.index(e)
+                    except ValueError:
+                        continue
+                    if self.compose_idx(v, u) == e:
+                        units.append(u)
             self._units = units
-            self._inverse_of = inverse
         return self._units
-
-    def inverse_of_unit(self, i: int) -> int:
-        self.unit_indices()
-        return self._inverse_of[i]
-
-    def is_group(self) -> bool:
-        return self.has_identity and len(self.unit_indices()) == len(self.elements)
 
 
 def closure_elements(gens, size_cap: int = 1_000_000) -> list:

@@ -73,6 +73,15 @@ class Transformation:
     def is_bijective(self) -> bool:
         return len(set(self.map)) == self.n
 
+    def point_code(self) -> tuple:
+        """The images of the points, which determine f.
+        ``(f*g).point_code() == g.point_action(f.point_code())``."""
+        return self.map
+
+    def point_action(self, points) -> tuple:
+        """The image of each of ``points`` under f."""
+        return tuple(map(self.map.__getitem__, points))
+
 
 class IndexSubset:
     """Sorted, duplicate-free subset of {0, ..., n-1} with ambient size n."""

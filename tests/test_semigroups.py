@@ -1,11 +1,13 @@
 """Tests for the finite-semigroup engine: closure, identity/unit/idempotent
 detection, and the brute-force property oracles."""
 
+import random
+import re
 from itertools import product
 
 import pytest
 
-from resemi.gflinear import GFMatrix
+from resemi.gflinear import GFMatrix, all_vectors
 from resemi.semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
@@ -60,6 +62,142 @@ class TestFiniteSemigroup:
             for j in (2, 7, 26):
                 assert with_table.compose_idx(i, j) == without.compose_idx(i, j)
         assert with_table.identity_index == without.identity_index
+
+
+def full_l(p, n):
+    return [GFMatrix(p, [flat[i * n:(i + 1) * n] for i in range(n)], cols=n)
+            for flat in product(range(p), repeat=n * n)]
+
+
+def random_closures(base, seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield closure_elements([rng.choice(base) for _ in range(rng.randint(1, 3))])
+
+
+GATHER_BASES = [
+    *[(f"T({n})", [Transformation(t) for t in product(range(n), repeat=n)]) for n in (1, 2, 3, 4)],
+    *[(f"L(GF(2)^{k})", full_l(2, k)) for k in (1, 2, 3)],
+    ("L(GF(3)^2)", full_l(3, 2)),
+    ("L(GF(5)^1)", full_l(5, 1)),
+]
+
+
+class TestPointCodeTables:
+    @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
+    def test_code_of_product_is_action_on_code(self, name, base):
+        rng = random.Random(name)
+        for a, b in ((rng.choice(base), rng.choice(base)) for _ in range(200)):
+            assert (a * b).point_code() == b.point_action(a.point_code())
+
+    @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
+    def test_gathered_table_equals_object_products(self, name, base):
+        for elems in random_closures(base, name, 12):
+            s = FiniteSemigroup(elems)
+            index = {el: k for k, el in enumerate(s.elements)}
+            assert s.table == [[index[a * b] for b in s.elements] for a in s.elements]
+
+    def test_full_small_monoids_against_object_products(self):
+        for elems in (full_l(3, 2), full_l(2, 2), [Transformation(t) for t in product(range(3), repeat=3)]):
+            s = FiniteSemigroup(elems)
+            assert list(s.elements) == elems
+            assert s.table == [[elems.index(a * b) for b in elems] for a in elems]
+
+    def test_empty_transformation(self):
+        e = Transformation(())
+        assert e.point_code() == () and e.point_action(()) == ()
+        s = FiniteSemigroup([e])
+        assert s.table == [[0]] and s.identity == e
+
+    def test_zero_by_zero_matrix(self):
+        z = GFMatrix(3, (), cols=0)
+        assert z.point_code() == () and z.point_action(()) == ()
+        s = FiniteSemigroup([z])
+        assert s.table == [[0]] and s.identity == z
+
+    def test_one_point_codes(self):
+        s = FiniteSemigroup([Transformation([0])])
+        assert s.table == [[0]] and s.identity_index == 0
+        scalars = full_l(5, 1)
+        assert [m.point_code() for m in scalars] == [((k,),) for k in range(5)]
+        assert scalars[2].point_action([(1,), (3,), (0,)]) == ((2,), (1,), (0,))
+        s = FiniteSemigroup(scalars)
+        assert s.table == [[a * b % 5 for b in range(5)] for a in range(5)]
+        assert s.unit_indices() == [1, 2, 3, 4]
+
+    def test_matrix_point_code_and_action(self):
+        m = GFMatrix(3, [[1, 2], [0, 1]])
+        vectors = all_vectors(3, 2)
+        assert m.point_code() == ((1, 2), (0, 1))
+        assert m.point_action(vectors) == tuple(m.apply(v) for v in vectors)
+
+    @pytest.mark.parametrize("p,n", [(101, 4), (7, 6), (2, 40)])
+    def test_small_semigroup_in_large_space(self, p, n):
+        # only the points in the codes are used, never all p^n vectors
+        one = GFMatrix.identity(p, n)
+        s = FiniteSemigroup([one])
+        assert s.table == [[0]] and s.identity == one
+        proj = GFMatrix(p, [[1] + [0] * (n - 1)] + [[0] * n] * (n - 1))
+        swap = GFMatrix(p, [[0, 1] + [0] * (n - 2), [1] + [0] * (n - 1)]
+                        + [[0] * i + [1] + [0] * (n - i - 1) for i in range(2, n)])
+        elems = closure_elements([proj, swap])
+        s = FiniteSemigroup(elems)
+        index = {el: k for k, el in enumerate(s.elements)}
+        assert s.table == [[index[a * b] for b in s.elements] for a in s.elements]
+        with pytest.raises(ValueError, match="not closed"):
+            FiniteSemigroup([one, proj, swap])
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            FiniteSemigroup([GFMatrix(2, [[1, 0]])])
+
+    @pytest.mark.parametrize("elems", [
+        [Transformation([1, 0]), Transformation([0, 0])],
+        [Transformation([0, 0]), Transformation([1, 0])],
+        [Transformation([0, 1, 2]), Transformation([1, 1, 2]), Transformation([0, 2, 1])],
+        [GFMatrix(2, [[1, 1], [0, 1]]), GFMatrix(2, [[1, 0], [0, 0]])],
+        [GFMatrix(3, [[2]])],
+    ])
+    def test_first_missing_product_named(self, elems):
+        a, b = next((a, b) for a in elems for b in elems if a * b not in elems)
+        message = f"not closed under composition: {a!r} * {b!r} missing"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            FiniteSemigroup(elems)
+
+    def test_mixed_kinds_still_rejected(self):
+        for elems in ([Transformation([0]), GFMatrix(2, [[1]])],
+                      [GFMatrix(2, [[1]]), GFMatrix(3, [[1]])],
+                      [GFMatrix(2, [[1]]), GFMatrix.identity(2, 2)]):
+            with pytest.raises(ValueError, match="mixed"):
+                FiniteSemigroup(elems)
+
+
+class TestUnitIndices:
+    @staticmethod
+    def brute_units(s):
+        e = s.identity_index
+        if e is None:
+            return []
+        m = len(s)
+        return [u for u in range(m)
+                if any(s.compose_idx(u, v) == e == s.compose_idx(v, u) for v in range(m))]
+
+    @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
+    def test_agrees_with_two_sided_definition(self, name, base):
+        for elems in random_closures(base, f"units:{name}", 12):
+            s = FiniteSemigroup(elems)
+            assert s.unit_indices() == self.brute_units(s)
+
+    def test_full_monoids_and_direct_path(self):
+        for elems in (full_l(3, 2), [Transformation(t) for t in product(range(3), repeat=3)]):
+            for cap in (4096, 1):
+                s = FiniteSemigroup(elems, table_cap=cap)
+                assert s.unit_indices() == self.brute_units(s)
+                assert len(s.unit_indices()) in (48, 6)
+
+    def test_no_identity_means_no_units(self):
+        s = FiniteSemigroup([Transformation([0, 0]), Transformation([1, 1])])
+        assert s.unit_indices() == []
 
 
 class TestGenerate:
