@@ -10,7 +10,6 @@ every verdict against exhaustive brute-force oracles.
 
 from .gflinear import (
     GFMatrix,
-    GFScalarField,
     Subspace,
     SubspaceTransversal,
     all_subspaces,

@@ -16,33 +16,16 @@ import json
 import sys
 
 from .gflinear import GFMatrix, Subspace
-from .linear_semigroup import (
-    L_ELEMENT_MODES,
-    L_SEMIGROUP_MODES,
-    LInstance,
-    build_lsw,
-    l_instance_from_dict,
-    thm_element_l,
-    thm_semigroup_l,
-)
+from .linear_semigroup import LInstance, l_instance_from_dict
 from .semigroups import (
-    FiniteSemigroup,
     SizeCapExceeded,
     element_oracle,
-    generate,
     idempotents_units,
+    prescribed_semigroup,
     semigroup_oracle,
 )
-from .sweep import SweepPlan, run_sweep
-from .transform_semigroup import (
-    T_ELEMENT_MODES,
-    T_SEMIGROUP_MODES,
-    TInstance,
-    build_tsy,
-    t_instance_from_dict,
-    thm_element_t,
-    thm_semigroup_t,
-)
+from .sweep import FAMILIES, SweepPlan, run_sweep
+from .transform_semigroup import TInstance, t_instance_from_dict
 from .transformations import IndexSubset, Transformation
 
 EXIT_OK = 0
@@ -69,45 +52,51 @@ def _witness_text(witness) -> object:
     return str(witness)
 
 
+def _read_json(path: str, load):
+    """``load`` applied to the JSON in the file at ``path``.  Content of the
+    wrong shape (a missing key, a value of the wrong type) is reported as
+    a validation error, like malformed JSON."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return load(data)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc!r}") from None
+
+
+def _instance_from_dict(data: dict, close: bool):
+    loader = {"transformation": t_instance_from_dict,
+              "linear": l_instance_from_dict}.get(data.get("kind"))
+    if loader is None:
+        raise ValueError('instance JSON needs "kind": "transformation" or "linear"')
+    return loader(data, close=close)
+
+
 def _load_instance(args):
     """Instance from --input JSON or from inline flags."""
     inline = [args.n, args.y, args.sy, args.p, args.w, args.sw, args.gens]
     if args.input is not None:
         if any(v is not None for v in inline) or args.kind is not None:
             raise ValueError("--input and inline instance flags are mutually exclusive")
-        with open(args.input) as fh:
-            data = json.load(fh)
-        if data.get("kind") == "transformation":
-            return t_instance_from_dict(data, close=args.close)
-        if data.get("kind") == "linear":
-            return l_instance_from_dict(data, close=args.close)
-        raise ValueError('instance JSON needs "kind": "transformation" or "linear"')
+        return _read_json(args.input, lambda data: _instance_from_dict(data, args.close))
     if args.kind == "t":
         if args.n is None or args.y is None:
             raise ValueError("--kind t needs --n and --y")
-        n = args.n
-        y = IndexSubset.from_text(n, args.y)
-        if args.gens is not None:
-            s_y = generate(_parse_transformations(args.gens))
-        elif args.sy is not None:
-            elems = _parse_transformations(args.sy)
-            s_y = generate(elems) if args.close else FiniteSemigroup(elems)
-        else:
+        y = IndexSubset.from_text(args.n, args.y)
+        if args.sy is None and args.gens is None:
             raise ValueError("--kind t needs --sy or --gens")
-        return TInstance(n, y, s_y)
+        s_y = prescribed_semigroup(_parse_transformations, args.gens, args.sy, close=args.close)
+        return TInstance(args.n, y, s_y)
     if args.kind == "l":
         if args.p is None or args.n is None or args.w is None:
             raise ValueError("--kind l needs --p, --n and --w")
         w = Subspace(args.p, args.n, [
             [int(v) for v in row.split(",")] for row in args.w.split(";") if row.strip()
         ])
-        if args.gens is not None:
-            s_w = generate(_parse_matrices(args.gens, args.p))
-        elif args.sw is not None:
-            elems = _parse_matrices(args.sw, args.p)
-            s_w = generate(elems) if args.close else FiniteSemigroup(elems)
-        else:
+        if args.sw is None and args.gens is None:
             raise ValueError("--kind l needs --sw or --gens")
+        s_w = prescribed_semigroup(lambda text: _parse_matrices(text, args.p),
+                                   args.gens, args.sw, close=args.close)
         return LInstance(args.p, args.n, w, s_w)
     raise ValueError("--kind t|l (or --input) is required")
 
@@ -123,8 +112,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _cmd_build(args) -> int:
     inst = _load_instance(args)
-    is_t = isinstance(inst, TInstance)
-    build = build_tsy(inst, args.size_cap) if is_t else build_lsw(inst, args.size_cap)
+    build = inst.build(args.size_cap)
     idem, units, has_ident = idempotents_units(build)
     payload = {
         "command": "build",
@@ -144,36 +132,33 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _default_modes(inst, element_level: bool) -> list[str]:
-    is_t = isinstance(inst, TInstance)
-    has_ident = inst.has_identity_y if is_t else inst.has_identity_w
-    if element_level:
-        modes = list(T_ELEMENT_MODES if is_t else L_ELEMENT_MODES)
-    else:
-        modes = list(T_SEMIGROUP_MODES if is_t else L_SEMIGROUP_MODES)
-    if not has_ident:
-        modes = [m for m in modes if m != "unit_regular"]
-    return modes
-
-
 def _cmd_classify(args) -> int:
+    """``classify`` (semigroup level) and ``element`` (one element): the
+    theorem's verdict next to the oracle's, per mode."""
     inst = _load_instance(args)
-    is_t = isinstance(inst, TInstance)
-    modes = args.mode or _default_modes(inst, element_level=False)
-    build = None
-    if not args.no_oracle:
-        build = build_tsy(inst, args.size_cap) if is_t else build_lsw(inst, args.size_cap)
+    if args.command == "element":
+        if args.f is None:
+            raise ValueError("element command needs --f")
+        f = inst.parse_element(args.f)
+        modes, witness_key = inst.ELEMENT_MODES, "theorem_witness"
+        theorem = lambda mode: inst.thm_element(f, mode)
+        oracle = lambda build, mode: element_oracle(build, f, mode)
+    else:
+        modes, witness_key = inst.SEMIGROUP_MODES, "witness"
+        theorem, oracle = inst.thm_semigroup, semigroup_oracle
+    modes = args.mode or [m for m in modes if m != "unit_regular" or inst.has_identity]
+    build = None if args.no_oracle else inst.build(args.size_cap)
     results = []
     lines = []
     disagreement = False
     for mode in modes:
-        thm = thm_semigroup_t(inst, mode) if is_t else thm_semigroup_l(inst, mode)
+        thm = theorem(mode)
         if build is None:
             oracle_verdict: object = "skipped"
             oracle_witness = None
             agree: object = "skipped"
         else:
-            orc = semigroup_oracle(build, mode)
+            orc = oracle(build, mode)
             oracle_verdict = orc.holds
             oracle_witness = _witness_text(orc.witness)
             agree = thm.holds == orc.holds
@@ -183,69 +168,18 @@ def _cmd_classify(args) -> int:
             {
                 "mode": mode, "theorem": thm.holds, "clause": thm.clause,
                 "oracle": oracle_verdict, "oracle_witness": oracle_witness,
-                "agree": agree, "witness": _witness_text(thm.witness),
+                "agree": agree, witness_key: _witness_text(thm.witness),
             }
         )
         marker = "" if agree in (True, "skipped") else "  << DISAGREEMENT"
         lines.append(
             f"{mode}: theorem={thm.holds} ({thm.clause}), oracle={oracle_verdict}{marker}"
         )
-    payload = {
-        "command": "classify",
-        "instance": inst.key(),
-        "build_size": None if build is None else len(build),
-        "results": results,
-        "_text": lines,
-    }
-    _emit(payload, args.format)
-    return EXIT_MISMATCH if disagreement else EXIT_OK
-
-
-def _cmd_element(args) -> int:
-    inst = _load_instance(args)
-    is_t = isinstance(inst, TInstance)
-    if args.f is None:
-        raise ValueError("element command needs --f")
-    f = Transformation.from_text(args.f) if is_t else GFMatrix.from_text(inst.p, args.f)
-    modes = args.mode or _default_modes(inst, element_level=True)
-    build = None
-    if not args.no_oracle:
-        build = build_tsy(inst, args.size_cap) if is_t else build_lsw(inst, args.size_cap)
-    results = []
-    lines = []
-    disagreement = False
-    for mode in modes:
-        thm = thm_element_t(inst, f, mode) if is_t else thm_element_l(inst, f, mode)
-        if build is None:
-            oracle_verdict: object = "skipped"
-            oracle_witness = None
-            agree: object = "skipped"
-        else:
-            orc = element_oracle(build, f, mode)
-            oracle_verdict = orc.holds
-            oracle_witness = _witness_text(orc.witness)
-            agree = thm.holds == orc.holds
-            if not agree:
-                disagreement = True
-        results.append(
-            {
-                "mode": mode, "theorem": thm.holds, "clause": thm.clause,
-                "theorem_witness": _witness_text(thm.witness),
-                "oracle": oracle_verdict, "oracle_witness": oracle_witness,
-                "agree": agree,
-            }
-        )
-        marker = "" if agree in (True, "skipped") else "  << DISAGREEMENT"
-        lines.append(
-            f"{mode}: theorem={thm.holds} ({thm.clause}), oracle={oracle_verdict}{marker}"
-        )
-    payload = {
-        "command": "element",
-        "instance": inst.key(),
-        "element": f.to_text(),
-        "results": results,
-        "_text": lines,
-    }
+    payload = {"command": args.command, "instance": inst.key(), "results": results, "_text": lines}
+    if args.command == "element":
+        payload["element"] = f.to_text()
+    else:
+        payload["build_size"] = None if build is None else len(build)
     _emit(payload, args.format)
     return EXIT_MISMATCH if disagreement else EXIT_OK
 
@@ -254,16 +188,13 @@ def _cmd_sweep(args) -> int:
     if args.input is not None:
         if args.kind is not None or args.ns or args.pn or args.sizes:
             raise ValueError("--input and inline plan flags are mutually exclusive")
-        with open(args.input) as fh:
-            plan = SweepPlan.from_dict(json.load(fh))
+        plan = _read_json(args.input, SweepPlan.from_dict)
     else:
         if args.kind is None:
             raise ValueError("sweep needs --kind t|l or --input plan.json")
-        family = "transformation" if args.kind == "t" else "linear"
+        family = {"t": "transformation", "l": "linear"}[args.kind]
         source = ("exhaustive",) if args.source == "exhaustive" else ("seeded", args.samples, str(args.seed))
-        modes = tuple(args.mode) if args.mode else (
-            T_SEMIGROUP_MODES if family == "transformation" else L_SEMIGROUP_MODES
-        )
+        modes = tuple(args.mode) if args.mode else FAMILIES[family].SEMIGROUP_MODES
         plan = SweepPlan(
             family=family,
             ns=tuple(int(v) for v in args.ns.split(",")) if args.ns else (),
@@ -338,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("build", _cmd_build), ("classify", _cmd_classify), ("element", _cmd_element)):
+    for name, fn in (("build", _cmd_build), ("classify", _cmd_classify), ("element", _cmd_classify)):
         sp = sub.add_parser(name)
         _add_instance_flags(sp)
         if name == "element":

@@ -26,23 +26,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GFScalarField:
-    """The prime field GF(p); primality is checked at construction."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
-
 class GFMatrix:
     """r x c matrix over GF(p), acting on row vectors.
 
@@ -313,9 +296,8 @@ class Subspace:
         """Exact intersection via the left kernel of the stacked bases."""
         self._check_ambient(other)
         da = self.dim
-        stacked = GFMatrix(self.p, self.basis + other.basis, cols=self.ambient_dim)
         rows = []
-        for k in left_null_space_rows(stacked):
+        for k in left_null_space_rows(self.p, self.basis + other.basis, self.ambient_dim):
             rows.append(self.from_coordinates(k[:da]))
         return Subspace(self.p, self.ambient_dim, rows)
 
@@ -349,18 +331,19 @@ def subspace_ops(a: Subspace, b: Subspace) -> SubspaceOps:
     return SubspaceOps(a.sum(b), a.intersect(b), a.codim)
 
 
-def left_null_space_rows(m: GFMatrix) -> list[tuple]:
-    """Basis rows of {v : v @ M = 0}, from the RREF of the transpose."""
-    r = m.rows
-    ft = [[m.entries[i][j] for i in range(r)] for j in range(m.cols)]
-    reduced, pivots = _rref_rows(ft, m.p, r)
+def left_null_space_rows(p: int, rows, ncols: int) -> list[tuple]:
+    """Basis rows of {v : v @ M = 0} for the matrix M with the given rows
+    (entries already reduced mod p), from the RREF of the transpose."""
+    r = len(rows)
+    ft = [[row[j] for row in rows] for j in range(ncols)]
+    reduced, pivots = _rref_rows(ft, p, r)
     free = [j for j in range(r) if j not in pivots]
     out = []
     for j in free:
         v = [0] * r
         v[j] = 1
         for i, c in enumerate(pivots):
-            v[c] = (-reduced[i][j]) % m.p
+            v[c] = (-reduced[i][j]) % p
         out.append(tuple(v))
     return out
 
@@ -369,7 +352,7 @@ def null_space(f: GFMatrix) -> Subspace:
     """N(f) = {v : v @ F = 0}, canonical; dim N(f) = n - rank(F)."""
     if f.rows != f.cols:
         raise ValueError("matrix must be square")
-    return Subspace(f.p, f.rows, left_null_space_rows(f))
+    return Subspace(f.p, f.rows, left_null_space_rows(f.p, f.entries, f.cols))
 
 
 def image_space(f: GFMatrix) -> Subspace:

@@ -19,6 +19,7 @@ from .gflinear import (
     image_space,
     independent_extension,
     mat_inverse,
+    null_space,
     restriction_matrix,
     restricted_image_space,
     solve_row_vector,
@@ -29,12 +30,9 @@ from .semigroups import (
     PropertyVerdict,
     SizeCapExceeded,
     element_oracle,
-    generate,
+    prescribed_semigroup,
     semigroup_oracle,
 )
-
-L_SEMIGROUP_MODES = ("regular", "inverse", "unit_regular", "completely_regular")
-L_ELEMENT_MODES = ("regular", "unit_regular")
 
 
 class LInstance:
@@ -43,7 +41,11 @@ class LInstance:
     Elements of ``s_w`` are dim(W) x dim(W) coordinate matrices in W's
     canonical basis.  dim(W) = 0 is fully supported: S(W) is then the
     trivial group of the 0 x 0 matrix and the build is all of L(V).
+    Implements the family interface described on ``TInstance``.
     """
+
+    SEMIGROUP_MODES = ("regular", "inverse", "unit_regular", "completely_regular")
+    ELEMENT_MODES = ("regular", "unit_regular")
 
     def __init__(self, p: int, n: int, w: Subspace, s_w: FiniteSemigroup) -> None:
         if w.p != p or w.ambient_dim != n:
@@ -56,7 +58,7 @@ class LInstance:
         self.n = n
         self.w = w
         self.s_w = s_w
-        self.has_identity_w = GFMatrix.identity(p, k) in s_w
+        self.has_identity = GFMatrix.identity(p, k) in s_w
         self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
         basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
         self._c_inv = mat_inverse(GFMatrix(p, basis_rows, cols=n)) if n else GFMatrix(p, (), cols=0)
@@ -74,6 +76,43 @@ class LInstance:
             "W": [list(r) for r in self.w.basis],
             "sW": sorted(el.to_text() for el in self.s_w.elements),
         }
+
+    @property
+    def prescribed(self) -> FiniteSemigroup:
+        return self.s_w
+
+    def parse_element(self, text: str) -> GFMatrix:
+        return GFMatrix.from_text(self.p, text)
+
+    def expected_size(self) -> int:
+        """|S(W)| * p^(n(n-dim W)), the size of the build."""
+        return len(self.s_w) * self.p ** (self.n * (self.n - self.w.dim))
+
+    def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
+        return build_lsw(self, size_cap)
+
+    def thm_semigroup(self, mode: str) -> PropertyVerdict:
+        return thm_semigroup_l(self, mode)
+
+    def thm_element(self, f: GFMatrix, mode: str) -> PropertyVerdict:
+        return thm_element_l(self, f, mode)
+
+    def transversal_problem(self, f: GFMatrix) -> str | None:
+        """What is wrong with f's canonical transversal subspace pair, or None."""
+        tr = canonical_transversal_subspace(f, self.w)
+        ns = null_space(f)
+        if tr.u.dim != f.rank:
+            return "transversal dimension differs from rank"
+        if tr.u.intersect(ns).dim != 0:
+            return "transversal meets the null space"
+        if tr.u_meet_w != tr.u.intersect(self.w):
+            return "U meet W is not the trace of U"
+        ns_on_w = ns.intersect(self.w)  # null space of the restriction, ambient
+        if tr.u_meet_w.dim + ns_on_w.dim != self.w.dim:
+            return "U meet W is not a complement of the restricted null space"
+        if tr.u_meet_w.intersect(ns_on_w).dim != 0:
+            return "U meet W meets the restricted null space"
+        return None
 
     def lift_on_w(self, alpha: GFMatrix, v) -> tuple:
         """Apply the coordinate matrix alpha, as a map on W, to ambient v."""
@@ -96,11 +135,8 @@ def l_instance_from_dict(data: dict, *, close: bool = False) -> LInstance:
     n = int(data["n"])
     w = Subspace(p, n, data["W"])
     block = data["sW"]
-    if "generators" in block:
-        s_w = generate([GFMatrix(p, g, cols=w.dim) for g in block["generators"]])
-    else:
-        elems = [GFMatrix(p, e, cols=w.dim) for e in block["elements"]]
-        s_w = generate(elems) if close else FiniteSemigroup(elems)
+    s_w = prescribed_semigroup(lambda items: [GFMatrix(p, e, cols=w.dim) for e in items],
+                               block.get("generators"), block.get("elements"), close=close)
     return LInstance(p, n, w, s_w)
 
 
@@ -112,7 +148,7 @@ def build_lsw(inst: LInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
     has |S(W)| * p^(n(n-k)) elements.
     """
     p, n, k = inst.p, inst.n, inst.w.dim
-    count = len(inst.s_w) * p ** (n * (n - k))
+    count = inst.expected_size()
     if count > size_cap:
         raise SizeCapExceeded("size cap exceeded")
     if k == n:
@@ -165,7 +201,7 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
         clause = "restriction not regular in S(W)" if not reg.holds else "image trace differs"
         return PropertyVerdict(mode, False, clause=clause)
     if mode == "unit_regular":
-        if not inst.has_identity_w:
+        if not inst.has_identity:
             raise ValueError("identity required")
         ur = element_oracle(inst.s_w, alpha, "unit_regular")
         tr = canonical_transversal_subspace(f, inst.w)
@@ -292,7 +328,7 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
         clause = "S(W) not inverse" if not sw_ok else "W != V and dim V != 1"
         return PropertyVerdict(mode, False, clause=clause)
     if mode == "unit_regular":
-        if not inst.has_identity_w:
+        if not inst.has_identity:
             raise ValueError("identity required")
         if is_subgroup_of_aut(s_w):
             return PropertyVerdict(

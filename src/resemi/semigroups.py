@@ -254,9 +254,22 @@ def closure_elements(gens, size_cap: int = 1_000_000) -> list:
     return order
 
 
-def generate(gens, size_cap: int = 1_000_000, table_cap: int = _DEFAULT_TABLE_CAP) -> FiniteSemigroup:
+def generate(gens, size_cap: int = 1_000_000) -> FiniteSemigroup:
     """Smallest composition-closed superset of the generators."""
-    return FiniteSemigroup(closure_elements(gens, size_cap), table_cap=table_cap)
+    return FiniteSemigroup(closure_elements(gens, size_cap))
+
+
+def prescribed_semigroup(parse, generators=None, elements=None, *, close: bool = False
+                         ) -> FiniteSemigroup:
+    """S(Y) or S(W) from its ``generators`` (always closed over) or its
+    ``elements`` (which must already be closed unless ``close`` is set).
+    ``parse`` turns the given form, as read, into a list of elements."""
+    if generators is not None:
+        return generate(parse(generators))
+    if elements is None:
+        raise ValueError("neither elements nor generators given")
+    elems = parse(elements)
+    return generate(elems) if close else FiniteSemigroup(elems)
 
 
 def idempotents_units(s: FiniteSemigroup) -> IdempotentsUnits:
@@ -383,20 +396,15 @@ def _is_group_subset(s: FiniteSemigroup, idxs: frozenset) -> bool:
     return True
 
 
-def subgroup_containing(s: FiniteSemigroup, a, scan_pairs: bool = False):
-    """Search for a subgroup of s containing a; None if there is none.
+def subgroup_containing(s: FiniteSemigroup, a):
+    """A subgroup of s containing a, as a tuple of its elements, or None.
 
-    Always tries the closure of {a}; with ``scan_pairs`` also the closure
-    of {a, b} for every b (exhaustive, only sensible on small semigroups).
-    Returns the subgroup's elements as a tuple on success.
+    In a finite semigroup a lies in some subgroup exactly when the
+    monogenic subsemigroup generated by a is a group, so only that one
+    is tried.
     """
     i = s.index_of(a)
     own = closure_indices(s, {i})
     if _is_group_subset(s, own):
         return tuple(s.elements[k] for k in sorted(own))
-    if scan_pairs:
-        for j in range(len(s.elements)):
-            sub = closure_indices(s, {i, j})
-            if _is_group_subset(s, sub):
-                return tuple(s.elements[k] for k in sorted(sub))
     return None

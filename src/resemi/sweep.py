@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations, product
 
 from . import linear_semigroup as lsg
 from . import transform_semigroup as tsg
-from .gflinear import GFMatrix, all_subspaces, null_space
+from .gflinear import GFMatrix, all_subspaces
 from .semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
@@ -28,13 +28,15 @@ from .semigroups import (
     semigroup_oracle,
     subgroup_containing,
 )
-from .transformations import IndexSubset, Transformation, canonical_transversal, image_kernel
+from .transformations import IndexSubset, Transformation
 
 SCHEMA_VERSION = 1
 
+# A plan's family names the instance class; both implement one interface.
+FAMILIES = {"transformation": tsg.TInstance, "linear": lsg.LInstance}
+
 _EXHAUSTIVE_BASE_LIMIT = 16
 _DEFINITION_CHECK_LIMIT = 200
-_PAIR_SCAN_LIMIT = 32
 _TRANSVERSAL_CAP = 4096
 
 _IMPLICATIONS = (
@@ -68,45 +70,31 @@ class SweepPlan:
     alpha_family_checks: bool = True
 
     def __post_init__(self):
-        if self.family not in ("transformation", "linear"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        allowed = tsg.T_SEMIGROUP_MODES if self.family == "transformation" else lsg.L_SEMIGROUP_MODES
         for m in self.modes:
-            if m not in allowed:
+            if m not in FAMILIES[self.family].SEMIGROUP_MODES:
                 raise ValueError(f"mode {m!r} not available for family {self.family!r}")
         if self.source[0] not in ("exhaustive", "seeded"):
             raise ValueError(f"unknown source {self.source!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "ns": list(self.ns),
-            "pns": [list(pn) for pn in self.pns],
-            "subset_sizes": None if self.subset_sizes is None else list(self.subset_sizes),
-            "source": list(self.source),
-            "modes": list(self.modes),
-            "size_cap": self.size_cap,
-            "element_cap": self.element_cap,
-            "definition_checks": self.definition_checks,
-            "transversal_checks": self.transversal_checks,
-            "alpha_family_checks": self.alpha_family_checks,
-        }
+        """JSON form: every field, tuples as lists."""
+        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
-        return cls(
-            family=d["family"],
-            ns=tuple(d.get("ns", ())),
-            pns=tuple(tuple(pn) for pn in d.get("pns", ())),
-            subset_sizes=None if d.get("subset_sizes") is None else tuple(d["subset_sizes"]),
-            source=tuple(d.get("source", ("exhaustive",))),
-            modes=tuple(d.get("modes", ("regular",))),
-            size_cap=d.get("size_cap", 1_000_000),
-            element_cap=d.get("element_cap", 4096),
-            definition_checks=d.get("definition_checks", True),
-            transversal_checks=d.get("transversal_checks", True),
-            alpha_family_checks=d.get("alpha_family_checks", True),
-        )
+        """Inverse of ``to_dict``; missing keys take their defaults and
+        unknown keys are ignored."""
+        return cls(**{f.name: _as_tuples(d[f.name]) for f in fields(cls) if f.name in d})
+
+
+def _as_lists(v):
+    return [_as_lists(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _as_tuples(v):
+    return tuple(_as_tuples(x) for x in v) if isinstance(v, list) else v
 
 
 @dataclass
@@ -145,34 +133,13 @@ class SweepReport:
         )
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "schema_version": self.schema_version,
-            "plan": self.plan,
-            "instances_run": self.instances_run,
-            "semigroup_checks": self.semigroup_checks,
-            "semigroup_agreements": self.semigroup_agreements,
-            "element_checks": self.element_checks,
-            "element_agreements": self.element_agreements,
-            "mismatches": self.mismatches,
-            "implication_violations": self.implication_violations,
-            "size_formula_violations": self.size_formula_violations,
-            "transversal_failures": self.transversal_failures,
-            "transversal_checks_run": self.transversal_checks_run,
-            "definition_failures": self.definition_failures,
-            "definition_checks_run": self.definition_checks_run,
-            "alpha_family_failures": self.alpha_family_failures,
-            "alpha_family_checks_run": self.alpha_family_checks_run,
-            "witnesses_checked": self.witnesses_checked,
-            "skipped": self.skipped,
-        }
-        if include_timing:
-            d["wall_time_s"] = self.wall_time_s
-        return d
+        """Every field; ``wall_time_s`` only with ``include_timing``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if include_timing or f.name != "wall_time_s"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_dict(include_timing=include_timing), sort_keys=True, indent=2)
@@ -273,57 +240,6 @@ def _instances(plan: SweepPlan):
 # -- per-instance checks ----------------------------------------------------
 
 
-def _has_identity(inst) -> bool:
-    return inst.has_identity_y if isinstance(inst, tsg.TInstance) else inst.has_identity_w
-
-
-def _expected_size(inst) -> int:
-    if isinstance(inst, tsg.TInstance):
-        return len(inst.s_y) * inst.n ** (inst.n - len(inst.y))
-    k = inst.w.dim
-    return len(inst.s_w) * inst.p ** (inst.n * (inst.n - k))
-
-
-def _check_transversal_t(inst, f) -> str | None:
-    pair = canonical_transversal(f, inst.y)
-    t_set = set(pair.t.members)
-    ty_set = set(pair.t_on_y.members)
-    image, _, classes = image_kernel(f)
-    if len(t_set) != len(image):
-        return "transversal size differs from image size"
-    for cls in classes:
-        if len(t_set.intersection(cls)) != 1:
-            return "a fibre does not meet T exactly once"
-    if ty_set != t_set.intersection(inst.y.members):
-        return "T on Y is not the trace of T"
-    y_fibers: dict[int, set] = {}
-    for x in inst.y.members:
-        y_fibers.setdefault(f.map[x], set()).add(x)
-    for fiber in y_fibers.values():
-        if len(ty_set & fiber) != 1:
-            return "a restricted fibre does not meet T on Y exactly once"
-    return None
-
-
-def _check_transversal_l(inst, f) -> str | None:
-    from .gflinear import canonical_transversal_subspace
-
-    tr = canonical_transversal_subspace(f, inst.w)
-    ns = null_space(f)
-    if tr.u.dim != f.rank:
-        return "transversal dimension differs from rank"
-    if tr.u.intersect(ns).dim != 0:
-        return "transversal meets the null space"
-    if tr.u_meet_w != tr.u.intersect(inst.w):
-        return "U meet W is not the trace of U"
-    ns_on_w = ns.intersect(inst.w)  # null space of the restriction, ambient
-    if tr.u_meet_w.dim + ns_on_w.dim != inst.w.dim:
-        return "U meet W is not a complement of the restricted null space"
-    if tr.u_meet_w.intersect(ns_on_w).dim != 0:
-        return "U meet W meets the restricted null space"
-    return None
-
-
 def _definition_failures(s: FiniteSemigroup) -> list[str]:
     """Dual-definition agreement: inverse via unique inverses, completely
     regular via an explicit containing-subgroup search."""
@@ -332,10 +248,9 @@ def _definition_failures(s: FiniteSemigroup) -> list[str]:
     by_unique = inverse_by_unique_inverses(s).holds
     if by_idem != by_unique:
         out.append(f"inverse definitions disagree ({by_idem} vs {by_unique})")
-    scan_pairs = len(s) <= _PAIR_SCAN_LIMIT
     for a in s.elements:
         std = element_oracle(s, a, "completely_regular").holds
-        sub = subgroup_containing(s, a, scan_pairs=scan_pairs) is not None
+        sub = subgroup_containing(s, a) is not None
         if std != sub:
             out.append(
                 f"completely-regular definitions disagree on {a.to_text()} ({std} vs {sub})"
@@ -350,18 +265,17 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     for mode in plan.modes:
         rep.semigroup_checks[mode] = 0
         rep.semigroup_agreements[mode] = 0
-    for mode in ("regular", "unit_regular"):
+    for mode in FAMILIES[plan.family].ELEMENT_MODES:
         if mode in plan.modes:
             rep.element_checks[mode] = 0
             rep.element_agreements[mode] = 0
-    is_t = plan.family == "transformation"
     seen_definition_keys: set[frozenset] = set()
 
     for cell, inst in _instances(plan):
         rep.instances_run += 1
         key = inst.key()
         try:
-            _run_instance(plan, rep, inst, key, is_t, seen_definition_keys)
+            _run_instance(plan, rep, inst, key, seen_definition_keys)
         except SizeCapExceeded as exc:
             rep.skipped.append({"instance": key, "reason": str(exc)})
         except Exception as exc:  # recorded, not fatal: the report must survive
@@ -372,20 +286,19 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     return rep
 
 
-def _run_instance(plan, rep, inst, key, is_t, seen_definition_keys):
-    build = tsg.build_tsy(inst, plan.size_cap) if is_t else lsg.build_lsw(inst, plan.size_cap)
-    expected = _expected_size(inst)
+def _run_instance(plan, rep, inst, key, seen_definition_keys):
+    build = inst.build(plan.size_cap)
+    expected = inst.expected_size()
     if len(build) != expected:
         rep.size_formula_violations.append(
             {"instance": key, "expected": expected, "actual": len(build)}
         )
-    has_ident = _has_identity(inst)
 
     oracle_holds: dict[str, bool] = {}
     for mode in plan.modes:
-        if mode == "unit_regular" and not has_ident:
+        if mode == "unit_regular" and not inst.has_identity:
             continue
-        thm = tsg.thm_semigroup_t(inst, mode) if is_t else lsg.thm_semigroup_l(inst, mode)
+        thm = inst.thm_semigroup(mode)
         orc = semigroup_oracle(build, mode)
         oracle_holds[mode] = orc.holds
         rep.semigroup_checks[mode] += 1
@@ -406,12 +319,12 @@ def _run_instance(plan, rep, inst, key, is_t, seen_definition_keys):
 
     if plan.element_cap and len(build) <= plan.element_cap:
         element_modes = [
-            m for m in ("regular", "unit_regular")
-            if m in plan.modes and (m != "unit_regular" or has_ident)
+            m for m in inst.ELEMENT_MODES
+            if m in plan.modes and (m != "unit_regular" or inst.has_identity)
         ]
         for f in build.elements:
             for mode in element_modes:
-                thm = tsg.thm_element_t(inst, f, mode) if is_t else lsg.thm_element_l(inst, f, mode)
+                thm = inst.thm_element(f, mode)
                 orc = element_oracle(build, f, mode)
                 rep.element_checks[mode] += 1
                 if thm.holds == orc.holds:
@@ -428,14 +341,14 @@ def _run_instance(plan, rep, inst, key, is_t, seen_definition_keys):
 
     if plan.transversal_checks and len(build) <= _TRANSVERSAL_CAP:
         for f in build.elements:
-            problem = _check_transversal_t(inst, f) if is_t else _check_transversal_l(inst, f)
+            problem = inst.transversal_problem(f)
             rep.transversal_checks_run += 1
             if problem is not None:
                 rep.transversal_failures.append(
                     {"instance": key, "element": f.to_text(), "problem": problem}
                 )
 
-    if plan.alpha_family_checks and not is_t:
+    if plan.alpha_family_checks and plan.family == "linear":
         if inst.w.codim == 1 and lsg.is_subgroup_of_aut(inst.s_w):
             verdict = lsg.alpha_family_check(inst, plan.size_cap)
             rep.alpha_family_checks_run += 1
@@ -443,8 +356,7 @@ def _run_instance(plan, rep, inst, key, is_t, seen_definition_keys):
                 rep.alpha_family_failures.append({"instance": key, "clause": verdict.clause})
 
     if plan.definition_checks:
-        inner = inst.s_y if is_t else inst.s_w
-        for s in (build, inner):
+        for s in (build, inst.prescribed):
             skey = s.key()
             if len(s) <= _DEFINITION_CHECK_LIMIT and skey not in seen_definition_keys:
                 seen_definition_keys.add(skey)

@@ -16,7 +16,7 @@ from .semigroups import (
     PropertyVerdict,
     SizeCapExceeded,
     element_oracle,
-    generate,
+    prescribed_semigroup,
     semigroup_oracle,
 )
 from .transformations import (
@@ -27,9 +27,6 @@ from .transformations import (
     restriction,
 )
 
-T_SEMIGROUP_MODES = ("regular", "inverse", "unit_regular")
-T_ELEMENT_MODES = ("regular", "unit_regular")
-
 
 class TInstance:
     """Ambient size n, a subset Y and a closed semigroup S(Y) on |Y| points.
@@ -38,7 +35,18 @@ class TInstance:
     sorted order).  An empty Y is only accepted behind ``allow_empty_y``
     and then S(Y) is the trivial semigroup of the empty map, making the
     build equal to all of T(X).
+
+    ``TInstance`` and ``LInstance`` share one interface: the family's
+    ``SEMIGROUP_MODES`` and ``ELEMENT_MODES``, ``prescribed`` (S(Y) or
+    S(W)), ``has_identity`` (whether the prescribed semigroup holds the
+    identity), ``key()``,
+    ``parse_element(text)``, ``expected_size()``, ``build(size_cap)``,
+    ``thm_semigroup(mode)``, ``thm_element(f, mode)`` and
+    ``transversal_problem(f)``.
     """
+
+    SEMIGROUP_MODES = ("regular", "inverse", "unit_regular")
+    ELEMENT_MODES = ("regular", "unit_regular")
 
     def __init__(self, n: int, y: IndexSubset, s_y: FiniteSemigroup, *,
                  allow_empty_y: bool = False) -> None:
@@ -53,7 +61,7 @@ class TInstance:
         self.n = n
         self.y = y
         self.s_y = s_y
-        self.has_identity_y = Transformation.identity(k) in s_y
+        self.has_identity = Transformation.identity(k) in s_y
 
     def __repr__(self) -> str:
         return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.s_y)})"
@@ -67,6 +75,47 @@ class TInstance:
             "sY": sorted(el.to_text() for el in self.s_y.elements),
         }
 
+    @property
+    def prescribed(self) -> FiniteSemigroup:
+        return self.s_y
+
+    def parse_element(self, text: str) -> Transformation:
+        return Transformation.from_text(text)
+
+    def expected_size(self) -> int:
+        """|S(Y)| * n^(n-|Y|), the size of the build."""
+        return len(self.s_y) * self.n ** (self.n - len(self.y))
+
+    def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
+        return build_tsy(self, size_cap)
+
+    def thm_semigroup(self, mode: str) -> PropertyVerdict:
+        return thm_semigroup_t(self, mode)
+
+    def thm_element(self, f: Transformation, mode: str) -> PropertyVerdict:
+        return thm_element_t(self, f, mode)
+
+    def transversal_problem(self, f: Transformation) -> str | None:
+        """What is wrong with f's canonical transversal pair, or None."""
+        pair = canonical_transversal(f, self.y)
+        t_set = set(pair.t.members)
+        ty_set = set(pair.t_on_y.members)
+        image, _, classes = image_kernel(f)
+        if len(t_set) != len(image):
+            return "transversal size differs from image size"
+        for cls in classes:
+            if len(t_set.intersection(cls)) != 1:
+                return "a fibre does not meet T exactly once"
+        if ty_set != t_set.intersection(self.y.members):
+            return "T on Y is not the trace of T"
+        y_fibers: dict[int, set] = {}
+        for x in self.y.members:
+            y_fibers.setdefault(f.map[x], set()).add(x)
+        for fiber in y_fibers.values():
+            if len(ty_set & fiber) != 1:
+                return "a restricted fibre does not meet T on Y exactly once"
+        return None
+
 
 def t_instance_from_dict(data: dict, *, close: bool = False) -> TInstance:
     """Build a TInstance from its JSON form.
@@ -77,11 +126,8 @@ def t_instance_from_dict(data: dict, *, close: bool = False) -> TInstance:
     n = int(data["n"])
     y = IndexSubset.from_iterable(n, data["Y"])
     block = data["sY"]
-    if "generators" in block:
-        s_y = generate([Transformation(g) for g in block["generators"]])
-    else:
-        elems = [Transformation(e) for e in block["elements"]]
-        s_y = generate(elems) if close else FiniteSemigroup(elems)
+    s_y = prescribed_semigroup(lambda items: [Transformation(e) for e in items],
+                               block.get("generators"), block.get("elements"), close=close)
     return TInstance(n, y, s_y, allow_empty_y=len(y) == 0)
 
 
@@ -101,7 +147,7 @@ def build_tsy(inst: TInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
     is exactly one such f, so the result has |S(Y)| * n^(n-|Y|) elements.
     """
     n, k = inst.n, len(inst.y)
-    count = len(inst.s_y) * n ** (n - k)
+    count = inst.expected_size()
     if count > size_cap:
         raise SizeCapExceeded("size cap exceeded")
     if k == n:
@@ -157,7 +203,7 @@ def thm_element_t(inst: TInstance, f: Transformation, mode: str) -> PropertyVerd
         clause = "restriction not regular in S(Y)" if not alpha_reg else "image trace differs"
         return PropertyVerdict(mode, False, clause=clause)
     if mode == "unit_regular":
-        if not inst.has_identity_y:
+        if not inst.has_identity:
             raise ValueError("identity required")
         ur = element_oracle(inst.s_y, alpha, "unit_regular")
         pair = canonical_transversal(f, inst.y)
@@ -243,7 +289,7 @@ def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
         clause = "S(Y) not inverse" if not sy_ok else "Y != X and |X| != 2"
         return PropertyVerdict(mode, False, clause=clause)
     if mode == "unit_regular":
-        if not inst.has_identity_y:
+        if not inst.has_identity:
             raise ValueError("identity required")
         if is_subgroup_of_sym(s_y):
             return PropertyVerdict(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from resemi.cli import main
 
 
@@ -204,3 +206,84 @@ class TestInputFile:
         path.write_text("{not json")
         code, _, _ = run(capsys, "classify", "--input", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command, data", [
+        ("classify", {"kind": "transformation", "Y": [0]}),  # no "n"
+        ("classify", {"kind": "transformation", "n": 2, "Y": 0, "sY": {"elements": [[0]]}}),
+        ("classify", [{"kind": "transformation"}]),  # not an object
+        ("sweep", {"ns": [2], "source": ["exhaustive"]}),  # plan without "family"
+    ])
+    def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and err.startswith("error: ")
+
+
+T_FLAGS = ["--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,1;1,0"]
+L_FLAGS = ["--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1|0"]
+T_KEY = {"Y": [0, 1], "kind": "transformation", "n": 3, "sY": ["0,1", "1,0"]}
+L_KEY = {"W": [[1, 0]], "kind": "linear", "n": 2, "p": 2, "sW": ["0", "1"]}
+
+
+def _result(mode, clause, theorem, oracle_witness, witness_key, witness=None):
+    return {"agree": True, "clause": clause, "mode": mode, "oracle": theorem,
+            "oracle_witness": oracle_witness, "theorem": theorem, witness_key: witness}
+
+
+class TestGoldenOutput:
+    """Exact stdout of classify and element for one instance per family."""
+
+    GOLDEN = {
+        ("classify", "t"): (T_FLAGS, [
+            "regular: theorem=True (S(Y) is a subgroup of Sym(Y)), oracle=True",
+            "inverse: theorem=False (Y != X and |X| != 2), oracle=False",
+            "unit_regular: theorem=True (S(Y) is a subgroup of Sym(Y) and X \\ Y is finite),"
+            " oracle=True",
+        ], {"build_size": 6, "command": "classify", "instance": T_KEY, "results": [
+            _result("regular", "S(Y) is a subgroup of Sym(Y)", True, None, "witness"),
+            _result("inverse", "Y != X and |X| != 2", False, ["0,1,0", "0,1,1"], "witness"),
+            _result("unit_regular", "S(Y) is a subgroup of Sym(Y) and X \\ Y is finite", True,
+                    None, "witness"),
+        ]}),
+        ("classify", "l"): (L_FLAGS, [
+            "regular: theorem=False (neither clause holds), oracle=False",
+            "inverse: theorem=False (W != V and dim V != 1), oracle=False",
+            "unit_regular: theorem=False (neither clause holds), oracle=False",
+            "completely_regular: theorem=False (W != V and the codim-1 clause fails),"
+            " oracle=False",
+        ], {"build_size": 8, "command": "classify", "instance": L_KEY, "results": [
+            _result("regular", "neither clause holds", False, "0,0;1,0", "witness"),
+            _result("inverse", "W != V and dim V != 1", False, "0,0;1,0", "witness"),
+            _result("unit_regular", "neither clause holds", False, "0,0;1,0", "witness"),
+            _result("completely_regular", "W != V and the codim-1 clause fails", False,
+                    "0,0;1,0", "witness"),
+        ]}),
+        ("element", "t"): (T_FLAGS + ["--f", "0,1,0"], [
+            "regular: theorem=True (restriction regular and image trace matches), oracle=True",
+            "unit_regular: theorem=True (all three element conditions hold), oracle=True",
+        ], {"command": "element", "element": "0,1,0", "instance": T_KEY, "results": [
+            _result("regular", "restriction regular and image trace matches", True, "0,1,0",
+                    "theorem_witness"),
+            _result("unit_regular", "all three element conditions hold", True, "0,1,2",
+                    "theorem_witness", "0,1,2"),
+        ]}),
+        ("element", "l"): (L_FLAGS + ["--f", "1,0;1,0"], [
+            "regular: theorem=True (restriction regular and image trace matches), oracle=True",
+            "unit_regular: theorem=True (all three element conditions hold), oracle=True",
+        ], {"command": "element", "element": "1,0;1,0", "instance": L_KEY, "results": [
+            _result("regular", "restriction regular and image trace matches", True, "1,0;0,0",
+                    "theorem_witness", "1,0;0,0"),
+            _result("unit_regular", "all three element conditions hold", True, "1,0;0,1",
+                    "theorem_witness", "1,0;0,1"),
+        ]}),
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_text_and_json(self, capsys, case):
+        command, _ = case
+        flags, lines, data = self.GOLDEN[case]
+        code, out, _ = run(capsys, command, *flags, "--format", "text")
+        assert code == 0 and out == "".join(line + "\n" for line in lines)
+        code, out, _ = run(capsys, command, *flags, "--format", "json")
+        assert code == 0 and out == json.dumps(data, sort_keys=True, indent=2) + "\n"

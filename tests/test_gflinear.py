@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from resemi.gflinear import (
     GFMatrix,
-    GFScalarField,
     Subspace,
     all_subspaces,
     all_vectors,
@@ -54,12 +53,9 @@ class TestField:
         assert is_prime(2) and is_prime(3) and is_prime(13)
         assert not is_prime(1) and not is_prime(4) and not is_prime(9)
         with pytest.raises(ValueError):
-            GFScalarField(6)
-
-    def test_inverse(self):
-        gf7 = GFScalarField(7)
-        for a in range(1, 7):
-            assert (a * gf7.inv(a)) % 7 == 1
+            GFMatrix(6, [[1]])
+        with pytest.raises(ValueError):
+            Subspace(6, 1, [[1]])
 
 
 class TestGFMatrix:
@@ -155,6 +151,14 @@ class TestSubspace:
                 s = subspace_ops(a, b)
                 assert s.sum.dim + s.intersection.dim == a.dim + b.dim
                 assert s.intersection == b.intersect(a)
+
+    def test_intersection_is_the_set_intersection(self):
+        for p, n in ((2, 3), (3, 2)):
+            spaces = all_subspaces(p, n)
+            for a in spaces:
+                for b in spaces:
+                    meet = set(a.intersect(b).vectors())
+                    assert meet == set(a.vectors()) & set(b.vectors())
 
     def test_membership_matches_vector_enumeration(self):
         for sub in all_subspaces(3, 2):

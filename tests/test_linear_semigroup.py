@@ -148,7 +148,7 @@ class TestElementPredicate:
                 for seed in seeds:
                     inst = LInstance(p, 2, w, generate([seed]))
                     b = build_lsw(inst)
-                    modes = ["regular"] + (["unit_regular"] if inst.has_identity_w else [])
+                    modes = ["regular"] + (["unit_regular"] if inst.has_identity else [])
                     for f in b.elements:
                         for mode in modes:
                             thm = thm_element_l(inst, f, mode)
@@ -269,7 +269,7 @@ class TestJsonIngest:
         inst = l_instance_from_dict(
             {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}}
         )
-        assert inst.p == 2 and inst.w.dim == 1 and inst.has_identity_w
+        assert inst.p == 2 and inst.w.dim == 1 and inst.has_identity
 
     def test_generators_form(self):
         inst = l_instance_from_dict(
@@ -281,5 +281,5 @@ class TestJsonIngest:
         inst = l_instance_from_dict(
             {"kind": "linear", "p": 2, "n": 2, "W": [], "sW": {"elements": [[]]}}
         )
-        assert inst.w.dim == 0 and inst.has_identity_w
+        assert inst.w.dim == 0 and inst.has_identity
         assert len(build_lsw(inst)) == 16

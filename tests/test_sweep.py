@@ -121,6 +121,10 @@ class TestDeterminismAndSerialization:
         )
         assert SweepPlan.from_dict(plan.to_dict()) == plan
 
+    def test_plan_from_dict_defaults_and_unknown_keys(self):
+        plan = SweepPlan.from_dict({"family": "linear", "pns": [[2, 1]], "unknown": 1})
+        assert plan == SweepPlan(family="linear", pns=((2, 1),))
+
     def test_report_round_trip(self):
         plan = SweepPlan(family="transformation", ns=(2,), source=("exhaustive",))
         rep = run_sweep(plan)

@@ -147,7 +147,7 @@ class TestElementPredicate:
                 for seed in all_transformations(len(y)):
                     inst = TInstance(n, y, generate([seed]))
                     b = build_tsy(inst)
-                    modes = ["regular"] + (["unit_regular"] if inst.has_identity_y else [])
+                    modes = ["regular"] + (["unit_regular"] if inst.has_identity else [])
                     for f in b.elements:
                         for mode in modes:
                             thm = thm_element_t(inst, f, mode)
@@ -196,7 +196,7 @@ class TestSemigroupPredicate:
                     inst = TInstance(n, y, s_y)
                     b = build_tsy(inst)
                     assert semigroup_oracle(b, "regular").holds
-                    if inst.has_identity_y:
+                    if inst.has_identity:
                         assert semigroup_oracle(b, "unit_regular").holds
 
     def test_clause_is_reported(self):
@@ -210,7 +210,7 @@ class TestJsonIngest:
             {"kind": "transformation", "n": 3, "Y": [0, 1],
              "sY": {"elements": [[0, 1], [1, 0]]}}
         )
-        assert inst.n == 3 and len(inst.s_y) == 2 and inst.has_identity_y
+        assert inst.n == 3 and len(inst.s_y) == 2 and inst.has_identity
 
     def test_generators_form(self):
         inst = t_instance_from_dict(
