@@ -34,7 +34,10 @@ EXIT_SIZE_CAP = 3
 EXIT_MISMATCH = 4
 
 
-def _parse_transformations(text: str) -> list[Transformation]:
+def _parse_transformations(text: str, k: int) -> list[Transformation]:
+    """Transformations of k points; for k = 0, "" is the empty map."""
+    if k == 0 and not text.strip():
+        return [Transformation(())]
     return [Transformation.from_text(part) for part in text.split(";") if part.strip()]
 
 
@@ -85,8 +88,9 @@ def _load_instance(args):
         y = IndexSubset.from_text(args.n, args.y)
         if args.sy is None and args.gens is None:
             raise ValueError("--kind t needs --sy or --gens")
-        s_y = prescribed_semigroup(_parse_transformations, args.gens, args.sy, close=args.close)
-        return TInstance(args.n, y, s_y)
+        s_y = prescribed_semigroup(lambda text: _parse_transformations(text, len(y)),
+                                   args.gens, args.sy, close=args.close)
+        return TInstance(args.n, y, s_y, allow_empty_y=len(y) == 0)
     if args.kind == "l":
         if args.p is None or args.n is None or args.w is None:
             raise ValueError("--kind l needs --p, --n and --w")
@@ -251,7 +255,8 @@ def _add_instance_flags(sp) -> None:
 _GRAMMAR = """\
 inline grammar:
   transformation   comma list of images, e.g. "0,0,1" (2 maps to 1);
-                   several elements separated by ';'   -> --sy "0,1;1,0"
+                   several elements separated by ';'   -> --sy "0,1;1,0";
+                   with an empty --y, "" is the empty map -> --sy ""
   matrix           ';'-separated rows of ',' entries, e.g. "1,0;1,1";
                    several elements separated by '|'   -> --sw "1|0"
   subspace         ';'-separated spanning rows          -> --w "1,0;0,1"

@@ -226,6 +226,17 @@ class Subspace:
             if len(row) != n:
                 raise ValueError("row length differs from ambient dimension")
             mat.append(row)
+        self._span(p, n, mat)
+
+    @classmethod
+    def _unchecked(cls, p, n, rows) -> "Subspace":
+        """Span of ``rows``, whose entries are already reduced mod p for a
+        prime p; skips the input checks of ``__init__``."""
+        s = object.__new__(cls)
+        s._span(p, n, [list(r) for r in rows])
+        return s
+
+    def _span(self, p: int, n: int, mat: list[list[int]]) -> None:
         reduced, pivots = _rref_rows(mat, p, n)
         self.p = p
         self.ambient_dim = n
@@ -290,7 +301,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.p, self.ambient_dim, self.basis + other.basis)
+        return Subspace._unchecked(self.p, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via the left kernel of the stacked bases."""
@@ -299,7 +310,7 @@ class Subspace:
         rows = []
         for k in left_null_space_rows(self.p, self.basis + other.basis, self.ambient_dim):
             rows.append(self.from_coordinates(k[:da]))
-        return Subspace(self.p, self.ambient_dim, rows)
+        return Subspace._unchecked(self.p, self.ambient_dim, rows)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -352,12 +363,12 @@ def null_space(f: GFMatrix) -> Subspace:
     """N(f) = {v : v @ F = 0}, canonical; dim N(f) = n - rank(F)."""
     if f.rows != f.cols:
         raise ValueError("matrix must be square")
-    return Subspace(f.p, f.rows, left_null_space_rows(f.p, f.entries, f.cols))
+    return Subspace._unchecked(f.p, f.rows, left_null_space_rows(f.p, f.entries, f.cols))
 
 
 def image_space(f: GFMatrix) -> Subspace:
     """R(f): the row space of F under the row-vector action."""
-    return Subspace(f.p, f.cols, f.entries)
+    return Subspace._unchecked(f.p, f.cols, f.entries)
 
 
 def solve_row_vector(m: GFMatrix, target):
@@ -411,14 +422,15 @@ def restriction_matrix(f: GFMatrix, w: Subspace) -> GFMatrix:
         if coords is None:
             raise ValueError("not W-invariant")
         rows.append(coords)
-    return GFMatrix(f.p, rows, cols=len(w.basis))
+    k = len(rows)
+    return GFMatrix._unchecked(f.p, k, k, tuple(rows))
 
 
 def restricted_image_space(f: GFMatrix, w: Subspace) -> Subspace:
     """Span of W's image under f, in ambient coordinates (defined for any f)."""
     if f.p != w.p or f.rows != w.ambient_dim:
         raise ValueError("dimension mismatch")
-    return Subspace(f.p, f.cols, [f.apply(b) for b in w.basis])
+    return Subspace._unchecked(f.p, f.cols, [f.apply(b) for b in w.basis])
 
 
 @dataclass(frozen=True)
@@ -444,9 +456,15 @@ def canonical_transversal_subspace(f: GFMatrix, w: Subspace) -> SubspaceTransver
     canonical basis vectors of R(f).
     """
     restriction_matrix(f, w)  # raises "not W-invariant" if W is not invariant
+    return transversal_from_spaces(f, w, restricted_image_space(f, w), null_space(f),
+                                   image_space(f))
+
+
+def transversal_from_spaces(f: GFMatrix, w: Subspace, rw: Subspace, ns: Subspace,
+                            rf: Subspace) -> SubspaceTransversal:
+    """``canonical_transversal_subspace`` for an f already known to leave
+    W invariant, given R(f|W) = ``rw``, N(f) = ``ns`` and R(f) = ``rf``."""
     p, n = f.p, f.rows
-    rw = restricted_image_space(f, w)
-    ns = null_space(f)
     chosen = []
     for u in rw.basis:
         v = solve_row_vector(f, u)
@@ -461,13 +479,12 @@ def canonical_transversal_subspace(f: GFMatrix, w: Subspace) -> SubspaceTransver
             else:
                 raise AssertionError("no W-preimage found for a restricted image vector")
         chosen.append(v)
-    rf = image_space(f)
     span_so_far = rw
     for r in rf.basis:
         if not span_so_far.contains(r):
             chosen.append(solve_row_vector(f, r))
-            span_so_far = Subspace(p, n, span_so_far.basis + (r,))
-    u_space = Subspace(p, n, chosen)
+            span_so_far = Subspace._unchecked(p, n, span_so_far.basis + (r,))
+    u_space = Subspace._unchecked(p, n, chosen)
     return SubspaceTransversal(u_space, u_space.intersect(w))
 
 
@@ -480,7 +497,7 @@ def independent_extension(p, n, base_rows, candidates) -> list[tuple]:
     for row in candidates:
         if not span.contains(row):
             added.append(tuple(v % p for v in row))
-            span = Subspace(p, n, span.basis + (added[-1],))
+            span = Subspace._unchecked(p, n, span.basis + (added[-1],))
     return added
 
 

@@ -9,13 +9,14 @@ cross-checks and element classification.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .gflinear import (
     GFMatrix,
     Subspace,
+    SubspaceTransversal,
     all_vectors,
-    canonical_transversal_subspace,
     image_space,
     independent_extension,
     mat_inverse,
@@ -23,6 +24,7 @@ from .gflinear import (
     restriction_matrix,
     restricted_image_space,
     solve_row_vector,
+    transversal_from_spaces,
     unit_rows,
 )
 from .semigroups import (
@@ -42,6 +44,11 @@ class LInstance:
     canonical basis.  dim(W) = 0 is fully supported: S(W) is then the
     trivial group of the 0 x 0 matrix and the build is all of L(V).
     Implements the family interface described on ``TInstance``.
+
+    The element predicates and the transversal check read f's subspaces
+    through ``subspaces(f)``, which keeps the record of the latest element
+    only: a sweep asks about one element at a time, and a record per
+    element would hold every build element's subspaces at once.
     """
 
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular", "completely_regular")
@@ -62,6 +69,7 @@ class LInstance:
         self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
         basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
         self._c_inv = mat_inverse(GFMatrix(p, basis_rows, cols=n)) if n else GFMatrix(p, (), cols=0)
+        self._latest: ElementSubspaces | None = None
 
     def __repr__(self) -> str:
         return (
@@ -97,10 +105,18 @@ class LInstance:
     def thm_element(self, f: GFMatrix, mode: str) -> PropertyVerdict:
         return thm_element_l(self, f, mode)
 
+    def subspaces(self, f: GFMatrix) -> "ElementSubspaces":
+        """f's subspace record, shared by the element predicates, their
+        witnesses and the transversal check; raises if f is not a member."""
+        rec = self._latest
+        if rec is None or rec.f != f:
+            rec = self._latest = ElementSubspaces(self, f)
+        return rec
+
     def transversal_problem(self, f: GFMatrix) -> str | None:
         """What is wrong with f's canonical transversal subspace pair, or None."""
-        tr = canonical_transversal_subspace(f, self.w)
-        ns = null_space(f)
+        rec = self.subspaces(f)
+        tr, ns = rec.transversal, rec.ns
         if tr.u.dim != f.rank:
             return "transversal dimension differs from rank"
         if tr.u.intersect(ns).dim != 0:
@@ -177,6 +193,38 @@ def restriction_to_w(inst: LInstance, f: GFMatrix) -> GFMatrix:
     return alpha
 
 
+class ElementSubspaces:
+    """The subspaces of one f in L_S(W)(V) that the element
+    characterizations read, each computed at most once.
+
+    Eager: the restriction ``alpha`` (in S(W)), R(f) (``rf``), R(f) meet W
+    (``r_meet_w``), R(f|W) (``rw``) and the image-trace test ``trace_ok``.
+    Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``)
+    and the witness basis chain (``chain``).
+    """
+
+    def __init__(self, inst: LInstance, f: GFMatrix) -> None:
+        self.f = f
+        self.w = inst.w
+        self.alpha = restriction_to_w(inst, f)
+        self.rf = image_space(f)
+        self.r_meet_w = self.rf.intersect(inst.w)
+        self.rw = restricted_image_space(f, inst.w)
+        self.trace_ok = self.r_meet_w == self.rw
+
+    @cached_property
+    def ns(self) -> Subspace:
+        return null_space(self.f)
+
+    @cached_property
+    def transversal(self) -> SubspaceTransversal:
+        return transversal_from_spaces(self.f, self.w, self.rw, self.ns, self.rf)
+
+    @cached_property
+    def chain(self) -> tuple[list, list, list, list]:
+        return _basis_chain(self.w, self.rf, self.r_meet_w)
+
+
 def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
     """Element classification via the characterization, not via search.
 
@@ -187,15 +235,14 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
                   and codim(W + U) = codim(W + R(f)) for the canonical
                   transversal subspace U.  On success an invertible g with
                   fgf = f is assembled and verified.
+
+    Both modes read f's subspaces from ``inst.subspaces(f)``.
     """
-    alpha = restriction_to_w(inst, f)
-    rf = image_space(f)
-    r_meet_w = rf.intersect(inst.w)
-    trace_ok = r_meet_w == restricted_image_space(f, inst.w)
+    rec = inst.subspaces(f)
     if mode == "regular":
-        reg = element_oracle(inst.s_w, alpha, "regular")
-        if reg.holds and trace_ok:
-            witness = _regular_witness_l(inst, f, reg.witness, rf, r_meet_w)
+        reg = element_oracle(inst.s_w, rec.alpha, "regular")
+        if reg.holds and rec.trace_ok:
+            witness = _regular_witness_l(inst, rec, reg.witness)
             return PropertyVerdict(mode, True, witness=witness,
                                    clause="restriction regular and image trace matches")
         clause = "restriction not regular in S(W)" if not reg.holds else "image trace differs"
@@ -203,31 +250,29 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
     if mode == "unit_regular":
         if not inst.has_identity:
             raise ValueError("identity required")
-        ur = element_oracle(inst.s_w, alpha, "unit_regular")
-        tr = canonical_transversal_subspace(f, inst.w)
-        codim_u = inst.w.sum(tr.u).codim
-        codim_r = inst.w.sum(rf).codim
-        holds = ur.holds and trace_ok and codim_u == codim_r
-        if not holds:
-            if not ur.holds:
-                clause = "restriction not unit-regular in S(W)"
-            elif not trace_ok:
-                clause = "image trace differs"
-            else:
-                clause = f"complement codimensions differ ({codim_u} vs {codim_r})"
+        ur = element_oracle(inst.s_w, rec.alpha, "unit_regular")
+        if not ur.holds:
+            return PropertyVerdict(mode, False, clause="restriction not unit-regular in S(W)")
+        if not rec.trace_ok:
+            return PropertyVerdict(mode, False, clause="image trace differs")
+        w_plus_u = inst.w.sum(rec.transversal.u)
+        codim_u = w_plus_u.codim
+        codim_r = inst.w.sum(rec.rf).codim
+        if codim_u != codim_r:
+            clause = f"complement codimensions differ ({codim_u} vs {codim_r})"
             return PropertyVerdict(mode, False, clause=clause)
-        witness = _unit_regular_witness_l(inst, f, ur.witness, tr.u, rf, r_meet_w)
+        witness = _unit_regular_witness_l(inst, rec, ur.witness, w_plus_u)
         return PropertyVerdict(mode, True, witness=witness,
                                clause="all three element conditions hold")
     raise ValueError(f"unknown element mode {mode!r}")
 
 
-def _basis_chain(inst: LInstance, rf: Subspace, r_meet_w: Subspace):
+def _basis_chain(w: Subspace, rf: Subspace, r_meet_w: Subspace):
     """Deterministic bases B1 (of R(f) meet W), B2 (extending to W), B3
     (extending B1 to R(f) inside R(f)) and B4 (completing to V)."""
-    p, n = inst.p, inst.n
+    p, n = w.p, w.ambient_dim
     b1 = list(r_meet_w.basis)
-    b2 = independent_extension(p, n, b1, inst.w.basis)
+    b2 = independent_extension(p, n, b1, w.basis)
     b3 = independent_extension(p, n, b1, rf.basis)
     b123 = b1 + b2 + b3
     b4 = independent_extension(p, n, b123, unit_rows(n))
@@ -236,11 +281,11 @@ def _basis_chain(inst: LInstance, rf: Subspace, r_meet_w: Subspace):
     return b1, b2, b3, b4
 
 
-def _regular_witness_l(inst, f, alpha_partner, rf, r_meet_w):
+def _regular_witness_l(inst, rec, alpha_partner):
     """Pseudo-inverse h: the S(W)-partner on W, chosen preimages on the
     rest of R(f), zero on a complement of W + R(f)."""
-    p, n = inst.p, inst.n
-    b1, b2, b3, b4 = _basis_chain(inst, rf, r_meet_w)
+    p, n, f = inst.p, inst.n, rec.f
+    b1, b2, b3, b4 = rec.chain
     rows_c = b1 + b2 + b3 + b4
     rows_d = [inst.lift_on_w(alpha_partner, v) for v in b1 + b2]
     rows_d += [solve_row_vector(f, v) for v in b3]
@@ -253,12 +298,12 @@ def _regular_witness_l(inst, f, alpha_partner, rf, r_meet_w):
     return h
 
 
-def _unit_regular_witness_l(inst, f, g0, u, rf, r_meet_w):
+def _unit_regular_witness_l(inst, rec, g0, w_plus_u):
     """Invertible g: the S(W)-unit on W, the inverse of f's corestriction
     to U on the rest of R(f), and a deterministic matching between the
     complement bases of W + R(f) and W + U."""
-    p, n = inst.p, inst.n
-    b1, b2, b3, b4 = _basis_chain(inst, rf, r_meet_w)
+    p, n, f, u = inst.p, inst.n, rec.f, rec.transversal.u
+    b1, b2, b3, b4 = rec.chain
     mu = GFMatrix(p, [f.apply(r) for r in u.basis], cols=n)
 
     def g1(v):
@@ -269,7 +314,7 @@ def _unit_regular_witness_l(inst, f, g0, u, rf, r_meet_w):
                 out[j] = (out[j] + c * b) % p
         return tuple(out)
 
-    c4 = independent_extension(p, n, inst.w.sum(u).basis, unit_rows(n))
+    c4 = independent_extension(p, n, w_plus_u.basis, unit_rows(n))
     if len(c4) != len(b4):
         raise AssertionError("complement bases of W+R(f) and W+U differ in size")
     rows_c = b1 + b2 + b3 + b4

@@ -70,13 +70,33 @@ class SweepPlan:
     alpha_family_checks: bool = True
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name, ok, expected in (
+            ("ns", _ints(self.ns), "a list of integers"),
+            ("pns", isinstance(self.pns, tuple)
+             and all(_ints(c) and len(c) == 2 for c in self.pns), "a list of [p, n] pairs"),
+            ("subset_sizes", self.subset_sizes is None or _ints(self.subset_sizes),
+             "null or a list of integers"),
+            ("modes", isinstance(self.modes, tuple)
+             and all(isinstance(m, str) for m in self.modes), "a list of mode names"),
+            ("size_cap", _is_int(self.size_cap), "an integer"),
+            ("element_cap", _is_int(self.element_cap), "an integer"),
+            ("definition_checks", isinstance(self.definition_checks, bool), "a boolean"),
+            ("transversal_checks", isinstance(self.transversal_checks, bool), "a boolean"),
+            ("alpha_family_checks", isinstance(self.alpha_family_checks, bool), "a boolean"),
+        ):
+            if not ok:
+                raise ValueError(f"plan field {name!r} must be {expected}, "
+                                 f"not {_as_lists(getattr(self, name))!r}")
         for m in self.modes:
             if m not in FAMILIES[self.family].SEMIGROUP_MODES:
                 raise ValueError(f"mode {m!r} not available for family {self.family!r}")
-        if self.source[0] not in ("exhaustive", "seeded"):
-            raise ValueError(f"unknown source {self.source!r}")
+        src = self.source
+        seeded = (isinstance(src, tuple) and len(src) == 3 and src[0] == "seeded"
+                  and _is_int(src[1]) and isinstance(src[2], (str, int)))
+        if src != ("exhaustive",) and not seeded:
+            raise ValueError(f"unknown source {src!r}")
 
     def to_dict(self) -> dict:
         """JSON form: every field, tuples as lists."""
@@ -87,6 +107,14 @@ class SweepPlan:
         """Inverse of ``to_dict``; missing keys take their defaults and
         unknown keys are ignored."""
         return cls(**{f.name: _as_tuples(d[f.name]) for f in fields(cls) if f.name in d})
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _ints(v) -> bool:
+    return isinstance(v, tuple) and all(_is_int(x) for x in v)
 
 
 def _as_lists(v):
@@ -317,11 +345,16 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                 {"instance": key, "implication": f"{strong} => {weak}"}
             )
 
+    element_modes = []
     if plan.element_cap and len(build) <= plan.element_cap:
         element_modes = [
             m for m in inst.ELEMENT_MODES
             if m in plan.modes and (m != "unit_regular" or inst.has_identity)
         ]
+    transversals = plan.transversal_checks and len(build) <= _TRANSVERSAL_CAP
+    if element_modes or transversals:
+        # One pass, so that all checks on f run back to back and share the
+        # family's per-element work (LInstance.subspaces).
         for f in build.elements:
             for mode in element_modes:
                 thm = inst.thm_element(f, mode)
@@ -338,15 +371,13 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                     )
                 if thm.holds and thm.witness is not None:
                     rep.witnesses_checked += 1  # witnesses are verified inside the predicate
-
-    if plan.transversal_checks and len(build) <= _TRANSVERSAL_CAP:
-        for f in build.elements:
-            problem = inst.transversal_problem(f)
-            rep.transversal_checks_run += 1
-            if problem is not None:
-                rep.transversal_failures.append(
-                    {"instance": key, "element": f.to_text(), "problem": problem}
-                )
+            if transversals:
+                problem = inst.transversal_problem(f)
+                rep.transversal_checks_run += 1
+                if problem is not None:
+                    rep.transversal_failures.append(
+                        {"instance": key, "element": f.to_text(), "problem": problem}
+                    )
 
     if plan.alpha_family_checks and plan.family == "linear":
         if inst.w.codim == 1 and lsg.is_subgroup_of_aut(inst.s_w):

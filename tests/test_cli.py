@@ -52,6 +52,18 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--kind", "t", "--n", "3")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("block, flag", [("elements", "--sy"), ("generators", "--gens")])
+    def test_empty_y_inline_equals_json(self, capsys, tmp_path, fmt, block, flag):
+        # with an empty Y, "" is the empty map and the build is all of T(X)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"kind": "transformation", "n": 2, "Y": [], "sY": {block: [[]]}}))
+        from_file = run(capsys, "build", "--input", str(path), "--format", fmt)
+        inline = run(capsys, "build", "--kind", "t", "--n", "2", "--y", "", flag, "",
+                     "--format", fmt)
+        assert inline == from_file
+        assert inline[0] == 0 and ("semigroup size: 4" in inline[1] or '"size": 4' in inline[1])
+
     def test_non_closed_needs_close_flag(self, capsys):
         argv = ["build", "--kind", "t", "--n", "3", "--y", "0,1,2", "--sy", "1,2,0"]
         code, _, err = run(capsys, *argv)
@@ -212,6 +224,11 @@ class TestInputFile:
         ("classify", {"kind": "transformation", "n": 2, "Y": 0, "sY": {"elements": [[0]]}}),
         ("classify", [{"kind": "transformation"}]),  # not an object
         ("sweep", {"ns": [2], "source": ["exhaustive"]}),  # plan without "family"
+        # wrongly typed plan fields
+        ("sweep", {"family": "transformation", "ns": 3}),
+        ("sweep", {"family": "transformation", "ns": [2], "subset_sizes": 5}),
+        ("sweep", {"family": "linear", "pns": [2]}),
+        ("sweep", {"family": "transformation", "ns": [2], "size_cap": "x"}),
     ])
     def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"

@@ -15,6 +15,7 @@ from resemi.gflinear import (
     canonical_transversal_subspace,
     image_space,
     is_prime,
+    left_null_space_rows,
     mat_compose,
     mat_inverse,
     null_space,
@@ -22,6 +23,7 @@ from resemi.gflinear import (
     rref,
     solve_row_vector,
     subspace_ops,
+    transversal_from_spaces,
 )
 
 
@@ -160,6 +162,22 @@ class TestSubspace:
                     meet = set(a.intersect(b).vectors())
                     assert meet == set(a.vectors()) & set(b.vectors())
 
+    def test_unchecked_constructor_equals_checked(self):
+        # sum and intersect span their results through Subspace._unchecked
+        for p, n in ((2, 3), (3, 2)):
+            spaces = all_subspaces(p, n)
+            for a in spaces:
+                for b in spaces:
+                    meet_rows = [a.from_coordinates(k[:a.dim])
+                                 for k in left_null_space_rows(p, a.basis + b.basis, n)]
+                    for rows in (a.basis + b.basis, meet_rows):
+                        fast, checked = Subspace._unchecked(p, n, rows), Subspace(p, n, rows)
+                        assert fast == checked
+                        assert (fast.pivots, hash(fast)) == (checked.pivots, hash(checked))
+                    sums = {tuple((x + y) % p for x, y in zip(u, v))
+                            for u in a.vectors() for v in b.vectors()}
+                    assert set(a.sum(b).vectors()) == sums
+
     def test_membership_matches_vector_enumeration(self):
         for sub in all_subspaces(3, 2):
             members = set(sub.vectors())
@@ -274,6 +292,18 @@ class TestCanonicalTransversalSubspace:
                     ns_w = ns.intersect(w)
                     assert tr.u_meet_w.dim + ns_w.dim == w.dim
                     assert tr.u_meet_w.intersect(ns_w).dim == 0
+
+    def test_helper_equals_public_function(self):
+        # the helper takes R(f|W), N(f) and R(f) from the caller; here they
+        # are built by the checked constructor, N(f) by enumeration
+        for p, n in ((2, 2), (3, 2), (2, 3)):
+            for f in all_matrices(p, n)[:: 5 if (p, n) == (2, 3) else 1]:
+                ns = Subspace(p, n, [v for v in all_vectors(p, n) if not any(f.apply(v))])
+                rf = Subspace(p, n, f.entries)
+                for w in invariant_subspaces(f):
+                    rw = Subspace(p, n, [f.apply(b) for b in w.basis])
+                    assert (transversal_from_spaces(f, w, rw, ns, rf)
+                            == canonical_transversal_subspace(f, w))
 
     def test_corestriction_is_bijective_small(self):
         for p, n in ((2, 2), (3, 2), (2, 3)):

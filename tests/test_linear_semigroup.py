@@ -10,6 +10,7 @@ from resemi.gflinear import (
     GFMatrix,
     Subspace,
     all_subspaces,
+    canonical_transversal_subspace,
     restriction_matrix,
 )
 from resemi.linear_semigroup import (
@@ -163,6 +164,42 @@ class TestElementPredicate:
             v = thm_element_l(inst, f, "regular")
             assert v.holds  # L(V) of a finite-dimensional space is regular
             assert v.witness in b and f * v.witness * f == f
+
+
+class TestElementRecord:
+    """The element predicates, their witnesses and the transversal check
+    share one record per element; checks on different elements, called
+    interleaved on one instance, must answer as on a fresh instance."""
+
+    @staticmethod
+    def instances():
+        for p in (2, 3):
+            full_l_w = FiniteSemigroup([GFMatrix(p, [[a]]) for a in range(p)])
+            for w in all_subspaces(p, 2, 1):
+                yield LInstance(p, 2, w, full_l_w)
+        for basis in ([[1, 0, 0]], [[1, 0, 0], [0, 1, 1]]):
+            w = Subspace(2, 3, basis)
+            yield LInstance(2, 3, w, trivial_sw(2, w.dim))
+
+    def test_interleaved_checks_match_fresh_instances(self):
+        for inst in self.instances():
+            def fresh():
+                return LInstance(inst.p, inst.n, inst.w, inst.s_w)
+
+            elements = list(build_lsw(inst).elements)
+            assert len(elements) > 1
+            for f, g in zip(elements, elements[1:] + elements[:1]):
+                got = (inst.thm_element(f, "regular"), inst.thm_element(g, "unit_regular"),
+                       inst.transversal_problem(f), inst.thm_element(g, "regular"))
+                want = (fresh().thm_element(f, "regular"), fresh().thm_element(g, "unit_regular"),
+                        fresh().transversal_problem(f), fresh().thm_element(g, "regular"))
+                assert got == want, (inst, f.to_text(), g.to_text())
+
+    def test_record_transversal_is_the_canonical_one(self):
+        for inst in self.instances():
+            for f in build_lsw(inst).elements:
+                assert (inst.subspaces(f).transversal
+                        == canonical_transversal_subspace(f, inst.w))
 
 
 class TestSemigroupPredicate:

@@ -97,6 +97,16 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown family"):
             SweepPlan(family="affine")
 
+    @pytest.mark.parametrize("field, value", [
+        ("ns", (2, "3")), ("pns", ((2, 1, 1),)), ("subset_sizes", (1.5,)),
+        ("size_cap", True), ("element_cap", None), ("definition_checks", 1),
+        ("transversal_checks", "yes"), ("alpha_family_checks", None),
+        ("source", ("seeded", "5", "s")),
+    ])
+    def test_field_types(self, field, value):
+        with pytest.raises(ValueError, match="must be|unknown source"):
+            SweepPlan(family="linear", **{field: value})
+
 
 class TestDeterminismAndSerialization:
     def test_identical_plans_identical_reports(self):
