@@ -31,6 +31,7 @@ from .semigroups import (
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
+    TABLE_CAP,
     element_oracle,
     prescribed_semigroup,
     semigroup_oracle,
@@ -136,12 +137,13 @@ class LInstance:
 
     def extension_matrix(self, alpha: GFMatrix, complement_images) -> GFMatrix:
         """The unique matrix restricting to alpha on W and sending the
-        deterministic complement basis vectors to the given images."""
+        deterministic complement basis vectors to the given images
+        (vectors with entries already reduced mod p)."""
         rows = [self.w.from_coordinates(alpha.entries[i]) for i in range(self.w.dim)]
         rows.extend(tuple(v) for v in complement_images)
         if self.n == 0:
             return GFMatrix(self.p, (), cols=0)
-        return self._c_inv * GFMatrix(self.p, rows, cols=self.n)
+        return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
 
 
 def l_instance_from_dict(data: dict, *, close: bool = False) -> LInstance:
@@ -165,7 +167,7 @@ def build_lsw(inst: LInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
     """
     p, n, k = inst.p, inst.n, inst.w.dim
     count = inst.expected_size()
-    if count > size_cap:
+    if count > min(size_cap, TABLE_CAP):
         raise SizeCapExceeded("size cap exceeded")
     if k == n:
         return inst.s_w  # W = V: the build is S(W) itself, table reused
@@ -304,7 +306,7 @@ def _unit_regular_witness_l(inst, rec, g0, w_plus_u):
     complement bases of W + R(f) and W + U."""
     p, n, f, u = inst.p, inst.n, rec.f, rec.transversal.u
     b1, b2, b3, b4 = rec.chain
-    mu = GFMatrix(p, [f.apply(r) for r in u.basis], cols=n)
+    mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
 
     def g1(v):
         coords = solve_row_vector(mu, v)  # unique: U is a transversal of ker(f)
@@ -333,11 +335,11 @@ def _unit_regular_witness_l(inst, rec, g0, w_plus_u):
 
 def _matrix_from_action(p, n, basis_rows, image_rows) -> GFMatrix:
     """Matrix (standard coordinates, row action) of the map sending each
-    basis row to its image row."""
+    basis row to its image row; both are tuples reduced mod p."""
     if n == 0:
         return GFMatrix(p, (), cols=0)
-    c = GFMatrix(p, basis_rows, cols=n)
-    d = GFMatrix(p, image_rows, cols=n)
+    c = GFMatrix._unchecked(p, len(basis_rows), n, tuple(basis_rows))
+    d = GFMatrix._unchecked(p, len(image_rows), n, tuple(image_rows))
     return mat_inverse(c) * d
 
 
@@ -406,11 +408,11 @@ def alpha_family_check(inst: LInstance, size_cap: int = 1_000_000) -> PropertyVe
         raise ValueError("precondition violated")
     p, n = inst.p, inst.n
     x = unit_rows(n)[inst._complement_cols[0]]
+    build = build_lsw(inst, size_cap)
     family = {}
     for lam in inst.s_w.elements:
         for z in all_vectors(p, n):
             family[(z, lam)] = inst.extension_matrix(lam, [z])
-    build = build_lsw(inst, size_cap)
     if set(family.values()) != set(build.elements):
         return PropertyVerdict("alpha_family", False, clause="family differs from the build")
     for lam in inst.s_w.elements:

@@ -5,12 +5,13 @@ maps of points: the points of X, or the vectors of GF(p)^n.  Each element
 gives a *point code*, the images of the points that determine it
 (``Transformation.map``, or a matrix's rows), and a *point action*, its
 images of any given points; the code of ``a * b`` is b's action on a's
-code.  For semigroups of at most ``table_cap`` elements the full Cayley
-table is built from integer tuples alone: the points occurring in the
-codes are numbered, each element's action on them is taken once, and
-each product's code is gathered from those actions.  Only points that
-occur in codes are used, never all of GF(p)^n.  Every oracle then runs
-on small-integer indices.
+code.  Every semigroup carries its full Cayley table, built from integer
+tuples alone: the points occurring in the codes are numbered, each
+element's action on them is taken once, and each product's code is
+gathered from those actions.  Only points that occur in codes are used,
+never all of GF(p)^n.  Every oracle then runs on small-integer indices.
+A semigroup of more than ``TABLE_CAP`` elements is refused with
+``SizeCapExceeded``, and so are closures and builds that would exceed it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class PropertyVerdict:
 
 IdempotentsUnits = namedtuple("IdempotentsUnits", ["idempotents", "units", "units_available"])
 
-_DEFAULT_TABLE_CAP = 4096
+# Element count of the largest Cayley table, hence of the largest semigroup.
+TABLE_CAP = 4096
 
 
 def _element_text(el) -> str:
@@ -78,11 +80,12 @@ class FiniteSemigroup:
 
     Closure is verified at construction (the verification doubles as the
     Cayley-table build, which gathers point codes and multiplies no
-    elements).  A two-sided identity is detected by scan, never assumed.
-    Instances are immutable after construction and safe to share.
+    elements).  More than ``TABLE_CAP`` distinct elements are refused.
+    A two-sided identity is detected by scan, never assumed.  Instances
+    are immutable after construction and safe to share.
     """
 
-    def __init__(self, elements, table_cap: int = _DEFAULT_TABLE_CAP) -> None:
+    def __init__(self, elements) -> None:
         elems = []
         index: dict = {}
         for el in elements:
@@ -91,42 +94,34 @@ class FiniteSemigroup:
                 elems.append(el)
         if not elems:
             raise ValueError("a semigroup needs at least one element")
+        if len(elems) > TABLE_CAP:
+            raise SizeCapExceeded("size cap exceeded")
         _check_same_kind(elems)
         self.elements = tuple(elems)
         self._index = index
-        m = len(elems)
-        if m <= table_cap:
-            # Index the points that occur in the elements' point codes.  A
-            # closed semigroup maps them into themselves, so a point sent
-            # outside them (None in an action) shows a missing product.
-            point_index: dict = {}
-            codes = [
-                tuple(point_index.setdefault(x, len(point_index)) for x in el.point_code())
-                for el in elems
-            ]
-            points = tuple(point_index)
-            actions = [tuple(map(point_index.get, el.point_action(points))) for el in elems]
-            by_code = {code: k for k, code in enumerate(codes)}
-            index_of_code = by_code.__getitem__
-            table = []
-            for a, code in zip(elems, codes):
-                gather = _gatherer(code)
-                try:
-                    table.append(list(map(index_of_code, map(gather, actions))))
-                except KeyError:
-                    j = next(j for j, act in enumerate(actions) if gather(act) not in by_code)
-                    raise ValueError(
-                        f"not closed under composition: {a!r} * {elems[j]!r} missing"
-                    ) from None
-            self.table = table
-        else:
-            for a in elems:
-                for b in elems:
-                    if a * b not in index:
-                        raise ValueError(
-                            f"not closed under composition: {a!r} * {b!r} missing"
-                        )
-            self.table = None
+        # Index the points that occur in the elements' point codes.  A
+        # closed semigroup maps them into themselves, so a point sent
+        # outside them (None in an action) shows a missing product.
+        point_index: dict = {}
+        codes = [
+            tuple(point_index.setdefault(x, len(point_index)) for x in el.point_code())
+            for el in elems
+        ]
+        points = tuple(point_index)
+        actions = [tuple(map(point_index.get, el.point_action(points))) for el in elems]
+        by_code = {code: k for k, code in enumerate(codes)}
+        index_of_code = by_code.__getitem__
+        table = []
+        for a, code in zip(elems, codes):
+            gather = _gatherer(code)
+            try:
+                table.append(list(map(index_of_code, map(gather, actions))))
+            except KeyError:
+                j = next(j for j, act in enumerate(actions) if gather(act) not in by_code)
+                raise ValueError(
+                    f"not closed under composition: {a!r} * {elems[j]!r} missing"
+                ) from None
+        self.table = table
         self.identity_index = self._find_identity()
         self._units: list[int] | None = None
         self._idempotents: list[int] | None = None
@@ -161,11 +156,6 @@ class FiniteSemigroup:
         except KeyError:
             raise ValueError("element not in semigroup") from None
 
-    def compose_idx(self, i: int, j: int) -> int:
-        if self.table is not None:
-            return self.table[i][j]
-        return self._index[self.elements[i] * self.elements[j]]
-
     @property
     def has_identity(self) -> bool:
         return self.identity_index is not None
@@ -177,15 +167,10 @@ class FiniteSemigroup:
         return self.elements[self.identity_index]
 
     def _find_identity(self):
-        m = len(self.elements)
-        if self.table is not None:
-            ident = list(range(m))
-            for e in range(m):
-                if self.table[e] == ident and all(self.table[j][e] == j for j in range(m)):
-                    return e
-            return None
-        for e, cand in enumerate(self.elements):
-            if all(cand * x == x == x * cand for x in self.elements):
+        table = self.table
+        ident = list(range(len(table)))
+        for e, row in enumerate(table):
+            if row == ident and all(table[j][e] == j for j in ident):
                 return e
         return None
 
@@ -193,9 +178,7 @@ class FiniteSemigroup:
 
     def idempotent_indices(self) -> list[int]:
         if self._idempotents is None:
-            self._idempotents = [
-                i for i in range(len(self.elements)) if self.compose_idx(i, i) == i
-            ]
+            self._idempotents = [i for i, row in enumerate(self.table) if row[i] == i]
         return self._idempotents
 
     def unit_indices(self) -> list[int]:
@@ -205,22 +188,20 @@ class FiniteSemigroup:
             units: list[int] = []
             e = self.identity_index
             if e is not None:
-                m = len(self.elements)
-                for u in range(m):
-                    row = self.table[u] if self.table is not None else [
-                        self.compose_idx(u, v) for v in range(m)]
+                table = self.table
+                for u, row in enumerate(table):
                     # in a finite monoid a right inverse is unique when it exists
                     try:
                         v = row.index(e)
                     except ValueError:
                         continue
-                    if self.compose_idx(v, u) == e:
+                    if table[v][u] == e:
                         units.append(u)
             self._units = units
         return self._units
 
 
-def closure_elements(gens, size_cap: int = 1_000_000) -> list:
+def closure_elements(gens, size_cap: int = TABLE_CAP) -> list:
     """Closure of the generators as an ordered element list.
 
     Breadth-first over words in the generators, ties within a level broken
@@ -254,7 +235,7 @@ def closure_elements(gens, size_cap: int = 1_000_000) -> list:
     return order
 
 
-def generate(gens, size_cap: int = 1_000_000) -> FiniteSemigroup:
+def generate(gens, size_cap: int = TABLE_CAP) -> FiniteSemigroup:
     """Smallest composition-closed superset of the generators."""
     return FiniteSemigroup(closure_elements(gens, size_cap))
 
@@ -288,25 +269,23 @@ def element_oracle(s: FiniteSemigroup, a, mode: str) -> PropertyVerdict:
     aba = a and ab = ba.
     """
     i = s.index_of(a)
-    m = len(s.elements)
+    t = s.table
+    row = t[i]
     if mode == "regular":
-        for j in range(m):
-            if s.compose_idx(s.compose_idx(i, j), i) == i:
+        for j, ij in enumerate(row):
+            if t[ij][i] == i:
                 return PropertyVerdict(mode, True, witness=s.elements[j])
         return PropertyVerdict(mode, False)
     if mode == "unit_regular":
         if not s.has_identity:
             raise ValueError("identity required")
         for j in s.unit_indices():
-            if s.compose_idx(s.compose_idx(i, j), i) == i:
+            if t[row[j]][i] == i:
                 return PropertyVerdict(mode, True, witness=s.elements[j])
         return PropertyVerdict(mode, False)
     if mode == "completely_regular":
-        for j in range(m):
-            if (
-                s.compose_idx(s.compose_idx(i, j), i) == i
-                and s.compose_idx(i, j) == s.compose_idx(j, i)
-            ):
+        for j, ij in enumerate(row):
+            if t[ij][i] == i and ij == t[j][i]:
                 return PropertyVerdict(mode, True, witness=s.elements[j])
         return PropertyVerdict(mode, False)
     raise ValueError(f"unknown element mode {mode!r}")
@@ -326,10 +305,11 @@ def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
         reg = semigroup_oracle(s, "regular")
         if not reg.holds:
             return PropertyVerdict(mode, False, witness=reg.witness, clause="not regular")
+        t = s.table
         idem = s.idempotent_indices()
         for e in idem:
             for f in idem:
-                if s.compose_idx(e, f) != s.compose_idx(f, e):
+                if t[e][f] != t[f][e]:
                     return PropertyVerdict(
                         mode, False,
                         witness=(s.elements[e], s.elements[f]),
@@ -348,13 +328,11 @@ def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
 def inverse_by_unique_inverses(s: FiniteSemigroup) -> PropertyVerdict:
     """Inverse-semigroup test straight from the unique-inverse definition:
     every x has exactly one y with xyx = x and yxy = y."""
-    m = len(s.elements)
-    for i in range(m):
+    t = s.table
+    for i, row in enumerate(t):
         count = 0
-        for j in range(m):
-            ij = s.compose_idx(i, j)
-            ji = s.compose_idx(j, i)
-            if s.compose_idx(ij, i) == i and s.compose_idx(ji, j) == j:
+        for j, ij in enumerate(row):
+            if t[ij][i] == i and t[t[j][i]][j] == j:
                 count += 1
                 if count > 1:
                     break
@@ -366,13 +344,14 @@ def inverse_by_unique_inverses(s: FiniteSemigroup) -> PropertyVerdict:
 
 def closure_indices(s: FiniteSemigroup, seed: set[int]) -> frozenset:
     """Indices of the subsemigroup generated inside s by the seed indices."""
+    t = s.table
     members = set(seed)
     frontier = list(seed)
     while frontier:
         nxt = []
         for a in frontier:
             for b in list(members):
-                for c in (s.compose_idx(a, b), s.compose_idx(b, a)):
+                for c in (t[a][b], t[b][a]):
                     if c not in members:
                         members.add(c)
                         nxt.append(c)
@@ -381,17 +360,16 @@ def closure_indices(s: FiniteSemigroup, seed: set[int]) -> frozenset:
 
 
 def _is_group_subset(s: FiniteSemigroup, idxs: frozenset) -> bool:
+    t = s.table
     ident = None
     for e in idxs:
-        if all(s.compose_idx(e, x) == x == s.compose_idx(x, e) for x in idxs):
+        if all(t[e][x] == x == t[x][e] for x in idxs):
             ident = e
             break
     if ident is None:
         return False
     for x in idxs:
-        if not any(
-            s.compose_idx(x, y) == ident and s.compose_idx(y, x) == ident for y in idxs
-        ):
+        if not any(t[x][y] == ident == t[y][x] for y in idxs):
             return False
     return True
 

@@ -37,7 +37,6 @@ FAMILIES = {"transformation": tsg.TInstance, "linear": lsg.LInstance}
 
 _EXHAUSTIVE_BASE_LIMIT = 16
 _DEFINITION_CHECK_LIMIT = 200
-_TRANSVERSAL_CAP = 4096
 
 _IMPLICATIONS = (
     ("inverse", "regular"),
@@ -351,8 +350,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
             m for m in inst.ELEMENT_MODES
             if m in plan.modes and (m != "unit_regular" or inst.has_identity)
         ]
-    transversals = plan.transversal_checks and len(build) <= _TRANSVERSAL_CAP
-    if element_modes or transversals:
+    if element_modes or plan.transversal_checks:
         # One pass, so that all checks on f run back to back and share the
         # family's per-element work (LInstance.subspaces).
         for f in build.elements:
@@ -371,7 +369,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                     )
                 if thm.holds and thm.witness is not None:
                     rep.witnesses_checked += 1  # witnesses are verified inside the predicate
-            if transversals:
+            if plan.transversal_checks:
                 problem = inst.transversal_problem(f)
                 rep.transversal_checks_run += 1
                 if problem is not None:

@@ -15,6 +15,7 @@ from .semigroups import (
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
+    TABLE_CAP,
     element_oracle,
     prescribed_semigroup,
     semigroup_oracle,
@@ -148,7 +149,7 @@ def build_tsy(inst: TInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
     """
     n, k = inst.n, len(inst.y)
     count = inst.expected_size()
-    if count > size_cap:
+    if count > min(size_cap, TABLE_CAP):
         raise SizeCapExceeded("size cap exceeded")
     if k == n:
         return inst.s_y  # Y = X: the build is S(Y) itself, table reused
@@ -267,7 +268,8 @@ def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
 
     regular:      S(Y) a subgroup of the symmetric group on Y,  or
                   S(Y) regular and Y = X.
-    inverse:      S(Y) inverse  and  (Y = X or |X| = 2).
+    inverse:      S(Y) inverse  and  (Y = X or |X| = 2); for an empty Y,
+                  where the build is all of T(X), |X| <= 1.
     unit_regular: S(Y) a subgroup of the symmetric group (the complement
                   of Y is finite here by construction),  or  S(Y)
                   unit-regular and Y = X.
@@ -281,6 +283,10 @@ def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
             return PropertyVerdict(mode, True, clause="S(Y) regular and Y = X")
         return PropertyVerdict(mode, False, clause="neither clause holds")
     if mode == "inverse":
+        if len(inst.y) == 0:  # the build is all of T(X)
+            holds = inst.n <= 1
+            clause = "Y empty and |X| " + ("<= 1" if holds else "> 1")
+            return PropertyVerdict(mode, holds, clause=clause)
         shape_ok = y_is_x or inst.n == 2
         sy_ok = semigroup_oracle(s_y, "inverse").holds
         if sy_ok and shape_ok:

@@ -216,12 +216,11 @@ def canonical_transversal(f: Transformation, y: IndexSubset) -> TransversalPair:
     For every image point of the restricted map the smallest preimage
     inside Y is taken; for every remaining image point of f the smallest
     preimage overall.  Ties therefore never arise and repeated runs give
-    identical output.
+    identical output.  For an empty Y, ``t_on_y`` is empty and T holds
+    the smallest preimage of each fibre.
     """
     if f.n != y.n:
         raise ValueError("dimension mismatch")
-    if len(y) == 0:
-        raise ValueError("empty Y")
     ry = set()
     for x in y.members:
         fx = f.map[x]

@@ -1,6 +1,7 @@
 """CLI tests: commands, inline grammar, JSON output, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,30 @@ class TestBuild:
         assert code == 2 and "not closed" in err
         code, out, _ = run(capsys, *argv, "--close", "--format", "json")
         assert code == 0 and json.loads(out)["size"] == 3
+
+
+class TestTableCap:
+    # T_S(Y)(X) for n = 6, Y = {0}, S(Y) trivial: 6^5 = 7,776 elements,
+    # past the 4,096-element Cayley table and far under --size-cap
+    PAST_TABLE = ("--kind", "t", "--n", "6", "--y", "0", "--sy", "0")
+
+    @pytest.mark.parametrize("argv", [
+        ("build", *PAST_TABLE),
+        ("classify", *PAST_TABLE),
+        ("element", *PAST_TABLE, "--f", "0,0,0,0,0,0"),
+        ("build", "--kind", "t", "--n", "6", "--y", "0,1,2,3,4,5",
+         "--gens", "1,2,3,4,5,0;1,0,2,3,4,5;0,0,2,3,4,5"),  # closure is T(6)
+    ], ids=["build", "classify", "element", "gens-closure"])
+    def test_refused_up_front(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 3 and "size cap" in err and out == ""
+
+    def test_largest_table_still_builds(self, capsys):
+        code, out, _ = run(capsys, "build", "--kind", "l", "--p", "2", "--n", "4",
+                           "--w", "1,0,0,0", "--sw", "1")
+        assert code == 0 and "semigroup size: 4096" in out
 
 
 class TestClassify:

@@ -3,7 +3,7 @@ detection, and the brute-force property oracles."""
 
 import random
 import re
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from resemi.gflinear import GFMatrix, all_vectors
 from resemi.semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
+    TABLE_CAP,
     closure_elements,
     element_oracle,
     generate,
@@ -53,15 +54,15 @@ class TestFiniteSemigroup:
         consts = FiniteSemigroup([Transformation([0, 0]), Transformation([1, 1])])
         assert not consts.has_identity
 
-    def test_table_and_direct_paths_agree(self):
-        elems = [Transformation(t) for t in product(range(3), repeat=3)]
-        with_table = FiniteSemigroup(elems)
-        without = FiniteSemigroup(elems, table_cap=1)
-        assert without.table is None
-        for i in (0, 5, 13):
-            for j in (2, 7, 26):
-                assert with_table.compose_idx(i, j) == without.compose_idx(i, j)
-        assert with_table.identity_index == without.identity_index
+    def test_more_than_table_cap_elements_refused(self):
+        elems = [Transformation(t) for t in islice(product(range(6), repeat=6), TABLE_CAP + 1)]
+        with pytest.raises(SizeCapExceeded, match="size cap exceeded"):
+            FiniteSemigroup(elems)
+        # duplicates do not count: TABLE_CAP distinct elements pass the cap
+        # and are then rejected only for not being closed (the reversed
+        # order has a missing product in its first row)
+        with pytest.raises(ValueError, match="not closed"):
+            FiniteSemigroup(elems[TABLE_CAP - 1::-1] + elems[:5])
 
 
 def full_l(p, n):
@@ -178,9 +179,9 @@ class TestUnitIndices:
         e = s.identity_index
         if e is None:
             return []
-        m = len(s)
-        return [u for u in range(m)
-                if any(s.compose_idx(u, v) == e == s.compose_idx(v, u) for v in range(m))]
+        t = s.table
+        return [u for u in range(len(s))
+                if any(t[u][v] == e == t[v][u] for v in range(len(s)))]
 
     @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
     def test_agrees_with_two_sided_definition(self, name, base):
@@ -188,12 +189,11 @@ class TestUnitIndices:
             s = FiniteSemigroup(elems)
             assert s.unit_indices() == self.brute_units(s)
 
-    def test_full_monoids_and_direct_path(self):
+    def test_full_monoids(self):
         for elems in (full_l(3, 2), [Transformation(t) for t in product(range(3), repeat=3)]):
-            for cap in (4096, 1):
-                s = FiniteSemigroup(elems, table_cap=cap)
-                assert s.unit_indices() == self.brute_units(s)
-                assert len(s.unit_indices()) in (48, 6)
+            s = FiniteSemigroup(elems)
+            assert s.unit_indices() == self.brute_units(s)
+            assert len(s.unit_indices()) in (48, 6)
 
     def test_no_identity_means_no_units(self):
         s = FiniteSemigroup([Transformation([0, 0]), Transformation([1, 1])])
@@ -219,6 +219,15 @@ class TestGenerate:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded, match="size cap exceeded"):
             generate([Transformation([1, 2, 3, 0]), Transformation([1, 0, 2, 3])], size_cap=5)
+
+    def test_closure_past_the_table_refused(self):
+        # T(6) has 46,656 elements; the closure stops once it passes TABLE_CAP
+        gens = [Transformation([1, 2, 3, 4, 5, 0]), Transformation([1, 0, 2, 3, 4, 5]),
+                Transformation([0, 0, 2, 3, 4, 5])]
+        with pytest.raises(SizeCapExceeded, match="size cap exceeded"):
+            generate(gens)
+        with pytest.raises(SizeCapExceeded):
+            closure_elements(gens)
 
     def test_idempotent_on_closed_sets(self):
         for gens in ([Transformation([1, 0])], [Transformation([0, 0, 1])],

@@ -82,6 +82,17 @@ class TestRunSweep:
         assert len(rep.skipped) == 3  # every build needs 9 > 5 elements
         assert not rep.mismatches
 
+    def test_build_past_the_table_recorded_as_skipped(self):
+        plan = SweepPlan(
+            family="transformation", ns=(6,), subset_sizes=(1,),
+            source=("exhaustive",), modes=("regular",),
+        )
+        rep = run_sweep(plan)
+        assert rep.instances_run == 6
+        # every build has 6^5 = 7,776 elements, past the Cayley table
+        assert [s["reason"] for s in rep.skipped] == ["size cap exceeded"] * 6
+        assert rep.clean
+
     def test_element_cap_zero_disables_element_level(self):
         plan = SweepPlan(
             family="transformation", ns=(2,), subset_sizes=(1, 2),

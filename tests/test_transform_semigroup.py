@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from resemi.cli import main
 from resemi.semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
@@ -21,7 +22,12 @@ from resemi.transform_semigroup import (
     thm_element_t,
     thm_semigroup_t,
 )
-from resemi.transformations import IndexSubset, Transformation, restriction
+from resemi.transformations import (
+    IndexSubset,
+    Transformation,
+    canonical_transversal,
+    restriction,
+)
 
 
 def all_transformations(n):
@@ -225,3 +231,51 @@ class TestJsonIngest:
             t_instance_from_dict(data)
         inst = t_instance_from_dict(data, close=True)
         assert len(inst.s_y) == 3
+
+
+class TestEmptyY:
+    """Y = ∅: S(Y) is the trivial semigroup of the empty map and the build
+    is all of T(X), which is regular and unit-regular, and inverse only
+    for |X| <= 1."""
+
+    @staticmethod
+    def instance(n):
+        return TInstance(n, IndexSubset(n, []), FiniteSemigroup([Transformation(())]),
+                         allow_empty_y=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_semigroup_modes_agree_with_oracle(self, n):
+        inst = self.instance(n)
+        b = build_tsy(inst)
+        assert len(b) == n ** n and inst.has_identity
+        for mode in TInstance.SEMIGROUP_MODES:
+            assert thm_semigroup_t(inst, mode).holds == semigroup_oracle(b, mode).holds, mode
+        assert thm_semigroup_t(inst, "inverse").holds == (n == 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_element_modes_agree_with_oracle(self, n):
+        inst = self.instance(n)
+        b = build_tsy(inst)
+        for f in b.elements:
+            for mode in TInstance.ELEMENT_MODES:
+                thm = thm_element_t(inst, f, mode)
+                assert thm.holds == element_oracle(b, f, mode).holds, (f, mode)
+                if thm.witness is not None:
+                    g = thm.witness
+                    assert g in b and f * g * f == f
+                    assert mode != "unit_regular" or g.is_bijective()
+            assert inst.transversal_problem(f) is None
+
+    def test_canonical_transversal_takes_smallest_preimages(self):
+        # fibres {1, 3} (of 0) and {0, 2} (of 2)
+        pair = canonical_transversal(Transformation([2, 0, 2, 0]), IndexSubset(4, []))
+        assert pair.t == IndexSubset(4, [0, 1]) and len(pair.t_on_y) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--kind", "t", "--n", "2", "--y", "", "--sy", ""],
+        ["element", "--kind", "t", "--n", "2", "--y", "", "--sy", "", "--f", "0,0"],
+        ["classify", "--kind", "t", "--n", "1", "--y", "", "--gens", ""],
+    ])
+    def test_cli_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert "DISAGREEMENT" not in capsys.readouterr().out
