@@ -28,7 +28,6 @@ from .linear_semigroup import (
     LInstance,
     alpha_family_check,
     build_lsw,
-    is_subgroup_of_aut,
     l_instance_from_dict,
     thm_element_l,
     thm_semigroup_l,
@@ -39,7 +38,6 @@ from .semigroups import (
     SizeCapExceeded,
     element_oracle,
     generate,
-    idempotents_units,
     inverse_by_unique_inverses,
     semigroup_oracle,
     subgroup_containing,
@@ -48,7 +46,6 @@ from .sweep import SweepPlan, SweepReport, enumerate_subsemigroups, run_sweep
 from .transform_semigroup import (
     TInstance,
     build_tsy,
-    is_subgroup_of_sym,
     t_instance_from_dict,
     thm_element_t,
     thm_semigroup_t,

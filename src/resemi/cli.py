@@ -20,7 +20,6 @@ from .linear_semigroup import LInstance, l_instance_from_dict
 from .semigroups import (
     SizeCapExceeded,
     element_oracle,
-    idempotents_units,
     prescribed_semigroup,
     semigroup_oracle,
 )
@@ -67,12 +66,12 @@ def _read_json(path: str, load):
         raise ValueError(f"malformed JSON in {path}: {exc!r}") from None
 
 
-def _instance_from_dict(data: dict, close: bool):
+def _instance_from_dict(data: dict):
     loader = {"transformation": t_instance_from_dict,
               "linear": l_instance_from_dict}.get(data.get("kind"))
     if loader is None:
         raise ValueError('instance JSON needs "kind": "transformation" or "linear"')
-    return loader(data, close=close)
+    return loader(data)
 
 
 def _load_instance(args):
@@ -81,7 +80,7 @@ def _load_instance(args):
     if args.input is not None:
         if any(v is not None for v in inline) or args.kind is not None:
             raise ValueError("--input and inline instance flags are mutually exclusive")
-        return _read_json(args.input, lambda data: _instance_from_dict(data, args.close))
+        return _read_json(args.input, _instance_from_dict)
     if args.kind == "t":
         if args.n is None or args.y is None:
             raise ValueError("--kind t needs --n and --y")
@@ -89,8 +88,8 @@ def _load_instance(args):
         if args.sy is None and args.gens is None:
             raise ValueError("--kind t needs --sy or --gens")
         s_y = prescribed_semigroup(lambda text: _parse_transformations(text, len(y)),
-                                   args.gens, args.sy, close=args.close)
-        return TInstance(args.n, y, s_y, allow_empty_y=len(y) == 0)
+                                   args.gens, args.sy)
+        return TInstance(args.n, y, s_y)
     if args.kind == "l":
         if args.p is None or args.n is None or args.w is None:
             raise ValueError("--kind l needs --p, --n and --w")
@@ -100,7 +99,7 @@ def _load_instance(args):
         if args.sw is None and args.gens is None:
             raise ValueError("--kind l needs --sw or --gens")
         s_w = prescribed_semigroup(lambda text: _parse_matrices(text, args.p),
-                                   args.gens, args.sw, close=args.close)
+                                   args.gens, args.sw)
         return LInstance(args.p, args.n, w, s_w)
     raise ValueError("--kind t|l (or --input) is required")
 
@@ -117,19 +116,19 @@ def _emit(payload: dict, fmt: str) -> None:
 def _cmd_build(args) -> int:
     inst = _load_instance(args)
     build = inst.build(args.size_cap)
-    idem, units, has_ident = idempotents_units(build)
+    idem, units = len(build.idempotent_indices()), len(build.unit_indices())
     payload = {
         "command": "build",
         "instance": inst.key(),
         "size": len(build),
-        "has_identity": has_ident,
-        "idempotents": len(idem),
-        "units": len(units),
+        "has_identity": build.has_identity,
+        "idempotents": idem,
+        "units": units,
         "_text": [
             f"semigroup size: {len(build)}",
-            f"two-sided identity: {'yes' if has_ident else 'no'}",
-            f"idempotents: {len(idem)}",
-            f"units: {len(units)}",
+            f"two-sided identity: {'yes' if build.has_identity else 'no'}",
+            f"idempotents: {idem}",
+            f"units: {units}",
         ],
     }
     _emit(payload, args.format)
@@ -243,8 +242,6 @@ def _add_instance_flags(sp) -> None:
     sp.add_argument("--w", help="subspace W as ';'-separated spanning rows")
     sp.add_argument("--sw", help="S(W) elements, '|'-separated matrices")
     sp.add_argument("--gens", help="generators instead of elements (closure is applied)")
-    sp.add_argument("--close", action="store_true",
-                    help="close non-closed --sy/--sw input instead of rejecting it")
     sp.add_argument("--mode", action="append", help="property to check (repeatable)")
     sp.add_argument("--no-oracle", action="store_true",
                     help="skip the brute-force oracle (reported as 'skipped')")

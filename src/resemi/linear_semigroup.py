@@ -67,6 +67,7 @@ class LInstance:
         self.w = w
         self.s_w = s_w
         self.has_identity = GFMatrix.identity(p, k) in s_w
+        self.unit_group = self.has_identity and semigroup_oracle(s_w, "group").holds
         self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
         basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
         self._c_inv = mat_inverse(GFMatrix(p, basis_rows, cols=n)) if n else GFMatrix(p, (), cols=0)
@@ -146,7 +147,7 @@ class LInstance:
         return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
 
 
-def l_instance_from_dict(data: dict, *, close: bool = False) -> LInstance:
+def l_instance_from_dict(data: dict) -> LInstance:
     """Build an LInstance from its JSON form (spanning rows for W; ``sW``
     holds ``elements`` or ``generators`` of dim(W)-sized matrices)."""
     p = int(data["p"])
@@ -154,7 +155,7 @@ def l_instance_from_dict(data: dict, *, close: bool = False) -> LInstance:
     w = Subspace(p, n, data["W"])
     block = data["sW"]
     s_w = prescribed_semigroup(lambda items: [GFMatrix(p, e, cols=w.dim) for e in items],
-                               block.get("generators"), block.get("elements"), close=close)
+                               block.get("generators"), block.get("elements"))
     return LInstance(p, n, w, s_w)
 
 
@@ -343,11 +344,6 @@ def _matrix_from_action(p, n, basis_rows, image_rows) -> GFMatrix:
     return mat_inverse(c) * d
 
 
-def is_subgroup_of_aut(s: FiniteSemigroup) -> bool:
-    """True when every matrix is invertible and the group oracle passes."""
-    return all(el.is_invertible() for el in s.elements) and semigroup_oracle(s, "group").holds
-
-
 def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
     """Semigroup classification from (p, n, W, S(W)) alone.
 
@@ -361,7 +357,7 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
     s_w = inst.s_w
     w_is_v = inst.w.is_full()
     if mode == "regular":
-        if is_subgroup_of_aut(s_w):
+        if inst.unit_group:
             return PropertyVerdict(mode, True, clause="S(W) is a subgroup of Aut(W)")
         if w_is_v and semigroup_oracle(s_w, "regular").holds:
             return PropertyVerdict(mode, True, clause="S(W) regular and W = V")
@@ -377,7 +373,7 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
     if mode == "unit_regular":
         if not inst.has_identity:
             raise ValueError("identity required")
-        if is_subgroup_of_aut(s_w):
+        if inst.unit_group:
             return PropertyVerdict(
                 mode, True, clause="S(W) is a subgroup of Aut(W) and codim(W) is finite"
             )
@@ -389,7 +385,7 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
             return PropertyVerdict(mode, False, clause="S(W) not completely regular")
         if w_is_v:
             return PropertyVerdict(mode, True, clause="S(W) completely regular and W = V")
-        if inst.w.codim == 1 and is_subgroup_of_aut(s_w):
+        if inst.w.codim == 1 and inst.unit_group:
             return PropertyVerdict(
                 mode, True, clause="codim(W) = 1 and S(W) is a subgroup of Aut(W)"
             )
@@ -404,7 +400,7 @@ def alpha_family_check(inst: LInstance, size_cap: int = 1_000_000) -> PropertyVe
     equals the build elementwise and that composition acts on indices by
     (z, lam)(z', del) = (x, lam.del) when z = x, and (y, lam)(z', del) =
     (y.del, lam.del) for y in W."""
-    if inst.w.codim != 1 or not is_subgroup_of_aut(inst.s_w):
+    if inst.w.codim != 1 or not inst.unit_group:
         raise ValueError("precondition violated")
     p, n = inst.p, inst.n
     x = unit_rows(n)[inst._complement_cols[0]]

@@ -17,7 +17,6 @@ A semigroup of more than ``TABLE_CAP`` elements is refused with
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -40,8 +39,6 @@ class PropertyVerdict:
     witness: object = None
     clause: str | None = None
 
-
-IdempotentsUnits = namedtuple("IdempotentsUnits", ["idempotents", "units", "units_available"])
 
 # Element count of the largest Cayley table, hence of the largest semigroup.
 TABLE_CAP = 4096
@@ -201,18 +198,19 @@ class FiniteSemigroup:
         return self._units
 
 
-def closure_elements(gens, size_cap: int = TABLE_CAP) -> list:
+def closure_elements(gens) -> list:
     """Closure of the generators as an ordered element list.
 
     Breadth-first over words in the generators, ties within a level broken
-    by textual form, so the order is reproducible.
+    by textual form, so the order is reproducible.  A closure of more than
+    ``TABLE_CAP`` elements is refused.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("at least one generator required")
     _check_same_kind(gens)
     first = sorted(set(gens), key=_element_text)
-    if len(first) > size_cap:
+    if len(first) > TABLE_CAP:
         raise SizeCapExceeded("size cap exceeded")
     order = list(first)
     known = set(order)
@@ -227,7 +225,7 @@ def closure_elements(gens, size_cap: int = TABLE_CAP) -> list:
         if not new:
             break
         batch = sorted(new, key=_element_text)
-        if len(order) + len(batch) > size_cap:
+        if len(order) + len(batch) > TABLE_CAP:
             raise SizeCapExceeded("size cap exceeded")
         order.extend(batch)
         known.update(batch)
@@ -235,30 +233,22 @@ def closure_elements(gens, size_cap: int = TABLE_CAP) -> list:
     return order
 
 
-def generate(gens, size_cap: int = TABLE_CAP) -> FiniteSemigroup:
+def generate(gens) -> FiniteSemigroup:
     """Smallest composition-closed superset of the generators."""
-    return FiniteSemigroup(closure_elements(gens, size_cap))
+    return FiniteSemigroup(closure_elements(gens))
 
 
-def prescribed_semigroup(parse, generators=None, elements=None, *, close: bool = False
-                         ) -> FiniteSemigroup:
-    """S(Y) or S(W) from its ``generators`` (always closed over) or its
-    ``elements`` (which must already be closed unless ``close`` is set).
-    ``parse`` turns the given form, as read, into a list of elements."""
+def prescribed_semigroup(parse, generators=None, elements=None) -> FiniteSemigroup:
+    """S(Y) or S(W) from exactly one of its ``generators`` (closed over) and
+    its ``elements`` (which must already be closed).  ``parse`` turns the
+    given form, as read, into a list of elements."""
+    if generators is not None and elements is not None:
+        raise ValueError("give either elements or generators, not both")
     if generators is not None:
         return generate(parse(generators))
     if elements is None:
         raise ValueError("neither elements nor generators given")
-    elems = parse(elements)
-    return generate(elems) if close else FiniteSemigroup(elems)
-
-
-def idempotents_units(s: FiniteSemigroup) -> IdempotentsUnits:
-    """Idempotents and units of s; units are empty (flagged unavailable)
-    when no two-sided identity exists."""
-    idem = [s.elements[i] for i in s.idempotent_indices()]
-    units = [s.elements[i] for i in s.unit_indices()]
-    return IdempotentsUnits(idem, units, s.has_identity)
+    return FiniteSemigroup(parse(elements))
 
 
 def element_oracle(s: FiniteSemigroup, a, mode: str) -> PropertyVerdict:
@@ -342,24 +332,7 @@ def inverse_by_unique_inverses(s: FiniteSemigroup) -> PropertyVerdict:
     return PropertyVerdict("inverse", True)
 
 
-def closure_indices(s: FiniteSemigroup, seed: set[int]) -> frozenset:
-    """Indices of the subsemigroup generated inside s by the seed indices."""
-    t = s.table
-    members = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (t[a][b], t[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(members)
-
-
-def _is_group_subset(s: FiniteSemigroup, idxs: frozenset) -> bool:
+def _is_group_subset(s: FiniteSemigroup, idxs: set) -> bool:
     t = s.table
     ident = None
     for e in idxs:
@@ -382,7 +355,12 @@ def subgroup_containing(s: FiniteSemigroup, a):
     is tried.
     """
     i = s.index_of(a)
-    own = closure_indices(s, {i})
+    t = s.table
+    own = {i}
+    power = t[i][i]  # walk a, a^2, ... until a power repeats
+    while power not in own:
+        own.add(power)
+        power = t[power][i]
     if _is_group_subset(s, own):
         return tuple(s.elements[k] for k in sorted(own))
     return None

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linear_semigroup as lsg
 from . import transform_semigroup as tsg
@@ -175,18 +175,25 @@ class SweepReport:
 # -- base monoids and subsemigroup sources --------------------------------
 
 
-@lru_cache(maxsize=None)
-def _base_monoid(kind: str, size: int, p: int | None = None) -> FiniteSemigroup:
-    if kind == "transformation":
-        elems = [Transformation(t) for t in product(range(size), repeat=size)]
-    elif kind == "linear":
-        elems = [
-            GFMatrix(p, [flat[i * size:(i + 1) * size] for i in range(size)], cols=size)
-            for flat in product(range(p), repeat=size * size)
-        ]
-    else:
+def _base_order(kind: str, size: int, p: int | None = None) -> int:
+    """|T(size)| or |L(GF(p)^size)|."""
+    if kind not in ("transformation", "linear"):
         raise ValueError(f"unknown kind {kind!r}")
-    return FiniteSemigroup(elems)
+    return p ** (size * size) if kind == "linear" else size ** size
+
+
+def _base_element(kind: str, size: int, i: int, p: int | None = None):
+    """Element i of T(size) or L(GF(p)^size), numbered in the order of
+    ``product(range(size), repeat=size)`` (or of the p^(size^2) matrix
+    entries, row by row): the digits of i, most significant first."""
+    linear = kind == "linear"
+    digits = [0] * (size * size if linear else size)
+    for pos in reversed(range(len(digits))):
+        i, digits[pos] = divmod(i, p if linear else size)
+    if linear:
+        rows = tuple(tuple(digits[r * size:(r + 1) * size]) for r in range(size))
+        return GFMatrix._unchecked(p, size, size, rows)
+    return Transformation._unchecked(tuple(digits))
 
 
 @lru_cache(maxsize=None)
@@ -195,12 +202,14 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     as deduplicated seeded-random closures of 1-3 generators.
 
     Exhaustive enumeration is refused past a 16-element base monoid (the
-    2^16 subset scan is the tractability boundary)."""
-    base = _base_monoid(kind, base_size, p)
+    2^16 subset scan is the tractability boundary).  A seeded draw whose
+    closure passes the Cayley table appears, in draw order, as the record
+    ``{"generators": [texts], "reason": ...}`` in place of a semigroup."""
+    m = _base_order(kind, base_size, p)
     if source[0] == "exhaustive":
-        m = len(base)
         if m > _EXHAUSTIVE_BASE_LIMIT:
             raise ValueError("intractable exhaustive request")
+        base = FiniteSemigroup([_base_element(kind, base_size, i, p) for i in range(m)])
         table = base.table
         out = []
         for mask in range(1, 1 << m):
@@ -219,15 +228,21 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
         return tuple(out)
     _, count, seed = source
     rng = random.Random(seed)
-    seen: dict[frozenset, FiniteSemigroup] = {}
+    out = []
+    seen: set[frozenset] = set()
     for _ in range(count):
         k = rng.randint(1, 3)
-        gens = [base.elements[rng.randrange(len(base.elements))] for _ in range(k)]
-        elems = closure_elements(gens)
+        gens = [_base_element(kind, base_size, rng.randrange(m), p) for _ in range(k)]
+        try:
+            elems = closure_elements(gens)
+        except SizeCapExceeded as exc:
+            out.append({"generators": [g.to_text() for g in gens], "reason": str(exc)})
+            continue
         key = frozenset(elems)
         if key not in seen:
-            seen[key] = FiniteSemigroup(elems)
-    return tuple(seen.values())
+            seen.add(key)
+            out.append(FiniteSemigroup(elems))
+    return tuple(out)
 
 
 def _cell_source(plan: SweepPlan, cell_key: str) -> tuple:
@@ -238,7 +253,8 @@ def _cell_source(plan: SweepPlan, cell_key: str) -> tuple:
 
 
 def _instances(plan: SweepPlan):
-    """Deterministically ordered (cell_key, instance) pairs for the plan."""
+    """Deterministically ordered (cell_key, instance) pairs for the plan; a
+    seeded draw refused at closure comes as (cell_key, its record)."""
     if plan.family == "transformation":
         for n in plan.ns:
             sizes = plan.subset_sizes if plan.subset_sizes is not None else range(1, n + 1)
@@ -250,7 +266,7 @@ def _instances(plan: SweepPlan):
                     cell = f"t:{n}:{y.to_text()}"
                     source = _cell_source(plan, cell)
                     for s_y in enumerate_subsemigroups("transformation", size, source):
-                        yield cell, tsg.TInstance(n, y, s_y)
+                        yield cell, s_y if isinstance(s_y, dict) else tsg.TInstance(n, y, s_y)
     else:
         for p, n in plan.pns:
             sizes = plan.subset_sizes if plan.subset_sizes is not None else range(n + 1)
@@ -261,7 +277,7 @@ def _instances(plan: SweepPlan):
                     cell = f"l:{p}:{n}:" + ";".join(",".join(map(str, r)) for r in w.basis)
                     source = _cell_source(plan, cell)
                     for s_w in enumerate_subsemigroups("linear", dim, source, p=p):
-                        yield cell, lsg.LInstance(p, n, w, s_w)
+                        yield cell, s_w if isinstance(s_w, dict) else lsg.LInstance(p, n, w, s_w)
 
 
 # -- per-instance checks ----------------------------------------------------
@@ -299,6 +315,9 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     seen_definition_keys: set[frozenset] = set()
 
     for cell, inst in _instances(plan):
+        if isinstance(inst, dict):  # a seeded draw refused at closure
+            rep.skipped.append({"cell": cell, **inst})
+            continue
         rep.instances_run += 1
         key = inst.key()
         try:
@@ -378,7 +397,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                     )
 
     if plan.alpha_family_checks and plan.family == "linear":
-        if inst.w.codim == 1 and lsg.is_subgroup_of_aut(inst.s_w):
+        if inst.w.codim == 1 and inst.unit_group:
             verdict = lsg.alpha_family_check(inst, plan.size_cap)
             rep.alpha_family_checks_run += 1
             if not verdict.holds:

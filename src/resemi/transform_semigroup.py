@@ -33,28 +33,27 @@ class TInstance:
     """Ambient size n, a subset Y and a closed semigroup S(Y) on |Y| points.
 
     Elements of ``s_y`` act on the dense range 0..|Y|-1 (Y re-indexed in
-    sorted order).  An empty Y is only accepted behind ``allow_empty_y``
-    and then S(Y) is the trivial semigroup of the empty map, making the
-    build equal to all of T(X).
+    sorted order).  Y may be empty: S(Y) is then the trivial semigroup of
+    the empty map, the restriction of every f is that map, and the build
+    is all of T(X).
 
     ``TInstance`` and ``LInstance`` share one interface: the family's
     ``SEMIGROUP_MODES`` and ``ELEMENT_MODES``, ``prescribed`` (S(Y) or
-    S(W)), ``has_identity`` (whether the prescribed semigroup holds the
-    identity), ``key()``,
-    ``parse_element(text)``, ``expected_size()``, ``build(size_cap)``,
-    ``thm_semigroup(mode)``, ``thm_element(f, mode)`` and
-    ``transversal_problem(f)``.
+    S(W)), ``has_identity`` (whether it holds the identity of T(Y) or
+    L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
+    it holds the identity and is a group, as a finite group of bijections
+    holds the identity map, and a group holding it has it as identity),
+    ``key()``, ``parse_element(text)``, ``expected_size()``,
+    ``build(size_cap)``, ``thm_semigroup(mode)``, ``thm_element(f, mode)``
+    and ``transversal_problem(f)``.
     """
 
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular")
     ELEMENT_MODES = ("regular", "unit_regular")
 
-    def __init__(self, n: int, y: IndexSubset, s_y: FiniteSemigroup, *,
-                 allow_empty_y: bool = False) -> None:
+    def __init__(self, n: int, y: IndexSubset, s_y: FiniteSemigroup) -> None:
         if y.n != n:
             raise ValueError("dimension mismatch")
-        if len(y) == 0 and not allow_empty_y:
-            raise ValueError("empty Y (pass allow_empty_y=True for the full-T(X) convention)")
         k = len(y)
         for el in s_y.elements:
             if not isinstance(el, Transformation) or el.n != k:
@@ -63,6 +62,7 @@ class TInstance:
         self.y = y
         self.s_y = s_y
         self.has_identity = Transformation.identity(k) in s_y
+        self.unit_group = self.has_identity and semigroup_oracle(s_y, "group").holds
 
     def __repr__(self) -> str:
         return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.s_y)})"
@@ -118,18 +118,18 @@ class TInstance:
         return None
 
 
-def t_instance_from_dict(data: dict, *, close: bool = False) -> TInstance:
+def t_instance_from_dict(data: dict) -> TInstance:
     """Build a TInstance from its JSON form.
 
-    ``sY`` holds either ``elements`` (must already be closed unless
-    ``close`` is set) or ``generators`` (always closed over).
+    ``sY`` holds either ``elements`` (must already be closed) or
+    ``generators`` (closed over).
     """
     n = int(data["n"])
     y = IndexSubset.from_iterable(n, data["Y"])
     block = data["sY"]
     s_y = prescribed_semigroup(lambda items: [Transformation(e) for e in items],
-                               block.get("generators"), block.get("elements"), close=close)
-    return TInstance(n, y, s_y, allow_empty_y=len(y) == 0)
+                               block.get("generators"), block.get("elements"))
+    return TInstance(n, y, s_y)
 
 
 def _embedded(inst: TInstance, alpha: Transformation, extension) -> Transformation:
@@ -168,7 +168,7 @@ def restriction_to_y(inst: TInstance, f: Transformation) -> Transformation:
     if f.n != inst.n:
         raise ValueError("f not in T_S(Y)(X): wrong ambient size")
     try:
-        alpha = restriction(f, inst.y, allow_empty=True)
+        alpha = restriction(f, inst.y)
     except ValueError:
         raise ValueError("f not in T_S(Y)(X): Y is not invariant") from None
     if alpha not in inst.s_y:
@@ -251,16 +251,11 @@ def _unit_regular_witness_t(inst, f, alpha_unit, pair, d_extra, c_extra, r_set, 
     gt = Transformation(g)
     if not gt.is_bijective():
         raise AssertionError("unit-regular witness is not bijective")
-    if restriction(gt, inst.y, allow_empty=True) not in inst.s_y:
+    if restriction(gt, inst.y) not in inst.s_y:
         raise AssertionError("unit-regular witness leaves the semigroup")
     if f * gt * f != f:
         raise AssertionError("unit-regular witness fails fgf = f")
     return gt
-
-
-def is_subgroup_of_sym(s: FiniteSemigroup) -> bool:
-    """True when every element is bijective and the group oracle passes."""
-    return all(el.is_bijective() for el in s.elements) and semigroup_oracle(s, "group").holds
 
 
 def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
@@ -277,7 +272,7 @@ def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
     s_y = inst.s_y
     y_is_x = len(inst.y) == inst.n
     if mode == "regular":
-        if is_subgroup_of_sym(s_y):
+        if inst.unit_group:
             return PropertyVerdict(mode, True, clause="S(Y) is a subgroup of Sym(Y)")
         if y_is_x and semigroup_oracle(s_y, "regular").holds:
             return PropertyVerdict(mode, True, clause="S(Y) regular and Y = X")
@@ -297,7 +292,7 @@ def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
     if mode == "unit_regular":
         if not inst.has_identity:
             raise ValueError("identity required")
-        if is_subgroup_of_sym(s_y):
+        if inst.unit_group:
             return PropertyVerdict(
                 mode, True, clause="S(Y) is a subgroup of Sym(Y) and X \\ Y is finite"
             )

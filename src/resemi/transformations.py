@@ -189,17 +189,15 @@ def restricted_image(f: Transformation, y: IndexSubset) -> IndexSubset:
     return IndexSubset.from_iterable(f.n, (f.map[x] for x in y.members))
 
 
-def restriction(f: Transformation, y: IndexSubset, *, allow_empty: bool = False) -> Transformation:
+def restriction(f: Transformation, y: IndexSubset) -> Transformation:
     """The restriction of f to the f-invariant subset Y, re-indexed.
 
     Y is re-indexed to the dense range 0..|Y|-1 via its sorted order, so
-    the result is an ordinary Transformation on |Y| points.  Raises when
-    some point of Y leaves Y.
+    the result is an ordinary Transformation on |Y| points (the empty map
+    for an empty Y).  Raises when some point of Y leaves Y.
     """
     if f.n != y.n:
         raise ValueError("dimension mismatch")
-    if len(y) == 0 and not allow_empty:
-        raise ValueError("empty Y (pass allow_empty=True for the full-T(X) convention)")
     pos = {x: i for i, x in enumerate(y.members)}
     images = []
     for x in y.members:

@@ -65,12 +65,32 @@ class TestBuild:
         assert inline == from_file
         assert inline[0] == 0 and ("semigroup size: 4" in inline[1] or '"size": 4' in inline[1])
 
-    def test_non_closed_needs_close_flag(self, capsys):
-        argv = ["build", "--kind", "t", "--n", "3", "--y", "0,1,2", "--sy", "1,2,0"]
-        code, _, err = run(capsys, *argv)
+    def test_non_closed_elements_rejected(self, capsys):
+        argv = ["build", "--kind", "t", "--n", "3", "--y", "0,1,2"]
+        code, _, err = run(capsys, *argv, "--sy", "1,2,0")
         assert code == 2 and "not closed" in err
-        code, out, _ = run(capsys, *argv, "--close", "--format", "json")
+        code, out, _ = run(capsys, *argv, "--gens", "1,2,0", "--format", "json")
         assert code == 0 and json.loads(out)["size"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--kind", "t", "--n", "3", "--y", "0,1", "--gens", "1,0", "--sy", "0,0"),
+        ("build", "--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--gens", "1", "--sw", "0"),
+    ], ids=["t", "l"])
+    def test_generators_and_elements_conflict(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "not both" in err and out == ""
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "transformation", "n": 3, "Y": [0, 1],
+         "sY": {"generators": [[1, 0]], "elements": [[0, 0]]}},
+        {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]],
+         "sW": {"generators": [[[1]]], "elements": [[[0]]]}},
+    ], ids=["t", "l"])
+    def test_generators_and_elements_conflict_in_json(self, capsys, tmp_path, data):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "build", "--input", str(path))
+        assert code == 2 and "not both" in err and out == ""
 
 
 class TestTableCap:
@@ -90,6 +110,27 @@ class TestTableCap:
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 5
         assert code == 3 and "size cap" in err and out == ""
+
+    @pytest.mark.parametrize("n", ["5", "6"])
+    def test_exhaustive_sweep_refused_up_front(self, capsys, n):
+        # T(5) and T(6) are far past the 16-element exhaustive base
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--kind", "t", "--ns", n, "--sizes", n)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and "intractable exhaustive request" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "t", "--ns", "6", "--sizes", "6", "--seed", "233"),
+        ("--kind", "l", "--pn", "3,3", "--sizes", "3", "--seed", "4"),
+    ], ids=["t6", "l33"])
+    def test_seeded_sweep_past_the_table_runs(self, capsys, argv):
+        # the bases T(6) and L(GF(3)^3) are past the table; of these four
+        # draws only one closure is, and it goes under "skipped"
+        code, out, _ = run(capsys, "sweep", *argv, "--source", "seeded", "--samples", "4",
+                           "--element-cap", "0")
+        report = json.loads(out)
+        assert code == 0 and report["instances_run"] == 3 and not report["mismatches"]
+        assert [s["reason"] for s in report["skipped"]] == ["size cap exceeded"]
 
     def test_largest_table_still_builds(self, capsys):
         code, out, _ = run(capsys, "build", "--kind", "l", "--p", "2", "--n", "4",

@@ -17,7 +17,6 @@ from resemi.linear_semigroup import (
     LInstance,
     alpha_family_check,
     build_lsw,
-    is_subgroup_of_aut,
     l_instance_from_dict,
     thm_element_l,
     thm_semigroup_l,
@@ -250,9 +249,8 @@ class TestSemigroupPredicate:
     def test_subgroup_implies_regular_and_unit_regular_build(self):
         for p, n in ((2, 2), (3, 2)):
             for w in all_subspaces(p, n):
-                s_w = trivial_sw(p, w.dim)
-                assert is_subgroup_of_aut(s_w)
-                inst = LInstance(p, n, w, s_w)
+                inst = LInstance(p, n, w, trivial_sw(p, w.dim))
+                assert inst.unit_group
                 b = build_lsw(inst)
                 assert semigroup_oracle(b, "regular").holds
                 assert semigroup_oracle(b, "unit_regular").holds

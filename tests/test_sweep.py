@@ -1,14 +1,23 @@
 """Tests for the sweep harness: subsemigroup enumeration, differential
 runs, report determinism and serialization."""
 
+from itertools import product
+
 import pytest
 
+from resemi.gflinear import GFMatrix, Subspace
+from resemi.linear_semigroup import LInstance
+from resemi.semigroups import SizeCapExceeded, closure_elements, semigroup_oracle
 from resemi.sweep import (
     SweepPlan,
     SweepReport,
+    _base_element,
+    _base_order,
     enumerate_subsemigroups,
     run_sweep,
 )
+from resemi.transform_semigroup import TInstance
+from resemi.transformations import IndexSubset, Transformation
 
 class TestEnumerateSubsemigroups:
     def test_singleton_base(self):
@@ -151,3 +160,70 @@ class TestDeterminismAndSerialization:
         rep = run_sweep(plan)
         back = SweepReport.from_dict(rep.to_dict())
         assert back.to_json() == rep.to_json()
+
+
+class TestBaseMonoidDecoder:
+    """The seeded draws decode numbers into elements; the references are
+    the whole base monoids the sweep used to build."""
+
+    @pytest.mark.parametrize("kind, size, p", [
+        ("transformation", 1, None), ("transformation", 2, None), ("transformation", 3, None),
+        ("linear", 2, 2), ("linear", 2, 3), ("linear", 3, 2),
+    ])
+    def test_decoder_follows_product_order(self, kind, size, p):
+        if kind == "transformation":
+            expected = [Transformation(t) for t in product(range(size), repeat=size)]
+        else:
+            expected = [GFMatrix(p, [flat[i * size:(i + 1) * size] for i in range(size)], cols=size)
+                        for flat in product(range(p), repeat=size * size)]
+        decoded = [_base_element(kind, size, i, p) for i in range(_base_order(kind, size, p))]
+        assert decoded == expected
+        assert [d.to_text() for d in decoded] == [e.to_text() for e in expected]
+
+
+def old_unit_group(s):
+    """The deleted is_subgroup_of_sym / is_subgroup_of_aut."""
+    return (all(el.is_bijective() if isinstance(el, Transformation) else el.is_invertible()
+                for el in s.elements)
+            and semigroup_oracle(s, "group").holds)
+
+
+@pytest.mark.parametrize("kind, size, p, source", [
+    ("transformation", 1, None, ("exhaustive",)),
+    ("transformation", 2, None, ("exhaustive",)),
+    ("transformation", 3, None, ("seeded", 200, "u")),
+    ("linear", 2, 2, ("exhaustive",)),
+    ("linear", 2, 3, ("seeded", 200, "u")),
+    ("linear", 3, 2, ("seeded", 100, "u")),
+])
+def test_unit_group_matches_old_definition(kind, size, p, source):
+    subs = enumerate_subsemigroups(kind, size, source, p)
+    positives = 0
+    for s in subs:
+        if kind == "transformation":
+            inst = TInstance(size, IndexSubset(size, range(size)), s)
+        else:
+            inst = LInstance(p, size, Subspace.full(p, size), s)
+        assert inst.unit_group == old_unit_group(s), s.elements
+        positives += inst.unit_group
+    assert positives and (positives < len(subs) or len(subs) == 1)  # both sides seen
+
+
+class TestRefusedDraws:
+    # seed 233, draw 3 of 4: three random maps generating more than
+    # TABLE_CAP elements of T(6)
+    PLAN = dict(family="transformation", ns=(6,), subset_sizes=(6,),
+                source=("seeded", 4, "233"), modes=("regular",), element_cap=0)
+
+    def test_refused_draw_recorded_and_sweep_goes_on(self):
+        rep = run_sweep(SweepPlan(**self.PLAN))
+        assert rep.clean and rep.instances_run == 3
+        (entry,) = rep.skipped
+        assert entry["cell"] == "t:6:0,1,2,3,4,5" and entry["reason"] == "size cap exceeded"
+        gens = [Transformation.from_text(g) for g in entry["generators"]]
+        with pytest.raises(SizeCapExceeded):
+            closure_elements(gens)
+
+    def test_enumeration_keeps_draw_order(self):
+        subs = enumerate_subsemigroups("transformation", 6, ("seeded", 4, "233:t:6:0,1,2,3,4,5"))
+        assert [isinstance(s, dict) for s in subs] == [False, True, False, False]

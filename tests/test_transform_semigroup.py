@@ -16,7 +16,6 @@ from resemi.semigroups import (
 from resemi.transform_semigroup import (
     TInstance,
     build_tsy,
-    is_subgroup_of_sym,
     restriction_to_y,
     t_instance_from_dict,
     thm_element_t,
@@ -45,7 +44,7 @@ def brute_force_members(inst):
     for f in all_transformations(inst.n):
         if not all(f.map[x] in inst.y for x in inst.y.members):
             continue
-        if restriction(f, inst.y, allow_empty=True) in inst.s_y:
+        if restriction(f, inst.y) in inst.s_y:
             out.append(f)
     return out
 
@@ -95,11 +94,8 @@ class TestBuild:
             build_tsy(inst, size_cap=10)
 
     def test_empty_y_convention(self):
-        inst = TInstance(2, IndexSubset(2, []), FiniteSemigroup([Transformation(())]),
-                         allow_empty_y=True)
+        inst = TInstance(2, IndexSubset(2, []), FiniteSemigroup([Transformation(())]))
         assert len(build_tsy(inst)) == 4
-        with pytest.raises(ValueError, match="empty Y"):
-            TInstance(2, IndexSubset(2, []), FiniteSemigroup([Transformation(())]))
 
 
 class TestMembership:
@@ -198,8 +194,8 @@ class TestSemigroupPredicate:
                 base = [t for t in all_transformations(len(y)) if t.is_bijective()]
                 for seed in base:
                     s_y = generate([seed])
-                    assert is_subgroup_of_sym(s_y)
                     inst = TInstance(n, y, s_y)
+                    assert inst.unit_group
                     b = build_tsy(inst)
                     assert semigroup_oracle(b, "regular").holds
                     if inst.has_identity:
@@ -224,13 +220,19 @@ class TestJsonIngest:
         )
         assert len(inst.s_y) == 2
 
-    def test_non_closed_elements_need_close_flag(self):
+    def test_non_closed_elements_rejected(self):
         data = {"kind": "transformation", "n": 3, "Y": [0, 1, 2],
                 "sY": {"elements": [[1, 2, 0]]}}
         with pytest.raises(ValueError, match="not closed"):
             t_instance_from_dict(data)
-        inst = t_instance_from_dict(data, close=True)
+        inst = t_instance_from_dict({**data, "sY": {"generators": [[1, 2, 0]]}})
         assert len(inst.s_y) == 3
+
+    def test_generators_and_elements_conflict(self):
+        data = {"kind": "transformation", "n": 3, "Y": [0, 1],
+                "sY": {"generators": [[1, 0]], "elements": [[0, 1], [1, 0]]}}
+        with pytest.raises(ValueError, match="not both"):
+            t_instance_from_dict(data)
 
 
 class TestEmptyY:
@@ -240,8 +242,7 @@ class TestEmptyY:
 
     @staticmethod
     def instance(n):
-        return TInstance(n, IndexSubset(n, []), FiniteSemigroup([Transformation(())]),
-                         allow_empty_y=True)
+        return TInstance(n, IndexSubset(n, []), FiniteSemigroup([Transformation(())]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_semigroup_modes_agree_with_oracle(self, n):

@@ -131,11 +131,8 @@ class TestRestriction:
         with pytest.raises(ValueError, match="not Y-invariant"):
             restriction(Transformation([3, 0, 1, 2]), IndexSubset(4, [0, 1]))
 
-    def test_empty_y_needs_flag(self):
-        f = Transformation([0, 1])
-        with pytest.raises(ValueError, match="empty Y"):
-            restriction(f, IndexSubset(2, []))
-        assert restriction(f, IndexSubset(2, []), allow_empty=True).n == 0
+    def test_empty_y_gives_empty_map(self):
+        assert restriction(Transformation([0, 1]), IndexSubset(2, [])) == Transformation(())
 
     def test_reindexing_uses_sorted_order(self):
         # Y = {1, 3}: 1 -> 3, 3 -> 1 becomes the swap on two points
