@@ -9,7 +9,7 @@ cross-checks and element classification.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .gflinear import (
@@ -47,9 +47,13 @@ class LInstance:
     Implements the family interface described on ``TInstance``.
 
     The element predicates and the transversal check read f's subspaces
-    through ``subspaces(f)``, which keeps the record of the latest element
-    only: a sweep asks about one element at a time, and a record per
-    element would hold every build element's subspaces at once.
+    through ``subspaces(f)``.  Everything in that record depends on (W, f)
+    only, so every instance on the same W shares it; only the membership
+    test f|W in S(W) is this instance's, and it runs on every call.  The
+    records are kept for one W at a time: a sweep takes the instances of
+    one W back to back, so that loses no reuse, and keying on every W
+    would hold the subspaces of every element of every W at once.  The
+    S(W)-side verdicts are kept per instance, one per (f|W, mode).
     """
 
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular", "completely_regular")
@@ -71,7 +75,7 @@ class LInstance:
         self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
         basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
         self._c_inv = mat_inverse(GFMatrix(p, basis_rows, cols=n)) if n else GFMatrix(p, (), cols=0)
-        self._latest: ElementSubspaces | None = None
+        self._sw_verdicts: dict[tuple, PropertyVerdict] = {}
 
     def __repr__(self) -> str:
         return (
@@ -109,11 +113,26 @@ class LInstance:
 
     def subspaces(self, f: GFMatrix) -> "ElementSubspaces":
         """f's subspace record, shared by the element predicates, their
-        witnesses and the transversal check; raises if f is not a member."""
-        rec = self._latest
-        if rec is None or rec.f != f:
-            rec = self._latest = ElementSubspaces(self, f)
+        witnesses and the transversal check of every instance on this W;
+        raises, on every call, if f is not a member of this instance."""
+        if f.p != self.p or f.rows != self.n or f.cols != self.n:
+            raise ValueError("f not in L_S(W)(V): wrong ambient size")
+        records = _records_on(self.w)
+        rec = records.get(f)
+        if rec is None:
+            rec = records[f] = ElementSubspaces(self.w, f)
+        if rec.alpha is None:
+            raise ValueError("f not in L_S(W)(V): W is not invariant")
+        if rec.alpha not in self.s_w:
+            raise ValueError("f not in L_S(W)(V): restriction outside S(W)")
         return rec
+
+    def _sw_verdict(self, alpha: GFMatrix, mode: str) -> PropertyVerdict:
+        """``element_oracle`` on S(W) for alpha, asked once per (alpha, mode)."""
+        verdict = self._sw_verdicts.get((alpha, mode))
+        if verdict is None:
+            verdict = self._sw_verdicts[alpha, mode] = element_oracle(self.s_w, alpha, mode)
+        return verdict
 
     def transversal_problem(self, f: GFMatrix) -> str | None:
         """What is wrong with f's canonical transversal subspace pair, or None."""
@@ -183,36 +202,39 @@ def build_lsw(inst: LInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
     return s
 
 
-def restriction_to_w(inst: LInstance, f: GFMatrix) -> GFMatrix:
-    """f restricted to W as a coordinate matrix, raising if f is not a member."""
-    if f.p != inst.p or f.rows != inst.n or f.cols != inst.n:
-        raise ValueError("f not in L_S(W)(V): wrong ambient size")
-    try:
-        alpha = restriction_matrix(f, inst.w)
-    except ValueError:
-        raise ValueError("f not in L_S(W)(V): W is not invariant") from None
-    if alpha not in inst.s_w:
-        raise ValueError("f not in L_S(W)(V): restriction outside S(W)")
-    return alpha
+@lru_cache(maxsize=1)
+def _records_on(w: Subspace) -> dict:
+    """The f -> ``ElementSubspaces`` memo of one W; asking about another W
+    drops it (see ``LInstance``)."""
+    return {}
 
 
 class ElementSubspaces:
-    """The subspaces of one f in L_S(W)(V) that the element
-    characterizations read, each computed at most once.
+    """What the element characterizations and their witnesses read of one
+    f on one W, each part computed at most once.  Nothing here depends on
+    S(W).
 
-    Eager: the restriction ``alpha`` (in S(W)), R(f) (``rf``), R(f) meet W
+    Eager: the restriction ``alpha`` (None when f does not leave W
+    invariant, and then nothing else), R(f) (``rf``), R(f) meet W
     (``r_meet_w``), R(f|W) (``rw``) and the image-trace test ``trace_ok``.
-    Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``)
-    and the witness basis chain (``chain``).
+    Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``),
+    W + U (``w_plus_u``), codim(W + R(f)) (``codim_w_plus_r``), the witness
+    basis chain B1..B4 (``chain``) and the inverse of its basis matrix,
+    and the images of B3 + B4 under each witness (``regular_rows``,
+    ``unit_regular_rows``).
     """
 
-    def __init__(self, inst: LInstance, f: GFMatrix) -> None:
+    def __init__(self, w: Subspace, f: GFMatrix) -> None:
         self.f = f
-        self.w = inst.w
-        self.alpha = restriction_to_w(inst, f)
+        self.w = w
+        try:
+            self.alpha = restriction_matrix(f, w)
+        except ValueError:
+            self.alpha = None
+            return
         self.rf = image_space(f)
-        self.r_meet_w = self.rf.intersect(inst.w)
-        self.rw = restricted_image_space(f, inst.w)
+        self.r_meet_w = self.rf.intersect(w)
+        self.rw = restricted_image_space(f, w)
         self.trace_ok = self.r_meet_w == self.rw
 
     @cached_property
@@ -224,8 +246,67 @@ class ElementSubspaces:
         return transversal_from_spaces(self.f, self.w, self.rw, self.ns, self.rf)
 
     @cached_property
+    def w_plus_u(self) -> Subspace:
+        return self.w.sum(self.transversal.u)
+
+    @cached_property
+    def codim_w_plus_r(self) -> int:
+        return self.w.sum(self.rf).codim
+
+    @cached_property
     def chain(self) -> tuple[list, list, list, list]:
-        return _basis_chain(self.w, self.rf, self.r_meet_w)
+        """Deterministic bases B1 (of R(f) meet W), B2 (extending to W), B3
+        (extending B1 to R(f) inside R(f)) and B4 (completing to V)."""
+        p, n = self.w.p, self.w.ambient_dim
+        b1 = list(self.r_meet_w.basis)
+        b2 = independent_extension(p, n, b1, self.w.basis)
+        b3 = independent_extension(p, n, b1, self.rf.basis)
+        b123 = b1 + b2 + b3
+        b4 = independent_extension(p, n, b123, unit_rows(n))
+        if len(b123) + len(b4) != n:
+            raise AssertionError("basis chain does not span the ambient space")
+        return b1, b2, b3, b4
+
+    @cached_property
+    def chain_inverse(self) -> GFMatrix:
+        """Inverse of the matrix whose rows are B1, B2, B3, B4."""
+        rows = tuple(row for part in self.chain for row in part)
+        return mat_inverse(GFMatrix._unchecked(self.w.p, len(rows), self.w.ambient_dim, rows))
+
+    @cached_property
+    def w_coordinates(self) -> list[tuple]:
+        """B1 + B2 in coordinates of W's canonical basis."""
+        b1, b2, _, _ = self.chain
+        return [self.w.coordinates(v) for v in b1 + b2]
+
+    @cached_property
+    def regular_rows(self) -> list[tuple]:
+        """The pseudo-inverse's images of B3 (chosen preimages under f) and
+        B4 (zero)."""
+        _, _, b3, b4 = self.chain
+        return [solve_row_vector(self.f, v) for v in b3] + [(0,) * self.w.ambient_dim for _ in b4]
+
+    @cached_property
+    def unit_regular_rows(self) -> list[tuple]:
+        """The invertible witness's images of B3 (the inverse of f's
+        corestriction to U) and B4 (a basis of a complement of W + U)."""
+        p, n, f, u = self.w.p, self.w.ambient_dim, self.f, self.transversal.u
+        _, _, b3, b4 = self.chain
+        mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
+        # the coordinates are unique: U is a transversal of ker(f)
+        rows = [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
+        c4 = independent_extension(p, n, self.w_plus_u.basis, unit_rows(n))
+        if len(c4) != len(b4):
+            raise AssertionError("complement bases of W+R(f) and W+U differ in size")
+        return rows + c4
+
+    def map_on_chain(self, alpha: GFMatrix, rest) -> GFMatrix:
+        """The map acting as the coordinate matrix alpha on W and sending
+        B3 + B4 to the rows of ``rest``."""
+        w = self.w
+        rows = [w.from_coordinates(alpha.apply(c)) for c in self.w_coordinates]
+        rows.extend(rest)
+        return self.chain_inverse * GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, tuple(rows))
 
 
 def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
@@ -239,11 +320,12 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
                   transversal subspace U.  On success an invertible g with
                   fgf = f is assembled and verified.
 
-    Both modes read f's subspaces from ``inst.subspaces(f)``.
+    Both modes read f's subspaces from ``inst.subspaces(f)`` and the
+    S(W)-side verdict from ``inst._sw_verdict``.
     """
     rec = inst.subspaces(f)
     if mode == "regular":
-        reg = element_oracle(inst.s_w, rec.alpha, "regular")
+        reg = inst._sw_verdict(rec.alpha, "regular")
         if reg.holds and rec.trace_ok:
             witness = _regular_witness_l(inst, rec, reg.witness)
             return PropertyVerdict(mode, True, witness=witness,
@@ -253,47 +335,27 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
     if mode == "unit_regular":
         if not inst.has_identity:
             raise ValueError("identity required")
-        ur = element_oracle(inst.s_w, rec.alpha, "unit_regular")
+        ur = inst._sw_verdict(rec.alpha, "unit_regular")
         if not ur.holds:
             return PropertyVerdict(mode, False, clause="restriction not unit-regular in S(W)")
         if not rec.trace_ok:
             return PropertyVerdict(mode, False, clause="image trace differs")
-        w_plus_u = inst.w.sum(rec.transversal.u)
-        codim_u = w_plus_u.codim
-        codim_r = inst.w.sum(rec.rf).codim
+        codim_u = rec.w_plus_u.codim
+        codim_r = rec.codim_w_plus_r
         if codim_u != codim_r:
             clause = f"complement codimensions differ ({codim_u} vs {codim_r})"
             return PropertyVerdict(mode, False, clause=clause)
-        witness = _unit_regular_witness_l(inst, rec, ur.witness, w_plus_u)
+        witness = _unit_regular_witness_l(inst, rec, ur.witness)
         return PropertyVerdict(mode, True, witness=witness,
                                clause="all three element conditions hold")
     raise ValueError(f"unknown element mode {mode!r}")
 
 
-def _basis_chain(w: Subspace, rf: Subspace, r_meet_w: Subspace):
-    """Deterministic bases B1 (of R(f) meet W), B2 (extending to W), B3
-    (extending B1 to R(f) inside R(f)) and B4 (completing to V)."""
-    p, n = w.p, w.ambient_dim
-    b1 = list(r_meet_w.basis)
-    b2 = independent_extension(p, n, b1, w.basis)
-    b3 = independent_extension(p, n, b1, rf.basis)
-    b123 = b1 + b2 + b3
-    b4 = independent_extension(p, n, b123, unit_rows(n))
-    if len(b123) + len(b4) != n:
-        raise AssertionError("basis chain does not span the ambient space")
-    return b1, b2, b3, b4
-
-
 def _regular_witness_l(inst, rec, alpha_partner):
     """Pseudo-inverse h: the S(W)-partner on W, chosen preimages on the
     rest of R(f), zero on a complement of W + R(f)."""
-    p, n, f = inst.p, inst.n, rec.f
-    b1, b2, b3, b4 = rec.chain
-    rows_c = b1 + b2 + b3 + b4
-    rows_d = [inst.lift_on_w(alpha_partner, v) for v in b1 + b2]
-    rows_d += [solve_row_vector(f, v) for v in b3]
-    rows_d += [(0,) * n for _ in b4]
-    h = _matrix_from_action(p, n, rows_c, rows_d)
+    f = rec.f
+    h = rec.map_on_chain(alpha_partner, rec.regular_rows)
     if restriction_matrix(h, inst.w) not in inst.s_w:
         raise AssertionError("regular witness leaves the semigroup")
     if f * h * f != f:
@@ -301,30 +363,12 @@ def _regular_witness_l(inst, rec, alpha_partner):
     return h
 
 
-def _unit_regular_witness_l(inst, rec, g0, w_plus_u):
+def _unit_regular_witness_l(inst, rec, g0):
     """Invertible g: the S(W)-unit on W, the inverse of f's corestriction
     to U on the rest of R(f), and a deterministic matching between the
     complement bases of W + R(f) and W + U."""
-    p, n, f, u = inst.p, inst.n, rec.f, rec.transversal.u
-    b1, b2, b3, b4 = rec.chain
-    mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
-
-    def g1(v):
-        coords = solve_row_vector(mu, v)  # unique: U is a transversal of ker(f)
-        out = [0] * n
-        for c, row in zip(coords, u.basis):
-            for j, b in enumerate(row):
-                out[j] = (out[j] + c * b) % p
-        return tuple(out)
-
-    c4 = independent_extension(p, n, w_plus_u.basis, unit_rows(n))
-    if len(c4) != len(b4):
-        raise AssertionError("complement bases of W+R(f) and W+U differ in size")
-    rows_c = b1 + b2 + b3 + b4
-    rows_d = [inst.lift_on_w(g0, v) for v in b1 + b2]
-    rows_d += [g1(v) for v in b3]
-    rows_d += list(c4)
-    g = _matrix_from_action(p, n, rows_c, rows_d)
+    f = rec.f
+    g = rec.map_on_chain(g0, rec.unit_regular_rows)
     if not g.is_invertible():
         raise AssertionError("unit-regular witness is not invertible")
     if restriction_matrix(g, inst.w) not in inst.s_w:
@@ -332,16 +376,6 @@ def _unit_regular_witness_l(inst, rec, g0, w_plus_u):
     if f * g * f != f:
         raise AssertionError("unit-regular witness fails fgf = f")
     return g
-
-
-def _matrix_from_action(p, n, basis_rows, image_rows) -> GFMatrix:
-    """Matrix (standard coordinates, row action) of the map sending each
-    basis row to its image row; both are tuples reduced mod p."""
-    if n == 0:
-        return GFMatrix(p, (), cols=0)
-    c = GFMatrix._unchecked(p, len(basis_rows), n, tuple(basis_rows))
-    d = GFMatrix._unchecked(p, len(image_rows), n, tuple(image_rows))
-    return mat_inverse(c) * d
 
 
 def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:

@@ -2,6 +2,8 @@
 semigroup characterization predicates, witnesses, and the index-family
 composition laws for codimension-one subgroups."""
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -15,6 +17,7 @@ from resemi.gflinear import (
 )
 from resemi.linear_semigroup import (
     LInstance,
+    _records_on,
     alpha_family_check,
     build_lsw,
     l_instance_from_dict,
@@ -199,6 +202,105 @@ class TestElementRecord:
             for f in build_lsw(inst).elements:
                 assert (inst.subspaces(f).transversal
                         == canonical_transversal_subspace(f, inst.w))
+
+
+def outcome(inst, f, check):
+    """What ``check`` ("transversal" or an element mode) answers for f on
+    inst: the verdict's fields, the transversal problem, or the error."""
+    try:
+        if check == "transversal":
+            return inst.transversal_problem(f)
+        v = inst.thm_element(f, check)
+        return v.holds, v.clause, v.witness
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+class TestSharedRecords:
+    """Every instance on one W shares each element's subspace record, kept
+    for one W at a time; membership in the asking instance is still
+    decided on every call."""
+
+    CHECKS = ("regular", "unit_regular", "transversal")
+
+    @staticmethod
+    def line(*values):
+        """W = span{(1, 0)} in GF(2)^2 with S(W) holding the given 1 x 1 entries."""
+        return LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+                         FiniteSemigroup([GFMatrix(2, [[a]]) for a in values]))
+
+    @staticmethod
+    def pairs():
+        """Instance pairs (A, B) on one W; A's build holds elements outside B's."""
+        cases = [
+            (2, 2, [[1, 0]], [[[1]]], [[[0]]]),
+            (2, 2, [[1, 0]], [[[0]], [[1]]], [[[0]]]),
+            (3, 2, [[1, 1]], [[[1]], [[2]]], [[[0]]]),
+            (3, 2, [[1, 1]], [[[0]], [[1]]], [[[1]], [[2]]]),
+            (2, 3, [[1, 0, 0], [0, 1, 1]], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+             [[[1, 0], [0, 0]]]),
+            (2, 3, [[1, 0, 0]], [[[0]], [[1]]], [[[1]]]),
+        ]
+        for p, n, basis, elems_a, elems_b in cases:
+            w = Subspace(p, n, basis)
+            yield tuple(LInstance(p, n, w, FiniteSemigroup([GFMatrix(p, e) for e in elems]))
+                        for elems in (elems_a, elems_b))
+
+    def test_cached_record_is_checked_against_each_instance(self):
+        a, b = self.line(1), self.line(0)
+        f = GFMatrix.identity(2, 2)  # f|W = [1]: in S_A(W), not in S_B(W)
+        _records_on.cache_clear()
+        for _ in range(2):
+            assert a.thm_element(f, "regular").holds
+            assert a.transversal_problem(f) is None
+            for check in self.CHECKS:
+                assert outcome(b, f, check) == (
+                    "raises", "f not in L_S(W)(V): restriction outside S(W)")
+            with pytest.raises(ValueError, match="restriction outside S"):
+                b.subspaces(f)
+
+    def test_non_invariant_f_raises_on_every_call(self):
+        inst = self.line(1)
+        f = GFMatrix(2, [[0, 1], [0, 0]])  # sends (1, 0) out of W
+        _records_on.cache_clear()
+        for _ in range(3):
+            for check in self.CHECKS:
+                assert outcome(inst, f, check) == (
+                    "raises", "f not in L_S(W)(V): W is not invariant")
+            with pytest.raises(ValueError, match="W is not invariant"):
+                inst.subspaces(f)
+
+    def test_shared_records_match_a_cleared_memo(self):
+        for a, b in self.pairs():
+            elements = list(dict.fromkeys(build_lsw(a).elements + build_lsw(b).elements))
+            assert set(elements) - set(build_lsw(b).elements)
+
+            def fresh(inst, f, check):
+                _records_on.cache_clear()
+                return outcome(LInstance(inst.p, inst.n, inst.w, inst.s_w), f, check)
+
+            want = [fresh(inst, f, check)
+                    for f in elements for inst in (a, b) for check in self.CHECKS]
+            _records_on.cache_clear()
+            got = [outcome(inst, f, check)
+                   for f in elements for inst in (a, b) for check in self.CHECKS]
+            assert got == want, a
+
+    def test_records_are_kept_for_one_w_only(self):
+        a, b = self.line(1), self.line(0)
+        other_w = LInstance(2, 2, Subspace(2, 2, [[0, 1]]), trivial_sw(2, 1))
+        f = GFMatrix.identity(2, 2)
+        _records_on.cache_clear()
+        dropped = weakref.ref(a.subspaces(f))
+        assert dropped() is not None
+        other_w.subspaces(f)
+        gc.collect()
+        assert dropped() is None
+        assert _records_on.cache_info().currsize == 1
+        # back on the first W, a new record is made and still checked per instance
+        assert a.subspaces(f) is a.subspaces(f)
+        with pytest.raises(ValueError, match="restriction outside S"):
+            b.subspaces(f)
 
 
 class TestSemigroupPredicate:
