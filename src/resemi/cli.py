@@ -6,7 +6,9 @@ rows of ',' entries ("1,0;1,1"); multiple matrices are '|'-separated.
 A subspace is given by ';'-separated spanning rows.
 
 Exit codes: 0 success, 2 validation error, 3 size-cap refusal, 4 when a
-predicate and its oracle disagree (or a sweep reports any mismatch).
+predicate and its oracle disagree, when ``element`` prints a theorem
+witness that fails its check (run with or without the oracle), or when a
+sweep reports any mismatch.
 """
 
 from __future__ import annotations
@@ -146,9 +148,11 @@ def _cmd_classify(args) -> int:
         modes, witness_key = inst.ELEMENT_MODES, "theorem_witness"
         theorem = lambda mode: inst.thm_element(f, mode)
         oracle = lambda build, mode: element_oracle(build, f, mode)
+        witness_problem = lambda mode, w: inst.witness_problem(f, w, mode)
     else:
         modes, witness_key = inst.SEMIGROUP_MODES, "witness"
         theorem, oracle = inst.thm_semigroup, semigroup_oracle
+        witness_problem = lambda mode, w: None
     modes = args.mode or [m for m in modes if m != "unit_regular" or inst.has_identity]
     build = None if args.no_oracle else inst.build(args.size_cap)
     results = []
@@ -167,14 +171,18 @@ def _cmd_classify(args) -> int:
             agree = thm.holds == orc.holds
             if not agree:
                 disagreement = True
-        results.append(
-            {
-                "mode": mode, "theorem": thm.holds, "clause": thm.clause,
-                "oracle": oracle_verdict, "oracle_witness": oracle_witness,
-                "agree": agree, witness_key: _witness_text(thm.witness),
-            }
-        )
+        result = {
+            "mode": mode, "theorem": thm.holds, "clause": thm.clause,
+            "oracle": oracle_verdict, "oracle_witness": oracle_witness,
+            "agree": agree, witness_key: _witness_text(thm.witness),
+        }
         marker = "" if agree in (True, "skipped") else "  << DISAGREEMENT"
+        problem = None if thm.witness is None else witness_problem(mode, thm.witness)
+        if problem is not None:
+            result["witness_problem"] = problem
+            marker += f"  << BAD WITNESS: {problem}"
+            disagreement = True
+        results.append(result)
         lines.append(
             f"{mode}: theorem={thm.holds} ({thm.clause}), oracle={oracle_verdict}{marker}"
         )

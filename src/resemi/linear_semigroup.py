@@ -151,6 +151,26 @@ class LInstance:
             return "U meet W meets the restricted null space"
         return None
 
+    def witness_problem(self, f: GFMatrix, w: GFMatrix, mode: str) -> str | None:
+        """What is wrong with w as the theorem's ``mode`` witness for f, or
+        None: w must restrict into S(W), be invertible for
+        ``unit_regular``, and satisfy fwf = f.  Checked by multiplication,
+        so it needs no build; the sweep checks its witnesses in the
+        build's Cayley table instead (``semigroups.witness_problem``)."""
+        label, name = (("unit-regular", "g") if mode == "unit_regular"
+                       else ("regular", "h"))
+        if mode == "unit_regular" and not w.is_invertible():
+            return f"{label} witness is not invertible"
+        try:
+            inside = restriction_matrix(w, self.w) in self.s_w
+        except ValueError:  # W is not invariant under w
+            inside = False
+        if not inside:
+            return f"{label} witness leaves the semigroup"
+        if f * w * f != f:
+            return f"{label} witness fails f{name}f = f"
+        return None
+
     def lift_on_w(self, alpha: GFMatrix, v) -> tuple:
         """Apply the coordinate matrix alpha, as a map on W, to ambient v."""
         return self.w.from_coordinates(alpha.apply(self.w.coordinates(v)))
@@ -212,7 +232,8 @@ def _records_on(w: Subspace) -> dict:
 class ElementSubspaces:
     """What the element characterizations and their witnesses read of one
     f on one W, each part computed at most once.  Nothing here depends on
-    S(W).
+    S(W), except that each witness is keyed on the S(W)-partner it is
+    built on.
 
     Eager: the restriction ``alpha`` (None when f does not leave W
     invariant, and then nothing else), R(f) (``rf``), R(f) meet W
@@ -220,13 +241,14 @@ class ElementSubspaces:
     Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``),
     W + U (``w_plus_u``), codim(W + R(f)) (``codim_w_plus_r``), the witness
     basis chain B1..B4 (``chain``) and the inverse of its basis matrix,
-    and the images of B3 + B4 under each witness (``regular_rows``,
-    ``unit_regular_rows``).
+    the images of B3 + B4 under each witness (``regular_rows``,
+    ``unit_regular_rows``), and each witness assembled (``witness``).
     """
 
     def __init__(self, w: Subspace, f: GFMatrix) -> None:
         self.f = f
         self.w = w
+        self._witnesses: dict[tuple, GFMatrix] = {}
         try:
             self.alpha = restriction_matrix(f, w)
         except ValueError:
@@ -300,13 +322,26 @@ class ElementSubspaces:
             raise AssertionError("complement bases of W+R(f) and W+U differ in size")
         return rows + c4
 
-    def map_on_chain(self, alpha: GFMatrix, rest) -> GFMatrix:
-        """The map acting as the coordinate matrix alpha on W and sending
-        B3 + B4 to the rows of ``rest``."""
-        w = self.w
-        rows = [w.from_coordinates(alpha.apply(c)) for c in self.w_coordinates]
-        rows.extend(rest)
-        return self.chain_inverse * GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, tuple(rows))
+    def witness(self, mode: str, partner: GFMatrix) -> GFMatrix:
+        """The witness for ``mode`` built on the S(W)-partner of f|W,
+        assembled once per (mode, partner).
+
+        regular: a pseudo-inverse h, the partner on W, chosen preimages on
+        the rest of R(f) and zero on a complement of W + R(f).
+        unit_regular: an invertible g, the S(W)-unit on W, the inverse of
+        f's corestriction to U on the rest of R(f), and a deterministic
+        matching between the complement bases of W + R(f) and W + U.
+        Nothing is checked here; see ``LInstance.witness_problem``."""
+        key = (mode, partner)
+        found = self._witnesses.get(key)
+        if found is None:
+            rest = self.regular_rows if mode == "regular" else self.unit_regular_rows
+            w = self.w
+            rows = [w.from_coordinates(partner.apply(c)) for c in self.w_coordinates]
+            rows.extend(rest)
+            found = self._witnesses[key] = self.chain_inverse * GFMatrix._unchecked(
+                w.p, len(rows), w.ambient_dim, tuple(rows))
+        return found
 
 
 def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
@@ -314,21 +349,23 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
 
     regular:      f|W regular in S(W)  and  R(f) meet W = R(f|W), compared
                   as canonical subspaces.  On success a pseudo-inverse h
-                  with fhf = f is assembled and verified.
+                  with fhf = f is assembled.
     unit_regular: f|W unit-regular in S(W), the same image-trace equality,
                   and codim(W + U) = codim(W + R(f)) for the canonical
                   transversal subspace U.  On success an invertible g with
-                  fgf = f is assembled and verified.
+                  fgf = f is assembled.
 
     Both modes read f's subspaces from ``inst.subspaces(f)`` and the
-    S(W)-side verdict from ``inst._sw_verdict``.
+    S(W)-side verdict from ``inst._sw_verdict``.  The witness is not
+    checked here: the sweep checks it in the build's Cayley table
+    (``semigroups.witness_problem``), and the CLI by multiplication
+    (``LInstance.witness_problem``).
     """
     rec = inst.subspaces(f)
     if mode == "regular":
         reg = inst._sw_verdict(rec.alpha, "regular")
         if reg.holds and rec.trace_ok:
-            witness = _regular_witness_l(inst, rec, reg.witness)
-            return PropertyVerdict(mode, True, witness=witness,
+            return PropertyVerdict(mode, True, witness=rec.witness(mode, reg.witness),
                                    clause="restriction regular and image trace matches")
         clause = "restriction not regular in S(W)" if not reg.holds else "image trace differs"
         return PropertyVerdict(mode, False, clause=clause)
@@ -345,37 +382,9 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
         if codim_u != codim_r:
             clause = f"complement codimensions differ ({codim_u} vs {codim_r})"
             return PropertyVerdict(mode, False, clause=clause)
-        witness = _unit_regular_witness_l(inst, rec, ur.witness)
-        return PropertyVerdict(mode, True, witness=witness,
+        return PropertyVerdict(mode, True, witness=rec.witness(mode, ur.witness),
                                clause="all three element conditions hold")
     raise ValueError(f"unknown element mode {mode!r}")
-
-
-def _regular_witness_l(inst, rec, alpha_partner):
-    """Pseudo-inverse h: the S(W)-partner on W, chosen preimages on the
-    rest of R(f), zero on a complement of W + R(f)."""
-    f = rec.f
-    h = rec.map_on_chain(alpha_partner, rec.regular_rows)
-    if restriction_matrix(h, inst.w) not in inst.s_w:
-        raise AssertionError("regular witness leaves the semigroup")
-    if f * h * f != f:
-        raise AssertionError("regular witness fails fhf = f")
-    return h
-
-
-def _unit_regular_witness_l(inst, rec, g0):
-    """Invertible g: the S(W)-unit on W, the inverse of f's corestriction
-    to U on the rest of R(f), and a deterministic matching between the
-    complement bases of W + R(f) and W + U."""
-    f = rec.f
-    g = rec.map_on_chain(g0, rec.unit_regular_rows)
-    if not g.is_invertible():
-        raise AssertionError("unit-regular witness is not invertible")
-    if restriction_matrix(g, inst.w) not in inst.s_w:
-        raise AssertionError("unit-regular witness leaves the semigroup")
-    if f * g * f != f:
-        raise AssertionError("unit-regular witness fails fgf = f")
-    return g
 
 
 def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:

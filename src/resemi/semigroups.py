@@ -121,6 +121,7 @@ class FiniteSemigroup:
         self.table = table
         self.identity_index = self._find_identity()
         self._units: list[int] | None = None
+        self._unit_set: frozenset[int] = frozenset()
         self._idempotents: list[int] | None = None
 
     # -- basics ---------------------------------------------------------
@@ -195,7 +196,13 @@ class FiniteSemigroup:
                     if table[v][u] == e:
                         units.append(u)
             self._units = units
+            self._unit_set = frozenset(units)
         return self._units
+
+    def unit_index_set(self) -> frozenset[int]:
+        """``unit_indices()`` as a set, for membership tests."""
+        self.unit_indices()
+        return self._unit_set
 
 
 def closure_elements(gens) -> list:
@@ -281,12 +288,31 @@ def element_oracle(s: FiniteSemigroup, a, mode: str) -> PropertyVerdict:
     raise ValueError(f"unknown element mode {mode!r}")
 
 
+def witness_problem(s: FiniteSemigroup, a, mode: str, w) -> str | None:
+    """What is wrong with w as a's partner in ``mode``, or None: w must lie
+    in s with awa = a, and for ``unit_regular`` be a unit of s.  Reads
+    only the Cayley table, so it checks either family's witnesses alike;
+    a must lie in s."""
+    if mode not in ("regular", "unit_regular"):
+        raise ValueError(f"unknown element mode {mode!r}")
+    i = s.index_of(a)
+    j = s._index.get(w)
+    if j is None:
+        return "witness not in the semigroup"
+    t = s.table
+    if t[t[i][j]][i] != i:
+        return "witness fails awa = a"
+    if mode == "unit_regular" and j not in s.unit_index_set():
+        return "witness is not a unit"
+    return None
+
+
 def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
     """Brute-force semigroup-level check; failure carries a witness."""
     if mode == "group":
         if not s.has_identity:
             return PropertyVerdict(mode, False, clause="no two-sided identity")
-        units = set(s.unit_indices())
+        units = s.unit_index_set()
         for i in range(len(s.elements)):
             if i not in units:
                 return PropertyVerdict(mode, False, witness=s.elements[i], clause="non-unit element")

@@ -27,6 +27,7 @@ from .semigroups import (
     inverse_by_unique_inverses,
     semigroup_oracle,
     subgroup_containing,
+    witness_problem,
 )
 from .transformations import IndexSubset, Transformation
 
@@ -54,6 +55,8 @@ class SweepPlan:
     the cell key, so identical plans reproduce identical reports.
     ``element_cap`` bounds the build size for element-level checks
     (0 disables them); builds beyond ``size_cap`` are skipped, not run.
+    Negative sizes, dimensions and seeded counts are refused; a size out
+    of range for one n is skipped, so one plan can span several n.
     """
 
     family: str
@@ -72,11 +75,12 @@ class SweepPlan:
         if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for name, ok, expected in (
-            ("ns", _ints(self.ns), "a list of integers"),
+            ("ns", _naturals(self.ns), "a list of non-negative integers"),
             ("pns", isinstance(self.pns, tuple)
-             and all(_ints(c) and len(c) == 2 for c in self.pns), "a list of [p, n] pairs"),
-            ("subset_sizes", self.subset_sizes is None or _ints(self.subset_sizes),
-             "null or a list of integers"),
+             and all(_ints(c) and len(c) == 2 and c[1] >= 0 for c in self.pns),
+             "a list of [p, n] pairs with non-negative n"),
+            ("subset_sizes", self.subset_sizes is None or _naturals(self.subset_sizes),
+             "null or a list of non-negative integers"),
             ("modes", isinstance(self.modes, tuple)
              and all(isinstance(m, str) for m in self.modes), "a list of mode names"),
             ("size_cap", _is_int(self.size_cap), "an integer"),
@@ -96,6 +100,8 @@ class SweepPlan:
                   and _is_int(src[1]) and isinstance(src[2], (str, int)))
         if src != ("exhaustive",) and not seeded:
             raise ValueError(f"unknown source {src!r}")
+        if seeded and src[1] < 0:
+            raise ValueError(f"seeded source count must be non-negative, not {src[1]}")
 
     def to_dict(self) -> dict:
         """JSON form: every field, tuples as lists."""
@@ -114,6 +120,10 @@ def _is_int(v) -> bool:
 
 def _ints(v) -> bool:
     return isinstance(v, tuple) and all(_is_int(x) for x in v)
+
+
+def _naturals(v) -> bool:
+    return _ints(v) and all(x >= 0 for x in v)
 
 
 def _as_lists(v):
@@ -387,7 +397,16 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                         }
                     )
                 if thm.holds and thm.witness is not None:
-                    rep.witnesses_checked += 1  # witnesses are verified inside the predicate
+                    problem = witness_problem(build, f, mode, thm.witness)
+                    if problem is None:
+                        rep.witnesses_checked += 1
+                    else:
+                        rep.mismatches.append(
+                            {
+                                "instance": key, "element": f.to_text(), "mode": mode,
+                                "witness": thm.witness.to_text(), "problem": problem,
+                            }
+                        )
             if plan.transversal_checks:
                 problem = inst.transversal_problem(f)
                 rep.transversal_checks_run += 1

@@ -44,8 +44,8 @@ class TInstance:
     it holds the identity and is a group, as a finite group of bijections
     holds the identity map, and a group holding it has it as identity),
     ``key()``, ``parse_element(text)``, ``expected_size()``,
-    ``build(size_cap)``, ``thm_semigroup(mode)``, ``thm_element(f, mode)``
-    and ``transversal_problem(f)``.
+    ``build(size_cap)``, ``thm_semigroup(mode)``, ``thm_element(f, mode)``,
+    ``witness_problem(f, w, mode)`` and ``transversal_problem(f)``.
     """
 
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular")
@@ -115,6 +115,27 @@ class TInstance:
         for fiber in y_fibers.values():
             if len(ty_set & fiber) != 1:
                 return "a restricted fibre does not meet T on Y exactly once"
+        return None
+
+
+    def witness_problem(self, f: Transformation, w: Transformation, mode: str) -> str | None:
+        """What is wrong with w as the theorem's ``mode`` witness for f, or
+        None: w must restrict into S(Y), be bijective for
+        ``unit_regular``, and satisfy fwf = f.  Checked by multiplication,
+        so it needs no build; the sweep checks its witnesses in the
+        build's Cayley table instead (``semigroups.witness_problem``)."""
+        label, name = (("unit-regular", "g") if mode == "unit_regular"
+                       else ("regular", "h"))
+        if mode == "unit_regular" and not w.is_bijective():
+            return f"{label} witness is not bijective"
+        try:
+            inside = restriction(w, self.y) in self.s_y
+        except ValueError:  # Y is not invariant under w
+            inside = False
+        if not inside:
+            return f"{label} witness leaves the semigroup"
+        if f * w * f != f:
+            return f"{label} witness fails f{name}f = f"
         return None
 
 
@@ -191,8 +212,12 @@ def thm_element_t(inst: TInstance, f: Transformation, mode: str) -> PropertyVerd
     unit_regular: f|Y unit-regular in S(Y), the same image-trace equality,
                   and |C(f) minus C(f|Y)| = |D(f) minus D(f|Y)| computed
                   from the canonical transversal pair.  On success a
-                  bijective witness g with fgf = f is assembled and
-                  verified by direct multiplication.
+                  bijective witness g with fgf = f is assembled.
+
+    The witness is not checked here: the sweep checks it in the build's
+    Cayley table (``semigroups.witness_problem``), and the CLI by
+    multiplication (``TInstance.witness_problem``).  A regular verdict
+    carries no witness yet.
     """
     alpha = restriction_to_y(inst, f)
     r_set, y_set, ry_set = _ambient_sets(inst, f)
@@ -248,14 +273,7 @@ def _unit_regular_witness_t(inst, f, alpha_unit, pair, d_extra, c_extra, r_set, 
         g[src] = dst
     if None in g:
         raise AssertionError("witness pieces do not cover X")
-    gt = Transformation(g)
-    if not gt.is_bijective():
-        raise AssertionError("unit-regular witness is not bijective")
-    if restriction(gt, inst.y) not in inst.s_y:
-        raise AssertionError("unit-regular witness leaves the semigroup")
-    if f * gt * f != f:
-        raise AssertionError("unit-regular witness fails fgf = f")
-    return gt
+    return Transformation(g)
 
 
 def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from resemi.cli import main
+from resemi.linear_semigroup import LInstance
 
 
 def run(capsys, *argv):
@@ -189,6 +190,53 @@ class TestElement:
         (result,) = json.loads(out)["results"]
         assert result["theorem"] is True and result["theorem_witness"] is not None
 
+    def test_witnesses_checked_without_the_table(self, capsys, monkeypatch):
+        # the build has 5^6 = 15,625 elements: no table, no oracle, so the
+        # product check is the only one that can run
+        checked = []
+        check = LInstance.witness_problem
+
+        def spy(inst, f, w, mode):
+            checked.append((mode, w.to_text(), check(inst, f, w, mode)))
+            return checked[-1][2]
+
+        monkeypatch.setattr(LInstance, "witness_problem", spy)
+        code, out, _ = run(
+            capsys, "element", "--kind", "l", "--p", "5", "--n", "3", "--w", "1,0,0",
+            "--sw", "1", "--f", "1,0,0;0,1,0;0,0,0", "--no-oracle", "--format", "json",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [(r["mode"], r["theorem"], r["oracle"]) for r in results] == [
+            ("regular", True, "skipped"), ("unit_regular", True, "skipped")]
+        assert checked == [(r["mode"], r["theorem_witness"], None) for r in results]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("oracle", [[], ["--no-oracle"]])
+    def test_bad_witness_exits_4(self, capsys, monkeypatch, fmt, oracle):
+        from resemi import transform_semigroup as tsg
+        from resemi.semigroups import PropertyVerdict
+
+        predicate = tsg.thm_element_t
+
+        def wrong(inst, f, mode):
+            v = predicate(inst, f, mode)
+            return PropertyVerdict(v.prop, v.holds, witness=f, clause=v.clause)
+
+        monkeypatch.setattr(tsg, "thm_element_t", wrong)
+        code, out, _ = run(
+            capsys, "element", "--kind", "t", "--n", "3", "--y", "0,1",
+            "--sy", "0,1;1,0", "--f", "0,1,0", "--mode", "unit_regular",
+            "--format", fmt, *oracle,
+        )
+        assert code == 4
+        problem = "unit-regular witness is not bijective"  # f itself is no unit
+        if fmt == "json":
+            (result,) = json.loads(out)["results"]
+            assert result["theorem_witness"] == "0,1,0" and result["witness_problem"] == problem
+        else:
+            assert out.rstrip().endswith(f"<< BAD WITNESS: {problem}")
+
     def test_outsider_is_validation_error(self, capsys):
         code, _, err = run(
             capsys, "element", "--kind", "t", "--n", "3", "--y", "0,1",
@@ -198,6 +246,16 @@ class TestElement:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "t", "--ns", "-1"],
+        ["--kind", "t", "--ns", "3", "--sizes", "-2"],
+        ["--kind", "l", "--pn", "2,-1"],
+        ["--kind", "t", "--ns", "2", "--source", "seeded", "--samples", "-1"],
+    ])
+    def test_negative_sizes_refused(self, capsys, flags):
+        code, out, err = run(capsys, "sweep", *flags, "--format", "text")
+        assert code == 2 and not out and "non-negative" in err
+
     def test_inline_sweep_clean(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--kind", "t", "--ns", "1,2", "--sizes", "1,2",
@@ -295,6 +353,11 @@ class TestInputFile:
         ("sweep", {"family": "transformation", "ns": [2], "subset_sizes": 5}),
         ("sweep", {"family": "linear", "pns": [2]}),
         ("sweep", {"family": "transformation", "ns": [2], "size_cap": "x"}),
+        # negative sizes and counts, which would run nothing and read clean
+        ("sweep", {"family": "transformation", "ns": [-1]}),
+        ("sweep", {"family": "transformation", "ns": [3], "subset_sizes": [-2]}),
+        ("sweep", {"family": "linear", "pns": [[2, -1]]}),
+        ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", -1, "0"]}),
     ])
     def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"

@@ -30,6 +30,7 @@ from resemi.semigroups import (
     element_oracle,
     generate,
     semigroup_oracle,
+    witness_problem,
 )
 
 
@@ -285,6 +286,37 @@ class TestSharedRecords:
             got = [outcome(inst, f, check)
                    for f in elements for inst in (a, b) for check in self.CHECKS]
             assert got == want, a
+            # a second pass reads every witness through the records' memo
+            again = [outcome(inst, f, check)
+                     for f in elements for inst in (a, b) for check in self.CHECKS]
+            assert again == want, a
+            for inst in (a, b):
+                build = build_lsw(inst)
+                for f in build.elements:
+                    for mode in ("regular", "unit_regular"):
+                        verdict = outcome(inst, f, mode)
+                        if verdict[0] is True:
+                            assert witness_problem(build, f, mode, verdict[2]) is None
+
+    def test_memo_witness_checked_against_each_table(self):
+        w = Subspace(2, 2, [[1, 0]])
+        zero = GFMatrix(2, [[0, 0], [0, 0]])  # f|W = [0], in both S(W)
+        # A lists [1] first, so the partner of [0] it finds is [1]; B holds only [0]
+        a = LInstance(2, 2, w, FiniteSemigroup([GFMatrix(2, [[1]]), GFMatrix(2, [[0]])]))
+        b = self.line(0)
+        build_a, build_b = build_lsw(a), build_lsw(b)
+        _records_on.cache_clear()
+        h_a = a.thm_element(zero, "regular").witness
+        assert restriction_matrix(h_a, w) == GFMatrix(2, [[1]])
+        assert witness_problem(build_a, zero, "regular", h_a) is None
+        assert witness_problem(build_b, zero, "regular", h_a) == "witness not in the semigroup"
+        # B's partner differs, so B gets its own witness, which its table accepts
+        h_b = b.thm_element(zero, "regular").witness
+        assert h_b != h_a and witness_problem(build_b, zero, "regular", h_b) is None
+        # an instance with A's partner reads A's witness from the memo
+        c = self.line(1, 0)
+        assert c.thm_element(zero, "regular").witness is h_a
+        assert witness_problem(build_lsw(c), zero, "regular", h_a) is None
 
     def test_records_are_kept_for_one_w_only(self):
         a, b = self.line(1), self.line(0)

@@ -7,7 +7,8 @@ from itertools import islice, product
 
 import pytest
 
-from resemi.gflinear import GFMatrix, all_vectors
+from resemi.gflinear import GFMatrix, Subspace, all_vectors
+from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
@@ -18,8 +19,10 @@ from resemi.semigroups import (
     inverse_by_unique_inverses,
     semigroup_oracle,
     subgroup_containing,
+    witness_problem,
 )
-from resemi.transformations import Transformation
+from resemi.transform_semigroup import TInstance
+from resemi.transformations import IndexSubset, Transformation
 
 
 def full_t(n):
@@ -361,3 +364,82 @@ class TestDualDefinitions:
                 if sub is not None:
                     g = FiniteSemigroup(list(sub))
                     assert semigroup_oracle(g, "group").holds and a in g
+
+
+class TestWitnessProblem:
+    """The sweep's table check (``semigroups.witness_problem``) and each
+    family's product check (``witness_problem`` on the instance) accept
+    every theorem witness and reject the same wrong ones."""
+
+    MODES = ("regular", "unit_regular")
+
+    @staticmethod
+    def instances():
+        yield TInstance(3, IndexSubset(3, [0, 1, 2]), full_t(3))  # the build is T(3)
+        yield TInstance(3, IndexSubset(3, [0, 1]), full_t(2))
+        for p in (2, 3):  # dim W = 1, S(W) = L(W)
+            yield LInstance(p, 2, Subspace(p, 2, [[1, 0]]), FiniteSemigroup(full_l(p, 1)))
+
+    @staticmethod
+    def both(inst, build, f, mode, w):
+        return witness_problem(build, f, mode, w), inst.witness_problem(f, w, mode)
+
+    def test_every_theorem_witness_accepted(self):
+        for inst in self.instances():
+            build = inst.build()
+            seen = 0
+            for f in build.elements:
+                for mode in self.MODES:
+                    v = inst.thm_element(f, mode)
+                    if v.holds and v.witness is not None:
+                        seen += 1
+                        assert self.both(inst, build, f, mode, v.witness) == (None, None), (f, mode)
+            assert seen, inst
+
+    def test_member_with_awa_not_a_rejected(self):
+        for inst in self.instances():
+            build = inst.build()
+            units = build.unit_index_set()  # a unit gets past the bijectivity test
+            f, w = next((f, w) for f in build.elements for j, w in enumerate(build.elements)
+                        if j in units and f * w * f != f)
+            for mode in self.MODES:
+                table, product_check = self.both(inst, build, f, mode, w)
+                assert table == "witness fails awa = a"
+                assert product_check.endswith(("fails fhf = f", "fails fgf = f"))
+
+    def test_non_unit_rejected_for_unit_regular(self):
+        for inst in self.instances():
+            build = inst.build()
+            units = build.unit_index_set()
+            f, w = next((f, w) for f in build.elements for j, w in enumerate(build.elements)
+                        if j not in units and f * w * f == f)
+            assert self.both(inst, build, f, "unit_regular", w) == (
+                "witness is not a unit",
+                "unit-regular witness is not "
+                + ("bijective" if isinstance(inst, TInstance) else "invertible"))
+            assert self.both(inst, build, f, "regular", w) == (None, None)
+
+    def test_non_member_rejected(self):
+        for inst, outsider in (
+            (TInstance(3, IndexSubset(3, [0, 1]), full_t(2)), Transformation([2, 0, 1])),
+            (TInstance(3, IndexSubset(3, [0, 1]), sym(2)), Transformation([0, 0, 2])),
+            (LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup(full_l(2, 1))),
+             GFMatrix(2, [[0, 1], [1, 0]])),
+            (LInstance(3, 2, Subspace(3, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(3, [[1]])])),
+             GFMatrix(3, [[2, 0], [0, 1]])),
+        ):
+            build = inst.build()
+            assert outsider not in build
+            f = build.elements[0]
+            for mode in self.MODES:
+                table, product_check = self.both(inst, build, f, mode, outsider)
+                assert table == "witness not in the semigroup"
+                if mode == "unit_regular" and outsider == Transformation([0, 0, 2]):
+                    assert product_check == "unit-regular witness is not bijective"
+                else:
+                    assert product_check.endswith("witness leaves the semigroup")
+
+    def test_unknown_mode_refused(self):
+        s = full_t(2)
+        with pytest.raises(ValueError, match="unknown element mode"):
+            witness_problem(s, s.elements[0], "inverse", s.elements[0])

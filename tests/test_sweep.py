@@ -5,9 +5,11 @@ from itertools import product
 
 import pytest
 
+from resemi import linear_semigroup as lsg
+from resemi import transform_semigroup as tsg
 from resemi.gflinear import GFMatrix, Subspace
 from resemi.linear_semigroup import LInstance
-from resemi.semigroups import SizeCapExceeded, closure_elements, semigroup_oracle
+from resemi.semigroups import PropertyVerdict, SizeCapExceeded, closure_elements, semigroup_oracle
 from resemi.sweep import (
     SweepPlan,
     SweepReport,
@@ -122,10 +124,49 @@ class TestRunSweep:
         ("size_cap", True), ("element_cap", None), ("definition_checks", 1),
         ("transversal_checks", "yes"), ("alpha_family_checks", None),
         ("source", ("seeded", "5", "s")),
+        # negative sizes and counts: such a plan would run nothing and read clean
+        ("ns", (-1,)), ("subset_sizes", (-2,)), ("pns", ((2, -1),)),
+        ("source", ("seeded", -1, "s")),
     ])
     def test_field_types(self, field, value):
         with pytest.raises(ValueError, match="must be|unknown source"):
             SweepPlan(family="linear", **{field: value})
+
+    def test_positive_sizes_out_of_range_are_skipped(self):
+        plan = SweepPlan(family="transformation", ns=(1, 2), subset_sizes=(2, 5),
+                         source=("exhaustive",))
+        rep = run_sweep(plan)  # |Y| = 2 exists for n = 2 only; 5 for neither
+        assert rep.clean and rep.instances_run == len(
+            enumerate_subsemigroups("transformation", 2, ("exhaustive",)))
+
+    @pytest.mark.parametrize("module, outsider, plan", [
+        (tsg, lambda inst: Transformation(tuple(range(inst.n + 1))),
+         SweepPlan(family="transformation", ns=(2, 3), subset_sizes=(1, 2),
+                   source=("exhaustive",), modes=("regular", "unit_regular"))),
+        (lsg, lambda inst: GFMatrix.identity(inst.p, inst.n + 1),
+         SweepPlan(family="linear", pns=((2, 2),), source=("exhaustive",),
+                   modes=("regular", "unit_regular"))),
+    ], ids=["transformation", "linear"])
+    def test_wrong_witness_is_a_mismatch_and_not_counted(self, monkeypatch, module,
+                                                         outsider, plan):
+        honest = run_sweep(plan)
+        assert honest.clean and honest.witnesses_checked > 0
+        name = "thm_element_t" if module is tsg else "thm_element_l"
+        predicate = getattr(module, name)
+
+        def wrong(inst, f, mode):
+            v = predicate(inst, f, mode)
+            if v.witness is None:
+                return v
+            return PropertyVerdict(v.prop, v.holds, witness=outsider(inst), clause=v.clause)
+
+        monkeypatch.setattr(module, name, wrong)
+        rep = run_sweep(plan)
+        assert rep.witnesses_checked == 0 and not rep.clean
+        assert len(rep.mismatches) == honest.witnesses_checked
+        assert {m["problem"] for m in rep.mismatches} == {"witness not in the semigroup"}
+        assert all(m["element"] and m["mode"] in plan.modes for m in rep.mismatches)
+        assert rep.element_agreements == honest.element_agreements
 
 
 class TestDeterminismAndSerialization:
