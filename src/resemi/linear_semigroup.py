@@ -332,6 +332,8 @@ class ElementSubspaces:
         f's corestriction to U on the rest of R(f), and a deterministic
         matching between the complement bases of W + R(f) and W + U.
         Nothing is checked here; see ``LInstance.witness_problem``."""
+        if self.w.is_full():
+            return partner  # B1 + B2 is a basis of W = V, so the map is the partner
         key = (mode, partner)
         found = self._witnesses.get(key)
         if found is None:

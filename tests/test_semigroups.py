@@ -379,6 +379,7 @@ class TestWitnessProblem:
         yield TInstance(3, IndexSubset(3, [0, 1]), full_t(2))
         for p in (2, 3):  # dim W = 1, S(W) = L(W)
             yield LInstance(p, 2, Subspace(p, 2, [[1, 0]]), FiniteSemigroup(full_l(p, 1)))
+        yield LInstance(2, 2, Subspace.full(2, 2), FiniteSemigroup(full_l(2, 2)))  # W = V
 
     @staticmethod
     def both(inst, build, f, mode, w):
