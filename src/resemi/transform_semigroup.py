@@ -117,7 +117,6 @@ class TInstance:
                 return "a restricted fibre does not meet T on Y exactly once"
         return None
 
-
     def witness_problem(self, f: Transformation, w: Transformation, mode: str) -> str | None:
         """What is wrong with w as the theorem's ``mode`` witness for f, or
         None: w must restrict into S(Y), be bijective for
