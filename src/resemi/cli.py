@@ -5,10 +5,11 @@ multiple transformations are ';'-separated.  A matrix is ';'-separated
 rows of ',' entries ("1,0;1,1"); multiple matrices are '|'-separated.
 A subspace is given by ';'-separated spanning rows.
 
-Exit codes: 0 success, 2 validation error, 3 size-cap refusal, 4 when a
-predicate and its oracle disagree, when ``element`` prints a theorem
-witness that fails its check (run with or without the oracle), or when a
-sweep reports any mismatch.
+Exit codes: 0 success, 2 validation error (also a sweep whose plan
+selects no instance), 3 size-cap refusal, 4 when a predicate and its
+oracle disagree, when ``element`` prints a theorem witness that fails its
+check (run with or without the oracle), or when a sweep reports any
+mismatch.
 """
 
 from __future__ import annotations
@@ -220,6 +221,8 @@ def _cmd_sweep(args) -> int:
             element_cap=args.element_cap,
         )
     report = run_sweep(plan)
+    if report.instances_run == 0 and not report.skipped:
+        raise ValueError("the plan selects no instance")
     if args.format == "json":
         print(report.to_json())
     else:
@@ -229,12 +232,7 @@ def _cmd_sweep(args) -> int:
         print(f"element checks: {d['element_checks']} agreements: {d['element_agreements']}")
         print(f"witnesses checked: {d['witnesses_checked']}")
         print(f"skipped: {len(d['skipped'])}")
-        total_bad = (
-            len(d["mismatches"]) + len(d["implication_violations"])
-            + len(d["size_formula_violations"]) + len(d["transversal_failures"])
-            + len(d["definition_failures"]) + len(d["alpha_family_failures"])
-        )
-        print(f"mismatches: {total_bad}")
+        print(f"mismatches: {report.failure_count}")
         for entry in d["mismatches"]:
             print(f"  MISMATCH {entry}")
     return EXIT_OK if report.clean else EXIT_MISMATCH

@@ -1,0 +1,140 @@
+"""What the two restriction-constrained families share: the instance
+interface, the per-element record memo, the element theorem and the
+product check of its witnesses.
+
+The paper proves the element theorems for T_S(Y)(X) and L_S(W)(V) in one
+shape: f is regular iff its restriction is regular in the prescribed
+semigroup and the image trace matches, and unit-regular iff its
+restriction is unit-regular there, the trace matches and the complements
+of a compatible transversal pair balance.  ``element_verdict`` states
+that shape once; each family supplies only its record of f (the
+restriction, the trace test, the complement sizes and the witness
+assembly) and its words for the clauses.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from .semigroups import FiniteSemigroup, PropertyVerdict, element_oracle, semigroup_oracle
+
+
+class RestrictedInstance:
+    """A region (Y or W) of an ambient space and a closed semigroup S(Y) or
+    S(W) prescribed on it.
+
+    ``TInstance`` and ``LInstance`` share one interface: the family's
+    ``SEMIGROUP_MODES`` and ``ELEMENT_MODES``, ``prescribed`` (S(Y) or
+    S(W)), ``has_identity`` (whether it holds the identity of T(Y) or
+    L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
+    it holds the identity and is a group, as a finite group of bijections
+    holds the identity map, and a group holding it has it as identity),
+    ``key()``, ``parse_element(text)``, ``expected_size()``,
+    ``build(size_cap)``, ``thm_semigroup(mode)``, ``thm_element(f, mode)``,
+    ``record(f)``, ``witness_problem(f, w, mode)`` and
+    ``transversal_problem(f)``.
+
+    A subclass names its record class (``RECORD``), the restriction of an
+    element to the region (``restrict``), its unit test (``is_unit``),
+    whether an element lives in its ambient space (``in_ambient``), and
+    the words of its clauses and messages.
+    """
+
+    ELEMENT_MODES = ("regular", "unit_regular")
+
+    def __init__(self, region, prescribed: FiniteSemigroup, identity) -> None:
+        self.region = region
+        self.prescribed = prescribed
+        self.has_identity = identity in prescribed
+        self.unit_group = self.has_identity and semigroup_oracle(prescribed, "group").holds
+        self._verdicts: dict[tuple, PropertyVerdict] = {}
+
+    def record(self, f):
+        """f's record, shared by the element predicates, their witnesses
+        and the transversal check of every instance on this region; raises,
+        on every call, if f is not a member of this instance."""
+        if not self.in_ambient(f):
+            raise ValueError(f"f not in {self.FAMILY}: wrong ambient size")
+        records = _records_on(self.region)
+        rec = records.get(f)
+        if rec is None:
+            rec = records[f] = self.RECORD(self.region, f)
+        if rec.alpha is None:
+            raise ValueError(f"f not in {self.FAMILY}: {self.REGION} is not invariant")
+        if rec.alpha not in self.prescribed:
+            raise ValueError(f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}")
+        return rec
+
+    def prescribed_verdict(self, alpha, mode: str) -> PropertyVerdict:
+        """``element_oracle`` on the prescribed semigroup for alpha, asked
+        once per (alpha, mode)."""
+        verdict = self._verdicts.get((alpha, mode))
+        if verdict is None:
+            verdict = self._verdicts[alpha, mode] = element_oracle(self.prescribed, alpha, mode)
+        return verdict
+
+    def witness_problem(self, f, w, mode: str) -> str | None:
+        """What is wrong with w as the theorem's ``mode`` witness for f, or
+        None: w must restrict into the prescribed semigroup, be a unit of
+        the ambient monoid for ``unit_regular``, and satisfy fwf = f.
+        Checked by multiplication, so it needs no build; the sweep checks
+        its witnesses in the build's Cayley table instead
+        (``semigroups.witness_problem``)."""
+        label, name = (("unit-regular", "g") if mode == "unit_regular"
+                       else ("regular", "h"))
+        if mode == "unit_regular" and not self.is_unit(w):
+            return f"{label} witness is not {self.UNIT}"
+        try:
+            inside = self.restrict(w, self.region) in self.prescribed
+        except ValueError:  # the region is not invariant under w
+            inside = False
+        if not inside:
+            return f"{label} witness leaves the semigroup"
+        if f * w * f != f:
+            return f"{label} witness fails f{name}f = f"
+        return None
+
+
+@lru_cache(maxsize=1)
+def _records_on(region) -> dict:
+    """The f -> record memo of one region (Y or W, of either family);
+    asking about another region drops it.  A sweep takes the instances of
+    one region back to back, so that loses no reuse, and keying on every
+    region would hold the records of every element of every region at
+    once."""
+    return {}
+
+
+def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
+    """The element theorem of both families, read from ``inst.record(f)``:
+    its restriction ``alpha``, the image-trace test ``trace_ok``, the sizes
+    of the two complements of a compatible transversal pair
+    (``complement_sizes``, C-side first) and the witness assembled on the
+    prescribed semigroup's partner of alpha (``witness(mode, partner)``).
+    The witness is not checked here."""
+    rec = inst.record(f)
+    if mode == "regular":
+        reg = inst.prescribed_verdict(rec.alpha, "regular")
+        if reg.holds and rec.trace_ok:
+            return PropertyVerdict(mode, True, witness=rec.witness(mode, reg.witness),
+                                   clause="restriction regular and image trace matches")
+        clause = (f"restriction not regular in {inst.PRESCRIBED}" if not reg.holds
+                  else "image trace differs")
+        return PropertyVerdict(mode, False, clause=clause)
+    if mode == "unit_regular":
+        if not inst.has_identity:
+            raise ValueError("identity required")
+        ur = inst.prescribed_verdict(rec.alpha, "unit_regular")
+        if not ur.holds:
+            return PropertyVerdict(
+                mode, False, clause=f"restriction not unit-regular in {inst.PRESCRIBED}")
+        if not rec.trace_ok:
+            return PropertyVerdict(mode, False, clause="image trace differs")
+        c_size, d_size = rec.complement_sizes
+        if c_size != d_size:
+            clause = f"complement {inst.SIZES} differ ({c_size} vs {d_size})"
+            return PropertyVerdict(mode, False, clause=clause)
+        return PropertyVerdict(mode, True, witness=rec.witness(mode, ur.witness),
+                               clause="all three element conditions hold")
+    raise ValueError(f"unknown element mode {mode!r}")
+

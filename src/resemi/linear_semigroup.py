@@ -4,12 +4,16 @@ predicates and constructive witnesses.
 
 As on the transformation side, semigroup-level predicates look only at
 (p, n, W, S(W)); the full semigroup is built solely for oracle
-cross-checks and element classification.
+cross-checks and element classification.  The element predicate is
+``family.element_verdict``, shared with the transformation family; this
+module supplies what it reads of one f, the ``ElementSubspaces`` record
+(restriction, subspaces, trace test, complement codimensions and both
+witnesses).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 
 from .gflinear import (
@@ -27,206 +31,15 @@ from .gflinear import (
     transversal_from_spaces,
     unit_rows,
 )
+from .family import RestrictedInstance, element_verdict
 from .semigroups import (
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
     TABLE_CAP,
-    element_oracle,
     prescribed_semigroup,
     semigroup_oracle,
 )
-
-
-class LInstance:
-    """Prime p, ambient dimension n, a subspace W and a closed S(W).
-
-    Elements of ``s_w`` are dim(W) x dim(W) coordinate matrices in W's
-    canonical basis.  dim(W) = 0 is fully supported: S(W) is then the
-    trivial group of the 0 x 0 matrix and the build is all of L(V).
-    Implements the family interface described on ``TInstance``.
-
-    The element predicates and the transversal check read f's subspaces
-    through ``subspaces(f)``.  Everything in that record depends on (W, f)
-    only, so every instance on the same W shares it; only the membership
-    test f|W in S(W) is this instance's, and it runs on every call.  The
-    records are kept for one W at a time: a sweep takes the instances of
-    one W back to back, so that loses no reuse, and keying on every W
-    would hold the subspaces of every element of every W at once.  The
-    S(W)-side verdicts are kept per instance, one per (f|W, mode).
-    """
-
-    SEMIGROUP_MODES = ("regular", "inverse", "unit_regular", "completely_regular")
-    ELEMENT_MODES = ("regular", "unit_regular")
-
-    def __init__(self, p: int, n: int, w: Subspace, s_w: FiniteSemigroup) -> None:
-        if w.p != p or w.ambient_dim != n:
-            raise ValueError("dimension mismatch")
-        k = w.dim
-        for el in s_w.elements:
-            if not isinstance(el, GFMatrix) or el.p != p or el.rows != k or el.cols != k:
-                raise ValueError("S(W) elements must be dim(W) x dim(W) matrices over GF(p)")
-        self.p = p
-        self.n = n
-        self.w = w
-        self.s_w = s_w
-        self.has_identity = GFMatrix.identity(p, k) in s_w
-        self.unit_group = self.has_identity and semigroup_oracle(s_w, "group").holds
-        self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
-        basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
-        self._c_inv = mat_inverse(GFMatrix(p, basis_rows, cols=n)) if n else GFMatrix(p, (), cols=0)
-        self._sw_verdicts: dict[tuple, PropertyVerdict] = {}
-
-    def __repr__(self) -> str:
-        return (
-            f"LInstance(p={self.p}, n={self.n}, dim W={self.w.dim}, |S(W)|={len(self.s_w)})"
-        )
-
-    def key(self) -> dict:
-        return {
-            "kind": "linear",
-            "p": self.p,
-            "n": self.n,
-            "W": [list(r) for r in self.w.basis],
-            "sW": sorted(el.to_text() for el in self.s_w.elements),
-        }
-
-    @property
-    def prescribed(self) -> FiniteSemigroup:
-        return self.s_w
-
-    def parse_element(self, text: str) -> GFMatrix:
-        return GFMatrix.from_text(self.p, text)
-
-    def expected_size(self) -> int:
-        """|S(W)| * p^(n(n-dim W)), the size of the build."""
-        return len(self.s_w) * self.p ** (self.n * (self.n - self.w.dim))
-
-    def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
-        return build_lsw(self, size_cap)
-
-    def thm_semigroup(self, mode: str) -> PropertyVerdict:
-        return thm_semigroup_l(self, mode)
-
-    def thm_element(self, f: GFMatrix, mode: str) -> PropertyVerdict:
-        return thm_element_l(self, f, mode)
-
-    def subspaces(self, f: GFMatrix) -> "ElementSubspaces":
-        """f's subspace record, shared by the element predicates, their
-        witnesses and the transversal check of every instance on this W;
-        raises, on every call, if f is not a member of this instance."""
-        if f.p != self.p or f.rows != self.n or f.cols != self.n:
-            raise ValueError("f not in L_S(W)(V): wrong ambient size")
-        records = _records_on(self.w)
-        rec = records.get(f)
-        if rec is None:
-            rec = records[f] = ElementSubspaces(self.w, f)
-        if rec.alpha is None:
-            raise ValueError("f not in L_S(W)(V): W is not invariant")
-        if rec.alpha not in self.s_w:
-            raise ValueError("f not in L_S(W)(V): restriction outside S(W)")
-        return rec
-
-    def _sw_verdict(self, alpha: GFMatrix, mode: str) -> PropertyVerdict:
-        """``element_oracle`` on S(W) for alpha, asked once per (alpha, mode)."""
-        verdict = self._sw_verdicts.get((alpha, mode))
-        if verdict is None:
-            verdict = self._sw_verdicts[alpha, mode] = element_oracle(self.s_w, alpha, mode)
-        return verdict
-
-    def transversal_problem(self, f: GFMatrix) -> str | None:
-        """What is wrong with f's canonical transversal subspace pair, or None."""
-        rec = self.subspaces(f)
-        tr, ns = rec.transversal, rec.ns
-        if tr.u.dim != f.rank:
-            return "transversal dimension differs from rank"
-        if tr.u.intersect(ns).dim != 0:
-            return "transversal meets the null space"
-        if tr.u_meet_w != tr.u.intersect(self.w):
-            return "U meet W is not the trace of U"
-        ns_on_w = ns.intersect(self.w)  # null space of the restriction, ambient
-        if tr.u_meet_w.dim + ns_on_w.dim != self.w.dim:
-            return "U meet W is not a complement of the restricted null space"
-        if tr.u_meet_w.intersect(ns_on_w).dim != 0:
-            return "U meet W meets the restricted null space"
-        return None
-
-    def witness_problem(self, f: GFMatrix, w: GFMatrix, mode: str) -> str | None:
-        """What is wrong with w as the theorem's ``mode`` witness for f, or
-        None: w must restrict into S(W), be invertible for
-        ``unit_regular``, and satisfy fwf = f.  Checked by multiplication,
-        so it needs no build; the sweep checks its witnesses in the
-        build's Cayley table instead (``semigroups.witness_problem``)."""
-        label, name = (("unit-regular", "g") if mode == "unit_regular"
-                       else ("regular", "h"))
-        if mode == "unit_regular" and not w.is_invertible():
-            return f"{label} witness is not invertible"
-        try:
-            inside = restriction_matrix(w, self.w) in self.s_w
-        except ValueError:  # W is not invariant under w
-            inside = False
-        if not inside:
-            return f"{label} witness leaves the semigroup"
-        if f * w * f != f:
-            return f"{label} witness fails f{name}f = f"
-        return None
-
-    def lift_on_w(self, alpha: GFMatrix, v) -> tuple:
-        """Apply the coordinate matrix alpha, as a map on W, to ambient v."""
-        return self.w.from_coordinates(alpha.apply(self.w.coordinates(v)))
-
-    def extension_matrix(self, alpha: GFMatrix, complement_images) -> GFMatrix:
-        """The unique matrix restricting to alpha on W and sending the
-        deterministic complement basis vectors to the given images
-        (vectors with entries already reduced mod p)."""
-        rows = [self.w.from_coordinates(alpha.entries[i]) for i in range(self.w.dim)]
-        rows.extend(tuple(v) for v in complement_images)
-        if self.n == 0:
-            return GFMatrix(self.p, (), cols=0)
-        return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
-
-
-def l_instance_from_dict(data: dict) -> LInstance:
-    """Build an LInstance from its JSON form (spanning rows for W; ``sW``
-    holds ``elements`` or ``generators`` of dim(W)-sized matrices)."""
-    p = int(data["p"])
-    n = int(data["n"])
-    w = Subspace(p, n, data["W"])
-    block = data["sW"]
-    s_w = prescribed_semigroup(lambda items: [GFMatrix(p, e, cols=w.dim) for e in items],
-                               block.get("generators"), block.get("elements"))
-    return LInstance(p, n, w, s_w)
-
-
-def build_lsw(inst: LInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
-    """Enumerate every linear map on V whose restriction to W lies in S(W).
-
-    Exactly one extension exists for each alpha in S(W) and each
-    assignment of the n - dim(W) complement basis vectors, so the result
-    has |S(W)| * p^(n(n-k)) elements.
-    """
-    p, n, k = inst.p, inst.n, inst.w.dim
-    count = inst.expected_size()
-    if count > min(size_cap, TABLE_CAP):
-        raise SizeCapExceeded("size cap exceeded")
-    if k == n:
-        return inst.s_w  # W = V: the build is S(W) itself, table reused
-    vectors = all_vectors(p, n)
-    out = []
-    for alpha in inst.s_w.elements:
-        for assignment in product(vectors, repeat=n - k):
-            out.append(inst.extension_matrix(alpha, assignment))
-    s = FiniteSemigroup(out)
-    if len(s) != count:
-        raise AssertionError("build size disagrees with the counting formula")
-    return s
-
-
-@lru_cache(maxsize=1)
-def _records_on(w: Subspace) -> dict:
-    """The f -> ``ElementSubspaces`` memo of one W; asking about another W
-    drops it (see ``LInstance``)."""
-    return {}
 
 
 class ElementSubspaces:
@@ -239,10 +52,11 @@ class ElementSubspaces:
     invariant, and then nothing else), R(f) (``rf``), R(f) meet W
     (``r_meet_w``), R(f|W) (``rw``) and the image-trace test ``trace_ok``.
     Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``),
-    W + U (``w_plus_u``), codim(W + R(f)) (``codim_w_plus_r``), the witness
-    basis chain B1..B4 (``chain``) and the inverse of its basis matrix,
-    the images of B3 + B4 under each witness (``regular_rows``,
-    ``unit_regular_rows``), and each witness assembled (``witness``).
+    W + U (``w_plus_u``), codim(W + U) and codim(W + R(f))
+    (``complement_sizes``), the witness basis chain B1..B4 (``chain``) and
+    the inverse of its basis matrix, the images of B3 + B4 under each
+    witness (``regular_rows``, ``unit_regular_rows``), and each witness
+    assembled (``witness``).
     """
 
     def __init__(self, w: Subspace, f: GFMatrix) -> None:
@@ -272,8 +86,9 @@ class ElementSubspaces:
         return self.w.sum(self.transversal.u)
 
     @cached_property
-    def codim_w_plus_r(self) -> int:
-        return self.w.sum(self.rf).codim
+    def complement_sizes(self) -> tuple[int, int]:
+        """codim(W + U) and codim(W + R(f))."""
+        return self.w_plus_u.codim, self.w.sum(self.rf).codim
 
     @cached_property
     def chain(self) -> tuple[list, list, list, list]:
@@ -331,7 +146,7 @@ class ElementSubspaces:
         unit_regular: an invertible g, the S(W)-unit on W, the inverse of
         f's corestriction to U on the rest of R(f), and a deterministic
         matching between the complement bases of W + R(f) and W + U.
-        Nothing is checked here; see ``LInstance.witness_problem``."""
+        Nothing is checked here; see ``witness_problem`` on the instance."""
         if self.w.is_full():
             return partner  # B1 + B2 is a basis of W = V, so the map is the partner
         key = (mode, partner)
@@ -346,6 +161,140 @@ class ElementSubspaces:
         return found
 
 
+class LInstance(RestrictedInstance):
+    """Prime p, ambient dimension n, a subspace W and a closed S(W).
+
+    Elements of ``s_w`` are dim(W) x dim(W) coordinate matrices in W's
+    canonical basis.  dim(W) = 0 is fully supported: S(W) is then the
+    trivial group of the 0 x 0 matrix and the build is all of L(V).
+    Implements the family interface described on
+    ``family.RestrictedInstance``; f's record is an ``ElementSubspaces``.
+    """
+
+    SEMIGROUP_MODES = ("regular", "inverse", "unit_regular", "completely_regular")
+    RECORD = ElementSubspaces
+    FAMILY, REGION, PRESCRIBED, UNIT, SIZES = (
+        "L_S(W)(V)", "W", "S(W)", "invertible", "codimensions")
+    restrict = staticmethod(restriction_matrix)
+    is_unit = staticmethod(GFMatrix.is_invertible)
+
+    def __init__(self, p: int, n: int, w: Subspace, s_w: FiniteSemigroup) -> None:
+        if w.p != p or w.ambient_dim != n:
+            raise ValueError("dimension mismatch")
+        k = w.dim
+        for el in s_w.elements:
+            if not isinstance(el, GFMatrix) or el.p != p or el.rows != k or el.cols != k:
+                raise ValueError("S(W) elements must be dim(W) x dim(W) matrices over GF(p)")
+        self.p = p
+        self.n = n
+        self.w = w
+        self.s_w = s_w
+        super().__init__(w, s_w, GFMatrix.identity(p, k))
+        self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
+        basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
+        self._c_inv = mat_inverse(GFMatrix(p, basis_rows, cols=n)) if n else GFMatrix(p, (), cols=0)
+
+    def __repr__(self) -> str:
+        return (
+            f"LInstance(p={self.p}, n={self.n}, dim W={self.w.dim}, |S(W)|={len(self.s_w)})"
+        )
+
+    def key(self) -> dict:
+        return {
+            "kind": "linear",
+            "p": self.p,
+            "n": self.n,
+            "W": [list(r) for r in self.w.basis],
+            "sW": sorted(el.to_text() for el in self.s_w.elements),
+        }
+
+    def in_ambient(self, f: GFMatrix) -> bool:
+        return f.p == self.p and f.rows == self.n and f.cols == self.n
+
+    def parse_element(self, text: str) -> GFMatrix:
+        return GFMatrix.from_text(self.p, text)
+
+    def expected_size(self) -> int:
+        """|S(W)| * p^(n(n-dim W)), the size of the build."""
+        return len(self.s_w) * self.p ** (self.n * (self.n - self.w.dim))
+
+    def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
+        return build_lsw(self, size_cap)
+
+    def thm_semigroup(self, mode: str) -> PropertyVerdict:
+        return thm_semigroup_l(self, mode)
+
+    def thm_element(self, f: GFMatrix, mode: str) -> PropertyVerdict:
+        return thm_element_l(self, f, mode)
+
+    def transversal_problem(self, f: GFMatrix) -> str | None:
+        """What is wrong with f's canonical transversal subspace pair, or None."""
+        rec = self.record(f)
+        tr, ns = rec.transversal, rec.ns
+        if tr.u.dim != f.rank:
+            return "transversal dimension differs from rank"
+        if tr.u.intersect(ns).dim != 0:
+            return "transversal meets the null space"
+        if tr.u_meet_w != tr.u.intersect(self.w):
+            return "U meet W is not the trace of U"
+        ns_on_w = ns.intersect(self.w)  # null space of the restriction, ambient
+        if tr.u_meet_w.dim + ns_on_w.dim != self.w.dim:
+            return "U meet W is not a complement of the restricted null space"
+        if tr.u_meet_w.intersect(ns_on_w).dim != 0:
+            return "U meet W meets the restricted null space"
+        return None
+
+    def lift_on_w(self, alpha: GFMatrix, v) -> tuple:
+        """Apply the coordinate matrix alpha, as a map on W, to ambient v."""
+        return self.w.from_coordinates(alpha.apply(self.w.coordinates(v)))
+
+    def extension_matrix(self, alpha: GFMatrix, complement_images) -> GFMatrix:
+        """The unique matrix restricting to alpha on W and sending the
+        deterministic complement basis vectors to the given images
+        (vectors with entries already reduced mod p)."""
+        rows = [self.w.from_coordinates(alpha.entries[i]) for i in range(self.w.dim)]
+        rows.extend(tuple(v) for v in complement_images)
+        if self.n == 0:
+            return GFMatrix(self.p, (), cols=0)
+        return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
+
+
+def l_instance_from_dict(data: dict) -> LInstance:
+    """Build an LInstance from its JSON form (spanning rows for W; ``sW``
+    holds ``elements`` or ``generators`` of dim(W)-sized matrices)."""
+    p = int(data["p"])
+    n = int(data["n"])
+    w = Subspace(p, n, data["W"])
+    block = data["sW"]
+    s_w = prescribed_semigroup(lambda items: [GFMatrix(p, e, cols=w.dim) for e in items],
+                               block.get("generators"), block.get("elements"))
+    return LInstance(p, n, w, s_w)
+
+
+def build_lsw(inst: LInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
+    """Enumerate every linear map on V whose restriction to W lies in S(W).
+
+    Exactly one extension exists for each alpha in S(W) and each
+    assignment of the n - dim(W) complement basis vectors, so the result
+    has |S(W)| * p^(n(n-k)) elements.
+    """
+    p, n, k = inst.p, inst.n, inst.w.dim
+    count = inst.expected_size()
+    if count > min(size_cap, TABLE_CAP):
+        raise SizeCapExceeded("size cap exceeded")
+    if k == n:
+        return inst.s_w  # W = V: the build is S(W) itself, table reused
+    vectors = all_vectors(p, n)
+    out = []
+    for alpha in inst.s_w.elements:
+        for assignment in product(vectors, repeat=n - k):
+            out.append(inst.extension_matrix(alpha, assignment))
+    s = FiniteSemigroup(out)
+    if len(s) != count:
+        raise AssertionError("build size disagrees with the counting formula")
+    return s
+
+
 def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
     """Element classification via the characterization, not via search.
 
@@ -357,36 +306,13 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
                   transversal subspace U.  On success an invertible g with
                   fgf = f is assembled.
 
-    Both modes read f's subspaces from ``inst.subspaces(f)`` and the
-    S(W)-side verdict from ``inst._sw_verdict``.  The witness is not
-    checked here: the sweep checks it in the build's Cayley table
+    Both modes read f's record from ``inst.record(f)`` (see
+    ``family.element_verdict``).  The witness is not checked here: the
+    sweep checks it in the build's Cayley table
     (``semigroups.witness_problem``), and the CLI by multiplication
-    (``LInstance.witness_problem``).
+    (``witness_problem`` on the instance).
     """
-    rec = inst.subspaces(f)
-    if mode == "regular":
-        reg = inst._sw_verdict(rec.alpha, "regular")
-        if reg.holds and rec.trace_ok:
-            return PropertyVerdict(mode, True, witness=rec.witness(mode, reg.witness),
-                                   clause="restriction regular and image trace matches")
-        clause = "restriction not regular in S(W)" if not reg.holds else "image trace differs"
-        return PropertyVerdict(mode, False, clause=clause)
-    if mode == "unit_regular":
-        if not inst.has_identity:
-            raise ValueError("identity required")
-        ur = inst._sw_verdict(rec.alpha, "unit_regular")
-        if not ur.holds:
-            return PropertyVerdict(mode, False, clause="restriction not unit-regular in S(W)")
-        if not rec.trace_ok:
-            return PropertyVerdict(mode, False, clause="image trace differs")
-        codim_u = rec.w_plus_u.codim
-        codim_r = rec.codim_w_plus_r
-        if codim_u != codim_r:
-            clause = f"complement codimensions differ ({codim_u} vs {codim_r})"
-            return PropertyVerdict(mode, False, clause=clause)
-        return PropertyVerdict(mode, True, witness=rec.witness(mode, ur.witness),
-                               clause="all three element conditions hold")
-    raise ValueError(f"unknown element mode {mode!r}")
+    return element_verdict(inst, f, mode)
 
 
 def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:

@@ -55,8 +55,8 @@ class SweepPlan:
     the cell key, so identical plans reproduce identical reports.
     ``element_cap`` bounds the build size for element-level checks
     (0 disables them); builds beyond ``size_cap`` are skipped, not run.
-    Negative sizes, dimensions and seeded counts are refused; a size out
-    of range for one n is skipped, so one plan can span several n.
+    Negative sizes, dimensions, seeded counts and caps are refused; a size
+    out of range for one n is skipped, so one plan can span several n.
     """
 
     family: str
@@ -83,8 +83,10 @@ class SweepPlan:
              "null or a list of non-negative integers"),
             ("modes", isinstance(self.modes, tuple)
              and all(isinstance(m, str) for m in self.modes), "a list of mode names"),
-            ("size_cap", _is_int(self.size_cap), "an integer"),
-            ("element_cap", _is_int(self.element_cap), "an integer"),
+            ("size_cap", _is_int(self.size_cap) and self.size_cap >= 0,
+             "a non-negative integer"),
+            ("element_cap", _is_int(self.element_cap) and self.element_cap >= 0,
+             "a non-negative integer"),
             ("definition_checks", isinstance(self.definition_checks, bool), "a boolean"),
             ("transversal_checks", isinstance(self.transversal_checks, bool), "a boolean"),
             ("alpha_family_checks", isinstance(self.alpha_family_checks, bool), "a boolean"),
@@ -158,16 +160,17 @@ class SweepReport:
     wall_time_s: float = 0.0
     schema_version: int = SCHEMA_VERSION
 
+    # The lists whose entries each make the report unclean.
+    FAILURE_KINDS = ("mismatches", "implication_violations", "size_formula_violations",
+                     "transversal_failures", "definition_failures", "alpha_family_failures")
+
+    @property
+    def failure_count(self) -> int:
+        return sum(len(getattr(self, kind)) for kind in self.FAILURE_KINDS)
+
     @property
     def clean(self) -> bool:
-        return not (
-            self.mismatches
-            or self.implication_violations
-            or self.size_formula_violations
-            or self.transversal_failures
-            or self.definition_failures
-            or self.alpha_family_failures
-        )
+        return not self.failure_count
 
     def to_dict(self, include_timing: bool = True) -> dict:
         """Every field; ``wall_time_s`` only with ``include_timing``."""
@@ -381,7 +384,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
         ]
     if element_modes or plan.transversal_checks:
         # One pass, so that all checks on f run back to back and share the
-        # family's per-element work (LInstance.subspaces).
+        # family's per-element record (``record(f)`` on the instance).
         for f in build.elements:
             for mode in element_modes:
                 thm = inst.thm_element(f, mode)

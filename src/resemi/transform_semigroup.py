@@ -3,53 +3,118 @@ a prescribed semigroup S(Y): construction, classification predicates and
 constructive witnesses.
 
 The semigroup-level predicates inspect only (n, Y, S(Y)); they never build
-the full semigroup.  Brute-force builds exist for oracle cross-checks and
-element classification.
+the full semigroup.  The element predicate is ``family.element_verdict``,
+shared with the linear family; this module supplies what it reads of one
+f, the ``TElementRecord`` (restriction, fibres, trace test, transversal
+pair, complement counts and the unit-regular witness).  Brute-force
+builds exist for oracle cross-checks and element classification.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
+from .family import RestrictedInstance, element_verdict
 from .semigroups import (
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
     TABLE_CAP,
-    element_oracle,
     prescribed_semigroup,
     semigroup_oracle,
 )
 from .transformations import (
     IndexSubset,
     Transformation,
+    TransversalPair,
     canonical_transversal,
-    image_kernel,
     restriction,
 )
 
 
-class TInstance:
+class TElementRecord:
+    """What the element characterizations and their witnesses read of one
+    f on one Y, each part computed at most once.  Nothing here depends on
+    S(Y), except that a witness is built on the S(Y)-partner it is given.
+
+    Eager: the restriction ``alpha`` (None when f does not leave Y
+    invariant, and then nothing else), the fibres of f keyed by image
+    point (``fibers``) and the image-trace test R(f) meet Y = R(f|Y)
+    (``trace_ok``).  Lazy: the canonical transversal pair
+    (``transversal``), the sorted extras D(f) minus D(f|Y) and C(f) minus
+    C(f|Y) (``extras``) and their sizes (``complement_sizes``).
+    """
+
+    def __init__(self, y: IndexSubset, f: Transformation) -> None:
+        self.f = f
+        self.y = y
+        try:
+            self.alpha = restriction(f, y)
+        except ValueError:
+            self.alpha = None
+            return
+        fibers: dict[int, list[int]] = {}
+        for x, v in enumerate(f.map):
+            fibers.setdefault(v, []).append(x)
+        self.fibers = fibers
+        self.trace_ok = {v for v in fibers if v in y} == {f.map[x] for x in y.members}
+
+    @cached_property
+    def transversal(self) -> TransversalPair:
+        return canonical_transversal(self.f, self.y)
+
+    @cached_property
+    def extras(self) -> tuple[list, list]:
+        """D(f) minus D(f|Y) and C(f) minus C(f|Y), each sorted: the points
+        outside Y and outside R(f), resp. outside T, since R(f|Y) lies in
+        R(f) and T on Y in T."""
+        t, y = self.transversal.t, self.y
+        outside = [x for x in range(self.f.n) if x not in y]
+        return [x for x in outside if x not in self.fibers], [x for x in outside if x not in t]
+
+    @cached_property
+    def complement_sizes(self) -> tuple[int, int]:
+        d_extra, c_extra = self.extras
+        return len(c_extra), len(d_extra)
+
+    def witness(self, mode: str, partner: Transformation) -> Transformation | None:
+        """None for ``regular`` (no regular witness yet).  For
+        ``unit_regular``, the bijective g with fgf = f assembled from three
+        pieces: the S(Y)-unit ``partner`` on Y, fibre representatives on
+        R(f) minus Y, and an order-preserving matching of the leftover
+        defect onto the leftover complement."""
+        if mode == "regular":
+            return None
+        members, t = self.y.members, self.transversal.t
+        g = [None] * self.f.n
+        for i, x in enumerate(members):
+            g[x] = members[partner.map[i]]
+        for v, cls in self.fibers.items():
+            if v not in self.y:
+                g[v] = next(x for x in cls if x in t)
+        for src, dst in zip(*self.extras):
+            g[src] = dst
+        if None in g:
+            raise AssertionError("witness pieces do not cover X")
+        return Transformation(g)
+
+
+class TInstance(RestrictedInstance):
     """Ambient size n, a subset Y and a closed semigroup S(Y) on |Y| points.
 
     Elements of ``s_y`` act on the dense range 0..|Y|-1 (Y re-indexed in
     sorted order).  Y may be empty: S(Y) is then the trivial semigroup of
     the empty map, the restriction of every f is that map, and the build
-    is all of T(X).
-
-    ``TInstance`` and ``LInstance`` share one interface: the family's
-    ``SEMIGROUP_MODES`` and ``ELEMENT_MODES``, ``prescribed`` (S(Y) or
-    S(W)), ``has_identity`` (whether it holds the identity of T(Y) or
-    L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
-    it holds the identity and is a group, as a finite group of bijections
-    holds the identity map, and a group holding it has it as identity),
-    ``key()``, ``parse_element(text)``, ``expected_size()``,
-    ``build(size_cap)``, ``thm_semigroup(mode)``, ``thm_element(f, mode)``,
-    ``witness_problem(f, w, mode)`` and ``transversal_problem(f)``.
+    is all of T(X).  Implements the family interface described on
+    ``family.RestrictedInstance``; f's record is a ``TElementRecord``.
     """
 
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular")
-    ELEMENT_MODES = ("regular", "unit_regular")
+    RECORD = TElementRecord
+    FAMILY, REGION, PRESCRIBED, UNIT, SIZES = "T_S(Y)(X)", "Y", "S(Y)", "bijective", "counts"
+    restrict = staticmethod(restriction)
+    is_unit = staticmethod(Transformation.is_bijective)
 
     def __init__(self, n: int, y: IndexSubset, s_y: FiniteSemigroup) -> None:
         if y.n != n:
@@ -61,8 +126,7 @@ class TInstance:
         self.n = n
         self.y = y
         self.s_y = s_y
-        self.has_identity = Transformation.identity(k) in s_y
-        self.unit_group = self.has_identity and semigroup_oracle(s_y, "group").holds
+        super().__init__(y, s_y, Transformation.identity(k))
 
     def __repr__(self) -> str:
         return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.s_y)})"
@@ -76,9 +140,8 @@ class TInstance:
             "sY": sorted(el.to_text() for el in self.s_y.elements),
         }
 
-    @property
-    def prescribed(self) -> FiniteSemigroup:
-        return self.s_y
+    def in_ambient(self, f: Transformation) -> bool:
+        return f.n == self.n
 
     def parse_element(self, text: str) -> Transformation:
         return Transformation.from_text(text)
@@ -98,13 +161,12 @@ class TInstance:
 
     def transversal_problem(self, f: Transformation) -> str | None:
         """What is wrong with f's canonical transversal pair, or None."""
-        pair = canonical_transversal(f, self.y)
-        t_set = set(pair.t.members)
-        ty_set = set(pair.t_on_y.members)
-        image, _, classes = image_kernel(f)
-        if len(t_set) != len(image):
+        rec = self.record(f)
+        t_set = set(rec.transversal.t.members)
+        ty_set = set(rec.transversal.t_on_y.members)
+        if len(t_set) != len(rec.fibers):
             return "transversal size differs from image size"
-        for cls in classes:
+        for cls in rec.fibers.values():
             if len(t_set.intersection(cls)) != 1:
                 return "a fibre does not meet T exactly once"
         if ty_set != t_set.intersection(self.y.members):
@@ -115,26 +177,6 @@ class TInstance:
         for fiber in y_fibers.values():
             if len(ty_set & fiber) != 1:
                 return "a restricted fibre does not meet T on Y exactly once"
-        return None
-
-    def witness_problem(self, f: Transformation, w: Transformation, mode: str) -> str | None:
-        """What is wrong with w as the theorem's ``mode`` witness for f, or
-        None: w must restrict into S(Y), be bijective for
-        ``unit_regular``, and satisfy fwf = f.  Checked by multiplication,
-        so it needs no build; the sweep checks its witnesses in the
-        build's Cayley table instead (``semigroups.witness_problem``)."""
-        label, name = (("unit-regular", "g") if mode == "unit_regular"
-                       else ("regular", "h"))
-        if mode == "unit_regular" and not w.is_bijective():
-            return f"{label} witness is not bijective"
-        try:
-            inside = restriction(w, self.y) in self.s_y
-        except ValueError:  # Y is not invariant under w
-            inside = False
-        if not inside:
-            return f"{label} witness leaves the semigroup"
-        if f * w * f != f:
-            return f"{label} witness fails f{name}f = f"
         return None
 
 
@@ -183,27 +225,6 @@ def build_tsy(inst: TInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
     return s
 
 
-def restriction_to_y(inst: TInstance, f: Transformation) -> Transformation:
-    """f restricted to Y (re-indexed), raising if f is not a member."""
-    if f.n != inst.n:
-        raise ValueError("f not in T_S(Y)(X): wrong ambient size")
-    try:
-        alpha = restriction(f, inst.y)
-    except ValueError:
-        raise ValueError("f not in T_S(Y)(X): Y is not invariant") from None
-    if alpha not in inst.s_y:
-        raise ValueError("f not in T_S(Y)(X): restriction outside S(Y)")
-    return alpha
-
-
-def _ambient_sets(inst: TInstance, f: Transformation):
-    image, _, _ = image_kernel(f)
-    r_set = set(image.members)
-    y_set = set(inst.y.members)
-    ry_set = {f.map[x] for x in inst.y.members}  # image of the restriction, ambient
-    return r_set, y_set, ry_set
-
-
 def thm_element_t(inst: TInstance, f: Transformation, mode: str) -> PropertyVerdict:
     """Element classification via the characterization, not via search.
 
@@ -213,66 +234,14 @@ def thm_element_t(inst: TInstance, f: Transformation, mode: str) -> PropertyVerd
                   from the canonical transversal pair.  On success a
                   bijective witness g with fgf = f is assembled.
 
-    The witness is not checked here: the sweep checks it in the build's
-    Cayley table (``semigroups.witness_problem``), and the CLI by
-    multiplication (``TInstance.witness_problem``).  A regular verdict
-    carries no witness yet.
+    Both modes read f's record from ``inst.record(f)`` (see
+    ``family.element_verdict``).  The witness is not checked here: the
+    sweep checks it in the build's Cayley table
+    (``semigroups.witness_problem``), and the CLI by multiplication
+    (``witness_problem`` on the instance).  A regular verdict carries no
+    witness yet.
     """
-    alpha = restriction_to_y(inst, f)
-    r_set, y_set, ry_set = _ambient_sets(inst, f)
-    trace_ok = (r_set & y_set) == ry_set
-    if mode == "regular":
-        alpha_reg = element_oracle(inst.s_y, alpha, "regular").holds
-        if alpha_reg and trace_ok:
-            return PropertyVerdict(mode, True, clause="restriction regular and image trace matches")
-        clause = "restriction not regular in S(Y)" if not alpha_reg else "image trace differs"
-        return PropertyVerdict(mode, False, clause=clause)
-    if mode == "unit_regular":
-        if not inst.has_identity:
-            raise ValueError("identity required")
-        ur = element_oracle(inst.s_y, alpha, "unit_regular")
-        pair = canonical_transversal(f, inst.y)
-        t_set = set(pair.t.members)
-        ty_set = set(pair.t_on_y.members)
-        x_set = set(range(inst.n))
-        d_extra = (x_set - r_set) - (y_set - ry_set)   # D(f) \ D(f|Y)
-        c_extra = (x_set - t_set) - (y_set - ty_set)   # C(f) \ C(f|Y)
-        counts_ok = len(c_extra) == len(d_extra)
-        holds = ur.holds and trace_ok and counts_ok
-        if not holds:
-            if not ur.holds:
-                clause = "restriction not unit-regular in S(Y)"
-            elif not trace_ok:
-                clause = "image trace differs"
-            else:
-                clause = f"complement counts differ ({len(c_extra)} vs {len(d_extra)})"
-            return PropertyVerdict(mode, False, clause=clause)
-        witness = _unit_regular_witness_t(inst, f, ur.witness, pair,
-                                          sorted(d_extra), sorted(c_extra), r_set, y_set)
-        return PropertyVerdict(mode, True, witness=witness,
-                               clause="all three element conditions hold")
-    raise ValueError(f"unknown element mode {mode!r}")
-
-
-def _unit_regular_witness_t(inst, f, alpha_unit, pair, d_extra, c_extra, r_set, y_set):
-    """Assemble the bijective g with fgf = f from its three pieces: the
-    S(Y)-unit on Y, fibre representatives on R(f) minus Y, and an
-    order-preserving matching of the leftover defect onto the leftover
-    complement."""
-    n = inst.n
-    g = [None] * n
-    for i, x in enumerate(inst.y.members):
-        g[x] = inst.y.members[alpha_unit.map[i]]
-    t_set = set(pair.t.members)
-    image, _, classes = image_kernel(f)
-    for v, cls in zip(image.members, classes):
-        if v in r_set - y_set:
-            g[v] = next(x for x in cls if x in t_set)
-    for src, dst in zip(d_extra, c_extra):
-        g[src] = dst
-    if None in g:
-        raise AssertionError("witness pieces do not cover X")
-    return Transformation(g)
+    return element_verdict(inst, f, mode)
 
 
 def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:

@@ -251,10 +251,30 @@ class TestSweep:
         ["--kind", "t", "--ns", "3", "--sizes", "-2"],
         ["--kind", "l", "--pn", "2,-1"],
         ["--kind", "t", "--ns", "2", "--source", "seeded", "--samples", "-1"],
+        # negative caps: -1 would switch element checks off or skip every build
+        ["--kind", "t", "--ns", "2", "--element-cap", "-1"],
+        ["--kind", "t", "--ns", "2", "--size-cap", "-1"],
     ])
     def test_negative_sizes_refused(self, capsys, flags):
         code, out, err = run(capsys, "sweep", *flags, "--format", "text")
         assert code == 2 and not out and "non-negative" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "t", "--ns", "0"],
+        ["--kind", "t", "--ns", "2", "--source", "seeded", "--samples", "0"],
+        ["--kind", "t", "--ns", "3", "--sizes", "5"],
+        ["--kind", "l", "--pn", "2,2", "--sizes", "3"],
+        ["--input", "empty-plan.json"],
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_plan_selecting_no_instance_refused(self, capsys, tmp_path, monkeypatch,
+                                                flags, fmt):
+        # a sweep that runs nothing must not read as clean
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty-plan.json").write_text(
+            json.dumps({"family": "transformation", "ns": []}))
+        code, out, err = run(capsys, "sweep", *flags, "--format", fmt)
+        assert (code, out, err) == (2, "", "error: the plan selects no instance\n")
 
     def test_inline_sweep_clean(self, capsys):
         code, out, _ = run(
@@ -358,6 +378,8 @@ class TestInputFile:
         ("sweep", {"family": "transformation", "ns": [3], "subset_sizes": [-2]}),
         ("sweep", {"family": "linear", "pns": [[2, -1]]}),
         ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", -1, "0"]}),
+        ("sweep", {"family": "transformation", "ns": [2], "size_cap": -1}),
+        ("sweep", {"family": "transformation", "ns": [2], "element_cap": -1}),
     ])
     def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"

@@ -1,0 +1,310 @@
+"""Tests of what the two families share (``resemi.family``): the record
+memo, the element theorem with both families' clause words, and golden
+element verdicts of both families.
+
+``ElementRecordCases`` and ``SharedRecordsCases`` hold test bodies that
+each family's test module runs on its own instances, by subclassing them
+with the family's cases.
+"""
+
+import collections
+import gc
+import hashlib
+import json
+import weakref
+
+import pytest
+
+from resemi import sweep
+from resemi.family import _records_on, element_verdict
+from resemi.gflinear import GFMatrix, Subspace
+from resemi.linear_semigroup import LInstance
+from resemi.semigroups import FiniteSemigroup, PropertyVerdict, witness_problem
+from resemi.sweep import SweepPlan
+from resemi.transform_semigroup import TInstance
+from resemi.transformations import IndexSubset, Transformation
+
+
+def outcome(inst, f, check):
+    """What ``check`` ("transversal" or an element mode) answers for f on
+    inst: the verdict's fields, the transversal problem, or the error."""
+    try:
+        if check == "transversal":
+            return inst.transversal_problem(f)
+        v = inst.thm_element(f, check)
+        return v.holds, v.clause, v.witness
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+class ElementRecordCases:
+    """The element predicates, their witnesses and the transversal check
+    share one record per element; checks on different elements, called
+    interleaved on one instance, must answer as on a fresh instance.
+
+    A subclass gives ``instances()`` (each with an identity and more than
+    one element), ``clone(inst)`` and ``canonical(f, inst)``, f's
+    canonical transversal pair computed without the record."""
+
+    def test_interleaved_checks_match_fresh_instances(self):
+        for inst in self.instances():
+            elements = list(inst.build().elements)
+            assert len(elements) > 1
+            for f, g in zip(elements, elements[1:] + elements[:1]):
+                got = (inst.thm_element(f, "regular"), inst.thm_element(g, "unit_regular"),
+                       inst.transversal_problem(f), inst.thm_element(g, "regular"))
+                want = (self.clone(inst).thm_element(f, "regular"),
+                        self.clone(inst).thm_element(g, "unit_regular"),
+                        self.clone(inst).transversal_problem(f),
+                        self.clone(inst).thm_element(g, "regular"))
+                assert got == want, (inst, f.to_text(), g.to_text())
+
+    def test_record_transversal_is_the_canonical_one(self):
+        for inst in self.instances():
+            for f in inst.build().elements:
+                assert inst.record(f).transversal == self.canonical(f, inst)
+
+
+class SharedRecordsCases:
+    """Every instance on one region (Y or W) shares each element's record,
+    kept for one region at a time; membership in the asking instance is
+    still decided on every call.
+
+    A subclass gives ``clone(inst)``; the messages ``OUTSIDE`` and
+    ``NOT_INVARIANT``; ``separated()``, (A, B, f) with f regular in A and
+    f's restriction outside S_B; ``non_invariant()``, (inst, f) with f
+    leaving the region; ``pairs()``, pairs (A, B) on one region where A's
+    build holds elements outside B's; ``partners()``, (A, B, C, f, mode,
+    partner) where A and C find ``partner`` as the prescribed partner of
+    f's restriction and B, which lacks it, another; ``regions()``, (A, B,
+    other, f) with A and B as in ``separated()`` and f a member of
+    ``other``, on another region; and ``WITNESS_MEMO``, whether a record
+    keeps the witnesses it assembles."""
+
+    CHECKS = ("regular", "unit_regular", "transversal")
+    WITNESS_MEMO = False
+
+    def test_cached_record_is_checked_against_each_instance(self):
+        a, b, f = self.separated()
+        _records_on.cache_clear()
+        for _ in range(2):
+            assert a.thm_element(f, "regular").holds
+            assert a.transversal_problem(f) is None
+            for check in self.CHECKS:
+                assert outcome(b, f, check) == ("raises", self.OUTSIDE)
+            with pytest.raises(ValueError, match="restriction outside S"):
+                b.record(f)
+
+    def test_non_invariant_f_raises_on_every_call(self):
+        inst, f = self.non_invariant()
+        _records_on.cache_clear()
+        for _ in range(3):
+            for check in self.CHECKS:
+                assert outcome(inst, f, check) == ("raises", self.NOT_INVARIANT)
+            with pytest.raises(ValueError, match="is not invariant"):
+                inst.record(f)
+
+    def test_shared_records_match_a_cleared_memo(self):
+        for a, b in self.pairs():
+            elements = list(dict.fromkeys(a.build().elements + b.build().elements))
+            assert set(elements) - set(b.build().elements)
+
+            def fresh(inst, f, check):
+                _records_on.cache_clear()
+                return outcome(self.clone(inst), f, check)
+
+            want = [fresh(inst, f, check)
+                    for f in elements for inst in (a, b) for check in self.CHECKS]
+            _records_on.cache_clear()
+            got = [outcome(inst, f, check)
+                   for f in elements for inst in (a, b) for check in self.CHECKS]
+            assert got == want, a
+            # a second pass reads every witness through the records' memo
+            again = [outcome(inst, f, check)
+                     for f in elements for inst in (a, b) for check in self.CHECKS]
+            assert again == want, a
+            for inst in (a, b):
+                build = inst.build()
+                for f in build.elements:
+                    for mode in ("regular", "unit_regular"):
+                        verdict = outcome(inst, f, mode)
+                        if verdict[0] is True and verdict[2] is not None:
+                            assert witness_problem(build, f, mode, verdict[2]) is None
+
+    def test_memo_witness_checked_against_each_table(self):
+        a, b, c, f, mode, partner = self.partners()
+        build_a, build_b = a.build(), b.build()
+        _records_on.cache_clear()
+        w_a = a.thm_element(f, mode).witness
+        assert a.restrict(w_a, a.region) == partner
+        assert witness_problem(build_a, f, mode, w_a) is None
+        assert witness_problem(build_b, f, mode, w_a) == "witness not in the semigroup"
+        # B's partner differs, so B gets its own witness, which its table accepts
+        w_b = b.thm_element(f, mode).witness
+        assert w_b != w_a and witness_problem(build_b, f, mode, w_b) is None
+        # an instance with A's partner gets A's witness (from the memo, if kept)
+        w_c = c.thm_element(f, mode).witness
+        assert w_c == w_a and (w_c is w_a or not self.WITNESS_MEMO)
+        assert witness_problem(c.build(), f, mode, w_c) is None
+
+    def test_records_are_kept_for_one_w_only(self):
+        a, b, other, f = self.regions()
+        _records_on.cache_clear()
+        dropped = weakref.ref(a.record(f))
+        assert dropped() is not None
+        other.record(f)
+        gc.collect()
+        assert dropped() is None
+        assert _records_on.cache_info().currsize == 1
+        # back on the first region, a new record is made and still checked per instance
+        assert a.record(f) is a.record(f)
+        with pytest.raises(ValueError, match="restriction outside S"):
+            b.record(f)
+
+
+def test_a_query_on_one_family_drops_the_other_familys_records():
+    lin = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])]))
+    tra = TInstance(2, IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
+    queries = ((lin, GFMatrix.identity(2, 2)), (tra, Transformation([0, 0])))
+    _records_on.cache_clear()
+    for (first, f), (second, g) in (queries, queries[::-1]):
+        dropped = weakref.ref(first.record(f))
+        second.record(g)
+        gc.collect()
+        assert dropped() is None and _records_on.cache_info().currsize == 1
+
+
+# -- the element theorem on stub records ---------------------------------------
+
+
+class StubRecord:
+    """A record with given test results; its witness names its arguments."""
+
+    alpha = "alpha"
+
+    def __init__(self, trace_ok, complement_sizes):
+        self.trace_ok = trace_ok
+        self.complement_sizes = complement_sizes
+
+    def witness(self, mode, partner):
+        return ("witness", mode, partner)
+
+
+def stub_instance(cls, rec, verdict, asked, has_identity=True):
+    """An instance of ``cls`` (for its words) with ``rec`` as every
+    element's record and ``verdict`` as every prescribed verdict; each
+    (alpha, mode) asked of the prescribed semigroup goes to ``asked``."""
+    inst = object.__new__(cls)
+    inst.has_identity = has_identity
+    inst.record = lambda f: rec
+    inst.prescribed_verdict = lambda alpha, mode: asked.append((alpha, mode)) or verdict
+    return inst
+
+
+YES = PropertyVerdict("stub", True, witness="partner")
+NO = PropertyVerdict("stub", False)
+WORDS = {TInstance: ("S(Y)", "counts"), LInstance: ("S(W)", "codimensions")}
+
+
+@pytest.mark.parametrize("cls", [TInstance, LInstance], ids=["transformation", "linear"])
+@pytest.mark.parametrize("mode, verdict, trace_ok, sizes, holds, clause", [
+    ("regular", YES, True, (1, 2), True, "restriction regular and image trace matches"),
+    ("regular", NO, True, (0, 0), False, "restriction not regular in {S}"),
+    ("regular", NO, False, (0, 0), False, "restriction not regular in {S}"),
+    ("regular", YES, False, (0, 0), False, "image trace differs"),
+    ("unit_regular", YES, True, (2, 2), True, "all three element conditions hold"),
+    ("unit_regular", NO, False, (1, 2), False, "restriction not unit-regular in {S}"),
+    ("unit_regular", YES, False, (1, 2), False, "image trace differs"),
+    # unreachable for finite X or V once the trace test and a compatible
+    # transversal pair hold, so no sweep reaches this clause
+    ("unit_regular", YES, True, (1, 2), False, "complement {sizes} differ (1 vs 2)"),
+    ("unit_regular", YES, True, (3, 0), False, "complement {sizes} differ (3 vs 0)"),
+])
+def test_element_verdict_clauses(cls, mode, verdict, trace_ok, sizes, holds, clause):
+    asked = []
+    inst = stub_instance(cls, StubRecord(trace_ok, sizes), verdict, asked)
+    got = element_verdict(inst, "f", mode)
+    prescribed, sizes_word = WORDS[cls]
+    assert got == PropertyVerdict(
+        mode, holds, witness=("witness", mode, "partner") if holds else None,
+        clause=clause.format(S=prescribed, sizes=sizes_word))
+    assert asked == [("alpha", mode)]
+
+
+@pytest.mark.parametrize("cls", [TInstance, LInstance], ids=["transformation", "linear"])
+def test_element_verdict_refusals(cls):
+    asked = []
+    inst = stub_instance(cls, StubRecord(True, (0, 0)), YES, asked, has_identity=False)
+    with pytest.raises(ValueError, match="identity required"):
+        element_verdict(inst, "f", "unit_regular")
+    with pytest.raises(ValueError, match="unknown element mode 'inverse'"):
+        element_verdict(inst, "f", "inverse")
+    assert asked == []
+
+
+# -- golden element verdicts ------------------------------------------------------
+
+GOLDEN_PLANS = {
+    "transformation": (
+        SweepPlan(family="transformation", ns=(1, 2, 3), subset_sizes=(1, 2)),
+        SweepPlan(family="transformation", ns=(4,), source=("seeded", 30, "golden")),
+    ),
+    "linear": (
+        SweepPlan(family="linear", pns=((2, 1), (2, 2), (3, 1))),
+        SweepPlan(family="linear", pns=((2, 3),), source=("seeded", 4, "golden")),
+    ),
+}
+
+# Recorded before the two families shared one element theorem, record
+# memo and witness check: per-clause row counts and the SHA-256 of every
+# row (see ``golden``).
+GOLDEN = {
+    "transformation": ({
+        "regular: image trace differs": 1064,
+        "regular: restriction not regular in S(Y)": 202,
+        "regular: restriction regular and image trace matches": 4222,
+        "transversal: None": 5488,
+        "unit_regular: all three element conditions hold": 2479,
+        "unit_regular: image trace differs": 452,
+        "unit_regular: restriction not unit-regular in S(Y)": 328,
+    }, "7c6730eee85f125c89f8346681825c9d6190a989a8dc8fc36869688647026bb5"),
+    "linear": ({
+        "regular: image trace differs": 446,
+        "regular: restriction not regular in S(W)": 148,
+        "regular: restriction regular and image trace matches": 3730,
+        "transversal: None": 4324,
+        "unit_regular: all three element conditions hold": 2879,
+        "unit_regular: image trace differs": 236,
+        "unit_regular: restriction not unit-regular in S(W)": 98,
+    }, "b6be6a72976a1c251c144d0c5449706a021df4bd9c041442ac36f34dfd80a9b2"),
+}
+
+
+def golden_rows(plans):
+    """(instance, element, check, holds, clause, witness) for every element
+    mode and the transversal check, on every element of every instance the
+    plans select; the transversal problem stands in the clause slot."""
+    for plan in plans:
+        for _, inst in sweep._instances(plan):
+            cell = json.dumps(inst.key(), sort_keys=True)
+            modes = [m for m in inst.ELEMENT_MODES if m != "unit_regular" or inst.has_identity]
+            for f in inst.build().elements:
+                for mode in modes:
+                    v = inst.thm_element(f, mode)
+                    yield (cell, f.to_text(), mode, v.holds, v.clause,
+                           None if v.witness is None else v.witness.to_text())
+                yield cell, f.to_text(), "transversal", None, inst.transversal_problem(f), None
+
+
+def golden(family):
+    counts = collections.Counter()
+    digest = hashlib.sha256()
+    for row in golden_rows(GOLDEN_PLANS[family]):
+        counts[f"{row[2]}: {row[4]}"] += 1
+        digest.update(json.dumps(row).encode() + b"\n")
+    return dict(sorted(counts.items())), digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_PLANS))
+def test_golden_element_verdicts(family):
+    assert golden(family) == GOLDEN[family]

@@ -2,8 +2,6 @@
 semigroup characterization predicates, witnesses, and the index-family
 composition laws for codimension-one subgroups."""
 
-import gc
-import weakref
 from itertools import product
 
 import pytest
@@ -17,7 +15,6 @@ from resemi.gflinear import (
 )
 from resemi.linear_semigroup import (
     LInstance,
-    _records_on,
     alpha_family_check,
     build_lsw,
     l_instance_from_dict,
@@ -30,8 +27,8 @@ from resemi.semigroups import (
     element_oracle,
     generate,
     semigroup_oracle,
-    witness_problem,
 )
+from test_family import ElementRecordCases, SharedRecordsCases
 
 
 def all_matrices(p, n):
@@ -169,11 +166,7 @@ class TestElementPredicate:
             assert v.witness in b and f * v.witness * f == f
 
 
-class TestElementRecord:
-    """The element predicates, their witnesses and the transversal check
-    share one record per element; checks on different elements, called
-    interleaved on one instance, must answer as on a fresh instance."""
-
+class TestElementRecord(ElementRecordCases):
     @staticmethod
     def instances():
         for p in (2, 3):
@@ -184,45 +177,20 @@ class TestElementRecord:
             w = Subspace(2, 3, basis)
             yield LInstance(2, 3, w, trivial_sw(2, w.dim))
 
-    def test_interleaved_checks_match_fresh_instances(self):
-        for inst in self.instances():
-            def fresh():
-                return LInstance(inst.p, inst.n, inst.w, inst.s_w)
+    @staticmethod
+    def clone(inst):
+        return LInstance(inst.p, inst.n, inst.w, inst.s_w)
 
-            elements = list(build_lsw(inst).elements)
-            assert len(elements) > 1
-            for f, g in zip(elements, elements[1:] + elements[:1]):
-                got = (inst.thm_element(f, "regular"), inst.thm_element(g, "unit_regular"),
-                       inst.transversal_problem(f), inst.thm_element(g, "regular"))
-                want = (fresh().thm_element(f, "regular"), fresh().thm_element(g, "unit_regular"),
-                        fresh().transversal_problem(f), fresh().thm_element(g, "regular"))
-                assert got == want, (inst, f.to_text(), g.to_text())
-
-    def test_record_transversal_is_the_canonical_one(self):
-        for inst in self.instances():
-            for f in build_lsw(inst).elements:
-                assert (inst.subspaces(f).transversal
-                        == canonical_transversal_subspace(f, inst.w))
+    @staticmethod
+    def canonical(f, inst):
+        return canonical_transversal_subspace(f, inst.w)
 
 
-def outcome(inst, f, check):
-    """What ``check`` ("transversal" or an element mode) answers for f on
-    inst: the verdict's fields, the transversal problem, or the error."""
-    try:
-        if check == "transversal":
-            return inst.transversal_problem(f)
-        v = inst.thm_element(f, check)
-        return v.holds, v.clause, v.witness
-    except ValueError as exc:
-        return "raises", str(exc)
-
-
-class TestSharedRecords:
-    """Every instance on one W shares each element's subspace record, kept
-    for one W at a time; membership in the asking instance is still
-    decided on every call."""
-
-    CHECKS = ("regular", "unit_regular", "transversal")
+class TestSharedRecords(SharedRecordsCases):
+    OUTSIDE = "f not in L_S(W)(V): restriction outside S(W)"
+    NOT_INVARIANT = "f not in L_S(W)(V): W is not invariant"
+    WITNESS_MEMO = True
+    clone = staticmethod(TestElementRecord.clone)
 
     @staticmethod
     def line(*values):
@@ -230,9 +198,15 @@ class TestSharedRecords:
         return LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
                          FiniteSemigroup([GFMatrix(2, [[a]]) for a in values]))
 
+    def separated(self):
+        # f|W = [1]: in S_A(W), not in S_B(W)
+        return self.line(1), self.line(0), GFMatrix.identity(2, 2)
+
+    def non_invariant(self):
+        return self.line(1), GFMatrix(2, [[0, 1], [0, 0]])  # sends (1, 0) out of W
+
     @staticmethod
     def pairs():
-        """Instance pairs (A, B) on one W; A's build holds elements outside B's."""
         cases = [
             (2, 2, [[1, 0]], [[[1]]], [[[0]]]),
             (2, 2, [[1, 0]], [[[0]], [[1]]], [[[0]]]),
@@ -247,92 +221,16 @@ class TestSharedRecords:
             yield tuple(LInstance(p, n, w, FiniteSemigroup([GFMatrix(p, e) for e in elems]))
                         for elems in (elems_a, elems_b))
 
-    def test_cached_record_is_checked_against_each_instance(self):
-        a, b = self.line(1), self.line(0)
-        f = GFMatrix.identity(2, 2)  # f|W = [1]: in S_A(W), not in S_B(W)
-        _records_on.cache_clear()
-        for _ in range(2):
-            assert a.thm_element(f, "regular").holds
-            assert a.transversal_problem(f) is None
-            for check in self.CHECKS:
-                assert outcome(b, f, check) == (
-                    "raises", "f not in L_S(W)(V): restriction outside S(W)")
-            with pytest.raises(ValueError, match="restriction outside S"):
-                b.subspaces(f)
-
-    def test_non_invariant_f_raises_on_every_call(self):
-        inst = self.line(1)
-        f = GFMatrix(2, [[0, 1], [0, 0]])  # sends (1, 0) out of W
-        _records_on.cache_clear()
-        for _ in range(3):
-            for check in self.CHECKS:
-                assert outcome(inst, f, check) == (
-                    "raises", "f not in L_S(W)(V): W is not invariant")
-            with pytest.raises(ValueError, match="W is not invariant"):
-                inst.subspaces(f)
-
-    def test_shared_records_match_a_cleared_memo(self):
-        for a, b in self.pairs():
-            elements = list(dict.fromkeys(build_lsw(a).elements + build_lsw(b).elements))
-            assert set(elements) - set(build_lsw(b).elements)
-
-            def fresh(inst, f, check):
-                _records_on.cache_clear()
-                return outcome(LInstance(inst.p, inst.n, inst.w, inst.s_w), f, check)
-
-            want = [fresh(inst, f, check)
-                    for f in elements for inst in (a, b) for check in self.CHECKS]
-            _records_on.cache_clear()
-            got = [outcome(inst, f, check)
-                   for f in elements for inst in (a, b) for check in self.CHECKS]
-            assert got == want, a
-            # a second pass reads every witness through the records' memo
-            again = [outcome(inst, f, check)
-                     for f in elements for inst in (a, b) for check in self.CHECKS]
-            assert again == want, a
-            for inst in (a, b):
-                build = build_lsw(inst)
-                for f in build.elements:
-                    for mode in ("regular", "unit_regular"):
-                        verdict = outcome(inst, f, mode)
-                        if verdict[0] is True:
-                            assert witness_problem(build, f, mode, verdict[2]) is None
-
-    def test_memo_witness_checked_against_each_table(self):
+    def partners(self):
         w = Subspace(2, 2, [[1, 0]])
         zero = GFMatrix(2, [[0, 0], [0, 0]])  # f|W = [0], in both S(W)
         # A lists [1] first, so the partner of [0] it finds is [1]; B holds only [0]
         a = LInstance(2, 2, w, FiniteSemigroup([GFMatrix(2, [[1]]), GFMatrix(2, [[0]])]))
-        b = self.line(0)
-        build_a, build_b = build_lsw(a), build_lsw(b)
-        _records_on.cache_clear()
-        h_a = a.thm_element(zero, "regular").witness
-        assert restriction_matrix(h_a, w) == GFMatrix(2, [[1]])
-        assert witness_problem(build_a, zero, "regular", h_a) is None
-        assert witness_problem(build_b, zero, "regular", h_a) == "witness not in the semigroup"
-        # B's partner differs, so B gets its own witness, which its table accepts
-        h_b = b.thm_element(zero, "regular").witness
-        assert h_b != h_a and witness_problem(build_b, zero, "regular", h_b) is None
-        # an instance with A's partner reads A's witness from the memo
-        c = self.line(1, 0)
-        assert c.thm_element(zero, "regular").witness is h_a
-        assert witness_problem(build_lsw(c), zero, "regular", h_a) is None
+        return a, self.line(0), self.line(1, 0), zero, "regular", GFMatrix(2, [[1]])
 
-    def test_records_are_kept_for_one_w_only(self):
-        a, b = self.line(1), self.line(0)
+    def regions(self):
         other_w = LInstance(2, 2, Subspace(2, 2, [[0, 1]]), trivial_sw(2, 1))
-        f = GFMatrix.identity(2, 2)
-        _records_on.cache_clear()
-        dropped = weakref.ref(a.subspaces(f))
-        assert dropped() is not None
-        other_w.subspaces(f)
-        gc.collect()
-        assert dropped() is None
-        assert _records_on.cache_info().currsize == 1
-        # back on the first W, a new record is made and still checked per instance
-        assert a.subspaces(f) is a.subspaces(f)
-        with pytest.raises(ValueError, match="restriction outside S"):
-            b.subspaces(f)
+        return self.line(1), self.line(0), other_w, GFMatrix.identity(2, 2)
 
 
 class TestSemigroupPredicate:

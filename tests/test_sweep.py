@@ -127,6 +127,7 @@ class TestRunSweep:
         # negative sizes and counts: such a plan would run nothing and read clean
         ("ns", (-1,)), ("subset_sizes", (-2,)), ("pns", ((2, -1),)),
         ("source", ("seeded", -1, "s")),
+        ("size_cap", -1), ("element_cap", -1),
     ])
     def test_field_types(self, field, value):
         with pytest.raises(ValueError, match="must be|unknown source"):

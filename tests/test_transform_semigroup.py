@@ -16,7 +16,6 @@ from resemi.semigroups import (
 from resemi.transform_semigroup import (
     TInstance,
     build_tsy,
-    restriction_to_y,
     t_instance_from_dict,
     thm_element_t,
     thm_semigroup_t,
@@ -27,6 +26,7 @@ from resemi.transformations import (
     canonical_transversal,
     restriction,
 )
+from test_family import ElementRecordCases, SharedRecordsCases
 
 
 def all_transformations(n):
@@ -102,7 +102,7 @@ class TestMembership:
     def test_rejects_outsiders(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
         with pytest.raises(ValueError, match="not in T_S"):
-            restriction_to_y(inst, Transformation([2, 0, 1]))  # Y not invariant
+            inst.record(Transformation([2, 0, 1]))  # Y not invariant
         with pytest.raises(ValueError, match="not in T_S"):
             thm_element_t(
                 TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])])),
@@ -165,6 +165,66 @@ class TestElementPredicate:
                 assert v.witness in b
                 assert v.witness.is_bijective()
                 assert f * v.witness * f == f
+
+
+def t(*images):
+    return Transformation(images)
+
+
+ID2, SWAP, C0, C1 = t(0, 1), t(1, 0), t(0, 0), t(1, 1)
+
+
+class TestElementRecord(ElementRecordCases):
+    @staticmethod
+    def instances():
+        yield TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup(all_transformations(2)))
+        yield TInstance(3, IndexSubset(3, [0, 2]), sym_on(2))
+        yield TInstance(3, IndexSubset(3, [1]), sym_on(1))
+        yield TInstance(4, IndexSubset(4, [1, 3]), FiniteSemigroup([ID2, C0, C1]))
+        yield TInstance(3, IndexSubset(3, []), FiniteSemigroup([Transformation(())]))
+
+    @staticmethod
+    def clone(inst):
+        return TInstance(inst.n, inst.y, inst.s_y)
+
+    @staticmethod
+    def canonical(f, inst):
+        return canonical_transversal(f, inst.y)
+
+
+class TestSharedRecords(SharedRecordsCases):
+    OUTSIDE = "f not in T_S(Y)(X): restriction outside S(Y)"
+    NOT_INVARIANT = "f not in T_S(Y)(X): Y is not invariant"
+    clone = staticmethod(TestElementRecord.clone)
+
+    @staticmethod
+    def on_y(*elements, n=3, y=(0, 1)):
+        """An instance on Y (default {0, 1} in 3 points) with S(Y) holding
+        the given elements."""
+        return TInstance(n, IndexSubset(n, y), FiniteSemigroup(elements))
+
+    def separated(self):
+        # f|Y is the identity: in S_A(Y), not in S_B(Y)
+        return self.on_y(ID2), self.on_y(C0), t(0, 1, 2)
+
+    def non_invariant(self):
+        return self.on_y(ID2), t(2, 0, 1)  # sends 0 out of Y
+
+    def pairs(self):
+        yield self.on_y(ID2), self.on_y(C0)
+        yield self.on_y(ID2, SWAP), self.on_y(ID2)
+        yield self.on_y(C0, C1), self.on_y(C0)
+        yield self.on_y(ID2, C0, y=(0, 2)), self.on_y(ID2, C1, y=(0, 2))
+        yield self.on_y(*all_transformations(2), n=4), self.on_y(ID2, SWAP, n=4)
+
+    def partners(self):
+        # f|Y is constant, so every unit of S(Y) is a partner and each
+        # instance takes its first: A and C list the swap first, B lacks it
+        return (self.on_y(SWAP, ID2, C0, C1), self.on_y(ID2, C0, C1),
+                self.on_y(SWAP, ID2, C1, C0), t(0, 0, 2), "unit_regular", SWAP)
+
+    def regions(self):
+        return self.on_y(ID2), self.on_y(C0), self.on_y(t(0), y=(2,)), t(0, 1, 2)
 
 
 class TestSemigroupPredicate:
