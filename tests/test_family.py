@@ -308,3 +308,88 @@ def golden(family):
 @pytest.mark.parametrize("family", sorted(GOLDEN_PLANS))
 def test_golden_element_verdicts(family):
     assert golden(family) == GOLDEN[family]
+
+
+# -- golden builds and semigroup verdicts -----------------------------------------
+
+BUILD_PLANS = {
+    "transformation": (  # the criterion-1 plans, c1a and c1b
+        SweepPlan(family="transformation", ns=(1, 2, 3), subset_sizes=(1, 2)),
+        SweepPlan(family="transformation", ns=(3,), subset_sizes=(3,),
+                  source=("seeded", 200, "criterion1")),
+    ),
+    "linear": (  # the exhaustive criterion-3 plans, c3a and c3b
+        SweepPlan(family="linear", pns=((2, 1), (2, 2), (3, 1))),
+        SweepPlan(family="linear", pns=((3, 2),), subset_sizes=(0, 1)),
+    ),
+}
+
+# Recorded before the two families shared one build, one size formula and
+# one regular/unit-regular semigroup theorem: per-row counts and the SHA-256
+# of every row (see ``golden_builds``).  The build order decides the oracle
+# witnesses that ``resemi element`` prints.
+GOLDEN_BUILDS = {
+    "transformation": ({
+        "build": 149,
+        "inverse: False: S(Y) not inverse": 90,
+        "inverse: False: Y != X and |X| != 2": 21,
+        "inverse: True: S(Y) inverse and Y = X": 36,
+        "inverse: True: S(Y) inverse and |X| = 2": 2,
+        "regular: False: neither clause holds": 55,
+        "regular: True: S(Y) is a subgroup of Sym(Y)": 19,
+        "regular: True: S(Y) regular and Y = X": 75,
+        "unit_regular: False: neither clause holds": 22,
+        "unit_regular: True: S(Y) is a subgroup of Sym(Y) and X \\ Y is finite": 19,
+        "unit_regular: True: S(Y) unit-regular and Y = X": 22,
+        "unit_regular: raises: identity required": 86,
+    }, "f9a06b6c0eeaee809890bd95e0af66a627ad41d7a3e6ba7e0487ff4015695c4f"),
+    "linear": ({
+        "build": 274,
+        "completely_regular: False: S(W) not completely regular": 154,
+        "completely_regular: False: W != V and the codim-1 clause fails": 20,
+        "completely_regular: True: S(W) completely regular and W = V": 87,
+        "completely_regular: True: codim(W) = 1 and S(W) is a subgroup of Aut(W)": 13,
+        "inverse: False: S(W) not inverse": 181,
+        "inverse: False: W != V and dim V != 1": 31,
+        "inverse: True: S(W) inverse and W = V": 60,
+        "inverse: True: S(W) inverse and dim V = 1": 2,
+        "regular: False: neither clause holds": 126,
+        "regular: True: S(W) is a subgroup of Aut(W)": 24,
+        "regular: True: S(W) regular and W = V": 124,
+        "unit_regular: False: neither clause holds": 90,
+        "unit_regular: True: S(W) is a subgroup of Aut(W) and codim(W) is finite": 24,
+        "unit_regular: True: S(W) unit-regular and W = V": 59,
+        "unit_regular: raises: identity required": 101,
+    }, "50c7b07215de37c5759e597a37b3e63be8c0d4931e8d550fc1708ce9f606826f"),
+}
+
+
+def golden_build_rows(plans):
+    """(instance, "build", size, element texts in build order), then
+    (instance, mode, holds, clause) for every semigroup mode, with
+    ("raises", message) in place of a refused verdict."""
+    for plan in plans:
+        for _, inst in sweep._instances(plan):
+            cell = json.dumps(inst.key(), sort_keys=True)
+            build = inst.build()
+            yield cell, "build", len(build), [f.to_text() for f in build.elements]
+            for mode in inst.SEMIGROUP_MODES:
+                try:
+                    v = inst.thm_semigroup(mode)
+                    yield cell, mode, v.holds, v.clause
+                except ValueError as exc:
+                    yield cell, mode, "raises", str(exc)
+
+
+def golden_builds(family):
+    counts = collections.Counter()
+    digest = hashlib.sha256()
+    for row in golden_build_rows(BUILD_PLANS[family]):
+        counts["build" if row[1] == "build" else f"{row[1]}: {row[2]}: {row[3]}"] += 1
+        digest.update(json.dumps(row).encode() + b"\n")
+    return dict(sorted(counts.items())), digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(BUILD_PLANS))
+def test_golden_builds_and_semigroup_verdicts(family):
+    assert golden_builds(family) == GOLDEN_BUILDS[family]
