@@ -3,7 +3,9 @@
 Inline grammar: a transformation is a comma list of images ("0,0,1"),
 multiple transformations are ';'-separated.  A matrix is ';'-separated
 rows of ',' entries ("1,0;1,1"); multiple matrices are '|'-separated.
-A subspace is given by ';'-separated spanning rows.
+A subspace is given by ';'-separated spanning rows.  The inline flags are
+read as the instance JSON they spell, through the loaders ``--input``
+uses.
 
 Exit codes: 0 success, 2 validation error (also a sweep whose plan
 selects no instance), 3 size-cap refusal, 4 when a predicate and its
@@ -18,17 +20,10 @@ import argparse
 import json
 import sys
 
-from .gflinear import GFMatrix, Subspace
-from .linear_semigroup import LInstance, l_instance_from_dict
-from .semigroups import (
-    SizeCapExceeded,
-    element_oracle,
-    prescribed_semigroup,
-    semigroup_oracle,
-)
+from .linear_semigroup import l_instance_from_dict
+from .semigroups import SizeCapExceeded, element_oracle, semigroup_oracle
 from .sweep import FAMILIES, SweepPlan, run_sweep
-from .transform_semigroup import TInstance, t_instance_from_dict
-from .transformations import IndexSubset, Transformation
+from .transform_semigroup import t_instance_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,15 +31,24 @@ EXIT_SIZE_CAP = 3
 EXIT_MISMATCH = 4
 
 
-def _parse_transformations(text: str, k: int) -> list[Transformation]:
-    """Transformations of k points; for k = 0, "" is the empty map."""
-    if k == 0 and not text.strip():
-        return [Transformation(())]
-    return [Transformation.from_text(part) for part in text.split(";") if part.strip()]
+def _ints(text: str) -> list[int]:
+    """A comma list of integers; "" is the empty list."""
+    return [int(v) for v in text.split(",")] if text.strip() else []
 
 
-def _parse_matrices(text: str, p: int) -> list[GFMatrix]:
-    return [GFMatrix.from_text(p, part) for part in text.split("|")]
+def _rows(text: str) -> list[list[int]]:
+    """';'-separated comma lists, blank ones skipped."""
+    return [_ints(row) for row in text.split(";") if row.strip()]
+
+
+def _transformations(text: str) -> list[list[int]]:
+    """';'-separated transformations; "" is the empty map (of an empty Y)."""
+    return _rows(text) or [[]]
+
+
+def _matrices(text: str) -> list[list[list[int]]]:
+    """'|'-separated matrices of ';'-separated rows."""
+    return [_rows(m) for m in text.split("|")]
 
 
 def _witness_text(witness) -> object:
@@ -77,34 +81,32 @@ def _instance_from_dict(data: dict):
     return loader(data)
 
 
+def _inline_instance(args) -> dict:
+    """The instance JSON that the inline flags spell (see ``_GRAMMAR``)."""
+    if args.kind is None:
+        raise ValueError("--kind t|l (or --input) is required")
+    t = args.kind == "t"
+    region, block = (args.y, args.sy) if t else (args.w, args.sw)
+    if None in ((args.n, region) if t else (args.p, args.n, region)):
+        raise ValueError("--kind t needs --n and --y" if t else "--kind l needs --p, --n and --w")
+    if block is None and args.gens is None:
+        raise ValueError(f"--kind {args.kind} needs --{'sy' if t else 'sw'} or --gens")
+    parse = _transformations if t else _matrices
+    given = {key: parse(text) for key, text in (("elements", block), ("generators", args.gens))
+             if text is not None}
+    if t:
+        return {"kind": "transformation", "n": args.n, "Y": _ints(region), "sY": given}
+    return {"kind": "linear", "p": args.p, "n": args.n, "W": _rows(region), "sW": given}
+
+
 def _load_instance(args):
-    """Instance from --input JSON or from inline flags."""
-    inline = [args.n, args.y, args.sy, args.p, args.w, args.sw, args.gens]
-    if args.input is not None:
-        if any(v is not None for v in inline) or args.kind is not None:
-            raise ValueError("--input and inline instance flags are mutually exclusive")
-        return _read_json(args.input, _instance_from_dict)
-    if args.kind == "t":
-        if args.n is None or args.y is None:
-            raise ValueError("--kind t needs --n and --y")
-        y = IndexSubset.from_text(args.n, args.y)
-        if args.sy is None and args.gens is None:
-            raise ValueError("--kind t needs --sy or --gens")
-        s_y = prescribed_semigroup(lambda text: _parse_transformations(text, len(y)),
-                                   args.gens, args.sy)
-        return TInstance(args.n, y, s_y)
-    if args.kind == "l":
-        if args.p is None or args.n is None or args.w is None:
-            raise ValueError("--kind l needs --p, --n and --w")
-        w = Subspace(args.p, args.n, [
-            [int(v) for v in row.split(",")] for row in args.w.split(";") if row.strip()
-        ])
-        if args.sw is None and args.gens is None:
-            raise ValueError("--kind l needs --sw or --gens")
-        s_w = prescribed_semigroup(lambda text: _parse_matrices(text, args.p),
-                                   args.gens, args.sw)
-        return LInstance(args.p, args.n, w, s_w)
-    raise ValueError("--kind t|l (or --input) is required")
+    """Instance from --input JSON or from inline flags, through one loader."""
+    if args.input is None:
+        return _instance_from_dict(_inline_instance(args))
+    inline = [args.kind, args.n, args.y, args.sy, args.p, args.w, args.sw, args.gens]
+    if any(v is not None for v in inline):
+        raise ValueError("--input and inline instance flags are mutually exclusive")
+    return _read_json(args.input, _instance_from_dict)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -223,18 +225,17 @@ def _cmd_sweep(args) -> int:
     report = run_sweep(plan)
     if report.instances_run == 0 and not report.skipped:
         raise ValueError("the plan selects no instance")
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        d = report.to_dict()
-        print(f"instances run: {d['instances_run']}")
-        print(f"semigroup checks: {d['semigroup_checks']} agreements: {d['semigroup_agreements']}")
-        print(f"element checks: {d['element_checks']} agreements: {d['element_agreements']}")
-        print(f"witnesses checked: {d['witnesses_checked']}")
-        print(f"skipped: {len(d['skipped'])}")
-        print(f"mismatches: {report.failure_count}")
-        for entry in d["mismatches"]:
-            print(f"  MISMATCH {entry}")
+    d = report.to_dict()
+    d["_text"] = [
+        f"instances run: {d['instances_run']}",
+        f"semigroup checks: {d['semigroup_checks']} agreements: {d['semigroup_agreements']}",
+        f"element checks: {d['element_checks']} agreements: {d['element_agreements']}",
+        f"witnesses checked: {d['witnesses_checked']}",
+        f"skipped: {len(d['skipped'])}",
+        f"mismatches: {report.failure_count}",
+        *(f"  MISMATCH {entry}" for entry in d["mismatches"]),
+    ]
+    _emit(d, args.format)
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
 

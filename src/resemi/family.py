@@ -1,5 +1,6 @@
 """What the two restriction-constrained families share: the instance
-interface, the per-element record memo, the element theorem and the
+interface, the build and its size, the regular and unit-regular semigroup
+theorems, the per-element record memo, the element theorem and the
 product check of its witnesses.
 
 The paper proves the element theorems for T_S(Y)(X) and L_S(W)(V) in one
@@ -9,14 +10,25 @@ restriction is unit-regular there, the trace matches and the complements
 of a compatible transversal pair balance.  ``element_verdict`` states
 that shape once; each family supplies only its record of f (the
 restriction, the trace test, the complement sizes and the witness
-assembly) and its words for the clauses.
+assembly) and its words for the clauses.  The regular and unit-regular
+semigroup theorems share one shape too (``semigroup_verdict``), and so do
+both builds: one element for each alpha in the prescribed semigroup and
+each choice of images of the points outside the region (``build``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
-from .semigroups import FiniteSemigroup, PropertyVerdict, element_oracle, semigroup_oracle
+from .semigroups import (
+    TABLE_CAP,
+    FiniteSemigroup,
+    PropertyVerdict,
+    SizeCapExceeded,
+    element_oracle,
+    semigroup_oracle,
+)
 
 
 class RestrictedInstance:
@@ -37,7 +49,13 @@ class RestrictedInstance:
     A subclass names its record class (``RECORD``), the restriction of an
     element to the region (``restrict``), its unit test (``is_unit``),
     whether an element lives in its ambient space (``in_ambient``), and
-    the words of its clauses and messages.
+    the words of its clauses and messages.  For the build it gives the
+    points outside the region whose images, with the restriction alpha,
+    determine an element (``codim`` of them: the points of X \\ Y, or a
+    basis of a complement of W), the possible images (``points()``, of
+    which there are ``point_count``: |X|, or p^n vectors) and the one
+    element restricting to alpha with the given images (``extend(alpha,
+    images)``).
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -48,6 +66,10 @@ class RestrictedInstance:
         self.has_identity = identity in prescribed
         self.unit_group = self.has_identity and semigroup_oracle(prescribed, "group").holds
         self._verdicts: dict[tuple, PropertyVerdict] = {}
+
+    def expected_size(self) -> int:
+        """|S| * point_count^codim, the size of the build."""
+        return len(self.prescribed) * self.point_count ** self.codim
 
     def record(self, f):
         """f's record, shared by the element predicates, their witnesses
@@ -93,6 +115,58 @@ class RestrictedInstance:
         if f * w * f != f:
             return f"{label} witness fails f{name}f = f"
         return None
+
+
+def int_field(data: dict, name: str) -> int:
+    """``data[name]`` of an instance's JSON form, refused unless it is an
+    integer: a bool, a float or a string is not truncated into one."""
+    value = data[name]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"instance field {name!r} must be an integer, not {value!r}")
+    return value
+
+
+def build(inst: RestrictedInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
+    """Enumerate every element of the ambient monoid whose restriction to
+    the region lies in the prescribed semigroup S.
+
+    For each alpha in S and each choice of images of the ``codim`` points
+    outside the region there is exactly one such element, so the result
+    has ``expected_size()`` elements.  When the region is everything the
+    build is S itself, table reused.
+    """
+    count = inst.expected_size()
+    if count > min(size_cap, TABLE_CAP):
+        raise SizeCapExceeded("size cap exceeded")
+    if inst.codim == 0:
+        return inst.prescribed
+    choices = list(product(inst.points(), repeat=inst.codim))
+    s = FiniteSemigroup([inst.extend(alpha, images)
+                         for alpha in inst.prescribed.elements for images in choices])
+    if len(s) != count:
+        raise AssertionError("build size disagrees with the counting formula")
+    return s
+
+
+def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
+    """The regular and unit-regular semigroup theorems of both families,
+    from the instance's data alone: the build has the property iff S is a
+    subgroup of the region's unit group (Sym(Y) or Aut(W); for
+    unit-regular the complement of the region is finite here by
+    construction), or S has it and the region is everything."""
+    if mode not in ("regular", "unit_regular"):
+        raise ValueError(f"unknown semigroup mode {mode!r}")
+    if mode == "unit_regular" and not inst.has_identity:
+        raise ValueError("identity required")
+    if inst.unit_group:
+        clause = f"{inst.PRESCRIBED} is a subgroup of {inst.UNIT_GROUP}"
+        if mode == "unit_regular":
+            clause += f" and {inst.FINITE}"
+        return PropertyVerdict(mode, True, clause=clause)
+    if inst.codim == 0 and semigroup_oracle(inst.prescribed, mode).holds:
+        label = "regular" if mode == "regular" else "unit-regular"
+        return PropertyVerdict(mode, True, clause=f"{inst.PRESCRIBED} {label} and {inst.WHOLE}")
+    return PropertyVerdict(mode, False, clause="neither clause holds")
 
 
 @lru_cache(maxsize=1)

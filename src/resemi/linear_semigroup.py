@@ -14,7 +14,6 @@ witnesses).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 from .gflinear import (
     GFMatrix,
@@ -31,15 +30,8 @@ from .gflinear import (
     transversal_from_spaces,
     unit_rows,
 )
-from .family import RestrictedInstance, element_verdict
-from .semigroups import (
-    FiniteSemigroup,
-    PropertyVerdict,
-    SizeCapExceeded,
-    TABLE_CAP,
-    prescribed_semigroup,
-    semigroup_oracle,
-)
+from .family import RestrictedInstance, build, element_verdict, int_field, semigroup_verdict
+from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup, semigroup_oracle
 
 
 class ElementSubspaces:
@@ -175,6 +167,7 @@ class LInstance(RestrictedInstance):
     RECORD = ElementSubspaces
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = (
         "L_S(W)(V)", "W", "S(W)", "invertible", "codimensions")
+    UNIT_GROUP, WHOLE, FINITE = "Aut(W)", "W = V", "codim(W) is finite"
     restrict = staticmethod(restriction_matrix)
     is_unit = staticmethod(GFMatrix.is_invertible)
 
@@ -189,6 +182,7 @@ class LInstance(RestrictedInstance):
         self.n = n
         self.w = w
         self.s_w = s_w
+        self.point_count, self.codim = p ** n, w.codim
         super().__init__(w, s_w, GFMatrix.identity(p, k))
         self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
         basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
@@ -214,9 +208,8 @@ class LInstance(RestrictedInstance):
     def parse_element(self, text: str) -> GFMatrix:
         return GFMatrix.from_text(self.p, text)
 
-    def expected_size(self) -> int:
-        """|S(W)| * p^(n(n-dim W)), the size of the build."""
-        return len(self.s_w) * self.p ** (self.n * (self.n - self.w.dim))
+    def points(self) -> list[tuple]:
+        return all_vectors(self.p, self.n)
 
     def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
         return build_lsw(self, size_cap)
@@ -248,22 +241,20 @@ class LInstance(RestrictedInstance):
         """Apply the coordinate matrix alpha, as a map on W, to ambient v."""
         return self.w.from_coordinates(alpha.apply(self.w.coordinates(v)))
 
-    def extension_matrix(self, alpha: GFMatrix, complement_images) -> GFMatrix:
+    def extend(self, alpha: GFMatrix, images) -> GFMatrix:
         """The unique matrix restricting to alpha on W and sending the
         deterministic complement basis vectors to the given images
         (vectors with entries already reduced mod p)."""
         rows = [self.w.from_coordinates(alpha.entries[i]) for i in range(self.w.dim)]
-        rows.extend(tuple(v) for v in complement_images)
-        if self.n == 0:
-            return GFMatrix(self.p, (), cols=0)
+        rows.extend(tuple(v) for v in images)
         return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
 
 
 def l_instance_from_dict(data: dict) -> LInstance:
     """Build an LInstance from its JSON form (spanning rows for W; ``sW``
     holds ``elements`` or ``generators`` of dim(W)-sized matrices)."""
-    p = int(data["p"])
-    n = int(data["n"])
+    p = int_field(data, "p")
+    n = int_field(data, "n")
     w = Subspace(p, n, data["W"])
     block = data["sW"]
     s_w = prescribed_semigroup(lambda items: [GFMatrix(p, e, cols=w.dim) for e in items],
@@ -272,27 +263,9 @@ def l_instance_from_dict(data: dict) -> LInstance:
 
 
 def build_lsw(inst: LInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
-    """Enumerate every linear map on V whose restriction to W lies in S(W).
-
-    Exactly one extension exists for each alpha in S(W) and each
-    assignment of the n - dim(W) complement basis vectors, so the result
-    has |S(W)| * p^(n(n-k)) elements.
-    """
-    p, n, k = inst.p, inst.n, inst.w.dim
-    count = inst.expected_size()
-    if count > min(size_cap, TABLE_CAP):
-        raise SizeCapExceeded("size cap exceeded")
-    if k == n:
-        return inst.s_w  # W = V: the build is S(W) itself, table reused
-    vectors = all_vectors(p, n)
-    out = []
-    for alpha in inst.s_w.elements:
-        for assignment in product(vectors, repeat=n - k):
-            out.append(inst.extension_matrix(alpha, assignment))
-    s = FiniteSemigroup(out)
-    if len(s) != count:
-        raise AssertionError("build size disagrees with the counting formula")
-    return s
+    """Every linear map on V whose restriction to W lies in S(W):
+    |S(W)| * p^(n(n - dim W)) elements (``family.build``)."""
+    return build(inst, size_cap)
 
 
 def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
@@ -324,44 +297,30 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
                         by construction),  or  S(W) unit-regular and W = V.
     completely_regular: S(W) completely regular  and  (W = V,  or
                         codim W = 1 and S(W) a subgroup of Aut(W)).
+
+    The regular and unit-regular theorems are ``family.semigroup_verdict``,
+    shared with the transformation family.
     """
-    s_w = inst.s_w
-    w_is_v = inst.w.is_full()
-    if mode == "regular":
-        if inst.unit_group:
-            return PropertyVerdict(mode, True, clause="S(W) is a subgroup of Aut(W)")
-        if w_is_v and semigroup_oracle(s_w, "regular").holds:
-            return PropertyVerdict(mode, True, clause="S(W) regular and W = V")
-        return PropertyVerdict(mode, False, clause="neither clause holds")
     if mode == "inverse":
+        w_is_v = inst.codim == 0
         shape_ok = w_is_v or inst.n == 1
-        sw_ok = semigroup_oracle(s_w, "inverse").holds
+        sw_ok = semigroup_oracle(inst.s_w, "inverse").holds
         if sw_ok and shape_ok:
             clause = "S(W) inverse and " + ("W = V" if w_is_v else "dim V = 1")
             return PropertyVerdict(mode, True, clause=clause)
         clause = "S(W) not inverse" if not sw_ok else "W != V and dim V != 1"
         return PropertyVerdict(mode, False, clause=clause)
-    if mode == "unit_regular":
-        if not inst.has_identity:
-            raise ValueError("identity required")
-        if inst.unit_group:
-            return PropertyVerdict(
-                mode, True, clause="S(W) is a subgroup of Aut(W) and codim(W) is finite"
-            )
-        if w_is_v and semigroup_oracle(s_w, "unit_regular").holds:
-            return PropertyVerdict(mode, True, clause="S(W) unit-regular and W = V")
-        return PropertyVerdict(mode, False, clause="neither clause holds")
     if mode == "completely_regular":
-        if not semigroup_oracle(s_w, "completely_regular").holds:
+        if not semigroup_oracle(inst.s_w, "completely_regular").holds:
             return PropertyVerdict(mode, False, clause="S(W) not completely regular")
-        if w_is_v:
+        if inst.codim == 0:
             return PropertyVerdict(mode, True, clause="S(W) completely regular and W = V")
-        if inst.w.codim == 1 and inst.unit_group:
+        if inst.codim == 1 and inst.unit_group:
             return PropertyVerdict(
                 mode, True, clause="codim(W) = 1 and S(W) is a subgroup of Aut(W)"
             )
         return PropertyVerdict(mode, False, clause="W != V and the codim-1 clause fails")
-    raise ValueError(f"unknown semigroup mode {mode!r}")
+    return semigroup_verdict(inst, mode)
 
 
 def alpha_family_check(inst: LInstance, size_cap: int = 1_000_000) -> PropertyVerdict:
@@ -371,7 +330,7 @@ def alpha_family_check(inst: LInstance, size_cap: int = 1_000_000) -> PropertyVe
     equals the build elementwise and that composition acts on indices by
     (z, lam)(z', del) = (x, lam.del) when z = x, and (y, lam)(z', del) =
     (y.del, lam.del) for y in W."""
-    if inst.w.codim != 1 or not inst.unit_group:
+    if inst.codim != 1 or not inst.unit_group:
         raise ValueError("precondition violated")
     p, n = inst.p, inst.n
     x = unit_rows(n)[inst._complement_cols[0]]
@@ -379,7 +338,7 @@ def alpha_family_check(inst: LInstance, size_cap: int = 1_000_000) -> PropertyVe
     family = {}
     for lam in inst.s_w.elements:
         for z in all_vectors(p, n):
-            family[(z, lam)] = inst.extension_matrix(lam, [z])
+            family[(z, lam)] = inst.extend(lam, [z])
     if set(family.values()) != set(build.elements):
         return PropertyVerdict("alpha_family", False, clause="family differs from the build")
     for lam in inst.s_w.elements:

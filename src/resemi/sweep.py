@@ -55,8 +55,11 @@ class SweepPlan:
     the cell key, so identical plans reproduce identical reports.
     ``element_cap`` bounds the build size for element-level checks
     (0 disables them); builds beyond ``size_cap`` are skipped, not run.
-    Negative sizes, dimensions, seeded counts and caps are refused; a size
-    out of range for one n is skipped, so one plan can span several n.
+    Negative sizes, dimensions, seeded counts and caps are refused, and so
+    are repeated modes; a size out of range for one n is skipped, so one
+    plan can span several n.  Without ``subset_sizes``, a transformation
+    plan takes 1 <= |Y| <= n and a linear one 0 <= dim W <= n; an explicit
+    |Y| = 0 is taken too.
     """
 
     family: str
@@ -81,8 +84,8 @@ class SweepPlan:
              "a list of [p, n] pairs with non-negative n"),
             ("subset_sizes", self.subset_sizes is None or _naturals(self.subset_sizes),
              "null or a list of non-negative integers"),
-            ("modes", isinstance(self.modes, tuple)
-             and all(isinstance(m, str) for m in self.modes), "a list of mode names"),
+            ("modes", isinstance(self.modes, tuple) and all(isinstance(m, str) for m in self.modes)
+             and len(set(self.modes)) == len(self.modes), "a list of distinct mode names"),
             ("size_cap", _is_int(self.size_cap) and self.size_cap >= 0,
              "a non-negative integer"),
             ("element_cap", _is_int(self.element_cap) and self.element_cap >= 0,
@@ -272,7 +275,7 @@ def _instances(plan: SweepPlan):
         for n in plan.ns:
             sizes = plan.subset_sizes if plan.subset_sizes is not None else range(1, n + 1)
             for size in sizes:
-                if not 1 <= size <= n:
+                if size > n:  # sizes are non-negative (``SweepPlan``)
                     continue
                 for members in combinations(range(n), size):
                     y = IndexSubset(n, members)
@@ -284,7 +287,7 @@ def _instances(plan: SweepPlan):
         for p, n in plan.pns:
             sizes = plan.subset_sizes if plan.subset_sizes is not None else range(n + 1)
             for dim in sizes:
-                if not 0 <= dim <= n:
+                if dim > n:
                     continue
                 for w in all_subspaces(p, n, dim):
                     cell = f"l:{p}:{n}:" + ";".join(",".join(map(str, r)) for r in w.basis)
@@ -419,7 +422,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                     )
 
     if plan.alpha_family_checks and plan.family == "linear":
-        if inst.w.codim == 1 and inst.unit_group:
+        if inst.codim == 1 and inst.unit_group:
             verdict = lsg.alpha_family_check(inst, plan.size_cap)
             rep.alpha_family_checks_run += 1
             if not verdict.holds:

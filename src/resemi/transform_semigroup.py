@@ -13,17 +13,9 @@ builds exist for oracle cross-checks and element classification.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
-from .family import RestrictedInstance, element_verdict
-from .semigroups import (
-    FiniteSemigroup,
-    PropertyVerdict,
-    SizeCapExceeded,
-    TABLE_CAP,
-    prescribed_semigroup,
-    semigroup_oracle,
-)
+from .family import RestrictedInstance, build, element_verdict, int_field, semigroup_verdict
+from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup, semigroup_oracle
 from .transformations import (
     IndexSubset,
     Transformation,
@@ -113,6 +105,7 @@ class TInstance(RestrictedInstance):
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular")
     RECORD = TElementRecord
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = "T_S(Y)(X)", "Y", "S(Y)", "bijective", "counts"
+    UNIT_GROUP, WHOLE, FINITE = "Sym(Y)", "Y = X", "X \\ Y is finite"
     restrict = staticmethod(restriction)
     is_unit = staticmethod(Transformation.is_bijective)
 
@@ -126,6 +119,8 @@ class TInstance(RestrictedInstance):
         self.n = n
         self.y = y
         self.s_y = s_y
+        self.point_count, self.codim = n, n - k
+        self._outside = y.complement().members
         super().__init__(y, s_y, Transformation.identity(k))
 
     def __repr__(self) -> str:
@@ -146,9 +141,19 @@ class TInstance(RestrictedInstance):
     def parse_element(self, text: str) -> Transformation:
         return Transformation.from_text(text)
 
-    def expected_size(self) -> int:
-        """|S(Y)| * n^(n-|Y|), the size of the build."""
-        return len(self.s_y) * self.n ** (self.n - len(self.y))
+    def points(self) -> range:
+        return range(self.n)
+
+    def extend(self, alpha: Transformation, images) -> Transformation:
+        """The f with f|Y = alpha sending the points of X \\ Y, in order, to
+        ``images``."""
+        arr = [0] * self.n
+        members = self.y.members
+        for i, x in enumerate(members):
+            arr[x] = members[alpha.map[i]]
+        for x, v in zip(self._outside, images):
+            arr[x] = v
+        return Transformation._unchecked(tuple(arr))
 
     def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
         return build_tsy(self, size_cap)
@@ -186,7 +191,7 @@ def t_instance_from_dict(data: dict) -> TInstance:
     ``sY`` holds either ``elements`` (must already be closed) or
     ``generators`` (closed over).
     """
-    n = int(data["n"])
+    n = int_field(data, "n")
     y = IndexSubset.from_iterable(n, data["Y"])
     block = data["sY"]
     s_y = prescribed_semigroup(lambda items: [Transformation(e) for e in items],
@@ -194,35 +199,10 @@ def t_instance_from_dict(data: dict) -> TInstance:
     return TInstance(n, y, s_y)
 
 
-def _embedded(inst: TInstance, alpha: Transformation, extension) -> Transformation:
-    arr = [0] * inst.n
-    for i, x in enumerate(inst.y.members):
-        arr[x] = inst.y.members[alpha.map[i]]
-    for x, v in zip(inst.y.complement().members, extension):
-        arr[x] = v
-    return Transformation._unchecked(tuple(arr))
-
-
 def build_tsy(inst: TInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
-    """Enumerate every f on X whose restriction to Y lies in S(Y).
-
-    For each alpha in S(Y) and each assignment of X minus Y into X there
-    is exactly one such f, so the result has |S(Y)| * n^(n-|Y|) elements.
-    """
-    n, k = inst.n, len(inst.y)
-    count = inst.expected_size()
-    if count > min(size_cap, TABLE_CAP):
-        raise SizeCapExceeded("size cap exceeded")
-    if k == n:
-        return inst.s_y  # Y = X: the build is S(Y) itself, table reused
-    out = []
-    for alpha in inst.s_y.elements:
-        for extension in product(range(n), repeat=n - k):
-            out.append(_embedded(inst, alpha, extension))
-    s = FiniteSemigroup(out)
-    if len(s) != count:
-        raise AssertionError("build size disagrees with the counting formula")
-    return s
+    """Every f on X whose restriction to Y lies in S(Y): |S(Y)| * n^(n-|Y|)
+    elements (``family.build``)."""
+    return build(inst, size_cap)
 
 
 def thm_element_t(inst: TInstance, f: Transformation, mode: str) -> PropertyVerdict:
@@ -254,35 +234,20 @@ def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
     unit_regular: S(Y) a subgroup of the symmetric group (the complement
                   of Y is finite here by construction),  or  S(Y)
                   unit-regular and Y = X.
+
+    The regular and unit-regular theorems are ``family.semigroup_verdict``,
+    shared with the linear family.
     """
-    s_y = inst.s_y
-    y_is_x = len(inst.y) == inst.n
-    if mode == "regular":
-        if inst.unit_group:
-            return PropertyVerdict(mode, True, clause="S(Y) is a subgroup of Sym(Y)")
-        if y_is_x and semigroup_oracle(s_y, "regular").holds:
-            return PropertyVerdict(mode, True, clause="S(Y) regular and Y = X")
-        return PropertyVerdict(mode, False, clause="neither clause holds")
-    if mode == "inverse":
-        if len(inst.y) == 0:  # the build is all of T(X)
-            holds = inst.n <= 1
-            clause = "Y empty and |X| " + ("<= 1" if holds else "> 1")
-            return PropertyVerdict(mode, holds, clause=clause)
-        shape_ok = y_is_x or inst.n == 2
-        sy_ok = semigroup_oracle(s_y, "inverse").holds
-        if sy_ok and shape_ok:
-            clause = "S(Y) inverse and " + ("Y = X" if y_is_x else "|X| = 2")
-            return PropertyVerdict(mode, True, clause=clause)
-        clause = "S(Y) not inverse" if not sy_ok else "Y != X and |X| != 2"
-        return PropertyVerdict(mode, False, clause=clause)
-    if mode == "unit_regular":
-        if not inst.has_identity:
-            raise ValueError("identity required")
-        if inst.unit_group:
-            return PropertyVerdict(
-                mode, True, clause="S(Y) is a subgroup of Sym(Y) and X \\ Y is finite"
-            )
-        if y_is_x and semigroup_oracle(s_y, "unit_regular").holds:
-            return PropertyVerdict(mode, True, clause="S(Y) unit-regular and Y = X")
-        return PropertyVerdict(mode, False, clause="neither clause holds")
-    raise ValueError(f"unknown semigroup mode {mode!r}")
+    if mode != "inverse":
+        return semigroup_verdict(inst, mode)
+    if len(inst.y) == 0:  # the build is all of T(X)
+        holds = inst.n <= 1
+        return PropertyVerdict(mode, holds, clause="Y empty and |X| " + ("<= 1" if holds else "> 1"))
+    y_is_x = inst.codim == 0
+    shape_ok = y_is_x or inst.n == 2
+    sy_ok = semigroup_oracle(inst.s_y, "inverse").holds
+    if sy_ok and shape_ok:
+        clause = "S(Y) inverse and " + ("Y = X" if y_is_x else "|X| = 2")
+        return PropertyVerdict(mode, True, clause=clause)
+    clause = "S(Y) not inverse" if not sy_ok else "Y != X and |X| != 2"
+    return PropertyVerdict(mode, False, clause=clause)

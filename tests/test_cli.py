@@ -66,6 +66,22 @@ class TestBuild:
         assert inline == from_file
         assert inline[0] == 0 and ("semigroup size: 4" in inline[1] or '"size": 4' in inline[1])
 
+    @pytest.mark.parametrize("flags, data", [
+        (["--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1|0"],
+         {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]], [[0]]]}}),
+        (["--kind", "l", "--p", "3", "--n", "1", "--w", "", "--gens", ""],
+         {"kind": "linear", "p": 3, "n": 1, "W": [], "sW": {"generators": [[]]}}),
+        (["--kind", "t", "--n", "3", "--y", "0,2", "--gens", "1,0"],
+         {"kind": "transformation", "n": 3, "Y": [0, 2], "sY": {"generators": [[1, 0]]}}),
+    ], ids=["l", "l-zero-w", "t-gens"])
+    def test_inline_equals_json(self, capsys, tmp_path, flags, data):
+        # inline flags are read as the instance JSON they spell
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        from_file = run(capsys, "classify", "--input", str(path), "--format", "json")
+        assert run(capsys, "classify", *flags, "--format", "json") == from_file
+        assert from_file[0] == 0
+
     def test_non_closed_elements_rejected(self, capsys):
         argv = ["build", "--kind", "t", "--n", "3", "--y", "0,1,2"]
         code, _, err = run(capsys, *argv, "--sy", "1,2,0")
@@ -276,6 +292,14 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", *flags, "--format", fmt)
         assert (code, out, err) == (2, "", "error: the plan selects no instance\n")
 
+    def test_explicit_empty_y(self, capsys):
+        # T sweeps take |Y| = 0 when asked, as L sweeps take dim W = 0
+        code, out, _ = run(capsys, "sweep", "--kind", "t", "--ns", "2", "--sizes", "0",
+                           "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["instances_run"] == 1 and not report["mismatches"]
+        assert report["element_checks"] == {"regular": 4, "unit_regular": 4}
+
     def test_inline_sweep_clean(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--kind", "t", "--ns", "1,2", "--sizes", "1,2",
@@ -367,6 +391,13 @@ class TestInputFile:
         ("classify", {"kind": "transformation", "Y": [0]}),  # no "n"
         ("classify", {"kind": "transformation", "n": 2, "Y": 0, "sY": {"elements": [[0]]}}),
         ("classify", [{"kind": "transformation"}]),  # not an object
+        # non-integer sizes and moduli, which would be truncated
+        ("classify", {"kind": "transformation", "n": 3.9, "Y": [0], "sY": {"elements": [[0]]}}),
+        ("classify", {"kind": "transformation", "n": "3", "Y": [0], "sY": {"elements": [[0]]}}),
+        ("classify", {"kind": "transformation", "n": True, "Y": [0], "sY": {"elements": [[0]]}}),
+        ("classify", {"kind": "linear", "p": 2.9, "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}}),
+        ("classify", {"kind": "linear", "p": 2, "n": True, "W": [[1]], "sW": {"elements": [[[1]]]}}),
+        ("classify", {"kind": "linear", "p": "2", "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}}),
         ("sweep", {"ns": [2], "source": ["exhaustive"]}),  # plan without "family"
         # wrongly typed plan fields
         ("sweep", {"family": "transformation", "ns": 3}),
@@ -380,6 +411,8 @@ class TestInputFile:
         ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", -1, "0"]}),
         ("sweep", {"family": "transformation", "ns": [2], "size_cap": -1}),
         ("sweep", {"family": "transformation", "ns": [2], "element_cap": -1}),
+        # a repeated mode, which would count every semigroup check twice
+        ("sweep", {"family": "transformation", "ns": [2], "modes": ["regular", "regular"]}),
     ])
     def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"

@@ -128,10 +128,25 @@ class TestRunSweep:
         ("ns", (-1,)), ("subset_sizes", (-2,)), ("pns", ((2, -1),)),
         ("source", ("seeded", -1, "s")),
         ("size_cap", -1), ("element_cap", -1),
+        # a repeated mode would count every semigroup check twice
+        ("modes", ("regular", "regular")),
     ])
     def test_field_types(self, field, value):
         with pytest.raises(ValueError, match="must be|unknown source"):
             SweepPlan(family="linear", **{field: value})
+
+    def test_explicit_empty_y(self):
+        # |Y| = 0 is taken when asked for; the build is then all of T(n)
+        plan = SweepPlan(family="transformation", ns=(1, 2, 3, 4), subset_sizes=(0,),
+                         modes=("regular", "inverse", "unit_regular"))
+        rep = run_sweep(plan)
+        assert rep.clean and rep.instances_run == 4
+        assert rep.element_checks == {"regular": 288, "unit_regular": 288}  # 1 + 4 + 27 + 256
+        assert rep.semigroup_agreements == rep.semigroup_checks
+        # without subset_sizes, |Y| runs over 1..n as before
+        default = run_sweep(SweepPlan(family="transformation", ns=(2,)))
+        assert default.instances_run == run_sweep(
+            SweepPlan(family="transformation", ns=(2,), subset_sizes=(1, 2))).instances_run
 
     def test_positive_sizes_out_of_range_are_skipped(self):
         plan = SweepPlan(family="transformation", ns=(1, 2), subset_sizes=(2, 5),
