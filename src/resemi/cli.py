@@ -3,9 +3,11 @@
 Inline grammar: a transformation is a comma list of images ("0,0,1"),
 multiple transformations are ';'-separated.  A matrix is ';'-separated
 rows of ',' entries ("1,0;1,1"); multiple matrices are '|'-separated.
-A subspace is given by ';'-separated spanning rows.  The inline flags are
-read as the instance JSON they spell, through the loaders ``--input``
-uses.
+A subspace is given by ';'-separated spanning rows.  Blank ';'-parts are
+skipped.  ``--f``, ``--ns``, ``--pn`` and ``--sizes`` follow the same
+grammar; every inline text is read by ``family.parse_ints`` and
+``family.parse_rows``.  The inline instance flags are read as the
+instance JSON they spell, through the loaders ``--input`` uses.
 
 Exit codes: 0 success, 2 validation error (also a sweep whose plan
 selects no instance), 3 size-cap refusal, 4 when a predicate and its
@@ -20,6 +22,7 @@ import argparse
 import json
 import sys
 
+from .family import parse_ints, parse_rows
 from .linear_semigroup import l_instance_from_dict
 from .semigroups import SizeCapExceeded, element_oracle, semigroup_oracle
 from .sweep import FAMILIES, SweepPlan, run_sweep
@@ -31,24 +34,14 @@ EXIT_SIZE_CAP = 3
 EXIT_MISMATCH = 4
 
 
-def _ints(text: str) -> list[int]:
-    """A comma list of integers; "" is the empty list."""
-    return [int(v) for v in text.split(",")] if text.strip() else []
-
-
-def _rows(text: str) -> list[list[int]]:
-    """';'-separated comma lists, blank ones skipped."""
-    return [_ints(row) for row in text.split(";") if row.strip()]
-
-
 def _transformations(text: str) -> list[list[int]]:
     """';'-separated transformations; "" is the empty map (of an empty Y)."""
-    return _rows(text) or [[]]
+    return parse_rows(text) or [[]]
 
 
 def _matrices(text: str) -> list[list[list[int]]]:
     """'|'-separated matrices of ';'-separated rows."""
-    return [_rows(m) for m in text.split("|")]
+    return [parse_rows(m) for m in text.split("|")]
 
 
 def _witness_text(witness) -> object:
@@ -95,8 +88,8 @@ def _inline_instance(args) -> dict:
     given = {key: parse(text) for key, text in (("elements", block), ("generators", args.gens))
              if text is not None}
     if t:
-        return {"kind": "transformation", "n": args.n, "Y": _ints(region), "sY": given}
-    return {"kind": "linear", "p": args.p, "n": args.n, "W": _rows(region), "sW": given}
+        return {"kind": "transformation", "n": args.n, "Y": parse_ints(region), "sY": given}
+    return {"kind": "linear", "p": args.p, "n": args.n, "W": parse_rows(region), "sW": given}
 
 
 def _load_instance(args):
@@ -143,6 +136,8 @@ def _cmd_build(args) -> int:
 def _cmd_classify(args) -> int:
     """``classify`` (semigroup level) and ``element`` (one element): the
     theorem's verdict next to the oracle's, per mode."""
+    if args.mode and len(set(args.mode)) != len(args.mode):
+        raise ValueError(f"--mode must name distinct modes, not {args.mode!r}")
     inst = _load_instance(args)
     if args.command == "element":
         if args.f is None:
@@ -211,12 +206,9 @@ def _cmd_sweep(args) -> int:
         modes = tuple(args.mode) if args.mode else FAMILIES[family].SEMIGROUP_MODES
         plan = SweepPlan(
             family=family,
-            ns=tuple(int(v) for v in args.ns.split(",")) if args.ns else (),
-            pns=tuple(
-                tuple(int(v) for v in pair.split(","))
-                for pair in args.pn.split(";")
-            ) if args.pn else (),
-            subset_sizes=tuple(int(v) for v in args.sizes.split(",")) if args.sizes else None,
+            ns=tuple(parse_ints(args.ns or "")),
+            pns=tuple(map(tuple, parse_rows(args.pn or ""))),
+            subset_sizes=tuple(parse_ints(args.sizes)) if args.sizes else None,
             source=source,
             modes=modes,
             size_cap=args.size_cap,
@@ -306,6 +298,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if [] in [*vars(args).values(), *(args.mode or ())]:
+            # argparse reads "--flag=--" as an empty list, not as the text "--"
+            raise ValueError("'--' is not an option value")
         return args.fn(args)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

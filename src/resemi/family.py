@@ -1,7 +1,7 @@
 """What the two restriction-constrained families share: the instance
-interface, the build and its size, the regular and unit-regular semigroup
-theorems, the per-element record memo, the element theorem and the
-product check of its witnesses.
+interface, the inline grammar, the build and its size, the regular,
+unit-regular and inverse semigroup theorems, the per-element record memo,
+the element theorem and the product check of its witnesses.
 
 The paper proves the element theorems for T_S(Y)(X) and L_S(W)(V) in one
 shape: f is regular iff its restriction is regular in the prescribed
@@ -10,10 +10,13 @@ restriction is unit-regular there, the trace matches and the complements
 of a compatible transversal pair balance.  ``element_verdict`` states
 that shape once; each family supplies only its record of f (the
 restriction, the trace test, the complement sizes and the witness
-assembly) and its words for the clauses.  The regular and unit-regular
-semigroup theorems share one shape too (``semigroup_verdict``), and so do
-both builds: one element for each alpha in the prescribed semigroup and
-each choice of images of the points outside the region (``build``).
+assembly) and its words for the clauses.  The regular, unit-regular and
+inverse semigroup theorems share one shape too (``semigroup_verdict``),
+and so do both builds: one element for each alpha in the prescribed
+semigroup and each choice of images of the points outside the region
+(``build``).  Every inline text, an element, a region or a sweep's
+sizes, is read by the grammar's two atoms, ``parse_ints`` and
+``parse_rows``.
 """
 
 from __future__ import annotations
@@ -41,16 +44,18 @@ class RestrictedInstance:
     L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
     it holds the identity and is a group, as a finite group of bijections
     holds the identity map, and a group holding it has it as identity),
-    ``key()``, ``parse_element(text)``, ``expected_size()``,
-    ``build(size_cap)``, ``thm_semigroup(mode)``, ``thm_element(f, mode)``,
-    ``record(f)``, ``witness_problem(f, w, mode)`` and
-    ``transversal_problem(f)``.
+    ``key()``, ``parse_element(text)`` (the element ``text`` spells in the
+    inline grammar), ``expected_size()``, ``build(size_cap)``,
+    ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)``,
+    ``witness_problem(f, w, mode)`` and ``transversal_problem(f)``.
 
     A subclass names its record class (``RECORD``), the restriction of an
     element to the region (``restrict``), its unit test (``is_unit``),
     whether an element lives in its ambient space (``in_ambient``), and
-    the words of its clauses and messages.  For the build it gives the
-    points outside the region whose images, with the restriction alpha,
+    the words of its clauses and messages.  For the inverse theorem it
+    names the ambient size ``SMALL_N`` at which the region need not be
+    everything, and that clause's words ``SMALL``.  For the build it gives
+    the points outside the region whose images, with the restriction alpha,
     determine an element (``codim`` of them: the points of X \\ Y, or a
     basis of a complement of W), the possible images (``points()``, of
     which there are ``point_count``: |X|, or p^n vectors) and the one
@@ -117,6 +122,16 @@ class RestrictedInstance:
         return None
 
 
+def parse_ints(text: str) -> list[int]:
+    """A comma list of integers, e.g. "0,0,1"; "" is the empty list."""
+    return [int(v) for v in text.split(",")] if text.strip() else []
+
+
+def parse_rows(text: str) -> list[list[int]]:
+    """';'-separated comma lists, e.g. "1,0;1,1", blank ones skipped."""
+    return [parse_ints(row) for row in text.split(";") if row.strip()]
+
+
 def int_field(data: dict, name: str) -> int:
     """``data[name]`` of an instance's JSON form, refused unless it is an
     integer: a bool, a float or a string is not truncated into one."""
@@ -149,11 +164,23 @@ def build(inst: RestrictedInstance, size_cap: int = 1_000_000) -> FiniteSemigrou
 
 
 def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
-    """The regular and unit-regular semigroup theorems of both families,
-    from the instance's data alone: the build has the property iff S is a
-    subgroup of the region's unit group (Sym(Y) or Aut(W); for
-    unit-regular the complement of the region is finite here by
-    construction), or S has it and the region is everything."""
+    """The regular, unit-regular and inverse semigroup theorems of both
+    families, from the instance's data alone.  The build is regular or
+    unit-regular iff S is a subgroup of the region's unit group (Sym(Y) or
+    Aut(W); for unit-regular the complement of the region is finite here
+    by construction), or S has the property and the region is everything.
+    It is inverse iff S is inverse and the region is everything or the
+    ambient size is ``SMALL_N`` (|X| = 2 or dim V = 1); the
+    transformation family's empty Y is its own case
+    (``thm_semigroup_t``)."""
+    if mode == "inverse":
+        inverse = semigroup_oracle(inst.prescribed, mode).holds
+        if inverse and (inst.codim == 0 or inst.n == inst.SMALL_N):
+            shape = inst.WHOLE if inst.codim == 0 else inst.SMALL
+            return PropertyVerdict(mode, True, clause=f"{inst.PRESCRIBED} inverse and {shape}")
+        clause = (f"{inst.PRESCRIBED} not inverse" if not inverse
+                  else f"{inst.WHOLE} and {inst.SMALL}".replace(" = ", " != "))
+        return PropertyVerdict(mode, False, clause=clause)
     if mode not in ("regular", "unit_regular"):
         raise ValueError(f"unknown semigroup mode {mode!r}")
     if mode == "unit_regular" and not inst.has_identity:
@@ -185,7 +212,14 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     of the two complements of a compatible transversal pair
     (``complement_sizes``, C-side first) and the witness assembled on the
     prescribed semigroup's partner of alpha (``witness(mode, partner)``).
-    The witness is not checked here."""
+    The witness is not checked here.
+
+    The complement clause of ``unit_regular`` never decides an instance
+    that can be built.  Given the trace clause, codim(W + U) = n - dim W -
+    rank f + rank(f|W) = codim(W + R(f)), and the same count holds for the
+    sizes of the complements in X \\ Y.  So the clause decides only when
+    X \\ Y or codim W is infinite; it is kept because it is the theorem
+    as stated."""
     rec = inst.record(f)
     if mode == "regular":
         reg = inst.prescribed_verdict(rec.alpha, "regular")

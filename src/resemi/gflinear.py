@@ -34,7 +34,7 @@ class GFMatrix:
     the trivial semigroup on the zero space).
     """
 
-    __slots__ = ("p", "rows", "cols", "entries", "_hash", "_rank", "_tcols")
+    __slots__ = ("p", "rows", "cols", "entries", "_hash", "_rank")
 
     def __init__(self, p, entries, cols: int | None = None) -> None:
         p = operator.index(p)
@@ -56,7 +56,6 @@ class GFMatrix:
         self.entries = ent
         self._hash = hash(("M", p, r, c, ent))
         self._rank = None
-        self._tcols = None
 
     @classmethod
     def _unchecked(cls, p, rows, cols, entries) -> "GFMatrix":
@@ -67,7 +66,6 @@ class GFMatrix:
         m.entries = entries
         m._hash = hash(("M", p, rows, cols, entries))
         m._rank = None
-        m._tcols = None
         return m
 
     @classmethod
@@ -79,33 +77,14 @@ class GFMatrix:
     def zero(cls, p, r, c) -> "GFMatrix":
         return cls(p, tuple((0,) * c for _ in range(r)), cols=c)
 
-    @classmethod
-    def from_text(cls, p, text: str) -> "GFMatrix":
-        """Parse ';'-separated rows of ','-separated entries, e.g. "1,0;1,1"."""
-        text = text.strip()
-        if not text:
-            return cls(p, (), cols=0)
-        return cls(p, [[int(v) for v in row.split(",")] for row in text.split(";")])
-
     def to_text(self) -> str:
         return ";".join(",".join(str(v) for v in row) for row in self.entries)
 
     def apply(self, v) -> tuple:
-        """Row-vector action: returns v @ M."""
+        """Row-vector action of a square M: returns v @ M."""
         if len(v) != self.rows:
             raise ValueError("dimension mismatch")
-        p = self.p
-        return tuple(
-            sum(v[i] * col[i] for i in range(self.rows)) % p for col in self._columns()
-        )
-
-    def _columns(self) -> tuple:
-        if self._tcols is None:
-            self._tcols = tuple(
-                tuple(self.entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            )
-        return self._tcols
+        return self.point_action((v,))[0]
 
     def __mul__(self, other: "GFMatrix") -> "GFMatrix":
         return mat_compose(self, other)
@@ -140,7 +119,8 @@ class GFMatrix:
         return self.entries
 
     def point_action(self, points) -> tuple:
-        """v @ M for each v in ``points``."""
+        """v @ M for each v in ``points``: the one row-vector product, which
+        ``apply`` and ``mat_compose`` call too."""
         if self.rows != self.cols:
             raise ValueError("dimension mismatch")
         p = self.p
@@ -156,14 +136,7 @@ def mat_compose(f: GFMatrix, g: GFMatrix) -> GFMatrix:
         raise ValueError("modulus mismatch")
     if f.rows != f.cols or g.rows != g.cols or f.cols != g.rows:
         raise ValueError("dimension mismatch")
-    p = f.p
-    n = f.rows
-    cols = g._columns()
-    ent = tuple(
-        tuple(sum(map(operator.mul, row, col)) % p for col in cols)
-        for row in f.entries
-    )
-    return GFMatrix._unchecked(p, n, n, ent)
+    return GFMatrix._unchecked(f.p, f.rows, f.rows, g.point_action(f.entries))
 
 
 def _rref_rows(mat: list[list[int]], p: int, ncols: int):

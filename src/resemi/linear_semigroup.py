@@ -30,7 +30,7 @@ from .gflinear import (
     transversal_from_spaces,
     unit_rows,
 )
-from .family import RestrictedInstance, build, element_verdict, int_field, semigroup_verdict
+from .family import RestrictedInstance, build, element_verdict, int_field, parse_rows, semigroup_verdict
 from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup, semigroup_oracle
 
 
@@ -168,6 +168,7 @@ class LInstance(RestrictedInstance):
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = (
         "L_S(W)(V)", "W", "S(W)", "invertible", "codimensions")
     UNIT_GROUP, WHOLE, FINITE = "Aut(W)", "W = V", "codim(W) is finite"
+    SMALL_N, SMALL = 1, "dim V = 1"
     restrict = staticmethod(restriction_matrix)
     is_unit = staticmethod(GFMatrix.is_invertible)
 
@@ -206,7 +207,7 @@ class LInstance(RestrictedInstance):
         return f.p == self.p and f.rows == self.n and f.cols == self.n
 
     def parse_element(self, text: str) -> GFMatrix:
-        return GFMatrix.from_text(self.p, text)
+        return GFMatrix(self.p, parse_rows(text))
 
     def points(self) -> list[tuple]:
         return all_vectors(self.p, self.n)
@@ -298,18 +299,9 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
     completely_regular: S(W) completely regular  and  (W = V,  or
                         codim W = 1 and S(W) a subgroup of Aut(W)).
 
-    The regular and unit-regular theorems are ``family.semigroup_verdict``,
-    shared with the transformation family.
+    The regular, unit-regular and inverse theorems are
+    ``family.semigroup_verdict``, shared with the transformation family.
     """
-    if mode == "inverse":
-        w_is_v = inst.codim == 0
-        shape_ok = w_is_v or inst.n == 1
-        sw_ok = semigroup_oracle(inst.s_w, "inverse").holds
-        if sw_ok and shape_ok:
-            clause = "S(W) inverse and " + ("W = V" if w_is_v else "dim V = 1")
-            return PropertyVerdict(mode, True, clause=clause)
-        clause = "S(W) not inverse" if not sw_ok else "W != V and dim V != 1"
-        return PropertyVerdict(mode, False, clause=clause)
     if mode == "completely_regular":
         if not semigroup_oracle(inst.s_w, "completely_regular").holds:
             return PropertyVerdict(mode, False, clause="S(W) not completely regular")

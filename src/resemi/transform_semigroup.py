@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .family import RestrictedInstance, build, element_verdict, int_field, semigroup_verdict
-from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup, semigroup_oracle
+from .family import RestrictedInstance, build, element_verdict, int_field, parse_ints, semigroup_verdict
+from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup
 from .transformations import (
     IndexSubset,
     Transformation,
@@ -106,6 +106,7 @@ class TInstance(RestrictedInstance):
     RECORD = TElementRecord
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = "T_S(Y)(X)", "Y", "S(Y)", "bijective", "counts"
     UNIT_GROUP, WHOLE, FINITE = "Sym(Y)", "Y = X", "X \\ Y is finite"
+    SMALL_N, SMALL = 2, "|X| = 2"
     restrict = staticmethod(restriction)
     is_unit = staticmethod(Transformation.is_bijective)
 
@@ -139,7 +140,7 @@ class TInstance(RestrictedInstance):
         return f.n == self.n
 
     def parse_element(self, text: str) -> Transformation:
-        return Transformation.from_text(text)
+        return Transformation(parse_ints(text))
 
     def points(self) -> range:
         return range(self.n)
@@ -188,11 +189,14 @@ class TInstance(RestrictedInstance):
 def t_instance_from_dict(data: dict) -> TInstance:
     """Build a TInstance from its JSON form.
 
-    ``sY`` holds either ``elements`` (must already be closed) or
-    ``generators`` (closed over).
+    ``Y`` lists distinct integers in any order; ``sY`` holds either
+    ``elements`` (must already be closed) or ``generators`` (closed over).
     """
     n = int_field(data, "n")
-    y = IndexSubset.from_iterable(n, data["Y"])
+    members = list(data["Y"])
+    if len(set(members)) != len(members) or any(isinstance(x, bool) for x in members):
+        raise ValueError(f"instance field 'Y' must list distinct integers, not {members!r}")
+    y = IndexSubset(n, sorted(members))
     block = data["sY"]
     s_y = prescribed_semigroup(lambda items: [Transformation(e) for e in items],
                                block.get("generators"), block.get("elements"))
@@ -235,19 +239,10 @@ def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
                   of Y is finite here by construction),  or  S(Y)
                   unit-regular and Y = X.
 
-    The regular and unit-regular theorems are ``family.semigroup_verdict``,
-    shared with the linear family.
+    Apart from the empty Y, all three theorems are
+    ``family.semigroup_verdict``, shared with the linear family.
     """
-    if mode != "inverse":
-        return semigroup_verdict(inst, mode)
-    if len(inst.y) == 0:  # the build is all of T(X)
+    if mode == "inverse" and len(inst.y) == 0:  # the build is all of T(X)
         holds = inst.n <= 1
         return PropertyVerdict(mode, holds, clause="Y empty and |X| " + ("<= 1" if holds else "> 1"))
-    y_is_x = inst.codim == 0
-    shape_ok = y_is_x or inst.n == 2
-    sy_ok = semigroup_oracle(inst.s_y, "inverse").holds
-    if sy_ok and shape_ok:
-        clause = "S(Y) inverse and " + ("Y = X" if y_is_x else "|X| = 2")
-        return PropertyVerdict(mode, True, clause=clause)
-    clause = "S(Y) not inverse" if not sy_ok else "Y != X and |X| != 2"
-    return PropertyVerdict(mode, False, clause=clause)
+    return semigroup_verdict(inst, mode)

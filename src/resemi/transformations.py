@@ -44,14 +44,6 @@ class Transformation:
     def identity(cls, n: int) -> "Transformation":
         return cls._unchecked(tuple(range(n)))
 
-    @classmethod
-    def from_text(cls, text: str) -> "Transformation":
-        """Parse a comma-separated image list, e.g. "0,0,1" sends 2 to 1."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(int(part) for part in text.split(","))
-
     def to_text(self) -> str:
         return ",".join(str(x) for x in self.map)
 
@@ -106,13 +98,6 @@ class IndexSubset:
     def from_iterable(cls, n, xs) -> "IndexSubset":
         return cls(n, sorted(set(xs)))
 
-    @classmethod
-    def from_text(cls, n, text: str) -> "IndexSubset":
-        text = text.strip()
-        if not text:
-            return cls(n, ())
-        return cls.from_iterable(n, (int(part) for part in text.split(",")))
-
     def to_text(self) -> str:
         return ",".join(str(x) for x in self.members)
 
@@ -159,8 +144,7 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
     """Left-to-right composition: x(fg) = (xf)g."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    gm = g.map
-    return Transformation._unchecked(tuple(gm[x] for x in f.map))
+    return Transformation._unchecked(g.point_action(f.map))
 
 
 def image_kernel(f: Transformation):

@@ -1,9 +1,12 @@
 """CLI tests: commands, inline grammar, JSON output, exit codes."""
 
 import json
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resemi.cli import main
 from resemi.linear_semigroup import LInstance
@@ -73,7 +76,10 @@ class TestBuild:
          {"kind": "linear", "p": 3, "n": 1, "W": [], "sW": {"generators": [[]]}}),
         (["--kind", "t", "--n", "3", "--y", "0,2", "--gens", "1,0"],
          {"kind": "transformation", "n": 3, "Y": [0, 2], "sY": {"generators": [[1, 0]]}}),
-    ], ids=["l", "l-zero-w", "t-gens"])
+        # Y's members may come in any order
+        (["--kind", "t", "--n", "3", "--y", "2,0", "--gens", "1,0"],
+         {"kind": "transformation", "n": 3, "Y": [2, 0], "sY": {"generators": [[1, 0]]}}),
+    ], ids=["l", "l-zero-w", "t-gens", "t-unsorted-y"])
     def test_inline_equals_json(self, capsys, tmp_path, flags, data):
         # inline flags are read as the instance JSON they spell
         path = tmp_path / "inst.json"
@@ -81,6 +87,12 @@ class TestBuild:
         from_file = run(capsys, "classify", "--input", str(path), "--format", "json")
         assert run(capsys, "classify", *flags, "--format", "json") == from_file
         assert from_file[0] == 0
+
+    @pytest.mark.parametrize("y", ["0,0", "1,0,1"])
+    def test_repeated_y_members_refused(self, capsys, y):
+        # a repeated member would be dropped, building another Y than given
+        code, out, err = run(capsys, "build", "--kind", "t", "--n", "3", "--y", y, "--sy", "0")
+        assert code == 2 and out == "" and "'Y'" in err
 
     def test_non_closed_elements_rejected(self, capsys):
         argv = ["build", "--kind", "t", "--n", "3", "--y", "0,1,2"]
@@ -184,6 +196,15 @@ class TestClassify:
         assert code == 0
         (result,) = json.loads(out)["results"]
         assert result["oracle"] == "skipped" and result["agree"] == "skipped"
+
+    @pytest.mark.parametrize("command, extra", [("classify", []), ("element", ["--f", "0,1,0"])])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_repeated_mode_refused(self, capsys, command, extra, fmt):
+        # a repeated mode would be decided and printed twice, as a sweep
+        # would count it twice
+        code, out, err = run(capsys, command, *T_FLAGS, *extra, "--mode", "regular",
+                             "--mode", "regular", "--format", fmt)
+        assert code == 2 and out == "" and err.startswith("error: --mode")
 
 
 class TestElement:
@@ -398,6 +419,12 @@ class TestInputFile:
         ("classify", {"kind": "linear", "p": 2.9, "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}}),
         ("classify", {"kind": "linear", "p": 2, "n": True, "W": [[1]], "sW": {"elements": [[[1]]]}}),
         ("classify", {"kind": "linear", "p": "2", "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}}),
+        # a repeated member of Y, which would be dropped, and a boolean,
+        # which would be read as 0 or 1
+        ("build", {"kind": "transformation", "n": 3, "Y": [0, 0], "sY": {"elements": [[0]]}}),
+        ("build", {"kind": "transformation", "n": 3, "Y": [1, 0, 1], "sY": {"elements": [[0]]}}),
+        ("build", {"kind": "transformation", "n": 3, "Y": [True], "sY": {"elements": [[0]]}}),
+        ("build", {"kind": "transformation", "n": 3, "Y": [0, False], "sY": {"elements": [[0]]}}),
         ("sweep", {"ns": [2], "source": ["exhaustive"]}),  # plan without "family"
         # wrongly typed plan fields
         ("sweep", {"family": "transformation", "ns": 3}),
@@ -419,6 +446,57 @@ class TestInputFile:
         path.write_text(json.dumps(data))
         code, _, err = run(capsys, command, "--input", str(path))
         assert code == 2 and err.startswith("error: ")
+
+
+def _grammar_texts(digits: str, max_size: int):
+    """Texts over the inline grammar's alphabet: any string of it, or
+    ';'-separated comma lists of single digits, which parse."""
+    lists = st.lists(st.sampled_from(digits), min_size=1, max_size=3).map(",".join)
+    return (st.text(alphabet=digits + ",;|- ", max_size=max_size)
+            | st.lists(lists, max_size=3).map(";".join))
+
+
+# Instances stay small (n <= 3, p in {2, 3, 4}, builds capped at 64
+# elements) and sweeps stay over n <= 2: every number in a plan flag is
+# one digit 0..2.
+GRAMMAR_TEXT = _grammar_texts("0123", 8)
+PLAN_TEXT = _grammar_texts("012", 7).map(
+    lambda text: re.sub(r"\d{2,}", lambda m: m.group()[-1], text))
+
+
+@st.composite
+def inline_argv(draw):
+    command = draw(st.sampled_from(["build", "classify", "element", "sweep"]))
+    kind = draw(st.sampled_from(["t", "l"]))
+    argv = [command, "--kind", kind, "--size-cap", "64"]
+    if command == "sweep":
+        texts, flags = PLAN_TEXT, ["--ns", "--pn", "--sizes"]
+    else:
+        texts, flags = GRAMMAR_TEXT, ["--y", "--sy"] if kind == "t" else ["--w", "--sw"]
+        flags += ["--gens", "--f"] if command == "element" else ["--gens"]
+        argv += ["--n", str(draw(st.integers(0, 3)))]
+        if kind == "l":
+            argv += ["--p", str(draw(st.sampled_from([2, 3, 4])))]
+    for flag in flags:
+        text = draw(st.none() | texts)
+        if text is not None:
+            argv.append(f"{flag}={text}")  # '=' keeps a leading '-' a value
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(inline_argv())
+def test_grammar_fuzz_never_raises(argv):
+    # one parser reads every inline text: malformed input exits 2, never a
+    # traceback
+    assert main(argv) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("flag", ["--sw=--", "--size-cap=--", "--mode=--"])
+def test_double_dash_value_refused(capsys, flag):
+    # argparse reads "--flag=--" as an empty list, which no command expects
+    code, out, err = run(capsys, "classify", *L_FLAGS, flag)
+    assert (code, out) == (2, "") and "'--'" in err
 
 
 T_FLAGS = ["--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,1;1,0"]

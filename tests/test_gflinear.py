@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resemi.cli import main
 from resemi.gflinear import (
     GFMatrix,
     Subspace,
@@ -25,6 +26,7 @@ from resemi.gflinear import (
     subspace_ops,
     transversal_from_spaces,
 )
+from resemi.linear_semigroup import l_instance_from_dict
 
 
 def all_matrices(p, n):
@@ -65,9 +67,24 @@ class TestGFMatrix:
         assert GFMatrix(3, [[4, -1]]).entries == ((1, 2),)
 
     def test_text_round_trip(self):
+        # the inline grammar reads back what to_text writes
+        inst = l_instance_from_dict({"p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}})
         m = GFMatrix(2, [[1, 0], [1, 1]])
-        assert GFMatrix.from_text(2, m.to_text()) == m
-        assert GFMatrix.from_text(2, "").rows == 0
+        assert inst.parse_element(m.to_text()) == m
+        zero = l_instance_from_dict({"p": 2, "n": 0, "W": [], "sW": {"elements": [[]]}})
+        assert zero.parse_element("") == GFMatrix(2, (), cols=0)
+
+    def test_blank_row_skipped(self, capsys):
+        # a blank ';'-part of --f is skipped, as in --w and --sw
+        inst = l_instance_from_dict({"p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}})
+        assert inst.parse_element("1,0;;0,1") == inst.parse_element("1,0;0,1")
+        argv = ["element", "--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1",
+                "--format", "json", "--f"]
+        outputs = []
+        for text in ("1,0;;0,1", "1,0;0,1"):
+            assert main(argv + [text]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_apply_is_row_vector_action(self):
         m = GFMatrix(2, [[1, 1], [0, 1]])

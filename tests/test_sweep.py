@@ -1,12 +1,14 @@
 """Tests for the sweep harness: subsemigroup enumeration, differential
 runs, report determinism and serialization."""
 
+import json
 from itertools import product
 
 import pytest
 
 from resemi import linear_semigroup as lsg
 from resemi import transform_semigroup as tsg
+from resemi.cli import main
 from resemi.gflinear import GFMatrix, Subspace
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import PropertyVerdict, SizeCapExceeded, closure_elements, semigroup_oracle
@@ -18,7 +20,7 @@ from resemi.sweep import (
     enumerate_subsemigroups,
     run_sweep,
 )
-from resemi.transform_semigroup import TInstance
+from resemi.transform_semigroup import TInstance, t_instance_from_dict
 from resemi.transformations import IndexSubset, Transformation
 
 class TestEnumerateSubsemigroups:
@@ -277,10 +279,23 @@ class TestRefusedDraws:
         assert rep.clean and rep.instances_run == 3
         (entry,) = rep.skipped
         assert entry["cell"] == "t:6:0,1,2,3,4,5" and entry["reason"] == "size cap exceeded"
-        gens = [Transformation.from_text(g) for g in entry["generators"]]
+        t6 = t_instance_from_dict({"n": 6, "Y": [], "sY": {"elements": [[]]}})
+        gens = [t6.parse_element(g) for g in entry["generators"]]
+        assert [g.to_text() for g in gens] == entry["generators"]
         with pytest.raises(SizeCapExceeded):
             closure_elements(gens)
 
     def test_enumeration_keeps_draw_order(self):
         subs = enumerate_subsemigroups("transformation", 6, ("seeded", 4, "233:t:6:0,1,2,3,4,5"))
         assert [isinstance(s, dict) for s in subs] == [False, True, False, False]
+
+
+def test_blank_pn_part_skipped(capsys):
+    # a blank ';'-part of --pn is skipped, as in --w and --sw
+    reports = []
+    for pn in ("2,2;", "2,2"):
+        assert main(["sweep", "--kind", "l", "--pn", pn, "--sizes", "1", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1] and reports[0]["plan"]["pns"] == [[2, 2]]

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resemi.family import parse_ints
+from resemi.transform_semigroup import t_instance_from_dict
 from resemi.transformations import (
     IndexSubset,
     Transformation,
@@ -55,9 +57,12 @@ class TestTransformation:
         assert hash(Transformation([1, 0])) == hash(Transformation([1, 0]))
 
     def test_text_round_trip(self):
+        # the inline grammar reads back what to_text writes
+        inst = t_instance_from_dict({"n": 3, "Y": [0], "sY": {"elements": [[0]]}})
         f = Transformation([0, 0, 1])
-        assert Transformation.from_text(f.to_text()) == f
-        assert Transformation.from_text("").n == 0
+        assert inst.parse_element(f.to_text()) == f
+        empty = t_instance_from_dict({"n": 0, "Y": [], "sY": {"elements": [[]]}})
+        assert empty.parse_element("") == Transformation(())
 
     def test_empty_map_is_allowed(self):
         e = Transformation(())
@@ -238,7 +243,8 @@ class TestIndexSubset:
             IndexSubset(3, [3])
 
     def test_complement_and_text(self):
-        y = IndexSubset.from_text(4, "0,2")
+        y = IndexSubset(4, parse_ints("0,2"))
         assert y.complement().members == (1, 3)
-        assert IndexSubset.from_text(4, y.to_text()) == y
-        assert IndexSubset.from_text(3, "").members == ()
+        data = {"n": 4, "Y": parse_ints(y.to_text()), "sY": {"elements": [[0, 1]]}}
+        assert t_instance_from_dict(data).y == y
+        assert IndexSubset(3, parse_ints("")).members == ()
