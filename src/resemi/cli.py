@@ -151,7 +151,7 @@ def _cmd_classify(args) -> int:
         modes, witness_key = inst.SEMIGROUP_MODES, "witness"
         theorem, oracle = inst.thm_semigroup, semigroup_oracle
         witness_problem = lambda mode, w: None
-    modes = args.mode or [m for m in modes if m != "unit_regular" or inst.has_identity]
+    modes = args.mode or inst.decidable(modes)
     build = None if args.no_oracle else inst.build(args.size_cap)
     results = []
     lines = []

@@ -13,16 +13,15 @@ restriction, the trace test, the complement sizes and the witness
 assembly) and its words for the clauses.  The regular, unit-regular and
 inverse semigroup theorems share one shape too (``semigroup_verdict``),
 and so do both builds: one element for each alpha in the prescribed
-semigroup and each choice of images of the points outside the region
-(``build``).  Every inline text, an element, a region or a sweep's
-sizes, is read by the grammar's two atoms, ``parse_ints`` and
-``parse_rows``.
+semigroup and each choice of images of the points outside the region,
+numbered once (``element_at``, which ``build`` enumerates).  Every inline
+text, an element, a region or a sweep's sizes, is read by the grammar's
+two atoms, ``parse_ints`` and ``parse_rows``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .semigroups import (
     TABLE_CAP,
@@ -44,8 +43,10 @@ class RestrictedInstance:
     L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
     it holds the identity and is a group, as a finite group of bijections
     holds the identity map, and a group holding it has it as identity),
-    ``key()``, ``parse_element(text)`` (the element ``text`` spells in the
-    inline grammar), ``expected_size()``, ``build(size_cap)``,
+    ``whole(size, p)`` (the instance over an empty region, whose build is
+    all of T(size) or L(GF(p)^size)), ``key()``, ``parse_element(text)``
+    (the element ``text`` spells in the inline grammar),
+    ``decidable(modes)``, ``expected_size(cap)``, ``build(size_cap)``,
     ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)``,
     ``witness_problem(f, w, mode)`` and ``transversal_problem(f)``.
 
@@ -57,10 +58,10 @@ class RestrictedInstance:
     everything, and that clause's words ``SMALL``.  For the build it gives
     the points outside the region whose images, with the restriction alpha,
     determine an element (``codim`` of them: the points of X \\ Y, or a
-    basis of a complement of W), the possible images (``points()``, of
-    which there are ``point_count``: |X|, or p^n vectors) and the one
-    element restricting to alpha with the given images (``extend(alpha,
-    images)``).
+    basis of a complement of W), the possible images (``points``, computed
+    once per instance, of which there are ``point_count``: |X|, or p^n
+    vectors) and the one element restricting to alpha with the given
+    images (``extend(alpha, images)``).
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -72,9 +73,22 @@ class RestrictedInstance:
         self.unit_group = self.has_identity and semigroup_oracle(prescribed, "group").holds
         self._verdicts: dict[tuple, PropertyVerdict] = {}
 
-    def expected_size(self) -> int:
-        """|S| * point_count^codim, the size of the build."""
-        return len(self.prescribed) * self.point_count ** self.codim
+    def decidable(self, modes) -> list[str]:
+        """``modes`` in order, without ``unit_regular`` when the prescribed
+        semigroup has no identity: neither that theorem nor its oracle
+        applies then."""
+        return [m for m in modes if m != "unit_regular" or self.has_identity]
+
+    def expected_size(self, cap: float = float("inf")) -> int:
+        """|S| * point_count^codim, the size of the build, multiplied out
+        one factor at a time: past ``cap`` it stops, so a size over the cap
+        is refused without work that grows with codim."""
+        size = len(self.prescribed)
+        for _ in range(self.codim):
+            if size > cap:
+                break
+            size *= self.point_count
+        return size
 
     def record(self, f):
         """f's record, shared by the element predicates, their witnesses
@@ -132,32 +146,49 @@ def parse_rows(text: str) -> list[list[int]]:
     return [parse_ints(row) for row in text.split(";") if row.strip()]
 
 
-def int_field(data: dict, name: str) -> int:
-    """``data[name]`` of an instance's JSON form, refused unless it is an
-    integer: a bool, a float or a string is not truncated into one."""
-    value = data[name]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"instance field {name!r} must be an integer, not {value!r}")
+def is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: a bool, a float or a string is
+    not, and is never truncated or read as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value, name: str) -> int:
+    """``value``, read from the instance JSON field ``name`` (n, p, or an
+    entry of Y, sY, W or sW), refused unless it is an integer
+    (``is_int``)."""
+    if not is_int(value):
+        raise ValueError(f"instance field {name!r} must hold integers, not {value!r}")
     return value
 
 
+def element_at(inst: RestrictedInstance, i: int):
+    """Element i of the build, in the one order every build has: alpha is
+    ``prescribed.elements[i // point_count**codim]``, and the images of the
+    points outside the region are ``points`` at the digits of the
+    remainder in base ``point_count``, most significant first."""
+    images = [None] * inst.codim
+    for pos in reversed(range(inst.codim)):
+        i, digit = divmod(i, inst.point_count)
+        images[pos] = inst.points[digit]
+    return inst.extend(inst.prescribed.elements[i], images)
+
+
 def build(inst: RestrictedInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
-    """Enumerate every element of the ambient monoid whose restriction to
-    the region lies in the prescribed semigroup S.
+    """Every element of the ambient monoid whose restriction to the region
+    lies in the prescribed semigroup S, in ``element_at`` order.
 
     For each alpha in S and each choice of images of the ``codim`` points
     outside the region there is exactly one such element, so the result
     has ``expected_size()`` elements.  When the region is everything the
     build is S itself, table reused.
     """
-    count = inst.expected_size()
-    if count > min(size_cap, TABLE_CAP):
+    cap = min(size_cap, TABLE_CAP)
+    count = inst.expected_size(cap)
+    if count > cap:
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed
-    choices = list(product(inst.points(), repeat=inst.codim))
-    s = FiniteSemigroup([inst.extend(alpha, images)
-                         for alpha in inst.prescribed.elements for images in choices])
+    s = FiniteSemigroup([element_at(inst, i) for i in range(count)])
     if len(s) != count:
         raise AssertionError("build size disagrees with the counting formula")
     return s

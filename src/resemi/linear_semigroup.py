@@ -30,7 +30,7 @@ from .gflinear import (
     transversal_from_spaces,
     unit_rows,
 )
-from .family import RestrictedInstance, build, element_verdict, int_field, parse_rows, semigroup_verdict
+from .family import RestrictedInstance, build, element_verdict, json_int, parse_rows, semigroup_verdict
 from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup, semigroup_oracle
 
 
@@ -185,9 +185,24 @@ class LInstance(RestrictedInstance):
         self.s_w = s_w
         self.point_count, self.codim = p ** n, w.codim
         super().__init__(w, s_w, GFMatrix.identity(p, k))
-        self._complement_cols = [j for j in range(n) if j not in set(w.pivots)]
-        basis_rows = list(w.basis) + [unit_rows(n)[j] for j in self._complement_cols]
-        self._c_inv = mat_inverse(GFMatrix(p, basis_rows, cols=n)) if n else GFMatrix(p, (), cols=0)
+        self._complement_cols = [j for j in range(n) if j not in w.pivots]
+
+    @classmethod
+    def whole(cls, size: int, p: int) -> "LInstance":
+        """The instance over W = 0, whose build is all of L(GF(p)^size)."""
+        return cls(p, size, Subspace.zero(p, size), FiniteSemigroup([GFMatrix(p, (), cols=0)]))
+
+    @cached_property
+    def points(self) -> list[tuple]:
+        return all_vectors(self.p, self.n)
+
+    @cached_property
+    def _c_inv(self) -> GFMatrix:
+        """The inverse of the matrix whose rows are W's basis and then the
+        complement basis; only ``extend`` needs it, so a refused build of a
+        large space never inverts it."""
+        basis_rows = list(self.w.basis) + [unit_rows(self.n)[j] for j in self._complement_cols]
+        return mat_inverse(GFMatrix(self.p, basis_rows, cols=self.n))
 
     def __repr__(self) -> str:
         return (
@@ -208,9 +223,6 @@ class LInstance(RestrictedInstance):
 
     def parse_element(self, text: str) -> GFMatrix:
         return GFMatrix(self.p, parse_rows(text))
-
-    def points(self) -> list[tuple]:
-        return all_vectors(self.p, self.n)
 
     def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
         return build_lsw(self, size_cap)
@@ -254,12 +266,14 @@ class LInstance(RestrictedInstance):
 def l_instance_from_dict(data: dict) -> LInstance:
     """Build an LInstance from its JSON form (spanning rows for W; ``sW``
     holds ``elements`` or ``generators`` of dim(W)-sized matrices)."""
-    p = int_field(data, "p")
-    n = int_field(data, "n")
-    w = Subspace(p, n, data["W"])
+    p = json_int(data["p"], "p")
+    n = json_int(data["n"], "n")
+    w = Subspace(p, n, [[json_int(x, "W") for x in row] for row in data["W"]])
     block = data["sW"]
-    s_w = prescribed_semigroup(lambda items: [GFMatrix(p, e, cols=w.dim) for e in items],
-                               block.get("generators"), block.get("elements"))
+    s_w = prescribed_semigroup(
+        lambda items: [GFMatrix(p, [[json_int(x, "sW") for x in row] for row in e], cols=w.dim)
+                       for e in items],
+        block.get("generators"), block.get("elements"))
     return LInstance(p, n, w, s_w)
 
 
@@ -315,18 +329,18 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
     return semigroup_verdict(inst, mode)
 
 
-def alpha_family_check(inst: LInstance, size_cap: int = 1_000_000) -> PropertyVerdict:
+def alpha_family_check(inst: LInstance, build: FiniteSemigroup) -> PropertyVerdict:
     """For codim(W) = 1 and S(W) a group of units, the whole semigroup is
     the family of maps indexed by (z, lam): restrict to lam on W and send
     the distinguished complement vector x to z.  Verifies the family
-    equals the build elementwise and that composition acts on indices by
-    (z, lam)(z', del) = (x, lam.del) when z = x, and (y, lam)(z', del) =
-    (y.del, lam.del) for y in W."""
+    equals ``build``, the instance's build (``inst.build()``, which the
+    sweep has already made), elementwise and that composition acts on
+    indices by (z, lam)(z', del) = (x, lam.del) when z = x, and (y,
+    lam)(z', del) = (y.del, lam.del) for y in W."""
     if inst.codim != 1 or not inst.unit_group:
         raise ValueError("precondition violated")
     p, n = inst.p, inst.n
     x = unit_rows(n)[inst._complement_cols[0]]
-    build = build_lsw(inst, size_cap)
     family = {}
     for lam in inst.s_w.elements:
         for z in all_vectors(p, n):

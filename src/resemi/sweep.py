@@ -18,7 +18,8 @@ from itertools import combinations
 
 from . import linear_semigroup as lsg
 from . import transform_semigroup as tsg
-from .gflinear import GFMatrix, all_subspaces
+from .family import element_at, is_int
+from .gflinear import all_subspaces
 from .semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
@@ -29,7 +30,7 @@ from .semigroups import (
     subgroup_containing,
     witness_problem,
 )
-from .transformations import IndexSubset, Transformation
+from .transformations import IndexSubset
 
 SCHEMA_VERSION = 1
 
@@ -86,9 +87,8 @@ class SweepPlan:
              "null or a list of non-negative integers"),
             ("modes", isinstance(self.modes, tuple) and all(isinstance(m, str) for m in self.modes)
              and len(set(self.modes)) == len(self.modes), "a list of distinct mode names"),
-            ("size_cap", _is_int(self.size_cap) and self.size_cap >= 0,
-             "a non-negative integer"),
-            ("element_cap", _is_int(self.element_cap) and self.element_cap >= 0,
+            ("size_cap", is_int(self.size_cap) and self.size_cap >= 0, "a non-negative integer"),
+            ("element_cap", is_int(self.element_cap) and self.element_cap >= 0,
              "a non-negative integer"),
             ("definition_checks", isinstance(self.definition_checks, bool), "a boolean"),
             ("transversal_checks", isinstance(self.transversal_checks, bool), "a boolean"),
@@ -102,7 +102,7 @@ class SweepPlan:
                 raise ValueError(f"mode {m!r} not available for family {self.family!r}")
         src = self.source
         seeded = (isinstance(src, tuple) and len(src) == 3 and src[0] == "seeded"
-                  and _is_int(src[1]) and isinstance(src[2], (str, int)))
+                  and is_int(src[1]) and isinstance(src[2], (str, int)))
         if src != ("exhaustive",) and not seeded:
             raise ValueError(f"unknown source {src!r}")
         if seeded and src[1] < 0:
@@ -119,12 +119,8 @@ class SweepPlan:
         return cls(**{f.name: _as_tuples(d[f.name]) for f in fields(cls) if f.name in d})
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _ints(v) -> bool:
-    return isinstance(v, tuple) and all(_is_int(x) for x in v)
+    return isinstance(v, tuple) and all(is_int(x) for x in v)
 
 
 def _naturals(v) -> bool:
@@ -188,44 +184,28 @@ class SweepReport:
         return json.dumps(self.to_dict(include_timing=include_timing), sort_keys=True, indent=2)
 
 
-# -- base monoids and subsemigroup sources --------------------------------
-
-
-def _base_order(kind: str, size: int, p: int | None = None) -> int:
-    """|T(size)| or |L(GF(p)^size)|."""
-    if kind not in ("transformation", "linear"):
-        raise ValueError(f"unknown kind {kind!r}")
-    return p ** (size * size) if kind == "linear" else size ** size
-
-
-def _base_element(kind: str, size: int, i: int, p: int | None = None):
-    """Element i of T(size) or L(GF(p)^size), numbered in the order of
-    ``product(range(size), repeat=size)`` (or of the p^(size^2) matrix
-    entries, row by row): the digits of i, most significant first."""
-    linear = kind == "linear"
-    digits = [0] * (size * size if linear else size)
-    for pos in reversed(range(len(digits))):
-        i, digits[pos] = divmod(i, p if linear else size)
-    if linear:
-        rows = tuple(tuple(digits[r * size:(r + 1) * size]) for r in range(size))
-        return GFMatrix._unchecked(p, size, size, rows)
-    return Transformation._unchecked(tuple(digits))
+# -- subsemigroup sources -------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | None = None) -> tuple:
-    """Nonempty composition-closed subsets of T(k) or L(W), exhaustively or
-    as deduplicated seeded-random closures of 1-3 generators.
+    """Nonempty composition-closed subsets of the base monoid T(base_size)
+    or L(GF(p)^base_size), exhaustively or as deduplicated seeded-random
+    closures of 1-3 generators.
 
+    The base monoid is the build of the family's instance over an empty
+    region (``whole``): the exhaustive scan runs over that build, and a
+    seeded draw of number i is its element i (``family.element_at``).
     Exhaustive enumeration is refused past a 16-element base monoid (the
     2^16 subset scan is the tractability boundary).  A seeded draw whose
     closure passes the Cayley table appears, in draw order, as the record
     ``{"generators": [texts], "reason": ...}`` in place of a semigroup."""
-    m = _base_order(kind, base_size, p)
+    whole = FAMILIES[kind].whole(base_size, p)
+    m = whole.expected_size()
     if source[0] == "exhaustive":
         if m > _EXHAUSTIVE_BASE_LIMIT:
             raise ValueError("intractable exhaustive request")
-        base = FiniteSemigroup([_base_element(kind, base_size, i, p) for i in range(m)])
+        base = whole.build()
         table = base.table
         out = []
         for mask in range(1, 1 << m):
@@ -248,7 +228,7 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     seen: set[frozenset] = set()
     for _ in range(count):
         k = rng.randint(1, 3)
-        gens = [_base_element(kind, base_size, rng.randrange(m), p) for _ in range(k)]
+        gens = [element_at(whole, rng.randrange(m)) for _ in range(k)]
         try:
             elems = closure_elements(gens)
         except SizeCapExceeded as exc:
@@ -321,13 +301,11 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     """Run every theorem-vs-oracle comparison the plan asks for."""
     t0 = time.perf_counter()
     rep = SweepReport(plan=plan.to_dict())
-    for mode in plan.modes:
-        rep.semigroup_checks[mode] = 0
-        rep.semigroup_agreements[mode] = 0
-    for mode in FAMILIES[plan.family].ELEMENT_MODES:
-        if mode in plan.modes:
-            rep.element_checks[mode] = 0
-            rep.element_agreements[mode] = 0
+    rep.semigroup_checks = dict.fromkeys(plan.modes, 0)
+    rep.semigroup_agreements = dict.fromkeys(plan.modes, 0)
+    element_modes = [m for m in FAMILIES[plan.family].ELEMENT_MODES if m in plan.modes]
+    rep.element_checks = dict.fromkeys(element_modes, 0)
+    rep.element_agreements = dict.fromkeys(element_modes, 0)
     seen_definition_keys: set[frozenset] = set()
 
     for cell, inst in _instances(plan):
@@ -348,6 +326,22 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     return rep
 
 
+def _tally(rep: SweepReport, key: dict, f, mode: str, thm, orc) -> None:
+    """Count one theorem-vs-oracle check, of the build (f None) or of its
+    element f, and record a mismatch.  f is formatted only then."""
+    if f is None:
+        checks, agreements = rep.semigroup_checks, rep.semigroup_agreements
+    else:
+        checks, agreements = rep.element_checks, rep.element_agreements
+    checks[mode] += 1
+    if thm.holds == orc.holds:
+        agreements[mode] += 1
+    else:
+        rep.mismatches.append({"instance": key, "element": None if f is None else f.to_text(),
+                               "mode": mode, "theorem": thm.holds, "oracle": orc.holds,
+                               "clause": thm.clause})
+
+
 def _run_instance(plan, rep, inst, key, seen_definition_keys):
     build = inst.build(plan.size_cap)
     expected = inst.expected_size()
@@ -357,22 +351,10 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
         )
 
     oracle_holds: dict[str, bool] = {}
-    for mode in plan.modes:
-        if mode == "unit_regular" and not inst.has_identity:
-            continue
-        thm = inst.thm_semigroup(mode)
-        orc = semigroup_oracle(build, mode)
+    for mode in inst.decidable(plan.modes):
+        thm, orc = inst.thm_semigroup(mode), semigroup_oracle(build, mode)
         oracle_holds[mode] = orc.holds
-        rep.semigroup_checks[mode] += 1
-        if thm.holds == orc.holds:
-            rep.semigroup_agreements[mode] += 1
-        else:
-            rep.mismatches.append(
-                {
-                    "instance": key, "element": None, "mode": mode,
-                    "theorem": thm.holds, "oracle": orc.holds, "clause": thm.clause,
-                }
-            )
+        _tally(rep, key, None, mode, thm, orc)
     for strong, weak in _IMPLICATIONS:
         if oracle_holds.get(strong) and weak in oracle_holds and not oracle_holds[weak]:
             rep.implication_violations.append(
@@ -381,27 +363,14 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
 
     element_modes = []
     if plan.element_cap and len(build) <= plan.element_cap:
-        element_modes = [
-            m for m in inst.ELEMENT_MODES
-            if m in plan.modes and (m != "unit_regular" or inst.has_identity)
-        ]
+        element_modes = [m for m in inst.decidable(inst.ELEMENT_MODES) if m in plan.modes]
     if element_modes or plan.transversal_checks:
         # One pass, so that all checks on f run back to back and share the
         # family's per-element record (``record(f)`` on the instance).
         for f in build.elements:
             for mode in element_modes:
                 thm = inst.thm_element(f, mode)
-                orc = element_oracle(build, f, mode)
-                rep.element_checks[mode] += 1
-                if thm.holds == orc.holds:
-                    rep.element_agreements[mode] += 1
-                else:
-                    rep.mismatches.append(
-                        {
-                            "instance": key, "element": f.to_text(), "mode": mode,
-                            "theorem": thm.holds, "oracle": orc.holds, "clause": thm.clause,
-                        }
-                    )
+                _tally(rep, key, f, mode, thm, element_oracle(build, f, mode))
                 if thm.holds and thm.witness is not None:
                     problem = witness_problem(build, f, mode, thm.witness)
                     if problem is None:
@@ -423,7 +392,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
 
     if plan.alpha_family_checks and plan.family == "linear":
         if inst.codim == 1 and inst.unit_group:
-            verdict = lsg.alpha_family_check(inst, plan.size_cap)
+            verdict = lsg.alpha_family_check(inst, build)
             rep.alpha_family_checks_run += 1
             if not verdict.holds:
                 rep.alpha_family_failures.append({"instance": key, "clause": verdict.clause})

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .family import RestrictedInstance, build, element_verdict, int_field, parse_ints, semigroup_verdict
+from .family import RestrictedInstance, build, element_verdict, json_int, parse_ints, semigroup_verdict
 from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup
 from .transformations import (
     IndexSubset,
@@ -120,9 +120,14 @@ class TInstance(RestrictedInstance):
         self.n = n
         self.y = y
         self.s_y = s_y
-        self.point_count, self.codim = n, n - k
-        self._outside = y.complement().members
+        self.points, self.point_count, self.codim = range(n), n, n - k
         super().__init__(y, s_y, Transformation.identity(k))
+
+    @classmethod
+    def whole(cls, size: int, p: int | None = None) -> "TInstance":
+        """The instance over the empty Y, whose build is all of T(size)
+        (``p`` is the linear family's and is ignored)."""
+        return cls(size, IndexSubset(size, ()), FiniteSemigroup([Transformation(())]))
 
     def __repr__(self) -> str:
         return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.s_y)})"
@@ -142,8 +147,11 @@ class TInstance(RestrictedInstance):
     def parse_element(self, text: str) -> Transformation:
         return Transformation(parse_ints(text))
 
-    def points(self) -> range:
-        return range(self.n)
+    @cached_property
+    def _outside(self) -> tuple:
+        """The points of X \\ Y in order; only ``extend`` needs them, so a
+        refused build of a large X never lists them."""
+        return self.y.complement().members
 
     def extend(self, alpha: Transformation, images) -> Transformation:
         """The f with f|Y = alpha sending the points of X \\ Y, in order, to
@@ -192,14 +200,15 @@ def t_instance_from_dict(data: dict) -> TInstance:
     ``Y`` lists distinct integers in any order; ``sY`` holds either
     ``elements`` (must already be closed) or ``generators`` (closed over).
     """
-    n = int_field(data, "n")
-    members = list(data["Y"])
-    if len(set(members)) != len(members) or any(isinstance(x, bool) for x in members):
+    n = json_int(data["n"], "n")
+    members = [json_int(x, "Y") for x in data["Y"]]
+    if len(set(members)) != len(members):
         raise ValueError(f"instance field 'Y' must list distinct integers, not {members!r}")
     y = IndexSubset(n, sorted(members))
     block = data["sY"]
-    s_y = prescribed_semigroup(lambda items: [Transformation(e) for e in items],
-                               block.get("generators"), block.get("elements"))
+    s_y = prescribed_semigroup(
+        lambda items: [Transformation([json_int(x, "sY") for x in e]) for e in items],
+        block.get("generators"), block.get("elements"))
     return TInstance(n, y, s_y)
 
 

@@ -140,6 +140,19 @@ class TestTableCap:
         assert time.perf_counter() - start < 5
         assert code == 3 and "size cap" in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "t", "--n", "1000000", "--y", "", "--sy", ""),
+        ("--kind", "l", "--p", "2", "--n", "400", "--w", "", "--sw", ""),
+    ], ids=["t-large-n", "l-large-n"])
+    def test_large_space_refused_at_once(self, capsys, argv):
+        # all of T(X) for |X| = 10^6 and all of L(GF(2)^400): refused
+        # without computing n^n, listing X or inverting a 400 x 400 matrix,
+        # each of which takes seconds
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and "size cap" in err and out == ""
+
     @pytest.mark.parametrize("n", ["5", "6"])
     def test_exhaustive_sweep_refused_up_front(self, capsys, n):
         # T(5) and T(6) are far past the 16-element exhaustive base
@@ -440,6 +453,12 @@ class TestInputFile:
         ("sweep", {"family": "transformation", "ns": [2], "element_cap": -1}),
         # a repeated mode, which would count every semigroup check twice
         ("sweep", {"family": "transformation", "ns": [2], "modes": ["regular", "regular"]}),
+        # a boolean inside S(Y), W or S(W), which would be read as 0 or 1
+        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[False]]}}),
+        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"generators": [[False]]}}),
+        ("build", {"kind": "linear", "p": 2, "n": 2, "W": [[True, False]],
+                   "sW": {"elements": [[[1]]]}}),
+        ("build", {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[True]]]}}),
     ])
     def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"

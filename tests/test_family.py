@@ -16,7 +16,7 @@ import weakref
 import pytest
 
 from resemi import sweep
-from resemi.family import _records_on, element_verdict
+from resemi.family import _records_on, element_at, element_verdict
 from resemi.gflinear import GFMatrix, Subspace
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import FiniteSemigroup, PropertyVerdict, witness_problem
@@ -393,3 +393,33 @@ def golden_builds(family):
 @pytest.mark.parametrize("family", sorted(BUILD_PLANS))
 def test_golden_builds_and_semigroup_verdicts(family):
     assert golden_builds(family) == GOLDEN_BUILDS[family]
+
+
+# -- the build order and the mode rule --------------------------------------
+
+
+@pytest.mark.parametrize("plan", [
+    # c1a with the empty Y added; Y = X at n = 1 and n = 2
+    SweepPlan(family="transformation", ns=(1, 2, 3), subset_sizes=(0, 1, 2)),
+    # c3a, every dim W from 0 (W = 0) to n (W = V)
+    SweepPlan(family="linear", pns=((2, 1), (2, 2), (3, 1))),
+], ids=["c1a", "c3a"])
+def test_element_at_numbers_the_build(plan):
+    shapes = set()
+    for _, inst in sweep._instances(plan):
+        numbered = [element_at(inst, i) for i in range(inst.expected_size())]
+        assert numbered == list(inst.build().elements), inst
+        shapes.add("empty" if inst.codim == inst.n else "whole" if inst.codim == 0 else "part")
+    assert shapes == {"empty", "whole", "part"}
+
+
+@pytest.mark.parametrize("inst, decidable", [
+    (TInstance(2, IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])])),
+     ["regular", "inverse", "unit_regular"]),
+    (LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[0]])])),
+     ["regular", "inverse", "completely_regular"]),
+], ids=["identity", "no-identity"])
+def test_decidable_drops_unit_regular_without_identity(inst, decidable):
+    assert inst.decidable(inst.SEMIGROUP_MODES) == decidable
+    assert inst.decidable(("unit_regular", "regular")) == [m for m in ("unit_regular", "regular")
+                                                           if m in decidable]

@@ -103,6 +103,13 @@ class TestBuild:
         with pytest.raises(SizeCapExceeded):
             build_lsw(zero_instance(2, 3), size_cap=100)
 
+    def test_whole_space_build_lists_no_points(self):
+        # W = V: the build is S(W) itself; GF(101)^4's 104 M points are
+        # never listed and the complement basis is never inverted
+        inst = LInstance(101, 4, Subspace.full(101, 4), trivial_sw(101, 4))
+        assert build_lsw(inst) is inst.s_w
+        assert "points" not in vars(inst) and "_c_inv" not in vars(inst)
+
 
 class TestElementPredicate:
     def test_regular_false_example(self):
@@ -307,28 +314,35 @@ class TestSemigroupPredicate:
 class TestAlphaFamily:
     def test_gf2_line(self):
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
-        v = alpha_family_check(inst)
+        v = alpha_family_check(inst, inst.build())
         assert v.holds and "4 maps" in v.clause
 
     def test_gf3_full_unit_group(self):
         s_w = generate([GFMatrix(3, [[2]])])
         assert len(s_w) == 2  # the full unit group of the line
         inst = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), s_w)
-        v = alpha_family_check(inst)
+        v = alpha_family_check(inst, inst.build())
         assert v.holds and "18 maps" in v.clause
 
     def test_gf2_dim3_plane(self):
         s_w = generate([GFMatrix(2, [[0, 1], [1, 0]]), GFMatrix(2, [[1, 1], [0, 1]])])
         inst = LInstance(2, 3, Subspace(2, 3, [[1, 0, 0], [0, 1, 0]]), s_w)
-        assert alpha_family_check(inst).holds
+        assert alpha_family_check(inst, inst.build()).holds
+
+    def test_reads_the_build_it_is_given(self):
+        # the family of the trivial S(W) is not the build of the full unit group
+        inst = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), trivial_sw(3, 1))
+        other = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), generate([GFMatrix(3, [[2]])]))
+        v = alpha_family_check(inst, other.build())
+        assert not v.holds and v.clause == "family differs from the build"
 
     def test_precondition_violations(self):
         with pytest.raises(ValueError, match="precondition violated"):
-            alpha_family_check(zero_instance(2, 2))  # codim 2
+            alpha_family_check(zero_instance(2, 2), zero_instance(2, 2).build())  # codim 2
         not_group = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
                               FiniteSemigroup([GFMatrix(2, [[0]])]))
         with pytest.raises(ValueError, match="precondition violated"):
-            alpha_family_check(not_group)
+            alpha_family_check(not_group, not_group.build())
 
 
 class TestJsonIngest:

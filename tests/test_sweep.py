@@ -9,14 +9,14 @@ import pytest
 from resemi import linear_semigroup as lsg
 from resemi import transform_semigroup as tsg
 from resemi.cli import main
+from resemi.family import element_at
 from resemi.gflinear import GFMatrix, Subspace
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import PropertyVerdict, SizeCapExceeded, closure_elements, semigroup_oracle
 from resemi.sweep import (
     SweepPlan,
+    FAMILIES,
     SweepReport,
-    _base_element,
-    _base_order,
     enumerate_subsemigroups,
     run_sweep,
 )
@@ -222,8 +222,9 @@ class TestDeterminismAndSerialization:
 
 
 class TestBaseMonoidDecoder:
-    """The seeded draws decode numbers into elements; the references are
-    the whole base monoids the sweep used to build."""
+    """The seeded draws decode numbers into elements of the build over an
+    empty region (``whole``); the references are the whole base monoids
+    the sweep used to build, in ``itertools.product`` order."""
 
     @pytest.mark.parametrize("kind, size, p", [
         ("transformation", 1, None), ("transformation", 2, None), ("transformation", 3, None),
@@ -235,9 +236,11 @@ class TestBaseMonoidDecoder:
         else:
             expected = [GFMatrix(p, [flat[i * size:(i + 1) * size] for i in range(size)], cols=size)
                         for flat in product(range(p), repeat=size * size)]
-        decoded = [_base_element(kind, size, i, p) for i in range(_base_order(kind, size, p))]
+        whole = FAMILIES[kind].whole(size, p)
+        decoded = [element_at(whole, i) for i in range(whole.expected_size())]
         assert decoded == expected
         assert [d.to_text() for d in decoded] == [e.to_text() for e in expected]
+        assert list(whole.build().elements) == expected
 
 
 def old_unit_group(s):
