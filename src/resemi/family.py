@@ -21,7 +21,7 @@ two atoms, ``parse_ints`` and ``parse_rows``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .semigroups import (
     TABLE_CAP,
@@ -46,7 +46,7 @@ class RestrictedInstance:
     ``whole(size, p)`` (the instance over an empty region, whose build is
     all of T(size) or L(GF(p)^size)), ``key()``, ``parse_element(text)``
     (the element ``text`` spells in the inline grammar),
-    ``decidable(modes)``, ``expected_size(cap)``, ``build(size_cap)``,
+    ``decidable(modes)``, ``expected_size()``, ``build(size_cap)``,
     ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)``,
     ``witness_problem(f, w, mode)`` and ``transversal_problem(f)``.
 
@@ -58,10 +58,11 @@ class RestrictedInstance:
     everything, and that clause's words ``SMALL``.  For the build it gives
     the points outside the region whose images, with the restriction alpha,
     determine an element (``codim`` of them: the points of X \\ Y, or a
-    basis of a complement of W), the possible images (``points``, computed
-    once per instance, of which there are ``point_count``: |X|, or p^n
-    vectors) and the one element restricting to alpha with the given
-    images (``extend(alpha, images)``).
+    basis of a complement of W), the number ``point_count`` of possible
+    images (|X|, or p^n vectors), image number d (``point(d)``, worked out
+    from d alone, so a draw from a large space lists none of it) and the
+    one element restricting to alpha with the given images
+    (``extend(alpha, images)``).
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -70,8 +71,14 @@ class RestrictedInstance:
         self.region = region
         self.prescribed = prescribed
         self.has_identity = identity in prescribed
-        self.unit_group = self.has_identity and semigroup_oracle(prescribed, "group").holds
         self._verdicts: dict[tuple, PropertyVerdict] = {}
+
+    @cached_property
+    def unit_group(self) -> bool:
+        """Asked of the oracle on first use, so an instance whose verdicts
+        never read it (a sweep's base, a build or an element query) never
+        runs the group check."""
+        return self.has_identity and semigroup_oracle(self.prescribed, "group").holds
 
     def decidable(self, modes) -> list[str]:
         """``modes`` in order, without ``unit_regular`` when the prescribed
@@ -79,16 +86,9 @@ class RestrictedInstance:
         applies then."""
         return [m for m in modes if m != "unit_regular" or self.has_identity]
 
-    def expected_size(self, cap: float = float("inf")) -> int:
-        """|S| * point_count^codim, the size of the build, multiplied out
-        one factor at a time: past ``cap`` it stops, so a size over the cap
-        is refused without work that grows with codim."""
-        size = len(self.prescribed)
-        for _ in range(self.codim):
-            if size > cap:
-                break
-            size *= self.point_count
-        return size
+    def expected_size(self) -> int:
+        """|S| * point_count^codim, the size of the build."""
+        return len(self.prescribed) * self.point_count ** self.codim
 
     def record(self, f):
         """f's record, shared by the element predicates, their witnesses
@@ -161,15 +161,17 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def element_at(inst: RestrictedInstance, i: int):
+def element_at(inst: RestrictedInstance, i: int, point=None):
     """Element i of the build, in the one order every build has: alpha is
     ``prescribed.elements[i // point_count**codim]``, and the images of the
-    points outside the region are ``points`` at the digits of the
-    remainder in base ``point_count``, most significant first."""
+    points outside the region are the points (``point``, by default
+    ``inst.point``) at the digits of the remainder in base
+    ``point_count``, most significant first."""
+    point = point or inst.point
     images = [None] * inst.codim
     for pos in reversed(range(inst.codim)):
         i, digit = divmod(i, inst.point_count)
-        images[pos] = inst.points[digit]
+        images[pos] = point(digit)
     return inst.extend(inst.prescribed.elements[i], images)
 
 
@@ -179,16 +181,24 @@ def build(inst: RestrictedInstance, size_cap: int = 1_000_000) -> FiniteSemigrou
 
     For each alpha in S and each choice of images of the ``codim`` points
     outside the region there is exactly one such element, so the result
-    has ``expected_size()`` elements.  When the region is everything the
-    build is S itself, table reused.
+    has ``expected_size()`` elements.  That size is multiplied out one
+    factor at a time and the build refused once it passes the cap, so a
+    refusal costs no work that grows with codim.  When the region is
+    everything the build is S itself, table reused; otherwise the
+    ``point_count`` points are worked out once, not once per element.
     """
     cap = min(size_cap, TABLE_CAP)
-    count = inst.expected_size(cap)
+    count = len(inst.prescribed)
+    for _ in range(inst.codim):
+        if count > cap:
+            break
+        count *= inst.point_count
     if count > cap:
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed
-    s = FiniteSemigroup([element_at(inst, i) for i in range(count)])
+    points = [inst.point(d) for d in range(inst.point_count)]
+    s = FiniteSemigroup([element_at(inst, i, points.__getitem__) for i in range(count)])
     if len(s) != count:
         raise AssertionError("build size disagrees with the counting formula")
     return s

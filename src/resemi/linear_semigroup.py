@@ -190,11 +190,12 @@ class LInstance(RestrictedInstance):
     @classmethod
     def whole(cls, size: int, p: int) -> "LInstance":
         """The instance over W = 0, whose build is all of L(GF(p)^size)."""
-        return cls(p, size, Subspace.zero(p, size), FiniteSemigroup([GFMatrix(p, (), cols=0)]))
+        return cls(p, size, Subspace._unchecked(p, size, ()), FiniteSemigroup([GFMatrix(p, ())]))
 
-    @cached_property
-    def points(self) -> list[tuple]:
-        return all_vectors(self.p, self.n)
+    def point(self, d: int) -> tuple:
+        """Vector d of GF(p)^n in ``all_vectors`` order: d's n digits in
+        base p."""
+        return tuple(d // self.p ** k % self.p for k in reversed(range(self.n)))
 
     @cached_property
     def _c_inv(self) -> GFMatrix:

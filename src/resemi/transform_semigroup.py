@@ -120,7 +120,7 @@ class TInstance(RestrictedInstance):
         self.n = n
         self.y = y
         self.s_y = s_y
-        self.points, self.point_count, self.codim = range(n), n, n - k
+        self.point_count, self.codim = n, n - k
         super().__init__(y, s_y, Transformation.identity(k))
 
     @classmethod
@@ -152,6 +152,10 @@ class TInstance(RestrictedInstance):
         """The points of X \\ Y in order; only ``extend`` needs them, so a
         refused build of a large X never lists them."""
         return self.y.complement().members
+
+    def point(self, d: int) -> int:
+        """Point d of X."""
+        return d
 
     def extend(self, alpha: Transformation, images) -> Transformation:
         """The f with f|Y = alpha sending the points of X \\ Y, in order, to

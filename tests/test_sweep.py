@@ -2,6 +2,7 @@
 runs, report determinism and serialization."""
 
 import json
+import time
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from resemi import linear_semigroup as lsg
 from resemi import transform_semigroup as tsg
 from resemi.cli import main
 from resemi.family import element_at
-from resemi.gflinear import GFMatrix, Subspace
+from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import PropertyVerdict, SizeCapExceeded, closure_elements, semigroup_oracle
 from resemi.sweep import (
@@ -242,6 +243,17 @@ class TestBaseMonoidDecoder:
         assert [d.to_text() for d in decoded] == [e.to_text() for e in expected]
         assert list(whole.build().elements) == expected
 
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 1), (2, 0)])
+    def test_point_follows_all_vectors(self, p, n):
+        inst = LInstance.whole(n, p)
+        assert [inst.point(d) for d in range(inst.point_count)] == all_vectors(p, n)
+
+    def test_last_element_of_a_large_space(self):
+        # L(GF(101)^4) has 101^16 elements over 104 M vectors; its last
+        # element is worked out from its number alone
+        whole = LInstance.whole(4, 101)
+        assert element_at(whole, whole.expected_size() - 1) == GFMatrix(101, [[100] * 4] * 4)
+
 
 def old_unit_group(s):
     """The deleted is_subgroup_of_sym / is_subgroup_of_aut."""
@@ -287,6 +299,18 @@ class TestRefusedDraws:
         assert [g.to_text() for g in gens] == entry["generators"]
         with pytest.raises(SizeCapExceeded):
             closure_elements(gens)
+
+    def test_draw_from_a_large_space_lists_none_of_it(self):
+        # a draw from L(GF(101)^4) is decoded from its number, not looked
+        # up in the 104 M vectors of the space (seconds and gigabytes);
+        # its closure passes the table
+        start = time.perf_counter()
+        rep = run_sweep(SweepPlan(family="linear", pns=((101, 4),), subset_sizes=(4,),
+                                  source=("seeded", 1, "0"), element_cap=0))
+        assert time.perf_counter() - start < 5
+        assert rep.clean and rep.instances_run == 0
+        (entry,) = rep.skipped
+        assert entry["reason"] == "size cap exceeded"
 
     def test_enumeration_keeps_draw_order(self):
         subs = enumerate_subsemigroups("transformation", 6, ("seeded", 4, "233:t:6:0,1,2,3,4,5"))
