@@ -7,13 +7,19 @@ A subspace is given by ';'-separated spanning rows.  Blank ';'-parts are
 skipped.  ``--f``, ``--ns``, ``--pn`` and ``--sizes`` follow the same
 grammar; every inline text is read by ``family.parse_ints`` and
 ``family.parse_rows``.  The inline instance flags are read as the
-instance JSON they spell, through the loaders ``--input`` uses.
+instance JSON they spell, through the loaders ``--input`` uses, and the
+inline plan flags as the plan JSON they spell, through
+``SweepPlan.from_dict``; ``--input`` excludes them all.
 
-Exit codes: 0 success, 2 validation error (also a sweep whose plan
-selects no instance), 3 size-cap refusal, 4 when a predicate and its
-oracle disagree, when ``element`` prints a theorem witness that fails its
-check (run with or without the oracle), or when a sweep reports any
-mismatch.
+Each command takes only the flags that change what it does: ``build``
+has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
+``--seed`` need ``--source seeded``.
+
+Exit codes: 0 success, 2 validation error (also a flag the command does
+not take, and a sweep whose plan selects no instance), 3 size-cap
+refusal, 4 when a predicate and its oracle disagree, when ``element``
+prints a theorem witness that fails its check (run with or without the
+oracle), or when a sweep reports any mismatch.
 """
 
 from __future__ import annotations
@@ -193,27 +199,35 @@ def _cmd_classify(args) -> int:
     return EXIT_MISMATCH if disagreement else EXIT_OK
 
 
+def _inline_plan(kind=None, ns="", pn="", sizes="", source=None, samples=None, seed=None,
+                 mode=None, **caps) -> dict:
+    """The plan JSON that the given inline flags spell.  A cap not given
+    is left out, so the plan's default holds; the modes default to all of
+    the family's, and a seeded source to 200 draws with seed "0"."""
+    if kind is None:
+        raise ValueError("sweep needs --kind t|l or --input plan.json")
+    if source != "seeded" and (samples, seed) != (None, None):
+        raise ValueError("--samples and --seed need --source seeded")
+    family = {"t": "transformation", "l": "linear"}[kind]
+    plan = {"family": family, "ns": parse_ints(ns), "pns": parse_rows(pn),
+            "modes": mode or FAMILIES[family].SEMIGROUP_MODES, **caps}
+    if sizes:
+        plan["subset_sizes"] = parse_ints(sizes)
+    if source == "seeded":
+        plan["source"] = ["seeded", 200 if samples is None else samples,
+                          "0" if seed is None else seed]
+    return plan
+
+
 def _cmd_sweep(args) -> int:
-    if args.input is not None:
-        if args.kind is not None or args.ns or args.pn or args.sizes:
-            raise ValueError("--input and inline plan flags are mutually exclusive")
-        plan = _read_json(args.input, SweepPlan.from_dict)
+    # the sweep's plan flags default to nothing, so these are the given ones
+    inline = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "input", "format")}
+    if args.input is None:
+        plan = SweepPlan.from_dict(_inline_plan(**inline))
+    elif inline:
+        raise ValueError("--input and inline plan flags are mutually exclusive")
     else:
-        if args.kind is None:
-            raise ValueError("sweep needs --kind t|l or --input plan.json")
-        family = {"t": "transformation", "l": "linear"}[args.kind]
-        source = ("exhaustive",) if args.source == "exhaustive" else ("seeded", args.samples, str(args.seed))
-        modes = tuple(args.mode) if args.mode else FAMILIES[family].SEMIGROUP_MODES
-        plan = SweepPlan(
-            family=family,
-            ns=tuple(parse_ints(args.ns or "")),
-            pns=tuple(map(tuple, parse_rows(args.pn or ""))),
-            subset_sizes=tuple(parse_ints(args.sizes)) if args.sizes else None,
-            source=source,
-            modes=modes,
-            size_cap=args.size_cap,
-            element_cap=args.element_cap,
-        )
+        plan = _read_json(args.input, SweepPlan.from_dict)
     report = run_sweep(plan)
     if report.instances_run == 0 and not report.skipped:
         raise ValueError("the plan selects no instance")
@@ -241,9 +255,6 @@ def _add_instance_flags(sp) -> None:
     sp.add_argument("--w", help="subspace W as ';'-separated spanning rows")
     sp.add_argument("--sw", help="S(W) elements, '|'-separated matrices")
     sp.add_argument("--gens", help="generators instead of elements (closure is applied)")
-    sp.add_argument("--mode", action="append", help="property to check (repeatable)")
-    sp.add_argument("--no-oracle", action="store_true",
-                    help="skip the brute-force oracle (reported as 'skipped')")
     sp.add_argument("--size-cap", type=int, default=1_000_000)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -260,8 +271,17 @@ exit codes: 0 ok, 2 validation error, 3 size-cap refusal, 4 disagreement/mismatc
 """
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown flag, a missing
+    value, a value outside its choices) are validation errors, reported by
+    ``main`` like any other: exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="resemi",
         description="Build and classify semigroups of (linear) transformations "
                     "constrained by their restriction to an invariant subset/subspace.",
@@ -273,32 +293,36 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("build", _cmd_build), ("classify", _cmd_classify), ("element", _cmd_classify)):
         sp = sub.add_parser(name)
         _add_instance_flags(sp)
+        if name != "build":
+            sp.add_argument("--mode", action="append", help="property to check (repeatable)")
+            sp.add_argument("--no-oracle", action="store_true",
+                            help="skip the brute-force oracle (reported as 'skipped')")
         if name == "element":
             sp.add_argument("--f", help="the element to classify (same grammar as elements)")
         sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("sweep")
-    sp.add_argument("--input", help="plan JSON file")
+    # a plan flag not given is absent, not None (see ``_cmd_sweep``)
+    sp = sub.add_parser("sweep", argument_default=argparse.SUPPRESS)
+    sp.add_argument("--input", default=None, help="plan JSON file (exclusive with plan flags)")
     sp.add_argument("--kind", choices=("t", "l"))
     sp.add_argument("--ns", help="ambient sizes, e.g. 1,2,3")
     sp.add_argument("--pn", help="(p,n) cells, e.g. 2,2;3,2")
     sp.add_argument("--sizes", help="|Y| or dim W values to include, e.g. 1,2")
-    sp.add_argument("--source", choices=("exhaustive", "seeded"), default="exhaustive")
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", default="0")
+    sp.add_argument("--source", choices=("exhaustive", "seeded"))
+    sp.add_argument("--samples", type=int, help="with --source seeded (default 200)")
+    sp.add_argument("--seed", help="with --source seeded (default 0)")
     sp.add_argument("--mode", action="append")
-    sp.add_argument("--size-cap", type=int, default=1_000_000)
-    sp.add_argument("--element-cap", type=int, default=4096)
+    sp.add_argument("--size-cap", type=int)
+    sp.add_argument("--element-cap", type=int)
     sp.add_argument("--format", choices=("text", "json"), default="json")
     sp.set_defaults(fn=_cmd_sweep)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        if [] in [*vars(args).values(), *(args.mode or ())]:
+        args = build_parser().parse_args(argv)
+        if [] in [*vars(args).values(), *(vars(args).get("mode") or ())]:
             # argparse reads "--flag=--" as an empty list, not as the text "--"
             raise ValueError("'--' is not an option value")
         return args.fn(args)

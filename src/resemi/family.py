@@ -58,11 +58,12 @@ class RestrictedInstance:
     everything, and that clause's words ``SMALL``.  For the build it gives
     the points outside the region whose images, with the restriction alpha,
     determine an element (``codim`` of them: the points of X \\ Y, or a
-    basis of a complement of W), the number ``point_count`` of possible
-    images (|X|, or p^n vectors), image number d (``point(d)``, worked out
-    from d alone, so a draw from a large space lists none of it) and the
-    one element restricting to alpha with the given images
-    (``extend(alpha, images)``).
+    basis of a complement of W), the ``radix`` and ``width`` that number
+    the possible images (one digit below |X|, or n digits below p, so
+    ``point_count`` = radix^width images: |X| points, or p^n vectors),
+    image number d (``point(d)``, worked out from d alone, so a draw from
+    a large space lists none of it) and the one element restricting to
+    alpha with the given images (``extend(alpha, images)``).
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -79,6 +80,12 @@ class RestrictedInstance:
         never read it (a sweep's base, a build or an element query) never
         runs the group check."""
         return self.has_identity and semigroup_oracle(self.prescribed, "group").holds
+
+    @cached_property
+    def point_count(self) -> int:
+        """radix^width, worked out on first use, so a refused build of a
+        large space never forms it."""
+        return self.radix ** self.width
 
     def decidable(self, modes) -> list[str]:
         """``modes`` in order, without ``unit_regular`` when the prescribed
@@ -181,27 +188,25 @@ def build(inst: RestrictedInstance, size_cap: int = 1_000_000) -> FiniteSemigrou
 
     For each alpha in S and each choice of images of the ``codim`` points
     outside the region there is exactly one such element, so the result
-    has ``expected_size()`` elements.  That size is multiplied out one
-    factor at a time and the build refused once it passes the cap, so a
-    refusal costs no work that grows with codim.  When the region is
-    everything the build is S itself, table reused; otherwise the
-    ``point_count`` points are worked out once, not once per element.
+    should have ``expected_size()`` elements; the sweep checks that it
+    does.  That size is multiplied out one ``radix`` factor at a time and
+    the build refused once it passes the cap, so a refusal costs no work
+    that grows with the space.  When the region is everything the build is
+    S itself, table reused; otherwise the ``point_count`` points are
+    worked out once, not once per element.
     """
     cap = min(size_cap, TABLE_CAP)
     count = len(inst.prescribed)
-    for _ in range(inst.codim):
+    for _ in range(inst.width * inst.codim):
         if count > cap:
             break
-        count *= inst.point_count
+        count *= inst.radix
     if count > cap:
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed
     points = [inst.point(d) for d in range(inst.point_count)]
-    s = FiniteSemigroup([element_at(inst, i, points.__getitem__) for i in range(count)])
-    if len(s) != count:
-        raise AssertionError("build size disagrees with the counting formula")
-    return s
+    return FiniteSemigroup([element_at(inst, i, points.__getitem__) for i in range(count)])
 
 
 def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:

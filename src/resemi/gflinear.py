@@ -142,12 +142,15 @@ def mat_compose(f: GFMatrix, g: GFMatrix) -> GFMatrix:
 def _rref_rows(mat: list[list[int]], p: int, ncols: int):
     """Reduced row echelon form in place; returns (rows, pivot columns).
 
-    Zero rows end up at the bottom.  ``mat`` may be empty.
+    Zero rows end up at the bottom.  ``mat`` may be empty, and then no
+    column is visited.
     """
     nrows = len(mat)
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
+        if r == nrows:
+            break
         sel = None
         for i in range(r, nrows):
             if mat[i][col] % p:
@@ -164,8 +167,6 @@ def _rref_rows(mat: list[list[int]], p: int, ncols: int):
                 mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
-        if r == nrows:
-            break
     return mat, pivots
 
 

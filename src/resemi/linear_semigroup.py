@@ -183,9 +183,8 @@ class LInstance(RestrictedInstance):
         self.n = n
         self.w = w
         self.s_w = s_w
-        self.point_count, self.codim = p ** n, w.codim
+        self.radix, self.width, self.codim = p, n, w.codim
         super().__init__(w, s_w, GFMatrix.identity(p, k))
-        self._complement_cols = [j for j in range(n) if j not in w.pivots]
 
     @classmethod
     def whole(cls, size: int, p: int) -> "LInstance":
@@ -196,6 +195,13 @@ class LInstance(RestrictedInstance):
         """Vector d of GF(p)^n in ``all_vectors`` order: d's n digits in
         base p."""
         return tuple(d // self.p ** k % self.p for k in reversed(range(self.n)))
+
+    @cached_property
+    def _complement_cols(self) -> list[int]:
+        """The non-pivot columns of W, whose unit rows complete W's basis;
+        listed on first use, so a refused build of a large space never
+        lists them."""
+        return [j for j in range(self.n) if j not in self.w.pivots]
 
     @cached_property
     def _c_inv(self) -> GFMatrix:

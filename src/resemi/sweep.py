@@ -21,6 +21,7 @@ from . import transform_semigroup as tsg
 from .family import element_at, is_int
 from .gflinear import all_subspaces
 from .semigroups import (
+    TABLE_CAP,
     FiniteSemigroup,
     SizeCapExceeded,
     closure_elements,
@@ -37,6 +38,12 @@ SCHEMA_VERSION = 1
 # A plan's family names the instance class; both implement one interface.
 FAMILIES = {"transformation": tsg.TInstance, "linear": lsg.LInstance}
 
+# The checks every sweep makes.  A schema-1 report carries its plan, which
+# the determinism comparison and the recorded report digests read, so the
+# plan's JSON form keeps these keys, stating that each check ran.
+ALWAYS_RUN_CHECKS = {"definition_checks": True, "transversal_checks": True,
+                     "alpha_family_checks": True}
+
 _EXHAUSTIVE_BASE_LIMIT = 16
 _DEFINITION_CHECK_LIMIT = 200
 
@@ -51,16 +58,20 @@ _IMPLICATIONS = (
 class SweepPlan:
     """One homogeneous slice of a sweep.
 
-    ``source`` is ``{"kind": "exhaustive"}`` or ``{"kind": "seeded",
-    "count": C, "seed": S}``; the per-cell RNG seed is derived from S and
-    the cell key, so identical plans reproduce identical reports.
-    ``element_cap`` bounds the build size for element-level checks
-    (0 disables them); builds beyond ``size_cap`` are skipped, not run.
-    Negative sizes, dimensions, seeded counts and caps are refused, and so
-    are repeated modes; a size out of range for one n is skipped, so one
-    plan can span several n.  Without ``subset_sizes``, a transformation
-    plan takes 1 <= |Y| <= n and a linear one 0 <= dim W <= n; an explicit
-    |Y| = 0 is taken too.
+    ``source`` is ``("exhaustive",)`` or ``("seeded", count, seed)``; the
+    per-cell RNG seed is derived from the seed and the cell key, so
+    identical plans reproduce identical reports.  ``element_cap`` bounds
+    the build size for element-level checks (0 disables them; by default
+    it is the Cayley table's ``TABLE_CAP``); builds beyond ``size_cap``
+    are skipped, not run.  Negative sizes, dimensions, seeded counts and
+    caps are refused, and so are repeated modes; a size out of range for
+    one n is skipped, so one plan can span several n.  Without
+    ``subset_sizes``, a transformation plan takes 1 <= |Y| <= n and a
+    linear one 0 <= dim W <= n; an explicit |Y| = 0 is taken too.
+
+    Every run makes the transversal, definition and alpha-family checks
+    on every instance they apply to; no field turns them off
+    (``ALWAYS_RUN_CHECKS``).
     """
 
     family: str
@@ -70,10 +81,7 @@ class SweepPlan:
     source: tuple = ("exhaustive",)
     modes: tuple = ("regular",)
     size_cap: int = 1_000_000
-    element_cap: int = 4096
-    definition_checks: bool = True
-    transversal_checks: bool = True
-    alpha_family_checks: bool = True
+    element_cap: int = TABLE_CAP
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in FAMILIES:
@@ -90,9 +98,6 @@ class SweepPlan:
             ("size_cap", is_int(self.size_cap) and self.size_cap >= 0, "a non-negative integer"),
             ("element_cap", is_int(self.element_cap) and self.element_cap >= 0,
              "a non-negative integer"),
-            ("definition_checks", isinstance(self.definition_checks, bool), "a boolean"),
-            ("transversal_checks", isinstance(self.transversal_checks, bool), "a boolean"),
-            ("alpha_family_checks", isinstance(self.alpha_family_checks, bool), "a boolean"),
         ):
             if not ok:
                 raise ValueError(f"plan field {name!r} must be {expected}, "
@@ -109,13 +114,16 @@ class SweepPlan:
             raise ValueError(f"seeded source count must be non-negative, not {src[1]}")
 
     def to_dict(self) -> dict:
-        """JSON form: every field, tuples as lists."""
-        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
+        """JSON form: every field, tuples as lists, then the
+        ``ALWAYS_RUN_CHECKS`` keys."""
+        return {**{f.name: _as_lists(getattr(self, f.name)) for f in fields(self)},
+                **ALWAYS_RUN_CHECKS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
         """Inverse of ``to_dict``; missing keys take their defaults and
-        unknown keys are ignored."""
+        unknown keys, the ``ALWAYS_RUN_CHECKS`` ones included, are
+        ignored."""
         return cls(**{f.name: _as_tuples(d[f.name]) for f in fields(cls) if f.name in d})
 
 
@@ -364,44 +372,35 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
     element_modes = []
     if plan.element_cap and len(build) <= plan.element_cap:
         element_modes = [m for m in inst.decidable(inst.ELEMENT_MODES) if m in plan.modes]
-    if element_modes or plan.transversal_checks:
-        # One pass, so that all checks on f run back to back and share the
-        # family's per-element record (``record(f)`` on the instance).
-        for f in build.elements:
-            for mode in element_modes:
-                thm = inst.thm_element(f, mode)
-                _tally(rep, key, f, mode, thm, element_oracle(build, f, mode))
-                if thm.holds and thm.witness is not None:
-                    problem = witness_problem(build, f, mode, thm.witness)
-                    if problem is None:
-                        rep.witnesses_checked += 1
-                    else:
-                        rep.mismatches.append(
-                            {
-                                "instance": key, "element": f.to_text(), "mode": mode,
-                                "witness": thm.witness.to_text(), "problem": problem,
-                            }
-                        )
-            if plan.transversal_checks:
-                problem = inst.transversal_problem(f)
-                rep.transversal_checks_run += 1
-                if problem is not None:
-                    rep.transversal_failures.append(
-                        {"instance": key, "element": f.to_text(), "problem": problem}
-                    )
+    # One pass, so that all checks on f run back to back and share the
+    # family's per-element record (``record(f)`` on the instance).
+    for f in build.elements:
+        for mode in element_modes:
+            thm = inst.thm_element(f, mode)
+            _tally(rep, key, f, mode, thm, element_oracle(build, f, mode))
+            if thm.holds and thm.witness is not None:
+                problem = witness_problem(build, f, mode, thm.witness)
+                if problem is None:
+                    rep.witnesses_checked += 1
+                else:
+                    rep.mismatches.append({"instance": key, "element": f.to_text(), "mode": mode,
+                                           "witness": thm.witness.to_text(), "problem": problem})
+        problem = inst.transversal_problem(f)
+        rep.transversal_checks_run += 1
+        if problem is not None:
+            rep.transversal_failures.append(
+                {"instance": key, "element": f.to_text(), "problem": problem})
 
-    if plan.alpha_family_checks and plan.family == "linear":
-        if inst.codim == 1 and inst.unit_group:
-            verdict = lsg.alpha_family_check(inst, build)
-            rep.alpha_family_checks_run += 1
-            if not verdict.holds:
-                rep.alpha_family_failures.append({"instance": key, "clause": verdict.clause})
+    if plan.family == "linear" and inst.codim == 1 and inst.unit_group:
+        verdict = lsg.alpha_family_check(inst, build)
+        rep.alpha_family_checks_run += 1
+        if not verdict.holds:
+            rep.alpha_family_failures.append({"instance": key, "clause": verdict.clause})
 
-    if plan.definition_checks:
-        for s in (build, inst.prescribed):
-            skey = s.key()
-            if len(s) <= _DEFINITION_CHECK_LIMIT and skey not in seen_definition_keys:
-                seen_definition_keys.add(skey)
-                rep.definition_checks_run += 1
-                for problem in _definition_failures(s):
-                    rep.definition_failures.append({"instance": key, "problem": problem})
+    for s in (build, inst.prescribed):
+        skey = s.key()
+        if len(s) <= _DEFINITION_CHECK_LIMIT and skey not in seen_definition_keys:
+            seen_definition_keys.add(skey)
+            rep.definition_checks_run += 1
+            for problem in _definition_failures(s):
+                rep.definition_failures.append({"instance": key, "problem": problem})

@@ -120,7 +120,7 @@ class TInstance(RestrictedInstance):
         self.n = n
         self.y = y
         self.s_y = s_y
-        self.point_count, self.codim = n, n - k
+        self.radix, self.width, self.codim = n, 1, n - k
         super().__init__(y, s_y, Transformation.identity(k))
 
     @classmethod

@@ -143,11 +143,13 @@ class TestTableCap:
     @pytest.mark.parametrize("argv", [
         ("--kind", "t", "--n", "1000000", "--y", "", "--sy", ""),
         ("--kind", "l", "--p", "2", "--n", "400", "--w", "", "--sw", ""),
-    ], ids=["t-large-n", "l-large-n"])
+        ("--kind", "l", "--p", "101", "--n", "3000000", "--w", "", "--sw", ""),
+    ], ids=["t-large-n", "l-large-n", "l-huge-n"])
     def test_large_space_refused_at_once(self, capsys, argv):
-        # all of T(X) for |X| = 10^6 and all of L(GF(2)^400): refused
-        # without computing n^n, listing X or inverting a 400 x 400 matrix,
-        # each of which takes seconds
+        # all of T(X) for |X| = 10^6, all of L(GF(2)^400) and of
+        # L(GF(101)^3000000): refused without computing n^n or p^n, listing
+        # X or the columns of V, or inverting an n x n matrix, each of
+        # which takes seconds
         start = time.perf_counter()
         code, out, err = run(capsys, "build", *argv)
         assert time.perf_counter() - start < 1
@@ -459,11 +461,24 @@ class TestInputFile:
         ("build", {"kind": "linear", "p": 2, "n": 2, "W": [[True, False]],
                    "sW": {"elements": [[[1]]]}}),
         ("build", {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[True]]]}}),
+        # a flag the command ignores: build has no oracle and no modes
+        *[(f"build {flag}", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[0]]}})
+          for flag in ("--mode regular", "--no-oracle")],
+        # an inline plan flag next to a plan file, which would be ignored
+        *[(f"sweep {flag}", {"family": "transformation", "ns": [2]})
+          for flag in ("--mode regular", "--source exhaustive", "--samples 5", "--seed 1",
+                       "--size-cap 10", "--element-cap 10")],
+        # --samples or --seed without a seeded source (no input file)
+        ("sweep --kind t --ns 2 --samples 5", None),
+        ("sweep --kind t --ns 2 --seed 1", None),
     ])
     def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(data))
-        code, _, err = run(capsys, command, "--input", str(path))
+        argv = command.split()
+        if data is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(data))
+            argv += ["--input", str(path)]
+        code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ")
 
 

@@ -15,6 +15,7 @@ from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import PropertyVerdict, SizeCapExceeded, closure_elements, semigroup_oracle
 from resemi.sweep import (
+    ALWAYS_RUN_CHECKS,
     SweepPlan,
     FAMILIES,
     SweepReport,
@@ -107,6 +108,19 @@ class TestRunSweep:
         assert [s["reason"] for s in rep.skipped] == ["size cap exceeded"] * 6
         assert rep.clean
 
+    def test_size_formula_violation_reported(self, monkeypatch):
+        # an extend that leaves every point outside Y fixed gives a build
+        # that is closed but too small; every theorem-vs-oracle check then
+        # agrees with it, so only the size check can catch it
+        honest = tsg.TInstance.extend
+        monkeypatch.setattr(tsg.TInstance, "extend",
+                            lambda inst, alpha, images: honest(inst, alpha, inst._outside))
+        rep = run_sweep(SweepPlan(family="transformation", ns=(2,), subset_sizes=(1,)))
+        assert rep.instances_run == 2 and not rep.mismatches
+        assert rep.size_formula_violations == [
+            {"instance": {"kind": "transformation", "n": 2, "Y": [y], "sY": ["0"]},
+             "expected": 2, "actual": 1} for y in (0, 1)]
+
     def test_element_cap_zero_disables_element_level(self):
         plan = SweepPlan(
             family="transformation", ns=(2,), subset_sizes=(1, 2),
@@ -124,8 +138,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("field, value", [
         ("ns", (2, "3")), ("pns", ((2, 1, 1),)), ("subset_sizes", (1.5,)),
-        ("size_cap", True), ("element_cap", None), ("definition_checks", 1),
-        ("transversal_checks", "yes"), ("alpha_family_checks", None),
+        ("size_cap", True), ("element_cap", None),
         ("source", ("seeded", "5", "s")),
         # negative sizes and counts: such a plan would run nothing and read clean
         ("ns", (-1,)), ("subset_sizes", (-2,)), ("pns", ((2, -1),)),
@@ -210,6 +223,18 @@ class TestDeterminismAndSerialization:
             source=("seeded", 5, "x"), modes=("regular",), element_cap=64,
         )
         assert SweepPlan.from_dict(plan.to_dict()) == plan
+
+    def test_plan_states_the_checks_every_sweep_runs(self, capsys, tmp_path):
+        plan = SweepPlan(family="linear", pns=((2, 2),), subset_sizes=(1,))
+        assert {k: plan.to_dict()[k] for k in ALWAYS_RUN_CHECKS} == {
+            "definition_checks": True, "transversal_checks": True, "alpha_family_checks": True}
+        # a plan file that sets one of them false still runs that check
+        for name in ALWAYS_RUN_CHECKS:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**plan.to_dict(), name: False}))
+            assert main(["sweep", "--input", str(path), "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report[f"{name}_run"] > 0 and report["plan"] == plan.to_dict()
 
     def test_plan_from_dict_defaults_and_unknown_keys(self):
         plan = SweepPlan.from_dict({"family": "linear", "pns": [[2, 1]], "unknown": 1})
