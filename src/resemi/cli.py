@@ -16,10 +16,12 @@ has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
 ``--seed`` need ``--source seeded``.
 
 Exit codes: 0 success, 2 validation error (also a flag the command does
-not take, and a sweep whose plan selects no instance), 3 size-cap
-refusal, 4 when a predicate and its oracle disagree, when ``element``
-prints a theorem witness that fails its check (run with or without the
-oracle), or when a sweep reports any mismatch.
+not take, a mode the family does not decide, and a sweep whose plan
+selects no instance), 3 a build or a ``--gens`` closure past the Cayley
+table's ``TABLE_CAP`` elements, the only bound on work, 4 when a
+predicate and its oracle disagree, when ``element`` prints a theorem
+witness that fails its check (run with or without the oracle), or when a
+sweep reports any mismatch.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _cmd_build(args) -> int:
     inst = _load_instance(args)
-    build = inst.build(args.size_cap)
+    build = inst.build()
     idem, units = len(build.idempotent_indices()), len(build.unit_indices())
     payload = {
         "command": "build",
@@ -157,8 +159,13 @@ def _cmd_classify(args) -> int:
         modes, witness_key = inst.SEMIGROUP_MODES, "witness"
         theorem, oracle = inst.thm_semigroup, semigroup_oracle
         witness_problem = lambda mode, w: None
+    for mode in args.mode or ():
+        if mode not in modes:
+            raise ValueError(f"mode {mode!r} not available for family {inst.key()['kind']!r}")
+        if mode == "unit_regular" and not inst.has_identity:
+            raise ValueError("identity required")
     modes = args.mode or inst.decidable(modes)
-    build = None if args.no_oracle else inst.build(args.size_cap)
+    build = None if args.no_oracle else inst.build()
     results = []
     lines = []
     disagreement = False
@@ -200,17 +207,18 @@ def _cmd_classify(args) -> int:
 
 
 def _inline_plan(kind=None, ns="", pn="", sizes="", source=None, samples=None, seed=None,
-                 mode=None, **caps) -> dict:
-    """The plan JSON that the given inline flags spell.  A cap not given
-    is left out, so the plan's default holds; the modes default to all of
-    the family's, and a seeded source to 200 draws with seed "0"."""
+                 mode=None, **element_cap) -> dict:
+    """The plan JSON that the given inline flags spell.  An element cap
+    not given is left out, so the plan's default holds; the modes default
+    to all of the family's, and a seeded source to 200 draws with seed
+    "0"."""
     if kind is None:
         raise ValueError("sweep needs --kind t|l or --input plan.json")
     if source != "seeded" and (samples, seed) != (None, None):
         raise ValueError("--samples and --seed need --source seeded")
     family = {"t": "transformation", "l": "linear"}[kind]
     plan = {"family": family, "ns": parse_ints(ns), "pns": parse_rows(pn),
-            "modes": mode or FAMILIES[family].SEMIGROUP_MODES, **caps}
+            "modes": mode or FAMILIES[family].SEMIGROUP_MODES, **element_cap}
     if sizes:
         plan["subset_sizes"] = parse_ints(sizes)
     if source == "seeded":
@@ -255,7 +263,6 @@ def _add_instance_flags(sp) -> None:
     sp.add_argument("--w", help="subspace W as ';'-separated spanning rows")
     sp.add_argument("--sw", help="S(W) elements, '|'-separated matrices")
     sp.add_argument("--gens", help="generators instead of elements (closure is applied)")
-    sp.add_argument("--size-cap", type=int, default=1_000_000)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -267,7 +274,7 @@ inline grammar:
   matrix           ';'-separated rows of ',' entries, e.g. "1,0;1,1";
                    several elements separated by '|'   -> --sw "1|0"
   subspace         ';'-separated spanning rows          -> --w "1,0;0,1"
-exit codes: 0 ok, 2 validation error, 3 size-cap refusal, 4 disagreement/mismatch
+exit codes: 0 ok, 2 validation error, 3 past the Cayley table, 4 disagreement/mismatch
 """
 
 
@@ -312,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, help="with --source seeded (default 200)")
     sp.add_argument("--seed", help="with --source seeded (default 0)")
     sp.add_argument("--mode", action="append")
-    sp.add_argument("--size-cap", type=int)
     sp.add_argument("--element-cap", type=int)
     sp.add_argument("--format", choices=("text", "json"), default="json")
     sp.set_defaults(fn=_cmd_sweep)

@@ -46,7 +46,7 @@ class RestrictedInstance:
     ``whole(size, p)`` (the instance over an empty region, whose build is
     all of T(size) or L(GF(p)^size)), ``key()``, ``parse_element(text)``
     (the element ``text`` spells in the inline grammar),
-    ``decidable(modes)``, ``expected_size()``, ``build(size_cap)``,
+    ``decidable(modes)``, ``expected_size()``, ``build()``,
     ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)``,
     ``witness_problem(f, w, mode)`` and ``transversal_problem(f)``.
 
@@ -182,7 +182,7 @@ def element_at(inst: RestrictedInstance, i: int, point=None):
     return inst.extend(inst.prescribed.elements[i], images)
 
 
-def build(inst: RestrictedInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
+def build(inst: RestrictedInstance) -> FiniteSemigroup:
     """Every element of the ambient monoid whose restriction to the region
     lies in the prescribed semigroup S, in ``element_at`` order.
 
@@ -190,18 +190,18 @@ def build(inst: RestrictedInstance, size_cap: int = 1_000_000) -> FiniteSemigrou
     outside the region there is exactly one such element, so the result
     should have ``expected_size()`` elements; the sweep checks that it
     does.  That size is multiplied out one ``radix`` factor at a time and
-    the build refused once it passes the cap, so a refusal costs no work
-    that grows with the space.  When the region is everything the build is
-    S itself, table reused; otherwise the ``point_count`` points are
-    worked out once, not once per element.
+    the build refused once it passes the Cayley table's ``TABLE_CAP``, the
+    only bound on work, so a refusal costs no work that grows with the
+    space.  When the region is everything the build is S itself, table
+    reused; otherwise the ``point_count`` points are worked out once, not
+    once per element.
     """
-    cap = min(size_cap, TABLE_CAP)
     count = len(inst.prescribed)
     for _ in range(inst.width * inst.codim):
-        if count > cap:
+        if count > TABLE_CAP:
             break
         count *= inst.radix
-    if count > cap:
+    if count > TABLE_CAP:
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed

@@ -14,15 +14,36 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 
+# The prime bases up to 37: no composite below 3.18e23 is a strong
+# pseudoprime to all of them (Sorenson & Webster 2015), so Miller-Rabin on
+# them decides every p below _PRIME_BOUND.
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 2 ** 64
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; fine for the moduli used here."""
+    """Deterministic Miller-Rabin on ``_WITNESS_BASES``; a p of
+    ``_PRIME_BOUND`` or more is refused, never called composite."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"modulus {p} is not below 2^64, the bound of the primality test")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESS_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -423,11 +444,15 @@ class SubspaceTransversal:
 def canonical_transversal_subspace(f: GFMatrix, w: Subspace) -> SubspaceTransversal:
     """Deterministic transversal-subspace pair for ker(f) and ker(f|W).
 
-    One W-preimage is chosen for each canonical basis vector of the
-    restricted image (particular solution with free variables zero, then
-    the lexicographically-first null-space correction landing in W); the
-    span is extended by free-variable-zero preimages of the remaining
-    canonical basis vectors of R(f).
+    One W-preimage is chosen for each canonical basis vector u of the
+    restricted image: the preimage v with free variables zero, moved into W
+    by the lexicographically first correction c, in coordinates on N(f)'s
+    canonical basis, with v + c.N(f) in W.  Those c solve
+    c.R = -reduce_W(v), where R has the rows reduce_W(b) for that basis;
+    the first is a particular solution reduced by the RREF basis of R's
+    left null space, which zeroes its pivot coordinates.  The span is
+    extended by free-variable-zero preimages of the remaining canonical
+    basis vectors of R(f).
     """
     restriction_matrix(f, w)  # raises "not W-invariant" if W is not invariant
     return transversal_from_spaces(f, w, restricted_image_space(f, w), null_space(f),
@@ -442,16 +467,14 @@ def transversal_from_spaces(f: GFMatrix, w: Subspace, rw: Subspace, ns: Subspace
     chosen = []
     for u in rw.basis:
         v = solve_row_vector(f, u)
-        if not w.contains(v):
-            for coeffs in product(range(p), repeat=ns.dim):
-                cand = tuple(
-                    (a + b) % p for a, b in zip(v, ns.from_coordinates(coeffs))
-                )
-                if w.contains(cand):
-                    v = cand
-                    break
-            else:
+        residue = w.reduce(v)
+        if any(residue):
+            r = GFMatrix._unchecked(p, ns.dim, n, tuple(w.reduce(b) for b in ns.basis))
+            c = solve_row_vector(r, [-x for x in residue])
+            if c is None:
                 raise AssertionError("no W-preimage found for a restricted image vector")
+            c = Subspace._unchecked(p, ns.dim, left_null_space_rows(p, r.entries, n)).reduce(c)
+            v = tuple((a + b) % p for a, b in zip(v, ns.from_coordinates(c)))
         chosen.append(v)
     span_so_far = rw
     for r in rf.basis:

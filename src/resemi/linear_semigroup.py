@@ -231,8 +231,8 @@ class LInstance(RestrictedInstance):
     def parse_element(self, text: str) -> GFMatrix:
         return GFMatrix(self.p, parse_rows(text))
 
-    def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
-        return build_lsw(self, size_cap)
+    def build(self) -> FiniteSemigroup:
+        return build_lsw(self)
 
     def thm_semigroup(self, mode: str) -> PropertyVerdict:
         return thm_semigroup_l(self, mode)
@@ -284,10 +284,10 @@ def l_instance_from_dict(data: dict) -> LInstance:
     return LInstance(p, n, w, s_w)
 
 
-def build_lsw(inst: LInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
+def build_lsw(inst: LInstance) -> FiniteSemigroup:
     """Every linear map on V whose restriction to W lies in S(W):
     |S(W)| * p^(n(n - dim W)) elements (``family.build``)."""
-    return build(inst, size_cap)
+    return build(inst)
 
 
 def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:

@@ -44,6 +44,11 @@ FAMILIES = {"transformation": tsg.TInstance, "linear": lsg.LInstance}
 ALWAYS_RUN_CHECKS = {"definition_checks": True, "transversal_checks": True,
                      "alpha_family_checks": True}
 
+# The plan's JSON form keeps the "size_cap" key of schema-1 reports, whose
+# plan block the determinism comparison and the recorded report digests
+# read.  Its value never bound a build: the Cayley table's TABLE_CAP does.
+SCHEMA1_SIZE_CAP = {"size_cap": 1_000_000}
+
 _EXHAUSTIVE_BASE_LIMIT = 16
 _DEFINITION_CHECK_LIMIT = 200
 
@@ -62,10 +67,10 @@ class SweepPlan:
     per-cell RNG seed is derived from the seed and the cell key, so
     identical plans reproduce identical reports.  ``element_cap`` bounds
     the build size for element-level checks (0 disables them; by default
-    it is the Cayley table's ``TABLE_CAP``); builds beyond ``size_cap``
+    it is the Cayley table's ``TABLE_CAP``); builds beyond ``TABLE_CAP``
     are skipped, not run.  Negative sizes, dimensions, seeded counts and
-    caps are refused, and so are repeated modes; a size out of range for
-    one n is skipped, so one plan can span several n.  Without
+    element caps are refused, and so are repeated modes; a size out of
+    range for one n is skipped, so one plan can span several n.  Without
     ``subset_sizes``, a transformation plan takes 1 <= |Y| <= n and a
     linear one 0 <= dim W <= n; an explicit |Y| = 0 is taken too.
 
@@ -80,7 +85,6 @@ class SweepPlan:
     subset_sizes: tuple | None = None
     source: tuple = ("exhaustive",)
     modes: tuple = ("regular",)
-    size_cap: int = 1_000_000
     element_cap: int = TABLE_CAP
 
     def __post_init__(self):
@@ -95,7 +99,6 @@ class SweepPlan:
              "null or a list of non-negative integers"),
             ("modes", isinstance(self.modes, tuple) and all(isinstance(m, str) for m in self.modes)
              and len(set(self.modes)) == len(self.modes), "a list of distinct mode names"),
-            ("size_cap", is_int(self.size_cap) and self.size_cap >= 0, "a non-negative integer"),
             ("element_cap", is_int(self.element_cap) and self.element_cap >= 0,
              "a non-negative integer"),
         ):
@@ -115,15 +118,15 @@ class SweepPlan:
 
     def to_dict(self) -> dict:
         """JSON form: every field, tuples as lists, then the
-        ``ALWAYS_RUN_CHECKS`` keys."""
+        ``ALWAYS_RUN_CHECKS`` and ``SCHEMA1_SIZE_CAP`` keys."""
         return {**{f.name: _as_lists(getattr(self, f.name)) for f in fields(self)},
-                **ALWAYS_RUN_CHECKS}
+                **ALWAYS_RUN_CHECKS, **SCHEMA1_SIZE_CAP}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
         """Inverse of ``to_dict``; missing keys take their defaults and
-        unknown keys, the ``ALWAYS_RUN_CHECKS`` ones included, are
-        ignored."""
+        unknown keys, the ``ALWAYS_RUN_CHECKS`` and ``SCHEMA1_SIZE_CAP``
+        ones included, are ignored."""
         return cls(**{f.name: _as_tuples(d[f.name]) for f in fields(cls) if f.name in d})
 
 
@@ -351,7 +354,7 @@ def _tally(rep: SweepReport, key: dict, f, mode: str, thm, orc) -> None:
 
 
 def _run_instance(plan, rep, inst, key, seen_definition_keys):
-    build = inst.build(plan.size_cap)
+    build = inst.build()
     expected = inst.expected_size()
     if len(build) != expected:
         rep.size_formula_violations.append(

@@ -168,8 +168,8 @@ class TInstance(RestrictedInstance):
             arr[x] = v
         return Transformation._unchecked(tuple(arr))
 
-    def build(self, size_cap: int = 1_000_000) -> FiniteSemigroup:
-        return build_tsy(self, size_cap)
+    def build(self) -> FiniteSemigroup:
+        return build_tsy(self)
 
     def thm_semigroup(self, mode: str) -> PropertyVerdict:
         return thm_semigroup_t(self, mode)
@@ -216,10 +216,10 @@ def t_instance_from_dict(data: dict) -> TInstance:
     return TInstance(n, y, s_y)
 
 
-def build_tsy(inst: TInstance, size_cap: int = 1_000_000) -> FiniteSemigroup:
+def build_tsy(inst: TInstance) -> FiniteSemigroup:
     """Every f on X whose restriction to Y lies in S(Y): |S(Y)| * n^(n-|Y|)
     elements (``family.build``)."""
-    return build(inst, size_cap)
+    return build(inst)
 
 
 def thm_element_t(inst: TInstance, f: Transformation, mode: str) -> PropertyVerdict:

@@ -46,13 +46,6 @@ class TestBuild:
         assert code == 0
         assert json.loads(out)["size"] == 4
 
-    def test_size_cap_exit_code(self, capsys):
-        code, _, err = run(
-            capsys, "build", "--kind", "t", "--n", "3", "--y", "0,1",
-            "--sy", "0,1;1,0", "--size-cap", "2",
-        )
-        assert code == 3 and "size cap" in err
-
     def test_validation_exit_code(self, capsys):
         code, _, err = run(capsys, "build", "--kind", "t", "--n", "3")
         assert code == 2 and "error" in err
@@ -124,7 +117,7 @@ class TestBuild:
 
 class TestTableCap:
     # T_S(Y)(X) for n = 6, Y = {0}, S(Y) trivial: 6^5 = 7,776 elements,
-    # past the 4,096-element Cayley table and far under --size-cap
+    # past the 4,096-element Cayley table
     PAST_TABLE = ("--kind", "t", "--n", "6", "--y", "0", "--sy", "0")
 
     @pytest.mark.parametrize("argv", [
@@ -221,6 +214,24 @@ class TestClassify:
                              "--mode", "regular", "--format", fmt)
         assert code == 2 and out == "" and err.startswith("error: --mode")
 
+    @pytest.mark.parametrize("sw, argv, message", [
+        ("1", ("classify", "--mode", "bogus"), "mode 'bogus' not available for family 'linear'"),
+        ("1", ("element", "--f", "1,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0", "--mode", "inverse"),
+         "mode 'inverse' not available for family 'linear'"),
+        ("0", ("classify", "--mode", "unit_regular"), "identity required"),
+        ("0", ("element", "--f", "0,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0", "--mode", "unit_regular"),
+         "identity required"),
+    ], ids=["classify-bogus", "element-inverse", "classify-no-identity", "element-no-identity"])
+    def test_mode_refused_before_the_build(self, capsys, sw, argv, message):
+        # the build of L(GF(2)^4) over a line W is the 4,096-element table,
+        # seconds of work that a mode the theorem cannot decide never needs
+        command, *extra = argv
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--kind", "l", "--p", "2", "--n", "4",
+                             "--w", "1,0,0,0", "--sw", sw, *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and message in err
+
 
 class TestElement:
     def test_linear_regular_false(self, capsys):
@@ -289,6 +300,22 @@ class TestElement:
         else:
             assert out.rstrip().endswith(f"<< BAD WITNESS: {problem}")
 
+    def test_unit_regular_preimage_is_solved_not_searched(self, capsys):
+        # e1 spans W and R(f|W); its preimage with free variables zero is
+        # e0, outside W.  The first null-space correction into W, in
+        # lexicographic order, comes after 100 * 101^4 others: solved, not
+        # searched for
+        n = 6
+        row = ",".join(["0", "1"] + ["0"] * (n - 2))
+        f = ";".join([row, row] + [",".join(["0"] * n)] * (n - 2))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "element", "--kind", "l", "--p", "101", "--n", str(n),
+                           "--w", row, "--sw", "1", "--f", f, "--mode", "unit_regular",
+                           "--no-oracle", "--format", "json")
+        assert time.perf_counter() - start < 1
+        (result,) = json.loads(out)["results"]
+        assert code == 0 and result["theorem"] is True
+
     def test_outsider_is_validation_error(self, capsys):
         code, _, err = run(
             capsys, "element", "--kind", "t", "--n", "3", "--y", "0,1",
@@ -305,7 +332,6 @@ class TestSweep:
         ["--kind", "t", "--ns", "2", "--source", "seeded", "--samples", "-1"],
         # negative caps: -1 would switch element checks off or skip every build
         ["--kind", "t", "--ns", "2", "--element-cap", "-1"],
-        ["--kind", "t", "--ns", "2", "--size-cap", "-1"],
     ])
     def test_negative_sizes_refused(self, capsys, flags):
         code, out, err = run(capsys, "sweep", *flags, "--format", "text")
@@ -445,13 +471,11 @@ class TestInputFile:
         ("sweep", {"family": "transformation", "ns": 3}),
         ("sweep", {"family": "transformation", "ns": [2], "subset_sizes": 5}),
         ("sweep", {"family": "linear", "pns": [2]}),
-        ("sweep", {"family": "transformation", "ns": [2], "size_cap": "x"}),
         # negative sizes and counts, which would run nothing and read clean
         ("sweep", {"family": "transformation", "ns": [-1]}),
         ("sweep", {"family": "transformation", "ns": [3], "subset_sizes": [-2]}),
         ("sweep", {"family": "linear", "pns": [[2, -1]]}),
         ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", -1, "0"]}),
-        ("sweep", {"family": "transformation", "ns": [2], "size_cap": -1}),
         ("sweep", {"family": "transformation", "ns": [2], "element_cap": -1}),
         # a repeated mode, which would count every semigroup check twice
         ("sweep", {"family": "transformation", "ns": [2], "modes": ["regular", "regular"]}),
@@ -467,7 +491,7 @@ class TestInputFile:
         # an inline plan flag next to a plan file, which would be ignored
         *[(f"sweep {flag}", {"family": "transformation", "ns": [2]})
           for flag in ("--mode regular", "--source exhaustive", "--samples 5", "--seed 1",
-                       "--size-cap 10", "--element-cap 10")],
+                       "--element-cap 10")],
         # --samples or --seed without a seeded source (no input file)
         ("sweep --kind t --ns 2 --samples 5", None),
         ("sweep --kind t --ns 2 --seed 1", None),
@@ -490,9 +514,8 @@ def _grammar_texts(digits: str, max_size: int):
             | st.lists(lists, max_size=3).map(";".join))
 
 
-# Instances stay small (n <= 3, p in {2, 3, 4}, builds capped at 64
-# elements) and sweeps stay over n <= 2: every number in a plan flag is
-# one digit 0..2.
+# Instances stay small (n <= 3, p in {2, 3, 4}) and sweeps stay over
+# n <= 2: every number in a plan flag is one digit 0..2.
 GRAMMAR_TEXT = _grammar_texts("0123", 8)
 PLAN_TEXT = _grammar_texts("012", 7).map(
     lambda text: re.sub(r"\d{2,}", lambda m: m.group()[-1], text))
@@ -502,7 +525,7 @@ PLAN_TEXT = _grammar_texts("012", 7).map(
 def inline_argv(draw):
     command = draw(st.sampled_from(["build", "classify", "element", "sweep"]))
     kind = draw(st.sampled_from(["t", "l"]))
-    argv = [command, "--kind", kind, "--size-cap", "64"]
+    argv = [command, "--kind", kind]
     if command == "sweep":
         texts, flags = PLAN_TEXT, ["--ns", "--pn", "--sizes"]
     else:
@@ -526,7 +549,7 @@ def test_grammar_fuzz_never_raises(argv):
     assert main(argv) in (0, 2, 3, 4)
 
 
-@pytest.mark.parametrize("flag", ["--sw=--", "--size-cap=--", "--mode=--"])
+@pytest.mark.parametrize("flag", ["--sw=--", "--gens=--", "--mode=--"])
 def test_double_dash_value_refused(capsys, flag):
     # argparse reads "--flag=--" as an empty list, which no command expects
     code, out, err = run(capsys, "classify", *L_FLAGS, flag)

@@ -11,6 +11,7 @@ from resemi.cli import main
 from resemi.gflinear import (
     GFMatrix,
     Subspace,
+    SubspaceTransversal,
     all_subspaces,
     all_vectors,
     canonical_transversal_subspace,
@@ -60,6 +61,26 @@ class TestField:
             GFMatrix(6, [[1]])
         with pytest.raises(ValueError):
             Subspace(6, 1, [[1]])
+
+    def test_primality_matches_trial_division(self):
+        def by_trial_division(p):
+            return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+        assert [p for p in range(-3, 10 ** 5) if is_prime(p) != by_trial_division(p)] == []
+
+    def test_primality_of_large_moduli(self):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime
+        # base up to 23: both composite
+        assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+        assert is_prime(2 ** 61 - 1) and is_prime(10000000000000061)
+
+    def test_primality_refused_from_2_to_the_64(self):
+        # from 2^64 on the test refuses to answer, so it never calls such a
+        # p composite (or prime) without proof
+        assert is_prime(2 ** 64 - 59)  # the largest prime below 2^64
+        for p in (2 ** 64, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="2\\^64"):
+                is_prime(p)
 
 
 class TestGFMatrix:
@@ -321,6 +342,38 @@ class TestCanonicalTransversalSubspace:
                     rw = Subspace(p, n, [f.apply(b) for b in w.basis])
                     assert (transversal_from_spaces(f, w, rw, ns, rf)
                             == canonical_transversal_subspace(f, w))
+
+    def test_solved_preimages_equal_the_search(self):
+        # the lexicographically first null-space correction into W, found
+        # by the search over every correction that the solve replaced
+        def searched(f, w):
+            p, n = f.p, f.rows
+            ns, rw, chosen = null_space(f), Subspace(p, n, [f.apply(b) for b in w.basis]), []
+            for u in rw.basis:
+                v = solve_row_vector(f, u)
+                if not w.contains(v):
+                    for coeffs in product(range(p), repeat=ns.dim):
+                        cand = tuple((a + b) % p for a, b in zip(v, ns.from_coordinates(coeffs)))
+                        if w.contains(cand):
+                            v = cand
+                            break
+                chosen.append(v)
+            span = rw
+            for r in image_space(f).basis:
+                if not span.contains(r):
+                    chosen.append(solve_row_vector(f, r))
+                    span = Subspace(p, n, span.basis + (r,))
+            u = Subspace(p, n, chosen)
+            return SubspaceTransversal(u, u.intersect(w))
+
+        corrected = 0
+        for p, n in ((2, 1), (2, 2), (2, 3), (3, 2), (5, 2)):
+            for f in all_matrices(p, n):
+                for w in invariant_subspaces(f):
+                    assert canonical_transversal_subspace(f, w) == searched(f, w)
+                    rw = Subspace(p, n, [f.apply(b) for b in w.basis])
+                    corrected += any(not w.contains(solve_row_vector(f, u)) for u in rw.basis)
+        assert corrected > 100  # the corrections are really exercised
 
     def test_corestriction_is_bijective_small(self):
         for p, n in ((2, 2), (3, 2), (2, 3)):

@@ -100,8 +100,9 @@ class TestBuild:
         assert GFMatrix.identity(2, 2) not in build_lsw(without)
 
     def test_size_cap(self):
+        # 2^16 = 65,536 elements, past the 4,096-element Cayley table
         with pytest.raises(SizeCapExceeded):
-            build_lsw(zero_instance(2, 3), size_cap=100)
+            build_lsw(zero_instance(2, 4))
 
     def test_whole_space_build_lists_no_points(self):
         # W = V: the build is S(W) itself; GF(101)^4's 104 M points are

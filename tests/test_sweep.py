@@ -87,16 +87,6 @@ class TestRunSweep:
         assert rep.clean and rep.instances_run > 0
         assert rep.definition_checks_run > 0
 
-    def test_size_cap_recorded_not_fatal(self):
-        plan = SweepPlan(
-            family="transformation", ns=(3,), subset_sizes=(1,),
-            source=("exhaustive",), modes=("regular",), size_cap=5,
-        )
-        rep = run_sweep(plan)
-        assert rep.instances_run == 3
-        assert len(rep.skipped) == 3  # every build needs 9 > 5 elements
-        assert not rep.mismatches
-
     def test_build_past_the_table_recorded_as_skipped(self):
         plan = SweepPlan(
             family="transformation", ns=(6,), subset_sizes=(1,),
@@ -138,12 +128,12 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("field, value", [
         ("ns", (2, "3")), ("pns", ((2, 1, 1),)), ("subset_sizes", (1.5,)),
-        ("size_cap", True), ("element_cap", None),
+        ("element_cap", None),
         ("source", ("seeded", "5", "s")),
         # negative sizes and counts: such a plan would run nothing and read clean
         ("ns", (-1,)), ("subset_sizes", (-2,)), ("pns", ((2, -1),)),
         ("source", ("seeded", -1, "s")),
-        ("size_cap", -1), ("element_cap", -1),
+        ("element_cap", -1),
         # a repeated mode would count every semigroup check twice
         ("modes", ("regular", "regular")),
     ])

@@ -89,9 +89,10 @@ class TestBuild:
         assert Transformation.identity(3) not in build_tsy(without)
 
     def test_size_cap(self):
-        inst = TInstance(4, IndexSubset(4, [0]), FiniteSemigroup([Transformation([0])]))
+        # 6^5 = 7,776 elements, past the 4,096-element Cayley table
+        inst = TInstance(6, IndexSubset(6, [0]), FiniteSemigroup([Transformation([0])]))
         with pytest.raises(SizeCapExceeded):
-            build_tsy(inst, size_cap=10)
+            build_tsy(inst)
 
     def test_empty_y_convention(self):
         inst = TInstance(2, IndexSubset(2, []), FiniteSemigroup([Transformation(())]))
