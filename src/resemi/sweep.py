@@ -323,7 +323,6 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
         if isinstance(inst, dict):  # a seeded draw refused at closure
             rep.skipped.append({"cell": cell, **inst})
             continue
-        rep.instances_run += 1
         key = inst.key()
         try:
             _run_instance(plan, rep, inst, key, seen_definition_keys)
@@ -355,6 +354,7 @@ def _tally(rep: SweepReport, key: dict, f, mode: str, thm, orc) -> None:
 
 def _run_instance(plan, rep, inst, key, seen_definition_keys):
     build = inst.build()
+    rep.instances_run += 1  # only once the build is made, not when refused
     expected = inst.expected_size()
     if len(build) != expected:
         rep.size_formula_violations.append(

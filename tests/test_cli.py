@@ -146,7 +146,23 @@ class TestTableCap:
         start = time.perf_counter()
         code, out, err = run(capsys, "build", *argv)
         assert time.perf_counter() - start < 1
-        assert code == 3 and "size cap" in err and out == ""
+        assert (code, out) == (3, "")
+        assert err == ("error: size cap exceeded: more than 4096 elements, "
+                       "the Cayley table's TABLE_CAP\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sweep_past_the_table_exits_3(self, capsys, fmt):
+        # every build of T_S(Y)(X) with n = 6, |Y| = 1 has 7,776 elements
+        code, out, err = run(capsys, "sweep", "--kind", "t", "--ns", "6", "--sizes", "1",
+                             "--format", fmt)
+        assert code == 3
+        assert err == ("error: size cap exceeded by all 6 selected instances: "
+                       "more than 4096 elements, the Cayley table's TABLE_CAP\n")
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["instances_run"] == 0 and len(report["skipped"]) == 6
+        else:
+            assert "instances run: 0" in out and "skipped: 6" in out
 
     @pytest.mark.parametrize("n", ["5", "6"])
     def test_exhaustive_sweep_refused_up_front(self, capsys, n):

@@ -1,5 +1,6 @@
 """Tests for exact GF(p) linear algebra: products, RREF, subspace lattice
-operations, null spaces, restriction and the transversal subspace pair."""
+operations, null spaces, restriction, the transversal subspace pair and
+the memos of the subspace kernel."""
 
 from itertools import product
 
@@ -9,9 +10,14 @@ from hypothesis import strategies as st
 
 from resemi.cli import main
 from resemi.gflinear import (
+    MEMO_BOUND,
     GFMatrix,
     Subspace,
     SubspaceTransversal,
+    _intersect,
+    _solve,
+    _span_of,
+    _sum,
     all_subspaces,
     all_vectors,
     canonical_transversal_subspace,
@@ -28,6 +34,10 @@ from resemi.gflinear import (
     transversal_from_spaces,
 )
 from resemi.linear_semigroup import l_instance_from_dict
+from resemi.sweep import run_sweep
+from test_acceptance import CRITERION3_PLANS
+
+MEMOS = (_span_of, _sum, _intersect, null_space, _solve)
 
 
 def all_matrices(p, n):
@@ -193,12 +203,18 @@ class TestSubspace:
                 assert s.intersection == b.intersect(a)
 
     def test_intersection_is_the_set_intersection(self):
-        for p, n in ((2, 3), (3, 2)):
+        # and the sum is the span closure; each pair is met twice, so the
+        # second answer comes from the memo
+        for p, n in ((2, 3), (3, 2), (5, 2)):
             spaces = all_subspaces(p, n)
-            for a in spaces:
-                for b in spaces:
-                    meet = set(a.intersect(b).vectors())
-                    assert meet == set(a.vectors()) & set(b.vectors())
+            for _ in range(2):
+                for a in spaces:
+                    for b in spaces:
+                        meet = set(a.intersect(b).vectors())
+                        assert meet == set(a.vectors()) & set(b.vectors())
+                        sums = {tuple((x + y) % p for x, y in zip(u, v))
+                                for u in a.vectors() for v in b.vectors()}
+                        assert set(a.sum(b).vectors()) == sums
 
     def test_unchecked_constructor_equals_checked(self):
         # sum and intersect span their results through Subspace._unchecked
@@ -274,6 +290,43 @@ class TestSolveAndInverse:
         assert m * mat_inverse(m) == GFMatrix.identity(3, 2)
         with pytest.raises(ValueError, match="singular"):
             mat_inverse(GFMatrix(2, [[1, 1], [1, 1]]))
+
+
+class TestMemo:
+    def test_null_space_and_solve_by_brute_force(self):
+        for p in (2, 3):
+            vectors = all_vectors(p, 2)
+            for f in all_matrices(p, 2) * 2:  # the second round hits the memos
+                killed = {v for v in vectors if f.apply(v) == (0, 0)}
+                assert set(null_space(f).vectors()) == killed
+                image = {f.apply(v) for v in vectors}
+                for target in vectors:
+                    v = solve_row_vector(f, list(target))
+                    assert (v is not None) == (target in image)
+                    assert v is None or f.apply(v) == target
+
+    def test_hit_equals_uncached_result(self):
+        spaces = all_subspaces(3, 2)
+        for f in all_matrices(3, 2)[::7]:
+            assert null_space(f) is null_space(f) == null_space.__wrapped__(f)
+            for t in all_vectors(3, 2):
+                assert solve_row_vector(f, t) == _solve.__wrapped__(f, t)
+        for a in spaces:
+            rows = a.basis + ((1, 1),)
+            assert Subspace._unchecked(3, 2, rows) is Subspace._unchecked(3, 2, list(rows))
+            assert Subspace._unchecked(3, 2, rows) == _span_of.__wrapped__(3, 2, rows)
+            for b in spaces:
+                assert a.intersect(b) is a.intersect(b) == _intersect.__wrapped__(a, b)
+                assert a.sum(b) is a.sum(b) == _sum.__wrapped__(a, b)
+
+    def test_memos_stay_within_the_bound(self):
+        for memo in MEMOS:
+            memo.cache_clear()
+        assert run_sweep(CRITERION3_PLANS[-1]).clean  # c3d
+        for memo in MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == MEMO_BOUND and 0 < info.currsize <= MEMO_BOUND
+            assert info.hits > info.misses
 
 
 class TestRestrictionMatrix:

@@ -6,9 +6,12 @@ from itertools import product
 
 import pytest
 
+from resemi import linear_semigroup as lsg
+from resemi.family import _records_on
 from resemi.gflinear import (
     GFMatrix,
     Subspace,
+    SubspaceTransversal,
     all_subspaces,
     canonical_transversal_subspace,
     restriction_matrix,
@@ -192,6 +195,24 @@ class TestElementRecord(ElementRecordCases):
     @staticmethod
     def canonical(f, inst):
         return canonical_transversal_subspace(f, inst.w)
+
+
+class TestTransversalProblem:
+    @pytest.mark.parametrize("wrong", [[], [[0, 1]]], ids=["too_small", "outside_w"])
+    def test_wrong_trace_is_found(self, monkeypatch, wrong):
+        # f = 1 on GF(2)^2 with W = <(1,0)>: U = V, so U meet W is W
+        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        f = GFMatrix.identity(2, 2)
+        _records_on.cache_clear()
+        assert inst.transversal_problem(f) is None
+        build_pair = lsg.transversal_from_spaces
+        monkeypatch.setattr(lsg, "transversal_from_spaces", lambda *args: SubspaceTransversal(
+            build_pair(*args).u, Subspace(2, 2, wrong)))
+        _records_on.cache_clear()  # f's record holds the right pair
+        try:
+            assert inst.transversal_problem(f) == "U meet W is not the trace of U"
+        finally:
+            _records_on.cache_clear()  # and now the wrong one
 
 
 class TestSharedRecords(SharedRecordsCases):

@@ -93,7 +93,7 @@ class TestRunSweep:
             source=("exhaustive",), modes=("regular",),
         )
         rep = run_sweep(plan)
-        assert rep.instances_run == 6
+        assert rep.instances_run == 0  # a refused build is not a run
         # every build has 6^5 = 7,776 elements, past the Cayley table
         assert [s["reason"] for s in rep.skipped] == ["size cap exceeded"] * 6
         assert rep.clean
