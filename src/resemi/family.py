@@ -1,7 +1,8 @@
 """What the two restriction-constrained families share: the instance
 interface, the inline grammar, the build and its size, the regular,
-unit-regular and inverse semigroup theorems, the per-element record memo,
-the element theorem and the product check of its witnesses.
+unit-regular and inverse semigroup theorems, the per-region store of
+elements and their records, the element theorem and the product check of
+its witnesses.
 
 The paper proves the element theorems for T_S(Y)(X) and L_S(W)(V) in one
 shape: f is regular iff its restriction is regular in the prescribed
@@ -14,7 +15,10 @@ assembly) and its words for the clauses.  The regular, unit-regular and
 inverse semigroup theorems share one shape too (``semigroup_verdict``),
 and so do both builds: one element for each alpha in the prescribed
 semigroup and each choice of images of the points outside the region,
-numbered once (``element_at``, which ``build`` enumerates).  Every inline
+numbered once (``element_at``, which ``build`` enumerates).  Nothing in
+an element or its record depends on the prescribed semigroup, so every
+instance on one region shares them (``RegionStore``): ``extend`` runs and
+each record is made once per element of the region.  Every inline
 text, an element, a region or a sweep's sizes, is read by the grammar's
 two atoms, ``parse_ints`` and ``parse_rows``.
 """
@@ -103,7 +107,7 @@ class RestrictedInstance:
         on every call, if f is not a member of this instance."""
         if not self.in_ambient(f):
             raise ValueError(f"f not in {self.FAMILY}: wrong ambient size")
-        records = _records_on(self.region)
+        records = _store_on(self.region).records
         rec = records.get(f)
         if rec is None:
             rec = records[f] = self.RECORD(self.region, f)
@@ -112,6 +116,13 @@ class RestrictedInstance:
         if rec.alpha not in self.prescribed:
             raise ValueError(f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}")
         return rec
+
+    def transversal_problem(self, f) -> str | None:
+        """What is wrong with f's canonical transversal pair, or None.
+        The pair depends on f and the region only, so the check is made
+        once per record (its ``transversal_problem``); f's membership in
+        this instance is still decided on every call."""
+        return self.record(f).transversal_problem
 
     def prescribed_verdict(self, alpha, mode: str) -> PropertyVerdict:
         """``element_oracle`` on the prescribed semigroup for alpha, asked
@@ -193,8 +204,12 @@ def build(inst: RestrictedInstance) -> FiniteSemigroup:
     the build refused once it passes the Cayley table's ``TABLE_CAP``, the
     only bound on work, so a refusal costs no work that grows with the
     space.  When the region is everything the build is S itself, table
-    reused; otherwise the ``point_count`` points are worked out once, not
-    once per element.
+    reused.  Otherwise each element is taken from the region's store,
+    where the first build on the region to meet (alpha, image number)
+    put it, so every instance on the region shares its element objects
+    and ``extend`` runs once per element of the region; the
+    ``point_count`` points are worked out once per build, not once per
+    element.
     """
     count = len(inst.prescribed)
     for _ in range(inst.width * inst.codim):
@@ -205,8 +220,19 @@ def build(inst: RestrictedInstance) -> FiniteSemigroup:
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed
-    points = [inst.point(d) for d in range(inst.point_count)]
-    return FiniteSemigroup([element_at(inst, i, points.__getitem__) for i in range(count)])
+    point = [inst.point(d) for d in range(inst.point_count)].__getitem__
+    per_alpha = count // len(inst.prescribed)
+    store = _store_on(inst.region).elements
+    out = []
+    for a, alpha in enumerate(inst.prescribed.elements):
+        known = store.get(alpha)
+        if known is None:
+            known = store[alpha] = [None] * per_alpha
+        for r, f in enumerate(known):
+            if f is None:
+                f = known[r] = element_at(inst, a * per_alpha + r, point)
+            out.append(f)
+    return FiniteSemigroup(out)
 
 
 def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
@@ -242,14 +268,25 @@ def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
     return PropertyVerdict(mode, False, clause="neither clause holds")
 
 
+class RegionStore:
+    """What every instance on one region shares: ``records``, f -> f's
+    record, and ``elements``, alpha -> the list of the elements
+    restricting to alpha, each made by ``extend`` when first met, by
+    image number (the remainder of the element's ``element_at``
+    number)."""
+
+    def __init__(self) -> None:
+        self.records: dict = {}
+        self.elements: dict = {}
+
+
 @lru_cache(maxsize=1)
-def _records_on(region) -> dict:
-    """The f -> record memo of one region (Y or W, of either family);
-    asking about another region drops it.  A sweep takes the instances of
-    one region back to back, so that loses no reuse, and keying on every
-    region would hold the records of every element of every region at
-    once."""
-    return {}
+def _store_on(region) -> RegionStore:
+    """The store of one region (Y or W, of either family); asking about
+    another region drops it.  A sweep takes the instances of one region
+    back to back, so that loses no reuse, and keying on every region
+    would hold the elements and records of every region at once."""
+    return RegionStore()
 
 
 def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:

@@ -43,8 +43,9 @@ class ElementSubspaces:
     Eager: the restriction ``alpha`` (None when f does not leave W
     invariant, and then nothing else), R(f) (``rf``), R(f) meet W
     (``r_meet_w``), R(f|W) (``rw``) and the image-trace test ``trace_ok``.
-    Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``),
-    W + U (``w_plus_u``), codim(W + U) and codim(W + R(f))
+    Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``)
+    and what is wrong with it (``transversal_problem``, None when nothing
+    is), W + U (``w_plus_u``), codim(W + U) and codim(W + R(f))
     (``complement_sizes``), the witness basis chain B1..B4 (``chain``) and
     the inverse of its basis matrix, the images of B3 + B4 under each
     witness (``regular_rows``, ``unit_regular_rows``), and each witness
@@ -72,6 +73,27 @@ class ElementSubspaces:
     @cached_property
     def transversal(self) -> SubspaceTransversal:
         return transversal_from_spaces(self.f, self.w, self.rw, self.ns, self.rf)
+
+    @cached_property
+    def transversal_problem(self) -> str | None:
+        """What is wrong with the canonical transversal subspace pair, or
+        None."""
+        tr, ns, w = self.transversal, self.ns, self.w
+        if tr.u.dim != self.f.rank:
+            return "transversal dimension differs from rank"
+        # Through sums and membership, not the intersection the pair was
+        # built with: a memoised intersect would be compared with itself.
+        if tr.u.sum(ns).dim != tr.u.dim + ns.dim:
+            return "transversal meets the null space"
+        if (not all(tr.u.contains(b) and w.contains(b) for b in tr.u_meet_w.basis)
+                or tr.u_meet_w.dim != tr.u.dim + w.dim - tr.u.sum(w).dim):
+            return "U meet W is not the trace of U"
+        ns_on_w = ns.intersect(w)  # null space of the restriction, ambient
+        if tr.u_meet_w.dim + ns_on_w.dim != w.dim:
+            return "U meet W is not a complement of the restricted null space"
+        if tr.u_meet_w.intersect(ns_on_w).dim != 0:
+            return "U meet W meets the restricted null space"
+        return None
 
     @cached_property
     def w_plus_u(self) -> Subspace:
@@ -240,26 +262,6 @@ class LInstance(RestrictedInstance):
     def thm_element(self, f: GFMatrix, mode: str) -> PropertyVerdict:
         return thm_element_l(self, f, mode)
 
-    def transversal_problem(self, f: GFMatrix) -> str | None:
-        """What is wrong with f's canonical transversal subspace pair, or None."""
-        rec = self.record(f)
-        tr, ns, w = rec.transversal, rec.ns, self.w
-        if tr.u.dim != f.rank:
-            return "transversal dimension differs from rank"
-        # Through sums and membership, not the intersection the pair was
-        # built with: a memoised intersect would be compared with itself.
-        if tr.u.sum(ns).dim != tr.u.dim + ns.dim:
-            return "transversal meets the null space"
-        if (not all(tr.u.contains(b) and w.contains(b) for b in tr.u_meet_w.basis)
-                or tr.u_meet_w.dim != tr.u.dim + w.dim - tr.u.sum(w).dim):
-            return "U meet W is not the trace of U"
-        ns_on_w = ns.intersect(w)  # null space of the restriction, ambient
-        if tr.u_meet_w.dim + ns_on_w.dim != w.dim:
-            return "U meet W is not a complement of the restricted null space"
-        if tr.u_meet_w.intersect(ns_on_w).dim != 0:
-            return "U meet W meets the restricted null space"
-        return None
-
     def lift_on_w(self, alpha: GFMatrix, v) -> tuple:
         """Apply the coordinate matrix alpha, as a map on W, to ambient v."""
         return self.w.from_coordinates(alpha.apply(self.w.coordinates(v)))
@@ -342,32 +344,35 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
 def alpha_family_check(inst: LInstance, build: FiniteSemigroup) -> PropertyVerdict:
     """For codim(W) = 1 and S(W) a group of units, the whole semigroup is
     the family of maps indexed by (z, lam): restrict to lam on W and send
-    the distinguished complement vector x to z.  Verifies the family
-    equals ``build``, the instance's build (``inst.build()``, which the
-    sweep has already made), elementwise and that composition acts on
-    indices by (z, lam)(z', del) = (x, lam.del) when z = x, and (y,
-    lam)(z', del) = (y.del, lam.del) for y in W."""
+    the distinguished complement vector x to z.  Verifies the family, made
+    by ``inst.extend`` apart from the build and the region's store of
+    elements, equals ``build``, the instance's build (``inst.build()``,
+    which the sweep has already made), elementwise and that composition
+    acts on indices by (z, lam)(z', del) = (x, lam.del) when z = x, and
+    (y, lam)(z', del) = (y.del, lam.del) for y in W.  Both laws are read
+    by index in the Cayley tables of ``build`` and S(W)."""
     if inst.codim != 1 or not inst.unit_group:
         raise ValueError("precondition violated")
-    p, n = inst.p, inst.n
-    x = unit_rows(n)[inst._complement_cols[0]]
-    family = {}
-    for lam in inst.s_w.elements:
-        for z in all_vectors(p, n):
-            family[(z, lam)] = inst.extend(lam, [z])
+    s_w, vectors = inst.s_w, all_vectors(inst.p, inst.n)
+    x = unit_rows(inst.n)[inst._complement_cols[0]]
+    family = {(z, lam): inst.extend(lam, [z]) for lam in s_w.elements for z in vectors}
     if set(family.values()) != set(build.elements):
         return PropertyVerdict("alpha_family", False, clause="family differs from the build")
-    for lam in inst.s_w.elements:
-        for delta in inst.s_w.elements:
-            if family[(x, lam)] * family[(x, delta)] != family[(x, lam * delta)]:
+    at = {key: build.index_of(f) for key, f in family.items()}
+    t = build.table
+    for a, lam in enumerate(s_w.elements):
+        for b, delta in enumerate(s_w.elements):
+            lam_delta = s_w.elements[s_w.table[a][b]]
+            if t[at[(x, lam)]][at[(x, delta)]] != at[(x, lam_delta)]:
                 return PropertyVerdict(
                     "alpha_family", False, witness=(x, lam, delta),
                     clause="fixed-point composition law fails",
                 )
             for y in inst.w.vectors():
-                y_delta = inst.lift_on_w(delta, y)
-                for z in all_vectors(p, n):
-                    if family[(y, lam)] * family[(z, delta)] != family[(y_delta, lam * delta)]:
+                row = t[at[(y, lam)]]
+                want = at[(inst.lift_on_w(delta, y), lam_delta)]
+                for z in vectors:
+                    if row[at[(z, delta)]] != want:
                         return PropertyVerdict(
                             "alpha_family", False, witness=(y, z, lam, delta),
                             clause="index composition law fails",

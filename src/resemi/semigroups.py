@@ -6,10 +6,15 @@ gives a *point code*, the images of the points that determine it
 (``Transformation.map``, or a matrix's rows), and a *point action*, its
 images of any given points; the code of ``a * b`` is b's action on a's
 code.  Every semigroup carries its full Cayley table, built from integer
-tuples alone: the points occurring in the codes are numbered, each
-element's action on them is taken once, and each product's code is
-gathered from those actions.  Only points that occur in codes are used,
-never all of GF(p)^n.  Every oracle then runs on small-integer indices.
+tuples alone: the points occurring in the codes are numbered in sorted
+order, so the numbering depends on the point set alone, each element's
+action on them is taken once per (element, point set), and each
+product's code is gathered from those actions.  The actions are memoised
+while their point set is current (``_actions_on``), so the builds of a
+sweep, which meet the same elements on the same points again and again,
+share them; the table holds element indices, which do not depend on the
+numbering.  Only points that occur in codes are used, never all of
+GF(p)^n.  Every oracle then runs on small-integer indices.
 A semigroup of more than ``TABLE_CAP`` elements is refused with
 ``SizeCapExceeded``, and so are closures and builds that would exceed it.
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class SizeCapExceeded(ValueError):
@@ -71,6 +77,15 @@ def _gatherer(code: tuple):
     return lambda action: ()
 
 
+@lru_cache(maxsize=1)
+def _actions_on(points: tuple) -> dict:
+    """The element -> numbered action memo of one point set: each
+    element's images of ``points``, as indices into ``points``.  Building
+    a table on another point set drops it, so it holds the actions of one
+    point set at a time, not of every element the process has met."""
+    return {}
+
+
 class FiniteSemigroup:
     """Explicit finite semigroup: a duplicate-free element list closed
     under ``a * b``.
@@ -96,23 +111,30 @@ class FiniteSemigroup:
         _check_same_kind(elems)
         self.elements = tuple(elems)
         self._index = index
-        # Index the points that occur in the elements' point codes.  A
-        # closed semigroup maps them into themselves, so a point sent
+        # Number the points that occur in the elements' point codes, in
+        # sorted order, so the numbering depends on the point set alone.
+        # A closed semigroup maps them into themselves, so a point sent
         # outside them (None in an action) shows a missing product.
-        point_index: dict = {}
-        codes = [
-            tuple(point_index.setdefault(x, len(point_index)) for x in el.point_code())
-            for el in elems
-        ]
-        points = tuple(point_index)
-        actions = [tuple(map(point_index.get, el.point_action(points))) for el in elems]
+        points = tuple(sorted({x for el in elems for x in el.point_code()}))
+        point_index = {x: i for i, x in enumerate(points)}
+        number = point_index.__getitem__
+        codes = [tuple(map(number, el.point_code())) for el in elems]
+        known = _actions_on(points)
+        actions = []
+        for el in elems:
+            action = known.get(el)
+            if action is None:
+                action = known[el] = tuple(map(point_index.get, el.point_action(points)))
+            actions.append(action)
         by_code = {code: k for k, code in enumerate(codes)}
         index_of_code = by_code.__getitem__
         table = []
         for a, code in zip(elems, codes):
             gather = _gatherer(code)
             try:
-                table.append(list(map(index_of_code, map(gather, actions))))
+                # copied, so each row is allocated at its exact length: a
+                # list grown from a map over-allocates by up to 1/8
+                table.append(list(map(index_of_code, map(gather, actions))).copy())
             except KeyError:
                 j = next(j for j, act in enumerate(actions) if gather(act) not in by_code)
                 raise ValueError(

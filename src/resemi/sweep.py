@@ -148,7 +148,13 @@ def _as_tuples(v):
 
 @dataclass
 class SweepReport:
-    """Aggregate of one run_sweep call; see SweepPlan for determinism."""
+    """Aggregate of one run_sweep call; see SweepPlan for determinism.
+
+    ``transversal_checks_run`` counts the (instance, element) pairs the
+    transversal check covered, and ``transversal_failures`` holds one
+    entry per such pair whose check fails.  The check itself is made once
+    per element of a region, on its shared record
+    (``RestrictedInstance.transversal_problem``)."""
 
     plan: dict
     instances_run: int = 0

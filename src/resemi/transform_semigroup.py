@@ -34,7 +34,8 @@ class TElementRecord:
     invariant, and then nothing else), the fibres of f keyed by image
     point (``fibers``) and the image-trace test R(f) meet Y = R(f|Y)
     (``trace_ok``).  Lazy: the canonical transversal pair
-    (``transversal``), the sorted extras D(f) minus D(f|Y) and C(f) minus
+    (``transversal``) and what is wrong with it (``transversal_problem``,
+    None when nothing is), the sorted extras D(f) minus D(f|Y) and C(f) minus
     C(f|Y) (``extras``) and their sizes (``complement_sizes``).
     """
 
@@ -55,6 +56,26 @@ class TElementRecord:
     @cached_property
     def transversal(self) -> TransversalPair:
         return canonical_transversal(self.f, self.y)
+
+    @cached_property
+    def transversal_problem(self) -> str | None:
+        """What is wrong with the canonical transversal pair, or None."""
+        t_set = set(self.transversal.t.members)
+        ty_set = set(self.transversal.t_on_y.members)
+        if len(t_set) != len(self.fibers):
+            return "transversal size differs from image size"
+        for cls in self.fibers.values():
+            if len(t_set.intersection(cls)) != 1:
+                return "a fibre does not meet T exactly once"
+        if ty_set != t_set.intersection(self.y.members):
+            return "T on Y is not the trace of T"
+        y_fibers: dict[int, set] = {}
+        for x in self.y.members:
+            y_fibers.setdefault(self.f.map[x], set()).add(x)
+        for fiber in y_fibers.values():
+            if len(ty_set & fiber) != 1:
+                return "a restricted fibre does not meet T on Y exactly once"
+        return None
 
     @cached_property
     def extras(self) -> tuple[list, list]:
@@ -176,26 +197,6 @@ class TInstance(RestrictedInstance):
 
     def thm_element(self, f: Transformation, mode: str) -> PropertyVerdict:
         return thm_element_t(self, f, mode)
-
-    def transversal_problem(self, f: Transformation) -> str | None:
-        """What is wrong with f's canonical transversal pair, or None."""
-        rec = self.record(f)
-        t_set = set(rec.transversal.t.members)
-        ty_set = set(rec.transversal.t_on_y.members)
-        if len(t_set) != len(rec.fibers):
-            return "transversal size differs from image size"
-        for cls in rec.fibers.values():
-            if len(t_set.intersection(cls)) != 1:
-                return "a fibre does not meet T exactly once"
-        if ty_set != t_set.intersection(self.y.members):
-            return "T on Y is not the trace of T"
-        y_fibers: dict[int, set] = {}
-        for x in self.y.members:
-            y_fibers.setdefault(f.map[x], set()).add(x)
-        for fiber in y_fibers.values():
-            if len(ty_set & fiber) != 1:
-                return "a restricted fibre does not meet T on Y exactly once"
-        return None
 
 
 def t_instance_from_dict(data: dict) -> TInstance:

@@ -16,7 +16,7 @@ import weakref
 import pytest
 
 from resemi import sweep
-from resemi.family import _records_on, element_at, element_verdict
+from resemi.family import _store_on, element_at, element_verdict
 from resemi.gflinear import GFMatrix, Subspace
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import FiniteSemigroup, PropertyVerdict, witness_problem
@@ -86,7 +86,7 @@ class SharedRecordsCases:
 
     def test_cached_record_is_checked_against_each_instance(self):
         a, b, f = self.separated()
-        _records_on.cache_clear()
+        _store_on.cache_clear()
         for _ in range(2):
             assert a.thm_element(f, "regular").holds
             assert a.transversal_problem(f) is None
@@ -97,7 +97,7 @@ class SharedRecordsCases:
 
     def test_non_invariant_f_raises_on_every_call(self):
         inst, f = self.non_invariant()
-        _records_on.cache_clear()
+        _store_on.cache_clear()
         for _ in range(3):
             for check in self.CHECKS:
                 assert outcome(inst, f, check) == ("raises", self.NOT_INVARIANT)
@@ -110,12 +110,12 @@ class SharedRecordsCases:
             assert set(elements) - set(b.build().elements)
 
             def fresh(inst, f, check):
-                _records_on.cache_clear()
+                _store_on.cache_clear()
                 return outcome(self.clone(inst), f, check)
 
             want = [fresh(inst, f, check)
                     for f in elements for inst in (a, b) for check in self.CHECKS]
-            _records_on.cache_clear()
+            _store_on.cache_clear()
             got = [outcome(inst, f, check)
                    for f in elements for inst in (a, b) for check in self.CHECKS]
             assert got == want, a
@@ -134,7 +134,7 @@ class SharedRecordsCases:
     def test_memo_witness_checked_against_each_table(self):
         a, b, c, f, mode, partner = self.partners()
         build_a, build_b = a.build(), b.build()
-        _records_on.cache_clear()
+        _store_on.cache_clear()
         w_a = a.thm_element(f, mode).witness
         assert a.restrict(w_a, a.region) == partner
         assert witness_problem(build_a, f, mode, w_a) is None
@@ -149,13 +149,13 @@ class SharedRecordsCases:
 
     def test_records_are_kept_for_one_w_only(self):
         a, b, other, f = self.regions()
-        _records_on.cache_clear()
+        _store_on.cache_clear()
         dropped = weakref.ref(a.record(f))
         assert dropped() is not None
         other.record(f)
         gc.collect()
         assert dropped() is None
-        assert _records_on.cache_info().currsize == 1
+        assert _store_on.cache_info().currsize == 1
         # back on the first region, a new record is made and still checked per instance
         assert a.record(f) is a.record(f)
         with pytest.raises(ValueError, match="restriction outside S"):
@@ -166,12 +166,12 @@ def test_a_query_on_one_family_drops_the_other_familys_records():
     lin = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])]))
     tra = TInstance(2, IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
     queries = ((lin, GFMatrix.identity(2, 2)), (tra, Transformation([0, 0])))
-    _records_on.cache_clear()
+    _store_on.cache_clear()
     for (first, f), (second, g) in (queries, queries[::-1]):
         dropped = weakref.ref(first.record(f))
         second.record(g)
         gc.collect()
-        assert dropped() is None and _records_on.cache_info().currsize == 1
+        assert dropped() is None and _store_on.cache_info().currsize == 1
 
 
 # -- the element theorem on stub records ---------------------------------------
@@ -411,6 +411,84 @@ def test_element_at_numbers_the_build(plan):
         assert numbered == list(inst.build().elements), inst
         shapes.add("empty" if inst.codim == inst.n else "whole" if inst.codim == 0 else "part")
     assert shapes == {"empty", "whole", "part"}
+
+
+# Two instances on one region, with different prescribed semigroups that
+# share elements, and a third instance on another region.
+SHARED_REGION = {
+    "transformation": (
+        TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 1])])),
+        TInstance(3, IndexSubset(3, [0, 1]),
+                  FiniteSemigroup([Transformation([0, 1]), Transformation([0, 0])])),
+        TInstance(3, IndexSubset(3, [0]), FiniteSemigroup([Transformation([0])])),
+    ),
+    "linear": (
+        LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
+        LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+                  FiniteSemigroup([GFMatrix(2, [[0]]), GFMatrix(2, [[1]])])),
+        LInstance(2, 2, Subspace(2, 2, [[0, 1]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SHARED_REGION))
+def test_instances_on_one_region_share_their_elements(family):
+    a, b, _ = SHARED_REGION[family]
+    _store_on.cache_clear()
+    build_a, build_b = a.build(), b.build()
+    for inst, built in ((a, build_a), (b, build_b)):
+        assert list(built.elements) == [element_at(inst, i) for i in range(len(built))]
+    shared = set(build_a.elements) & set(build_b.elements)
+    assert shared and shared != set(build_b.elements)
+    in_a = {f: f for f in build_a.elements}
+    assert all(f is in_a[f] for f in build_b.elements if f in shared)
+    # a second build of one instance is made of the same objects
+    assert all(f is g for f, g in zip(a.build().elements, build_a.elements))
+
+
+@pytest.mark.parametrize("family", sorted(SHARED_REGION))
+def test_a_build_on_another_region_drops_the_store(family):
+    a, b, other = SHARED_REGION[family]
+    _store_on.cache_clear()
+    f = a.build().elements[0]
+    a.record(f)
+    store = _store_on(a.region)
+    assert store.elements and store.records
+    other.build()
+    assert _store_on.cache_info().currsize == 1
+    fresh = _store_on(a.region)
+    assert fresh is not store and not fresh.elements and not fresh.records
+    # and the next build on the first region fills the new store
+    assert list(b.build().elements) == [element_at(b, i) for i in range(len(b.build()))]
+    assert fresh.elements
+
+
+@pytest.mark.parametrize("family", sorted(SHARED_REGION))
+def test_a_transversal_problem_is_reported_for_each_instance_holding_f(family, monkeypatch):
+    """The check is made once per record, but the sweep still records a
+    failure for every (instance, element) pair it covers."""
+    a, _, _ = SHARED_REGION[family]
+    plan = (SweepPlan(family="transformation", ns=(3,), subset_sizes=(2,))
+            if family == "transformation" else SweepPlan(family="linear", pns=((2, 2),)))
+    target = a.build().elements[-1]
+    holding = [inst.key() for _, inst in sweep._instances(plan) if target in inst.build()]
+    assert len(holding) > 1
+    made = []
+
+    def forced(rec):
+        made.append(rec.f)
+        return "forced" if rec.f == target else None
+
+    monkeypatch.setattr(a.RECORD, "transversal_problem", property(forced))
+    _store_on.cache_clear()
+    try:
+        rep = sweep.run_sweep(plan)
+    finally:
+        _store_on.cache_clear()
+    assert rep.transversal_failures == [
+        {"instance": key, "element": target.to_text(), "problem": "forced"} for key in holding]
+    assert rep.transversal_checks_run == len(made)
+    assert rep.mismatches == []
 
 
 @pytest.mark.parametrize("inst, decidable", [

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from resemi import linear_semigroup as lsg
-from resemi.family import _records_on
+from resemi.family import _store_on
 from resemi.gflinear import (
     GFMatrix,
     Subspace,
@@ -203,16 +203,16 @@ class TestTransversalProblem:
         # f = 1 on GF(2)^2 with W = <(1,0)>: U = V, so U meet W is W
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         f = GFMatrix.identity(2, 2)
-        _records_on.cache_clear()
+        _store_on.cache_clear()
         assert inst.transversal_problem(f) is None
         build_pair = lsg.transversal_from_spaces
         monkeypatch.setattr(lsg, "transversal_from_spaces", lambda *args: SubspaceTransversal(
             build_pair(*args).u, Subspace(2, 2, wrong)))
-        _records_on.cache_clear()  # f's record holds the right pair
+        _store_on.cache_clear()  # f's record holds the right pair
         try:
             assert inst.transversal_problem(f) == "U meet W is not the trace of U"
         finally:
-            _records_on.cache_clear()  # and now the wrong one
+            _store_on.cache_clear()  # and now the wrong one
 
 
 class TestSharedRecords(SharedRecordsCases):
@@ -357,6 +357,19 @@ class TestAlphaFamily:
         other = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), generate([GFMatrix(3, [[2]])]))
         v = alpha_family_check(inst, other.build())
         assert not v.holds and v.clause == "family differs from the build"
+
+    def test_swapped_table_entries_break_a_composition_law(self):
+        s_w = generate([GFMatrix(3, [[2]])])
+        inst = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), s_w)
+        build = inst.build()
+        assert alpha_family_check(inst, build).holds
+        # the row of (0, 1): 0 sends every (z, del) to (0, del), so the row
+        # holds two distinct entries; swap them
+        row = build.table[build.index_of(inst.extend(s_w.identity, [(0, 0)]))]
+        j = next(j for j, v in enumerate(row) if v != row[0])
+        row[0], row[j] = row[j], row[0]
+        v = alpha_family_check(inst, build)
+        assert not v.holds and v.clause == "index composition law fails"
 
     def test_precondition_violations(self):
         with pytest.raises(ValueError, match="precondition violated"):

@@ -11,6 +11,7 @@ from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
     FiniteSemigroup,
+    _actions_on,
     SizeCapExceeded,
     TABLE_CAP,
     closure_elements,
@@ -96,9 +97,34 @@ class TestPointCodeTables:
     @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
     def test_gathered_table_equals_object_products(self, name, base):
         for elems in random_closures(base, name, 12):
+            _actions_on.cache_clear()
             s = FiniteSemigroup(elems)
             index = {el: k for k, el in enumerate(s.elements)}
             assert s.table == [[index[a * b] for b in s.elements] for a in s.elements]
+            # second builds on the same point set read every action from
+            # the memo, in the same order and reversed
+            hits = _actions_on.cache_info().hits
+            assert FiniteSemigroup(elems).table == s.table
+            again = FiniteSemigroup(elems[::-1])
+            assert _actions_on.cache_info().hits == hits + 2
+            m = len(s)
+            assert again.table == [[m - 1 - s.table[m - 1 - i][m - 1 - j] for j in range(m)]
+                                   for i in range(m)]
+
+    def test_action_memo_is_kept_for_one_point_set(self):
+        _actions_on.cache_clear()
+        line, plane = full_l(2, 1), full_l(2, 2)
+        FiniteSemigroup(plane)
+        points = tuple(all_vectors(2, 2))
+        memo = _actions_on(points)
+        assert set(memo) == set(plane)
+        FiniteSemigroup(line)  # another point set
+        assert _actions_on.cache_info().currsize == 1
+        assert _actions_on(points) is not memo and not _actions_on(points)
+        # the numbering is canonical: a table is the same whatever came before
+        cold = FiniteSemigroup(plane[::-1]).table
+        FiniteSemigroup(plane)
+        assert FiniteSemigroup(plane[::-1]).table == cold
 
     def test_full_small_monoids_against_object_products(self):
         for elems in (full_l(3, 2), full_l(2, 2), [Transformation(t) for t in product(range(3), repeat=3)]):
