@@ -29,7 +29,7 @@ print("witnesses verified:", report.witnesses_checked)
 print("mismatches:", len(report.mismatches))
 
 # Linear family, exhaustive subsemigroup enumeration where the base monoid
-# is small enough (up to 16 elements, i.e. a 2^16 subset scan).
+# is small enough (up to 27 elements, so up to T(3)).
 lplan = SweepPlan(
     family="linear",
     pns=((2, 1), (2, 2), (3, 1)),

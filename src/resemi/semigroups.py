@@ -5,25 +5,28 @@ maps of points: the points of X, or the vectors of GF(p)^n.  Each element
 gives a *point code*, the images of the points that determine it
 (``Transformation.map``, or a matrix's rows), and a *point action*, its
 images of any given points; the code of ``a * b`` is b's action on a's
-code.  Every semigroup carries its full Cayley table, built from integer
-tuples alone: the points occurring in the codes are numbered in sorted
-order, so the numbering depends on the point set alone, each element's
-action on them is taken once per (element, point set), and each
-product's code is gathered from those actions.  The actions are memoised
-while their point set is current (``_actions_on``), so the builds of a
-sweep, which meet the same elements on the same points again and again,
-share them; the table holds element indices, which do not depend on the
-numbering.  Only points that occur in codes are used, never all of
-GF(p)^n.  Every oracle then runs on small-integer indices.
+code.  Every semigroup carries its full Cayley table, built in one
+Froidure-Pin pass (Froidure & Pin 1997) from integer tuples alone.  The
+points occurring in the codes are numbered, and the generators are taken
+greedily in element order: an element is one when the closure of the
+earlier ones lacks it.  Only the generators' actions are taken, and each
+edge x -> x * g of the right Cayley graph is gathered from x's numbered
+code.  A breadth-first spanning tree of that graph writes every other
+element as x * g with x earlier, so the generators' rows are read along
+it and every other row is one C-level gather of earlier rows,
+row(x * g) = row(x) after row(g).  The table holds element indices, so
+it does not depend on the numbering; only points that occur in codes
+are used, never all of GF(p)^n.  Every oracle then runs on
+small-integer indices.
 A semigroup of more than ``TABLE_CAP`` elements is refused with
 ``SizeCapExceeded``, and so are closures and builds that would exceed it.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 
 
 class SizeCapExceeded(ValueError):
@@ -64,26 +67,71 @@ def _check_same_kind(elements) -> None:
             raise ValueError("mixed element kinds or sizes")
 
 
-def _gatherer(code: tuple):
-    """The function sending b's numbered action to the numbered point code
-    of a * b, where ``code`` is a's numbered point code (itemgetter returns
-    a bare entry for one index, so codes of length 0 and 1 are handled
-    here)."""
-    if len(code) > 1:
-        return operator.itemgetter(*code)
-    if code:
-        (c,) = code
-        return lambda action: (action[c],)
-    return lambda action: ()
-
-
-@lru_cache(maxsize=1)
-def _actions_on(points: tuple) -> dict:
-    """The element -> numbered action memo of one point set: each
-    element's images of ``points``, as indices into ``points``.  Building
-    a table on another point set drops it, so it holds the actions of one
-    point set at a time, not of every element the process has met."""
-    return {}
+def _cayley_table(elems: list, index: dict) -> list:
+    """The Cayley table of ``elems`` by one Froidure-Pin pass (module
+    docstring); a missing product is named as the first pair in
+    row-major order, found by object products."""
+    m = len(elems)
+    # Number the points that occur in the elements' point codes.  A closed
+    # semigroup maps them into themselves, so a point sent outside them
+    # (None in an action) shows a missing product.
+    points = tuple(sorted({x for el in elems for x in el.point_code()}))
+    if not points:  # the one map of the empty set or the zero space
+        return [[0]]
+    point_index = {x: i for i, x in enumerate(points)}
+    number = point_index.__getitem__
+    # x * g has the code gathered from g's numbered action at x's code; a
+    # code is keyed as its gather reads it (a bare point for one point)
+    gathers = [itemgetter(*map(number, el.point_code())) for el in elems]
+    index_of_code = {gather(range(len(points))): k for k, gather in enumerate(gathers)}.get
+    gens, right = [], []  # right[h][x] is the index of x * gens[h]
+    # The spanning tree: a generator has parent -1, any other y is
+    # parent[y] * gens[letter[y]]; ``order`` lists parents before children.
+    parent, letter, order = [-1] * m, [None] * m, []
+    for k, el in enumerate(elems):
+        if letter[k] is not None:
+            continue
+        # the closure of the earlier generators lacks k, so k is one
+        action = tuple(map(point_index.get, el.point_action(points)))
+        products = list(map(index_of_code, map(itemgetter.__call__, gathers, repeat(action))))
+        if None in products:
+            a, b = next((a, b) for a in elems for b in elems if a * b not in index)
+            raise ValueError(f"not closed under composition: {a!r} * {b!r} missing")
+        h = len(gens)
+        gens.append(k)
+        right.append(products)
+        letter[k] = h
+        met = [k]
+        for x in order:  # the earlier elements times the new generator
+            y = products[x]
+            if letter[y] is None:
+                parent[y], letter[y] = x, h
+                met.append(y)
+        done = len(order)
+        order += met
+        while done < len(order):  # breadth first on, by every generator
+            x = order[done]
+            done += 1
+            for g, by_g in enumerate(right):
+                y = by_g[x]
+                if letter[y] is None:
+                    parent[y], letter[y] = x, g
+                    order.append(y)
+    table = [None] * m
+    tree = [(y, parent[y], letter[y]) for y in order]
+    for e in gens:  # e * y = (e * parent[y]) * gens[letter[y]]
+        row = [0] * m + [e]  # parent -1 reads e
+        for y, x, h in tree:
+            row[y] = right[h][row[x]]
+        table[e] = row[:m]
+    del gathers, index_of_code, right  # freed before the bulk of the table is made
+    # row(x * g) = row(x) after row(g): one getter per generator row, whose
+    # tuple lists at its exact length
+    after = [itemgetter(*table[e]) for e in gens]
+    for y, x, h in tree:
+        if x >= 0:
+            table[y] = list(after[h](table[x]))
+    return table
 
 
 class FiniteSemigroup:
@@ -91,10 +139,11 @@ class FiniteSemigroup:
     under ``a * b``.
 
     Closure is verified at construction (the verification doubles as the
-    Cayley-table build, which gathers point codes and multiplies no
-    elements).  More than ``TABLE_CAP`` distinct elements are refused.
-    A two-sided identity is detected by scan, never assumed.  Instances
-    are immutable after construction and safe to share.
+    Cayley-table build, which gathers point codes and multiplies elements
+    only to name a missing product).  More than ``TABLE_CAP`` distinct
+    elements are refused.  A two-sided identity is detected by scan, never
+    assumed.  Instances are immutable after construction and safe to
+    share.
     """
 
     def __init__(self, elements) -> None:
@@ -111,36 +160,7 @@ class FiniteSemigroup:
         _check_same_kind(elems)
         self.elements = tuple(elems)
         self._index = index
-        # Number the points that occur in the elements' point codes, in
-        # sorted order, so the numbering depends on the point set alone.
-        # A closed semigroup maps them into themselves, so a point sent
-        # outside them (None in an action) shows a missing product.
-        points = tuple(sorted({x for el in elems for x in el.point_code()}))
-        point_index = {x: i for i, x in enumerate(points)}
-        number = point_index.__getitem__
-        codes = [tuple(map(number, el.point_code())) for el in elems]
-        known = _actions_on(points)
-        actions = []
-        for el in elems:
-            action = known.get(el)
-            if action is None:
-                action = known[el] = tuple(map(point_index.get, el.point_action(points)))
-            actions.append(action)
-        by_code = {code: k for k, code in enumerate(codes)}
-        index_of_code = by_code.__getitem__
-        table = []
-        for a, code in zip(elems, codes):
-            gather = _gatherer(code)
-            try:
-                # copied, so each row is allocated at its exact length: a
-                # list grown from a map over-allocates by up to 1/8
-                table.append(list(map(index_of_code, map(gather, actions))).copy())
-            except KeyError:
-                j = next(j for j, act in enumerate(actions) if gather(act) not in by_code)
-                raise ValueError(
-                    f"not closed under composition: {a!r} * {elems[j]!r} missing"
-                ) from None
-        self.table = table
+        self.table = _cayley_table(elems, index)
         self.identity_index = self._find_identity()
         self._units: list[int] | None = None
         self._unit_set: frozenset[int] = frozenset()
@@ -231,8 +251,11 @@ def closure_elements(gens) -> list:
     """Closure of the generators as an ordered element list.
 
     Breadth-first over words in the generators, ties within a level broken
-    by textual form, so the order is reproducible.  A closure of more than
-    ``TABLE_CAP`` elements is refused.
+    by textual form, so the order is reproducible.  The code of x * g is
+    gathered from x's code through g's images of points, each taken once,
+    when a code first holds the point; only a product whose code is new
+    is multiplied out.  A closure of more than ``TABLE_CAP`` elements is
+    refused.
     """
     gens = list(gens)
     if not gens:
@@ -241,23 +264,35 @@ def closure_elements(gens) -> list:
     first = sorted(set(gens), key=_element_text)
     if len(first) > TABLE_CAP:
         raise SizeCapExceeded("size cap exceeded")
+    images = [{} for _ in first]  # images[h][x] is the image of point x under first[h]
+
+    def meet(elements) -> None:
+        points = list({x for el in elements for x in el.point_code() if x not in images[0]})
+        if points:
+            for g, image in zip(first, images):
+                image.update(zip(points, g.point_action(points)))
+
+    meet(first)
+    steps = [image.__getitem__ for image in images]
     order = list(first)
-    known = set(order)
+    known = {el.point_code() for el in order}
     frontier = order
     while frontier:
         new = {}
         for x in frontier:
-            for g in first:
-                prod = x * g
-                if prod not in known and prod not in new:
-                    new[prod] = None
+            code = x.point_code()
+            for g, step in zip(first, steps):
+                product_code = tuple(map(step, code))
+                if product_code not in known and product_code not in new:
+                    new[product_code] = x * g
         if not new:
             break
-        batch = sorted(new, key=_element_text)
+        batch = sorted(new.values(), key=_element_text)
         if len(order) + len(batch) > TABLE_CAP:
             raise SizeCapExceeded("size cap exceeded")
+        meet(batch)
         order.extend(batch)
-        known.update(batch)
+        known.update(new)
         frontier = batch
     return order
 

@@ -49,7 +49,7 @@ ALWAYS_RUN_CHECKS = {"definition_checks": True, "transversal_checks": True,
 # read.  Its value never bound a build: the Cayley table's TABLE_CAP does.
 SCHEMA1_SIZE_CAP = {"size_cap": 1_000_000}
 
-_EXHAUSTIVE_BASE_LIMIT = 16
+_EXHAUSTIVE_BASE_LIMIT = 27
 _DEFINITION_CHECK_LIMIT = 200
 
 _IMPLICATIONS = (
@@ -211,34 +211,26 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     closures of 1-3 generators.
 
     The base monoid is the build of the family's instance over an empty
-    region (``whole``): the exhaustive scan runs over that build, and a
-    seeded draw of number i is its element i (``family.element_at``).
-    Exhaustive enumeration is refused past a 16-element base monoid (the
-    2^16 subset scan is the tractability boundary).  A seeded draw whose
-    closure passes the Cayley table appears, in draw order, as the record
-    ``{"generators": [texts], "reason": ...}`` in place of a semigroup."""
+    region (``whole``), and a seeded draw of number i is its element i
+    (``family.element_at``).  The exhaustive list is a closure-extension
+    walk by index in the base's Cayley table (East, Egri-Nagy, Mitchell &
+    Peresse 2019): from each subsemigroup S found, and from the empty
+    set, it closes S with each x outside S.  Its work grows with the
+    number of subsemigroups, not of subsets; the list is in increasing
+    index mask (the sum of 2^i over S's indices), each S's elements in
+    index order.  It is refused past a 27-element base monoid, so T(3)
+    (1,298 subsemigroups) is listed and T(4) and L(GF(3)^2) are not.  A
+    seeded draw whose closure passes the Cayley table appears, in draw
+    order, as the record ``{"generators": [texts], "reason": ...}`` in
+    place of a semigroup."""
     whole = FAMILIES[kind].whole(base_size, p)
     m = whole.expected_size()
     if source[0] == "exhaustive":
         if m > _EXHAUSTIVE_BASE_LIMIT:
             raise ValueError("intractable exhaustive request")
         base = whole.build()
-        table = base.table
-        out = []
-        for mask in range(1, 1 << m):
-            idxs = [i for i in range(m) if mask >> i & 1]
-            closed = True
-            for a in idxs:
-                row = table[a]
-                for b in idxs:
-                    if not mask >> row[b] & 1:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
-                out.append(FiniteSemigroup([base.elements[i] for i in idxs]))
-        return tuple(out)
+        return tuple(FiniteSemigroup([base.elements[i] for i in range(m) if mask >> i & 1])
+                     for mask in _subsemigroup_masks(base.table))
     _, count, seed = source
     rng = random.Random(seed)
     out = []
@@ -256,6 +248,36 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
             seen.add(key)
             out.append(FiniteSemigroup(elems))
     return tuple(out)
+
+
+def _subsemigroup_masks(table: list) -> list:
+    """Every nonempty subsemigroup of the table's semigroup, as its index
+    mask, in increasing order: the closure-extension walk of
+    ``enumerate_subsemigroups``.  Each new element y of a closure is
+    multiplied on both sides by every member at the time; members that
+    come later multiply y in their own turn."""
+    columns = list(zip(*table))
+    found = set()
+    todo = [frozenset()]
+    while todo:
+        s = todo.pop()
+        for x in range(len(table)):
+            if x in s:
+                continue
+            members = {*s, x}
+            fresh = [x]
+            while fresh:
+                y = fresh.pop()
+                known = list(members)
+                products = {*map(table[y].__getitem__, known), *map(columns[y].__getitem__, known)}
+                products -= members
+                members |= products
+                fresh.extend(products)
+            t = frozenset(members)
+            if t not in found:
+                found.add(t)
+                todo.append(t)
+    return sorted(sum(1 << i for i in t) for t in found)
 
 
 def _cell_source(plan: SweepPlan, cell_key: str) -> tuple:

@@ -166,7 +166,7 @@ class TestTableCap:
 
     @pytest.mark.parametrize("n", ["5", "6"])
     def test_exhaustive_sweep_refused_up_front(self, capsys, n):
-        # T(5) and T(6) are far past the 16-element exhaustive base
+        # T(5) and T(6) are far past the 27-element exhaustive base
         start = time.perf_counter()
         code, out, err = run(capsys, "sweep", "--kind", "t", "--ns", n, "--sizes", n)
         assert time.perf_counter() - start < 5

@@ -11,7 +11,6 @@ from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
     FiniteSemigroup,
-    _actions_on,
     SizeCapExceeded,
     TABLE_CAP,
     closure_elements,
@@ -79,6 +78,30 @@ def random_closures(base, seed, count):
         yield closure_elements([rng.choice(base) for _ in range(rng.randint(1, 3))])
 
 
+def bfs_closure(gens):
+    """The reference closure: breadth first over words in the generators
+    by object products, each level sorted by text."""
+    first = sorted(set(gens), key=lambda el: el.to_text())
+    order, known, frontier = list(first), set(first), first
+    while frontier:
+        new = {x * g for x in frontier for g in first} - known
+        frontier = sorted(new, key=lambda el: el.to_text())
+        order += frontier
+        known |= new
+    return order
+
+
+def greedy_generators(elems):
+    """The elements the Froidure-Pin pass takes as generators: each one the
+    closure of the earlier ones lacks."""
+    gens, closure = [], set()
+    for el in elems:
+        if el not in closure:
+            gens.append(el)
+            closure = set(closure_elements(gens))
+    return gens
+
+
 GATHER_BASES = [
     *[(f"T({n})", [Transformation(t) for t in product(range(n), repeat=n)]) for n in (1, 2, 3, 4)],
     *[(f"L(GF(2)^{k})", full_l(2, k)) for k in (1, 2, 3)],
@@ -96,34 +119,30 @@ class TestPointCodeTables:
 
     @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
     def test_gathered_table_equals_object_products(self, name, base):
+        rng = random.Random(f"shuffle:{name}")
+        several = 0
         for elems in random_closures(base, name, 12):
-            _actions_on.cache_clear()
-            s = FiniteSemigroup(elems)
-            index = {el: k for k, el in enumerate(s.elements)}
-            assert s.table == [[index[a * b] for b in s.elements] for a in s.elements]
-            # second builds on the same point set read every action from
-            # the memo, in the same order and reversed
-            hits = _actions_on.cache_info().hits
-            assert FiniteSemigroup(elems).table == s.table
-            again = FiniteSemigroup(elems[::-1])
-            assert _actions_on.cache_info().hits == hits + 2
-            m = len(s)
-            assert again.table == [[m - 1 - s.table[m - 1 - i][m - 1 - j] for j in range(m)]
-                                   for i in range(m)]
+            index = {el: k for k, el in enumerate(elems)}
+            table = [[index[a * b] for b in elems] for a in elems]
+            m = len(elems)
+            shuffled = rng.sample(range(m), m)
+            for perm in (range(m), range(m - 1, -1, -1), shuffled):
+                order = [elems[i] for i in perm]
+                s = FiniteSemigroup(order)
+                assert list(s.elements) == order
+                pos = [0] * m
+                for k, i in enumerate(perm):
+                    pos[i] = k
+                assert s.table == [[pos[table[i][j]] for j in perm] for i in perm]
+            several += len(greedy_generators([elems[i] for i in shuffled])) > 1
+        # the shuffled lists make the greedy pass take several generators
+        assert several >= (4 if len(base) > 2 else 0)
 
-    def test_action_memo_is_kept_for_one_point_set(self):
-        _actions_on.cache_clear()
+    def test_table_does_not_depend_on_earlier_builds(self):
         line, plane = full_l(2, 1), full_l(2, 2)
-        FiniteSemigroup(plane)
-        points = tuple(all_vectors(2, 2))
-        memo = _actions_on(points)
-        assert set(memo) == set(plane)
-        FiniteSemigroup(line)  # another point set
-        assert _actions_on.cache_info().currsize == 1
-        assert _actions_on(points) is not memo and not _actions_on(points)
-        # the numbering is canonical: a table is the same whatever came before
         cold = FiniteSemigroup(plane[::-1]).table
         FiniteSemigroup(plane)
+        FiniteSemigroup(line)  # another point set
         assert FiniteSemigroup(plane[::-1]).table == cold
 
     def test_full_small_monoids_against_object_products(self):
@@ -258,6 +277,13 @@ class TestGenerate:
                      [Transformation([1, 2, 0]), Transformation([0, 0, 2])]):
             s = generate(gens)
             assert generate(s.elements) == s
+
+    @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
+    def test_order_equals_object_product_bfs(self, name, base):
+        rng = random.Random(f"bfs:{name}")
+        for _ in range(12):
+            gens = [rng.choice(base) for _ in range(rng.randint(1, 3))]
+            assert closure_elements(gens) == bfs_closure(gens)
 
     def test_breadth_first_deterministic_order(self):
         gens = [Transformation([1, 2, 0]), Transformation([0, 0, 1])]

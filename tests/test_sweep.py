@@ -25,6 +25,19 @@ from resemi.sweep import (
 from resemi.transform_semigroup import TInstance, t_instance_from_dict
 from resemi.transformations import IndexSubset, Transformation
 
+
+def mask_scan(table):
+    """The reference enumeration: every nonempty subset of the table's
+    indices, in increasing index mask, kept when the table closes it."""
+    m = len(table)
+    out = []
+    for mask in range(1, 1 << m):
+        idxs = [i for i in range(m) if mask >> i & 1]
+        if all(mask >> table[a][b] & 1 for a in idxs for b in idxs):
+            out.append(idxs)
+    return out
+
+
 class TestEnumerateSubsemigroups:
     def test_singleton_base(self):
         subs = enumerate_subsemigroups("transformation", 1, ("exhaustive",))
@@ -49,8 +62,30 @@ class TestEnumerateSubsemigroups:
         assert keys == {frozenset({"0"}), frozenset({"1"}), frozenset({"0", "1"})}
 
     def test_intractable_request_refused(self):
+        # T(4) (256 elements) and L(GF(3)^2) (81) are past the 27-element base
+        start = time.perf_counter()
         with pytest.raises(ValueError, match="intractable exhaustive request"):
-            enumerate_subsemigroups("transformation", 3, ("exhaustive",))
+            enumerate_subsemigroups("transformation", 4, ("exhaustive",))
+        with pytest.raises(ValueError, match="intractable exhaustive request"):
+            enumerate_subsemigroups("linear", 2, ("exhaustive",), p=3)
+        assert time.perf_counter() - start < 5
+
+    def test_t3_exhaustive(self):
+        # 1,299 with the empty set, the count reported for T_3
+        subs = enumerate_subsemigroups("transformation", 3, ("exhaustive",))
+        assert len(subs) == 1298 and len({s.key() for s in subs}) == 1298
+
+    @pytest.mark.parametrize("kind,size,p", [
+        ("transformation", 1, None), ("transformation", 2, None),
+        ("linear", 1, 2), ("linear", 2, 2), ("linear", 1, 3),
+    ], ids=["T(1)", "T(2)", "L(GF(2)^1)", "L(GF(2)^2)", "L(GF(3)^1)"])
+    def test_walk_equals_mask_scan(self, kind, size, p):
+        base = FAMILIES[kind].whole(size, p).build()
+        subs = enumerate_subsemigroups(kind, size, ("exhaustive",), p)
+        scan = mask_scan(base.table)
+        assert [s.elements for s in subs] == [tuple(base.elements[i] for i in idxs) for idxs in scan]
+        assert [s.table for s in subs] == [
+            [[idxs.index(base.table[a][b]) for b in idxs] for a in idxs] for idxs in scan]
 
     def test_seeded_deterministic_and_closed(self):
         a = enumerate_subsemigroups("transformation", 3, ("seeded", 25, "s1"))
