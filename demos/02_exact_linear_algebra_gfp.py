@@ -15,14 +15,14 @@ from resemi import (
     mat_compose,
     null_space,
     restriction_matrix,
-    rref,
-    subspace_ops,
 )
 
+# the RREF of m is the canonical basis of its row space, padded with zero rows
 p = 3
 m = GFMatrix(p, [[2, 1], [1, 2]])
-canon, rank = rref(m)
-print("m =", m.to_text(), " rref =", canon.to_text(), " rank =", rank)
+basis = Subspace(p, m.cols, m.entries).basis
+canon = GFMatrix(p, basis + ((0,) * m.cols,) * (m.rows - len(basis)), cols=m.cols)
+print("m =", m.to_text(), " rref =", canon.to_text(), " rank =", m.rank)
 
 a = GFMatrix(2, [[0, 1], [1, 0]])
 print("swap squared =", mat_compose(a, a).to_text())
@@ -34,10 +34,9 @@ print("\nN(f) for f =", f.to_text(), "is spanned by", null_space(f).basis)
 # the subspace lattice: sums and intersections are exact and canonical
 u = Subspace(2, 2, [[1, 1]])
 w = Subspace(2, 2, [[1, 0]])
-ops = subspace_ops(u, w)
 print("\nU =", u.basis, " W =", w.basis)
-print("U + W =", ops.sum.basis, " U meet W dim =", ops.intersection.dim,
-      " codim U =", ops.codim_a)
+print("U + W =", u.sum(w).basis, " U meet W dim =", u.intersect(w).dim,
+      " codim U =", u.codim)
 
 # every subspace of GF(2)^3, one canonical basis each
 print("\nsubspaces of GF(2)^3 by dimension:",
@@ -58,4 +57,4 @@ nil = GFMatrix(2, [[0, 0], [1, 0]])
 tr = canonical_transversal_subspace(nil, w)
 print("\nnilpotent =", nil.to_text())
 print("U =", tr.u.basis, " U meet W dim =", tr.u_meet_w.dim)
-print("codim(W + U) =", subspace_ops(w, tr.u).sum.codim)
+print("codim(W + U) =", w.sum(tr.u).codim)

@@ -16,31 +16,26 @@ from resemi import (
     Subspace,
     TInstance,
     Transformation,
-    build_lsw,
-    build_tsy,
     element_oracle,
     generate,
     semigroup_oracle,
-    thm_element_t,
-    thm_semigroup_l,
-    thm_semigroup_t,
 )
 
 # ----- transformations: X = {0,1,2}, Y = {0,1}, S(Y) the symmetric group
 sym_y = generate([Transformation([1, 0])])
 inst = TInstance(3, IndexSubset(3, [0, 1]), sym_y)
-build = build_tsy(inst)
+build = inst.build()
 print("|T_S(Y)(X)| =", len(build), " (formula: |S(Y)| * n^(n-|Y|) =",
       len(sym_y) * 3 ** (3 - 2), ")")
 
 for mode in ("regular", "inverse", "unit_regular"):
-    thm = thm_semigroup_t(inst, mode)
+    thm = inst.thm_semigroup(mode)
     orc = semigroup_oracle(build, mode)
     print(f"{mode:>13}: theorem={thm.holds} ({thm.clause}); oracle={orc.holds}")
 
 # element-level: successes come with an explicit verified witness
 f = Transformation([0, 1, 0])
-verdict = thm_element_t(inst, f, "unit_regular")
+verdict = inst.thm_element(f, "unit_regular")
 g = verdict.witness
 print("\nf =", f.to_text(), "is unit-regular; witness g =", g.to_text(),
       " fgf == f:", (f * g * f) == f)
@@ -51,11 +46,11 @@ print("the oracle found its own unit:",
 w = Subspace(2, 2, [[1, 0]])
 s_w = FiniteSemigroup([GFMatrix.identity(2, 1)])
 linst = LInstance(2, 2, w, s_w)
-lbuild = build_lsw(linst)
+lbuild = linst.build()
 print("\n|L_S(W)(V)| =", len(lbuild), "->", sorted(m.to_text() for m in lbuild.elements))
 
 for mode in ("regular", "inverse", "unit_regular", "completely_regular"):
-    thm = thm_semigroup_l(linst, mode)
+    thm = linst.thm_semigroup(mode)
     orc = semigroup_oracle(lbuild, mode)
     print(f"{mode:>18}: theorem={thm.holds} ({thm.clause}); oracle={orc.holds}")
 

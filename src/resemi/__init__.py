@@ -21,17 +21,8 @@ from .gflinear import (
     null_space,
     restriction_matrix,
     restricted_image_space,
-    rref,
-    subspace_ops,
 )
-from .linear_semigroup import (
-    LInstance,
-    alpha_family_check,
-    build_lsw,
-    l_instance_from_dict,
-    thm_element_l,
-    thm_semigroup_l,
-)
+from .linear_semigroup import LInstance, alpha_family_check
 from .semigroups import (
     FiniteSemigroup,
     PropertyVerdict,
@@ -43,13 +34,7 @@ from .semigroups import (
     subgroup_containing,
 )
 from .sweep import SweepPlan, SweepReport, enumerate_subsemigroups, run_sweep
-from .transform_semigroup import (
-    TInstance,
-    build_tsy,
-    t_instance_from_dict,
-    thm_element_t,
-    thm_semigroup_t,
-)
+from .transform_semigroup import TInstance
 from .transformations import (
     IndexSubset,
     Transformation,

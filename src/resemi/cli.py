@@ -7,9 +7,10 @@ A subspace is given by ';'-separated spanning rows.  Blank ';'-parts are
 skipped.  ``--f``, ``--ns``, ``--pn`` and ``--sizes`` follow the same
 grammar; every inline text is read by ``family.parse_ints`` and
 ``family.parse_rows``.  The inline instance flags are read as the
-instance JSON they spell, through the loaders ``--input`` uses, and the
-inline plan flags as the plan JSON they spell, through
-``SweepPlan.from_dict``; ``--input`` excludes them all.
+instance JSON they spell, through the loader ``--input`` uses (the
+``from_dict`` of the family class its ``kind`` names), and the inline
+plan flags as the plan JSON they spell, through ``SweepPlan.from_dict``;
+``--input`` excludes them all.
 
 Each command takes only the flags that change what it does: ``build``
 has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
@@ -32,10 +33,8 @@ import json
 import sys
 
 from .family import parse_ints, parse_rows
-from .linear_semigroup import l_instance_from_dict
 from .semigroups import TABLE_CAP, SizeCapExceeded, element_oracle, semigroup_oracle
 from .sweep import FAMILIES, SweepPlan, run_sweep
-from .transform_semigroup import t_instance_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,11 +75,11 @@ def _read_json(path: str, load):
 
 
 def _instance_from_dict(data: dict):
-    loader = {"transformation": t_instance_from_dict,
-              "linear": l_instance_from_dict}.get(data.get("kind"))
-    if loader is None:
+    """``from_dict`` of the class ``sweep.FAMILIES`` names by ``data["kind"]``."""
+    family = FAMILIES.get(data.get("kind"))
+    if family is None:
         raise ValueError('instance JSON needs "kind": "transformation" or "linear"')
-    return loader(data)
+    return family.from_dict(data)
 
 
 def _inline_instance(args) -> dict:
@@ -123,7 +122,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def _cmd_build(args) -> int:
     inst = _load_instance(args)
     build = inst.build()
-    idem, units = len(build.idempotent_indices()), len(build.unit_indices())
+    idem, units = len(build.idempotent_indices), len(build.unit_indices)
     payload = {
         "command": "build",
         "instance": inst.key(),
@@ -152,6 +151,7 @@ def _cmd_classify(args) -> int:
         if args.f is None:
             raise ValueError("element command needs --f")
         f = inst.parse_element(args.f)
+        inst.record(f)  # an f outside the instance is refused before the build
         modes, witness_key = inst.ELEMENT_MODES, "theorem_witness"
         theorem = lambda mode: inst.thm_element(f, mode)
         oracle = lambda build, mode: element_oracle(build, f, mode)

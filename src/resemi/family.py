@@ -47,8 +47,9 @@ class RestrictedInstance:
     L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
     it holds the identity and is a group, as a finite group of bijections
     holds the identity map, and a group holding it has it as identity),
-    ``whole(size, p)`` (the instance over an empty region, whose build is
-    all of T(size) or L(GF(p)^size)), ``key()``, ``parse_element(text)``
+    ``from_dict(data)`` (the instance of its JSON form), ``whole(size, p)``
+    (the instance over an empty region, whose build is all of T(size) or
+    L(GF(p)^size)), ``key()``, ``parse_element(text)``
     (the element ``text`` spells in the inline grammar),
     ``decidable(modes)``, ``expected_size()``, ``build()``,
     ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)``,

@@ -5,22 +5,27 @@ linear maps is the ordinary matrix product and no transposes are needed
 anywhere.  All arithmetic is integer arithmetic mod p; nothing here ever
 touches floating point.
 
-The pure subspace functions are memoised: the canonical span of given
-rows (``Subspace._unchecked``, whose result is interned), ``Subspace.sum``
-and ``Subspace.intersect`` of a pair, ``null_space`` and
-``solve_row_vector``.  Each memo is keyed on its immutable inputs and is an
-LRU of at most ``MEMO_BOUND`` entries, filled per process as calls come,
-never at import.  A sweep asks for the same few spans over and over (the
-whole of GF(2)^3 has 16 subspaces), and in a large space a miss costs one
-dict probe.  The validating ``Subspace.__init__``, ``mat_compose`` and
-``_rref_rows`` are not memoised.  The brute-force oracles read only
-Cayley tables, so no verdict they give rests on a memo.
+A subspace is stored as its canonical (RREF) basis, so the row space of a
+matrix is ``Subspace(p, cols, rows)``, its rank ``GFMatrix.rank``, and the
+lattice operations are ``Subspace.sum``, ``Subspace.intersect`` and
+``Subspace.codim``.
+
+Four pure subspace functions are memoised: the canonical span of given
+rows (``Subspace._unchecked``, whose result is interned, so
+``Subspace.sum``, the span of the two bases, is memoised with it),
+``Subspace.intersect`` of a pair, ``null_space`` and ``solve_row_vector``.
+Each memo is keyed on its immutable inputs and is an LRU of at most
+``MEMO_BOUND`` entries, filled per process as calls come, never at import.
+A sweep asks for the same few spans over and over (the whole of GF(2)^3
+has 16 subspaces), and in a large space a miss costs one dict probe.  The
+validating ``Subspace.__init__``, ``mat_compose`` and ``_rref_rows`` are
+not memoised.  The brute-force oracles read only Cayley tables, so no
+verdict they give rests on a memo.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -208,13 +213,6 @@ def _rref_rows(mat: list[list[int]], p: int, ncols: int):
     return mat, pivots
 
 
-def rref(m: GFMatrix):
-    """Canonical reduced row echelon form of m (same shape) and its rank."""
-    rows, pivots = _rref_rows([list(r) for r in m.entries], m.p, m.cols)
-    canon = GFMatrix._unchecked(m.p, m.rows, m.cols, tuple(tuple(r) for r in rows))
-    return canon, len(pivots)
-
-
 class Subspace:
     """Subspace of GF(p)^n, canonically stored as an RREF basis.
 
@@ -311,8 +309,9 @@ class Subspace:
             yield self.from_coordinates(coords)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """The span of both bases, interned like every span."""
         self._check_ambient(other)
-        return _sum(self, other)
+        return Subspace._unchecked(self.p, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via the left kernel of the stacked bases."""
@@ -334,9 +333,12 @@ class Subspace:
     def __hash__(self) -> int:
         return self._hash
 
+    def to_text(self) -> str:
+        """The basis rows, ';'-separated, as ``GFMatrix.to_text`` writes rows."""
+        return ";".join(",".join(str(v) for v in r) for r in self.basis)
+
     def __repr__(self) -> str:
-        rows = ";".join(",".join(str(v) for v in r) for r in self.basis)
-        return f"Subspace(p={self.p}, n={self.ambient_dim}, [{rows}])"
+        return f"Subspace(p={self.p}, n={self.ambient_dim}, [{self.to_text()}])"
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -347,25 +349,10 @@ def _span_of(p: int, n: int, rows: tuple) -> Subspace:
 
 
 @lru_cache(maxsize=MEMO_BOUND)
-def _sum(a: Subspace, b: Subspace) -> Subspace:
-    return Subspace._unchecked(a.p, a.ambient_dim, a.basis + b.basis)
-
-
-@lru_cache(maxsize=MEMO_BOUND)
 def _intersect(a: Subspace, b: Subspace) -> Subspace:
     rows = [a.from_coordinates(k[:a.dim])
             for k in left_null_space_rows(a.p, a.basis + b.basis, a.ambient_dim)]
     return Subspace._unchecked(a.p, a.ambient_dim, rows)
-
-
-SubspaceOps = namedtuple("SubspaceOps", ["sum", "intersection", "codim_a"])
-
-
-def subspace_ops(a: Subspace, b: Subspace) -> SubspaceOps:
-    """Sum, intersection and codim(a) in one call (modular law sanity: the
-    dimensions satisfy dim(sum) + dim(intersection) = dim(a) + dim(b))."""
-    a._check_ambient(b)
-    return SubspaceOps(a.sum(b), a.intersect(b), a.codim)
 
 
 def left_null_space_rows(p: int, rows, ncols: int) -> list[tuple]:

@@ -183,6 +183,29 @@ class LInstance(RestrictedInstance):
     trivial group of the 0 x 0 matrix and the build is all of L(V).
     Implements the family interface described on
     ``family.RestrictedInstance``; f's record is an ``ElementSubspaces``.
+
+    ``build()`` is every linear map on V whose restriction to W lies in
+    S(W): |S(W)| * p^(n(n - dim W)) elements (``family.build``).
+
+    ``thm_semigroup(mode)`` decides from (p, n, W, S(W)) alone:
+
+    regular:            S(W) a subgroup of Aut(W),  or  S(W) regular and W = V.
+    inverse:            S(W) inverse  and  (W = V or dim V = 1).
+    unit_regular:       S(W) a subgroup of Aut(W) (codim W is finite here
+                        by construction),  or  S(W) unit-regular and W = V.
+    completely_regular: S(W) completely regular  and  (W = V,  or
+                        codim W = 1 and S(W) a subgroup of Aut(W)).
+
+    ``thm_element(f, mode)`` decides by the characterization, not by
+    search (``family.element_verdict``, which reads ``record(f)``):
+
+    regular:      f|W regular in S(W)  and  R(f) meet W = R(f|W), compared
+                  as canonical subspaces.  On success a pseudo-inverse h
+                  with fhf = f is assembled.
+    unit_regular: f|W unit-regular in S(W), the same image-trace equality,
+                  and codim(W + U) = codim(W + R(f)) for the canonical
+                  transversal subspace U.  On success an invertible g with
+                  fgf = f is assembled.
     """
 
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular", "completely_regular")
@@ -207,6 +230,20 @@ class LInstance(RestrictedInstance):
         self.s_w = s_w
         self.radix, self.width, self.codim = p, n, w.codim
         super().__init__(w, s_w, GFMatrix.identity(p, k))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LInstance":
+        """The instance of its JSON form: spanning rows for ``W``; ``sW``
+        holds ``elements`` or ``generators`` of dim(W)-sized matrices."""
+        p = json_int(data["p"], "p")
+        n = json_int(data["n"], "n")
+        w = Subspace(p, n, [[json_int(x, "W") for x in row] for row in data["W"]])
+        block = data["sW"]
+        s_w = prescribed_semigroup(
+            lambda items: [GFMatrix(p, [[json_int(x, "sW") for x in row] for row in e], cols=w.dim)
+                           for e in items],
+            block.get("generators"), block.get("elements"))
+        return cls(p, n, w, s_w)
 
     @classmethod
     def whole(cls, size: int, p: int) -> "LInstance":
@@ -275,59 +312,20 @@ class LInstance(RestrictedInstance):
         return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
 
 
-def l_instance_from_dict(data: dict) -> LInstance:
-    """Build an LInstance from its JSON form (spanning rows for W; ``sW``
-    holds ``elements`` or ``generators`` of dim(W)-sized matrices)."""
-    p = json_int(data["p"], "p")
-    n = json_int(data["n"], "n")
-    w = Subspace(p, n, [[json_int(x, "W") for x in row] for row in data["W"]])
-    block = data["sW"]
-    s_w = prescribed_semigroup(
-        lambda items: [GFMatrix(p, [[json_int(x, "sW") for x in row] for row in e], cols=w.dim)
-                       for e in items],
-        block.get("generators"), block.get("elements"))
-    return LInstance(p, n, w, s_w)
-
-
 def build_lsw(inst: LInstance) -> FiniteSemigroup:
-    """Every linear map on V whose restriction to W lies in S(W):
-    |S(W)| * p^(n(n - dim W)) elements (``family.build``)."""
+    """``family.build``, under the name ``bench/layers.py`` traces."""
     return build(inst)
 
 
 def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
-    """Element classification via the characterization, not via search.
-
-    regular:      f|W regular in S(W)  and  R(f) meet W = R(f|W), compared
-                  as canonical subspaces.  On success a pseudo-inverse h
-                  with fhf = f is assembled.
-    unit_regular: f|W unit-regular in S(W), the same image-trace equality,
-                  and codim(W + U) = codim(W + R(f)) for the canonical
-                  transversal subspace U.  On success an invertible g with
-                  fgf = f is assembled.
-
-    Both modes read f's record from ``inst.record(f)`` (see
-    ``family.element_verdict``).  The witness is not checked here: the
-    sweep checks it in the build's Cayley table
-    (``semigroups.witness_problem``), and the CLI by multiplication
-    (``witness_problem`` on the instance).
-    """
+    """``family.element_verdict``, under the name ``bench/layers.py`` traces."""
     return element_verdict(inst, f, mode)
 
 
 def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
-    """Semigroup classification from (p, n, W, S(W)) alone.
-
-    regular:            S(W) a subgroup of Aut(W),  or  S(W) regular and W = V.
-    inverse:            S(W) inverse  and  (W = V or dim V = 1).
-    unit_regular:       S(W) a subgroup of Aut(W) (codim W is finite here
-                        by construction),  or  S(W) unit-regular and W = V.
-    completely_regular: S(W) completely regular  and  (W = V,  or
-                        codim W = 1 and S(W) a subgroup of Aut(W)).
-
-    The regular, unit-regular and inverse theorems are
-    ``family.semigroup_verdict``, shared with the transformation family.
-    """
+    """The semigroup theorems of ``LInstance``: ``family.semigroup_verdict``,
+    apart from the completely-regular theorem, which is the linear
+    family's alone."""
     if mode == "completely_regular":
         if not semigroup_oracle(inst.s_w, "completely_regular").holds:
             return PropertyVerdict(mode, False, clause="S(W) not completely regular")

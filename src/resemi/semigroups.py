@@ -25,6 +25,7 @@ A semigroup of more than ``TABLE_CAP`` elements is refused with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
@@ -162,9 +163,6 @@ class FiniteSemigroup:
         self._index = index
         self.table = _cayley_table(elems, index)
         self.identity_index = self._find_identity()
-        self._units: list[int] | None = None
-        self._unit_set: frozenset[int] = frozenset()
-        self._idempotents: list[int] | None = None
 
     # -- basics ---------------------------------------------------------
 
@@ -216,35 +214,32 @@ class FiniteSemigroup:
 
     # -- cached element classes ------------------------------------------
 
+    @cached_property
     def idempotent_indices(self) -> list[int]:
-        if self._idempotents is None:
-            self._idempotents = [i for i, row in enumerate(self.table) if row[i] == i]
-        return self._idempotents
+        return [i for i, row in enumerate(self.table) if row[i] == i]
 
+    @cached_property
     def unit_indices(self) -> list[int]:
         """Indices of elements with a two-sided inverse (empty when there is
         no identity)."""
-        if self._units is None:
-            units: list[int] = []
-            e = self.identity_index
-            if e is not None:
-                table = self.table
-                for u, row in enumerate(table):
-                    # in a finite monoid a right inverse is unique when it exists
-                    try:
-                        v = row.index(e)
-                    except ValueError:
-                        continue
-                    if table[v][u] == e:
-                        units.append(u)
-            self._units = units
-            self._unit_set = frozenset(units)
-        return self._units
+        units: list[int] = []
+        e = self.identity_index
+        if e is not None:
+            table = self.table
+            for u, row in enumerate(table):
+                # in a finite monoid a right inverse is unique when it exists
+                try:
+                    v = row.index(e)
+                except ValueError:
+                    continue
+                if table[v][u] == e:
+                    units.append(u)
+        return units
 
+    @cached_property
     def unit_index_set(self) -> frozenset[int]:
-        """``unit_indices()`` as a set, for membership tests."""
-        self.unit_indices()
-        return self._unit_set
+        """``unit_indices`` as a set, for membership tests."""
+        return frozenset(self.unit_indices)
 
 
 def closure_elements(gens) -> list:
@@ -333,7 +328,7 @@ def element_oracle(s: FiniteSemigroup, a, mode: str) -> PropertyVerdict:
     if mode == "unit_regular":
         if not s.has_identity:
             raise ValueError("identity required")
-        for j in s.unit_indices():
+        for j in s.unit_indices:
             if t[row[j]][i] == i:
                 return PropertyVerdict(mode, True, witness=s.elements[j])
         return PropertyVerdict(mode, False)
@@ -359,7 +354,7 @@ def witness_problem(s: FiniteSemigroup, a, mode: str, w) -> str | None:
     t = s.table
     if t[t[i][j]][i] != i:
         return "witness fails awa = a"
-    if mode == "unit_regular" and j not in s.unit_index_set():
+    if mode == "unit_regular" and j not in s.unit_index_set:
         return "witness is not a unit"
     return None
 
@@ -369,7 +364,7 @@ def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
     if mode == "group":
         if not s.has_identity:
             return PropertyVerdict(mode, False, clause="no two-sided identity")
-        units = s.unit_index_set()
+        units = s.unit_index_set
         for i in range(len(s.elements)):
             if i not in units:
                 return PropertyVerdict(mode, False, witness=s.elements[i], clause="non-unit element")
@@ -379,7 +374,7 @@ def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
         if not reg.holds:
             return PropertyVerdict(mode, False, witness=reg.witness, clause="not regular")
         t = s.table
-        idem = s.idempotent_indices()
+        idem = s.idempotent_indices
         for e in idem:
             for f in idem:
                 if t[e][f] != t[f][e]:

@@ -309,7 +309,7 @@ def _instances(plan: SweepPlan):
                 if dim > n:
                     continue
                 for w in all_subspaces(p, n, dim):
-                    cell = f"l:{p}:{n}:" + ";".join(",".join(map(str, r)) for r in w.basis)
+                    cell = f"l:{p}:{n}:{w.to_text()}"
                     source = _cell_source(plan, cell)
                     for s_w in enumerate_subsemigroups("linear", dim, source, p=p):
                         yield cell, s_w if isinstance(s_w, dict) else lsg.LInstance(p, n, w, s_w)

@@ -121,6 +121,29 @@ class TInstance(RestrictedInstance):
     the empty map, the restriction of every f is that map, and the build
     is all of T(X).  Implements the family interface described on
     ``family.RestrictedInstance``; f's record is a ``TElementRecord``.
+
+    ``build()`` is every f on X whose restriction to Y lies in S(Y):
+    |S(Y)| * n^(n-|Y|) elements (``family.build``).
+
+    ``thm_semigroup(mode)`` decides from (n, Y, S(Y)) alone:
+
+    regular:      S(Y) a subgroup of the symmetric group on Y,  or
+                  S(Y) regular and Y = X.
+    inverse:      S(Y) inverse  and  (Y = X or |X| = 2); for an empty Y,
+                  where the build is all of T(X), |X| <= 1.
+    unit_regular: S(Y) a subgroup of the symmetric group (the complement
+                  of Y is finite here by construction),  or  S(Y)
+                  unit-regular and Y = X.
+
+    ``thm_element(f, mode)`` decides by the characterization, not by
+    search (``family.element_verdict``, which reads ``record(f)``):
+
+    regular:      f|Y regular in S(Y)  and  R(f) meet Y = R(f|Y).  No
+                  witness yet.
+    unit_regular: f|Y unit-regular in S(Y), the same image-trace equality,
+                  and |C(f) minus C(f|Y)| = |D(f) minus D(f|Y)| computed
+                  from the canonical transversal pair.  On success a
+                  bijective witness g with fgf = f is assembled.
     """
 
     SEMIGROUP_MODES = ("regular", "inverse", "unit_regular")
@@ -143,6 +166,21 @@ class TInstance(RestrictedInstance):
         self.s_y = s_y
         self.radix, self.width, self.codim = n, 1, n - k
         super().__init__(y, s_y, Transformation.identity(k))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TInstance":
+        """The instance of its JSON form.  ``Y`` lists distinct integers in
+        any order; ``sY`` holds either ``elements`` (must already be closed)
+        or ``generators`` (closed over)."""
+        n = json_int(data["n"], "n")
+        members = [json_int(x, "Y") for x in data["Y"]]
+        if len(set(members)) != len(members):
+            raise ValueError(f"instance field 'Y' must list distinct integers, not {members!r}")
+        block = data["sY"]
+        s_y = prescribed_semigroup(
+            lambda items: [Transformation([json_int(x, "sY") for x in e]) for e in items],
+            block.get("generators"), block.get("elements"))
+        return cls(n, IndexSubset(n, sorted(members)), s_y)
 
     @classmethod
     def whole(cls, size: int, p: int | None = None) -> "TInstance":
@@ -199,63 +237,19 @@ class TInstance(RestrictedInstance):
         return thm_element_t(self, f, mode)
 
 
-def t_instance_from_dict(data: dict) -> TInstance:
-    """Build a TInstance from its JSON form.
-
-    ``Y`` lists distinct integers in any order; ``sY`` holds either
-    ``elements`` (must already be closed) or ``generators`` (closed over).
-    """
-    n = json_int(data["n"], "n")
-    members = [json_int(x, "Y") for x in data["Y"]]
-    if len(set(members)) != len(members):
-        raise ValueError(f"instance field 'Y' must list distinct integers, not {members!r}")
-    y = IndexSubset(n, sorted(members))
-    block = data["sY"]
-    s_y = prescribed_semigroup(
-        lambda items: [Transformation([json_int(x, "sY") for x in e]) for e in items],
-        block.get("generators"), block.get("elements"))
-    return TInstance(n, y, s_y)
-
-
 def build_tsy(inst: TInstance) -> FiniteSemigroup:
-    """Every f on X whose restriction to Y lies in S(Y): |S(Y)| * n^(n-|Y|)
-    elements (``family.build``)."""
+    """``family.build``, under the name ``bench/layers.py`` traces."""
     return build(inst)
 
 
 def thm_element_t(inst: TInstance, f: Transformation, mode: str) -> PropertyVerdict:
-    """Element classification via the characterization, not via search.
-
-    regular:      f|Y regular in S(Y)  and  R(f) meet Y = R(f|Y).
-    unit_regular: f|Y unit-regular in S(Y), the same image-trace equality,
-                  and |C(f) minus C(f|Y)| = |D(f) minus D(f|Y)| computed
-                  from the canonical transversal pair.  On success a
-                  bijective witness g with fgf = f is assembled.
-
-    Both modes read f's record from ``inst.record(f)`` (see
-    ``family.element_verdict``).  The witness is not checked here: the
-    sweep checks it in the build's Cayley table
-    (``semigroups.witness_problem``), and the CLI by multiplication
-    (``witness_problem`` on the instance).  A regular verdict carries no
-    witness yet.
-    """
+    """``family.element_verdict``, under the name ``bench/layers.py`` traces."""
     return element_verdict(inst, f, mode)
 
 
 def thm_semigroup_t(inst: TInstance, mode: str) -> PropertyVerdict:
-    """Semigroup classification from (n, Y, S(Y)) alone.
-
-    regular:      S(Y) a subgroup of the symmetric group on Y,  or
-                  S(Y) regular and Y = X.
-    inverse:      S(Y) inverse  and  (Y = X or |X| = 2); for an empty Y,
-                  where the build is all of T(X), |X| <= 1.
-    unit_regular: S(Y) a subgroup of the symmetric group (the complement
-                  of Y is finite here by construction),  or  S(Y)
-                  unit-regular and Y = X.
-
-    Apart from the empty Y, all three theorems are
-    ``family.semigroup_verdict``, shared with the linear family.
-    """
+    """The semigroup theorems of ``TInstance``: ``family.semigroup_verdict``,
+    apart from the inverse theorem on an empty Y."""
     if mode == "inverse" and len(inst.y) == 0:  # the build is all of T(X)
         holds = inst.n <= 1
         return PropertyVerdict(mode, holds, clause="Y empty and |X| " + ("<= 1" if holds else "> 1"))

@@ -16,10 +16,10 @@ from resemi.gflinear import (
     canonical_transversal_subspace,
     null_space,
 )
-from resemi.linear_semigroup import LInstance, build_lsw, thm_semigroup_l
+from resemi.linear_semigroup import LInstance
 from resemi.semigroups import FiniteSemigroup, generate, semigroup_oracle
 from resemi.sweep import SweepPlan, run_sweep
-from resemi.transform_semigroup import TInstance, build_tsy
+from resemi.transform_semigroup import TInstance
 from resemi.transformations import (
     IndexSubset,
     Transformation,
@@ -126,9 +126,9 @@ def test_criterion_4_lv_corollaries():
         for n, expected in ((1, True), (2, False)):
             inst = LInstance(p, n, Subspace.zero(p, n),
                              FiniteSemigroup([GFMatrix(p, (), cols=0)]))
-            build = build_lsw(inst)
+            build = inst.build()
             for mode in ("inverse", "completely_regular"):
-                thm = thm_semigroup_l(inst, mode).holds
+                thm = inst.thm_semigroup(mode).holds
                 orc = semigroup_oracle(build, mode).holds
                 if not (thm == orc == expected):
                     failures.append((p, n, mode, thm, orc))
@@ -143,11 +143,9 @@ def test_criterion_5_size_formulas(sweep_reports):
         for v in r.size_formula_violations
     ]
     sym2 = generate([Transformation([1, 0])])
-    named_t = build_tsy(TInstance(3, IndexSubset(3, [0, 1]), sym2))
-    named_l = build_lsw(
-        LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
-                  FiniteSemigroup([GFMatrix.identity(2, 1)]))
-    )
+    named_t = TInstance(3, IndexSubset(3, [0, 1]), sym2).build()
+    named_l = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+                        FiniteSemigroup([GFMatrix.identity(2, 1)])).build()
     ok = not violations and len(named_t) == 6 and len(named_l) == 4
     _verdict(5, ok,
              f"|T| = |S(Y)|*n^(n-|Y|) and |L| = |S(W)|*p^(n(n-k)) on all instances; "

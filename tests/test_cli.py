@@ -296,13 +296,13 @@ class TestElement:
         from resemi import transform_semigroup as tsg
         from resemi.semigroups import PropertyVerdict
 
-        predicate = tsg.thm_element_t
+        predicate = tsg.TInstance.thm_element
 
         def wrong(inst, f, mode):
             v = predicate(inst, f, mode)
             return PropertyVerdict(v.prop, v.holds, witness=f, clause=v.clause)
 
-        monkeypatch.setattr(tsg, "thm_element_t", wrong)
+        monkeypatch.setattr(tsg.TInstance, "thm_element", wrong)
         code, out, _ = run(
             capsys, "element", "--kind", "t", "--n", "3", "--y", "0,1",
             "--sy", "0,1;1,0", "--f", "0,1,0", "--mode", "unit_regular",
@@ -338,6 +338,17 @@ class TestElement:
             "--sy", "0,1;1,0", "--f", "2,0,1", "--mode", "regular",
         )
         assert code == 2 and "not in T_S(Y)(X)" in err
+
+    def test_outsider_refused_before_the_build(self, capsys, monkeypatch):
+        # the build of L(GF(2)^4) over a line W is the 4,096-element table,
+        # which an f of the wrong size never needs
+        def no_build(inst):
+            raise AssertionError("the instance was built")
+
+        monkeypatch.setattr(LInstance, "build", no_build)
+        code, out, err = run(capsys, "element", "--kind", "l", "--p", "2", "--n", "4",
+                             "--w", "1,0,0,0", "--sw", "1", "--f", "1")
+        assert (code, out) == (2, "") and "f not in L_S(W)(V): wrong ambient size" in err
 
 
 class TestSweep:

@@ -1,5 +1,5 @@
-"""Tests for exact GF(p) linear algebra: products, RREF, subspace lattice
-operations, null spaces, restriction, the transversal subspace pair and
+"""Tests for exact GF(p) linear algebra: products, canonical (RREF) bases,
+subspace lattice operations, null spaces, restriction, the transversal subspace pair and
 the memos of the subspace kernel."""
 
 from itertools import product
@@ -17,7 +17,6 @@ from resemi.gflinear import (
     _intersect,
     _solve,
     _span_of,
-    _sum,
     all_subspaces,
     all_vectors,
     canonical_transversal_subspace,
@@ -28,16 +27,14 @@ from resemi.gflinear import (
     mat_inverse,
     null_space,
     restriction_matrix,
-    rref,
     solve_row_vector,
-    subspace_ops,
     transversal_from_spaces,
 )
-from resemi.linear_semigroup import l_instance_from_dict
+from resemi.linear_semigroup import LInstance
 from resemi.sweep import run_sweep
 from test_acceptance import CRITERION3_PLANS
 
-MEMOS = (_span_of, _sum, _intersect, null_space, _solve)
+MEMOS = (_span_of, _intersect, null_space, _solve)
 
 
 def all_matrices(p, n):
@@ -99,15 +96,15 @@ class TestGFMatrix:
 
     def test_text_round_trip(self):
         # the inline grammar reads back what to_text writes
-        inst = l_instance_from_dict({"p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}})
+        inst = LInstance.from_dict({"p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}})
         m = GFMatrix(2, [[1, 0], [1, 1]])
         assert inst.parse_element(m.to_text()) == m
-        zero = l_instance_from_dict({"p": 2, "n": 0, "W": [], "sW": {"elements": [[]]}})
+        zero = LInstance.from_dict({"p": 2, "n": 0, "W": [], "sW": {"elements": [[]]}})
         assert zero.parse_element("") == GFMatrix(2, (), cols=0)
 
     def test_blank_row_skipped(self, capsys):
         # a blank ';'-part of --f is skipped, as in --w and --sw
-        inst = l_instance_from_dict({"p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}})
+        inst = LInstance.from_dict({"p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}})
         assert inst.parse_element("1,0;;0,1") == inst.parse_element("1,0;0,1")
         argv = ["element", "--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1",
                 "--format", "json", "--f"]
@@ -150,23 +147,32 @@ class TestGFMatrix:
 
 
 class TestRref:
+    """The RREF of a matrix's rows is the canonical basis of its row space,
+    ``Subspace(p, cols, rows)``, and its rank is ``GFMatrix.rank``."""
+
+    @staticmethod
+    def row_space(m):
+        return Subspace(m.p, m.cols, m.entries)
+
     def test_examples(self):
-        canon, rank = rref(GFMatrix(2, [[1, 1], [0, 1]]))
-        assert canon == GFMatrix.identity(2, 2) and rank == 2
-        canon, rank = rref(GFMatrix(2, [[0, 0], [0, 0]]))
-        assert canon == GFMatrix.zero(2, 2, 2) and rank == 0
-        canon, rank = rref(GFMatrix(3, [[2, 1], [1, 2]]))
-        assert canon.entries == ((1, 2), (0, 0)) and rank == 1
-        # both original rows lie in the span of the canonical form
-        span = Subspace(3, 2, canon.entries)
+        m = GFMatrix(2, [[1, 1], [0, 1]])
+        assert self.row_space(m).basis == GFMatrix.identity(2, 2).entries and m.rank == 2
+        m = GFMatrix(2, [[0, 0], [0, 0]])
+        assert self.row_space(m).basis == () and m.rank == 0
+        m = GFMatrix(3, [[2, 1], [1, 2]])
+        assert self.row_space(m).basis == ((1, 2),) and m.rank == 1
+        # both original rows lie in the span of the canonical basis
+        span = Subspace(3, 2, self.row_space(m).basis)
         assert span.contains((2, 1)) and span.contains((1, 2))
 
     @given(matrices())
     def test_idempotent_and_row_space_preserving(self, m):
-        canon, rank = rref(m)
-        again, rank2 = rref(canon)
-        assert canon == again and rank == rank2
-        assert Subspace(m.p, m.cols, m.entries) == Subspace(m.p, m.cols, canon.entries)
+        canon = self.row_space(m)
+        again = Subspace(m.p, m.cols, canon.basis)
+        assert canon.basis == again.basis and canon.dim == m.rank
+        # the canonical basis and the rows span each other
+        assert all(canon.contains(row) for row in m.entries)
+        assert all(Subspace(m.p, m.cols, m.entries).contains(row) for row in canon.basis)
 
 
 class TestSubspace:
@@ -178,29 +184,28 @@ class TestSubspace:
     def test_ops_examples(self):
         a = Subspace(2, 2, [[1, 0]])
         b = Subspace(2, 2, [[0, 1]])
-        s = subspace_ops(a, b)
-        assert s.sum == Subspace.full(2, 2)
-        assert s.intersection.dim == 0
-        assert s.codim_a == 1
-        same = subspace_ops(a, a)
-        assert same.sum == a and same.intersection == a
+        assert a.sum(b) == Subspace.full(2, 2)
+        assert a.intersect(b).dim == 0
+        assert a.codim == 1
+        assert a.sum(a) == a and a.intersect(a) == a
         c = Subspace(2, 2, [[1, 1]])
-        s2 = subspace_ops(c, a)
-        assert s2.sum == Subspace.full(2, 2) and s2.intersection.dim == 0
+        assert c.sum(a) == Subspace.full(2, 2) and c.intersect(a).dim == 0
         # derived: the two spans only share the zero vector
         assert set(c.vectors()) & set(a.vectors()) == {(0, 0)}
 
     def test_ambient_mismatch(self):
+        a, b = Subspace(2, 2, [[1, 0]]), Subspace(2, 3, [[1, 0, 0]])
         with pytest.raises(ValueError, match="ambient mismatch"):
-            subspace_ops(Subspace(2, 2, [[1, 0]]), Subspace(2, 3, [[1, 0, 0]]))
+            a.sum(b)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            a.intersect(b)
 
     def test_modular_dimension_law_exhaustive_gf2_dim3(self):
         spaces = all_subspaces(2, 3)
         for a in spaces:
             for b in spaces:
-                s = subspace_ops(a, b)
-                assert s.sum.dim + s.intersection.dim == a.dim + b.dim
-                assert s.intersection == b.intersect(a)
+                assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
+                assert a.intersect(b) == b.intersect(a)
 
     def test_intersection_is_the_set_intersection(self):
         # and the sum is the span closure; each pair is met twice, so the
@@ -317,7 +322,7 @@ class TestMemo:
             assert Subspace._unchecked(3, 2, rows) == _span_of.__wrapped__(3, 2, rows)
             for b in spaces:
                 assert a.intersect(b) is a.intersect(b) == _intersect.__wrapped__(a, b)
-                assert a.sum(b) is a.sum(b) == _sum.__wrapped__(a, b)
+                assert a.sum(b) is a.sum(b) == _span_of.__wrapped__(3, 2, a.basis + b.basis)
 
     def test_memos_stay_within_the_bound(self):
         for memo in MEMOS:

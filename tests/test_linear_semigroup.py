@@ -16,14 +16,7 @@ from resemi.gflinear import (
     canonical_transversal_subspace,
     restriction_matrix,
 )
-from resemi.linear_semigroup import (
-    LInstance,
-    alpha_family_check,
-    build_lsw,
-    l_instance_from_dict,
-    thm_element_l,
-    thm_semigroup_l,
-)
+from resemi.linear_semigroup import LInstance, alpha_family_check
 from resemi.semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
@@ -66,19 +59,19 @@ def brute_force_members(inst):
 class TestBuild:
     def test_line_example(self):
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
-        b = build_lsw(inst)
+        b = inst.build()
         assert {m.to_text() for m in b.elements} == {
             "1,0;0,0", "1,0;0,1", "1,0;1,0", "1,0;1,1",
         }
 
     def test_zero_subspace_gives_all_of_lv(self):
-        assert len(build_lsw(zero_instance(2, 2))) == 16
-        assert len(build_lsw(zero_instance(3, 1))) == 3
+        assert len(zero_instance(2, 2).build()) == 16
+        assert len(zero_instance(3, 1).build()) == 3
 
     def test_w_equals_v_returns_sw(self):
         s_w = generate([GFMatrix(2, [[0, 1], [1, 0]])])
         inst = LInstance(2, 2, Subspace.full(2, 2), s_w)
-        assert build_lsw(inst) is s_w
+        assert inst.build() is s_w
 
     def test_matches_brute_filter(self):
         for p, n in ((2, 2), (3, 2)):
@@ -88,7 +81,7 @@ class TestBuild:
                     bases.append(GFMatrix.zero(p, w.dim, w.dim))
                 for seed in bases:
                     inst = LInstance(p, n, w, generate([seed]))
-                    b = build_lsw(inst)
+                    b = inst.build()
                     assert sorted(m.entries for m in b.elements) == sorted(
                         m.entries for m in brute_force_members(inst)
                     )
@@ -98,20 +91,20 @@ class TestBuild:
     def test_identity_membership_tracks_identity_of_sw(self):
         w = Subspace(2, 2, [[1, 0]])
         with_id = LInstance(2, 2, w, trivial_sw(2, 1))
-        assert GFMatrix.identity(2, 2) in build_lsw(with_id)
+        assert GFMatrix.identity(2, 2) in with_id.build()
         without = LInstance(2, 2, w, FiniteSemigroup([GFMatrix(2, [[0]])]))
-        assert GFMatrix.identity(2, 2) not in build_lsw(without)
+        assert GFMatrix.identity(2, 2) not in without.build()
 
     def test_size_cap(self):
         # 2^16 = 65,536 elements, past the 4,096-element Cayley table
         with pytest.raises(SizeCapExceeded):
-            build_lsw(zero_instance(2, 4))
+            zero_instance(2, 4).build()
 
     def test_whole_space_build_lists_no_points(self):
         # W = V: the build is S(W) itself; GF(101)^4's 104 M points are
         # never listed and the complement basis is never inverted
         inst = LInstance(101, 4, Subspace.full(101, 4), trivial_sw(101, 4))
-        assert build_lsw(inst) is inst.s_w
+        assert inst.build() is inst.s_w
         assert "_c_inv" not in vars(inst)
 
 
@@ -120,14 +113,14 @@ class TestElementPredicate:
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
                          FiniteSemigroup([GFMatrix(2, [[0]])]))
         f = GFMatrix(2, [[0, 0], [1, 0]])
-        assert not thm_element_l(inst, f, "regular").holds
-        assert not element_oracle(build_lsw(inst), f, "regular").holds
+        assert not inst.thm_element(f, "regular").holds
+        assert not element_oracle(inst.build(), f, "regular").holds
 
     def test_unit_regular_idempotent_in_lv(self):
         inst = zero_instance(2, 2)
         f = GFMatrix(2, [[1, 0], [0, 0]])
         assert f * f == f
-        v = thm_element_l(inst, f, "unit_regular")
+        v = inst.thm_element(f, "unit_regular")
         assert v.holds
         g = v.witness
         assert g.is_invertible() and f * g * f == f
@@ -135,19 +128,19 @@ class TestElementPredicate:
     def test_identity_element_always_passes(self):
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         e = GFMatrix.identity(2, 2)
-        assert thm_element_l(inst, e, "regular").holds
-        assert thm_element_l(inst, e, "unit_regular").holds
+        assert inst.thm_element(e, "regular").holds
+        assert inst.thm_element(e, "unit_regular").holds
 
     def test_unit_regular_needs_identity(self):
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
                          FiniteSemigroup([GFMatrix(2, [[0]])]))
         with pytest.raises(ValueError, match="identity required"):
-            thm_element_l(inst, GFMatrix(2, [[0, 0], [0, 0]]), "unit_regular")
+            inst.thm_element(GFMatrix(2, [[0, 0], [0, 0]]), "unit_regular")
 
     def test_membership_required(self):
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         with pytest.raises(ValueError, match="not in L_S"):
-            thm_element_l(inst, GFMatrix(2, [[0, 1], [0, 0]]), "regular")
+            inst.thm_element(GFMatrix(2, [[0, 1], [0, 0]]), "regular")
 
     def test_differential_exhaustive_small(self):
         for p in (2, 3):
@@ -159,20 +152,20 @@ class TestElementPredicate:
                     seeds.append(GFMatrix(p, [[0, 1], [1, 0]]))
                 for seed in seeds:
                     inst = LInstance(p, 2, w, generate([seed]))
-                    b = build_lsw(inst)
+                    b = inst.build()
                     modes = ["regular"] + (["unit_regular"] if inst.has_identity else [])
                     for f in b.elements:
                         for mode in modes:
-                            thm = thm_element_l(inst, f, mode)
+                            thm = inst.thm_element(f, mode)
                             orc = element_oracle(b, f, mode)
                             assert thm.holds == orc.holds, (inst, f.to_text(), mode)
 
     def test_regular_witness_validity(self):
         # every success must come with a verified pseudo-inverse inside the build
         inst = zero_instance(2, 2)
-        b = build_lsw(inst)
+        b = inst.build()
         for f in b.elements:
-            v = thm_element_l(inst, f, "regular")
+            v = inst.thm_element(f, "regular")
             assert v.holds  # L(V) of a finite-dimensional space is regular
             assert v.witness in b and f * v.witness * f == f
 
@@ -265,13 +258,13 @@ class TestSharedRecords(SharedRecordsCases):
 class TestSemigroupPredicate:
     def test_line_with_trivial_group(self):
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
-        assert thm_semigroup_l(inst, "regular").holds
-        assert thm_semigroup_l(inst, "unit_regular").holds
-        assert thm_semigroup_l(inst, "completely_regular").holds
-        assert not thm_semigroup_l(inst, "inverse").holds
-        b = build_lsw(inst)
+        assert inst.thm_semigroup("regular").holds
+        assert inst.thm_semigroup("unit_regular").holds
+        assert inst.thm_semigroup("completely_regular").holds
+        assert not inst.thm_semigroup("inverse").holds
+        b = inst.build()
         for mode in ("regular", "unit_regular", "completely_regular", "inverse"):
-            assert thm_semigroup_l(inst, mode).holds == semigroup_oracle(b, mode).holds
+            assert inst.thm_semigroup(mode).holds == semigroup_oracle(b, mode).holds
         # non-commuting idempotent pair witnesses the inverse failure
         e1 = GFMatrix(2, [[1, 0], [0, 0]])
         e2 = GFMatrix(2, [[1, 0], [1, 0]])
@@ -281,15 +274,15 @@ class TestSemigroupPredicate:
         s_w = generate([GFMatrix(2, [[1, 1], [0, 1]]), GFMatrix(2, [[1, 0], [0, 0]])])
         inst = LInstance(2, 2, Subspace.full(2, 2), s_w)
         for mode in ("regular", "inverse", "completely_regular"):
-            assert thm_semigroup_l(inst, mode).holds == semigroup_oracle(s_w, mode).holds
+            assert inst.thm_semigroup(mode).holds == semigroup_oracle(s_w, mode).holds
 
     def test_zero_w_classification(self):
         inst = zero_instance(2, 2)
-        assert thm_semigroup_l(inst, "regular").holds
-        assert thm_semigroup_l(inst, "unit_regular").holds
-        assert not thm_semigroup_l(inst, "inverse").holds
-        assert not thm_semigroup_l(inst, "completely_regular").holds
-        b = build_lsw(inst)
+        assert inst.thm_semigroup("regular").holds
+        assert inst.thm_semigroup("unit_regular").holds
+        assert not inst.thm_semigroup("inverse").holds
+        assert not inst.thm_semigroup("completely_regular").holds
+        b = inst.build()
         # the nilpotent shows L(V) is not completely regular
         nil = GFMatrix(2, [[0, 0], [1, 0]])
         assert not element_oracle(b, nil, "completely_regular").holds
@@ -301,7 +294,7 @@ class TestSemigroupPredicate:
         from resemi.gflinear import null_space
 
         inst = zero_instance(2, 2)
-        b = build_lsw(inst)
+        b = inst.build()
         for f in b.elements:
             assert null_space(f).dim == f.rows - f.rank  # corank under row action
             assert element_oracle(b, f, "unit_regular").holds
@@ -312,7 +305,7 @@ class TestSemigroupPredicate:
             for w in all_subspaces(p, n):
                 inst = LInstance(p, n, w, trivial_sw(p, w.dim))
                 assert inst.unit_group
-                b = build_lsw(inst)
+                b = inst.build()
                 assert semigroup_oracle(b, "regular").holds
                 assert semigroup_oracle(b, "unit_regular").holds
 
@@ -321,7 +314,7 @@ class TestSemigroupPredicate:
         s_w = generate([GFMatrix(2, [[0]]), GFMatrix(2, [[1]])])
         w = Subspace(2, 2, [[1, 1]])
         inst = LInstance(2, 2, w, s_w)
-        b = build_lsw(inst)
+        b = inst.build()
         seen = set()
         for f in b.elements:
             seen.add(restriction_matrix(f, w))
@@ -382,20 +375,20 @@ class TestAlphaFamily:
 
 class TestJsonIngest:
     def test_elements_form(self):
-        inst = l_instance_from_dict(
+        inst = LInstance.from_dict(
             {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}}
         )
         assert inst.p == 2 and inst.w.dim == 1 and inst.has_identity
 
     def test_generators_form(self):
-        inst = l_instance_from_dict(
+        inst = LInstance.from_dict(
             {"kind": "linear", "p": 3, "n": 2, "W": [[1, 0]], "sW": {"generators": [[[2]]]}}
         )
         assert len(inst.s_w) == 2
 
     def test_zero_dim_w(self):
-        inst = l_instance_from_dict(
+        inst = LInstance.from_dict(
             {"kind": "linear", "p": 2, "n": 2, "W": [], "sW": {"elements": [[]]}}
         )
         assert inst.w.dim == 0 and inst.has_identity
-        assert len(build_lsw(inst)) == 16
+        assert len(inst.build()) == 16

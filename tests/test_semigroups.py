@@ -171,7 +171,7 @@ class TestPointCodeTables:
         assert scalars[2].point_action([(1,), (3,), (0,)]) == ((2,), (1,), (0,))
         s = FiniteSemigroup(scalars)
         assert s.table == [[a * b % 5 for b in range(5)] for a in range(5)]
-        assert s.unit_indices() == [1, 2, 3, 4]
+        assert s.unit_indices == [1, 2, 3, 4]
 
     def test_matrix_point_code_and_action(self):
         m = GFMatrix(3, [[1, 2], [0, 1]])
@@ -234,17 +234,17 @@ class TestUnitIndices:
     def test_agrees_with_two_sided_definition(self, name, base):
         for elems in random_closures(base, f"units:{name}", 12):
             s = FiniteSemigroup(elems)
-            assert s.unit_indices() == self.brute_units(s)
+            assert s.unit_indices == self.brute_units(s)
 
     def test_full_monoids(self):
         for elems in (full_l(3, 2), [Transformation(t) for t in product(range(3), repeat=3)]):
             s = FiniteSemigroup(elems)
-            assert s.unit_indices() == self.brute_units(s)
-            assert len(s.unit_indices()) in (48, 6)
+            assert s.unit_indices == self.brute_units(s)
+            assert len(s.unit_indices) in (48, 6)
 
     def test_no_identity_means_no_units(self):
         s = FiniteSemigroup([Transformation([0, 0]), Transformation([1, 1])])
-        assert s.unit_indices() == []
+        assert s.unit_indices == []
 
 
 class TestGenerate:
@@ -293,8 +293,8 @@ class TestGenerate:
 
 
 def idempotents_units(s):
-    return ([s.elements[i] for i in s.idempotent_indices()],
-            [s.elements[i] for i in s.unit_indices()])
+    return ([s.elements[i] for i in s.idempotent_indices],
+            [s.elements[i] for i in s.unit_indices])
 
 
 class TestIdempotentsUnits:
@@ -452,7 +452,7 @@ class TestWitnessProblem:
     def test_member_with_awa_not_a_rejected(self):
         for inst in self.instances():
             build = inst.build()
-            units = build.unit_index_set()  # a unit gets past the bijectivity test
+            units = build.unit_index_set  # a unit gets past the bijectivity test
             f, w = next((f, w) for f in build.elements for j, w in enumerate(build.elements)
                         if j in units and f * w * f != f)
             for mode in self.MODES:
@@ -463,7 +463,7 @@ class TestWitnessProblem:
     def test_non_unit_rejected_for_unit_regular(self):
         for inst in self.instances():
             build = inst.build()
-            units = build.unit_index_set()
+            units = build.unit_index_set
             f, w = next((f, w) for f in build.elements for j, w in enumerate(build.elements)
                         if j not in units and f * w * f == f)
             assert self.both(inst, build, f, "unit_regular", w) == (

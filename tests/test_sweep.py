@@ -22,7 +22,7 @@ from resemi.sweep import (
     enumerate_subsemigroups,
     run_sweep,
 )
-from resemi.transform_semigroup import TInstance, t_instance_from_dict
+from resemi.transform_semigroup import TInstance
 from resemi.transformations import IndexSubset, Transformation
 
 
@@ -196,20 +196,19 @@ class TestRunSweep:
         assert rep.clean and rep.instances_run == len(
             enumerate_subsemigroups("transformation", 2, ("exhaustive",)))
 
-    @pytest.mark.parametrize("module, outsider, plan", [
-        (tsg, lambda inst: Transformation(tuple(range(inst.n + 1))),
+    @pytest.mark.parametrize("family, outsider, plan", [
+        (tsg.TInstance, lambda inst: Transformation(tuple(range(inst.n + 1))),
          SweepPlan(family="transformation", ns=(2, 3), subset_sizes=(1, 2),
                    source=("exhaustive",), modes=("regular", "unit_regular"))),
-        (lsg, lambda inst: GFMatrix.identity(inst.p, inst.n + 1),
+        (lsg.LInstance, lambda inst: GFMatrix.identity(inst.p, inst.n + 1),
          SweepPlan(family="linear", pns=((2, 2),), source=("exhaustive",),
                    modes=("regular", "unit_regular"))),
     ], ids=["transformation", "linear"])
-    def test_wrong_witness_is_a_mismatch_and_not_counted(self, monkeypatch, module,
+    def test_wrong_witness_is_a_mismatch_and_not_counted(self, monkeypatch, family,
                                                          outsider, plan):
         honest = run_sweep(plan)
         assert honest.clean and honest.witnesses_checked > 0
-        name = "thm_element_t" if module is tsg else "thm_element_l"
-        predicate = getattr(module, name)
+        predicate = family.thm_element
 
         def wrong(inst, f, mode):
             v = predicate(inst, f, mode)
@@ -217,7 +216,7 @@ class TestRunSweep:
                 return v
             return PropertyVerdict(v.prop, v.holds, witness=outsider(inst), clause=v.clause)
 
-        monkeypatch.setattr(module, name, wrong)
+        monkeypatch.setattr(family, "thm_element", wrong)
         rep = run_sweep(plan)
         assert rep.witnesses_checked == 0 and not rep.clean
         assert len(rep.mismatches) == honest.witnesses_checked
@@ -344,7 +343,7 @@ class TestRefusedDraws:
         assert rep.clean and rep.instances_run == 3
         (entry,) = rep.skipped
         assert entry["cell"] == "t:6:0,1,2,3,4,5" and entry["reason"] == "size cap exceeded"
-        t6 = t_instance_from_dict({"n": 6, "Y": [], "sY": {"elements": [[]]}})
+        t6 = TInstance.from_dict({"n": 6, "Y": [], "sY": {"elements": [[]]}})
         gens = [t6.parse_element(g) for g in entry["generators"]]
         assert [g.to_text() for g in gens] == entry["generators"]
         with pytest.raises(SizeCapExceeded):

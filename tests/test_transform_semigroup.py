@@ -13,13 +13,7 @@ from resemi.semigroups import (
     generate,
     semigroup_oracle,
 )
-from resemi.transform_semigroup import (
-    TInstance,
-    build_tsy,
-    t_instance_from_dict,
-    thm_element_t,
-    thm_semigroup_t,
-)
+from resemi.transform_semigroup import TInstance
 from resemi.transformations import (
     IndexSubset,
     Transformation,
@@ -52,14 +46,14 @@ def brute_force_members(inst):
 class TestBuild:
     def test_sym_example(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
-        b = build_tsy(inst)
+        b = inst.build()
         assert {f.to_text() for f in b.elements} == {
             "0,1,0", "0,1,1", "0,1,2", "1,0,0", "1,0,1", "1,0,2",
         }
 
     def test_constant_example(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
-        b = build_tsy(inst)
+        b = inst.build()
         assert {f.to_text() for f in b.elements} == {"0,0,0", "0,0,1", "0,0,2"}
 
     def test_matches_brute_filter(self):
@@ -71,7 +65,7 @@ class TestBuild:
                 base = all_transformations(len(y))
                 for seed in base:
                     inst = TInstance(n, y, generate([seed]))
-                    b = build_tsy(inst)
+                    b = inst.build()
                     assert sorted(f.map for f in b.elements) == sorted(
                         f.map for f in brute_force_members(inst)
                     )
@@ -80,23 +74,23 @@ class TestBuild:
     def test_y_equals_x_returns_sy(self):
         s = sym_on(3)
         inst = TInstance(3, IndexSubset(3, [0, 1, 2]), s)
-        assert build_tsy(inst) is s
+        assert inst.build() is s
 
     def test_identity_membership_tracks_identity_of_sy(self):
         with_id = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
-        assert Transformation.identity(3) in build_tsy(with_id)
+        assert Transformation.identity(3) in with_id.build()
         without = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
-        assert Transformation.identity(3) not in build_tsy(without)
+        assert Transformation.identity(3) not in without.build()
 
     def test_size_cap(self):
         # 6^5 = 7,776 elements, past the 4,096-element Cayley table
         inst = TInstance(6, IndexSubset(6, [0]), FiniteSemigroup([Transformation([0])]))
         with pytest.raises(SizeCapExceeded):
-            build_tsy(inst)
+            inst.build()
 
     def test_empty_y_convention(self):
         inst = TInstance(2, IndexSubset(2, []), FiniteSemigroup([Transformation(())]))
-        assert len(build_tsy(inst)) == 4
+        assert len(inst.build()) == 4
 
 
 class TestMembership:
@@ -104,18 +98,16 @@ class TestMembership:
         inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
         with pytest.raises(ValueError, match="not in T_S"):
             inst.record(Transformation([2, 0, 1]))  # Y not invariant
+        constant = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
         with pytest.raises(ValueError, match="not in T_S"):
-            thm_element_t(
-                TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])])),
-                Transformation([0, 1, 2]),  # restriction is the identity, not in S(Y)
-                "regular",
-            )
+            # the restriction is the identity, not in S(Y)
+            constant.thm_element(Transformation([0, 1, 2]), "regular")
 
 
 class TestElementPredicate:
     def test_unit_regular_example(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
-        v = thm_element_t(inst, Transformation([0, 1, 0]), "unit_regular")
+        v = inst.thm_element(Transformation([0, 1, 0]), "unit_regular")
         assert v.holds
         g = v.witness
         f = Transformation([0, 1, 0])
@@ -125,20 +117,20 @@ class TestElementPredicate:
         s_y = FiniteSemigroup([Transformation([0, 1]), Transformation([0, 0])])
         inst = TInstance(3, IndexSubset(3, [0, 1]), s_y)
         f = Transformation([0, 0, 1])
-        assert not thm_element_t(inst, f, "regular").holds
-        assert not element_oracle(build_tsy(inst), f, "regular").holds
+        assert not inst.thm_element(f, "regular").holds
+        assert not element_oracle(inst.build(), f, "regular").holds
 
     def test_y_equals_x_collapses_to_sy_verdict(self):
         s_y = generate([Transformation([0, 0, 1])])
         inst = TInstance(3, IndexSubset(3, [0, 1, 2]), s_y)
         for f in s_y.elements:
-            v = thm_element_t(inst, f, "regular")
+            v = inst.thm_element(f, "regular")
             assert v.holds == element_oracle(s_y, f, "regular").holds
 
     def test_unit_regular_needs_identity(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
         with pytest.raises(ValueError, match="identity required"):
-            thm_element_t(inst, Transformation([0, 0, 0]), "unit_regular")
+            inst.thm_element(Transformation([0, 0, 0]), "unit_regular")
 
     def test_differential_exhaustive_small(self):
         # predicate == oracle for every element of every build, n <= 3, |Y| <= 2
@@ -149,19 +141,19 @@ class TestElementPredicate:
                 y = IndexSubset(n, members)
                 for seed in all_transformations(len(y)):
                     inst = TInstance(n, y, generate([seed]))
-                    b = build_tsy(inst)
+                    b = inst.build()
                     modes = ["regular"] + (["unit_regular"] if inst.has_identity else [])
                     for f in b.elements:
                         for mode in modes:
-                            thm = thm_element_t(inst, f, mode)
+                            thm = inst.thm_element(f, mode)
                             orc = element_oracle(b, f, mode)
                             assert thm.holds == orc.holds, (inst, f, mode)
 
     def test_witnesses_stay_inside_the_semigroup(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
-        b = build_tsy(inst)
+        b = inst.build()
         for f in b.elements:
-            v = thm_element_t(inst, f, "unit_regular")
+            v = inst.thm_element(f, "unit_regular")
             if v.holds:
                 assert v.witness in b
                 assert v.witness.is_bijective()
@@ -231,21 +223,21 @@ class TestSharedRecords(SharedRecordsCases):
 class TestSemigroupPredicate:
     def test_sym_instance(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
-        assert thm_semigroup_t(inst, "regular").holds
-        assert thm_semigroup_t(inst, "unit_regular").holds
-        assert not thm_semigroup_t(inst, "inverse").holds
+        assert inst.thm_semigroup("regular").holds
+        assert inst.thm_semigroup("unit_regular").holds
+        assert not inst.thm_semigroup("inverse").holds
 
     def test_two_point_inverse(self):
         inst = TInstance(2, IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
-        assert thm_semigroup_t(inst, "inverse").holds
-        b = build_tsy(inst)
+        assert inst.thm_semigroup("inverse").holds
+        b = inst.build()
         assert semigroup_oracle(b, "inverse").holds
 
     def test_y_equals_x_mirrors_sy(self):
         s_y = generate([Transformation([0, 0, 1])])
         inst = TInstance(3, IndexSubset(3, [0, 1, 2]), s_y)
         for mode in ("regular", "inverse"):
-            assert thm_semigroup_t(inst, mode).holds == semigroup_oracle(s_y, mode).holds
+            assert inst.thm_semigroup(mode).holds == semigroup_oracle(s_y, mode).holds
 
     def test_subgroup_implies_regular_build(self):
         # one-directional sufficient condition, checked on the oracle side
@@ -257,26 +249,26 @@ class TestSemigroupPredicate:
                     s_y = generate([seed])
                     inst = TInstance(n, y, s_y)
                     assert inst.unit_group
-                    b = build_tsy(inst)
+                    b = inst.build()
                     assert semigroup_oracle(b, "regular").holds
                     if inst.has_identity:
                         assert semigroup_oracle(b, "unit_regular").holds
 
     def test_clause_is_reported(self):
         inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
-        assert "subgroup" in thm_semigroup_t(inst, "regular").clause
+        assert "subgroup" in inst.thm_semigroup("regular").clause
 
 
 class TestJsonIngest:
     def test_elements_form(self):
-        inst = t_instance_from_dict(
+        inst = TInstance.from_dict(
             {"kind": "transformation", "n": 3, "Y": [0, 1],
              "sY": {"elements": [[0, 1], [1, 0]]}}
         )
         assert inst.n == 3 and len(inst.s_y) == 2 and inst.has_identity
 
     def test_generators_form(self):
-        inst = t_instance_from_dict(
+        inst = TInstance.from_dict(
             {"kind": "transformation", "n": 3, "Y": [0, 1], "sY": {"generators": [[1, 0]]}}
         )
         assert len(inst.s_y) == 2
@@ -285,15 +277,15 @@ class TestJsonIngest:
         data = {"kind": "transformation", "n": 3, "Y": [0, 1, 2],
                 "sY": {"elements": [[1, 2, 0]]}}
         with pytest.raises(ValueError, match="not closed"):
-            t_instance_from_dict(data)
-        inst = t_instance_from_dict({**data, "sY": {"generators": [[1, 2, 0]]}})
+            TInstance.from_dict(data)
+        inst = TInstance.from_dict({**data, "sY": {"generators": [[1, 2, 0]]}})
         assert len(inst.s_y) == 3
 
     def test_generators_and_elements_conflict(self):
         data = {"kind": "transformation", "n": 3, "Y": [0, 1],
                 "sY": {"generators": [[1, 0]], "elements": [[0, 1], [1, 0]]}}
         with pytest.raises(ValueError, match="not both"):
-            t_instance_from_dict(data)
+            TInstance.from_dict(data)
 
 
 class TestEmptyY:
@@ -308,19 +300,19 @@ class TestEmptyY:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_semigroup_modes_agree_with_oracle(self, n):
         inst = self.instance(n)
-        b = build_tsy(inst)
+        b = inst.build()
         assert len(b) == n ** n and inst.has_identity
         for mode in TInstance.SEMIGROUP_MODES:
-            assert thm_semigroup_t(inst, mode).holds == semigroup_oracle(b, mode).holds, mode
-        assert thm_semigroup_t(inst, "inverse").holds == (n == 1)
+            assert inst.thm_semigroup(mode).holds == semigroup_oracle(b, mode).holds, mode
+        assert inst.thm_semigroup("inverse").holds == (n == 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_element_modes_agree_with_oracle(self, n):
         inst = self.instance(n)
-        b = build_tsy(inst)
+        b = inst.build()
         for f in b.elements:
             for mode in TInstance.ELEMENT_MODES:
-                thm = thm_element_t(inst, f, mode)
+                thm = inst.thm_element(f, mode)
                 assert thm.holds == element_oracle(b, f, mode).holds, (f, mode)
                 if thm.witness is not None:
                     g = thm.witness

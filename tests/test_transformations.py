@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from resemi.family import parse_ints
-from resemi.transform_semigroup import t_instance_from_dict
+from resemi.transform_semigroup import TInstance
 from resemi.transformations import (
     IndexSubset,
     Transformation,
@@ -58,10 +58,10 @@ class TestTransformation:
 
     def test_text_round_trip(self):
         # the inline grammar reads back what to_text writes
-        inst = t_instance_from_dict({"n": 3, "Y": [0], "sY": {"elements": [[0]]}})
+        inst = TInstance.from_dict({"n": 3, "Y": [0], "sY": {"elements": [[0]]}})
         f = Transformation([0, 0, 1])
         assert inst.parse_element(f.to_text()) == f
-        empty = t_instance_from_dict({"n": 0, "Y": [], "sY": {"elements": [[]]}})
+        empty = TInstance.from_dict({"n": 0, "Y": [], "sY": {"elements": [[]]}})
         assert empty.parse_element("") == Transformation(())
 
     def test_empty_map_is_allowed(self):
@@ -246,5 +246,5 @@ class TestIndexSubset:
         y = IndexSubset(4, parse_ints("0,2"))
         assert y.complement().members == (1, 3)
         data = {"n": 4, "Y": parse_ints(y.to_text()), "sY": {"elements": [[0, 1]]}}
-        assert t_instance_from_dict(data).y == y
+        assert TInstance.from_dict(data).y == y
         assert IndexSubset(3, parse_ints("")).members == ()
