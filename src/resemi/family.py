@@ -13,19 +13,21 @@ that shape once; each family supplies only its record of f (the
 restriction, the trace test, the complement sizes and the witness
 assembly) and its words for the clauses.  The regular, unit-regular and
 inverse semigroup theorems share one shape too (``semigroup_verdict``),
-and so do both builds: one element for each alpha in the prescribed
-semigroup and each choice of images of the points outside the region,
-numbered once (``element_at``, which ``build`` enumerates).  Nothing in
-an element or its record depends on the prescribed semigroup, so every
-instance on one region shares them (``RegionStore``): ``extend`` runs and
-each record is made once per element of the region.  Every inline
-text, an element, a region or a sweep's sizes, is read by the grammar's
-two atoms, ``parse_ints`` and ``parse_rows``.
+and so do both builds (``build``): one block for each alpha in the
+prescribed semigroup, holding one element for each choice of images of
+the points outside the region, in the order ``element_at`` numbers from
+an index alone.  Nothing in an element or its record depends on the
+prescribed semigroup, so every instance on one region shares them
+(``RegionStore``): ``extend`` runs and each record is made once per
+element of the region.  Every inline text, an element, a region or a
+sweep's sizes, is read by the grammar's two atoms, ``parse_ints`` and
+``parse_rows``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .semigroups import (
     TABLE_CAP,
@@ -180,59 +182,53 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def element_at(inst: RestrictedInstance, i: int, point=None):
-    """Element i of the build, in the one order every build has: alpha is
-    ``prescribed.elements[i // point_count**codim]``, and the images of the
-    points outside the region are the points (``point``, by default
-    ``inst.point``) at the digits of the remainder in base
-    ``point_count``, most significant first."""
-    point = point or inst.point
+def element_at(inst: RestrictedInstance, i: int):
+    """Element i of the build, in the one order every build has, worked
+    out from i alone (a seeded draw from a large space makes no build):
+    alpha is ``prescribed.elements[i // point_count**codim]``, and the
+    images of the points outside the region are the points at the digits
+    of the remainder in base ``point_count``, most significant first."""
     images = [None] * inst.codim
     for pos in reversed(range(inst.codim)):
         i, digit = divmod(i, inst.point_count)
-        images[pos] = point(digit)
+        images[pos] = inst.point(digit)
     return inst.extend(inst.prescribed.elements[i], images)
 
 
 def build(inst: RestrictedInstance) -> FiniteSemigroup:
     """Every element of the ambient monoid whose restriction to the region
-    lies in the prescribed semigroup S, in ``element_at`` order.
+    lies in the prescribed semigroup S, in ``element_at`` order: for each
+    alpha in S, its block, one element for each choice of images of the
+    ``codim`` points outside the region (``itertools.product`` of the
+    ``point_count`` points, the first outside point's image most
+    significant).
 
-    For each alpha in S and each choice of images of the ``codim`` points
-    outside the region there is exactly one such element, so the result
-    should have ``expected_size()`` elements; the sweep checks that it
-    does.  That size is multiplied out one ``radix`` factor at a time and
-    the build refused once it passes the Cayley table's ``TABLE_CAP``, the
-    only bound on work, so a refusal costs no work that grows with the
-    space.  When the region is everything the build is S itself, table
-    reused.  Otherwise each element is taken from the region's store,
-    where the first build on the region to meet (alpha, image number)
-    put it, so every instance on the region shares its element objects
-    and ``extend`` runs once per element of the region; the
-    ``point_count`` points are worked out once per build, not once per
-    element.
+    So the result should have ``expected_size()`` elements; the sweep
+    checks that it does.  The build is refused when that size passes the
+    Cayley table's ``TABLE_CAP``, the only bound on work; the power is
+    taken over at most ``TABLE_CAP.bit_length()`` digits, which a radix of
+    2 or more already carries past the cap, so a refusal forms no huge
+    integer and costs no work that grows with the space.  When the region
+    is everything the build is S itself, table reused.  Otherwise each
+    alpha's block is taken whole from the region's store, where the first
+    build on the region to meet alpha put it, so every instance on the
+    region shares its element objects and ``extend`` runs once per element
+    of the region.
     """
-    count = len(inst.prescribed)
-    for _ in range(inst.width * inst.codim):
-        if count > TABLE_CAP:
-            break
-        count *= inst.radix
-    if count > TABLE_CAP:
+    digits = min(inst.width * inst.codim, TABLE_CAP.bit_length())
+    if len(inst.prescribed) * inst.radix ** digits > TABLE_CAP:
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed
-    point = [inst.point(d) for d in range(inst.point_count)].__getitem__
-    per_alpha = count // len(inst.prescribed)
+    points = [inst.point(d) for d in range(inst.point_count)]
     store = _store_on(inst.region).elements
     out = []
-    for a, alpha in enumerate(inst.prescribed.elements):
-        known = store.get(alpha)
-        if known is None:
-            known = store[alpha] = [None] * per_alpha
-        for r, f in enumerate(known):
-            if f is None:
-                f = known[r] = element_at(inst, a * per_alpha + r, point)
-            out.append(f)
+    for alpha in inst.prescribed.elements:
+        block = store.get(alpha)
+        if block is None:
+            block = store[alpha] = [inst.extend(alpha, images)
+                                    for images in product(points, repeat=inst.codim)]
+        out.extend(block)
     return FiniteSemigroup(out)
 
 
@@ -271,10 +267,9 @@ def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
 
 class RegionStore:
     """What every instance on one region shares: ``records``, f -> f's
-    record, and ``elements``, alpha -> the list of the elements
-    restricting to alpha, each made by ``extend`` when first met, by
-    image number (the remainder of the element's ``element_at``
-    number)."""
+    record, and ``elements``, alpha -> alpha's block, the elements
+    restricting to alpha in ``element_at`` order, made whole by the
+    first build to meet alpha."""
 
     def __init__(self) -> None:
         self.records: dict = {}

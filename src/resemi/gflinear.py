@@ -18,9 +18,12 @@ Each memo is keyed on its immutable inputs and is an LRU of at most
 ``MEMO_BOUND`` entries, filled per process as calls come, never at import.
 A sweep asks for the same few spans over and over (the whole of GF(2)^3
 has 16 subspaces), and in a large space a miss costs one dict probe.  The
-validating ``Subspace.__init__``, ``mat_compose`` and ``_rref_rows`` are
-not memoised.  The brute-force oracles read only Cayley tables, so no
-verdict they give rests on a memo.
+validating ``Subspace.__init__`` is for rows from outside (parsed input,
+``zero``, ``full``, ``all_subspaces``); the spans made inside, of rows
+already reduced mod p, go through the memo, ``independent_extension``'s
+among them.  ``Subspace.__init__``, ``mat_compose``, ``GFMatrix.rank``
+and ``_rref_rows`` are not memoised.  The brute-force oracles read only
+Cayley tables, so no verdict they give rests on a memo.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class GFMatrix:
     the trivial semigroup on the zero space).
     """
 
-    __slots__ = ("p", "rows", "cols", "entries", "_hash", "_rank")
+    __slots__ = ("p", "rows", "cols", "entries", "_hash")
 
     def __init__(self, p, entries, cols: int | None = None) -> None:
         p = operator.index(p)
@@ -98,7 +101,6 @@ class GFMatrix:
         self.cols = c
         self.entries = ent
         self._hash = hash(("M", p, r, c, ent))
-        self._rank = None
 
     @classmethod
     def _unchecked(cls, p, rows, cols, entries) -> "GFMatrix":
@@ -108,7 +110,6 @@ class GFMatrix:
         m.cols = cols
         m.entries = entries
         m._hash = hash(("M", p, rows, cols, entries))
-        m._rank = None
         return m
 
     @classmethod
@@ -148,10 +149,7 @@ class GFMatrix:
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            _, piv = _rref_rows([list(r) for r in self.entries], self.p, self.cols)
-            self._rank = len(piv)
-        return self._rank
+        return len(_rref_rows([list(r) for r in self.entries], self.p, self.cols)[1])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank == self.rows
@@ -500,11 +498,7 @@ def transversal_from_spaces(f: GFMatrix, w: Subspace, rw: Subspace, ns: Subspace
             c = Subspace._unchecked(p, ns.dim, left_null_space_rows(p, r.entries, n)).reduce(c)
             v = tuple((a + b) % p for a, b in zip(v, ns.from_coordinates(c)))
         chosen.append(v)
-    span_so_far = rw
-    for r in rf.basis:
-        if not span_so_far.contains(r):
-            chosen.append(solve_row_vector(f, r))
-            span_so_far = Subspace._unchecked(p, n, span_so_far.basis + (r,))
+    chosen += [solve_row_vector(f, r) for r in independent_extension(p, n, rw.basis, rf.basis)]
     u_space = Subspace._unchecked(p, n, chosen)
     return SubspaceTransversal(u_space, u_space.intersect(w))
 
@@ -512,12 +506,16 @@ def transversal_from_spaces(f: GFMatrix, w: Subspace, rw: Subspace, ns: Subspace
 def independent_extension(p, n, base_rows, candidates) -> list[tuple]:
     """Greedy prefix of ``candidates`` independent over ``base_rows``.
 
-    Returns only the added rows, in the order they were accepted."""
-    span = Subspace(p, n, base_rows)
+    Every row, of the base and of the candidates, must already be reduced
+    mod p, as canonical basis rows and unit rows are: the span grows
+    through the interned ``Subspace._unchecked``, never the validating
+    constructor.  Returns only the added rows, in the order they were
+    accepted."""
+    span = Subspace._unchecked(p, n, base_rows)
     added = []
     for row in candidates:
         if not span.contains(row):
-            added.append(tuple(v % p for v in row))
+            added.append(tuple(row))
             span = Subspace._unchecked(p, n, span.basis + (added[-1],))
     return added
 

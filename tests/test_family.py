@@ -15,11 +15,17 @@ import weakref
 
 import pytest
 
-from resemi import sweep
+from resemi import family, sweep
 from resemi.family import _store_on, element_at, element_verdict
 from resemi.gflinear import GFMatrix, Subspace
 from resemi.linear_semigroup import LInstance
-from resemi.semigroups import FiniteSemigroup, PropertyVerdict, witness_problem
+from resemi.semigroups import (
+    TABLE_CAP,
+    FiniteSemigroup,
+    PropertyVerdict,
+    SizeCapExceeded,
+    witness_problem,
+)
 from resemi.sweep import SweepPlan
 from resemi.transform_semigroup import TInstance
 from resemi.transformations import IndexSubset, Transformation
@@ -411,6 +417,39 @@ def test_element_at_numbers_the_build(plan):
         assert numbered == list(inst.build().elements), inst
         shapes.add("empty" if inst.codim == inst.n else "whole" if inst.codim == 0 else "part")
     assert shapes == {"empty", "whole", "part"}
+
+
+def gf2_4_line(*alphas):
+    """L(GF(2)^4) on a line W, codim 3: 4,096 elements per alpha in 12 digits."""
+    return LInstance(2, 4, Subspace(2, 4, [[1, 0, 0, 0]]),
+                     FiniteSemigroup([GFMatrix(2, [[a]]) for a in alphas]))
+
+
+@pytest.mark.parametrize("inst, refused", [
+    (TInstance.whole(1), False),
+    (TInstance.whole(5), False),
+    (TInstance.whole(6), True),
+    (gf2_4_line(1), False),
+    (gf2_4_line(0, 1), True),
+    (LInstance.whole(4, 2), True),
+    (LInstance.whole(1, 101), False),
+], ids=["T(1)", "T(5)", "T(6)", "L(GF(2)^4),W=1,|S|=1", "L(GF(2)^4),W=1,|S|=2",
+        "L(GF(2)^4),W=0", "L(GF(101)^1),W=0"])
+def test_build_refused_exactly_past_the_table_cap(inst, refused, monkeypatch):
+    """The bounded power in ``build`` refuses exactly the builds larger
+    than ``TABLE_CAP``, before any ``extend``; no Cayley table is made."""
+    monkeypatch.setattr(family, "FiniteSemigroup", list)
+    calls = []
+    extend = inst.extend
+    monkeypatch.setattr(inst, "extend", lambda *args: calls.append(1) or extend(*args))
+    _store_on.cache_clear()
+    assert (inst.expected_size() > TABLE_CAP) == refused
+    if refused:
+        with pytest.raises(SizeCapExceeded):
+            inst.build()
+        assert not calls
+    else:
+        assert len(inst.build()) == inst.expected_size() == len(calls)
 
 
 # Two instances on one region, with different prescribed semigroups that

@@ -21,6 +21,7 @@ from resemi.gflinear import (
     all_vectors,
     canonical_transversal_subspace,
     image_space,
+    independent_extension,
     is_prime,
     left_null_space_rows,
     mat_compose,
@@ -29,6 +30,7 @@ from resemi.gflinear import (
     restriction_matrix,
     solve_row_vector,
     transversal_from_spaces,
+    unit_rows,
 )
 from resemi.linear_semigroup import LInstance
 from resemi.sweep import run_sweep
@@ -254,6 +256,31 @@ class TestSubspace:
             v = sub.from_coordinates(coords)
             assert sub.coordinates(v) == coords
         assert sub.coordinates((0, 0, 1)) is None
+
+
+def reference_extension(p, n, base_rows, candidates):
+    """``independent_extension`` as first written: a validating start,
+    grown one accepted row at a time."""
+    span = Subspace(p, n, base_rows)
+    added = []
+    for row in candidates:
+        if not span.contains(row):
+            added.append(tuple(v % p for v in row))
+            span = Subspace._unchecked(p, n, span.basis + (added[-1],))
+    return added
+
+
+class TestIndependentExtension:
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
+    def test_equals_the_reference_on_canonical_bases(self, p, n):
+        spaces = all_subspaces(p, n)
+        for a in spaces:
+            for candidates in [b.basis for b in spaces] + [unit_rows(n)]:
+                added = independent_extension(p, n, a.basis, candidates)
+                assert added == reference_extension(p, n, a.basis, candidates)
+                grown = Subspace(p, n, a.basis + tuple(added))
+                assert grown.dim == a.dim + len(added)
+                assert grown == Subspace(p, n, a.basis + tuple(candidates))
 
 
 class TestNullSpace:
