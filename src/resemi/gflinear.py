@@ -23,7 +23,11 @@ validating ``Subspace.__init__`` is for rows from outside (parsed input,
 already reduced mod p, go through the memo, ``independent_extension``'s
 among them.  ``Subspace.__init__``, ``mat_compose``, ``GFMatrix.rank``
 and ``_rref_rows`` are not memoised.  The brute-force oracles read only
-Cayley tables, so no verdict they give rests on a memo.
+Cayley tables, so no verdict they give rests on a memo.  Besides these
+four, ``linear_semigroup`` keeps five memos of the same bound for the
+parts of its element record that read only subspaces (the witness basis
+chain, the transversal check, the complement basis of W + U, a witness's
+rows on W and a restriction lifted to ambient rows).
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ witnesses).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .gflinear import (
+    MEMO_BOUND,
     GFMatrix,
     Subspace,
     SubspaceTransversal,
@@ -25,7 +26,6 @@ from .gflinear import (
     mat_inverse,
     null_space,
     restriction_matrix,
-    restricted_image_space,
     solve_row_vector,
     transversal_from_spaces,
     unit_rows,
@@ -42,14 +42,25 @@ class ElementSubspaces:
 
     Eager: the restriction ``alpha`` (None when f does not leave W
     invariant, and then nothing else), R(f) (``rf``), R(f) meet W
-    (``r_meet_w``), R(f|W) (``rw``) and the image-trace test ``trace_ok``.
-    Lazy: N(f) (``ns``), the canonical transversal pair (``transversal``)
-    and what is wrong with it (``transversal_problem``, None when nothing
-    is), W + U (``w_plus_u``), codim(W + U) and codim(W + R(f))
-    (``complement_sizes``), the witness basis chain B1..B4 (``chain``) and
-    the inverse of its basis matrix, the images of B3 + B4 under each
-    witness (``regular_rows``, ``unit_regular_rows``), and each witness
-    assembled (``witness``).
+    (``r_meet_w``), R(f|W) (``rw``, the span of alpha lifted to ambient
+    rows) and the image-trace test ``trace_ok``.  Lazy: N(f) (``ns``), the
+    canonical transversal pair (``transversal``) and what is wrong with it
+    (``transversal_problem``, None when nothing is), W + U (``w_plus_u``),
+    codim(W + U) and codim(W + R(f)) (``complement_sizes``), the witness
+    basis chain B1..B4 (``chain``) and the inverse of its basis matrix,
+    the images of B3 + B4 under each witness (``regular_rows``,
+    ``unit_regular_rows``), and each witness assembled (``witness``).
+
+    The parts that read only subspaces, or only W and an element of S(W),
+    are looked up in module memos keyed on exactly what they read, since a
+    sweep meets the same few subspaces for many f: the chain, its inverse
+    and W's coordinates on (W, R(f)) (``_basis_chain``); the transversal
+    check on (U, U meet W, N(f), W, rank f) (``_transversal_problem``); the
+    complement basis of W + U (``_complement_basis``); a witness's rows on
+    B1 + B2 on (W, R(f), partner) (``_w_rows``); and alpha lifted to
+    ambient rows on (W, alpha) (``_lift``).  Per record remain the
+    transversal pair, the preimages in ``regular_rows`` and
+    ``unit_regular_rows``, and one product per witness.
     """
 
     def __init__(self, w: Subspace, f: GFMatrix) -> None:
@@ -63,7 +74,7 @@ class ElementSubspaces:
             return
         self.rf = image_space(f)
         self.r_meet_w = self.rf.intersect(w)
-        self.rw = restricted_image_space(f, w)
+        self.rw = Subspace._unchecked(w.p, w.ambient_dim, _lift(w, self.alpha))
         self.trace_ok = self.r_meet_w == self.rw
 
     @cached_property
@@ -78,22 +89,8 @@ class ElementSubspaces:
     def transversal_problem(self) -> str | None:
         """What is wrong with the canonical transversal subspace pair, or
         None."""
-        tr, ns, w = self.transversal, self.ns, self.w
-        if tr.u.dim != self.f.rank:
-            return "transversal dimension differs from rank"
-        # Through sums and membership, not the intersection the pair was
-        # built with: a memoised intersect would be compared with itself.
-        if tr.u.sum(ns).dim != tr.u.dim + ns.dim:
-            return "transversal meets the null space"
-        if (not all(tr.u.contains(b) and w.contains(b) for b in tr.u_meet_w.basis)
-                or tr.u_meet_w.dim != tr.u.dim + w.dim - tr.u.sum(w).dim):
-            return "U meet W is not the trace of U"
-        ns_on_w = ns.intersect(w)  # null space of the restriction, ambient
-        if tr.u_meet_w.dim + ns_on_w.dim != w.dim:
-            return "U meet W is not a complement of the restricted null space"
-        if tr.u_meet_w.intersect(ns_on_w).dim != 0:
-            return "U meet W meets the restricted null space"
-        return None
+        tr = self.transversal
+        return _transversal_problem(tr.u, tr.u_meet_w, self.ns, self.w, self.rf.dim)
 
     @cached_property
     def w_plus_u(self) -> Subspace:
@@ -104,31 +101,21 @@ class ElementSubspaces:
         """codim(W + U) and codim(W + R(f))."""
         return self.w_plus_u.codim, self.w.sum(self.rf).codim
 
-    @cached_property
-    def chain(self) -> tuple[list, list, list, list]:
+    @property
+    def chain(self) -> tuple[tuple, tuple, tuple, tuple]:
         """Deterministic bases B1 (of R(f) meet W), B2 (extending to W), B3
         (extending B1 to R(f) inside R(f)) and B4 (completing to V)."""
-        p, n = self.w.p, self.w.ambient_dim
-        b1 = list(self.r_meet_w.basis)
-        b2 = independent_extension(p, n, b1, self.w.basis)
-        b3 = independent_extension(p, n, b1, self.rf.basis)
-        b123 = b1 + b2 + b3
-        b4 = independent_extension(p, n, b123, unit_rows(n))
-        if len(b123) + len(b4) != n:
-            raise AssertionError("basis chain does not span the ambient space")
-        return b1, b2, b3, b4
+        return _basis_chain(self.w, self.rf)[0]
 
-    @cached_property
+    @property
     def chain_inverse(self) -> GFMatrix:
         """Inverse of the matrix whose rows are B1, B2, B3, B4."""
-        rows = tuple(row for part in self.chain for row in part)
-        return mat_inverse(GFMatrix._unchecked(self.w.p, len(rows), self.w.ambient_dim, rows))
+        return _basis_chain(self.w, self.rf)[1]
 
-    @cached_property
-    def w_coordinates(self) -> list[tuple]:
+    @property
+    def w_coordinates(self) -> tuple:
         """B1 + B2 in coordinates of W's canonical basis."""
-        b1, b2, _, _ = self.chain
-        return [self.w.coordinates(v) for v in b1 + b2]
+        return _basis_chain(self.w, self.rf)[2]
 
     @cached_property
     def regular_rows(self) -> list[tuple]:
@@ -146,10 +133,10 @@ class ElementSubspaces:
         mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
         # the coordinates are unique: U is a transversal of ker(f)
         rows = [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
-        c4 = independent_extension(p, n, self.w_plus_u.basis, unit_rows(n))
+        c4 = _complement_basis(self.w_plus_u)
         if len(c4) != len(b4):
             raise AssertionError("complement bases of W+R(f) and W+U differ in size")
-        return rows + c4
+        return rows + list(c4)
 
     def witness(self, mode: str, partner: GFMatrix) -> GFMatrix:
         """The witness for ``mode`` built on the S(W)-partner of f|W,
@@ -168,11 +155,69 @@ class ElementSubspaces:
         if found is None:
             rest = self.regular_rows if mode == "regular" else self.unit_regular_rows
             w = self.w
-            rows = [w.from_coordinates(partner.apply(c)) for c in self.w_coordinates]
-            rows.extend(rest)
+            rows = _w_rows(w, self.rf, partner) + tuple(rest)
             found = self._witnesses[key] = self.chain_inverse * GFMatrix._unchecked(
-                w.p, len(rows), w.ambient_dim, tuple(rows))
+                w.p, len(rows), w.ambient_dim, rows)
         return found
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _basis_chain(w: Subspace, rf: Subspace) -> tuple[tuple, GFMatrix, tuple]:
+    """``ElementSubspaces.chain``, ``chain_inverse`` and ``w_coordinates``
+    for W and R(f)."""
+    p, n = w.p, w.ambient_dim
+    b1 = rf.intersect(w).basis
+    b2 = tuple(independent_extension(p, n, b1, w.basis))
+    b3 = tuple(independent_extension(p, n, b1, rf.basis))
+    b123 = b1 + b2 + b3
+    b4 = tuple(independent_extension(p, n, b123, unit_rows(n)))
+    if len(b123) + len(b4) != n:
+        raise AssertionError("basis chain does not span the ambient space")
+    inverse = mat_inverse(GFMatrix._unchecked(p, n, n, b123 + b4))
+    return (b1, b2, b3, b4), inverse, tuple(w.coordinates(v) for v in b1 + b2)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _transversal_problem(u: Subspace, u_meet_w: Subspace, ns: Subspace, w: Subspace,
+                         rank: int) -> str | None:
+    """``ElementSubspaces.transversal_problem`` for the pair (U, U meet W),
+    N(f), W and the rank of f."""
+    if u.dim != rank:
+        return "transversal dimension differs from rank"
+    # Through sums and membership, not the intersection the pair was
+    # built with: a memoised intersect would be compared with itself.
+    if u.sum(ns).dim != u.dim + ns.dim:
+        return "transversal meets the null space"
+    if (not all(u.contains(b) and w.contains(b) for b in u_meet_w.basis)
+            or u_meet_w.dim != u.dim + w.dim - u.sum(w).dim):
+        return "U meet W is not the trace of U"
+    ns_on_w = ns.intersect(w)  # null space of the restriction, ambient
+    if u_meet_w.dim + ns_on_w.dim != w.dim:
+        return "U meet W is not a complement of the restricted null space"
+    if u_meet_w.intersect(ns_on_w).dim != 0:
+        return "U meet W meets the restricted null space"
+    return None
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _complement_basis(w_plus_u: Subspace) -> tuple:
+    """The unit rows that complete W + U's basis, greedily in order."""
+    n = w_plus_u.ambient_dim
+    return tuple(independent_extension(w_plus_u.p, n, w_plus_u.basis, unit_rows(n)))
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _w_rows(w: Subspace, rf: Subspace, partner: GFMatrix) -> tuple:
+    """A witness's images of B1 + B2: the partner, a map on W, applied to
+    their W-coordinates and lifted back to ambient rows."""
+    return tuple(w.from_coordinates(partner.apply(c)) for c in _basis_chain(w, rf)[2])
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _lift(w: Subspace, alpha: GFMatrix) -> tuple:
+    """The coordinate matrix alpha lifted to ambient rows: the images of
+    W's canonical basis under every map restricting to alpha."""
+    return tuple(w.from_coordinates(row) for row in alpha.entries)
 
 
 class LInstance(RestrictedInstance):
@@ -307,7 +352,7 @@ class LInstance(RestrictedInstance):
         """The unique matrix restricting to alpha on W and sending the
         deterministic complement basis vectors to the given images
         (vectors with entries already reduced mod p)."""
-        rows = [self.w.from_coordinates(alpha.entries[i]) for i in range(self.w.dim)]
+        rows = list(_lift(self.w, alpha))
         rows.extend(tuple(v) for v in images)
         return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
 

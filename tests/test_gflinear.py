@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resemi import linear_semigroup as lsg
 from resemi.cli import main
 from resemi.gflinear import (
     MEMO_BOUND,
@@ -32,11 +33,16 @@ from resemi.gflinear import (
     transversal_from_spaces,
     unit_rows,
 )
+from resemi.family import _store_on
 from resemi.linear_semigroup import LInstance
+from resemi.semigroups import FiniteSemigroup
 from resemi.sweep import run_sweep
 from test_acceptance import CRITERION3_PLANS
 
 MEMOS = (_span_of, _intersect, null_space, _solve)
+# the linear element record's memos, keyed on the subspaces they read
+RECORD_MEMOS = (lsg._basis_chain, lsg._transversal_problem, lsg._complement_basis,
+                lsg._w_rows, lsg._lift)
 
 
 def all_matrices(p, n):
@@ -351,11 +357,37 @@ class TestMemo:
                 assert a.intersect(b) is a.intersect(b) == _intersect.__wrapped__(a, b)
                 assert a.sum(b) is a.sum(b) == _span_of.__wrapped__(3, 2, a.basis + b.basis)
 
+    def test_record_memo_hit_is_the_cached_result(self):
+        # every W of GF(3)^2, S(W) = L(W), every W-invariant f: a second
+        # lookup returns the cached object, equal to a fresh computation
+        for w in all_subspaces(3, 2):
+            l_w = all_matrices(3, w.dim)
+            inst = LInstance(3, 2, w, FiniteSemigroup(l_w))
+            _store_on.cache_clear()
+            for f in all_matrices(3, 2):
+                try:
+                    rec = inst.record(f)
+                except ValueError:
+                    continue
+                tr = rec.transversal
+                calls = [
+                    (lsg._basis_chain, (w, rec.rf)),
+                    (lsg._transversal_problem, (tr.u, tr.u_meet_w, rec.ns, w, rec.rf.dim)),
+                    (lsg._complement_basis, (rec.w_plus_u,)),
+                    (lsg._lift, (w, rec.alpha)),
+                ] + [(lsg._w_rows, (w, rec.rf, partner)) for partner in l_w[::5]]
+                for memo, args in calls:
+                    hit = memo(*args)
+                    assert memo(*args) is hit == memo.__wrapped__(*args)
+                assert rec.chain is lsg._basis_chain(w, rec.rf)[0]
+        _store_on.cache_clear()
+
     def test_memos_stay_within_the_bound(self):
-        for memo in MEMOS:
+        for memo in MEMOS + RECORD_MEMOS:
             memo.cache_clear()
+        _store_on.cache_clear()  # no record kept from an earlier test
         assert run_sweep(CRITERION3_PLANS[-1]).clean  # c3d
-        for memo in MEMOS:
+        for memo in MEMOS + RECORD_MEMOS:
             info = memo.cache_info()
             assert info.maxsize == MEMO_BOUND and 0 < info.currsize <= MEMO_BOUND
             assert info.hits > info.misses

@@ -14,7 +14,14 @@ from resemi.gflinear import (
     SubspaceTransversal,
     all_subspaces,
     canonical_transversal_subspace,
+    image_space,
+    independent_extension,
+    mat_inverse,
+    null_space,
+    restricted_image_space,
     restriction_matrix,
+    solve_row_vector,
+    unit_rows,
 )
 from resemi.linear_semigroup import LInstance, alpha_family_check
 from resemi.semigroups import (
@@ -190,6 +197,101 @@ class TestElementRecord(ElementRecordCases):
         return canonical_transversal_subspace(f, inst.w)
 
 
+# -- per-record references for the parts the record looks up by subspace ------
+
+
+def reference_chain(f, w):
+    """B1..B4, the inverse of their basis matrix and B1 + B2 in W's
+    coordinates, derived afresh for f."""
+    p, n = w.p, w.ambient_dim
+    rf = image_space(f)
+    b1 = list(rf.intersect(w).basis)
+    b2 = independent_extension(p, n, b1, w.basis)
+    b3 = independent_extension(p, n, b1, rf.basis)
+    b123 = b1 + b2 + b3
+    b4 = independent_extension(p, n, b123, unit_rows(n))
+    inverse = mat_inverse(GFMatrix(p, b123 + b4, cols=n))
+    return (b1, b2, b3, b4), inverse, [w.coordinates(v) for v in b1 + b2]
+
+
+def reference_transversal_problem(f, w):
+    """The transversal check on f's canonical pair, reading ``f.rank``."""
+    tr, ns = canonical_transversal_subspace(f, w), null_space(f)
+    if tr.u.dim != f.rank:
+        return "transversal dimension differs from rank"
+    if tr.u.sum(ns).dim != tr.u.dim + ns.dim:
+        return "transversal meets the null space"
+    if (not all(tr.u.contains(b) and w.contains(b) for b in tr.u_meet_w.basis)
+            or tr.u_meet_w.dim != tr.u.dim + w.dim - tr.u.sum(w).dim):
+        return "U meet W is not the trace of U"
+    ns_on_w = ns.intersect(w)
+    if tr.u_meet_w.dim + ns_on_w.dim != w.dim:
+        return "U meet W is not a complement of the restricted null space"
+    if tr.u_meet_w.intersect(ns_on_w).dim != 0:
+        return "U meet W meets the restricted null space"
+    return None
+
+
+def reference_witness(f, w, mode, partner):
+    """The witness assembled row by row on the reference chain, or
+    ``"raises"`` when the complement bases differ in size."""
+    p, n = w.p, w.ambient_dim
+    (_, _, b3, b4), inverse, coordinates = reference_chain(f, w)
+    rows = [w.from_coordinates(partner.apply(c)) for c in coordinates]
+    if mode == "regular":
+        rows += [solve_row_vector(f, v) for v in b3] + [(0,) * n for _ in b4]
+    else:
+        u = canonical_transversal_subspace(f, w).u
+        mu = GFMatrix(p, [f.apply(r) for r in u.basis], cols=n)
+        rows += [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
+        c4 = independent_extension(p, n, w.sum(u).basis, unit_rows(n))
+        if len(c4) != len(b4):
+            return "raises"
+        rows += c4
+    return inverse * GFMatrix(p, rows, cols=n)
+
+
+class TestRecordAgainstReferences:
+    """Every part the record looks up by subspace equals its per-record
+    derivation, for every W of GF(2)^2 and GF(3)^2 with S(W) = L(W), every
+    W-invariant f and every partner in L(W), in both witness modes."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_record_matches_the_per_record_derivations(self, p):
+        checked = 0
+        for w in all_subspaces(p, 2):
+            l_w = all_matrices(p, w.dim)
+            inst = LInstance(p, 2, w, FiniteSemigroup(l_w))
+            _store_on.cache_clear()
+            for f in all_matrices(p, 2):
+                try:
+                    alpha = restriction_matrix(f, w)
+                except ValueError:
+                    continue
+                rec = inst.record(f)
+                chain, inverse, coordinates = reference_chain(f, w)
+                assert [list(b) for b in rec.chain] == [list(b) for b in chain]
+                assert rec.chain_inverse == inverse
+                assert list(rec.w_coordinates) == coordinates
+                assert rec.rw == restricted_image_space(f, w)
+                assert rec.transversal_problem == reference_transversal_problem(f, w)
+                for mode in ("regular", "unit_regular"):
+                    for partner in l_w:
+                        want = reference_witness(f, w, mode, partner)
+                        try:
+                            got = rec.witness(mode, partner)
+                        except AssertionError:
+                            got = "raises"
+                        assert got == want, (w, f.to_text(), mode, partner.to_text())
+                        genuine = (alpha * partner * alpha == alpha
+                                   and (mode == "regular" or partner.is_invertible()))
+                        if genuine and rec.trace_ok and got != "raises":
+                            assert inst.witness_problem(f, got, mode) is None
+                            checked += 1
+        assert checked > 0
+        _store_on.cache_clear()
+
+
 class TestTransversalProblem:
     @pytest.mark.parametrize("wrong", [[], [[0, 1]]], ids=["too_small", "outside_w"])
     def test_wrong_trace_is_found(self, monkeypatch, wrong):
@@ -197,6 +299,7 @@ class TestTransversalProblem:
         inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         f = GFMatrix.identity(2, 2)
         _store_on.cache_clear()
+        lsg._transversal_problem.cache_clear()
         assert inst.transversal_problem(f) is None
         build_pair = lsg.transversal_from_spaces
         monkeypatch.setattr(lsg, "transversal_from_spaces", lambda *args: SubspaceTransversal(
@@ -206,6 +309,9 @@ class TestTransversalProblem:
             assert inst.transversal_problem(f) == "U meet W is not the trace of U"
         finally:
             _store_on.cache_clear()  # and now the wrong one
+        # the check went through the memo, where the wrong pair is a key of its own
+        info = lsg._transversal_problem.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
 
 
 class TestSharedRecords(SharedRecordsCases):
