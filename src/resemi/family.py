@@ -54,23 +54,24 @@ class RestrictedInstance:
     L(GF(p)^size)), ``key()``, ``parse_element(text)``
     (the element ``text`` spells in the inline grammar),
     ``decidable(modes)``, ``expected_size()``, ``build()``,
-    ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)``,
-    ``witness_problem(f, w, mode)`` and ``transversal_problem(f)``.
+    ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)`` and
+    ``witness_problem(f, w, mode)``.
 
-    A subclass names its record class (``RECORD``), the restriction of an
-    element to the region (``restrict``), its unit test (``is_unit``),
-    whether an element lives in its ambient space (``in_ambient``), and
-    the words of its clauses and messages.  For the inverse theorem it
-    names the ambient size ``SMALL_N`` at which the region need not be
-    everything, and that clause's words ``SMALL``.  For the build it gives
-    the points outside the region whose images, with the restriction alpha,
-    determine an element (``codim`` of them: the points of X \\ Y, or a
-    basis of a complement of W), the ``radix`` and ``width`` that number
-    the possible images (one digit below |X|, or n digits below p, so
-    ``point_count`` = radix^width images: |X| points, or p^n vectors),
-    image number d (``point(d)``, worked out from d alone, so a draw from
-    a large space lists none of it) and the one element restricting to
-    alpha with the given images (``extend(alpha, images)``).
+    A subclass names its record class (``RECORD``, whose ``alpha`` is the
+    restriction of an element to the region), its unit test
+    (``is_unit``), whether an element lives in its ambient space
+    (``in_ambient``), and the words of its clauses and messages.  For the
+    inverse theorem it names the ambient size ``SMALL_N`` at which the
+    region need not be everything, and that clause's words ``SMALL``.  For
+    the build it gives the points outside the region whose images, with
+    the restriction alpha, determine an element (``codim`` of them: the
+    points of X \\ Y, or a basis of a complement of W), the ``radix`` and
+    ``width`` that number the possible images (one digit below |X|, or n
+    digits below p, so ``point_count`` = radix^width images: |X| points,
+    or p^n vectors), image number d (``point(d)``, worked out from d
+    alone, so a draw from a large space lists none of it) and the one
+    element restricting to alpha with the given images
+    (``extend(alpha, images)``).
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -120,13 +121,6 @@ class RestrictedInstance:
             raise ValueError(f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}")
         return rec
 
-    def transversal_problem(self, f) -> str | None:
-        """What is wrong with f's canonical transversal pair, or None.
-        The pair depends on f and the region only, so the check is made
-        once per record (its ``transversal_problem``); f's membership in
-        this instance is still decided on every call."""
-        return self.record(f).transversal_problem
-
     def prescribed_verdict(self, alpha, mode: str) -> PropertyVerdict:
         """``element_oracle`` on the prescribed semigroup for alpha, asked
         once per (alpha, mode)."""
@@ -137,20 +131,18 @@ class RestrictedInstance:
 
     def witness_problem(self, f, w, mode: str) -> str | None:
         """What is wrong with w as the theorem's ``mode`` witness for f, or
-        None: w must restrict into the prescribed semigroup, be a unit of
-        the ambient monoid for ``unit_regular``, and satisfy fwf = f.
-        Checked by multiplication, so it needs no build; the sweep checks
-        its witnesses in the build's Cayley table instead
+        None: w must be a member of this instance (``record(w)`` does not
+        raise), be a unit of the ambient monoid for ``unit_regular``, and
+        satisfy fwf = f.  Checked by multiplication, so it needs no build;
+        the sweep checks its witnesses in the build's Cayley table instead
         (``semigroups.witness_problem``)."""
         label, name = (("unit-regular", "g") if mode == "unit_regular"
                        else ("regular", "h"))
         if mode == "unit_regular" and not self.is_unit(w):
             return f"{label} witness is not {self.UNIT}"
         try:
-            inside = self.restrict(w, self.region) in self.prescribed
-        except ValueError:  # the region is not invariant under w
-            inside = False
-        if not inside:
+            self.record(w)
+        except ValueError:  # w is not a member of this instance
             return f"{label} witness leaves the semigroup"
         if f * w * f != f:
             return f"{label} witness fails f{name}f = f"

@@ -46,10 +46,10 @@ class ElementSubspaces:
     rows) and the image-trace test ``trace_ok``.  Lazy: N(f) (``ns``), the
     canonical transversal pair (``transversal``) and what is wrong with it
     (``transversal_problem``, None when nothing is), W + U (``w_plus_u``),
-    codim(W + U) and codim(W + R(f)) (``complement_sizes``), the witness
-    basis chain B1..B4 (``chain``) and the inverse of its basis matrix,
-    the images of B3 + B4 under each witness (``regular_rows``,
-    ``unit_regular_rows``), and each witness assembled (``witness``).
+    codim(W + U) and codim(W + R(f)) (``complement_sizes``), the images
+    of B3 + B4 of the witness basis chain (``_basis_chain``) under each
+    witness (``regular_rows``, ``unit_regular_rows``), and each witness
+    assembled (``witness``).
 
     The parts that read only subspaces, or only W and an element of S(W),
     are looked up in module memos keyed on exactly what they read, since a
@@ -101,27 +101,11 @@ class ElementSubspaces:
         """codim(W + U) and codim(W + R(f))."""
         return self.w_plus_u.codim, self.w.sum(self.rf).codim
 
-    @property
-    def chain(self) -> tuple[tuple, tuple, tuple, tuple]:
-        """Deterministic bases B1 (of R(f) meet W), B2 (extending to W), B3
-        (extending B1 to R(f) inside R(f)) and B4 (completing to V)."""
-        return _basis_chain(self.w, self.rf)[0]
-
-    @property
-    def chain_inverse(self) -> GFMatrix:
-        """Inverse of the matrix whose rows are B1, B2, B3, B4."""
-        return _basis_chain(self.w, self.rf)[1]
-
-    @property
-    def w_coordinates(self) -> tuple:
-        """B1 + B2 in coordinates of W's canonical basis."""
-        return _basis_chain(self.w, self.rf)[2]
-
     @cached_property
     def regular_rows(self) -> list[tuple]:
         """The pseudo-inverse's images of B3 (chosen preimages under f) and
         B4 (zero)."""
-        _, _, b3, b4 = self.chain
+        (_, _, b3, b4), _, _ = _basis_chain(self.w, self.rf)
         return [solve_row_vector(self.f, v) for v in b3] + [(0,) * self.w.ambient_dim for _ in b4]
 
     @cached_property
@@ -129,7 +113,7 @@ class ElementSubspaces:
         """The invertible witness's images of B3 (the inverse of f's
         corestriction to U) and B4 (a basis of a complement of W + U)."""
         p, n, f, u = self.w.p, self.w.ambient_dim, self.f, self.transversal.u
-        _, _, b3, b4 = self.chain
+        (_, _, b3, b4), _, _ = _basis_chain(self.w, self.rf)
         mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
         # the coordinates are unique: U is a transversal of ker(f)
         rows = [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
@@ -156,15 +140,18 @@ class ElementSubspaces:
             rest = self.regular_rows if mode == "regular" else self.unit_regular_rows
             w = self.w
             rows = _w_rows(w, self.rf, partner) + tuple(rest)
-            found = self._witnesses[key] = self.chain_inverse * GFMatrix._unchecked(
+            found = self._witnesses[key] = _basis_chain(w, self.rf)[1] * GFMatrix._unchecked(
                 w.p, len(rows), w.ambient_dim, rows)
         return found
 
 
 @lru_cache(maxsize=MEMO_BOUND)
 def _basis_chain(w: Subspace, rf: Subspace) -> tuple[tuple, GFMatrix, tuple]:
-    """``ElementSubspaces.chain``, ``chain_inverse`` and ``w_coordinates``
-    for W and R(f)."""
+    """The witness basis chain for W and R(f): deterministic bases B1 (of
+    R(f) meet W), B2 (extending to W), B3 (extending B1 to R(f) inside
+    R(f)) and B4 (completing to V); the inverse of the matrix whose rows
+    are B1, B2, B3, B4; and B1 + B2 in coordinates of W's canonical
+    basis."""
     p, n = w.p, w.ambient_dim
     b1 = rf.intersect(w).basis
     b2 = tuple(independent_extension(p, n, b1, w.basis))
@@ -259,7 +246,6 @@ class LInstance(RestrictedInstance):
         "L_S(W)(V)", "W", "S(W)", "invertible", "codimensions")
     UNIT_GROUP, WHOLE, FINITE = "Aut(W)", "W = V", "codim(W) is finite"
     SMALL_N, SMALL = 1, "dim V = 1"
-    restrict = staticmethod(restriction_matrix)
     is_unit = staticmethod(GFMatrix.is_invertible)
 
     def __init__(self, p: int, n: int, w: Subspace, s_w: FiniteSemigroup) -> None:
@@ -344,10 +330,6 @@ class LInstance(RestrictedInstance):
     def thm_element(self, f: GFMatrix, mode: str) -> PropertyVerdict:
         return thm_element_l(self, f, mode)
 
-    def lift_on_w(self, alpha: GFMatrix, v) -> tuple:
-        """Apply the coordinate matrix alpha, as a map on W, to ambient v."""
-        return self.w.from_coordinates(alpha.apply(self.w.coordinates(v)))
-
     def extend(self, alpha: GFMatrix, images) -> GFMatrix:
         """The unique matrix restricting to alpha on W and sending the
         deterministic complement basis vectors to the given images
@@ -413,7 +395,7 @@ def alpha_family_check(inst: LInstance, build: FiniteSemigroup) -> PropertyVerdi
                 )
             for y in inst.w.vectors():
                 row = t[at[(y, lam)]]
-                want = at[(inst.lift_on_w(delta, y), lam_delta)]
+                want = at[(inst.w.from_coordinates(delta.apply(inst.w.coordinates(y))), lam_delta)]
                 for z in vectors:
                     if row[at[(z, delta)]] != want:
                         return PropertyVerdict(

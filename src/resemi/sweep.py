@@ -69,8 +69,13 @@ class SweepPlan:
     the build size for element-level checks (0 disables them; by default
     it is the Cayley table's ``TABLE_CAP``); builds beyond ``TABLE_CAP``
     are skipped, not run.  Negative sizes, dimensions, seeded counts and
-    element caps are refused, and so are repeated modes; a size out of
-    range for one n is skipped, so one plan can span several n.  Without
+    element caps are refused, and so are repeated sizes, dimensions,
+    (p, n) cells and modes, which would run their cells or checks twice;
+    a size out of range for one n is skipped, so one plan can span
+    several n.  A transformation plan reads its ambient sizes from ``ns``
+    and a linear one its (p, n) cells from ``pns``; the other family's
+    field must be empty (a report's plan block carries both keys).  A
+    seed is a string or an integer, not a boolean.  Without
     ``subset_sizes``, a transformation plan takes 1 <= |Y| <= n and a
     linear one 0 <= dim W <= n; an explicit |Y| = 0 is taken too.
 
@@ -91,26 +96,30 @@ class SweepPlan:
         if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for name, ok, expected in (
-            ("ns", _naturals(self.ns), "a list of non-negative integers"),
+            ("ns", _naturals(self.ns), "a list of distinct non-negative integers"),
             ("pns", isinstance(self.pns, tuple)
-             and all(_ints(c) and len(c) == 2 and c[1] >= 0 for c in self.pns),
-             "a list of [p, n] pairs with non-negative n"),
+             and all(_ints(c) and len(c) == 2 and c[1] >= 0 for c in self.pns)
+             and _distinct(self.pns), "a list of distinct [p, n] pairs with non-negative n"),
             ("subset_sizes", self.subset_sizes is None or _naturals(self.subset_sizes),
-             "null or a list of non-negative integers"),
+             "null or a list of distinct non-negative integers"),
             ("modes", isinstance(self.modes, tuple) and all(isinstance(m, str) for m in self.modes)
-             and len(set(self.modes)) == len(self.modes), "a list of distinct mode names"),
+             and _distinct(self.modes), "a list of distinct mode names"),
             ("element_cap", is_int(self.element_cap) and self.element_cap >= 0,
              "a non-negative integer"),
         ):
             if not ok:
                 raise ValueError(f"plan field {name!r} must be {expected}, "
                                  f"not {_as_lists(getattr(self, name))!r}")
+        other = "pns" if self.family == "transformation" else "ns"
+        if getattr(self, other):
+            raise ValueError(f"plan field {other!r} must be empty for family {self.family!r}, "
+                             f"not {_as_lists(getattr(self, other))!r}")
         for m in self.modes:
             if m not in FAMILIES[self.family].SEMIGROUP_MODES:
                 raise ValueError(f"mode {m!r} not available for family {self.family!r}")
         src = self.source
         seeded = (isinstance(src, tuple) and len(src) == 3 and src[0] == "seeded"
-                  and is_int(src[1]) and isinstance(src[2], (str, int)))
+                  and is_int(src[1]) and (isinstance(src[2], str) or is_int(src[2])))
         if src != ("exhaustive",) and not seeded:
             raise ValueError(f"unknown source {src!r}")
         if seeded and src[1] < 0:
@@ -135,7 +144,12 @@ def _ints(v) -> bool:
 
 
 def _naturals(v) -> bool:
-    return _ints(v) and all(x >= 0 for x in v)
+    """Distinct non-negative integers: a repeat would run its cells twice."""
+    return _ints(v) and all(x >= 0 for x in v) and _distinct(v)
+
+
+def _distinct(v) -> bool:
+    return len(set(v)) == len(v)
 
 
 def _as_lists(v):
@@ -153,8 +167,8 @@ class SweepReport:
     ``transversal_checks_run`` counts the (instance, element) pairs the
     transversal check covered, and ``transversal_failures`` holds one
     entry per such pair whose check fails.  The check itself is made once
-    per element of a region, on its shared record
-    (``RestrictedInstance.transversal_problem``)."""
+    per element of a region, on its shared record (the
+    ``transversal_problem`` of ``RestrictedInstance.record``)."""
 
     plan: dict
     instances_run: int = 0
@@ -416,7 +430,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                 else:
                     rep.mismatches.append({"instance": key, "element": f.to_text(), "mode": mode,
                                            "witness": thm.witness.to_text(), "problem": problem})
-        problem = inst.transversal_problem(f)
+        problem = inst.record(f).transversal_problem
         rep.transversal_checks_run += 1
         if problem is not None:
             rep.transversal_failures.append(

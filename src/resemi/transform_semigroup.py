@@ -151,7 +151,6 @@ class TInstance(RestrictedInstance):
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = "T_S(Y)(X)", "Y", "S(Y)", "bijective", "counts"
     UNIT_GROUP, WHOLE, FINITE = "Sym(Y)", "Y = X", "X \\ Y is finite"
     SMALL_N, SMALL = 2, "|X| = 2"
-    restrict = staticmethod(restriction)
     is_unit = staticmethod(Transformation.is_bijective)
 
     def __init__(self, n: int, y: IndexSubset, s_y: FiniteSemigroup) -> None:

@@ -364,6 +364,19 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", *flags, "--format", "text")
         assert code == 2 and not out and "non-negative" in err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--kind", "t", "--ns", "2,2"], "ns"),
+        (["--kind", "t", "--ns", "2", "--sizes", "1,1"], "subset_sizes"),
+        (["--kind", "l", "--pn", "2,1;2,1"], "pns"),
+        # the other family's size field is refused, not dropped
+        (["--kind", "t", "--ns", "2", "--pn", "2,1"], "pns"),
+        (["--kind", "l", "--pn", "2,1", "--ns", "3"], "ns"),
+    ])
+    def test_repeated_or_foreign_sizes_refused(self, capsys, flags, field):
+        code, out, err = run(capsys, "sweep", *flags, "--format", "text")
+        assert code == 2 and out == "" and err.startswith(f"error: plan field '{field}' must be")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [
         ["--kind", "t", "--ns", "0"],
         ["--kind", "t", "--ns", "2", "--source", "seeded", "--samples", "0"],
@@ -506,6 +519,8 @@ class TestInputFile:
         ("sweep", {"family": "transformation", "ns": [2], "element_cap": -1}),
         # a repeated mode, which would count every semigroup check twice
         ("sweep", {"family": "transformation", "ns": [2], "modes": ["regular", "regular"]}),
+        # a boolean seed, which would be read as True
+        ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", 3, True]}),
         # a boolean inside S(Y), W or S(W), which would be read as 0 or 1
         ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[False]]}}),
         ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"generators": [[False]]}}),

@@ -36,7 +36,7 @@ def outcome(inst, f, check):
     inst: the verdict's fields, the transversal problem, or the error."""
     try:
         if check == "transversal":
-            return inst.transversal_problem(f)
+            return inst.record(f).transversal_problem
         v = inst.thm_element(f, check)
         return v.holds, v.clause, v.witness
     except ValueError as exc:
@@ -58,10 +58,10 @@ class ElementRecordCases:
             assert len(elements) > 1
             for f, g in zip(elements, elements[1:] + elements[:1]):
                 got = (inst.thm_element(f, "regular"), inst.thm_element(g, "unit_regular"),
-                       inst.transversal_problem(f), inst.thm_element(g, "regular"))
+                       inst.record(f).transversal_problem, inst.thm_element(g, "regular"))
                 want = (self.clone(inst).thm_element(f, "regular"),
                         self.clone(inst).thm_element(g, "unit_regular"),
-                        self.clone(inst).transversal_problem(f),
+                        self.clone(inst).record(f).transversal_problem,
                         self.clone(inst).thm_element(g, "regular"))
                 assert got == want, (inst, f.to_text(), g.to_text())
 
@@ -95,7 +95,7 @@ class SharedRecordsCases:
         _store_on.cache_clear()
         for _ in range(2):
             assert a.thm_element(f, "regular").holds
-            assert a.transversal_problem(f) is None
+            assert a.record(f).transversal_problem is None
             for check in self.CHECKS:
                 assert outcome(b, f, check) == ("raises", self.OUTSIDE)
             with pytest.raises(ValueError, match="restriction outside S"):
@@ -142,7 +142,7 @@ class SharedRecordsCases:
         build_a, build_b = a.build(), b.build()
         _store_on.cache_clear()
         w_a = a.thm_element(f, mode).witness
-        assert a.restrict(w_a, a.region) == partner
+        assert a.record(w_a).alpha == partner
         assert witness_problem(build_a, f, mode, w_a) is None
         assert witness_problem(build_b, f, mode, w_a) == "witness not in the semigroup"
         # B's partner differs, so B gets its own witness, which its table accepts
@@ -299,7 +299,7 @@ def golden_rows(plans):
                     v = inst.thm_element(f, mode)
                     yield (cell, f.to_text(), mode, v.holds, v.clause,
                            None if v.witness is None else v.witness.to_text())
-                yield cell, f.to_text(), "transversal", None, inst.transversal_problem(f), None
+                yield cell, f.to_text(), "transversal", None, inst.record(f).transversal_problem, None
 
 
 def golden(family):

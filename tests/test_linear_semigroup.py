@@ -270,9 +270,10 @@ class TestRecordAgainstReferences:
                     continue
                 rec = inst.record(f)
                 chain, inverse, coordinates = reference_chain(f, w)
-                assert [list(b) for b in rec.chain] == [list(b) for b in chain]
-                assert rec.chain_inverse == inverse
-                assert list(rec.w_coordinates) == coordinates
+                got_chain, got_inverse, got_coordinates = lsg._basis_chain(w, rec.rf)
+                assert [list(b) for b in got_chain] == [list(b) for b in chain]
+                assert got_inverse == inverse
+                assert list(got_coordinates) == coordinates
                 assert rec.rw == restricted_image_space(f, w)
                 assert rec.transversal_problem == reference_transversal_problem(f, w)
                 for mode in ("regular", "unit_regular"):
@@ -300,13 +301,13 @@ class TestTransversalProblem:
         f = GFMatrix.identity(2, 2)
         _store_on.cache_clear()
         lsg._transversal_problem.cache_clear()
-        assert inst.transversal_problem(f) is None
+        assert inst.record(f).transversal_problem is None
         build_pair = lsg.transversal_from_spaces
         monkeypatch.setattr(lsg, "transversal_from_spaces", lambda *args: SubspaceTransversal(
             build_pair(*args).u, Subspace(2, 2, wrong)))
         _store_on.cache_clear()  # f's record holds the right pair
         try:
-            assert inst.transversal_problem(f) == "U meet W is not the trace of U"
+            assert inst.record(f).transversal_problem == "U meet W is not the trace of U"
         finally:
             _store_on.cache_clear()  # and now the wrong one
         # the check went through the memo, where the wrong pair is a key of its own

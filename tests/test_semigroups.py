@@ -492,6 +492,22 @@ class TestWitnessProblem:
                 else:
                     assert product_check.endswith("witness leaves the semigroup")
 
+    def test_wrong_ambient_size_leaves_the_semigroup(self):
+        # units of a larger and a smaller ambient space, each restricting
+        # to the identity on the region: membership is refused before the
+        # unit test could pass them or fwf be formed
+        for inst in self.instances():
+            n = inst.n
+            if isinstance(inst, TInstance):
+                others = (Transformation.identity(n + 1), Transformation.identity(n - 1))
+            else:
+                others = (GFMatrix.identity(inst.p, n + 1), GFMatrix.identity(inst.p, n - 1))
+            f = inst.build().elements[0]
+            for w in others:
+                for mode in self.MODES:
+                    label = "unit-regular" if mode == "unit_regular" else "regular"
+                    assert inst.witness_problem(f, w, mode) == f"{label} witness leaves the semigroup"
+
     def test_unknown_mode_refused(self):
         s = full_t(2)
         with pytest.raises(ValueError, match="unknown element mode"):

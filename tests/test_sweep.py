@@ -169,12 +169,30 @@ class TestRunSweep:
         ("ns", (-1,)), ("subset_sizes", (-2,)), ("pns", ((2, -1),)),
         ("source", ("seeded", -1, "s")),
         ("element_cap", -1),
-        # a repeated mode would count every semigroup check twice
+        # a repeated mode would count every semigroup check twice, and a
+        # repeated size, dimension or cell would run its cells twice
         ("modes", ("regular", "regular")),
+        ("ns", (2, 2)), ("subset_sizes", (1, 1)), ("pns", ((2, 1), (2, 1))),
+        # a JSON boolean is not a seed
+        ("source", ("seeded", 3, True)),
     ])
     def test_field_types(self, field, value):
+        # ``ns`` on its own family, so that only the value is at fault
+        family = "transformation" if field == "ns" else "linear"
         with pytest.raises(ValueError, match="must be|unknown source"):
-            SweepPlan(family="linear", **{field: value})
+            SweepPlan(family=family, **{field: value})
+
+    @pytest.mark.parametrize("family, field, value", [
+        ("transformation", "pns", ((2, 1),)), ("linear", "ns", (3,)),
+    ])
+    def test_other_family_size_field_refused(self, family, field, value):
+        sizes = {"transformation": {"ns": (2,)}, "linear": {"pns": ((2, 1),)}}[family]
+        with pytest.raises(ValueError, match=f"plan field '{field}' must be empty"):
+            SweepPlan(family=family, **sizes, **{field: value})
+        # an empty one is read, as every report's plan block carries both keys
+        plan = SweepPlan(family=family, **sizes)
+        assert SweepPlan.from_dict(plan.to_dict()) == plan
+        assert set(plan.to_dict()) >= {"ns", "pns"}
 
     def test_explicit_empty_y(self):
         # |Y| = 0 is taken when asked for; the build is then all of T(n)

@@ -318,7 +318,7 @@ class TestEmptyY:
                     g = thm.witness
                     assert g in b and f * g * f == f
                     assert mode != "unit_regular" or g.is_bijective()
-            assert inst.transversal_problem(f) is None
+            assert inst.record(f).transversal_problem is None
 
     def test_canonical_transversal_takes_smallest_preimages(self):
         # fibres {1, 3} (of 0) and {0, 2} (of 2)
