@@ -53,7 +53,7 @@ class RestrictedInstance:
     (the instance over an empty region, whose build is all of T(size) or
     L(GF(p)^size)), ``key()``, ``parse_element(text)``
     (the element ``text`` spells in the inline grammar),
-    ``decidable(modes)``, ``expected_size()``, ``build()``,
+    ``decidable(modes)``, ``expected_size()``, ``exceeds(bound)``, ``build()``,
     ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)`` and
     ``witness_problem(f, w, mode)``.
 
@@ -104,6 +104,14 @@ class RestrictedInstance:
     def expected_size(self) -> int:
         """|S| * point_count^codim, the size of the build."""
         return len(self.prescribed) * self.point_count ** self.codim
+
+    def exceeds(self, bound: int) -> bool:
+        """Whether ``expected_size()`` passes ``bound``, found without a
+        huge power: the power is taken over at most ``bound.bit_length()``
+        digits, which a radix of 2 or more already carries past the bound,
+        so the answer costs no work that grows with the space."""
+        digits = min(self.width * self.codim, bound.bit_length())
+        return len(self.prescribed) * self.radix ** digits > bound
 
     def record(self, f):
         """f's record, shared by the element predicates, their witnesses
@@ -197,18 +205,15 @@ def build(inst: RestrictedInstance) -> FiniteSemigroup:
 
     So the result should have ``expected_size()`` elements; the sweep
     checks that it does.  The build is refused when that size passes the
-    Cayley table's ``TABLE_CAP``, the only bound on work; the power is
-    taken over at most ``TABLE_CAP.bit_length()`` digits, which a radix of
-    2 or more already carries past the cap, so a refusal forms no huge
-    integer and costs no work that grows with the space.  When the region
-    is everything the build is S itself, table reused.  Otherwise each
-    alpha's block is taken whole from the region's store, where the first
-    build on the region to meet alpha put it, so every instance on the
-    region shares its element objects and ``extend`` runs once per element
-    of the region.
+    Cayley table's ``TABLE_CAP``, the only bound on work (``exceeds``, so
+    a refusal forms no huge integer and costs no work that grows with the
+    space).  When the region is everything the build is S itself, table
+    reused.  Otherwise each alpha's block is taken whole from the region's
+    store, where the first build on the region to meet alpha put it, so
+    every instance on the region shares its element objects and ``extend``
+    runs once per element of the region.
     """
-    digits = min(inst.width * inst.codim, TABLE_CAP.bit_length())
-    if len(inst.prescribed) * inst.radix ** digits > TABLE_CAP:
+    if inst.exceeds(TABLE_CAP):
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed

@@ -21,8 +21,9 @@ has 16 subspaces), and in a large space a miss costs one dict probe.  The
 validating ``Subspace.__init__`` is for rows from outside (parsed input,
 ``zero``, ``full``, ``all_subspaces``); the spans made inside, of rows
 already reduced mod p, go through the memo, ``independent_extension``'s
-among them.  ``Subspace.__init__``, ``mat_compose``, ``GFMatrix.rank``
-and ``_rref_rows`` are not memoised.  The brute-force oracles read only
+among them, and ``GFMatrix.rank`` is the dimension of the interned row
+space (``image_space``).  ``Subspace.__init__``, ``mat_compose`` and
+``_rref_rows`` are not memoised.  The brute-force oracles read only
 Cayley tables, so no verdict they give rests on a memo.  Besides these
 four, ``linear_semigroup`` keeps five memos of the same bound for the
 parts of its element record that read only subspaces (the witness basis
@@ -153,7 +154,7 @@ class GFMatrix:
 
     @property
     def rank(self) -> int:
-        return len(_rref_rows([list(r) for r in self.entries], self.p, self.cols)[1])
+        return image_space(self).dim
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank == self.rows

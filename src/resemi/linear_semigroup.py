@@ -210,10 +210,10 @@ def _lift(w: Subspace, alpha: GFMatrix) -> tuple:
 class LInstance(RestrictedInstance):
     """Prime p, ambient dimension n, a subspace W and a closed S(W).
 
-    Elements of ``s_w`` are dim(W) x dim(W) coordinate matrices in W's
-    canonical basis.  dim(W) = 0 is fully supported: S(W) is then the
-    trivial group of the 0 x 0 matrix and the build is all of L(V).
-    Implements the family interface described on
+    Elements of S(W) (``prescribed``) are dim(W) x dim(W) coordinate
+    matrices in W's canonical basis.  dim(W) = 0 is fully supported: S(W)
+    is then the trivial group of the 0 x 0 matrix and the build is all of
+    L(V).  Implements the family interface described on
     ``family.RestrictedInstance``; f's record is an ``ElementSubspaces``.
 
     ``build()`` is every linear map on V whose restriction to W lies in
@@ -252,13 +252,10 @@ class LInstance(RestrictedInstance):
         if w.p != p or w.ambient_dim != n:
             raise ValueError("dimension mismatch")
         k = w.dim
-        for el in s_w.elements:
-            if not isinstance(el, GFMatrix) or el.p != p or el.rows != k or el.cols != k:
-                raise ValueError("S(W) elements must be dim(W) x dim(W) matrices over GF(p)")
+        _check_s_w(p, k, s_w.elements)
         self.p = p
         self.n = n
         self.w = w
-        self.s_w = s_w
         self.radix, self.width, self.codim = p, n, w.codim
         super().__init__(w, s_w, GFMatrix.identity(p, k))
 
@@ -271,8 +268,8 @@ class LInstance(RestrictedInstance):
         w = Subspace(p, n, [[json_int(x, "W") for x in row] for row in data["W"]])
         block = data["sW"]
         s_w = prescribed_semigroup(
-            lambda items: [GFMatrix(p, [[json_int(x, "sW") for x in row] for row in e], cols=w.dim)
-                           for e in items],
+            lambda items: _check_s_w(p, w.dim, [
+                GFMatrix(p, [[json_int(x, "sW") for x in row] for row in e]) for e in items]),
             block.get("generators"), block.get("elements"))
         return cls(p, n, w, s_w)
 
@@ -303,7 +300,7 @@ class LInstance(RestrictedInstance):
 
     def __repr__(self) -> str:
         return (
-            f"LInstance(p={self.p}, n={self.n}, dim W={self.w.dim}, |S(W)|={len(self.s_w)})"
+            f"LInstance(p={self.p}, n={self.n}, dim W={self.w.dim}, |S(W)|={len(self.prescribed)})"
         )
 
     def key(self) -> dict:
@@ -312,7 +309,7 @@ class LInstance(RestrictedInstance):
             "p": self.p,
             "n": self.n,
             "W": [list(r) for r in self.w.basis],
-            "sW": sorted(el.to_text() for el in self.s_w.elements),
+            "sW": sorted(el.to_text() for el in self.prescribed.elements),
         }
 
     def in_ambient(self, f: GFMatrix) -> bool:
@@ -339,6 +336,16 @@ class LInstance(RestrictedInstance):
         return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
 
 
+def _check_s_w(p: int, k: int, elements) -> list:
+    """``elements``, refused unless each is a k x k matrix over GF(p), k =
+    dim W: the rule for S(W), checked on a given S(W) and on parsed
+    elements or generators before any closure."""
+    for el in elements:
+        if not isinstance(el, GFMatrix) or el.p != p or el.rows != k or el.cols != k:
+            raise ValueError("S(W) elements must be dim(W) x dim(W) matrices over GF(p)")
+    return elements
+
+
 def build_lsw(inst: LInstance) -> FiniteSemigroup:
     """``family.build``, under the name ``bench/layers.py`` traces."""
     return build(inst)
@@ -354,7 +361,7 @@ def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
     apart from the completely-regular theorem, which is the linear
     family's alone."""
     if mode == "completely_regular":
-        if not semigroup_oracle(inst.s_w, "completely_regular").holds:
+        if not semigroup_oracle(inst.prescribed, "completely_regular").holds:
             return PropertyVerdict(mode, False, clause="S(W) not completely regular")
         if inst.codim == 0:
             return PropertyVerdict(mode, True, clause="S(W) completely regular and W = V")
@@ -378,7 +385,7 @@ def alpha_family_check(inst: LInstance, build: FiniteSemigroup) -> PropertyVerdi
     by index in the Cayley tables of ``build`` and S(W)."""
     if inst.codim != 1 or not inst.unit_group:
         raise ValueError("precondition violated")
-    s_w, vectors = inst.s_w, all_vectors(inst.p, inst.n)
+    s_w, vectors = inst.prescribed, all_vectors(inst.p, inst.n)
     x = unit_rows(inst.n)[inst._complement_cols[0]]
     family = {(z, lam): inst.extend(lam, [z]) for lam in s_w.elements for z in vectors}
     if set(family.values()) != set(build.elements):

@@ -237,14 +237,12 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     seeded draw whose closure passes the Cayley table appears, in draw
     order, as the record ``{"generators": [texts], "reason": ...}`` in
     place of a semigroup."""
+    if source[0] == "exhaustive":
+        base = _exhaustive_base(kind, base_size, p).build()
+        return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
+                     for mask in _subsemigroup_masks(base.table))
     whole = FAMILIES[kind].whole(base_size, p)
     m = whole.expected_size()
-    if source[0] == "exhaustive":
-        if m > _EXHAUSTIVE_BASE_LIMIT:
-            raise ValueError("intractable exhaustive request")
-        base = whole.build()
-        return tuple(FiniteSemigroup([base.elements[i] for i in range(m) if mask >> i & 1])
-                     for mask in _subsemigroup_masks(base.table))
     _, count, seed = source
     rng = random.Random(seed)
     out = []
@@ -262,6 +260,16 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
             seen.add(key)
             out.append(FiniteSemigroup(elems))
     return tuple(out)
+
+
+def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
+    """The family's instance over an empty region (``whole``), whose build
+    is the base monoid of an exhaustive listing; refused past
+    ``_EXHAUSTIVE_BASE_LIMIT`` elements, the one statement of that bound."""
+    whole = FAMILIES[kind].whole(base_size, p)
+    if whole.exceeds(_EXHAUSTIVE_BASE_LIMIT):
+        raise ValueError("intractable exhaustive request")
+    return whole
 
 
 def _subsemigroup_masks(table: list) -> list:
@@ -301,32 +309,37 @@ def _cell_source(plan: SweepPlan, cell_key: str) -> tuple:
     return ("seeded", count, f"{seed}:{cell_key}")
 
 
+def _sizes(plan: SweepPlan):
+    """(p, n, size) for every region size the plan selects, in plan order
+    (p None on a transformation plan): |Y| from 1 or dim W from 0 up to
+    n, or the plan's ``subset_sizes`` not past n."""
+    if plan.family == "transformation":
+        cells, low = [(None, n) for n in plan.ns], 1
+    else:
+        cells, low = plan.pns, 0
+    for p, n in cells:
+        for size in plan.subset_sizes if plan.subset_sizes is not None else range(low, n + 1):
+            if size <= n:  # sizes are non-negative (``SweepPlan``)
+                yield p, n, size
+
+
 def _instances(plan: SweepPlan):
     """Deterministically ordered (cell_key, instance) pairs for the plan; a
     seeded draw refused at closure comes as (cell_key, its record)."""
-    if plan.family == "transformation":
-        for n in plan.ns:
-            sizes = plan.subset_sizes if plan.subset_sizes is not None else range(1, n + 1)
-            for size in sizes:
-                if size > n:  # sizes are non-negative (``SweepPlan``)
-                    continue
-                for members in combinations(range(n), size):
-                    y = IndexSubset(n, members)
-                    cell = f"t:{n}:{y.to_text()}"
-                    source = _cell_source(plan, cell)
-                    for s_y in enumerate_subsemigroups("transformation", size, source):
-                        yield cell, s_y if isinstance(s_y, dict) else tsg.TInstance(n, y, s_y)
-    else:
-        for p, n in plan.pns:
-            sizes = plan.subset_sizes if plan.subset_sizes is not None else range(n + 1)
-            for dim in sizes:
-                if dim > n:
-                    continue
-                for w in all_subspaces(p, n, dim):
-                    cell = f"l:{p}:{n}:{w.to_text()}"
-                    source = _cell_source(plan, cell)
-                    for s_w in enumerate_subsemigroups("linear", dim, source, p=p):
-                        yield cell, s_w if isinstance(s_w, dict) else lsg.LInstance(p, n, w, s_w)
+    for p, n, size in _sizes(plan):
+        if plan.family == "transformation":
+            for members in combinations(range(n), size):
+                y = IndexSubset(n, members)
+                cell = f"t:{n}:{y.to_text()}"
+                source = _cell_source(plan, cell)
+                for s_y in enumerate_subsemigroups("transformation", size, source):
+                    yield cell, s_y if isinstance(s_y, dict) else tsg.TInstance(n, y, s_y)
+        else:
+            for w in all_subspaces(p, n, size):
+                cell = f"l:{p}:{n}:{w.to_text()}"
+                source = _cell_source(plan, cell)
+                for s_w in enumerate_subsemigroups("linear", size, source, p=p):
+                    yield cell, s_w if isinstance(s_w, dict) else lsg.LInstance(p, n, w, s_w)
 
 
 # -- per-instance checks ----------------------------------------------------
@@ -351,8 +364,13 @@ def _definition_failures(s: FiniteSemigroup) -> list[str]:
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:
-    """Run every theorem-vs-oracle comparison the plan asks for."""
+    """Run every theorem-vs-oracle comparison the plan asks for.  An
+    exhaustive plan is refused before its first instance if any base it
+    selects is intractable (``_exhaustive_base``)."""
     t0 = time.perf_counter()
+    if plan.source == ("exhaustive",):
+        for p, _, size in _sizes(plan):
+            _exhaustive_base(plan.family, size, p)
     rep = SweepReport(plan=plan.to_dict())
     rep.semigroup_checks = dict.fromkeys(plan.modes, 0)
     rep.semigroup_agreements = dict.fromkeys(plan.modes, 0)

@@ -21,6 +21,7 @@ from .transformations import (
     Transformation,
     TransversalPair,
     canonical_transversal,
+    fibers,
     restriction,
 )
 
@@ -32,8 +33,8 @@ class TElementRecord:
 
     Eager: the restriction ``alpha`` (None when f does not leave Y
     invariant, and then nothing else), the fibres of f keyed by image
-    point (``fibers``) and the image-trace test R(f) meet Y = R(f|Y)
-    (``trace_ok``).  Lazy: the canonical transversal pair
+    point (``fibers``, by ``transformations.fibers``) and the image-trace
+    test R(f) meet Y = R(f|Y) (``trace_ok``).  Lazy: the canonical transversal pair
     (``transversal``) and what is wrong with it (``transversal_problem``,
     None when nothing is), the sorted extras D(f) minus D(f|Y) and C(f) minus
     C(f|Y) (``extras``) and their sizes (``complement_sizes``).
@@ -47,11 +48,8 @@ class TElementRecord:
         except ValueError:
             self.alpha = None
             return
-        fibers: dict[int, list[int]] = {}
-        for x, v in enumerate(f.map):
-            fibers.setdefault(v, []).append(x)
-        self.fibers = fibers
-        self.trace_ok = {v for v in fibers if v in y} == {f.map[x] for x in y.members}
+        self.fibers = fibers(f)
+        self.trace_ok = {v for v in self.fibers if v in y} == {f.map[x] for x in y.members}
 
     @cached_property
     def transversal(self) -> TransversalPair:
@@ -59,7 +57,9 @@ class TElementRecord:
 
     @cached_property
     def transversal_problem(self) -> str | None:
-        """What is wrong with the canonical transversal pair, or None."""
+        """What is wrong with the canonical transversal pair, or None.  The
+        fibres of f|Y are those of f over R(f|Y), cut to Y."""
+        y = self.y
         t_set = set(self.transversal.t.members)
         ty_set = set(self.transversal.t_on_y.members)
         if len(t_set) != len(self.fibers):
@@ -67,13 +67,10 @@ class TElementRecord:
         for cls in self.fibers.values():
             if len(t_set.intersection(cls)) != 1:
                 return "a fibre does not meet T exactly once"
-        if ty_set != t_set.intersection(self.y.members):
+        if ty_set != t_set.intersection(y.members):
             return "T on Y is not the trace of T"
-        y_fibers: dict[int, set] = {}
-        for x in self.y.members:
-            y_fibers.setdefault(self.f.map[x], set()).add(x)
-        for fiber in y_fibers.values():
-            if len(ty_set & fiber) != 1:
+        for v in {self.f.map[x] for x in y.members}:
+            if len(ty_set.intersection(x for x in self.fibers[v] if x in y)) != 1:
                 return "a restricted fibre does not meet T on Y exactly once"
         return None
 
@@ -116,11 +113,12 @@ class TElementRecord:
 class TInstance(RestrictedInstance):
     """Ambient size n, a subset Y and a closed semigroup S(Y) on |Y| points.
 
-    Elements of ``s_y`` act on the dense range 0..|Y|-1 (Y re-indexed in
-    sorted order).  Y may be empty: S(Y) is then the trivial semigroup of
-    the empty map, the restriction of every f is that map, and the build
-    is all of T(X).  Implements the family interface described on
-    ``family.RestrictedInstance``; f's record is a ``TElementRecord``.
+    Elements of S(Y) (``prescribed``) act on the dense range 0..|Y|-1 (Y
+    re-indexed in sorted order).  Y may be empty: S(Y) is then the trivial
+    semigroup of the empty map, the restriction of every f is that map,
+    and the build is all of T(X).  Implements the family interface
+    described on ``family.RestrictedInstance``; f's record is a
+    ``TElementRecord``.
 
     ``build()`` is every f on X whose restriction to Y lies in S(Y):
     |S(Y)| * n^(n-|Y|) elements (``family.build``).
@@ -157,12 +155,9 @@ class TInstance(RestrictedInstance):
         if y.n != n:
             raise ValueError("dimension mismatch")
         k = len(y)
-        for el in s_y.elements:
-            if not isinstance(el, Transformation) or el.n != k:
-                raise ValueError("S(Y) elements must be transformations on |Y| points")
+        _check_s_y(k, s_y.elements)
         self.n = n
         self.y = y
-        self.s_y = s_y
         self.radix, self.width, self.codim = n, 1, n - k
         super().__init__(y, s_y, Transformation.identity(k))
 
@@ -175,11 +170,12 @@ class TInstance(RestrictedInstance):
         members = [json_int(x, "Y") for x in data["Y"]]
         if len(set(members)) != len(members):
             raise ValueError(f"instance field 'Y' must list distinct integers, not {members!r}")
-        block = data["sY"]
+        y, block = IndexSubset(n, sorted(members)), data["sY"]
         s_y = prescribed_semigroup(
-            lambda items: [Transformation([json_int(x, "sY") for x in e]) for e in items],
+            lambda items: _check_s_y(len(y), [
+                Transformation([json_int(x, "sY") for x in e]) for e in items]),
             block.get("generators"), block.get("elements"))
-        return cls(n, IndexSubset(n, sorted(members)), s_y)
+        return cls(n, y, s_y)
 
     @classmethod
     def whole(cls, size: int, p: int | None = None) -> "TInstance":
@@ -188,7 +184,7 @@ class TInstance(RestrictedInstance):
         return cls(size, IndexSubset(size, ()), FiniteSemigroup([Transformation(())]))
 
     def __repr__(self) -> str:
-        return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.s_y)})"
+        return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.prescribed)})"
 
     def key(self) -> dict:
         """JSON-friendly identifying record, stable across runs."""
@@ -196,7 +192,7 @@ class TInstance(RestrictedInstance):
             "kind": "transformation",
             "n": self.n,
             "Y": list(self.y.members),
-            "sY": sorted(el.to_text() for el in self.s_y.elements),
+            "sY": sorted(el.to_text() for el in self.prescribed.elements),
         }
 
     def in_ambient(self, f: Transformation) -> bool:
@@ -234,6 +230,16 @@ class TInstance(RestrictedInstance):
 
     def thm_element(self, f: Transformation, mode: str) -> PropertyVerdict:
         return thm_element_t(self, f, mode)
+
+
+def _check_s_y(k: int, elements) -> list:
+    """``elements``, refused unless each is a transformation on k = |Y|
+    points: the rule for S(Y), checked on a given S(Y) and on parsed
+    elements or generators before any closure."""
+    for el in elements:
+        if not isinstance(el, Transformation) or el.n != k:
+            raise ValueError("S(Y) elements must be transformations on |Y| points")
+    return elements
 
 
 def build_tsy(inst: TInstance) -> FiniteSemigroup:

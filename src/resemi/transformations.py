@@ -147,6 +147,15 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
     return Transformation._unchecked(g.point_action(f.map))
 
 
+def fibers(f: Transformation) -> dict[int, list[int]]:
+    """The fibres of f: each image point, in order of first occurrence,
+    mapped to its preimages in increasing order."""
+    out: dict[int, list[int]] = {}
+    for x, v in enumerate(f.map):
+        out.setdefault(v, []).append(x)
+    return out
+
+
 def image_kernel(f: Transformation):
     """Image, defect (complement of the image) and kernel classes of f.
 
@@ -201,27 +210,11 @@ def canonical_transversal(f: Transformation, y: IndexSubset) -> TransversalPair:
     identical output.  For an empty Y, ``t_on_y`` is empty and T holds
     the smallest preimage of each fibre.
     """
-    if f.n != y.n:
-        raise ValueError("dimension mismatch")
-    ry = set()
-    for x in y.members:
-        fx = f.map[x]
-        if fx not in y._set:
-            raise ValueError("not Y-invariant")
-        ry.add(fx)
-    fibers: dict[int, list[int]] = {}
-    for x in range(f.n):
-        fibers.setdefault(f.map[x], []).append(x)
-    reps = []
-    reps_y = []
-    for v in sorted(fibers):
-        if v in ry:
-            r = min(x for x in fibers[v] if x in y._set)
-            reps_y.append(r)
-        else:
-            # fibres of image points outside Yf never meet Y
-            r = min(fibers[v])
-        reps.append(r)
+    ry = {y.members[i] for i in restriction(f, y).map}  # R(f|Y); raises as ``restriction`` does
+    fibres = fibers(f)
+    reps_y = [next(x for x in fibres[v] if x in y._set) for v in ry]
+    # fibres of image points outside Yf never meet Y
+    reps = reps_y + [cls[0] for v, cls in fibres.items() if v not in ry]
     return TransversalPair(
         IndexSubset.from_iterable(f.n, reps),
         IndexSubset.from_iterable(f.n, reps_y),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resemi import semigroups
 from resemi.cli import main
 from resemi.linear_semigroup import LInstance
 
@@ -114,6 +115,22 @@ class TestBuild:
         code, out, err = run(capsys, "build", "--input", str(path))
         assert code == 2 and "not both" in err and out == ""
 
+    L_SHAPE = "S(W) elements must be dim(W) x dim(W) matrices over GF(p)"
+
+    @pytest.mark.parametrize("argv, rule", [
+        (("--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1,0;0,1"), L_SHAPE),
+        (("--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--gens", "1,0;0,1"), L_SHAPE),
+        (("--kind", "l", "--p", "2", "--n", "2", "--w", "2,0", "--sw", "1"), L_SHAPE),  # W = 0
+        (("--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--gens", "1|1,0;0,1"), L_SHAPE),
+        (("--kind", "t", "--n", "3", "--y", "0,1", "--gens", "1,0;0,0,1"),
+         "S(Y) elements must be transformations on |Y| points"),
+    ], ids=["l-elements", "l-generators", "l-zero-w", "l-mixed-generators", "t-mixed-generators"])
+    def test_wrong_shaped_prescribed_refused(self, capsys, monkeypatch, argv, rule):
+        # one error line naming the family's shape rule, before any closure
+        monkeypatch.setattr(semigroups, "generate", lambda gens: pytest.fail("closure ran"))
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out, err) == (2, "", f"error: {rule}\n")
+
 
 class TestTableCap:
     # T_S(Y)(X) for n = 6, Y = {0}, S(Y) trivial: 6^5 = 7,776 elements,
@@ -164,11 +181,18 @@ class TestTableCap:
         else:
             assert "instances run: 0" in out and "skipped: 6" in out
 
-    @pytest.mark.parametrize("n", ["5", "6"])
-    def test_exhaustive_sweep_refused_up_front(self, capsys, n):
-        # T(5) and T(6) are far past the 27-element exhaustive base
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "t", "--ns", "5", "--sizes", "5"),
+        ("--kind", "t", "--ns", "6", "--sizes", "6"),
+        ("--kind", "t", "--ns", "4"),
+        ("--kind", "l", "--pn", "2,3"),
+    ], ids=["5", "6", "t-default-sizes", "l-default-sizes"])
+    def test_exhaustive_sweep_refused_up_front(self, capsys, argv):
+        # T(5) and T(6) are far past the 27-element exhaustive base, and so
+        # are T(4) and L(GF(2)^3), the last bases of their default sizes,
+        # whose tractable cells would otherwise all run first
         start = time.perf_counter()
-        code, out, err = run(capsys, "sweep", "--kind", "t", "--ns", n, "--sizes", n)
+        code, out, err = run(capsys, "sweep", *argv)
         assert time.perf_counter() - start < 5
         assert code == 2 and "intractable exhaustive request" in err and out == ""
 

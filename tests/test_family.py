@@ -452,6 +452,19 @@ def test_build_refused_exactly_past_the_table_cap(inst, refused, monkeypatch):
         assert len(inst.build()) == inst.expected_size() == len(calls)
 
 
+@pytest.mark.parametrize("inst", [
+    *[TInstance.whole(k) for k in range(7)],
+    *[LInstance.whole(k, p) for p in (2, 3, 29) for k in range(4)],
+    gf2_4_line(0, 1),
+    TInstance(3, IndexSubset(3, [0]), FiniteSemigroup([Transformation([0])])),
+], ids=str)
+def test_exceeds_is_the_size_compared_with_the_bound(inst):
+    """The bounded power of ``exceeds`` gives the answer of the exact size
+    at every bound, the sweep's 27-element exhaustive base among them."""
+    for bound in (0, 1, 2, 15, 16, 26, 27, 28, 255, 256, TABLE_CAP):
+        assert inst.exceeds(bound) == (inst.expected_size() > bound)
+
+
 # Two instances on one region, with different prescribed semigroups that
 # share elements, and a third instance on another region.
 SHARED_REGION = {

@@ -58,7 +58,7 @@ def brute_force_members(inst):
             alpha = restriction_matrix(f, inst.w)
         except ValueError:
             continue
-        if alpha in inst.s_w:
+        if alpha in inst.prescribed:
             out.append(f)
     return out
 
@@ -93,7 +93,7 @@ class TestBuild:
                         m.entries for m in brute_force_members(inst)
                     )
                     k = w.dim
-                    assert len(b) == len(inst.s_w) * p ** (n * (n - k))
+                    assert len(b) == len(inst.prescribed) * p ** (n * (n - k))
 
     def test_identity_membership_tracks_identity_of_sw(self):
         w = Subspace(2, 2, [[1, 0]])
@@ -111,7 +111,7 @@ class TestBuild:
         # W = V: the build is S(W) itself; GF(101)^4's 104 M points are
         # never listed and the complement basis is never inverted
         inst = LInstance(101, 4, Subspace.full(101, 4), trivial_sw(101, 4))
-        assert inst.build() is inst.s_w
+        assert inst.build() is inst.prescribed
         assert "_c_inv" not in vars(inst)
 
 
@@ -190,7 +190,7 @@ class TestElementRecord(ElementRecordCases):
 
     @staticmethod
     def clone(inst):
-        return LInstance(inst.p, inst.n, inst.w, inst.s_w)
+        return LInstance(inst.p, inst.n, inst.w, inst.prescribed)
 
     @staticmethod
     def canonical(f, inst):
@@ -491,7 +491,7 @@ class TestJsonIngest:
         inst = LInstance.from_dict(
             {"kind": "linear", "p": 3, "n": 2, "W": [[1, 0]], "sW": {"generators": [[[2]]]}}
         )
-        assert len(inst.s_w) == 2
+        assert len(inst.prescribed) == 2
 
     def test_zero_dim_w(self):
         inst = LInstance.from_dict(

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from resemi import linear_semigroup as lsg
+from resemi import sweep
 from resemi import transform_semigroup as tsg
 from resemi.cli import main
 from resemi.family import element_at
@@ -69,6 +70,23 @@ class TestEnumerateSubsemigroups:
         with pytest.raises(ValueError, match="intractable exhaustive request"):
             enumerate_subsemigroups("linear", 2, ("exhaustive",), p=3)
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("plan", [
+        SweepPlan("transformation", ns=(4,)),
+        SweepPlan("linear", pns=((2, 3),)),
+        SweepPlan("transformation", ns=(2, 5), subset_sizes=(1, 5)),
+        SweepPlan("transformation", ns=(10 ** 6,), subset_sizes=(10 ** 6,)),
+    ], ids=["T(4)", "L(GF(2)^3)", "T(5)-after-tractable-cells", "T(10^6)"])
+    def test_intractable_plan_refused_before_any_instance(self, monkeypatch, plan):
+        # every intractable base the plan selects is refused before the
+        # first instance runs, not once the tractable cells have run, and
+        # without forming |T(10^6)| = (10^6)^(10^6)
+        ran = []
+        monkeypatch.setattr(sweep, "_run_instance", lambda *args: ran.append(args))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="intractable exhaustive request"):
+            run_sweep(plan)
+        assert time.perf_counter() - start < 1 and not ran
 
     def test_t3_exhaustive(self):
         # 1,299 with the empty set, the count reported for T_3

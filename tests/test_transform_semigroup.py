@@ -38,7 +38,7 @@ def brute_force_members(inst):
     for f in all_transformations(inst.n):
         if not all(f.map[x] in inst.y for x in inst.y.members):
             continue
-        if restriction(f, inst.y) in inst.s_y:
+        if restriction(f, inst.y) in inst.prescribed:
             out.append(f)
     return out
 
@@ -69,7 +69,7 @@ class TestBuild:
                     assert sorted(f.map for f in b.elements) == sorted(
                         f.map for f in brute_force_members(inst)
                     )
-                    assert len(b) == len(inst.s_y) * n ** (n - len(y))
+                    assert len(b) == len(inst.prescribed) * n ** (n - len(y))
 
     def test_y_equals_x_returns_sy(self):
         s = sym_on(3)
@@ -178,7 +178,7 @@ class TestElementRecord(ElementRecordCases):
 
     @staticmethod
     def clone(inst):
-        return TInstance(inst.n, inst.y, inst.s_y)
+        return TInstance(inst.n, inst.y, inst.prescribed)
 
     @staticmethod
     def canonical(f, inst):
@@ -265,13 +265,13 @@ class TestJsonIngest:
             {"kind": "transformation", "n": 3, "Y": [0, 1],
              "sY": {"elements": [[0, 1], [1, 0]]}}
         )
-        assert inst.n == 3 and len(inst.s_y) == 2 and inst.has_identity
+        assert inst.n == 3 and len(inst.prescribed) == 2 and inst.has_identity
 
     def test_generators_form(self):
         inst = TInstance.from_dict(
             {"kind": "transformation", "n": 3, "Y": [0, 1], "sY": {"generators": [[1, 0]]}}
         )
-        assert len(inst.s_y) == 2
+        assert len(inst.prescribed) == 2
 
     def test_non_closed_elements_rejected(self):
         data = {"kind": "transformation", "n": 3, "Y": [0, 1, 2],
@@ -279,7 +279,7 @@ class TestJsonIngest:
         with pytest.raises(ValueError, match="not closed"):
             TInstance.from_dict(data)
         inst = TInstance.from_dict({**data, "sY": {"generators": [[1, 2, 0]]}})
-        assert len(inst.s_y) == 3
+        assert len(inst.prescribed) == 3
 
     def test_generators_and_elements_conflict(self):
         data = {"kind": "transformation", "n": 3, "Y": [0, 1],

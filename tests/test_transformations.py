@@ -14,6 +14,7 @@ from resemi.transformations import (
     Transformation,
     canonical_transversal,
     compose,
+    fibers,
     image_kernel,
     restricted_image,
     restriction,
@@ -127,6 +128,26 @@ class TestImageKernel:
         assert sorted(image.members + defect.members) == list(range(f.n))
 
 
+class TestFibers:
+    @pytest.mark.parametrize("images, expected", [
+        (None, [(0, [0]), (1, [1]), (2, [2])]),
+        ([0, 0, 1, 1], [(0, [0, 1]), (1, [2, 3])]),
+        ([2, 2, 2], [(2, [0, 1, 2])]),
+        ([], []),
+        ([2, 0, 2], [(2, [0, 2]), (0, [1])]),  # keys by first occurrence, not sorted
+    ], ids=["identity(3)", "0,0,1,1", "2,2,2", "empty", "2,0,2"])
+    def test_examples(self, images, expected):
+        f = Transformation.identity(3) if images is None else Transformation(images)
+        assert list(fibers(f).items()) == expected
+
+    @given(transformations())
+    def test_same_classes_as_image_kernel(self, f):
+        image, _, classes = image_kernel(f)
+        fib = fibers(f)
+        assert list(fib) == list(dict.fromkeys(f.map))
+        assert [tuple(fib[v]) for v in image.members] == list(classes)
+
+
 class TestRestriction:
     def test_examples(self):
         y = IndexSubset(4, [0, 1, 2])
@@ -231,6 +252,11 @@ class TestCanonicalTransversal:
     def test_not_invariant_raises(self):
         with pytest.raises(ValueError, match="not Y-invariant"):
             canonical_transversal(Transformation([1, 2, 0]), IndexSubset(3, [0, 1]))
+
+    def test_size_mismatch_raises(self):
+        # checked before invariance: point 2 of Y is not even a point of f
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            canonical_transversal(Transformation([1, 0]), IndexSubset(3, [0, 2]))
 
 
 class TestIndexSubset:
