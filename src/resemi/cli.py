@@ -53,13 +53,12 @@ def _matrices(text: str) -> list[list[list[int]]]:
 
 
 def _witness_text(witness) -> object:
+    """None, an element's text, or the texts of the inverse oracle's pair."""
     if witness is None:
         return None
     if isinstance(witness, tuple):
         return [_witness_text(w) for w in witness]
-    if hasattr(witness, "to_text"):
-        return witness.to_text()
-    return str(witness)
+    return witness.to_text()
 
 
 def _read_json(path: str, load):

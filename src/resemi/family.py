@@ -80,7 +80,6 @@ class RestrictedInstance:
         self.region = region
         self.prescribed = prescribed
         self.has_identity = identity in prescribed
-        self._verdicts: dict[tuple, PropertyVerdict] = {}
 
     @cached_property
     def unit_group(self) -> bool:
@@ -128,14 +127,6 @@ class RestrictedInstance:
         if rec.alpha not in self.prescribed:
             raise ValueError(f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}")
         return rec
-
-    def prescribed_verdict(self, alpha, mode: str) -> PropertyVerdict:
-        """``element_oracle`` on the prescribed semigroup for alpha, asked
-        once per (alpha, mode)."""
-        verdict = self._verdicts.get((alpha, mode))
-        if verdict is None:
-            verdict = self._verdicts[alpha, mode] = element_oracle(self.prescribed, alpha, mode)
-        return verdict
 
     def witness_problem(self, f, w, mode: str) -> str | None:
         """What is wrong with w as the theorem's ``mode`` witness for f, or
@@ -288,7 +279,9 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     of the two complements of a compatible transversal pair
     (``complement_sizes``, C-side first) and the witness assembled on the
     prescribed semigroup's partner of alpha (``witness(mode, partner)``).
-    The witness is not checked here.
+    Whether alpha has the property in the prescribed semigroup, and its
+    partner there, is asked of ``element_oracle`` on each call, a search
+    of S's own Cayley table.  The witness is not checked here.
 
     The complement clause of ``unit_regular`` never decides an instance
     that can be built.  Given the trace clause, codim(W + U) = n - dim W -
@@ -298,7 +291,7 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     as stated."""
     rec = inst.record(f)
     if mode == "regular":
-        reg = inst.prescribed_verdict(rec.alpha, "regular")
+        reg = element_oracle(inst.prescribed, rec.alpha, "regular")
         if reg.holds and rec.trace_ok:
             return PropertyVerdict(mode, True, witness=rec.witness(mode, reg.witness),
                                    clause="restriction regular and image trace matches")
@@ -308,7 +301,7 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     if mode == "unit_regular":
         if not inst.has_identity:
             raise ValueError("identity required")
-        ur = inst.prescribed_verdict(rec.alpha, "unit_regular")
+        ur = element_oracle(inst.prescribed, rec.alpha, "unit_regular")
         if not ur.holds:
             return PropertyVerdict(
                 mode, False, clause=f"restriction not unit-regular in {inst.PRESCRIBED}")

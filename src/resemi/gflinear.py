@@ -8,7 +8,10 @@ touches floating point.
 A subspace is stored as its canonical (RREF) basis, so the row space of a
 matrix is ``Subspace(p, cols, rows)``, its rank ``GFMatrix.rank``, and the
 lattice operations are ``Subspace.sum``, ``Subspace.intersect`` and
-``Subspace.codim``.
+``Subspace.codim``.  ``_rref_rows`` is the one elimination: a span's
+basis is the RREF of its rows, and everything else, a null space, an
+intersection, a solve of v @ M = t and so an inverse, is a left null
+space (``left_null_space_rows``).
 
 Four pure subspace functions are memoised: the canonical span of given
 rows (``Subspace._unchecked``, whose result is interned, so
@@ -398,33 +401,31 @@ def solve_row_vector(m: GFMatrix, target):
 
 @lru_cache(maxsize=MEMO_BOUND)
 def _solve(m: GFMatrix, target: tuple):
+    """v @ M = t is (v, 1) @ [M; -t] = 0: the left null vector of M's rows
+    over -t whose last coordinate is 1, cut to its first ``m.rows``
+    entries.  Each null basis row is 1 at its own free coordinate and 0 at
+    the others, and the last coordinate is free exactly when t is in M's
+    row space; so the solution is the last row, with every other free
+    variable zero, or there is none."""
     if len(target) != m.cols:
         raise ValueError("dimension mismatch")
     r = m.rows
-    aug = [
-        [m.entries[i][j] for i in range(r)] + [operator.index(target[j]) % m.p]
-        for j in range(m.cols)
-    ]
-    reduced, pivots = _rref_rows(aug, m.p, r + 1)
-    if r in pivots:
+    minus_t = tuple(-operator.index(x) % m.p for x in target)
+    kernel = left_null_space_rows(m.p, m.entries + (minus_t,), m.cols)
+    if not kernel or not kernel[-1][r]:
         return None
-    v = [0] * r
-    for i, c in enumerate(pivots):
-        v[c] = reduced[i][r]
-    return tuple(v)
+    return kernel[-1][:r]
 
 
 def mat_inverse(m: GFMatrix) -> GFMatrix:
-    """Exact inverse of a square matrix; raises on singular input."""
+    """Exact inverse of a square matrix, row i solving v @ M = e_i; raises
+    on singular input, where some e_i is outside M's row space."""
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    n = m.rows
-    aug = [list(m.entries[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    reduced, pivots = _rref_rows(aug, m.p, 2 * n)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
+    rows = tuple(solve_row_vector(m, e) for e in unit_rows(m.rows))
+    if None in rows:
         raise ValueError("singular matrix")
-    ent = tuple(tuple(reduced[i][n:]) for i in range(n))
-    return GFMatrix._unchecked(m.p, n, n, ent)
+    return GFMatrix._unchecked(m.p, m.rows, m.rows, rows)
 
 
 def restriction_matrix(f: GFMatrix, w: Subspace) -> GFMatrix:

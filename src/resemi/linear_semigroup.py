@@ -43,13 +43,14 @@ class ElementSubspaces:
     Eager: the restriction ``alpha`` (None when f does not leave W
     invariant, and then nothing else), R(f) (``rf``), R(f) meet W
     (``r_meet_w``), R(f|W) (``rw``, the span of alpha lifted to ambient
-    rows) and the image-trace test ``trace_ok``.  Lazy: N(f) (``ns``), the
-    canonical transversal pair (``transversal``) and what is wrong with it
-    (``transversal_problem``, None when nothing is), W + U (``w_plus_u``),
-    codim(W + U) and codim(W + R(f)) (``complement_sizes``), the images
-    of B3 + B4 of the witness basis chain (``_basis_chain``) under each
-    witness (``regular_rows``, ``unit_regular_rows``), and each witness
-    assembled (``witness``).
+    rows) and the image-trace test ``trace_ok``.  Lazy: the canonical
+    transversal pair (``transversal``) and what is wrong with it
+    (``transversal_problem``, None when nothing is), codim(W + U) and
+    codim(W + R(f)) (``complement_sizes``), the images of B3 + B4 of the
+    witness basis chain (``_basis_chain``) under each witness
+    (``regular_rows``, ``unit_regular_rows``), and each witness assembled
+    (``witness``).  N(f) and W + U are not kept here: they are read from
+    the memoised ``null_space(f)`` and the interned span ``W.sum(U)``.
 
     The parts that read only subspaces, or only W and an element of S(W),
     are looked up in module memos keyed on exactly what they read, since a
@@ -78,28 +79,20 @@ class ElementSubspaces:
         self.trace_ok = self.r_meet_w == self.rw
 
     @cached_property
-    def ns(self) -> Subspace:
-        return null_space(self.f)
-
-    @cached_property
     def transversal(self) -> SubspaceTransversal:
-        return transversal_from_spaces(self.f, self.w, self.rw, self.ns, self.rf)
+        return transversal_from_spaces(self.f, self.w, self.rw, null_space(self.f), self.rf)
 
     @cached_property
     def transversal_problem(self) -> str | None:
         """What is wrong with the canonical transversal subspace pair, or
         None."""
         tr = self.transversal
-        return _transversal_problem(tr.u, tr.u_meet_w, self.ns, self.w, self.rf.dim)
-
-    @cached_property
-    def w_plus_u(self) -> Subspace:
-        return self.w.sum(self.transversal.u)
+        return _transversal_problem(tr.u, tr.u_meet_w, null_space(self.f), self.w, self.rf.dim)
 
     @cached_property
     def complement_sizes(self) -> tuple[int, int]:
         """codim(W + U) and codim(W + R(f))."""
-        return self.w_plus_u.codim, self.w.sum(self.rf).codim
+        return self.w.sum(self.transversal.u).codim, self.w.sum(self.rf).codim
 
     @cached_property
     def regular_rows(self) -> list[tuple]:
@@ -117,7 +110,7 @@ class ElementSubspaces:
         mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
         # the coordinates are unique: U is a transversal of ker(f)
         rows = [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
-        c4 = _complement_basis(self.w_plus_u)
+        c4 = _complement_basis(self.w.sum(u))
         if len(c4) != len(b4):
             raise AssertionError("complement bases of W+R(f) and W+U differ in size")
         return rows + list(c4)
@@ -187,10 +180,10 @@ def _transversal_problem(u: Subspace, u_meet_w: Subspace, ns: Subspace, w: Subsp
 
 
 @lru_cache(maxsize=MEMO_BOUND)
-def _complement_basis(w_plus_u: Subspace) -> tuple:
-    """The unit rows that complete W + U's basis, greedily in order."""
-    n = w_plus_u.ambient_dim
-    return tuple(independent_extension(w_plus_u.p, n, w_plus_u.basis, unit_rows(n)))
+def _complement_basis(span: Subspace) -> tuple:
+    """The unit rows that complete the basis of W + U (``span``), greedily."""
+    n = span.ambient_dim
+    return tuple(independent_extension(span.p, n, span.basis, unit_rows(n)))
 
 
 @lru_cache(maxsize=MEMO_BOUND)

@@ -133,10 +133,17 @@ class SweepPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
-        """Inverse of ``to_dict``; missing keys take their defaults and
-        unknown keys, the ``ALWAYS_RUN_CHECKS`` and ``SCHEMA1_SIZE_CAP``
-        ones included, are ignored."""
-        return cls(**{f.name: _as_tuples(d[f.name]) for f in fields(cls) if f.name in d})
+        """Inverse of ``to_dict``; missing keys take their defaults.  The
+        ``ALWAYS_RUN_CHECKS`` and ``SCHEMA1_SIZE_CAP`` keys of a report's
+        plan block are read past, whatever their values; any other key is
+        refused, so a misspelled field cannot leave its default in force."""
+        names = [f.name for f in fields(cls)]
+        unknown = [k for k in d if k not in names and k not in ALWAYS_RUN_CHECKS
+                   and k not in SCHEMA1_SIZE_CAP]
+        if unknown:
+            raise ValueError(f"unknown plan key {', '.join(map(repr, unknown))} "
+                             f"(the fields are {', '.join(names)})")
+        return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
 
 
 def _ints(v) -> bool:

@@ -418,6 +418,15 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", *flags, "--format", fmt)
         assert (code, out, err) == (2, "", "error: the plan selects no instance\n")
 
+    @pytest.mark.parametrize("key, value", [("modez", ["inverse"]), ("element_capp", 0)])
+    def test_plan_file_with_an_unknown_key_refused(self, capsys, tmp_path, key, value):
+        # a misspelled field is refused, not dropped for its default
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"family": "transformation", "ns": [2], key: value}))
+        code, out, err = run(capsys, "sweep", "--input", str(path), "--format", "text")
+        assert code == 2 and out == "" and err.startswith(f"error: unknown plan key '{key}' ")
+        assert err.count("\n") == 1
+
     def test_explicit_empty_y(self, capsys):
         # T sweeps take |Y| = 0 when asked, as L sweeps take dim W = 0
         code, out, _ = run(capsys, "sweep", "--kind", "t", "--ns", "2", "--sizes", "0",

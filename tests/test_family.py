@@ -196,14 +196,22 @@ class StubRecord:
         return ("witness", mode, partner)
 
 
-def stub_instance(cls, rec, verdict, asked, has_identity=True):
+def stub_instance(cls, rec, verdict, asked, monkeypatch, has_identity=True):
     """An instance of ``cls`` (for its words) with ``rec`` as every
-    element's record and ``verdict`` as every prescribed verdict; each
-    (alpha, mode) asked of the prescribed semigroup goes to ``asked``."""
+    element's record and ``verdict`` as every verdict of ``element_oracle``
+    on its prescribed semigroup; each (alpha, mode) asked of it goes to
+    ``asked``."""
     inst = object.__new__(cls)
     inst.has_identity = has_identity
+    inst.prescribed = "S"
     inst.record = lambda f: rec
-    inst.prescribed_verdict = lambda alpha, mode: asked.append((alpha, mode)) or verdict
+
+    def oracle(s, alpha, mode):
+        assert s is inst.prescribed
+        asked.append((alpha, mode))
+        return verdict
+
+    monkeypatch.setattr(family, "element_oracle", oracle)
     return inst
 
 
@@ -226,9 +234,10 @@ WORDS = {TInstance: ("S(Y)", "counts"), LInstance: ("S(W)", "codimensions")}
     ("unit_regular", YES, True, (1, 2), False, "complement {sizes} differ (1 vs 2)"),
     ("unit_regular", YES, True, (3, 0), False, "complement {sizes} differ (3 vs 0)"),
 ])
-def test_element_verdict_clauses(cls, mode, verdict, trace_ok, sizes, holds, clause):
+def test_element_verdict_clauses(cls, mode, verdict, trace_ok, sizes, holds, clause,
+                                 monkeypatch):
     asked = []
-    inst = stub_instance(cls, StubRecord(trace_ok, sizes), verdict, asked)
+    inst = stub_instance(cls, StubRecord(trace_ok, sizes), verdict, asked, monkeypatch)
     got = element_verdict(inst, "f", mode)
     prescribed, sizes_word = WORDS[cls]
     assert got == PropertyVerdict(
@@ -238,9 +247,10 @@ def test_element_verdict_clauses(cls, mode, verdict, trace_ok, sizes, holds, cla
 
 
 @pytest.mark.parametrize("cls", [TInstance, LInstance], ids=["transformation", "linear"])
-def test_element_verdict_refusals(cls):
+def test_element_verdict_refusals(cls, monkeypatch):
     asked = []
-    inst = stub_instance(cls, StubRecord(True, (0, 0)), YES, asked, has_identity=False)
+    inst = stub_instance(cls, StubRecord(True, (0, 0)), YES, asked, monkeypatch,
+                         has_identity=False)
     with pytest.raises(ValueError, match="identity required"):
         element_verdict(inst, "f", "unit_regular")
     with pytest.raises(ValueError, match="unknown element mode 'inverse'"):

@@ -2,6 +2,8 @@
 subspace lattice operations, null spaces, restriction, the transversal subspace pair and
 the memos of the subspace kernel."""
 
+import operator
+import random
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from resemi.gflinear import (
     Subspace,
     SubspaceTransversal,
     _intersect,
+    _rref_rows,
     _solve,
     _span_of,
     all_subspaces,
@@ -330,6 +333,77 @@ class TestSolveAndInverse:
             mat_inverse(GFMatrix(2, [[1, 1], [1, 1]]))
 
 
+def reference_solve(m, target):
+    """``_solve`` as first written: the RREF of M's transpose augmented
+    by t, free variables zero."""
+    if len(target) != m.cols:
+        raise ValueError("dimension mismatch")
+    r = m.rows
+    aug = [[m.entries[i][j] for i in range(r)] + [operator.index(target[j]) % m.p]
+           for j in range(m.cols)]
+    reduced, pivots = _rref_rows(aug, m.p, r + 1)
+    if r in pivots:
+        return None
+    v = [0] * r
+    for i, c in enumerate(pivots):
+        v[c] = reduced[i][r]
+    return tuple(v)
+
+
+def reference_inverse(m):
+    """``mat_inverse`` as first written: the RREF of [M | I]."""
+    n = m.rows
+    aug = [list(m.entries[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    reduced, pivots = _rref_rows(aug, m.p, 2 * n)
+    if pivots[:n] != list(range(n)) or len(pivots) != n:
+        raise ValueError("singular matrix")
+    return GFMatrix(m.p, [reduced[i][n:] for i in range(n)], cols=n)
+
+
+def solve_cases():
+    """Every r x c matrix with every target for GF(2) up to 3 x 3 and GF(3)
+    up to 2 x 2, rectangular and empty shapes included, then 3,000 seeded
+    GF(5), GF(7) and GF(101) cases up to 5 x 5.  Target entries run from
+    -p to p - 1: ``transversal_from_spaces`` passes negative residues."""
+    for p, top in ((2, 3), (3, 2)):
+        for r, c in product(range(top + 1), repeat=2):
+            for flat in product(range(p), repeat=r * c):
+                m = GFMatrix(p, [flat[i * c:(i + 1) * c] for i in range(r)], cols=c)
+                for t in product(range(-p, p), repeat=c):
+                    yield m, t
+    rng = random.Random(0)
+    for _ in range(3000):
+        p, r, c = rng.choice((5, 7, 101)), rng.randint(0, 5), rng.randint(0, 5)
+        m = GFMatrix(p, [[rng.randrange(p) for _ in range(c)] for _ in range(r)], cols=c)
+        t = tuple(rng.randrange(-p, p) for _ in range(c))
+        if m.entries and rng.random() < 0.5:  # an image vector, so the solve succeeds
+            t = tuple(sum(a * row[j] for a, row in zip(t, m.entries)) for j in range(c))
+        yield m, t
+
+
+class TestAgainstTheAugmentedEliminations:
+    def test_solve_equals_the_reference(self):
+        for m, t in solve_cases():
+            assert _solve.__wrapped__(m, t) == reference_solve(m, t), (m, t)
+
+    def test_inverse_equals_the_reference(self):
+        singular = 0
+        for m in {m for m, _ in solve_cases() if m.rows == m.cols}:
+            try:
+                expected = reference_inverse(m)
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError, match="singular matrix"):
+                    mat_inverse(m)
+                continue
+            assert mat_inverse(m) == expected
+        assert singular > 0
+
+    def test_target_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_row_vector(GFMatrix(2, [[1, 0]]), (1,))
+
+
 class TestMemo:
     def test_null_space_and_solve_by_brute_force(self):
         for p in (2, 3):
@@ -372,8 +446,8 @@ class TestMemo:
                 tr = rec.transversal
                 calls = [
                     (lsg._basis_chain, (w, rec.rf)),
-                    (lsg._transversal_problem, (tr.u, tr.u_meet_w, rec.ns, w, rec.rf.dim)),
-                    (lsg._complement_basis, (rec.w_plus_u,)),
+                    (lsg._transversal_problem, (tr.u, tr.u_meet_w, null_space(f), w, rec.rf.dim)),
+                    (lsg._complement_basis, (w.sum(tr.u),)),
                     (lsg._lift, (w, rec.alpha)),
                 ] + [(lsg._w_rows, (w, rec.rf, partner)) for partner in l_w[::5]]
                 for memo, args in calls:

@@ -297,8 +297,18 @@ class TestDeterminismAndSerialization:
             assert report[f"{name}_run"] > 0 and report["plan"] == plan.to_dict()
 
     def test_plan_from_dict_defaults_and_unknown_keys(self):
-        plan = SweepPlan.from_dict({"family": "linear", "pns": [[2, 1]], "unknown": 1})
+        # missing keys take their defaults; a key the plan does not know is
+        # refused, not ignored
+        plan = SweepPlan.from_dict({"family": "linear", "pns": [[2, 1]]})
         assert plan == SweepPlan(family="linear", pns=((2, 1),))
+        with pytest.raises(ValueError, match="^unknown plan key 'unknown' "):
+            SweepPlan.from_dict({"family": "linear", "pns": [[2, 1]], "unknown": 1})
+
+    @pytest.mark.parametrize("key, value", [("modez", ["inverse"]), ("element_capp", 0)])
+    def test_plan_from_dict_misspelled_field_refused(self, key, value):
+        # each would otherwise leave its field's default in force
+        with pytest.raises(ValueError, match=f"^unknown plan key '{key}' "):
+            SweepPlan.from_dict({"family": "transformation", "ns": [2], key: value})
 
     def test_report_round_trip(self):
         plan = SweepPlan(family="transformation", ns=(2,), source=("exhaustive",))
