@@ -21,9 +21,10 @@ from resemi import (
     semigroup_oracle,
 )
 
-# ----- transformations: X = {0,1,2}, Y = {0,1}, S(Y) the symmetric group
+# ----- transformations: Y = {0,1} in X = {0,1,2}, S(Y) the symmetric group;
+# an instance is the region and S on it, and Y carries X
 sym_y = generate([Transformation([1, 0])])
-inst = TInstance(3, IndexSubset(3, [0, 1]), sym_y)
+inst = TInstance(IndexSubset(3, [0, 1]), sym_y)
 build = inst.build()
 print("|T_S(Y)(X)| =", len(build), " (formula: |S(Y)| * n^(n-|Y|) =",
       len(sym_y) * 3 ** (3 - 2), ")")
@@ -42,10 +43,10 @@ print("\nf =", f.to_text(), "is unit-regular; witness g =", g.to_text(),
 print("the oracle found its own unit:",
       element_oracle(build, f, "unit_regular").witness.to_text())
 
-# ----- linear maps: V = GF(2)^2, W a line, S(W) the trivial group
+# ----- linear maps: W a line of V = GF(2)^2, S(W) the trivial group
 w = Subspace(2, 2, [[1, 0]])
 s_w = FiniteSemigroup([GFMatrix.identity(2, 1)])
-linst = LInstance(2, 2, w, s_w)
+linst = LInstance(w, s_w)
 lbuild = linst.build()
 print("\n|L_S(W)(V)| =", len(lbuild), "->", sorted(m.to_text() for m in lbuild.elements))
 

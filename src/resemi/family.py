@@ -43,7 +43,8 @@ class RestrictedInstance:
     """A region (Y or W) of an ambient space and a closed semigroup S(Y) or
     S(W) prescribed on it.
 
-    ``TInstance`` and ``LInstance`` share one interface: the family's
+    ``TInstance(y, s_y)`` and ``LInstance(w, s_w)``, each built from the
+    region and S alone, share one interface: the family's
     ``SEMIGROUP_MODES`` and ``ELEMENT_MODES``, ``prescribed`` (S(Y) or
     S(W)), ``has_identity`` (whether it holds the identity of T(Y) or
     L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
@@ -274,14 +275,17 @@ def _store_on(region) -> RegionStore:
 
 
 def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
-    """The element theorem of both families, read from ``inst.record(f)``:
-    its restriction ``alpha``, the image-trace test ``trace_ok``, the sizes
-    of the two complements of a compatible transversal pair
-    (``complement_sizes``, C-side first) and the witness assembled on the
-    prescribed semigroup's partner of alpha (``witness(mode, partner)``).
-    Whether alpha has the property in the prescribed semigroup, and its
-    partner there, is asked of ``element_oracle`` on each call, a search
-    of S's own Cayley table.  The witness is not checked here.
+    """The element theorem of both families and both modes, one path read
+    from ``inst.record(f)``: f has the property iff its restriction
+    ``alpha`` has it in the prescribed semigroup (one ``element_oracle``
+    call, a search of S's own Cayley table, which also gives alpha's
+    partner), the image-trace test ``trace_ok`` holds and, for
+    ``unit_regular`` alone, the two complements of a compatible
+    transversal pair have equal sizes (``complement_sizes``, C-side
+    first).  A yes carries the witness assembled on the partner
+    (``witness(mode, partner)``), unchecked here.  A mode outside
+    ``ELEMENT_MODES`` is refused by name, as the oracle would answer it,
+    and so is ``unit_regular`` without the identity.
 
     The complement clause of ``unit_regular`` never decides an instance
     that can be built.  Given the trace clause, codim(W + U) = n - dim W -
@@ -290,28 +294,22 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     X \\ Y or codim W is infinite; it is kept because it is the theorem
     as stated."""
     rec = inst.record(f)
+    if mode not in inst.ELEMENT_MODES:
+        raise ValueError(f"unknown element mode {mode!r}")
+    if mode == "unit_regular" and not inst.has_identity:
+        raise ValueError("identity required")
+    label = "regular" if mode == "regular" else "unit-regular"
+    verdict = element_oracle(inst.prescribed, rec.alpha, mode)
+    if not verdict.holds:
+        return PropertyVerdict(mode, False, clause=f"restriction not {label} in {inst.PRESCRIBED}")
+    if not rec.trace_ok:
+        return PropertyVerdict(mode, False, clause="image trace differs")
     if mode == "regular":
-        reg = element_oracle(inst.prescribed, rec.alpha, "regular")
-        if reg.holds and rec.trace_ok:
-            return PropertyVerdict(mode, True, witness=rec.witness(mode, reg.witness),
-                                   clause="restriction regular and image trace matches")
-        clause = (f"restriction not regular in {inst.PRESCRIBED}" if not reg.holds
-                  else "image trace differs")
-        return PropertyVerdict(mode, False, clause=clause)
-    if mode == "unit_regular":
-        if not inst.has_identity:
-            raise ValueError("identity required")
-        ur = element_oracle(inst.prescribed, rec.alpha, "unit_regular")
-        if not ur.holds:
-            return PropertyVerdict(
-                mode, False, clause=f"restriction not unit-regular in {inst.PRESCRIBED}")
-        if not rec.trace_ok:
-            return PropertyVerdict(mode, False, clause="image trace differs")
+        clause = "restriction regular and image trace matches"
+    else:
         c_size, d_size = rec.complement_sizes
         if c_size != d_size:
             clause = f"complement {inst.SIZES} differ ({c_size} vs {d_size})"
             return PropertyVerdict(mode, False, clause=clause)
-        return PropertyVerdict(mode, True, witness=rec.witness(mode, ur.witness),
-                               clause="all three element conditions hold")
-    raise ValueError(f"unknown element mode {mode!r}")
-
+        clause = "all three element conditions hold"
+    return PropertyVerdict(mode, True, witness=rec.witness(mode, verdict.witness), clause=clause)

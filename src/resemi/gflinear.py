@@ -367,7 +367,8 @@ def left_null_space_rows(p: int, rows, ncols: int) -> list[tuple]:
     r = len(rows)
     ft = [[row[j] for row in rows] for j in range(ncols)]
     reduced, pivots = _rref_rows(ft, p, r)
-    free = [j for j in range(r) if j not in pivots]
+    pivot_set = set(pivots)
+    free = [j for j in range(r) if j not in pivot_set]
     out = []
     for j in free:
         v = [0] * r
@@ -418,14 +419,20 @@ def _solve(m: GFMatrix, target: tuple):
 
 
 def mat_inverse(m: GFMatrix) -> GFMatrix:
-    """Exact inverse of a square matrix, row i solving v @ M = e_i; raises
-    on singular input, where some e_i is outside M's row space."""
+    """Exact inverse of a square matrix in one elimination, adding nothing
+    to the solve memo: v @ M = e_i is (v, e_i) @ [M; -I] = 0.  M is
+    invertible exactly when the left null rows of M's rows stacked over
+    -I end in the unit rows e_0, ..., e_{n-1}, and row i of the inverse
+    is then null row i cut to its first n coordinates; otherwise raises
+    on singular input."""
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    rows = tuple(solve_row_vector(m, e) for e in unit_rows(m.rows))
-    if None in rows:
+    n = m.rows
+    minus_id = tuple(tuple(-x % m.p for x in e) for e in unit_rows(n))
+    kernel = left_null_space_rows(m.p, m.entries + minus_id, n)
+    if [k[n:] for k in kernel] != unit_rows(n):
         raise ValueError("singular matrix")
-    return GFMatrix._unchecked(m.p, m.rows, m.rows, rows)
+    return GFMatrix._unchecked(m.p, n, n, tuple(k[:n] for k in kernel))
 
 
 def restriction_matrix(f: GFMatrix, w: Subspace) -> GFMatrix:

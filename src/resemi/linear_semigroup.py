@@ -142,15 +142,16 @@ class ElementSubspaces:
 def _basis_chain(w: Subspace, rf: Subspace) -> tuple[tuple, GFMatrix, tuple]:
     """The witness basis chain for W and R(f): deterministic bases B1 (of
     R(f) meet W), B2 (extending to W), B3 (extending B1 to R(f) inside
-    R(f)) and B4 (completing to V); the inverse of the matrix whose rows
-    are B1, B2, B3, B4; and B1 + B2 in coordinates of W's canonical
-    basis."""
+    R(f)) and B4 (completing to V: the unit rows ``_complement_basis``
+    takes for W + R(f), the span of B1 + B2 + B3); the inverse of the
+    matrix whose rows are B1, B2, B3, B4; and B1 + B2 in coordinates of
+    W's canonical basis."""
     p, n = w.p, w.ambient_dim
     b1 = rf.intersect(w).basis
     b2 = tuple(independent_extension(p, n, b1, w.basis))
     b3 = tuple(independent_extension(p, n, b1, rf.basis))
     b123 = b1 + b2 + b3
-    b4 = tuple(independent_extension(p, n, b123, unit_rows(n)))
+    b4 = _complement_basis(w.sum(rf))
     if len(b123) + len(b4) != n:
         raise AssertionError("basis chain does not span the ambient space")
     inverse = mat_inverse(GFMatrix._unchecked(p, n, n, b123 + b4))
@@ -181,7 +182,9 @@ def _transversal_problem(u: Subspace, u_meet_w: Subspace, ns: Subspace, w: Subsp
 
 @lru_cache(maxsize=MEMO_BOUND)
 def _complement_basis(span: Subspace) -> tuple:
-    """The unit rows that complete the basis of W + U (``span``), greedily."""
+    """The unit rows that complete the basis of ``span`` (W + U, or W +
+    R(f) for B4 of ``_basis_chain``), greedily: which are taken depends
+    on the span alone, not on the basis it is given by."""
     n = span.ambient_dim
     return tuple(independent_extension(span.p, n, span.basis, unit_rows(n)))
 
@@ -201,7 +204,10 @@ def _lift(w: Subspace, alpha: GFMatrix) -> tuple:
 
 
 class LInstance(RestrictedInstance):
-    """Prime p, ambient dimension n, a subspace W and a closed S(W).
+    """A subspace W of V = GF(p)^n and a closed S(W): ``LInstance(w,
+    s_w)``.  The prime p and the ambient dimension n are W's own (``w.p``,
+    ``w.ambient_dim``), so a region and an ambient that disagree cannot be
+    given.
 
     Elements of S(W) (``prescribed``) are dim(W) x dim(W) coordinate
     matrices in W's canonical basis.  dim(W) = 0 is fully supported: S(W)
@@ -241,16 +247,12 @@ class LInstance(RestrictedInstance):
     SMALL_N, SMALL = 1, "dim V = 1"
     is_unit = staticmethod(GFMatrix.is_invertible)
 
-    def __init__(self, p: int, n: int, w: Subspace, s_w: FiniteSemigroup) -> None:
-        if w.p != p or w.ambient_dim != n:
-            raise ValueError("dimension mismatch")
-        k = w.dim
-        _check_s_w(p, k, s_w.elements)
-        self.p = p
-        self.n = n
+    def __init__(self, w: Subspace, s_w: FiniteSemigroup) -> None:
+        self.p, self.n = p, n = w.p, w.ambient_dim
+        _check_s_w(p, w.dim, s_w.elements)
         self.w = w
         self.radix, self.width, self.codim = p, n, w.codim
-        super().__init__(w, s_w, GFMatrix.identity(p, k))
+        super().__init__(w, s_w, GFMatrix.identity(p, w.dim))
 
     @classmethod
     def from_dict(cls, data: dict) -> "LInstance":
@@ -264,12 +266,12 @@ class LInstance(RestrictedInstance):
             lambda items: _check_s_w(p, w.dim, [
                 GFMatrix(p, [[json_int(x, "sW") for x in row] for row in e]) for e in items]),
             block.get("generators"), block.get("elements"))
-        return cls(p, n, w, s_w)
+        return cls(w, s_w)
 
     @classmethod
     def whole(cls, size: int, p: int) -> "LInstance":
         """The instance over W = 0, whose build is all of L(GF(p)^size)."""
-        return cls(p, size, Subspace._unchecked(p, size, ()), FiniteSemigroup([GFMatrix(p, ())]))
+        return cls(Subspace._unchecked(p, size, ()), FiniteSemigroup([GFMatrix(p, ())]))
 
     def point(self, d: int) -> tuple:
         """Vector d of GF(p)^n in ``all_vectors`` order: d's n digits in

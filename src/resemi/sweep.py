@@ -331,22 +331,23 @@ def _sizes(plan: SweepPlan):
 
 
 def _instances(plan: SweepPlan):
-    """Deterministically ordered (cell_key, instance) pairs for the plan; a
-    seeded draw refused at closure comes as (cell_key, its record)."""
+    """Deterministically ordered (cell_key, instance) pairs for the plan,
+    each instance a region and one S on it, built by the plan's family
+    (``FAMILIES``); a seeded draw refused at closure comes as (cell_key,
+    its record).  The family chooses only the regions, the subsets Y of
+    size |Y| or the subspaces W of dimension dim W, and the cell key that
+    seeds the draws on each."""
+    family = FAMILIES[plan.family]
     for p, n, size in _sizes(plan):
         if plan.family == "transformation":
-            for members in combinations(range(n), size):
-                y = IndexSubset(n, members)
-                cell = f"t:{n}:{y.to_text()}"
-                source = _cell_source(plan, cell)
-                for s_y in enumerate_subsemigroups("transformation", size, source):
-                    yield cell, s_y if isinstance(s_y, dict) else tsg.TInstance(n, y, s_y)
+            regions = (IndexSubset(n, members) for members in combinations(range(n), size))
+            prefix = f"t:{n}:"
         else:
-            for w in all_subspaces(p, n, size):
-                cell = f"l:{p}:{n}:{w.to_text()}"
-                source = _cell_source(plan, cell)
-                for s_w in enumerate_subsemigroups("linear", size, source, p=p):
-                    yield cell, s_w if isinstance(s_w, dict) else lsg.LInstance(p, n, w, s_w)
+            regions, prefix = all_subspaces(p, n, size), f"l:{p}:{n}:"
+        for region in regions:
+            cell = prefix + region.to_text()
+            for s in enumerate_subsemigroups(plan.family, size, _cell_source(plan, cell), p=p):
+                yield cell, s if isinstance(s, dict) else family(region, s)
 
 
 # -- per-instance checks ----------------------------------------------------

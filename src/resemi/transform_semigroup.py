@@ -111,7 +111,9 @@ class TElementRecord:
 
 
 class TInstance(RestrictedInstance):
-    """Ambient size n, a subset Y and a closed semigroup S(Y) on |Y| points.
+    """A subset Y of X = {0, ..., n-1} and a closed semigroup S(Y) on |Y|
+    points: ``TInstance(y, s_y)``.  The ambient size n is Y's own
+    (``y.n``), so a region and an ambient that disagree cannot be given.
 
     Elements of S(Y) (``prescribed``) act on the dense range 0..|Y|-1 (Y
     re-indexed in sorted order).  Y may be empty: S(Y) is then the trivial
@@ -151,12 +153,10 @@ class TInstance(RestrictedInstance):
     SMALL_N, SMALL = 2, "|X| = 2"
     is_unit = staticmethod(Transformation.is_bijective)
 
-    def __init__(self, n: int, y: IndexSubset, s_y: FiniteSemigroup) -> None:
-        if y.n != n:
-            raise ValueError("dimension mismatch")
+    def __init__(self, y: IndexSubset, s_y: FiniteSemigroup) -> None:
         k = len(y)
         _check_s_y(k, s_y.elements)
-        self.n = n
+        self.n = n = y.n
         self.y = y
         self.radix, self.width, self.codim = n, 1, n - k
         super().__init__(y, s_y, Transformation.identity(k))
@@ -175,13 +175,13 @@ class TInstance(RestrictedInstance):
             lambda items: _check_s_y(len(y), [
                 Transformation([json_int(x, "sY") for x in e]) for e in items]),
             block.get("generators"), block.get("elements"))
-        return cls(n, y, s_y)
+        return cls(y, s_y)
 
     @classmethod
     def whole(cls, size: int, p: int | None = None) -> "TInstance":
         """The instance over the empty Y, whose build is all of T(size)
         (``p`` is the linear family's and is ignored)."""
-        return cls(size, IndexSubset(size, ()), FiniteSemigroup([Transformation(())]))
+        return cls(IndexSubset(size, ()), FiniteSemigroup([Transformation(())]))
 
     def __repr__(self) -> str:
         return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.prescribed)})"

@@ -124,7 +124,7 @@ def test_criterion_4_lv_corollaries():
     failures = []
     for p in (2, 3):
         for n, expected in ((1, True), (2, False)):
-            inst = LInstance(p, n, Subspace.zero(p, n),
+            inst = LInstance(Subspace.zero(p, n),
                              FiniteSemigroup([GFMatrix(p, (), cols=0)]))
             build = inst.build()
             for mode in ("inverse", "completely_regular"):
@@ -143,8 +143,8 @@ def test_criterion_5_size_formulas(sweep_reports):
         for v in r.size_formula_violations
     ]
     sym2 = generate([Transformation([1, 0])])
-    named_t = TInstance(3, IndexSubset(3, [0, 1]), sym2).build()
-    named_l = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+    named_t = TInstance(IndexSubset(3, [0, 1]), sym2).build()
+    named_l = LInstance(Subspace(2, 2, [[1, 0]]),
                         FiniteSemigroup([GFMatrix.identity(2, 1)])).build()
     ok = not violations and len(named_t) == 6 and len(named_l) == 4
     _verdict(5, ok,

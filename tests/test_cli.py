@@ -580,6 +580,25 @@ class TestInputFile:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, data, message", [
+        ("build", {"n": 2, "Y": [0], "sY": {"elements": [[0]]}},
+         'instance JSON needs "kind": "transformation" or "linear"'),
+        ("build --n 2 --y 0 --sy 0", None, "--kind t|l (or --input) is required"),
+        ("sweep --ns 2", None, "sweep needs --kind t|l or --input plan.json"),
+        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {}},
+         "neither elements nor generators given"),
+        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"generators": []}},
+         "at least one generator required"),
+    ], ids=["no-kind-json", "no-kind-inline", "sweep-no-kind", "empty-sy", "no-generators"])
+    def test_missing_kind_or_s_refused(self, capsys, tmp_path, command, data, message):
+        argv = command.split()
+        if data is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(data))
+            argv += ["--input", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 def _grammar_texts(digits: str, max_size: int):
     """Texts over the inline grammar's alphabet: any string of it, or

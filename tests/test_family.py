@@ -169,8 +169,8 @@ class SharedRecordsCases:
 
 
 def test_a_query_on_one_family_drops_the_other_familys_records():
-    lin = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])]))
-    tra = TInstance(2, IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
+    lin = LInstance(Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])]))
+    tra = TInstance(IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
     queries = ((lin, GFMatrix.identity(2, 2)), (tra, Transformation([0, 0])))
     _store_on.cache_clear()
     for (first, f), (second, g) in (queries, queries[::-1]):
@@ -253,8 +253,9 @@ def test_element_verdict_refusals(cls, monkeypatch):
                          has_identity=False)
     with pytest.raises(ValueError, match="identity required"):
         element_verdict(inst, "f", "unit_regular")
-    with pytest.raises(ValueError, match="unknown element mode 'inverse'"):
-        element_verdict(inst, "f", "inverse")
+    for mode in ("inverse", "completely_regular"):
+        with pytest.raises(ValueError, match=f"unknown element mode '{mode}'"):
+            element_verdict(inst, "f", mode)
     assert asked == []
 
 
@@ -431,7 +432,7 @@ def test_element_at_numbers_the_build(plan):
 
 def gf2_4_line(*alphas):
     """L(GF(2)^4) on a line W, codim 3: 4,096 elements per alpha in 12 digits."""
-    return LInstance(2, 4, Subspace(2, 4, [[1, 0, 0, 0]]),
+    return LInstance(Subspace(2, 4, [[1, 0, 0, 0]]),
                      FiniteSemigroup([GFMatrix(2, [[a]]) for a in alphas]))
 
 
@@ -466,7 +467,7 @@ def test_build_refused_exactly_past_the_table_cap(inst, refused, monkeypatch):
     *[TInstance.whole(k) for k in range(7)],
     *[LInstance.whole(k, p) for p in (2, 3, 29) for k in range(4)],
     gf2_4_line(0, 1),
-    TInstance(3, IndexSubset(3, [0]), FiniteSemigroup([Transformation([0])])),
+    TInstance(IndexSubset(3, [0]), FiniteSemigroup([Transformation([0])])),
 ], ids=str)
 def test_exceeds_is_the_size_compared_with_the_bound(inst):
     """The bounded power of ``exceeds`` gives the answer of the exact size
@@ -479,16 +480,16 @@ def test_exceeds_is_the_size_compared_with_the_bound(inst):
 # share elements, and a third instance on another region.
 SHARED_REGION = {
     "transformation": (
-        TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 1])])),
-        TInstance(3, IndexSubset(3, [0, 1]),
+        TInstance(IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 1])])),
+        TInstance(IndexSubset(3, [0, 1]),
                   FiniteSemigroup([Transformation([0, 1]), Transformation([0, 0])])),
-        TInstance(3, IndexSubset(3, [0]), FiniteSemigroup([Transformation([0])])),
+        TInstance(IndexSubset(3, [0]), FiniteSemigroup([Transformation([0])])),
     ),
     "linear": (
-        LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
-        LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+        LInstance(Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
+        LInstance(Subspace(2, 2, [[1, 0]]),
                   FiniteSemigroup([GFMatrix(2, [[0]]), GFMatrix(2, [[1]])])),
-        LInstance(2, 2, Subspace(2, 2, [[0, 1]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
+        LInstance(Subspace(2, 2, [[0, 1]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
     ),
 }
 
@@ -554,9 +555,9 @@ def test_a_transversal_problem_is_reported_for_each_instance_holding_f(family, m
 
 
 @pytest.mark.parametrize("inst, decidable", [
-    (TInstance(2, IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])])),
+    (TInstance(IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])])),
      ["regular", "inverse", "unit_regular"]),
-    (LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[0]])])),
+    (LInstance(Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[0]])])),
      ["regular", "inverse", "completely_regular"]),
 ], ids=["identity", "no-identity"])
 def test_decidable_drops_unit_regular_without_identity(inst, decidable):

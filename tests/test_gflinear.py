@@ -399,6 +399,12 @@ class TestAgainstTheAugmentedEliminations:
             assert mat_inverse(m) == expected
         assert singular > 0
 
+    def test_cold_inverse_adds_no_solve_memo_entry(self):
+        m = GFMatrix(101, [[3, 7, 11], [13, 17, 19], [23, 29, 31]])
+        before = _solve.cache_info().currsize
+        assert m * mat_inverse(m) == GFMatrix.identity(101, 3)
+        assert _solve.cache_info().currsize == before
+
     def test_target_of_the_wrong_length_is_refused(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve_row_vector(GFMatrix(2, [[1, 0]]), (1,))
@@ -436,7 +442,7 @@ class TestMemo:
         # lookup returns the cached object, equal to a fresh computation
         for w in all_subspaces(3, 2):
             l_w = all_matrices(3, w.dim)
-            inst = LInstance(3, 2, w, FiniteSemigroup(l_w))
+            inst = LInstance(w, FiniteSemigroup(l_w))
             _store_on.cache_clear()
             for f in all_matrices(3, 2):
                 try:

@@ -47,7 +47,7 @@ def trivial_sw(p, dim):
 
 def zero_instance(p, n):
     """W = {0}: the build is all of L(V)."""
-    return LInstance(p, n, Subspace.zero(p, n), FiniteSemigroup([GFMatrix(p, (), cols=0)]))
+    return LInstance(Subspace.zero(p, n), FiniteSemigroup([GFMatrix(p, (), cols=0)]))
 
 
 def brute_force_members(inst):
@@ -65,7 +65,7 @@ def brute_force_members(inst):
 
 class TestBuild:
     def test_line_example(self):
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        inst = LInstance(Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         b = inst.build()
         assert {m.to_text() for m in b.elements} == {
             "1,0;0,0", "1,0;0,1", "1,0;1,0", "1,0;1,1",
@@ -77,7 +77,7 @@ class TestBuild:
 
     def test_w_equals_v_returns_sw(self):
         s_w = generate([GFMatrix(2, [[0, 1], [1, 0]])])
-        inst = LInstance(2, 2, Subspace.full(2, 2), s_w)
+        inst = LInstance(Subspace.full(2, 2), s_w)
         assert inst.build() is s_w
 
     def test_matches_brute_filter(self):
@@ -87,7 +87,7 @@ class TestBuild:
                 if w.dim:
                     bases.append(GFMatrix.zero(p, w.dim, w.dim))
                 for seed in bases:
-                    inst = LInstance(p, n, w, generate([seed]))
+                    inst = LInstance(w, generate([seed]))
                     b = inst.build()
                     assert sorted(m.entries for m in b.elements) == sorted(
                         m.entries for m in brute_force_members(inst)
@@ -97,9 +97,9 @@ class TestBuild:
 
     def test_identity_membership_tracks_identity_of_sw(self):
         w = Subspace(2, 2, [[1, 0]])
-        with_id = LInstance(2, 2, w, trivial_sw(2, 1))
+        with_id = LInstance(w, trivial_sw(2, 1))
         assert GFMatrix.identity(2, 2) in with_id.build()
-        without = LInstance(2, 2, w, FiniteSemigroup([GFMatrix(2, [[0]])]))
+        without = LInstance(w, FiniteSemigroup([GFMatrix(2, [[0]])]))
         assert GFMatrix.identity(2, 2) not in without.build()
 
     def test_size_cap(self):
@@ -110,14 +110,14 @@ class TestBuild:
     def test_whole_space_build_lists_no_points(self):
         # W = V: the build is S(W) itself; GF(101)^4's 104 M points are
         # never listed and the complement basis is never inverted
-        inst = LInstance(101, 4, Subspace.full(101, 4), trivial_sw(101, 4))
+        inst = LInstance(Subspace.full(101, 4), trivial_sw(101, 4))
         assert inst.build() is inst.prescribed
         assert "_c_inv" not in vars(inst)
 
 
 class TestElementPredicate:
     def test_regular_false_example(self):
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+        inst = LInstance(Subspace(2, 2, [[1, 0]]),
                          FiniteSemigroup([GFMatrix(2, [[0]])]))
         f = GFMatrix(2, [[0, 0], [1, 0]])
         assert not inst.thm_element(f, "regular").holds
@@ -133,19 +133,19 @@ class TestElementPredicate:
         assert g.is_invertible() and f * g * f == f
 
     def test_identity_element_always_passes(self):
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        inst = LInstance(Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         e = GFMatrix.identity(2, 2)
         assert inst.thm_element(e, "regular").holds
         assert inst.thm_element(e, "unit_regular").holds
 
     def test_unit_regular_needs_identity(self):
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+        inst = LInstance(Subspace(2, 2, [[1, 0]]),
                          FiniteSemigroup([GFMatrix(2, [[0]])]))
         with pytest.raises(ValueError, match="identity required"):
             inst.thm_element(GFMatrix(2, [[0, 0], [0, 0]]), "unit_regular")
 
     def test_membership_required(self):
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        inst = LInstance(Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         with pytest.raises(ValueError, match="not in L_S"):
             inst.thm_element(GFMatrix(2, [[0, 1], [0, 0]]), "regular")
 
@@ -158,7 +158,7 @@ class TestElementPredicate:
                 if w.dim == 2:
                     seeds.append(GFMatrix(p, [[0, 1], [1, 0]]))
                 for seed in seeds:
-                    inst = LInstance(p, 2, w, generate([seed]))
+                    inst = LInstance(w, generate([seed]))
                     b = inst.build()
                     modes = ["regular"] + (["unit_regular"] if inst.has_identity else [])
                     for f in b.elements:
@@ -183,14 +183,14 @@ class TestElementRecord(ElementRecordCases):
         for p in (2, 3):
             full_l_w = FiniteSemigroup([GFMatrix(p, [[a]]) for a in range(p)])
             for w in all_subspaces(p, 2, 1):
-                yield LInstance(p, 2, w, full_l_w)
+                yield LInstance(w, full_l_w)
         for basis in ([[1, 0, 0]], [[1, 0, 0], [0, 1, 1]]):
             w = Subspace(2, 3, basis)
-            yield LInstance(2, 3, w, trivial_sw(2, w.dim))
+            yield LInstance(w, trivial_sw(2, w.dim))
 
     @staticmethod
     def clone(inst):
-        return LInstance(inst.p, inst.n, inst.w, inst.prescribed)
+        return LInstance(inst.w, inst.prescribed)
 
     @staticmethod
     def canonical(f, inst):
@@ -261,7 +261,7 @@ class TestRecordAgainstReferences:
         checked = 0
         for w in all_subspaces(p, 2):
             l_w = all_matrices(p, w.dim)
-            inst = LInstance(p, 2, w, FiniteSemigroup(l_w))
+            inst = LInstance(w, FiniteSemigroup(l_w))
             _store_on.cache_clear()
             for f in all_matrices(p, 2):
                 try:
@@ -297,7 +297,7 @@ class TestTransversalProblem:
     @pytest.mark.parametrize("wrong", [[], [[0, 1]]], ids=["too_small", "outside_w"])
     def test_wrong_trace_is_found(self, monkeypatch, wrong):
         # f = 1 on GF(2)^2 with W = <(1,0)>: U = V, so U meet W is W
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        inst = LInstance(Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         f = GFMatrix.identity(2, 2)
         _store_on.cache_clear()
         lsg._transversal_problem.cache_clear()
@@ -324,7 +324,7 @@ class TestSharedRecords(SharedRecordsCases):
     @staticmethod
     def line(*values):
         """W = span{(1, 0)} in GF(2)^2 with S(W) holding the given 1 x 1 entries."""
-        return LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+        return LInstance(Subspace(2, 2, [[1, 0]]),
                          FiniteSemigroup([GFMatrix(2, [[a]]) for a in values]))
 
     def separated(self):
@@ -347,24 +347,24 @@ class TestSharedRecords(SharedRecordsCases):
         ]
         for p, n, basis, elems_a, elems_b in cases:
             w = Subspace(p, n, basis)
-            yield tuple(LInstance(p, n, w, FiniteSemigroup([GFMatrix(p, e) for e in elems]))
+            yield tuple(LInstance(w, FiniteSemigroup([GFMatrix(p, e) for e in elems]))
                         for elems in (elems_a, elems_b))
 
     def partners(self):
         w = Subspace(2, 2, [[1, 0]])
         zero = GFMatrix(2, [[0, 0], [0, 0]])  # f|W = [0], in both S(W)
         # A lists [1] first, so the partner of [0] it finds is [1]; B holds only [0]
-        a = LInstance(2, 2, w, FiniteSemigroup([GFMatrix(2, [[1]]), GFMatrix(2, [[0]])]))
+        a = LInstance(w, FiniteSemigroup([GFMatrix(2, [[1]]), GFMatrix(2, [[0]])]))
         return a, self.line(0), self.line(1, 0), zero, "regular", GFMatrix(2, [[1]])
 
     def regions(self):
-        other_w = LInstance(2, 2, Subspace(2, 2, [[0, 1]]), trivial_sw(2, 1))
+        other_w = LInstance(Subspace(2, 2, [[0, 1]]), trivial_sw(2, 1))
         return self.line(1), self.line(0), other_w, GFMatrix.identity(2, 2)
 
 
 class TestSemigroupPredicate:
     def test_line_with_trivial_group(self):
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        inst = LInstance(Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         assert inst.thm_semigroup("regular").holds
         assert inst.thm_semigroup("unit_regular").holds
         assert inst.thm_semigroup("completely_regular").holds
@@ -379,7 +379,7 @@ class TestSemigroupPredicate:
 
     def test_w_equals_v_mirrors_sw(self):
         s_w = generate([GFMatrix(2, [[1, 1], [0, 1]]), GFMatrix(2, [[1, 0], [0, 0]])])
-        inst = LInstance(2, 2, Subspace.full(2, 2), s_w)
+        inst = LInstance(Subspace.full(2, 2), s_w)
         for mode in ("regular", "inverse", "completely_regular"):
             assert inst.thm_semigroup(mode).holds == semigroup_oracle(s_w, mode).holds
 
@@ -410,7 +410,7 @@ class TestSemigroupPredicate:
     def test_subgroup_implies_regular_and_unit_regular_build(self):
         for p, n in ((2, 2), (3, 2)):
             for w in all_subspaces(p, n):
-                inst = LInstance(p, n, w, trivial_sw(p, w.dim))
+                inst = LInstance(w, trivial_sw(p, w.dim))
                 assert inst.unit_group
                 b = inst.build()
                 assert semigroup_oracle(b, "regular").holds
@@ -420,7 +420,7 @@ class TestSemigroupPredicate:
         # restriction is a surjective homomorphism sending I_V to I_W
         s_w = generate([GFMatrix(2, [[0]]), GFMatrix(2, [[1]])])
         w = Subspace(2, 2, [[1, 1]])
-        inst = LInstance(2, 2, w, s_w)
+        inst = LInstance(w, s_w)
         b = inst.build()
         seen = set()
         for f in b.elements:
@@ -435,32 +435,32 @@ class TestSemigroupPredicate:
 
 class TestAlphaFamily:
     def test_gf2_line(self):
-        inst = LInstance(2, 2, Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        inst = LInstance(Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
         v = alpha_family_check(inst, inst.build())
         assert v.holds and "4 maps" in v.clause
 
     def test_gf3_full_unit_group(self):
         s_w = generate([GFMatrix(3, [[2]])])
         assert len(s_w) == 2  # the full unit group of the line
-        inst = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), s_w)
+        inst = LInstance(Subspace(3, 2, [[1, 0]]), s_w)
         v = alpha_family_check(inst, inst.build())
         assert v.holds and "18 maps" in v.clause
 
     def test_gf2_dim3_plane(self):
         s_w = generate([GFMatrix(2, [[0, 1], [1, 0]]), GFMatrix(2, [[1, 1], [0, 1]])])
-        inst = LInstance(2, 3, Subspace(2, 3, [[1, 0, 0], [0, 1, 0]]), s_w)
+        inst = LInstance(Subspace(2, 3, [[1, 0, 0], [0, 1, 0]]), s_w)
         assert alpha_family_check(inst, inst.build()).holds
 
     def test_reads_the_build_it_is_given(self):
         # the family of the trivial S(W) is not the build of the full unit group
-        inst = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), trivial_sw(3, 1))
-        other = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), generate([GFMatrix(3, [[2]])]))
+        inst = LInstance(Subspace(3, 2, [[1, 0]]), trivial_sw(3, 1))
+        other = LInstance(Subspace(3, 2, [[1, 0]]), generate([GFMatrix(3, [[2]])]))
         v = alpha_family_check(inst, other.build())
         assert not v.holds and v.clause == "family differs from the build"
 
     def test_swapped_table_entries_break_a_composition_law(self):
         s_w = generate([GFMatrix(3, [[2]])])
-        inst = LInstance(3, 2, Subspace(3, 2, [[1, 0]]), s_w)
+        inst = LInstance(Subspace(3, 2, [[1, 0]]), s_w)
         build = inst.build()
         assert alpha_family_check(inst, build).holds
         # the row of (0, 1): 0 sends every (z, del) to (0, del), so the row
@@ -474,7 +474,7 @@ class TestAlphaFamily:
     def test_precondition_violations(self):
         with pytest.raises(ValueError, match="precondition violated"):
             alpha_family_check(zero_instance(2, 2), zero_instance(2, 2).build())  # codim 2
-        not_group = LInstance(2, 2, Subspace(2, 2, [[1, 0]]),
+        not_group = LInstance(Subspace(2, 2, [[1, 0]]),
                               FiniteSemigroup([GFMatrix(2, [[0]])]))
         with pytest.raises(ValueError, match="precondition violated"):
             alpha_family_check(not_group, not_group.build())

@@ -427,11 +427,11 @@ class TestWitnessProblem:
 
     @staticmethod
     def instances():
-        yield TInstance(3, IndexSubset(3, [0, 1, 2]), full_t(3))  # the build is T(3)
-        yield TInstance(3, IndexSubset(3, [0, 1]), full_t(2))
+        yield TInstance(IndexSubset(3, [0, 1, 2]), full_t(3))  # the build is T(3)
+        yield TInstance(IndexSubset(3, [0, 1]), full_t(2))
         for p in (2, 3):  # dim W = 1, S(W) = L(W)
-            yield LInstance(p, 2, Subspace(p, 2, [[1, 0]]), FiniteSemigroup(full_l(p, 1)))
-        yield LInstance(2, 2, Subspace.full(2, 2), FiniteSemigroup(full_l(2, 2)))  # W = V
+            yield LInstance(Subspace(p, 2, [[1, 0]]), FiniteSemigroup(full_l(p, 1)))
+        yield LInstance(Subspace.full(2, 2), FiniteSemigroup(full_l(2, 2)))  # W = V
 
     @staticmethod
     def both(inst, build, f, mode, w):
@@ -474,11 +474,11 @@ class TestWitnessProblem:
 
     def test_non_member_rejected(self):
         for inst, outsider in (
-            (TInstance(3, IndexSubset(3, [0, 1]), full_t(2)), Transformation([2, 0, 1])),
-            (TInstance(3, IndexSubset(3, [0, 1]), sym(2)), Transformation([0, 0, 2])),
-            (LInstance(2, 2, Subspace(2, 2, [[1, 0]]), FiniteSemigroup(full_l(2, 1))),
+            (TInstance(IndexSubset(3, [0, 1]), full_t(2)), Transformation([2, 0, 1])),
+            (TInstance(IndexSubset(3, [0, 1]), sym(2)), Transformation([0, 0, 2])),
+            (LInstance(Subspace(2, 2, [[1, 0]]), FiniteSemigroup(full_l(2, 1))),
              GFMatrix(2, [[0, 1], [1, 0]])),
-            (LInstance(3, 2, Subspace(3, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(3, [[1]])])),
+            (LInstance(Subspace(3, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(3, [[1]])])),
              GFMatrix(3, [[2, 0], [0, 1]])),
         ):
             build = inst.build()

@@ -370,9 +370,9 @@ def test_unit_group_matches_old_definition(kind, size, p, source):
     positives = 0
     for s in subs:
         if kind == "transformation":
-            inst = TInstance(size, IndexSubset(size, range(size)), s)
+            inst = TInstance(IndexSubset(size, range(size)), s)
         else:
-            inst = LInstance(p, size, Subspace.full(p, size), s)
+            inst = LInstance(Subspace.full(p, size), s)
         assert inst.unit_group == old_unit_group(s), s.elements
         positives += inst.unit_group
     assert positives and (positives < len(subs) or len(subs) == 1)  # both sides seen

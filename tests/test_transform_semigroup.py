@@ -45,14 +45,14 @@ def brute_force_members(inst):
 
 class TestBuild:
     def test_sym_example(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
+        inst = TInstance(IndexSubset(3, [0, 1]), sym_on(2))
         b = inst.build()
         assert {f.to_text() for f in b.elements} == {
             "0,1,0", "0,1,1", "0,1,2", "1,0,0", "1,0,1", "1,0,2",
         }
 
     def test_constant_example(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
+        inst = TInstance(IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
         b = inst.build()
         assert {f.to_text() for f in b.elements} == {"0,0,0", "0,0,1", "0,0,2"}
 
@@ -64,7 +64,7 @@ class TestBuild:
                 y = IndexSubset(n, members)
                 base = all_transformations(len(y))
                 for seed in base:
-                    inst = TInstance(n, y, generate([seed]))
+                    inst = TInstance(y, generate([seed]))
                     b = inst.build()
                     assert sorted(f.map for f in b.elements) == sorted(
                         f.map for f in brute_force_members(inst)
@@ -73,32 +73,32 @@ class TestBuild:
 
     def test_y_equals_x_returns_sy(self):
         s = sym_on(3)
-        inst = TInstance(3, IndexSubset(3, [0, 1, 2]), s)
+        inst = TInstance(IndexSubset(3, [0, 1, 2]), s)
         assert inst.build() is s
 
     def test_identity_membership_tracks_identity_of_sy(self):
-        with_id = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
+        with_id = TInstance(IndexSubset(3, [0, 1]), sym_on(2))
         assert Transformation.identity(3) in with_id.build()
-        without = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
+        without = TInstance(IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
         assert Transformation.identity(3) not in without.build()
 
     def test_size_cap(self):
         # 6^5 = 7,776 elements, past the 4,096-element Cayley table
-        inst = TInstance(6, IndexSubset(6, [0]), FiniteSemigroup([Transformation([0])]))
+        inst = TInstance(IndexSubset(6, [0]), FiniteSemigroup([Transformation([0])]))
         with pytest.raises(SizeCapExceeded):
             inst.build()
 
     def test_empty_y_convention(self):
-        inst = TInstance(2, IndexSubset(2, []), FiniteSemigroup([Transformation(())]))
+        inst = TInstance(IndexSubset(2, []), FiniteSemigroup([Transformation(())]))
         assert len(inst.build()) == 4
 
 
 class TestMembership:
     def test_rejects_outsiders(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
+        inst = TInstance(IndexSubset(3, [0, 1]), sym_on(2))
         with pytest.raises(ValueError, match="not in T_S"):
             inst.record(Transformation([2, 0, 1]))  # Y not invariant
-        constant = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
+        constant = TInstance(IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
         with pytest.raises(ValueError, match="not in T_S"):
             # the restriction is the identity, not in S(Y)
             constant.thm_element(Transformation([0, 1, 2]), "regular")
@@ -106,7 +106,7 @@ class TestMembership:
 
 class TestElementPredicate:
     def test_unit_regular_example(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
+        inst = TInstance(IndexSubset(3, [0, 1]), sym_on(2))
         v = inst.thm_element(Transformation([0, 1, 0]), "unit_regular")
         assert v.holds
         g = v.witness
@@ -115,20 +115,20 @@ class TestElementPredicate:
 
     def test_regular_false_example(self):
         s_y = FiniteSemigroup([Transformation([0, 1]), Transformation([0, 0])])
-        inst = TInstance(3, IndexSubset(3, [0, 1]), s_y)
+        inst = TInstance(IndexSubset(3, [0, 1]), s_y)
         f = Transformation([0, 0, 1])
         assert not inst.thm_element(f, "regular").holds
         assert not element_oracle(inst.build(), f, "regular").holds
 
     def test_y_equals_x_collapses_to_sy_verdict(self):
         s_y = generate([Transformation([0, 0, 1])])
-        inst = TInstance(3, IndexSubset(3, [0, 1, 2]), s_y)
+        inst = TInstance(IndexSubset(3, [0, 1, 2]), s_y)
         for f in s_y.elements:
             v = inst.thm_element(f, "regular")
             assert v.holds == element_oracle(s_y, f, "regular").holds
 
     def test_unit_regular_needs_identity(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
+        inst = TInstance(IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 0])]))
         with pytest.raises(ValueError, match="identity required"):
             inst.thm_element(Transformation([0, 0, 0]), "unit_regular")
 
@@ -140,7 +140,7 @@ class TestElementPredicate:
                     continue
                 y = IndexSubset(n, members)
                 for seed in all_transformations(len(y)):
-                    inst = TInstance(n, y, generate([seed]))
+                    inst = TInstance(y, generate([seed]))
                     b = inst.build()
                     modes = ["regular"] + (["unit_regular"] if inst.has_identity else [])
                     for f in b.elements:
@@ -150,7 +150,7 @@ class TestElementPredicate:
                             assert thm.holds == orc.holds, (inst, f, mode)
 
     def test_witnesses_stay_inside_the_semigroup(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
+        inst = TInstance(IndexSubset(3, [0, 1]), sym_on(2))
         b = inst.build()
         for f in b.elements:
             v = inst.thm_element(f, "unit_regular")
@@ -170,15 +170,15 @@ ID2, SWAP, C0, C1 = t(0, 1), t(1, 0), t(0, 0), t(1, 1)
 class TestElementRecord(ElementRecordCases):
     @staticmethod
     def instances():
-        yield TInstance(3, IndexSubset(3, [0, 1]), FiniteSemigroup(all_transformations(2)))
-        yield TInstance(3, IndexSubset(3, [0, 2]), sym_on(2))
-        yield TInstance(3, IndexSubset(3, [1]), sym_on(1))
-        yield TInstance(4, IndexSubset(4, [1, 3]), FiniteSemigroup([ID2, C0, C1]))
-        yield TInstance(3, IndexSubset(3, []), FiniteSemigroup([Transformation(())]))
+        yield TInstance(IndexSubset(3, [0, 1]), FiniteSemigroup(all_transformations(2)))
+        yield TInstance(IndexSubset(3, [0, 2]), sym_on(2))
+        yield TInstance(IndexSubset(3, [1]), sym_on(1))
+        yield TInstance(IndexSubset(4, [1, 3]), FiniteSemigroup([ID2, C0, C1]))
+        yield TInstance(IndexSubset(3, []), FiniteSemigroup([Transformation(())]))
 
     @staticmethod
     def clone(inst):
-        return TInstance(inst.n, inst.y, inst.prescribed)
+        return TInstance(inst.y, inst.prescribed)
 
     @staticmethod
     def canonical(f, inst):
@@ -194,7 +194,7 @@ class TestSharedRecords(SharedRecordsCases):
     def on_y(*elements, n=3, y=(0, 1)):
         """An instance on Y (default {0, 1} in 3 points) with S(Y) holding
         the given elements."""
-        return TInstance(n, IndexSubset(n, y), FiniteSemigroup(elements))
+        return TInstance(IndexSubset(n, y), FiniteSemigroup(elements))
 
     def separated(self):
         # f|Y is the identity: in S_A(Y), not in S_B(Y)
@@ -222,20 +222,20 @@ class TestSharedRecords(SharedRecordsCases):
 
 class TestSemigroupPredicate:
     def test_sym_instance(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
+        inst = TInstance(IndexSubset(3, [0, 1]), sym_on(2))
         assert inst.thm_semigroup("regular").holds
         assert inst.thm_semigroup("unit_regular").holds
         assert not inst.thm_semigroup("inverse").holds
 
     def test_two_point_inverse(self):
-        inst = TInstance(2, IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
+        inst = TInstance(IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
         assert inst.thm_semigroup("inverse").holds
         b = inst.build()
         assert semigroup_oracle(b, "inverse").holds
 
     def test_y_equals_x_mirrors_sy(self):
         s_y = generate([Transformation([0, 0, 1])])
-        inst = TInstance(3, IndexSubset(3, [0, 1, 2]), s_y)
+        inst = TInstance(IndexSubset(3, [0, 1, 2]), s_y)
         for mode in ("regular", "inverse"):
             assert inst.thm_semigroup(mode).holds == semigroup_oracle(s_y, mode).holds
 
@@ -247,7 +247,7 @@ class TestSemigroupPredicate:
                 base = [t for t in all_transformations(len(y)) if t.is_bijective()]
                 for seed in base:
                     s_y = generate([seed])
-                    inst = TInstance(n, y, s_y)
+                    inst = TInstance(y, s_y)
                     assert inst.unit_group
                     b = inst.build()
                     assert semigroup_oracle(b, "regular").holds
@@ -255,7 +255,7 @@ class TestSemigroupPredicate:
                         assert semigroup_oracle(b, "unit_regular").holds
 
     def test_clause_is_reported(self):
-        inst = TInstance(3, IndexSubset(3, [0, 1]), sym_on(2))
+        inst = TInstance(IndexSubset(3, [0, 1]), sym_on(2))
         assert "subgroup" in inst.thm_semigroup("regular").clause
 
 
@@ -295,7 +295,7 @@ class TestEmptyY:
 
     @staticmethod
     def instance(n):
-        return TInstance(n, IndexSubset(n, []), FiniteSemigroup([Transformation(())]))
+        return TInstance(IndexSubset(n, []), FiniteSemigroup([Transformation(())]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_semigroup_modes_agree_with_oracle(self, n):
