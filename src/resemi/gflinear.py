@@ -28,10 +28,10 @@ among them, and ``GFMatrix.rank`` is the dimension of the interned row
 space (``image_space``).  ``Subspace.__init__``, ``mat_compose`` and
 ``_rref_rows`` are not memoised.  The brute-force oracles read only
 Cayley tables, so no verdict they give rests on a memo.  Besides these
-four, ``linear_semigroup`` keeps five memos of the same bound for the
-parts of its element record that read only subspaces (the witness basis
-chain, the transversal check, the complement basis of W + U, a witness's
-rows on W and a restriction lifted to ambient rows).
+four, ``linear_semigroup`` keeps four memos of the same bound for the
+parts of its element record that read only subspaces (the transversal
+check, the unit rows completing a span, a map on W lifted to ambient
+rows and the inverse of W's basis followed by a completion to V).
 """
 
 from __future__ import annotations

@@ -46,22 +46,23 @@ class ElementSubspaces:
     rows) and the image-trace test ``trace_ok``.  Lazy: the canonical
     transversal pair (``transversal``) and what is wrong with it
     (``transversal_problem``, None when nothing is), codim(W + U) and
-    codim(W + R(f)) (``complement_sizes``), the images of B3 + B4 of the
-    witness basis chain (``_basis_chain``) under each witness
-    (``regular_rows``, ``unit_regular_rows``), and each witness assembled
-    (``witness``).  N(f) and W + U are not kept here: they are read from
-    the memoised ``null_space(f)`` and the interned span ``W.sum(U)``.
+    codim(W + R(f)) (``complement_sizes``), the bases B3 and B4 that
+    complete W's canonical basis to a basis of V (``beyond_w``), their
+    images under each witness (``regular_rows``, ``unit_regular_rows``),
+    and each witness assembled (``witness``).  N(f) and W + U are not
+    kept here: they are read from the memoised ``null_space(f)`` and the
+    interned span ``W.sum(U)``.
 
     The parts that read only subspaces, or only W and an element of S(W),
     are looked up in module memos keyed on exactly what they read, since a
-    sweep meets the same few subspaces for many f: the chain, its inverse
-    and W's coordinates on (W, R(f)) (``_basis_chain``); the transversal
-    check on (U, U meet W, N(f), W, rank f) (``_transversal_problem``); the
-    complement basis of W + U (``_complement_basis``); a witness's rows on
-    B1 + B2 on (W, R(f), partner) (``_w_rows``); and alpha lifted to
-    ambient rows on (W, alpha) (``_lift``).  Per record remain the
-    transversal pair, the preimages in ``regular_rows`` and
-    ``unit_regular_rows``, and one product per witness.
+    sweep meets the same few subspaces for many f: the transversal check
+    on (U, U meet W, N(f), W, rank f) (``_transversal_problem``); the unit
+    rows completing a span (``_complement_basis``); alpha, or a partner,
+    lifted to ambient rows on (W, alpha) (``_lift``); and the inverse of
+    a basis of V on (W, the rows after W's) (``_basis_inverse``).  Per
+    record remain B3, the transversal pair, the preimages in
+    ``regular_rows`` and ``unit_regular_rows``, and one product per
+    witness.
     """
 
     def __init__(self, w: Subspace, f: GFMatrix) -> None:
@@ -95,10 +96,19 @@ class ElementSubspaces:
         return self.w.sum(self.transversal.u).codim, self.w.sum(self.rf).codim
 
     @cached_property
+    def beyond_w(self) -> tuple[tuple, tuple]:
+        """B3, the rows of R(f)'s basis taken greedily outside W, and B4,
+        the unit rows completing W + R(f) (``_complement_basis``): after
+        W's canonical basis, a basis of V."""
+        p, n = self.w.p, self.w.ambient_dim
+        b3 = tuple(independent_extension(p, n, self.w.basis, self.rf.basis))
+        return b3, _complement_basis(self.w.sum(self.rf))
+
+    @cached_property
     def regular_rows(self) -> list[tuple]:
         """The pseudo-inverse's images of B3 (chosen preimages under f) and
         B4 (zero)."""
-        (_, _, b3, b4), _, _ = _basis_chain(self.w, self.rf)
+        b3, b4 = self.beyond_w
         return [solve_row_vector(self.f, v) for v in b3] + [(0,) * self.w.ambient_dim for _ in b4]
 
     @cached_property
@@ -106,7 +116,7 @@ class ElementSubspaces:
         """The invertible witness's images of B3 (the inverse of f's
         corestriction to U) and B4 (a basis of a complement of W + U)."""
         p, n, f, u = self.w.p, self.w.ambient_dim, self.f, self.transversal.u
-        (_, _, b3, b4), _, _ = _basis_chain(self.w, self.rf)
+        b3, b4 = self.beyond_w
         mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
         # the coordinates are unique: U is a transversal of ker(f)
         rows = [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
@@ -117,7 +127,8 @@ class ElementSubspaces:
 
     def witness(self, mode: str, partner: GFMatrix) -> GFMatrix:
         """The witness for ``mode`` built on the S(W)-partner of f|W,
-        assembled once per (mode, partner).
+        assembled once per (mode, partner) by ``on_basis``: the partner on
+        W, and the mode's images of B3 and B4 (``beyond_w``).
 
         regular: a pseudo-inverse h, the partner on W, chosen preimages on
         the rest of R(f) and zero on a complement of W + R(f).
@@ -126,36 +137,31 @@ class ElementSubspaces:
         matching between the complement bases of W + R(f) and W + U.
         Nothing is checked here; see ``witness_problem`` on the instance."""
         if self.w.is_full():
-            return partner  # B1 + B2 is a basis of W = V, so the map is the partner
+            return partner  # W's basis is a basis of V, so the map is the partner
         key = (mode, partner)
         found = self._witnesses.get(key)
         if found is None:
             rest = self.regular_rows if mode == "regular" else self.unit_regular_rows
-            w = self.w
-            rows = _w_rows(w, self.rf, partner) + tuple(rest)
-            found = self._witnesses[key] = _basis_chain(w, self.rf)[1] * GFMatrix._unchecked(
-                w.p, len(rows), w.ambient_dim, rows)
+            b3, b4 = self.beyond_w
+            found = self._witnesses[key] = on_basis(self.w, partner, b3 + b4, rest)
         return found
 
 
+def on_basis(w: Subspace, alpha: GFMatrix, rest: tuple, images) -> GFMatrix:
+    """The matrix sending W's canonical basis where alpha, a dim(W) x
+    dim(W) coordinate matrix, sends it, and the rows ``rest``, which
+    complete W's basis to a basis of V, to ``images`` (vectors with
+    entries already reduced mod p)."""
+    rows = _lift(w, alpha) + tuple(tuple(v) for v in images)
+    return _basis_inverse(w, rest) * GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, rows)
+
+
 @lru_cache(maxsize=MEMO_BOUND)
-def _basis_chain(w: Subspace, rf: Subspace) -> tuple[tuple, GFMatrix, tuple]:
-    """The witness basis chain for W and R(f): deterministic bases B1 (of
-    R(f) meet W), B2 (extending to W), B3 (extending B1 to R(f) inside
-    R(f)) and B4 (completing to V: the unit rows ``_complement_basis``
-    takes for W + R(f), the span of B1 + B2 + B3); the inverse of the
-    matrix whose rows are B1, B2, B3, B4; and B1 + B2 in coordinates of
-    W's canonical basis."""
-    p, n = w.p, w.ambient_dim
-    b1 = rf.intersect(w).basis
-    b2 = tuple(independent_extension(p, n, b1, w.basis))
-    b3 = tuple(independent_extension(p, n, b1, rf.basis))
-    b123 = b1 + b2 + b3
-    b4 = _complement_basis(w.sum(rf))
-    if len(b123) + len(b4) != n:
-        raise AssertionError("basis chain does not span the ambient space")
-    inverse = mat_inverse(GFMatrix._unchecked(p, n, n, b123 + b4))
-    return (b1, b2, b3, b4), inverse, tuple(w.coordinates(v) for v in b1 + b2)
+def _basis_inverse(w: Subspace, rest: tuple) -> GFMatrix:
+    """The inverse of the matrix whose rows are W's canonical basis and
+    then ``rest``."""
+    rows = w.basis + rest
+    return mat_inverse(GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, rows))
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -183,23 +189,17 @@ def _transversal_problem(u: Subspace, u_meet_w: Subspace, ns: Subspace, w: Subsp
 @lru_cache(maxsize=MEMO_BOUND)
 def _complement_basis(span: Subspace) -> tuple:
     """The unit rows that complete the basis of ``span`` (W + U, or W +
-    R(f) for B4 of ``_basis_chain``), greedily: which are taken depends
-    on the span alone, not on the basis it is given by."""
+    R(f) for B4 of ``ElementSubspaces.beyond_w``), greedily: which are
+    taken depends on the span alone, not on the basis it is given by."""
     n = span.ambient_dim
     return tuple(independent_extension(span.p, n, span.basis, unit_rows(n)))
 
 
 @lru_cache(maxsize=MEMO_BOUND)
-def _w_rows(w: Subspace, rf: Subspace, partner: GFMatrix) -> tuple:
-    """A witness's images of B1 + B2: the partner, a map on W, applied to
-    their W-coordinates and lifted back to ambient rows."""
-    return tuple(w.from_coordinates(partner.apply(c)) for c in _basis_chain(w, rf)[2])
-
-
-@lru_cache(maxsize=MEMO_BOUND)
 def _lift(w: Subspace, alpha: GFMatrix) -> tuple:
     """The coordinate matrix alpha lifted to ambient rows: the images of
-    W's canonical basis under every map restricting to alpha."""
+    W's canonical basis under every map restricting to alpha (a
+    restriction, or a witness's partner)."""
     return tuple(w.from_coordinates(row) for row in alpha.entries)
 
 
@@ -279,19 +279,11 @@ class LInstance(RestrictedInstance):
         return tuple(d // self.p ** k % self.p for k in reversed(range(self.n)))
 
     @cached_property
-    def _complement_cols(self) -> list[int]:
-        """The non-pivot columns of W, whose unit rows complete W's basis;
-        listed on first use, so a refused build of a large space never
-        lists them."""
-        return [j for j in range(self.n) if j not in self.w.pivots]
-
-    @cached_property
-    def _c_inv(self) -> GFMatrix:
-        """The inverse of the matrix whose rows are W's basis and then the
-        complement basis; only ``extend`` needs it, so a refused build of a
-        large space never inverts it."""
-        basis_rows = list(self.w.basis) + [unit_rows(self.n)[j] for j in self._complement_cols]
-        return mat_inverse(GFMatrix(self.p, basis_rows, cols=self.n))
+    def _complement(self) -> tuple:
+        """The unit rows at W's non-pivot columns, which complete W's
+        canonical basis to a basis of V; listed on first use, so a refused
+        build of a large space never lists them."""
+        return tuple(e for j, e in enumerate(unit_rows(self.n)) if j not in self.w.pivots)
 
     def __repr__(self) -> str:
         return (
@@ -324,11 +316,10 @@ class LInstance(RestrictedInstance):
 
     def extend(self, alpha: GFMatrix, images) -> GFMatrix:
         """The unique matrix restricting to alpha on W and sending the
-        deterministic complement basis vectors to the given images
-        (vectors with entries already reduced mod p)."""
-        rows = list(_lift(self.w, alpha))
-        rows.extend(tuple(v) for v in images)
-        return self._c_inv * GFMatrix._unchecked(self.p, len(rows), self.n, tuple(rows))
+        unit rows of ``_complement`` to the given images (vectors with
+        entries already reduced mod p), by ``on_basis``, so every instance
+        on W shares one inverse of the basis."""
+        return on_basis(self.w, alpha, self._complement, images)
 
 
 def _check_s_w(p: int, k: int, elements) -> list:
@@ -381,7 +372,7 @@ def alpha_family_check(inst: LInstance, build: FiniteSemigroup) -> PropertyVerdi
     if inst.codim != 1 or not inst.unit_group:
         raise ValueError("precondition violated")
     s_w, vectors = inst.prescribed, all_vectors(inst.p, inst.n)
-    x = unit_rows(inst.n)[inst._complement_cols[0]]
+    x = inst._complement[0]
     family = {(z, lam): inst.extend(lam, [z]) for lam in s_w.elements for z in vectors}
     if set(family.values()) != set(build.elements):
         return PropertyVerdict("alpha_family", False, clause="family differs from the build")

@@ -19,7 +19,7 @@ from itertools import combinations
 from . import linear_semigroup as lsg
 from . import transform_semigroup as tsg
 from .family import element_at, is_int
-from .gflinear import all_subspaces
+from .gflinear import all_subspaces, is_prime
 from .semigroups import (
     TABLE_CAP,
     FiniteSemigroup,
@@ -74,8 +74,9 @@ class SweepPlan:
     a size out of range for one n is skipped, so one plan can span
     several n.  A transformation plan reads its ambient sizes from ``ns``
     and a linear one its (p, n) cells from ``pns``; the other family's
-    field must be empty (a report's plan block carries both keys).  A
-    seed is a string or an integer, not a boolean.  Without
+    field must be empty (a report's plan block carries both keys), and a
+    cell's p must be prime, so that no cell runs before a later one is
+    refused.  A seed is a string or an integer, not a boolean.  Without
     ``subset_sizes``, a transformation plan takes 1 <= |Y| <= n and a
     linear one 0 <= dim W <= n; an explicit |Y| = 0 is taken too.
 
@@ -98,8 +99,9 @@ class SweepPlan:
         for name, ok, expected in (
             ("ns", _naturals(self.ns), "a list of distinct non-negative integers"),
             ("pns", isinstance(self.pns, tuple)
-             and all(_ints(c) and len(c) == 2 and c[1] >= 0 for c in self.pns)
-             and _distinct(self.pns), "a list of distinct [p, n] pairs with non-negative n"),
+             and all(_ints(c) and len(c) == 2 and is_prime(c[0]) and c[1] >= 0 for c in self.pns)
+             and _distinct(self.pns), "a list of distinct [p, n] pairs with p prime and "
+             "non-negative n"),
             ("subset_sizes", self.subset_sizes is None or _naturals(self.subset_sizes),
              "null or a list of distinct non-negative integers"),
             ("modes", isinstance(self.modes, tuple) and all(isinstance(m, str) for m in self.modes)

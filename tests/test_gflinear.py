@@ -44,8 +44,8 @@ from test_acceptance import CRITERION3_PLANS
 
 MEMOS = (_span_of, _intersect, null_space, _solve)
 # the linear element record's memos, keyed on the subspaces they read
-RECORD_MEMOS = (lsg._basis_chain, lsg._transversal_problem, lsg._complement_basis,
-                lsg._w_rows, lsg._lift)
+RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._lift,
+                lsg._basis_inverse)
 
 
 def all_matrices(p, n):
@@ -451,11 +451,11 @@ class TestMemo:
                     continue
                 tr = rec.transversal
                 calls = [
-                    (lsg._basis_chain, (w, rec.rf)),
                     (lsg._transversal_problem, (tr.u, tr.u_meet_w, null_space(f), w, rec.rf.dim)),
                     (lsg._complement_basis, (w.sum(tr.u),)),
                     (lsg._lift, (w, rec.alpha)),
-                ] + [(lsg._w_rows, (w, rec.rf, partner)) for partner in l_w[::5]]
+                    (lsg._basis_inverse, (w, sum(rec.beyond_w, ()))),
+                ] + [(lsg._lift, (w, partner)) for partner in l_w[::5]]
                 for memo, args in calls:
                     hit = memo(*args)
                     assert memo(*args) is hit == memo.__wrapped__(*args)

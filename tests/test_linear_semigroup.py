@@ -112,7 +112,20 @@ class TestBuild:
         # never listed and the complement basis is never inverted
         inst = LInstance(Subspace.full(101, 4), trivial_sw(101, 4))
         assert inst.build() is inst.prescribed
-        assert "_c_inv" not in vars(inst)
+        assert "_complement" not in vars(inst)
+
+    def test_one_inverse_per_region(self, monkeypatch):
+        # instances on one W share the inverse of W's basis followed by
+        # its complement: two S(W) on a line of GF(2)^2, one inversion
+        lsg._basis_inverse.cache_clear()
+        calls = []
+        monkeypatch.setattr(lsg, "mat_inverse", lambda m: calls.append(m) or mat_inverse(m))
+        w = Subspace(2, 2, [[1, 0]])
+        for s, want in (([[0]], "0,0;1,1"), ([[1]], "1,0;1,1")):
+            alpha = GFMatrix(2, s)
+            inst = LInstance(w, FiniteSemigroup([alpha]))
+            assert inst.extend(alpha, [(1, 1)]).to_text() == want
+        assert len(calls) == 1
 
 
 class TestElementPredicate:
@@ -252,28 +265,36 @@ def reference_witness(f, w, mode, partner):
 
 
 class TestRecordAgainstReferences:
-    """Every part the record looks up by subspace equals its per-record
-    derivation, for every W of GF(2)^2 and GF(3)^2 with S(W) = L(W), every
-    W-invariant f and every partner in L(W), in both witness modes."""
+    """Every part the record looks up by subspace, B3 and B4, and every
+    witness equal their derivation on the per-record chain B1..B4, with
+    S(W) = L(W), every W-invariant f and every partner in L(W), in both
+    witness modes: for every W of GF(2)^2 and GF(3)^2, and for the
+    records on the planes W of GF(2)^3 whose R(f) meet W is a line, the
+    only ones whose B1 and B2 are both non-empty and whose witness is
+    not the partner itself (W = V)."""
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_record_matches_the_per_record_derivations(self, p):
-        checked = 0
-        for w in all_subspaces(p, 2):
+    @staticmethod
+    def check_records(spaces, keep):
+        """The comparison on every W of ``spaces`` and every W-invariant f
+        that ``keep(rec)`` selects; the count of records compared and of
+        genuine witnesses product-checked."""
+        records = checked = 0
+        for w in spaces:
+            p, n = w.p, w.ambient_dim
             l_w = all_matrices(p, w.dim)
             inst = LInstance(w, FiniteSemigroup(l_w))
             _store_on.cache_clear()
-            for f in all_matrices(p, 2):
+            for f in all_matrices(p, n):
                 try:
                     alpha = restriction_matrix(f, w)
                 except ValueError:
                     continue
                 rec = inst.record(f)
-                chain, inverse, coordinates = reference_chain(f, w)
-                got_chain, got_inverse, got_coordinates = lsg._basis_chain(w, rec.rf)
-                assert [list(b) for b in got_chain] == [list(b) for b in chain]
-                assert got_inverse == inverse
-                assert list(got_coordinates) == coordinates
+                if not keep(rec):
+                    continue
+                records += 1
+                (_, _, b3, b4), _, _ = reference_chain(f, w)
+                assert [list(b) for b in rec.beyond_w] == [b3, b4]
                 assert rec.rw == restricted_image_space(f, w)
                 assert rec.transversal_problem == reference_transversal_problem(f, w)
                 for mode in ("regular", "unit_regular"):
@@ -289,8 +310,17 @@ class TestRecordAgainstReferences:
                         if genuine and rec.trace_ok and got != "raises":
                             assert inst.witness_problem(f, got, mode) is None
                             checked += 1
-        assert checked > 0
         _store_on.cache_clear()
+        return records, checked
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_record_matches_the_per_record_derivations(self, p):
+        assert self.check_records(all_subspaces(p, 2), lambda rec: True)[1] > 0
+
+    def test_split_basis_of_w_in_gf2_cubed(self):
+        records, checked = self.check_records(all_subspaces(2, 3, 2),
+                                              lambda rec: rec.r_meet_w.dim == 1)
+        assert records == 399 and checked > 0
 
 
 class TestTransversalProblem:

@@ -88,6 +88,17 @@ class TestEnumerateSubsemigroups:
             run_sweep(plan)
         assert time.perf_counter() - start < 1 and not ran
 
+    def test_composite_p_refused_before_any_instance(self, capsys, monkeypatch):
+        # the GF(2)^3 cells would run first if only GF(4) itself were refused
+        ran = []
+        monkeypatch.setattr(sweep, "_run_instance", lambda *args: ran.append(args))
+        code = main(["sweep", "--kind", "l", "--pn", "2,3;4,1", "--source", "seeded",
+                     "--samples", "50"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, not ran) == (2, "", True)
+        assert captured.err.startswith("error: plan field 'pns' must be ")
+        assert captured.err.count("\n") == 1
+
     def test_t3_exhaustive(self):
         # 1,299 with the empty set, the count reported for T_3
         subs = enumerate_subsemigroups("transformation", 3, ("exhaustive",))
@@ -193,6 +204,8 @@ class TestRunSweep:
         ("ns", (2, 2)), ("subset_sizes", (1, 1)), ("pns", ((2, 1), (2, 1))),
         # a JSON boolean is not a seed
         ("source", ("seeded", 3, True)),
+        # a composite p, after a cell that would run
+        ("pns", ((2, 3), (4, 1))),
     ])
     def test_field_types(self, field, value):
         # ``ns`` on its own family, so that only the value is at fault
