@@ -34,7 +34,6 @@ from .semigroups import (
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
-    element_oracle,
     semigroup_oracle,
 )
 
@@ -277,12 +276,12 @@ def _store_on(region) -> RegionStore:
 def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     """The element theorem of both families and both modes, one path read
     from ``inst.record(f)``: f has the property iff its restriction
-    ``alpha`` has it in the prescribed semigroup (one ``element_oracle``
-    call, a search of S's own Cayley table, which also gives alpha's
-    partner), the image-trace test ``trace_ok`` holds and, for
-    ``unit_regular`` alone, the two complements of a compatible
-    transversal pair have equal sizes (``complement_sizes``, C-side
-    first).  A yes carries the witness assembled on the partner
+    ``alpha`` has it in the prescribed semigroup (alpha's first partner
+    in S's own Cayley table, ``FiniteSemigroup.partner``, searched for
+    once per element of S and mode), the image-trace test ``trace_ok``
+    holds and, for ``unit_regular`` alone, the two complements of a
+    compatible transversal pair have equal sizes (``complement_sizes``,
+    C-side first).  A yes carries the witness assembled on the partner
     (``witness(mode, partner)``), unchecked here.  A mode outside
     ``ELEMENT_MODES`` is refused by name, as the oracle would answer it,
     and so is ``unit_regular`` without the identity.
@@ -299,8 +298,9 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     if mode == "unit_regular" and not inst.has_identity:
         raise ValueError("identity required")
     label = "regular" if mode == "regular" else "unit-regular"
-    verdict = element_oracle(inst.prescribed, rec.alpha, mode)
-    if not verdict.holds:
+    s = inst.prescribed
+    partner = s.partner(s.index_of(rec.alpha), mode)
+    if partner < 0:
         return PropertyVerdict(mode, False, clause=f"restriction not {label} in {inst.PRESCRIBED}")
     if not rec.trace_ok:
         return PropertyVerdict(mode, False, clause="image trace differs")
@@ -312,4 +312,4 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
             clause = f"complement {inst.SIZES} differ ({c_size} vs {d_size})"
             return PropertyVerdict(mode, False, clause=clause)
         clause = "all three element conditions hold"
-    return PropertyVerdict(mode, True, witness=rec.witness(mode, verdict.witness), clause=clause)
+    return PropertyVerdict(mode, True, witness=rec.witness(mode, s.elements[partner]), clause=clause)

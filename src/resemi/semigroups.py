@@ -17,13 +17,19 @@ it and every other row is one C-level gather of earlier rows,
 row(x * g) = row(x) after row(g).  The table holds element indices, so
 it does not depend on the numbering; only points that occur in codes
 are used, never all of GF(p)^n.  Every oracle then runs on
-small-integer indices.
+small-integer indices, and each table answers each oracle question once:
+it keeps, per element mode, every element's first partner index in a
+compact integer array made on first ask (``FiniteSemigroup.partner``, the
+one search), and per semigroup mode its verdict (``semigroup_oracle``).
+A refusal (an unknown mode, "identity required", a non-member) is raised
+on every ask and never kept.
 A semigroup of more than ``TABLE_CAP`` elements is refused with
 ``SizeCapExceeded``, and so are closures and builds that would exceed it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -34,14 +40,15 @@ class SizeCapExceeded(ValueError):
     """A closure or build would grow past the permitted element count."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyVerdict:
     """Outcome of one property check, with an optional witness.
 
     For a failed universally-quantified property the witness is a concrete
     failing element (or pair); for successful existential checks it is the
     found partner.  ``clause`` records which side of a characterization
-    fired, when that is meaningful.
+    fired, when that is meaningful.  Slotted, as every table keeps its
+    semigroup verdicts (``semigroup_oracle``).
     """
 
     prop: str
@@ -52,6 +59,12 @@ class PropertyVerdict:
 
 # Element count of the largest Cayley table, hence of the largest semigroup.
 TABLE_CAP = 4096
+
+# The modes of ``FiniteSemigroup.partner``, and its mark of an element not
+# yet searched (-1 is "no partner").  Its arrays are of signed 16-bit
+# entries, which hold every index below ``TABLE_CAP``.
+ELEMENT_MODES = ("regular", "unit_regular", "completely_regular")
+_UNASKED = -2
 
 
 def _element_text(el) -> str:
@@ -163,6 +176,8 @@ class FiniteSemigroup:
         self._index = index
         self.table = _cayley_table(elems, index)
         self.identity_index = self._find_identity()
+        self._partners: dict = {}  # element mode -> first partner per element
+        self._verdicts: dict = {}  # semigroup mode -> ``semigroup_oracle`` verdict
 
     # -- basics ---------------------------------------------------------
 
@@ -241,6 +256,50 @@ class FiniteSemigroup:
         """``unit_indices`` as a set, for membership tests."""
         return frozenset(self.unit_indices)
 
+    # -- the element oracle's answers ------------------------------------
+
+    def partner(self, i: int, mode: str) -> int:
+        """Index of element i's first partner in ``mode``, or -1 if it has
+        none: the first b in element order with aba = a (``regular``), the
+        first unit u in ``unit_indices`` order with aua = a
+        (``unit_regular``, identity required), or the first b with aba = a
+        and ab = ba (``completely_regular``).  The search runs on the first
+        ask for (i, mode) and its answer is kept in the mode's array, made
+        on the mode's first ask; a refused mode gets no array, so it is
+        refused on every ask.  A negative i is refused too: the search
+        would read it as no element and keep a wrong answer."""
+        if i < 0:
+            raise IndexError(f"element index {i} is negative")
+        partners = self._partners.get(mode)
+        if partners is None:
+            if mode not in ELEMENT_MODES:
+                raise ValueError(f"unknown element mode {mode!r}")
+            if mode == "unit_regular" and not self.has_identity:
+                raise ValueError("identity required")
+            partners = self._partners[mode] = array("h", [_UNASKED]) * len(self.elements)
+        j = partners[i]
+        if j == _UNASKED:
+            j = partners[i] = self._search(i, mode)
+        return j
+
+    def _search(self, i: int, mode: str) -> int:
+        """The exhaustive search behind ``partner``, in the table alone."""
+        t = self.table
+        row = t[i]
+        if mode == "regular":
+            for j, ij in enumerate(row):
+                if t[ij][i] == i:
+                    return j
+        elif mode == "unit_regular":
+            for j in self.unit_indices:
+                if t[row[j]][i] == i:
+                    return j
+        else:
+            for j, ij in enumerate(row):
+                if t[ij][i] == i and ij == t[j][i]:
+                    return j
+        return -1
+
 
 def closure_elements(gens) -> list:
     """Closure of the generators as an ordered element list.
@@ -315,29 +374,13 @@ def element_oracle(s: FiniteSemigroup, a, mode: str) -> PropertyVerdict:
 
     ``regular``: some b with aba = a.  ``unit_regular``: some unit u with
     aua = a (identity required).  ``completely_regular``: some b with
-    aba = a and ab = ba.
+    aba = a and ab = ba.  The partner is the table's first one
+    (``FiniteSemigroup.partner``), searched for once per element and mode.
     """
-    i = s.index_of(a)
-    t = s.table
-    row = t[i]
-    if mode == "regular":
-        for j, ij in enumerate(row):
-            if t[ij][i] == i:
-                return PropertyVerdict(mode, True, witness=s.elements[j])
+    j = s.partner(s.index_of(a), mode)
+    if j < 0:
         return PropertyVerdict(mode, False)
-    if mode == "unit_regular":
-        if not s.has_identity:
-            raise ValueError("identity required")
-        for j in s.unit_indices:
-            if t[row[j]][i] == i:
-                return PropertyVerdict(mode, True, witness=s.elements[j])
-        return PropertyVerdict(mode, False)
-    if mode == "completely_regular":
-        for j, ij in enumerate(row):
-            if t[ij][i] == i and ij == t[j][i]:
-                return PropertyVerdict(mode, True, witness=s.elements[j])
-        return PropertyVerdict(mode, False)
-    raise ValueError(f"unknown element mode {mode!r}")
+    return PropertyVerdict(mode, True, witness=s.elements[j])
 
 
 def witness_problem(s: FiniteSemigroup, a, mode: str, w) -> str | None:
@@ -360,7 +403,15 @@ def witness_problem(s: FiniteSemigroup, a, mode: str, w) -> str | None:
 
 
 def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
-    """Brute-force semigroup-level check; failure carries a witness."""
+    """Brute-force semigroup-level check; failure carries a witness.  Each
+    verdict is worked out once per table and kept; a refusal is not."""
+    verdict = s._verdicts.get(mode)
+    if verdict is None:
+        verdict = s._verdicts[mode] = _semigroup_search(s, mode)
+    return verdict
+
+
+def _semigroup_search(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
     if mode == "group":
         if not s.has_identity:
             return PropertyVerdict(mode, False, clause="no two-sided identity")
@@ -384,10 +435,9 @@ def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
                         clause="idempotents do not commute",
                     )
         return PropertyVerdict(mode, True)
-    if mode in ("regular", "unit_regular", "completely_regular"):
-        for a in s.elements:
-            v = element_oracle(s, a, mode)
-            if not v.holds:
+    if mode in ELEMENT_MODES:
+        for i, a in enumerate(s.elements):
+            if s.partner(i, mode) < 0:
                 return PropertyVerdict(mode, False, witness=a)
         return PropertyVerdict(mode, True)
     raise ValueError(f"unknown semigroup mode {mode!r}")

@@ -25,7 +25,6 @@ from .semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
     closure_elements,
-    element_oracle,
     inverse_by_unique_inverses,
     semigroup_oracle,
     subgroup_containing,
@@ -357,14 +356,15 @@ def _instances(plan: SweepPlan):
 
 def _definition_failures(s: FiniteSemigroup) -> list[str]:
     """Dual-definition agreement: inverse via unique inverses, completely
-    regular via an explicit containing-subgroup search."""
+    regular via an explicit containing-subgroup search.  The second
+    definitions read only the table, never the answers it keeps."""
     out = []
     by_idem = semigroup_oracle(s, "inverse").holds
     by_unique = inverse_by_unique_inverses(s).holds
     if by_idem != by_unique:
         out.append(f"inverse definitions disagree ({by_idem} vs {by_unique})")
-    for a in s.elements:
-        std = element_oracle(s, a, "completely_regular").holds
+    for i, a in enumerate(s.elements):
+        std = s.partner(i, "completely_regular") >= 0
         sub = subgroup_containing(s, a) is not None
         if std != sub:
             out.append(
@@ -406,19 +406,20 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     return rep
 
 
-def _tally(rep: SweepReport, key: dict, f, mode: str, thm, orc) -> None:
-    """Count one theorem-vs-oracle check, of the build (f None) or of its
-    element f, and record a mismatch.  f is formatted only then."""
+def _tally(rep: SweepReport, key: dict, f, mode: str, thm, oracle_holds: bool) -> None:
+    """Count one check of the theorem's verdict ``thm`` against the
+    oracle's answer, of the build (f None) or of its element f, and record
+    a mismatch.  f is formatted only then."""
     if f is None:
         checks, agreements = rep.semigroup_checks, rep.semigroup_agreements
     else:
         checks, agreements = rep.element_checks, rep.element_agreements
     checks[mode] += 1
-    if thm.holds == orc.holds:
+    if thm.holds == oracle_holds:
         agreements[mode] += 1
     else:
         rep.mismatches.append({"instance": key, "element": None if f is None else f.to_text(),
-                               "mode": mode, "theorem": thm.holds, "oracle": orc.holds,
+                               "mode": mode, "theorem": thm.holds, "oracle": oracle_holds,
                                "clause": thm.clause})
 
 
@@ -433,9 +434,9 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
 
     oracle_holds: dict[str, bool] = {}
     for mode in inst.decidable(plan.modes):
-        thm, orc = inst.thm_semigroup(mode), semigroup_oracle(build, mode)
-        oracle_holds[mode] = orc.holds
-        _tally(rep, key, None, mode, thm, orc)
+        thm = inst.thm_semigroup(mode)
+        oracle_holds[mode] = semigroup_oracle(build, mode).holds
+        _tally(rep, key, None, mode, thm, oracle_holds[mode])
     for strong, weak in _IMPLICATIONS:
         if oracle_holds.get(strong) and weak in oracle_holds and not oracle_holds[weak]:
             rep.implication_violations.append(
@@ -446,11 +447,12 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
     if plan.element_cap and len(build) <= plan.element_cap:
         element_modes = [m for m in inst.decidable(inst.ELEMENT_MODES) if m in plan.modes]
     # One pass, so that all checks on f run back to back and share the
-    # family's per-element record (``record(f)`` on the instance).
-    for f in build.elements:
+    # family's per-element record (``record(f)`` on the instance); the
+    # oracle's answer is f's first partner in the build's table.
+    for i, f in enumerate(build.elements):
         for mode in element_modes:
             thm = inst.thm_element(f, mode)
-            _tally(rep, key, f, mode, thm, element_oracle(build, f, mode))
+            _tally(rep, key, f, mode, thm, build.partner(i, mode) >= 0)
             if thm.holds and thm.witness is not None:
                 problem = witness_problem(build, f, mode, thm.witness)
                 if problem is None:

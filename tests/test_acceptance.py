@@ -38,6 +38,11 @@ CRITERION1_PLANS = (
               source=("seeded", 200, "criterion1"), modes=T_MODES),
 )
 
+# The empty Y, which the plans above never reach (their |Y| starts at 1),
+# and with it the inverse theorem's own clause for it, at |X| = 1, 2, 3.
+EMPTY_Y_PLAN = SweepPlan(family="transformation", ns=(1, 2, 3), subset_sizes=(0,),
+                         source=("exhaustive",), modes=T_MODES)
+
 CRITERION2_PLANS = (
     SweepPlan(family="transformation", ns=(4,), subset_sizes=(1, 2, 3),
               source=("seeded", 50, "criterion2"), modes=T_MODES, element_cap=0),
@@ -92,6 +97,16 @@ def test_criterion_1_transformation_differential_sweep(sweep_reports):
     assert wall < 300, f"runtime {wall:.1f}s exceeds the 5-minute budget"
     _verdict(1, not bad,
              f"{instances} instances, wall {wall:.1f}s, mismatches {len(bad)}: {bad[:3]}")
+
+
+def test_criterion_1_empty_y_sweep():
+    r = run_sweep(EMPTY_Y_PLAN)
+    bad = _problems(r)
+    assert r.instances_run == 3 and r.semigroup_checks["inverse"] == 3
+    assert r.semigroup_agreements == r.semigroup_checks
+    assert r.element_agreements == r.element_checks
+    _verdict(1, not bad,
+             f"empty Y, {r.instances_run} instances, mismatches {len(bad)}: {bad[:3]}")
 
 
 def test_criterion_2_n4_spot_sweep(sweep_reports):

@@ -196,22 +196,33 @@ class StubRecord:
         return ("witness", mode, partner)
 
 
-def stub_instance(cls, rec, verdict, asked, monkeypatch, has_identity=True):
+class StubSemigroup:
+    """A prescribed semigroup of two named elements whose every partner
+    answer is ``verdict``'s: its witness if it holds, else none; each
+    (element, mode) asked goes to ``asked``."""
+
+    elements = ("alpha", "partner")
+
+    def __init__(self, verdict, asked):
+        self.verdict = verdict
+        self.asked = asked
+
+    def index_of(self, a):
+        return self.elements.index(a)
+
+    def partner(self, i, mode):
+        self.asked.append((self.elements[i], mode))
+        return self.elements.index(self.verdict.witness) if self.verdict.holds else -1
+
+
+def stub_instance(cls, rec, verdict, asked, has_identity=True):
     """An instance of ``cls`` (for its words) with ``rec`` as every
-    element's record and ``verdict`` as every verdict of ``element_oracle``
-    on its prescribed semigroup; each (alpha, mode) asked of it goes to
-    ``asked``."""
+    element's record and ``verdict`` as every oracle verdict on its
+    prescribed semigroup (``StubSemigroup``)."""
     inst = object.__new__(cls)
     inst.has_identity = has_identity
-    inst.prescribed = "S"
+    inst.prescribed = StubSemigroup(verdict, asked)
     inst.record = lambda f: rec
-
-    def oracle(s, alpha, mode):
-        assert s is inst.prescribed
-        asked.append((alpha, mode))
-        return verdict
-
-    monkeypatch.setattr(family, "element_oracle", oracle)
     return inst
 
 
@@ -234,10 +245,9 @@ WORDS = {TInstance: ("S(Y)", "counts"), LInstance: ("S(W)", "codimensions")}
     ("unit_regular", YES, True, (1, 2), False, "complement {sizes} differ (1 vs 2)"),
     ("unit_regular", YES, True, (3, 0), False, "complement {sizes} differ (3 vs 0)"),
 ])
-def test_element_verdict_clauses(cls, mode, verdict, trace_ok, sizes, holds, clause,
-                                 monkeypatch):
+def test_element_verdict_clauses(cls, mode, verdict, trace_ok, sizes, holds, clause):
     asked = []
-    inst = stub_instance(cls, StubRecord(trace_ok, sizes), verdict, asked, monkeypatch)
+    inst = stub_instance(cls, StubRecord(trace_ok, sizes), verdict, asked)
     got = element_verdict(inst, "f", mode)
     prescribed, sizes_word = WORDS[cls]
     assert got == PropertyVerdict(
@@ -247,10 +257,9 @@ def test_element_verdict_clauses(cls, mode, verdict, trace_ok, sizes, holds, cla
 
 
 @pytest.mark.parametrize("cls", [TInstance, LInstance], ids=["transformation", "linear"])
-def test_element_verdict_refusals(cls, monkeypatch):
+def test_element_verdict_refusals(cls):
     asked = []
-    inst = stub_instance(cls, StubRecord(True, (0, 0)), YES, asked, monkeypatch,
-                         has_identity=False)
+    inst = stub_instance(cls, StubRecord(True, (0, 0)), YES, asked, has_identity=False)
     with pytest.raises(ValueError, match="identity required"):
         element_verdict(inst, "f", "unit_regular")
     for mode in ("inverse", "completely_regular"):

@@ -1,6 +1,7 @@
 """Tests for the finite-semigroup engine: closure, identity/unit/idempotent
 detection, and the brute-force property oracles."""
 
+import collections
 import random
 import re
 from itertools import islice, product
@@ -10,6 +11,7 @@ import pytest
 from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
+    ELEMENT_MODES,
     FiniteSemigroup,
     SizeCapExceeded,
     TABLE_CAP,
@@ -21,6 +23,7 @@ from resemi.semigroups import (
     subgroup_containing,
     witness_problem,
 )
+from resemi.sweep import SweepPlan, run_sweep
 from resemi.transform_semigroup import TInstance
 from resemi.transformations import IndexSubset, Transformation
 
@@ -512,3 +515,127 @@ class TestWitnessProblem:
         s = full_t(2)
         with pytest.raises(ValueError, match="unknown element mode"):
             witness_problem(s, s.elements[0], "inverse", s.elements[0])
+
+
+# -- the answers each table keeps ------------------------------------------------
+
+SEMIGROUP_MODES = ("group", "inverse", *ELEMENT_MODES)
+
+
+def store_tables():
+    yield "T(3)", full_t(3)
+    yield "L(GF(2)^2)", FiniteSemigroup(full_l(2, 2))
+    yield "L(GF(3)^2)", FiniteSemigroup(full_l(3, 2))
+    t4 = [Transformation(t) for t in product(range(4), repeat=4)]
+    for k, elems in enumerate(random_closures(t4, "store:T(4)", 4)):
+        yield f"T(4) closure {k}", FiniteSemigroup(elems)
+    for k, elems in enumerate(random_closures(full_l(2, 3), "store:L(GF(2)^3)", 4)):
+        yield f"L(GF(2)^3) closure {k}", FiniteSemigroup(elems)
+
+
+STORE_TABLES = list(store_tables())
+
+
+def forget(s):
+    """Drop every answer s keeps, so that s answers as a fresh table."""
+    s._partners.clear()
+    s._verdicts.clear()
+
+
+def modes_of(s):
+    return [m for m in ELEMENT_MODES if m != "unit_regular" or s.has_identity]
+
+
+def first_partner_by_products(s, a, mode):
+    """Index of a's first partner by object products: the first b in element
+    order (units in unit order for ``unit_regular``) with aba = a, and with
+    ab = ba for ``completely_regular``; -1 for none."""
+    candidates = (s.elements[j] for j in s.unit_indices) if mode == "unit_regular" else s.elements
+    for b in candidates:
+        if a * b * a == a and (mode != "completely_regular" or a * b == b * a):
+            return s.index_of(b)
+    return -1
+
+
+@pytest.mark.parametrize("name,s", STORE_TABLES, ids=[name for name, _ in STORE_TABLES])
+class TestStoredAnswers:
+    """Every answer a table keeps is the one its search gives when asked
+    first, whatever was asked before."""
+
+    def test_stored_partner_is_the_first_by_products(self, name, s):
+        questions = [(i, mode) for mode in modes_of(s) for i in range(len(s))]
+        expected = {(i, mode): first_partner_by_products(s, s.elements[i], mode)
+                    for i, mode in questions}
+        for q in questions:  # each asked first, of a table with nothing kept
+            forget(s)
+            assert s.partner(*q) == expected[q], q
+        rng = random.Random(name)
+        forget(s)
+        for _ in range(2):  # shuffled, then each again after all the others
+            rng.shuffle(questions)
+            for q in questions:
+                assert s.partner(*q) == expected[q], q
+
+    def test_warm_verdicts_equal_fresh_ones(self, name, s):
+        elem_questions = [(a, mode) for mode in modes_of(s) for a in s.elements]
+        semi_modes = [m for m in SEMIGROUP_MODES if m != "unit_regular" or s.has_identity]
+        fresh = {}
+        for a, mode in elem_questions:
+            forget(s)
+            fresh[a, mode] = element_oracle(s, a, mode)
+        for mode in semi_modes:
+            forget(s)
+            fresh[mode] = semigroup_oracle(s, mode)
+        forget(s)
+        questions = elem_questions + semi_modes
+        random.Random(name).shuffle(questions)
+        for _ in range(2):
+            for q in questions:
+                got = element_oracle(s, *q) if isinstance(q, tuple) else semigroup_oracle(s, q)
+                # prop, holds, witness and clause alike
+                assert got == fresh[q], q
+
+    def test_refusals_outlast_answers(self, name, s):
+        outsider = (Transformation([0, 1, 2, 3, 4]) if isinstance(s.elements[0], Transformation)
+                    else GFMatrix.identity(5, 1))
+        for _ in range(2):  # refused before and after every other mode is answered
+            with pytest.raises(ValueError, match="unknown element mode 'inverse'"):
+                element_oracle(s, s.elements[0], "inverse")
+            with pytest.raises(ValueError, match="unknown semigroup mode 'bogus'"):
+                semigroup_oracle(s, "bogus")
+            with pytest.raises(ValueError, match="not in semigroup"):
+                element_oracle(s, outsider, "regular")
+            if not s.has_identity:
+                with pytest.raises(ValueError, match="identity required"):
+                    element_oracle(s, s.elements[0], "unit_regular")
+                with pytest.raises(ValueError, match="identity required"):
+                    semigroup_oracle(s, "unit_regular")
+            for mode in modes_of(s):
+                element_oracle(s, s.elements[-1], mode)
+                semigroup_oracle(s, mode)
+
+
+def test_a_negative_index_is_refused_and_leaves_no_answer():
+    s = full_t(2)
+    last = len(s) - 1
+    for mode in ELEMENT_MODES:
+        with pytest.raises(IndexError, match="negative"):
+            s.partner(-1, mode)
+        assert s.partner(last, mode) == first_partner_by_products(s, s.elements[last], mode) >= 0
+
+
+def test_each_question_is_searched_once_per_table(monkeypatch):
+    searched = collections.Counter()
+    tables = []  # kept alive, so that no table's id is reused
+    search = FiniteSemigroup._search
+
+    def counted(self, i, mode):
+        tables.append(self)
+        searched[id(self), i, mode] += 1
+        return search(self, i, mode)
+
+    monkeypatch.setattr(FiniteSemigroup, "_search", counted)
+    rep = run_sweep(SweepPlan(family="linear", pns=((2, 1), (2, 2), (3, 1)), source=("exhaustive",),
+                              modes=("regular", "inverse", "unit_regular", "completely_regular")))
+    assert rep.clean and searched
+    assert max(searched.values()) == 1

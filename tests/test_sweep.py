@@ -14,7 +14,13 @@ from resemi.cli import main
 from resemi.family import element_at
 from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
-from resemi.semigroups import PropertyVerdict, SizeCapExceeded, closure_elements, semigroup_oracle
+from resemi.semigroups import (
+    FiniteSemigroup,
+    PropertyVerdict,
+    SizeCapExceeded,
+    closure_elements,
+    semigroup_oracle,
+)
 from resemi.sweep import (
     ALWAYS_RUN_CHECKS,
     SweepPlan,
@@ -174,6 +180,20 @@ class TestRunSweep:
         assert rep.size_formula_violations == [
             {"instance": {"kind": "transformation", "n": 2, "Y": [y], "sY": ["0"]},
              "expected": 2, "actual": 1} for y in (0, 1)]
+
+    def test_a_wrong_stored_answer_shows_in_the_definition_checks(self):
+        # the second definitions read only the table, so a kept answer that
+        # is wrong disagrees with them
+        t2 = FiniteSemigroup([Transformation(t) for t in product(range(2), repeat=2)])
+        assert sweep._definition_failures(t2) == []  # every answer asked and kept
+        assert semigroup_oracle(t2, "inverse").holds is False
+        assert t2.partner(0, "completely_regular") >= 0
+        t2._verdicts["inverse"] = PropertyVerdict("inverse", True)
+        t2._partners["completely_regular"][0] = -1
+        assert sweep._definition_failures(t2) == [
+            "inverse definitions disagree (True vs False)",
+            "completely-regular definitions disagree on 0,0 (False vs True)",
+        ]
 
     def test_element_cap_zero_disables_element_level(self):
         plan = SweepPlan(
