@@ -14,7 +14,10 @@ plan flags as the plan JSON they spell, through ``SweepPlan.from_dict``;
 
 Each command takes only the flags that change what it does: ``build``
 has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
-``--seed`` need ``--source seeded``.
+``--seed`` need ``--source seeded``.  ``main`` builds the parser of the
+command its first argument names, and of no other; ``build_parser()``
+with no command is the full parser, which help, a missing command and
+an unknown one go through.
 
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
@@ -256,7 +259,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
 
-def _add_instance_flags(sp) -> None:
+def _instance_command(sub, name: str) -> None:
+    """``build``, ``classify`` or ``element``: the instance flags, the
+    modes for the two that classify, and the element for ``element``."""
+    sp = sub.add_parser(name)
     sp.add_argument("--input", help="instance JSON file (exclusive with inline flags)")
     sp.add_argument("--kind", choices=("t", "l"), help="t: transformations, l: linear maps")
     sp.add_argument("--n", type=int, help="ambient size (|X| or dim V)")
@@ -267,6 +273,35 @@ def _add_instance_flags(sp) -> None:
     sp.add_argument("--sw", help="S(W) elements, '|'-separated matrices")
     sp.add_argument("--gens", help="generators instead of elements (closure is applied)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
+    if name != "build":
+        sp.add_argument("--mode", action="append", help="property to check (repeatable)")
+        sp.add_argument("--no-oracle", action="store_true",
+                        help="skip the brute-force oracle (reported as 'skipped')")
+    if name == "element":
+        sp.add_argument("--f", help="the element to classify (same grammar as elements)")
+    sp.set_defaults(fn=_cmd_build if name == "build" else _cmd_classify)
+
+
+def _sweep_command(sub, name: str) -> None:
+    # a plan flag not given is absent, not None (see ``_cmd_sweep``)
+    sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+    sp.add_argument("--input", default=None, help="plan JSON file (exclusive with plan flags)")
+    sp.add_argument("--kind", choices=("t", "l"))
+    sp.add_argument("--ns", help="ambient sizes, e.g. 1,2,3")
+    sp.add_argument("--pn", help="(p,n) cells, e.g. 2,2;3,2")
+    sp.add_argument("--sizes", help="|Y| or dim W values to include, e.g. 1,2")
+    sp.add_argument("--source", choices=("exhaustive", "seeded"))
+    sp.add_argument("--samples", type=int, help="with --source seeded (default 200)")
+    sp.add_argument("--seed", help="with --source seeded (default 0)")
+    sp.add_argument("--mode", action="append")
+    sp.add_argument("--element-cap", type=int)
+    sp.add_argument("--format", choices=("text", "json"), default="json")
+    sp.set_defaults(fn=_cmd_sweep)
+
+
+# Each command and what adds its subparser, in the order help lists them.
+_COMMANDS = {"build": _instance_command, "classify": _instance_command,
+             "element": _instance_command, "sweep": _sweep_command}
 
 
 _GRAMMAR = """\
@@ -290,7 +325,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: the same
+    top parser with only that command's subparser under it."""
     ap = _Parser(
         prog="resemi",
         description="Build and classify semigroups of (linear) transformations "
@@ -299,38 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, fn in (("build", _cmd_build), ("classify", _cmd_classify), ("element", _cmd_classify)):
-        sp = sub.add_parser(name)
-        _add_instance_flags(sp)
-        if name != "build":
-            sp.add_argument("--mode", action="append", help="property to check (repeatable)")
-            sp.add_argument("--no-oracle", action="store_true",
-                            help="skip the brute-force oracle (reported as 'skipped')")
-        if name == "element":
-            sp.add_argument("--f", help="the element to classify (same grammar as elements)")
-        sp.set_defaults(fn=fn)
-
-    # a plan flag not given is absent, not None (see ``_cmd_sweep``)
-    sp = sub.add_parser("sweep", argument_default=argparse.SUPPRESS)
-    sp.add_argument("--input", default=None, help="plan JSON file (exclusive with plan flags)")
-    sp.add_argument("--kind", choices=("t", "l"))
-    sp.add_argument("--ns", help="ambient sizes, e.g. 1,2,3")
-    sp.add_argument("--pn", help="(p,n) cells, e.g. 2,2;3,2")
-    sp.add_argument("--sizes", help="|Y| or dim W values to include, e.g. 1,2")
-    sp.add_argument("--source", choices=("exhaustive", "seeded"))
-    sp.add_argument("--samples", type=int, help="with --source seeded (default 200)")
-    sp.add_argument("--seed", help="with --source seeded (default 0)")
-    sp.add_argument("--mode", action="append")
-    sp.add_argument("--element-cap", type=int)
-    sp.add_argument("--format", choices=("text", "json"), default="json")
-    sp.set_defaults(fn=_cmd_sweep)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub, name)
     return ap
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # only the named command's parser (see the module docstring)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         if [] in [*vars(args).values(), *(vars(args).get("mode") or ())]:
             # argparse reads "--flag=--" as an empty list, not as the text "--"
             raise ValueError("'--' is not an option value")

@@ -446,21 +446,18 @@ def restriction_matrix(f: GFMatrix, w: Subspace) -> GFMatrix:
         raise ValueError("matrix must be square")
     if f.p != w.p or f.rows != w.ambient_dim:
         raise ValueError("dimension mismatch")
-    rows = []
-    for b in w.basis:
-        coords = w.coordinates(f.apply(b))
-        if coords is None:
-            raise ValueError("not W-invariant")
-        rows.append(coords)
+    rows = tuple(map(w.coordinates, f.point_action(w.basis)))
+    if None in rows:
+        raise ValueError("not W-invariant")
     k = len(rows)
-    return GFMatrix._unchecked(f.p, k, k, tuple(rows))
+    return GFMatrix._unchecked(f.p, k, k, rows)
 
 
 def restricted_image_space(f: GFMatrix, w: Subspace) -> Subspace:
     """Span of W's image under f, in ambient coordinates (defined for any f)."""
     if f.p != w.p or f.rows != w.ambient_dim:
         raise ValueError("dimension mismatch")
-    return Subspace._unchecked(f.p, f.cols, [f.apply(b) for b in w.basis])
+    return Subspace._unchecked(f.p, f.cols, f.point_action(w.basis))
 
 
 @dataclass(frozen=True)

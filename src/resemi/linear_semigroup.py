@@ -117,7 +117,7 @@ class ElementSubspaces:
         corestriction to U) and B4 (a basis of a complement of W + U)."""
         p, n, f, u = self.w.p, self.w.ambient_dim, self.f, self.transversal.u
         b3, b4 = self.beyond_w
-        mu = GFMatrix._unchecked(p, u.dim, n, tuple(f.apply(r) for r in u.basis))
+        mu = GFMatrix._unchecked(p, u.dim, n, f.point_action(u.basis))
         # the coordinates are unique: U is a transversal of ker(f)
         rows = [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
         c4 = _complement_basis(self.w.sum(u))

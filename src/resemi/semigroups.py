@@ -8,14 +8,17 @@ images of any given points; the code of ``a * b`` is b's action on a's
 code.  Every semigroup carries its full Cayley table, built in one
 Froidure-Pin pass (Froidure & Pin 1997) from integer tuples alone.  The
 points occurring in the codes are numbered, and the generators are taken
-greedily in element order: an element is one when the closure of the
-earlier ones lacks it.  Only the generators' actions are taken, and each
+greedily in descending rank, the number of distinct entries of the code
+(|im f| for a transformation, the distinct rows of a matrix), ties in
+element order: an element is one when the closure of the ones taken
+before it lacks it.  Only the generators' actions are taken, and each
 edge x -> x * g of the right Cayley graph is gathered from x's numbered
 code.  A breadth-first spanning tree of that graph writes every other
 element as x * g with x earlier, so the generators' rows are read along
 it and every other row is one C-level gather of earlier rows,
 row(x * g) = row(x) after row(g).  The table holds element indices, so
-it does not depend on the numbering; only points that occur in codes
+it depends on neither the numbering nor the generators taken, only on
+the element order; only points that occur in codes
 are used, never all of GF(p)^n.  Every oracle then runs on
 small-integer indices, and each table answers each oracle question once:
 it keeps, per element mode, every element's first partner index in a
@@ -89,24 +92,29 @@ def _cayley_table(elems: list, index: dict) -> list:
     # Number the points that occur in the elements' point codes.  A closed
     # semigroup maps them into themselves, so a point sent outside them
     # (None in an action) shows a missing product.
-    points = tuple(sorted({x for el in elems for x in el.point_code()}))
+    codes = [el.point_code() for el in elems]
+    points = tuple(sorted({x for code in codes for x in code}))
     if not points:  # the one map of the empty set or the zero space
         return [[0]]
     point_index = {x: i for i, x in enumerate(points)}
     number = point_index.__getitem__
     # x * g has the code gathered from g's numbered action at x's code; a
     # code is keyed as its gather reads it (a bare point for one point)
-    gathers = [itemgetter(*map(number, el.point_code())) for el in elems]
+    gathers = [itemgetter(*map(number, code)) for code in codes]
     index_of_code = {gather(range(len(points))): k for k, gather in enumerate(gathers)}.get
     gens, right = [], []  # right[h][x] is the index of x * gens[h]
     # The spanning tree: a generator has parent -1, any other y is
     # parent[y] * gens[letter[y]]; ``order`` lists parents before children.
     parent, letter, order = [-1] * m, [None] * m, []
-    for k, el in enumerate(elems):
+    # Candidates in descending rank (the distinct entries of the code: |im
+    # f|, or distinct rows), ties in element order.  a * b's code is b's
+    # action on a's, so no product outranks its left factor; generators of
+    # high rank reach most low-rank elements as their products.
+    for k in sorted(range(m), key=lambda k: -len(set(codes[k]))):
         if letter[k] is not None:
             continue
         # the closure of the earlier generators lacks k, so k is one
-        action = tuple(map(point_index.get, el.point_action(points)))
+        action = tuple(map(point_index.get, elems[k].point_action(points)))
         products = list(map(index_of_code, map(itemgetter.__call__, gathers, repeat(action))))
         if None in products:
             a, b = next((a, b) for a in elems for b in elems if a * b not in index)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resemi import semigroups
-from resemi.cli import main
+from resemi.cli import build_parser, main
 from resemi.linear_semigroup import LInstance
 
 
@@ -717,3 +717,133 @@ class TestGoldenOutput:
         assert code == 0 and out == "".join(line + "\n" for line in lines)
         code, out, _ = run(capsys, command, *flags, "--format", "json")
         assert code == 0 and out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+# Argument lists that parse, and lists that a command's flags refuse: each
+# command's own parser must read them as the full parser does.
+VALIDATION_ARGV = [
+    ["build", "--kind", "t", "--n", "3"],
+    ["build", "--kind", "t", "--n", "3", "--y", "0,0", "--sy", "0"],
+    ["classify", "--kind", "t", "--n", "3", "--y", "0,1", "--gens", "1,0", "--sy", "0,0"],
+    ["build", "--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--gens", "1", "--sw", "0"],
+    ["classify", *L_FLAGS, "--mode", "regular", "--mode", "regular"],
+    ["element", *T_FLAGS, "--f", "0,1,0", "--mode", "bogus", "--no-oracle"],
+    ["element", *L_FLAGS, "--f=--"],
+    ["classify", "--input", "inst.json", "--kind", "t"],
+    ["sweep", "--kind", "t", "--ns", "-1", "--format", "text"],
+    ["sweep", "--kind", "t", "--ns", "2", "--source", "seeded", "--samples", "0", "--seed", "7"],
+    ["sweep", "--kind", "l", "--pn", "2,1;2,1", "--mode", "inverse", "--element-cap", "0"],
+    ["sweep", "--input", "plan.json"],
+    ["sweep"],
+    # usage errors: a flag the command does not take, a missing value, a
+    # value outside its choices, a value of the wrong type
+    ["build", *T_FLAGS, "--mode", "regular"],
+    ["build", *T_FLAGS, "--size-cap", "2"],
+    ["classify", "--kind"],
+    ["element", "--kind", "x"],
+    ["classify", "--n", "two"],
+    ["sweep", "--kind", "x"],
+    ["sweep", "--samples", "x"],
+    ["sweep", "--f", "0"],
+    ["build", "classify"],
+]
+
+
+def _parsed(parser, argv):
+    """The namespace ``parser`` reads from ``argv``, or its error text."""
+    try:
+        return parser.parse_args(argv)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+HELP = """\
+usage: resemi [-h] {build,classify,element,sweep} ...
+
+Build and classify semigroups of (linear) transformations constrained by their restriction to an invariant subset/subspace.
+
+positional arguments:
+  {build,classify,element,sweep}
+
+options:
+  -h, --help            show this help message and exit
+
+inline grammar:
+  transformation   comma list of images, e.g. "0,0,1" (2 maps to 1);
+                   several elements separated by ';'   -> --sy "0,1;1,0";
+                   with an empty --y, "" is the empty map -> --sy ""
+  matrix           ';'-separated rows of ',' entries, e.g. "1,0;1,1";
+                   several elements separated by '|'   -> --sw "1|0"
+  subspace         ';'-separated spanning rows          -> --w "1,0;0,1"
+exit codes: 0 ok, 2 validation error, 3 past the Cayley table, 4 disagreement/mismatch
+"""
+
+BUILD_HELP = """\
+usage: resemi build [-h] [--input INPUT] [--kind {t,l}] [--n N] [--y Y]
+                    [--sy SY] [--p P] [--w W] [--sw SW] [--gens GENS]
+                    [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         instance JSON file (exclusive with inline flags)
+  --kind {t,l}          t: transformations, l: linear maps
+  --n N                 ambient size (|X| or dim V)
+  --y Y                 subset Y as comma list, e.g. 0,1
+  --sy SY               S(Y) elements, ';'-separated transformations
+  --p P                 prime modulus
+  --w W                 subspace W as ';'-separated spanning rows
+  --sw SW               S(W) elements, '|'-separated matrices
+  --gens GENS           generators instead of elements (closure is applied)
+  --format {text,json}
+"""
+
+
+class TestParserPerCommand:
+    """``main`` builds only the named command's parser; what it reads,
+    prints and refuses is what the full parser would."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        # help and usage wrap at the terminal width argparse reads
+        monkeypatch.setenv("COLUMNS", "80")
+
+    GOLDEN_ARGV = [[command, *flags, "--format", fmt]
+                   for (command, _), (flags, _, _) in TestGoldenOutput.GOLDEN.items()
+                   for fmt in ("text", "json")]
+
+    @pytest.mark.parametrize("argv", GOLDEN_ARGV + VALIDATION_ARGV)
+    def test_command_parser_reads_as_the_full_one(self, argv):
+        full = _parsed(build_parser(), argv)
+        assert _parsed(build_parser(argv[0]), argv) == full
+        if not isinstance(full, str):
+            assert full.command == argv[0]
+
+    def test_full_parser_has_every_command(self):
+        assert build_parser().format_usage() == HELP.splitlines()[0] + "\n"
+        assert build_parser("sweep").format_usage() == "usage: resemi [-h] {sweep} ...\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' "
+                    "(choose from 'build', 'classify', 'element', 'sweep')\n"),
+        (["build", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+        (["sweep", "--kind", "x"], "error: argument --kind: invalid choice: 'x' "
+                                   "(choose from 't', 'l')\n"),
+    ])
+    def test_usage_errors(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("argv, text", [(["--help"], HELP), (["build", "--help"], BUILD_HELP)])
+    def test_help_text(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0 and capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("command", ["build", "classify", "element", "sweep"])
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        texts = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit):
+                parse([command, "--help"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith(f"usage: resemi {command} ")

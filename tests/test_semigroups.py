@@ -95,7 +95,7 @@ def bfs_closure(gens):
 
 
 def greedy_generators(elems):
-    """The elements the Froidure-Pin pass takes as generators: each one the
+    """The generators a greedy pass in list order takes: each one the
     closure of the earlier ones lacks."""
     gens, closure = [], set()
     for el in elems:
@@ -221,6 +221,67 @@ class TestPointCodeTables:
                       [GFMatrix(2, [[1]]), GFMatrix.identity(2, 2)]):
             with pytest.raises(ValueError, match="mixed"):
                 FiniteSemigroup(elems)
+
+
+class TestGeneratorOrder:
+    """The Froidure-Pin pass takes its generators in descending rank; the
+    table, like every output, depends on the element order alone."""
+
+    # T_S(Y)(X) for X of 5 points and Y = {0, 1, 2}, with S the 12-element
+    # closure of the identity, (1, 1, 0) and (2, 0, 0): 12 * 5^2 elements
+    S_GENS = [Transformation([0, 1, 2]), Transformation([1, 1, 0]), Transformation([2, 0, 0])]
+
+    def t5_build(self):
+        return TInstance(IndexSubset(5, [0, 1, 2]), generate(self.S_GENS)).build()
+
+    def test_large_build_equals_object_products(self):
+        build = self.t5_build()
+        index = {el: k for k, el in enumerate(build.elements)}
+        assert len(build) == 300
+        assert build.table == [[index[a * b] for b in build.elements] for a in build.elements]
+
+    def test_large_build_takes_few_generators(self, monkeypatch):
+        elems = list(self.t5_build().elements)
+        actions = []
+        point_action = Transformation.point_action
+
+        def counted(el, points):
+            actions.append(el)
+            return point_action(el, points)
+
+        # the pass takes one point action per generator and no other
+        monkeypatch.setattr(Transformation, "point_action", counted)
+        FiniteSemigroup(elems)
+        # measured: 10; a pass taking its candidates in element order takes 32
+        assert len(actions) <= 10
+        assert len(set(actions)) == len(actions)
+
+    @pytest.mark.parametrize("name,elems", [
+        ("T(3)", [Transformation(t) for t in product(range(3), repeat=3)]),
+        ("L(GF(2)^2)", full_l(2, 2)),
+    ])
+    def test_table_independent_of_generator_choice(self, name, elems):
+        # the reversed and a shuffled list take other generators, and their
+        # tables are this table renumbered
+        m = len(elems)
+        table = FiniteSemigroup(elems).table
+        for perm in (range(m - 1, -1, -1), random.Random(name).sample(range(m), m)):
+            pos = [0] * m
+            for k, i in enumerate(perm):
+                pos[i] = k
+            built = FiniteSemigroup([elems[i] for i in perm]).table
+            assert built == [[pos[table[i][j]] for j in perm] for i in perm]
+
+    def test_missing_product_named_in_any_order(self):
+        t3 = [Transformation(t) for t in product(range(3), repeat=3)]
+        rng = random.Random("missing")
+        for drop in (0, 5, 13, 26):
+            elems = t3[:drop] + t3[drop + 1:]
+            for order in (elems, elems[::-1], rng.sample(elems, len(elems))):
+                a, b = next((a, b) for a in order for b in order if a * b not in order)
+                message = f"not closed under composition: {a!r} * {b!r} missing"
+                with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                    FiniteSemigroup(order)
 
 
 class TestUnitIndices:
