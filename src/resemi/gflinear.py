@@ -178,6 +178,12 @@ class GFMatrix:
             tuple(sum(map(operator.mul, v, col)) % p for col in cols) for v in points
         )
 
+    def from_code(self, code: tuple) -> "GFMatrix":
+        """The matrix over this GF(p), of this size, whose point code (its
+        rows) is ``code``, unchecked: a closure makes each new element from
+        the code it gathered."""
+        return GFMatrix._unchecked(self.p, self.rows, self.cols, code)
+
 
 def mat_compose(f: GFMatrix, g: GFMatrix) -> GFMatrix:
     """Matrix product F.G; under the row action this is f-then-g."""

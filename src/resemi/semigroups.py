@@ -5,28 +5,33 @@ maps of points: the points of X, or the vectors of GF(p)^n.  Each element
 gives a *point code*, the images of the points that determine it
 (``Transformation.map``, or a matrix's rows), and a *point action*, its
 images of any given points; the code of ``a * b`` is b's action on a's
-code.  Every semigroup carries its full Cayley table, built in one
-Froidure-Pin pass (Froidure & Pin 1997) from integer tuples alone.  The
-points occurring in the codes are numbered, and the generators are taken
-greedily in descending rank, the number of distinct entries of the code
-(|im f| for a transformation, the distinct rows of a matrix), ties in
-element order: an element is one when the closure of the ones taken
-before it lacks it.  Only the generators' actions are taken, and each
-edge x -> x * g of the right Cayley graph is gathered from x's numbered
-code.  A breadth-first spanning tree of that graph writes every other
-element as x * g with x earlier, so the generators' rows are read along
-it and every other row is one C-level gather of earlier rows,
-row(x * g) = row(x) after row(g).  The table holds element indices, so
-it depends on neither the numbering nor the generators taken, only on
-the element order; only points that occur in codes
-are used, never all of GF(p)^n.  Every oracle then runs on
-small-integer indices, and each table answers each oracle question once:
-it keeps, per element mode, every element's first partner index in a
-compact integer array made on first ask (``FiniteSemigroup.partner``, the
-one search), and per semigroup mode its verdict (``semigroup_oracle``).
-A refusal (an unknown mode, "identity required", a non-member) is raised
-on every ask and never kept.
-A semigroup of more than ``TABLE_CAP`` elements is refused with
+code.  Every semigroup carries its full Cayley table, built from integer
+tuples alone by a Froidure-Pin pass (Froidure & Pin 1997) that finds the
+right Cayley graph, the index of x * g for every element x and generator
+g, and a breadth-first spanning tree of it, which writes every element
+but a generator as x * g with x earlier.  The generators' rows are read
+along the tree and every other row is one C-level gather of earlier
+rows, row(x * g) = row(x) after row(g) (``_fill_rows``, the one row
+fill).  A closure is such a pass: ``closure_elements`` gathers the code
+of each x * g from x's code through g's images of points, makes each new
+element from its code, and returns its order with the graph
+(``Closure``), from which ``FiniteSemigroup`` fills the rows.  Given an
+element list instead, the points occurring in its codes are numbered, and
+the generators are taken greedily in descending rank, the number of
+distinct entries of the code (|im f| for a transformation, the distinct
+rows of a matrix), ties in element order: an element is one when the
+closure of the ones taken before it lacks it.  Only the generators'
+actions are taken, and each edge x -> x * g is gathered from x's numbered
+code.  The table holds element indices, so it depends on neither the
+numbering nor the generators taken, only on the element order; only
+points that occur in codes are used, never all of GF(p)^n.  Every oracle
+then runs on small-integer indices, and each table answers each oracle
+question once: it keeps, per element mode, every element's first partner
+index in a compact integer array made on first ask
+(``FiniteSemigroup.partner``, the one search), and per semigroup mode its
+verdict (``semigroup_oracle``).  A refusal (an unknown mode, "identity
+required", a non-member) is raised on every ask and never kept.  A
+semigroup of more than ``TABLE_CAP`` elements is refused with
 ``SizeCapExceeded``, and so are closures and builds that would exceed it.
 """
 
@@ -85,9 +90,10 @@ def _check_same_kind(elements) -> None:
 
 
 def _cayley_table(elems: list, index: dict) -> list:
-    """The Cayley table of ``elems`` by one Froidure-Pin pass (module
-    docstring); a missing product is named as the first pair in
-    row-major order, found by object products."""
+    """The Cayley table of an element list: its generators found greedily
+    in descending rank, with the right Cayley graph and a spanning tree
+    (module docstring), then ``_fill_rows``.  A missing product is named
+    as the first pair in row-major order, found by object products."""
     m = len(elems)
     # Number the points that occur in the elements' point codes.  A closed
     # semigroup maps them into themselves, so a point sent outside them
@@ -139,14 +145,22 @@ def _cayley_table(elems: list, index: dict) -> list:
                 if letter[y] is None:
                     parent[y], letter[y] = x, g
                     order.append(y)
+    del gathers, index_of_code  # freed before the bulk of the table is made
+    return _fill_rows(gens, right, [(y, parent[y], letter[y]) for y in order])
+
+
+def _fill_rows(gens, right, tree) -> list:
+    """The Cayley table from a right Cayley graph and a spanning tree of
+    it, the one row fill of every table.  ``right[h][x]`` is the index of
+    x * gens[h]; ``tree`` lists (y, x, h) with y = x * gens[h], or x = -1
+    for y = gens[h] itself, parents before children."""
+    m = len(tree)
     table = [None] * m
-    tree = [(y, parent[y], letter[y]) for y in order]
-    for e in gens:  # e * y = (e * parent[y]) * gens[letter[y]]
+    for e in gens:  # e * y = (e * x) * gens[h]
         row = [0] * m + [e]  # parent -1 reads e
         for y, x, h in tree:
             row[y] = right[h][row[x]]
         table[e] = row[:m]
-    del gathers, index_of_code, right  # freed before the bulk of the table is made
     # row(x * g) = row(x) after row(g): one getter per generator row, whose
     # tuple lists at its exact length
     after = [itemgetter(*table[e]) for e in gens]
@@ -160,29 +174,38 @@ class FiniteSemigroup:
     """Explicit finite semigroup: a duplicate-free element list closed
     under ``a * b``.
 
-    Closure is verified at construction (the verification doubles as the
-    Cayley-table build, which gathers point codes and multiplies elements
-    only to name a missing product).  More than ``TABLE_CAP`` distinct
-    elements are refused.  A two-sided identity is detected by scan, never
-    assumed.  Instances are immutable after construction and safe to
-    share.
+    Made from a ``Closure``, its rows are filled along the right Cayley
+    graph the closure's pass found, with no point numbered or action
+    taken again.  Made from any other element list, closure is verified
+    at construction (the verification doubles as the Cayley-table build,
+    which gathers point codes and multiplies elements only to name a
+    missing product), and more than ``TABLE_CAP`` distinct elements are
+    refused.  A two-sided identity is detected by scan, never assumed.
+    Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, elements) -> None:
-        elems = []
-        index: dict = {}
-        for el in elements:
-            if el not in index:
-                index[el] = len(elems)
-                elems.append(el)
-        if not elems:
-            raise ValueError("a semigroup needs at least one element")
-        if len(elems) > TABLE_CAP:
-            raise SizeCapExceeded("size cap exceeded")
-        _check_same_kind(elems)
+        if isinstance(elements, Closure):  # duplicate-free, of one kind, within TABLE_CAP
+            elems = elements
+            index = dict(zip(elems, range(len(elems))))
+            table = _fill_rows(range(len(elems.right)), elems.right,
+                               list(zip(range(len(elems)), elems.parent, elems.letter)))
+        else:
+            elems = []
+            index = {}
+            for el in elements:
+                if el not in index:
+                    index[el] = len(elems)
+                    elems.append(el)
+            if not elems:
+                raise ValueError("a semigroup needs at least one element")
+            if len(elems) > TABLE_CAP:
+                raise SizeCapExceeded("size cap exceeded")
+            _check_same_kind(elems)
+            table = _cayley_table(elems, index)
         self.elements = tuple(elems)
         self._index = index
-        self.table = _cayley_table(elems, index)
+        self.table = table
         self.identity_index = self._find_identity()
         self._partners: dict = {}  # element mode -> first partner per element
         self._verdicts: dict = {}  # semigroup mode -> ``semigroup_oracle`` verdict
@@ -309,15 +332,39 @@ class FiniteSemigroup:
         return -1
 
 
-def closure_elements(gens) -> list:
-    """Closure of the generators as an ordered element list.
+class Closure(list):
+    """The closure of some generators as its element list, in
+    ``closure_elements`` order, with the right Cayley graph its pass
+    found.  The generators are its first ``len(right)`` elements, and
+    ``right[h][x]`` is the index of x * generator h.  Every later element
+    y was first met as ``parent[y] * generator letter[y]``, with parent[y]
+    < y (a generator h has parent -1 and letter h): the spanning tree that
+    ``FiniteSemigroup`` fills its rows along.  The graph describes the list
+    as returned, so the list is not to be changed."""
+
+    __slots__ = ("right", "parent", "letter")
+
+    def __init__(self, elements, right, parent, letter) -> None:
+        super().__init__(elements)
+        self.right, self.parent, self.letter = right, parent, letter
+
+    def key(self) -> frozenset:
+        """Order-free identity of the closure (its element set), as
+        ``FiniteSemigroup.key``."""
+        return frozenset(self)
+
+
+def closure_elements(gens) -> Closure:
+    """Closure of the generators as an ordered element list, in one
+    Froidure-Pin pass that also records its right Cayley graph
+    (``Closure``).
 
     Breadth-first over words in the generators, ties within a level broken
     by textual form, so the order is reproducible.  The code of x * g is
     gathered from x's code through g's images of points, each taken once,
-    when a code first holds the point; only a product whose code is new
-    is multiplied out.  A closure of more than ``TABLE_CAP`` elements is
-    refused.
+    when a code first holds the point, and each new element is made from
+    its code (``from_code``); no element is multiplied out.  A closure of
+    more than ``TABLE_CAP`` elements is refused.
     """
     gens = list(gens)
     if not gens:
@@ -336,27 +383,36 @@ def closure_elements(gens) -> list:
 
     meet(first)
     steps = [image.__getitem__ for image in images]
+    make = first[0].from_code
     order = list(first)
-    known = {el.point_code() for el in order}
-    frontier = order
-    while frontier:
-        new = {}
-        for x in frontier:
-            code = x.point_code()
-            for g, step in zip(first, steps):
-                product_code = tuple(map(step, code))
-                if product_code not in known and product_code not in new:
-                    new[product_code] = x * g
-        if not new:
-            break
-        batch = sorted(new.values(), key=_element_text)
+    codes = [el.point_code() for el in order]
+    index = {code: k for k, code in enumerate(codes)}
+    right = [[] for _ in first]
+    parent, letter = [-1] * len(first), list(range(len(first)))
+    start = 0
+    while start < len(order):  # one level: the elements from ``start`` on
+        products = [[tuple(map(step, code)) for code in codes[start:]] for step in steps]
+        new = {}  # the code of each new product -> the (x, h) first met making it
+        for h, by_h in enumerate(products):
+            for x, code in enumerate(by_h, start):
+                if code not in index:
+                    new.setdefault(code, (x, h))
+        batch = sorted(map(make, new), key=_element_text)
         if len(order) + len(batch) > TABLE_CAP:
             raise SizeCapExceeded("size cap exceeded")
         meet(batch)
-        order.extend(batch)
-        known.update(new)
-        frontier = batch
-    return order
+        start = len(order)
+        for el in batch:
+            code = el.point_code()
+            x, h = new[code]
+            index[code] = len(order)
+            order.append(el)
+            codes.append(code)
+            parent.append(x)
+            letter.append(h)
+        for by_h, by_g in zip(products, right):
+            by_g.extend(map(index.__getitem__, by_h))
+    return Closure(order, right, parent, letter)
 
 
 def generate(gens) -> FiniteSemigroup:

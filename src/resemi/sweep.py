@@ -241,10 +241,14 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     number of subsemigroups, not of subsets; the list is in increasing
     index mask (the sum of 2^i over S's indices), each S's elements in
     index order.  It is refused past a 27-element base monoid, so T(3)
-    (1,298 subsemigroups) is listed and T(4) and L(GF(3)^2) are not.  A
-    seeded draw whose closure passes the Cayley table appears, in draw
-    order, as the record ``{"generators": [texts], "reason": ...}`` in
-    place of a semigroup."""
+    (1,298 subsemigroups) is listed and T(4) and L(GF(3)^2) are not.
+    Exhaustive entries are tabled ``FiniteSemigroup``s, shared by every
+    region of the size.  A seeded entry is a ``Closure``, the element list
+    with the right Cayley graph its pass found, and no table: each is
+    tabled only while its one instance runs (``_instances``), so the cache
+    keeps no seeded table.  A seeded draw whose closure passes the Cayley
+    table appears, in draw order, as the record ``{"generators": [texts],
+    "reason": ...}`` in place of a closure."""
     if source[0] == "exhaustive":
         base = _exhaustive_base(kind, base_size, p).build()
         return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
@@ -263,10 +267,10 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
         except SizeCapExceeded as exc:
             out.append({"generators": [g.to_text() for g in gens], "reason": str(exc)})
             continue
-        key = frozenset(elems)
+        key = elems.key()
         if key not in seen:
             seen.add(key)
-            out.append(FiniteSemigroup(elems))
+            out.append(elems)
     return tuple(out)
 
 
@@ -337,7 +341,10 @@ def _instances(plan: SweepPlan):
     (``FAMILIES``); a seeded draw refused at closure comes as (cell_key,
     its record).  The family chooses only the regions, the subsets Y of
     size |Y| or the subspaces W of dimension dim W, and the cell key that
-    seeds the draws on each."""
+    seeds the draws on each.  A seeded S is tabled as its instance is
+    yielded, from its closure's graph (``_tabled``), so only the running
+    instance's table is alive.  It is made here, outside
+    ``_run_instance``, so per-instance times do not count S's table."""
     family = FAMILIES[plan.family]
     for p, n, size in _sizes(plan):
         if plan.family == "transformation":
@@ -348,7 +355,14 @@ def _instances(plan: SweepPlan):
         for region in regions:
             cell = prefix + region.to_text()
             for s in enumerate_subsemigroups(plan.family, size, _cell_source(plan, cell), p=p):
-                yield cell, s if isinstance(s, dict) else family(region, s)
+                yield cell, s if isinstance(s, dict) else family(region, _tabled(s))
+
+
+def _tabled(s) -> FiniteSemigroup:
+    """An entry of ``enumerate_subsemigroups`` as a tabled semigroup: an
+    exhaustive one is tabled already, and a seeded closure is tabled now,
+    from its own Cayley graph, for the one instance that runs on it."""
+    return s if isinstance(s, FiniteSemigroup) else FiniteSemigroup(s)
 
 
 # -- per-instance checks ----------------------------------------------------

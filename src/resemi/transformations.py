@@ -74,6 +74,11 @@ class Transformation:
         """The image of each of ``points`` under f."""
         return tuple(map(self.map.__getitem__, points))
 
+    def from_code(self, code: tuple) -> "Transformation":
+        """The transformation whose point code is ``code``, unchecked: a
+        closure makes each new element from the code it gathered."""
+        return Transformation._unchecked(code)
+
 
 class IndexSubset:
     """Sorted, duplicate-free subset of {0, ..., n-1} with ambient size n."""

@@ -8,6 +8,7 @@ from itertools import islice, product
 
 import pytest
 
+from resemi import gflinear, semigroups, transformations
 from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
@@ -75,10 +76,14 @@ def full_l(p, n):
             for flat in product(range(p), repeat=n * n)]
 
 
-def random_closures(base, seed, count):
+def random_generators(base, seed, count):
     rng = random.Random(seed)
     for _ in range(count):
-        yield closure_elements([rng.choice(base) for _ in range(rng.randint(1, 3))])
+        yield [rng.choice(base) for _ in range(rng.randint(1, 3))]
+
+
+def random_closures(base, seed, count):
+    return map(closure_elements, random_generators(base, seed, count))
 
 
 def bfs_closure(gens):
@@ -92,17 +97,6 @@ def bfs_closure(gens):
         order += frontier
         known |= new
     return order
-
-
-def greedy_generators(elems):
-    """The generators a greedy pass in list order takes: each one the
-    closure of the earlier ones lacks."""
-    gens, closure = [], set()
-    for el in elems:
-        if el not in closure:
-            gens.append(el)
-            closure = set(closure_elements(gens))
-    return gens
 
 
 GATHER_BASES = [
@@ -121,7 +115,17 @@ class TestPointCodeTables:
             assert (a * b).point_code() == b.point_action(a.point_code())
 
     @pytest.mark.parametrize("name,base", GATHER_BASES, ids=[name for name, _ in GATHER_BASES])
-    def test_gathered_table_equals_object_products(self, name, base):
+    def test_gathered_table_equals_object_products(self, name, base, monkeypatch):
+        # the pass takes one point action per generator and no other
+        # (``TestGeneratorOrder``), so counting actions counts generators
+        actions = []
+        point_action = type(base[0]).point_action
+
+        def counted(el, points):
+            actions.append(el)
+            return point_action(el, points)
+
+        monkeypatch.setattr(type(base[0]), "point_action", counted)
         rng = random.Random(f"shuffle:{name}")
         several = 0
         for elems in random_closures(base, name, 12):
@@ -131,14 +135,15 @@ class TestPointCodeTables:
             shuffled = rng.sample(range(m), m)
             for perm in (range(m), range(m - 1, -1, -1), shuffled):
                 order = [elems[i] for i in perm]
+                actions.clear()
                 s = FiniteSemigroup(order)
                 assert list(s.elements) == order
                 pos = [0] * m
                 for k, i in enumerate(perm):
                     pos[i] = k
                 assert s.table == [[pos[table[i][j]] for j in perm] for i in perm]
-            several += len(greedy_generators([elems[i] for i in shuffled])) > 1
-        # the shuffled lists make the greedy pass take several generators
+            several += len(actions) > 1  # the generators taken on the shuffled list
+        # the shuffled lists make the pass take several generators
         assert several >= (4 if len(base) > 2 else 0)
 
     def test_table_does_not_depend_on_earlier_builds(self):
@@ -354,6 +359,85 @@ class TestGenerate:
         first = closure_elements(gens)
         second = closure_elements(list(reversed(gens)))
         assert first == second
+
+
+def one_pass_closures():
+    """(name, generators, closure): full T(3), L(GF(2)^2) and L(GF(3)^2),
+    each from a unit group's generators and one idempotent of rank n - 1,
+    and the eight seeded closures of ``TestStoredAnswers``."""
+    for name, gens, order in (
+        ("T(3)", [Transformation([1, 2, 0]), Transformation([1, 0, 2]), Transformation([0, 0, 2])], 27),
+        *[(f"L(GF({p})^2)", [GFMatrix(p, [[1, 1], [0, 1]]), GFMatrix(p, [[0, 1], [1, 0]]),
+                             GFMatrix(p, [[1, 0], [0, 0]])], p ** 4) for p in (2, 3)],
+    ):
+        closure = closure_elements(gens)
+        assert len(closure) == order  # all of the full monoid
+        yield name, gens, closure
+    t4 = [Transformation(t) for t in product(range(4), repeat=4)]
+    for base_name, base in (("T(4)", t4), ("L(GF(2)^3)", full_l(2, 3))):
+        for k, gens in enumerate(random_generators(base, f"store:{base_name}", 4)):
+            yield f"{base_name} closure {k}", gens, closure_elements(gens)
+
+
+ONE_PASS_CLOSURES = list(one_pass_closures())
+
+
+@pytest.mark.parametrize("name,gens,closure", ONE_PASS_CLOSURES,
+                         ids=[name for name, *_ in ONE_PASS_CLOSURES])
+class TestOnePass:
+    """A closure is one Froidure-Pin pass: its order, its right Cayley
+    graph and, from that graph, its Cayley table."""
+
+    def test_table_from_the_graph_equals_the_list_table_and_products(self, name, gens, closure):
+        s = FiniteSemigroup(closure)
+        assert list(s.elements) == closure
+        index = {el: k for k, el in enumerate(closure)}
+        assert s.table == FiniteSemigroup(list(closure)).table
+        assert s.table == [[index[a * b] for b in closure] for a in closure]
+
+    def test_table_from_the_graph_takes_no_point_action(self, name, gens, closure, monkeypatch):
+        monkeypatch.setattr(type(closure[0]), "point_action",
+                            lambda *args: pytest.fail("a point action was taken"))
+        assert len(FiniteSemigroup(closure).table) == len(closure)
+
+    def test_graph_and_tree_are_products(self, name, gens, closure):
+        index = {el: k for k, el in enumerate(closure)}
+        first = closure[:len(closure.right)]
+        assert first == sorted(set(gens), key=lambda el: el.to_text())
+        for g, by_g in zip(first, closure.right):
+            assert by_g == [index[x * g] for x in closure]
+        for y, (x, h) in enumerate(zip(closure.parent, closure.letter)):
+            if y < len(first):
+                assert (x, h) == (-1, y)
+            else:
+                assert 0 <= x < y and closure[x] * first[h] == closure[y]
+
+    def test_closure_makes_no_element_product(self, name, gens, closure, monkeypatch):
+        products = []
+        for module, attr in ((transformations, "compose"), (gflinear, "mat_compose")):
+            monkeypatch.setattr(module, attr, lambda f, g, make=getattr(module, attr):
+                                products.append((f, g)) or make(f, g))
+        assert closure_elements(gens) == closure
+        assert products == []
+        # the wrappers count: one product, read in the graph
+        assert closure[0] * closure[0] == closure[closure.right[0][0]] and len(products) == 1
+
+    def test_order_equals_object_product_bfs(self, name, gens, closure):
+        assert closure == bfs_closure(gens)
+
+
+def test_closure_past_the_table_fills_no_row(monkeypatch):
+    filled = []
+    fill = semigroups._fill_rows
+    monkeypatch.setattr(semigroups, "_fill_rows", lambda *args: filled.append(args) or fill(*args))
+    # T(6) has 46,656 elements; the pass stops once it passes TABLE_CAP
+    gens = [Transformation([1, 2, 3, 4, 5, 0]), Transformation([1, 0, 2, 3, 4, 5]),
+            Transformation([0, 0, 2, 3, 4, 5])]
+    with pytest.raises(SizeCapExceeded, match="size cap exceeded"):
+        generate(gens)
+    assert filled == []
+    generate(gens[:2])  # Sym(6), 720 elements: its rows are filled
+    assert len(filled) == 1
 
 
 def idempotents_units(s):

@@ -3,6 +3,7 @@ runs, report determinism and serialization."""
 
 import json
 import time
+import weakref
 from itertools import product
 
 import pytest
@@ -401,7 +402,7 @@ def old_unit_group(s):
 def test_unit_group_matches_old_definition(kind, size, p, source):
     subs = enumerate_subsemigroups(kind, size, source, p)
     positives = 0
-    for s in subs:
+    for s in map(sweep._tabled, subs):  # tabled as ``_instances`` tables them
         if kind == "transformation":
             inst = TInstance(IndexSubset(size, range(size)), s)
         else:
@@ -443,6 +444,43 @@ class TestRefusedDraws:
     def test_enumeration_keeps_draw_order(self):
         subs = enumerate_subsemigroups("transformation", 6, ("seeded", 4, "233:t:6:0,1,2,3,4,5"))
         assert [isinstance(s, dict) for s in subs] == [False, True, False, False]
+
+
+def test_only_the_running_instance_table_is_alive(monkeypatch):
+    # a seeded cell's closures are kept as element lists with their
+    # graphs, and each S is tabled only for its own instance: while an
+    # instance runs, its S and its build are the only tables alive
+    tables = []  # a weak reference to every table made
+    most = []  # the tables alive each time one is made
+    init = FiniteSemigroup.__init__
+
+    def alive():
+        return [s for s in (ref() for ref in tables) if s is not None]
+
+    def tracked(self, elements):
+        init(self, elements)
+        tables.append(weakref.ref(self))
+        most.append(len(alive()))
+
+    run_instance = sweep._run_instance
+    ran = []  # per instance: |S|, and whether each table alive is S, before and after
+
+    def checked(plan, rep, inst, *args):
+        before = [s is inst.prescribed for s in alive()]
+        run_instance(plan, rep, inst, *args)
+        ran.append((len(inst.prescribed), before, [s is inst.prescribed for s in alive()]))
+
+    monkeypatch.setattr(FiniteSemigroup, "__init__", tracked)
+    monkeypatch.setattr(sweep, "_run_instance", checked)
+    rep = run_sweep(SweepPlan(family="transformation", ns=(3,), subset_sizes=(2, 3),
+                              source=("seeded", 12, "lifetime"),
+                              modes=("regular", "inverse", "unit_regular")))
+    assert rep.clean and rep.instances_run == len(ran) > 12
+    assert max(size for size, *_ in ran) > 1
+    assert all(before == after == [True] for _, before, after in ran)
+    # the running instance's S and its build; the next S is made while
+    # the last instance is still bound
+    assert max(most) == 2
 
 
 def test_blank_pn_part_skipped(capsys):
