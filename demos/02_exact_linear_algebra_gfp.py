@@ -40,7 +40,7 @@ print("U + W =", u.sum(w).basis, " U meet W dim =", u.intersect(w).dim,
 
 # every subspace of GF(2)^3, one canonical basis each
 print("\nsubspaces of GF(2)^3 by dimension:",
-      [len(all_subspaces(2, 3, d)) for d in range(4)])
+      [len(list(all_subspaces(2, 3, d))) for d in range(4)])
 
 # restriction to an invariant subspace = coordinate matrix in W's basis
 g = GFMatrix(2, [[1, 0], [1, 1]])

@@ -28,15 +28,16 @@ among them, and ``GFMatrix.rank`` is the dimension of the interned row
 space (``image_space``).  ``Subspace.__init__``, ``mat_compose`` and
 ``_rref_rows`` are not memoised.  The brute-force oracles read only
 Cayley tables, so no verdict they give rests on a memo.  Besides these
-four, ``linear_semigroup`` keeps four memos of the same bound for the
+four, ``linear_semigroup`` keeps three memos of the same bound for the
 parts of its element record that read only subspaces (the transversal
-check, the unit rows completing a span, a map on W lifted to ambient
-rows and the inverse of W's basis followed by a completion to V).
+check, the unit rows completing a span and the inverse of W's basis
+followed by a completion to V).
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -545,11 +546,10 @@ def all_vectors(p: int, n: int) -> list[tuple]:
     return list(product(range(p), repeat=n))
 
 
-def all_subspaces(p: int, n: int, dim: int | None = None) -> list[Subspace]:
-    """Canonical subspaces of GF(p)^n, enumerated by pivot pattern then
-    free entries; deterministic order."""
+def all_subspaces(p: int, n: int, dim: int | None = None) -> Iterator[Subspace]:
+    """Canonical subspaces of GF(p)^n, generated one at a time by pivot
+    pattern then free entries; deterministic order."""
     dims = range(n + 1) if dim is None else [dim]
-    out = []
     for d in dims:
         for pivots in combinations(range(n), d):
             pivot_set = set(pivots)
@@ -565,5 +565,4 @@ def all_subspaces(p: int, n: int, dim: int | None = None) -> list[Subspace]:
                     rows[i][c] = 1
                 for (i, j), v in zip(free_pos, vals):
                     rows[i][j] = v
-                out.append(Subspace(p, n, rows))
-    return out
+                yield Subspace(p, n, rows)

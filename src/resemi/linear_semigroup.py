@@ -53,16 +53,15 @@ class ElementSubspaces:
     kept here: they are read from the memoised ``null_space(f)`` and the
     interned span ``W.sum(U)``.
 
-    The parts that read only subspaces, or only W and an element of S(W),
-    are looked up in module memos keyed on exactly what they read, since a
-    sweep meets the same few subspaces for many f: the transversal check
-    on (U, U meet W, N(f), W, rank f) (``_transversal_problem``); the unit
-    rows completing a span (``_complement_basis``); alpha, or a partner,
-    lifted to ambient rows on (W, alpha) (``_lift``); and the inverse of
-    a basis of V on (W, the rows after W's) (``_basis_inverse``).  Per
-    record remain B3, the transversal pair, the preimages in
-    ``regular_rows`` and ``unit_regular_rows``, and one product per
-    witness.
+    The parts that read only subspaces are looked up in module memos keyed
+    on exactly what they read, since a sweep meets the same few subspaces
+    for many f: the transversal check on (U, U meet W, N(f), W, rank f)
+    (``_transversal_problem``); the unit rows completing a span
+    (``_complement_basis``); and the inverse of a basis of V on (W, the
+    rows after W's) (``_basis_inverse``).  Per record remain B3, the
+    transversal pair, alpha or a partner lifted to ambient rows
+    (``_lift``), the preimages in ``regular_rows`` and
+    ``unit_regular_rows``, and one product per witness.
     """
 
     def __init__(self, w: Subspace, f: GFMatrix) -> None:
@@ -195,7 +194,6 @@ def _complement_basis(span: Subspace) -> tuple:
     return tuple(independent_extension(span.p, n, span.basis, unit_rows(n)))
 
 
-@lru_cache(maxsize=MEMO_BOUND)
 def _lift(w: Subspace, alpha: GFMatrix) -> tuple:
     """The coordinate matrix alpha lifted to ambient rows: the images of
     W's canonical basis under every map restricting to alpha (a

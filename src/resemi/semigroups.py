@@ -25,11 +25,11 @@ actions are taken, and each edge x -> x * g is gathered from x's numbered
 code.  The table holds element indices, so it depends on neither the
 numbering nor the generators taken, only on the element order; only
 points that occur in codes are used, never all of GF(p)^n.  Every oracle
-then runs on small-integer indices, and each table answers each oracle
-question once: it keeps, per element mode, every element's first partner
-index in a compact integer array made on first ask
-(``FiniteSemigroup.partner``, the one search), and per semigroup mode its
-verdict (``semigroup_oracle``).  A refusal (an unknown mode, "identity
+then runs on small-integer indices, and each table searches for each
+element's partner once: it keeps, per element mode, every element's first
+partner index in a compact integer array made on first ask
+(``FiniteSemigroup.partner``, the one search), which the semigroup verdicts
+(``semigroup_oracle``) read.  A refusal (an unknown mode, "identity
 required", a non-member) is raised on every ask and never kept.  A
 semigroup of more than ``TABLE_CAP`` elements is refused with
 ``SizeCapExceeded``, and so are closures and builds that would exceed it.
@@ -55,8 +55,8 @@ class PropertyVerdict:
     For a failed universally-quantified property the witness is a concrete
     failing element (or pair); for successful existential checks it is the
     found partner.  ``clause`` records which side of a characterization
-    fired, when that is meaningful.  Slotted, as every table keeps its
-    semigroup verdicts (``semigroup_oracle``).
+    fired, when that is meaningful.  Slotted, as a sweep makes one for
+    every theorem verdict it checks.
     """
 
     prop: str
@@ -208,7 +208,6 @@ class FiniteSemigroup:
         self.table = table
         self.identity_index = self._find_identity()
         self._partners: dict = {}  # element mode -> first partner per element
-        self._verdicts: dict = {}  # semigroup mode -> ``semigroup_oracle`` verdict
 
     # -- basics ---------------------------------------------------------
 
@@ -348,11 +347,6 @@ class Closure(list):
         super().__init__(elements)
         self.right, self.parent, self.letter = right, parent, letter
 
-    def key(self) -> frozenset:
-        """Order-free identity of the closure (its element set), as
-        ``FiniteSemigroup.key``."""
-        return frozenset(self)
-
 
 def closure_elements(gens) -> Closure:
     """Closure of the generators as an ordered element list, in one
@@ -467,15 +461,9 @@ def witness_problem(s: FiniteSemigroup, a, mode: str, w) -> str | None:
 
 
 def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
-    """Brute-force semigroup-level check; failure carries a witness.  Each
-    verdict is worked out once per table and kept; a refusal is not."""
-    verdict = s._verdicts.get(mode)
-    if verdict is None:
-        verdict = s._verdicts[mode] = _semigroup_search(s, mode)
-    return verdict
-
-
-def _semigroup_search(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
+    """Brute-force semigroup-level check; failure carries a witness.  The
+    element modes, and ``inverse`` through ``regular``, read the table's
+    kept partners (``FiniteSemigroup.partner``)."""
     if mode == "group":
         if not s.has_identity:
             return PropertyVerdict(mode, False, clause="no two-sided identity")

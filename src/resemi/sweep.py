@@ -37,16 +37,12 @@ SCHEMA_VERSION = 1
 # A plan's family names the instance class; both implement one interface.
 FAMILIES = {"transformation": tsg.TInstance, "linear": lsg.LInstance}
 
-# The checks every sweep makes.  A schema-1 report carries its plan, which
-# the determinism comparison and the recorded report digests read, so the
-# plan's JSON form keeps these keys, stating that each check ran.
-ALWAYS_RUN_CHECKS = {"definition_checks": True, "transversal_checks": True,
-                     "alpha_family_checks": True}
-
-# The plan's JSON form keeps the "size_cap" key of schema-1 reports, whose
-# plan block the determinism comparison and the recorded report digests
-# read.  Its value never bound a build: the Cayley table's TABLE_CAP does.
-SCHEMA1_SIZE_CAP = {"size_cap": 1_000_000}
+# The keys a schema-1 report's plan block holds besides the plan's fields,
+# which the determinism comparison and the recorded report digests read:
+# the checks every sweep makes, each stated as run, and a "size_cap" that
+# never bound a build (the Cayley table's TABLE_CAP does).
+SCHEMA1_PLAN_KEYS = {"definition_checks": True, "transversal_checks": True,
+                     "alpha_family_checks": True, "size_cap": 1_000_000}
 
 _EXHAUSTIVE_BASE_LIMIT = 27
 _DEFINITION_CHECK_LIMIT = 200
@@ -81,7 +77,7 @@ class SweepPlan:
 
     Every run makes the transversal, definition and alpha-family checks
     on every instance they apply to; no field turns them off
-    (``ALWAYS_RUN_CHECKS``).
+    (``SCHEMA1_PLAN_KEYS``).
     """
 
     family: str
@@ -128,19 +124,18 @@ class SweepPlan:
 
     def to_dict(self) -> dict:
         """JSON form: every field, tuples as lists, then the
-        ``ALWAYS_RUN_CHECKS`` and ``SCHEMA1_SIZE_CAP`` keys."""
+        ``SCHEMA1_PLAN_KEYS``."""
         return {**{f.name: _as_lists(getattr(self, f.name)) for f in fields(self)},
-                **ALWAYS_RUN_CHECKS, **SCHEMA1_SIZE_CAP}
+                **SCHEMA1_PLAN_KEYS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
         """Inverse of ``to_dict``; missing keys take their defaults.  The
-        ``ALWAYS_RUN_CHECKS`` and ``SCHEMA1_SIZE_CAP`` keys of a report's
-        plan block are read past, whatever their values; any other key is
-        refused, so a misspelled field cannot leave its default in force."""
+        ``SCHEMA1_PLAN_KEYS`` of a report's plan block are read past,
+        whatever their values; any other key is refused, so a misspelled
+        field cannot leave its default in force."""
         names = [f.name for f in fields(cls)]
-        unknown = [k for k in d if k not in names and k not in ALWAYS_RUN_CHECKS
-                   and k not in SCHEMA1_SIZE_CAP]
+        unknown = [k for k in d if k not in names and k not in SCHEMA1_PLAN_KEYS]
         if unknown:
             raise ValueError(f"unknown plan key {', '.join(map(repr, unknown))} "
                              f"(the fields are {', '.join(names)})")
@@ -242,13 +237,15 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     index mask (the sum of 2^i over S's indices), each S's elements in
     index order.  It is refused past a 27-element base monoid, so T(3)
     (1,298 subsemigroups) is listed and T(4) and L(GF(3)^2) are not.
-    Exhaustive entries are tabled ``FiniteSemigroup``s, shared by every
-    region of the size.  A seeded entry is a ``Closure``, the element list
-    with the right Cayley graph its pass found, and no table: each is
-    tabled only while its one instance runs (``_instances``), so the cache
-    keeps no seeded table.  A seeded draw whose closure passes the Cayley
-    table appears, in draw order, as the record ``{"generators": [texts],
-    "reason": ...}`` in place of a closure."""
+    Exhaustive entries are tabled ``FiniteSemigroup``s, shared, with the
+    partners they keep, by every region of the size.  A seeded entry is a
+    ``Closure``, the element list with the right Cayley graph its pass
+    found, and no table: each is tabled only while its one instance runs
+    (``_instances``), so the cache keeps no seeded table.  Seeded closures
+    are deduplicated on their element set (``FiniteSemigroup.key``).  A
+    seeded draw whose closure passes the Cayley table appears, in draw
+    order, as the record ``{"generators": [texts], "reason": ...}`` in
+    place of a closure."""
     if source[0] == "exhaustive":
         base = _exhaustive_base(kind, base_size, p).build()
         return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
@@ -267,7 +264,7 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
         except SizeCapExceeded as exc:
             out.append({"generators": [g.to_text() for g in gens], "reason": str(exc)})
             continue
-        key = elems.key()
+        key = frozenset(elems)
         if key not in seen:
             seen.add(key)
             out.append(elems)

@@ -167,12 +167,10 @@ def image_kernel(f: Transformation):
     Kernel classes are returned sorted by their common image point, so
     they are positionally in bijection with the image members.
     """
-    fibers: dict[int, list[int]] = {}
-    for x in range(f.n):
-        fibers.setdefault(f.map[x], []).append(x)
-    image = sorted(fibers)
-    classes = tuple(tuple(fibers[v]) for v in image)
-    defect = [x for x in range(f.n) if x not in fibers]
+    by_image = fibers(f)
+    image = sorted(by_image)
+    classes = tuple(tuple(by_image[v]) for v in image)
+    defect = [x for x in range(f.n) if x not in by_image]
     return (
         IndexSubset(f.n, image),
         IndexSubset(f.n, defect),

@@ -234,7 +234,7 @@ def test_criterion_8_transversal_lemmas(sweep_reports):
     # choice independence, linear, exhaustive for p = 2 and n <= 2
     checked = 0
     for n in (1, 2):
-        spaces = all_subspaces(2, n)
+        spaces = list(all_subspaces(2, n))
         mats = [
             GFMatrix(2, [flat[i * n:(i + 1) * n] for i in range(n)], cols=n)
             for flat in product(range(2), repeat=n * n)

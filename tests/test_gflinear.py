@@ -44,8 +44,7 @@ from test_acceptance import CRITERION3_PLANS
 
 MEMOS = (_span_of, _intersect, null_space, _solve)
 # the linear element record's memos, keyed on the subspaces they read
-RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._lift,
-                lsg._basis_inverse)
+RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._basis_inverse)
 
 
 def all_matrices(p, n):
@@ -212,7 +211,7 @@ class TestSubspace:
             a.intersect(b)
 
     def test_modular_dimension_law_exhaustive_gf2_dim3(self):
-        spaces = all_subspaces(2, 3)
+        spaces = list(all_subspaces(2, 3))
         for a in spaces:
             for b in spaces:
                 assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
@@ -222,7 +221,7 @@ class TestSubspace:
         # and the sum is the span closure; each pair is met twice, so the
         # second answer comes from the memo
         for p, n in ((2, 3), (3, 2), (5, 2)):
-            spaces = all_subspaces(p, n)
+            spaces = list(all_subspaces(p, n))
             for _ in range(2):
                 for a in spaces:
                     for b in spaces:
@@ -235,7 +234,7 @@ class TestSubspace:
     def test_unchecked_constructor_equals_checked(self):
         # sum and intersect span their results through Subspace._unchecked
         for p, n in ((2, 3), (3, 2)):
-            spaces = all_subspaces(p, n)
+            spaces = list(all_subspaces(p, n))
             for a in spaces:
                 for b in spaces:
                     meet_rows = [a.from_coordinates(k[:a.dim])
@@ -256,8 +255,22 @@ class TestSubspace:
                 assert sub.contains(v) == (v in members)
 
     def test_subspace_counts_are_gaussian_binomials(self):
-        assert [len(all_subspaces(2, 3, d)) for d in range(4)] == [1, 7, 7, 1]
-        assert [len(all_subspaces(3, 2, d)) for d in range(3)] == [1, 4, 1]
+        assert [len(list(all_subspaces(2, 3, d))) for d in range(4)] == [1, 7, 7, 1]
+        assert [len(list(all_subspaces(3, 2, d))) for d in range(3)] == [1, 4, 1]
+
+    def test_subspaces_come_one_at_a_time(self, monkeypatch):
+        # the first of GF(2)^8's 200,787 four-dimensional subspaces is made
+        # alone, not after all the others
+        made = []
+        init = Subspace.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Subspace, "__init__", counted)
+        first = next(all_subspaces(2, 8, 4))
+        assert len(made) == 1 and first.basis == tuple(unit_rows(8)[:4])
 
     def test_coordinates_round_trip(self):
         sub = Subspace(3, 3, [[1, 0, 2], [0, 1, 1]])
@@ -282,7 +295,7 @@ def reference_extension(p, n, base_rows, candidates):
 class TestIndependentExtension:
     @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
     def test_equals_the_reference_on_canonical_bases(self, p, n):
-        spaces = all_subspaces(p, n)
+        spaces = list(all_subspaces(p, n))
         for a in spaces:
             for candidates in [b.basis for b in spaces] + [unit_rows(n)]:
                 added = independent_extension(p, n, a.basis, candidates)
@@ -424,7 +437,7 @@ class TestMemo:
                     assert v is None or f.apply(v) == target
 
     def test_hit_equals_uncached_result(self):
-        spaces = all_subspaces(3, 2)
+        spaces = list(all_subspaces(3, 2))
         for f in all_matrices(3, 2)[::7]:
             assert null_space(f) is null_space(f) == null_space.__wrapped__(f)
             for t in all_vectors(3, 2):
@@ -453,9 +466,8 @@ class TestMemo:
                 calls = [
                     (lsg._transversal_problem, (tr.u, tr.u_meet_w, null_space(f), w, rec.rf.dim)),
                     (lsg._complement_basis, (w.sum(tr.u),)),
-                    (lsg._lift, (w, rec.alpha)),
                     (lsg._basis_inverse, (w, sum(rec.beyond_w, ()))),
-                ] + [(lsg._lift, (w, partner)) for partner in l_w[::5]]
+                ]
                 for memo, args in calls:
                     hit = memo(*args)
                     assert memo(*args) is hit == memo.__wrapped__(*args)
@@ -583,7 +595,7 @@ class TestCanonicalTransversalSubspace:
     def test_choice_independence_exhaustive_gf2(self):
         # every valid transversal subspace gives the same complement codim
         for n in (1, 2, 3):
-            spaces = all_subspaces(2, n)
+            spaces = list(all_subspaces(2, n))
             for f in all_matrices(2, n):
                 ns = null_space(f)
                 for w in invariant_subspaces(f):

@@ -684,7 +684,6 @@ STORE_TABLES = list(store_tables())
 def forget(s):
     """Drop every answer s keeps, so that s answers as a fresh table."""
     s._partners.clear()
-    s._verdicts.clear()
 
 
 def modes_of(s):

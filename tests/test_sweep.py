@@ -23,7 +23,7 @@ from resemi.semigroups import (
     semigroup_oracle,
 )
 from resemi.sweep import (
-    ALWAYS_RUN_CHECKS,
+    SCHEMA1_PLAN_KEYS,
     SweepPlan,
     FAMILIES,
     SweepReport,
@@ -127,9 +127,9 @@ class TestEnumerateSubsemigroups:
         a = enumerate_subsemigroups("transformation", 3, ("seeded", 25, "s1"))
         b = enumerate_subsemigroups("transformation", 3, ("seeded", 25, "s1"))
         c = enumerate_subsemigroups("transformation", 3, ("seeded", 25, "s2"))
-        assert [s.key() for s in a] == [s.key() for s in b]
-        assert [s.key() for s in a] != [s.key() for s in c]
-        keys = [s.key() for s in a]
+        assert [frozenset(s) for s in a] == [frozenset(s) for s in b]
+        assert [frozenset(s) for s in a] != [frozenset(s) for s in c]
+        keys = [frozenset(s) for s in a]
         assert len(keys) == len(set(keys))  # deduplicated
 
 
@@ -186,15 +186,16 @@ class TestRunSweep:
         # the second definitions read only the table, so a kept answer that
         # is wrong disagrees with them
         t2 = FiniteSemigroup([Transformation(t) for t in product(range(2), repeat=2)])
-        assert sweep._definition_failures(t2) == []  # every answer asked and kept
-        assert semigroup_oracle(t2, "inverse").holds is False
-        assert t2.partner(0, "completely_regular") >= 0
-        t2._verdicts["inverse"] = PropertyVerdict("inverse", True)
+        sym2 = FiniteSemigroup([Transformation((0, 1)), Transformation((1, 0))])
+        for s in (t2, sym2):
+            assert sweep._definition_failures(s) == []  # every answer asked and kept
+        assert semigroup_oracle(sym2, "inverse").holds is True
+        assert sym2.partner(1, "regular") >= 0 and t2.partner(0, "completely_regular") >= 0
+        sym2._partners["regular"][1] = -1  # inverse reads regular's partners
         t2._partners["completely_regular"][0] = -1
+        assert sweep._definition_failures(sym2) == ["inverse definitions disagree (False vs True)"]
         assert sweep._definition_failures(t2) == [
-            "inverse definitions disagree (True vs False)",
-            "completely-regular definitions disagree on 0,0 (False vs True)",
-        ]
+            "completely-regular definitions disagree on 0,0 (False vs True)"]
 
     def test_element_cap_zero_disables_element_level(self):
         plan = SweepPlan(
@@ -320,10 +321,11 @@ class TestDeterminismAndSerialization:
 
     def test_plan_states_the_checks_every_sweep_runs(self, capsys, tmp_path):
         plan = SweepPlan(family="linear", pns=((2, 2),), subset_sizes=(1,))
-        assert {k: plan.to_dict()[k] for k in ALWAYS_RUN_CHECKS} == {
+        checks = [k for k in SCHEMA1_PLAN_KEYS if k.endswith("_checks")]
+        assert {k: plan.to_dict()[k] for k in checks} == {
             "definition_checks": True, "transversal_checks": True, "alpha_family_checks": True}
         # a plan file that sets one of them false still runs that check
-        for name in ALWAYS_RUN_CHECKS:
+        for name in checks:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({**plan.to_dict(), name: False}))
             assert main(["sweep", "--input", str(path), "--format", "json"]) == 0
