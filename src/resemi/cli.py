@@ -21,9 +21,11 @@ an unknown one go through.
 
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
-selects no instance), 3 a build or a ``--gens`` closure past the Cayley
-table's ``TABLE_CAP`` elements, the only bound on work (also a sweep all
-of whose selected instances are; the report is printed first), 4 when a
+selects no instance), 3 work past a stated bound, refused with one line
+naming it: a build or a ``--gens`` closure past the Cayley table's
+``TABLE_CAP`` elements (also a sweep all of whose selected instances
+are; the report is printed first), an exhaustive sweep past its
+27-element base, or a seeded linear sweep past the closure budget, 4 when a
 predicate and its oracle disagree, when ``element`` prints a theorem
 witness that fails its check (run with or without the oracle), or when a
 sweep reports any mismatch.
@@ -36,7 +38,7 @@ import json
 import sys
 
 from .family import parse_ints, parse_rows
-from .semigroups import TABLE_CAP, SizeCapExceeded, element_oracle, semigroup_oracle
+from .semigroups import SizeCapExceeded, element_oracle, semigroup_oracle
 from .sweep import FAMILIES, SweepPlan, run_sweep
 
 EXIT_OK = 0
@@ -154,19 +156,16 @@ def _cmd_classify(args) -> int:
             raise ValueError("element command needs --f")
         f = inst.parse_element(args.f)
         inst.record(f)  # an f outside the instance is refused before the build
-        modes, witness_key = inst.ELEMENT_MODES, "theorem_witness"
+        level, modes, witness_key = "element", inst.ELEMENT_MODES, "theorem_witness"
         theorem = lambda mode: inst.thm_element(f, mode)
         oracle = lambda build, mode: element_oracle(build, f, mode)
         witness_problem = lambda mode, w: inst.witness_problem(f, w, mode)
     else:
-        modes, witness_key = inst.SEMIGROUP_MODES, "witness"
+        level, modes, witness_key = "semigroup", inst.SEMIGROUP_MODES, "witness"
         theorem, oracle = inst.thm_semigroup, semigroup_oracle
         witness_problem = lambda mode, w: None
-    for mode in args.mode or ():
-        if mode not in modes:
-            raise ValueError(f"mode {mode!r} not available for family {inst.key()['kind']!r}")
-        if mode == "unit_regular" and not inst.has_identity:
-            raise ValueError("identity required")
+    for mode in args.mode or ():  # refused before the build
+        inst.check_mode(mode, level)
     modes = args.mode or inst.decidable(modes)
     build = None if args.no_oracle else inst.build()
     results = []
@@ -353,8 +352,7 @@ def main(argv=None) -> int:
             raise ValueError("'--' is not an option value")
         return args.fn(args)
     except SizeCapExceeded as exc:
-        print(f"error: {exc}: more than {TABLE_CAP} elements, the Cayley table's TABLE_CAP",
-              file=sys.stderr)
+        print(f"error: {exc}: {exc.bound}", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

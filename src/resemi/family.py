@@ -1,8 +1,8 @@
 """What the two restriction-constrained families share: the instance
-interface, the inline grammar, the build and its size, the regular,
-unit-regular and inverse semigroup theorems, the per-region store of
-elements and their records, the element theorem and the product check of
-its witnesses.
+interface and its one mode rule, the inline grammar, the build and its
+size, the four semigroup theorems, the per-region store of elements and
+their records, the element theorem and the product check of its
+witnesses.
 
 The paper proves the element theorems for T_S(Y)(X) and L_S(W)(V) in one
 shape: f is regular iff its restriction is regular in the prescribed
@@ -11,8 +11,9 @@ restriction is unit-regular there, the trace matches and the complements
 of a compatible transversal pair balance.  ``element_verdict`` states
 that shape once; each family supplies only its record of f (the
 restriction, the trace test, the complement sizes and the witness
-assembly) and its words for the clauses.  The regular, unit-regular and
-inverse semigroup theorems share one shape too (``semigroup_verdict``),
+assembly) and its words for the clauses.  All four semigroup theorems
+share one shape too, a property of the prescribed semigroup and either
+"the region is everything" or a small clause (``semigroup_verdict``),
 and so do both builds (``build``): one block for each alpha in the
 prescribed semigroup, holding one element for each choice of images of
 the points outside the region, in the order ``element_at`` numbers from
@@ -37,6 +38,9 @@ from .semigroups import (
     semigroup_oracle,
 )
 
+# The words of the modes in clauses, where they differ from the mode's name.
+LABELS = {"unit_regular": "unit-regular", "completely_regular": "completely regular"}
+
 
 class RestrictedInstance:
     """A region (Y or W) of an ambient space and a closed semigroup S(Y) or
@@ -53,25 +57,26 @@ class RestrictedInstance:
     (the instance over an empty region, whose build is all of T(size) or
     L(GF(p)^size)), ``key()``, ``parse_element(text)``
     (the element ``text`` spells in the inline grammar),
-    ``decidable(modes)``, ``expected_size()``, ``exceeds(bound)``, ``build()``,
-    ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)`` and
-    ``witness_problem(f, w, mode)``.
+    ``decidable(modes)``, ``check_mode(mode, level)``, ``expected_size()``,
+    ``exceeds(bound)``, ``build()``, ``thm_semigroup(mode)``,
+    ``thm_element(f, mode)``, ``record(f)`` and ``witness_problem(f, w,
+    mode)``.
 
     A subclass names its record class (``RECORD``, whose ``alpha`` is the
     restriction of an element to the region), its unit test
     (``is_unit``), whether an element lives in its ambient space
-    (``in_ambient``), and the words of its clauses and messages.  For the
-    inverse theorem it names the ambient size ``SMALL_N`` at which the
-    region need not be everything, and that clause's words ``SMALL``.  For
-    the build it gives the points outside the region whose images, with
-    the restriction alpha, determine an element (``codim`` of them: the
-    points of X \\ Y, or a basis of a complement of W), the ``radix`` and
-    ``width`` that number the possible images (one digit below |X|, or n
-    digits below p, so ``point_count`` = radix^width images: |X| points,
-    or p^n vectors), image number d (``point(d)``, worked out from d
-    alone, so a draw from a large space lists none of it) and the one
-    element restricting to alpha with the given images
-    (``extend(alpha, images)``).
+    (``in_ambient``), and the words of its clauses and messages, among
+    them ``CODIM_ONE``, codimension 1.  For the inverse theorem it names
+    the ambient size ``SMALL_N`` at which the region need not be
+    everything, and that clause's words ``SMALL``.  For the build it gives
+    the points outside the region whose images, with the restriction
+    alpha, determine an element (``codim`` of them: the points of X \\ Y,
+    or a basis of a complement of W), the ``radix`` and ``width`` that
+    number the possible images (one digit below |X|, or n digits below p,
+    so ``point_count`` = radix^width images: |X| points, or p^n vectors),
+    image number d (``point(d)``, worked out from d alone, so a draw from
+    a large space lists none of it) and the one element restricting to
+    alpha with the given images (``extend(alpha, images)``).
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -99,6 +104,17 @@ class RestrictedInstance:
         semigroup has no identity: neither that theorem nor its oracle
         applies then."""
         return [m for m in modes if m != "unit_regular" or self.has_identity]
+
+    def check_mode(self, mode: str, level: str) -> None:
+        """The one rule for the modes an instance answers at ``level``
+        ("semigroup" or "element"): one outside the family's
+        ``SEMIGROUP_MODES`` or ``ELEMENT_MODES`` is refused by name, and so
+        is ``unit_regular``, which ``decidable`` drops, without the
+        identity."""
+        if mode not in (self.ELEMENT_MODES if level == "element" else self.SEMIGROUP_MODES):
+            raise ValueError(f"unknown {level} mode {mode!r} for {self.FAMILY}")
+        if mode == "unit_regular" and not self.has_identity:
+            raise ValueError("identity required")
 
     def expected_size(self) -> int:
         """|S| * point_count^codim, the size of the build."""
@@ -221,36 +237,36 @@ def build(inst: RestrictedInstance) -> FiniteSemigroup:
 
 
 def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
-    """The regular, unit-regular and inverse semigroup theorems of both
-    families, from the instance's data alone.  The build is regular or
-    unit-regular iff S is a subgroup of the region's unit group (Sym(Y) or
-    Aut(W); for unit-regular the complement of the region is finite here
-    by construction), or S has the property and the region is everything.
-    It is inverse iff S is inverse and the region is everything or the
-    ambient size is ``SMALL_N`` (|X| = 2 or dim V = 1); the
-    transformation family's empty Y is its own case
-    (``thm_semigroup_t``)."""
-    if mode == "inverse":
-        inverse = semigroup_oracle(inst.prescribed, mode).holds
-        if inverse and (inst.codim == 0 or inst.n == inst.SMALL_N):
-            shape = inst.WHOLE if inst.codim == 0 else inst.SMALL
-            return PropertyVerdict(mode, True, clause=f"{inst.PRESCRIBED} inverse and {shape}")
-        clause = (f"{inst.PRESCRIBED} not inverse" if not inverse
-                  else f"{inst.WHOLE} and {inst.SMALL}".replace(" = ", " != "))
-        return PropertyVerdict(mode, False, clause=clause)
-    if mode not in ("regular", "unit_regular"):
-        raise ValueError(f"unknown semigroup mode {mode!r}")
-    if mode == "unit_regular" and not inst.has_identity:
-        raise ValueError("identity required")
-    if inst.unit_group:
-        clause = f"{inst.PRESCRIBED} is a subgroup of {inst.UNIT_GROUP}"
-        if mode == "unit_regular":
-            clause += f" and {inst.FINITE}"
-        return PropertyVerdict(mode, True, clause=clause)
-    if inst.codim == 0 and semigroup_oracle(inst.prescribed, mode).holds:
-        label = "regular" if mode == "regular" else "unit-regular"
-        return PropertyVerdict(mode, True, clause=f"{inst.PRESCRIBED} {label} and {inst.WHOLE}")
-    return PropertyVerdict(mode, False, clause="neither clause holds")
+    """The four semigroup theorems of both families, from the instance's
+    data alone, each a property of S and either "the region is everything"
+    or a small clause.  Regular or unit-regular: S is a subgroup of the
+    region's unit group (Sym(Y) or Aut(W); the complement of the region is
+    finite here by construction), or S has the property and the region is
+    everything.  Inverse: S is inverse, and the region is everything or the
+    ambient size is ``SMALL_N`` (the empty Y is ``thm_semigroup_t``'s own
+    case).  Completely regular: S is completely regular, and the region is
+    everything, or has codimension 1 (``CODIM_ONE``) and S is a subgroup of
+    the unit group."""
+    inst.check_mode(mode, "semigroup")
+    label, s = LABELS.get(mode, mode), inst.PRESCRIBED
+    subgroup = f"{s} is a subgroup of {inst.UNIT_GROUP}"
+    if mode in ("regular", "unit_regular"):
+        if inst.unit_group:
+            clause = subgroup + (f" and {inst.FINITE}" if mode == "unit_regular" else "")
+            return PropertyVerdict(mode, True, clause=clause)
+        if inst.codim == 0 and semigroup_oracle(inst.prescribed, mode).holds:
+            return PropertyVerdict(mode, True, clause=f"{s} {label} and {inst.WHOLE}")
+        return PropertyVerdict(mode, False, clause="neither clause holds")
+    if not semigroup_oracle(inst.prescribed, mode).holds:
+        return PropertyVerdict(mode, False, clause=f"{s} not {label}")
+    if inst.codim == 0:
+        return PropertyVerdict(mode, True, clause=f"{s} {label} and {inst.WHOLE}")
+    if mode == "inverse" and inst.n == inst.SMALL_N:
+        return PropertyVerdict(mode, True, clause=f"{s} inverse and {inst.SMALL}")
+    if mode == "completely_regular" and inst.codim == 1 and inst.unit_group:
+        return PropertyVerdict(mode, True, clause=f"{inst.CODIM_ONE} and {subgroup}")
+    fails = "the codim-1 clause fails" if mode == "completely_regular" else inst.SMALL
+    return PropertyVerdict(mode, False, clause=f"{inst.WHOLE} and {fails}".replace(" = ", " != "))
 
 
 class RegionStore:
@@ -283,8 +299,8 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     compatible transversal pair have equal sizes (``complement_sizes``,
     C-side first).  A yes carries the witness assembled on the partner
     (``witness(mode, partner)``), unchecked here.  A mode outside
-    ``ELEMENT_MODES`` is refused by name, as the oracle would answer it,
-    and so is ``unit_regular`` without the identity.
+    ``ELEMENT_MODES``, or ``unit_regular`` without the identity, is
+    refused (``check_mode``).
 
     The complement clause of ``unit_regular`` never decides an instance
     that can be built.  Given the trace clause, codim(W + U) = n - dim W -
@@ -293,11 +309,8 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     X \\ Y or codim W is infinite; it is kept because it is the theorem
     as stated."""
     rec = inst.record(f)
-    if mode not in inst.ELEMENT_MODES:
-        raise ValueError(f"unknown element mode {mode!r}")
-    if mode == "unit_regular" and not inst.has_identity:
-        raise ValueError("identity required")
-    label = "regular" if mode == "regular" else "unit-regular"
+    inst.check_mode(mode, "element")
+    label = LABELS.get(mode, mode)
     s = inst.prescribed
     partner = s.partner(s.index_of(rec.alpha), mode)
     if partner < 0:

@@ -31,7 +31,7 @@ from .gflinear import (
     unit_rows,
 )
 from .family import RestrictedInstance, build, element_verdict, json_int, parse_rows, semigroup_verdict
-from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup, semigroup_oracle
+from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup
 
 
 class ElementSubspaces:
@@ -242,7 +242,7 @@ class LInstance(RestrictedInstance):
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = (
         "L_S(W)(V)", "W", "S(W)", "invertible", "codimensions")
     UNIT_GROUP, WHOLE, FINITE = "Aut(W)", "W = V", "codim(W) is finite"
-    SMALL_N, SMALL = 1, "dim V = 1"
+    SMALL_N, SMALL, CODIM_ONE = 1, "dim V = 1", "codim(W) = 1"
     is_unit = staticmethod(GFMatrix.is_invertible)
 
     def __init__(self, w: Subspace, s_w: FiniteSemigroup) -> None:
@@ -341,19 +341,7 @@ def thm_element_l(inst: LInstance, f: GFMatrix, mode: str) -> PropertyVerdict:
 
 
 def thm_semigroup_l(inst: LInstance, mode: str) -> PropertyVerdict:
-    """The semigroup theorems of ``LInstance``: ``family.semigroup_verdict``,
-    apart from the completely-regular theorem, which is the linear
-    family's alone."""
-    if mode == "completely_regular":
-        if not semigroup_oracle(inst.prescribed, "completely_regular").holds:
-            return PropertyVerdict(mode, False, clause="S(W) not completely regular")
-        if inst.codim == 0:
-            return PropertyVerdict(mode, True, clause="S(W) completely regular and W = V")
-        if inst.codim == 1 and inst.unit_group:
-            return PropertyVerdict(
-                mode, True, clause="codim(W) = 1 and S(W) is a subgroup of Aut(W)"
-            )
-        return PropertyVerdict(mode, False, clause="W != V and the codim-1 clause fails")
+    """``family.semigroup_verdict``, under the name ``bench/layers.py`` traces."""
     return semigroup_verdict(inst, mode)
 
 

@@ -45,7 +45,13 @@ from operator import itemgetter
 
 
 class SizeCapExceeded(ValueError):
-    """A closure or build would grow past the permitted element count."""
+    """Work refused because it would pass a stated bound, which ``bound``
+    names ("more than <count> <unit>, <the bound>"; by default the Cayley
+    table's ``TABLE_CAP``).  The CLI prints both and exits 3."""
+
+    def __init__(self, message: str, bound: str | None = None) -> None:
+        super().__init__(message)
+        self.bound = bound or f"more than {TABLE_CAP} elements, the Cayley table's TABLE_CAP"
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,6 +45,9 @@ SCHEMA1_PLAN_KEYS = {"definition_checks": True, "transversal_checks": True,
                      "alpha_family_checks": True, "size_cap": 1_000_000}
 
 _EXHAUSTIVE_BASE_LIMIT = 27
+# The most row steps one seeded closure in L(GF(p)^k) may cost by
+# ``_closure_steps``: GF(2)^14 (9,633,792) is admitted, GF(2)^15 is not.
+_CLOSURE_BUDGET = 10_000_000
 _DEFINITION_CHECK_LIMIT = 200
 
 _IMPLICATIONS = (
@@ -277,8 +280,18 @@ def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
     ``_EXHAUSTIVE_BASE_LIMIT`` elements, the one statement of that bound."""
     whole = FAMILIES[kind].whole(base_size, p)
     if whole.exceeds(_EXHAUSTIVE_BASE_LIMIT):
-        raise ValueError("intractable exhaustive request")
+        bound = f"more than {_EXHAUSTIVE_BASE_LIMIT} elements, the exhaustive base bound"
+        raise SizeCapExceeded("intractable exhaustive request", bound)
     return whole
+
+
+def _closure_steps(p: int, k: int) -> int:
+    """A bound on the row steps of one seeded closure in L(GF(p)^k): at
+    most min(p^k, TABLE_CAP * k) points (k rows for each element), each
+    acted on by at most 3 generators at k^2 steps.  The power is bounded
+    as in ``exceeds``, so no work grows with p^k."""
+    cap = TABLE_CAP * k
+    return min(p ** min(k, cap.bit_length()), cap) * 3 * k * k
 
 
 def _subsemigroup_masks(table: list) -> list:
@@ -385,13 +398,18 @@ def _definition_failures(s: FiniteSemigroup) -> list[str]:
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:
-    """Run every theorem-vs-oracle comparison the plan asks for.  An
-    exhaustive plan is refused before its first instance if any base it
-    selects is intractable (``_exhaustive_base``)."""
+    """Run every theorem-vs-oracle comparison the plan asks for.  A plan is
+    refused before its first draw if any base it selects is past a bound:
+    an exhaustive base (``_exhaustive_base``), or a seeded linear cell's
+    closure cost (``_closure_steps`` against ``_CLOSURE_BUDGET``)."""
     t0 = time.perf_counter()
-    if plan.source == ("exhaustive",):
-        for p, _, size in _sizes(plan):
+    for p, _, size in _sizes(plan):
+        if plan.source == ("exhaustive",):
             _exhaustive_base(plan.family, size, p)
+        elif plan.family == "linear" and _closure_steps(p, size) > _CLOSURE_BUDGET:
+            raise SizeCapExceeded(
+                f"intractable seeded request over GF({p})^{size}",
+                f"more than {_CLOSURE_BUDGET} row steps per closure, the seeded closure budget")
     rep = SweepReport(plan=plan.to_dict())
     rep.semigroup_checks = dict.fromkeys(plan.modes, 0)
     rep.semigroup_agreements = dict.fromkeys(plan.modes, 0)

@@ -150,7 +150,7 @@ class TInstance(RestrictedInstance):
     RECORD = TElementRecord
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = "T_S(Y)(X)", "Y", "S(Y)", "bijective", "counts"
     UNIT_GROUP, WHOLE, FINITE = "Sym(Y)", "Y = X", "X \\ Y is finite"
-    SMALL_N, SMALL = 2, "|X| = 2"
+    SMALL_N, SMALL, CODIM_ONE = 2, "|X| = 2", "|X \\ Y| = 1"
     is_unit = staticmethod(Transformation.is_bijective)
 
     def __init__(self, y: IndexSubset, s_y: FiniteSemigroup) -> None:

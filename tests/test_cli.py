@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from resemi import semigroups
 from resemi.cli import build_parser, main
 from resemi.linear_semigroup import LInstance
+from resemi.sweep import FAMILIES
 
 
 def run(capsys, *argv):
@@ -194,7 +195,7 @@ class TestTableCap:
         start = time.perf_counter()
         code, out, err = run(capsys, "sweep", *argv)
         assert time.perf_counter() - start < 5
-        assert code == 2 and "intractable exhaustive request" in err and out == ""
+        assert code == 3 and "intractable exhaustive request" in err and out == ""
 
     @pytest.mark.parametrize("argv", [
         ("--kind", "t", "--ns", "6", "--sizes", "6", "--seed", "233"),
@@ -255,9 +256,9 @@ class TestClassify:
         assert code == 2 and out == "" and err.startswith("error: --mode")
 
     @pytest.mark.parametrize("sw, argv, message", [
-        ("1", ("classify", "--mode", "bogus"), "mode 'bogus' not available for family 'linear'"),
+        ("1", ("classify", "--mode", "bogus"), "unknown semigroup mode 'bogus' for L_S(W)(V)"),
         ("1", ("element", "--f", "1,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0", "--mode", "inverse"),
-         "mode 'inverse' not available for family 'linear'"),
+         "unknown element mode 'inverse' for L_S(W)(V)"),
         ("0", ("classify", "--mode", "unit_regular"), "identity required"),
         ("0", ("element", "--f", "0,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0", "--mode", "unit_regular"),
          "identity required"),
@@ -271,6 +272,40 @@ class TestClassify:
                              "--w", "1,0,0,0", "--sw", sw, *extra)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize("flags, instance, f, refused", [
+        (("--kind", "t", "--n", "2", "--y", "0", "--sy", "0"),
+         {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[0]]}}, "0,0",
+         ({"completely_regular"}, {"inverse", "completely_regular"})),
+        (("--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,0"),
+         {"kind": "transformation", "n": 3, "Y": [0, 1], "sY": {"elements": [[0, 0]]}}, "0,0,0",
+         ({"unit_regular", "completely_regular"},
+          {"unit_regular", "inverse", "completely_regular"})),
+        (("--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1"),
+         {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[1]]]}},
+         "1,0;0,1", (set(), {"inverse", "completely_regular"})),
+        (("--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "0"),
+         {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[0]]]}},
+         "0,0;0,0", ({"unit_regular"}, {"unit_regular", "inverse", "completely_regular"})),
+    ], ids=["t-identity", "t-no-identity", "l-identity", "l-no-identity"])
+    def test_one_mode_rule_for_theorems_and_commands(self, capsys, flags, instance, f, refused):
+        # thm_semigroup and classify, and thm_element and element, refuse
+        # the same modes with the same message: the instance's one rule
+        inst = FAMILIES[instance["kind"]].from_dict(instance)
+        element = inst.parse_element(f)
+        for (command, extra, theorem), expected in zip((
+            ("classify", (), inst.thm_semigroup),
+            ("element", ("--f", f), lambda mode: inst.thm_element(element, mode)),
+        ), refused):
+            for mode in ("regular", "unit_regular", "inverse", "completely_regular", "bogus"):
+                try:
+                    theorem(mode)
+                    want = (0, "")
+                except ValueError as exc:
+                    want = (2, f"error: {exc}\n")
+                code, _, err = run(capsys, command, *flags, *extra, "--mode", mode, "--no-oracle")
+                assert (code, err) == want, (command, mode)
+                assert (code == 2) == (mode in expected | {"bogus"}), (command, mode)
 
 
 class TestElement:

@@ -2,6 +2,7 @@
 runs, report determinism and serialization."""
 
 import json
+import re
 import time
 import weakref
 from itertools import product
@@ -94,6 +95,52 @@ class TestEnumerateSubsemigroups:
         with pytest.raises(ValueError, match="intractable exhaustive request"):
             run_sweep(plan)
         assert time.perf_counter() - start < 1 and not ran
+
+    @pytest.mark.parametrize("plan, message, bound", [
+        (SweepPlan("transformation", ns=(4,)), "intractable exhaustive request",
+         "more than 27 elements, the exhaustive base bound"),
+        (SweepPlan("linear", pns=((3, 2),)), "intractable exhaustive request",
+         "more than 27 elements, the exhaustive base bound"),
+        (SweepPlan("linear", pns=((2, 200),), subset_sizes=(200,), source=("seeded", 1, "0")),
+         "intractable seeded request over GF(2)^200",
+         "more than 10000000 row steps per closure, the seeded closure budget"),
+        # the GF(2)^3 cells, and GF(2)^24's up to dim W = 14, would run first
+        # if the cells past the budget were refused only when reached
+        (SweepPlan("linear", pns=((2, 3), (2, 24)), source=("seeded", 5, "0")),
+         "intractable seeded request over GF(2)^15",
+         "more than 10000000 row steps per closure, the seeded closure budget"),
+    ], ids=["T(4)", "L(GF(3)^2)", "seeded-GF(2)^200", "seeded-GF(2)^15-after-GF(2)^3"])
+    def test_refused_past_a_bound_before_any_draw(self, capsys, monkeypatch, tmp_path, plan,
+                                                  message, bound):
+        # each bound is checked up front from the plan alone: no closure,
+        # no seeded draw and no instance is made, and the CLI exits 3 with
+        # the message and the bound it passes
+        made = []
+        for name in ("closure_elements", "element_at", "_run_instance"):
+            monkeypatch.setattr(sweep, name, lambda *args, name=name: made.append(name))
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded, match=re.escape(message)) as refusal:
+            run_sweep(plan)
+        assert refusal.value.bound == bound
+        assert time.perf_counter() - start < 1 and not made
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan.to_dict()))
+        code = main(["sweep", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: {message}: {bound}\n")
+        assert not made
+
+    @pytest.mark.parametrize("plan", [
+        *[SweepPlan("linear", pns=((p, k),), subset_sizes=(k,), source=("seeded", 3, "0"))
+          for p, k in ((2, 3), (3, 3), (101, 4), (2, 12), (2, 14))],
+        SweepPlan("transformation", ns=(200,), subset_sizes=(200,), source=("seeded", 3, "0")),
+    ], ids=["GF(2)^3", "GF(3)^3", "GF(101)^4", "GF(2)^12", "GF(2)^14", "T(200)"])
+    def test_closure_budget_admits(self, monkeypatch, plan):
+        # c3d, CI's GF(3)^3 and GF(2)^12 plans, the small S(W) in GF(101)^4
+        # and GF(2)^14, the largest GF(2)^k the budget admits, pass the
+        # up-front check; no transformation cell is refused by it
+        monkeypatch.setattr(sweep, "enumerate_subsemigroups", lambda *args, **kwargs: ())
+        assert run_sweep(plan).instances_run == 0
 
     def test_composite_p_refused_before_any_instance(self, capsys, monkeypatch):
         # the GF(2)^3 cells would run first if only GF(4) itself were refused
