@@ -14,10 +14,13 @@ plan flags as the plan JSON they spell, through ``SweepPlan.from_dict``;
 
 Each command takes only the flags that change what it does: ``build``
 has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
-``--seed`` need ``--source seeded``.  ``main`` builds the parser of the
-command its first argument names, and of no other; ``build_parser()``
-with no command is the full parser, which help, a missing command and
-an unknown one go through.
+``--seed`` need ``--source seeded``.  ``main`` builds one flat parser
+for the command its first argument names, ``build_parser(command)``,
+filled by the same function that fills that command's subparser in the
+full parser, and reads the rest of the arguments with it; it reads the
+terminal width once, where argparse would read it once per flag.
+``build_parser()`` with no command is the full parser, which help, a
+missing command and an unknown one go through.
 
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
@@ -35,7 +38,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+from functools import partial
 
 from .family import parse_ints, parse_rows
 from .semigroups import SizeCapExceeded, element_oracle, semigroup_oracle
@@ -258,10 +263,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
 
-def _instance_command(sub, name: str) -> None:
-    """``build``, ``classify`` or ``element``: the instance flags, the
-    modes for the two that classify, and the element for ``element``."""
-    sp = sub.add_parser(name)
+def _instance_command(sp, name: str) -> None:
+    """Fills the parser of ``build``, ``classify`` or ``element``: the
+    instance flags, the modes for the two that classify, and the element
+    for ``element``."""
     sp.add_argument("--input", help="instance JSON file (exclusive with inline flags)")
     sp.add_argument("--kind", choices=("t", "l"), help="t: transformations, l: linear maps")
     sp.add_argument("--n", type=int, help="ambient size (|X| or dim V)")
@@ -281,9 +286,10 @@ def _instance_command(sub, name: str) -> None:
     sp.set_defaults(fn=_cmd_build if name == "build" else _cmd_classify)
 
 
-def _sweep_command(sub, name: str) -> None:
-    # a plan flag not given is absent, not None (see ``_cmd_sweep``)
-    sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+def _sweep_command(sp, name: str) -> None:
+    """Fills the parser of ``sweep``: the plan flags, each absent, not
+    None, when not given (see ``_cmd_sweep``)."""
+    sp.argument_default = argparse.SUPPRESS
     sp.add_argument("--input", default=None, help="plan JSON file (exclusive with plan flags)")
     sp.add_argument("--kind", choices=("t", "l"))
     sp.add_argument("--ns", help="ambient sizes, e.g. 1,2,3")
@@ -298,7 +304,7 @@ def _sweep_command(sub, name: str) -> None:
     sp.set_defaults(fn=_cmd_sweep)
 
 
-# Each command and what adds its subparser, in the order help lists them.
+# Each command and what fills its parser, in the order help lists them.
 _COMMANDS = {"build": _instance_command, "classify": _instance_command,
              "element": _instance_command, "sweep": _sweep_command}
 
@@ -311,7 +317,7 @@ inline grammar:
   matrix           ';'-separated rows of ',' entries, e.g. "1,0;1,1";
                    several elements separated by '|'   -> --sw "1|0"
   subspace         ';'-separated spanning rows          -> --w "1,0;0,1"
-exit codes: 0 ok, 2 validation error, 3 past the Cayley table, 4 disagreement/mismatch
+exit codes: 0 ok, 2 validation error, 3 work past a stated bound, 4 disagreement/mismatch
 """
 
 
@@ -325,8 +331,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone: the same
-    top parser with only that command's subparser under it."""
+    """The full parser, one subparser per command, or the flat parser of
+    ``command`` alone, which reads that command's arguments (without the
+    command's name) to the same namespace."""
+    if command is not None:
+        # the width HelpFormatter would read again for every flag added
+        width = shutil.get_terminal_size().columns - 2
+        ap = _Parser(prog=f"resemi {command}",
+                     formatter_class=partial(argparse.HelpFormatter, width=width))
+        _COMMANDS[command](ap, command)
+        ap.set_defaults(command=command)
+        return ap
     ap = _Parser(
         prog="resemi",
         description="Build and classify semigroups of (linear) transformations "
@@ -335,9 +350,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, add in _COMMANDS.items():
-        if command in (None, name):
-            add(sub, name)
+    for name, fill in _COMMANDS.items():
+        fill(sub.add_parser(name), name)
     return ap
 
 
@@ -346,7 +360,7 @@ def main(argv=None) -> int:
     try:
         # only the named command's parser (see the module docstring)
         command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser(command).parse_args(argv if command is None else argv[1:])
         if [] in [*vars(args).values(), *(vars(args).get("mode") or ())]:
             # argparse reads "--flag=--" as an empty list, not as the text "--"
             raise ValueError("'--' is not an option value")

@@ -30,8 +30,8 @@ space (``image_space``).  ``Subspace.__init__``, ``mat_compose`` and
 Cayley tables, so no verdict they give rests on a memo.  Besides these
 four, ``linear_semigroup`` keeps three memos of the same bound for the
 parts of its element record that read only subspaces (the transversal
-check, the unit rows completing a span and the inverse of W's basis
-followed by a completion to V).
+check, the unit rows completing a span and, for the witnesses alone,
+the inverse of W's basis followed by a completion to V).
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class GFMatrix:
         return cls(p, tuple((0,) * c for _ in range(r)), cols=c)
 
     def to_text(self) -> str:
-        return ";".join(",".join(str(v) for v in row) for row in self.entries)
+        return ";".join(",".join(map(str, row)) for row in self.entries)
 
     def apply(self, v) -> tuple:
         """Row-vector action of a square M: returns v @ M."""
@@ -348,7 +348,7 @@ class Subspace:
 
     def to_text(self) -> str:
         """The basis rows, ';'-separated, as ``GFMatrix.to_text`` writes rows."""
-        return ";".join(",".join(str(v) for v in r) for r in self.basis)
+        return ";".join(",".join(map(str, r)) for r in self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, n={self.ambient_dim}, [{self.to_text()}])"

@@ -58,7 +58,9 @@ class ElementSubspaces:
     for many f: the transversal check on (U, U meet W, N(f), W, rank f)
     (``_transversal_problem``); the unit rows completing a span
     (``_complement_basis``); and the inverse of a basis of V on (W, the
-    rows after W's) (``_basis_inverse``).  Per record remain B3, the
+    rows after W's, B3 and B4) (``_basis_inverse``), which only the
+    witnesses read: a build's elements are made by substitution
+    (``LInstance.extend``).  Per record remain B3, the
     transversal pair, alpha or a partner lifted to ambient rows
     (``_lift``), the preimages in ``regular_rows`` and
     ``unit_regular_rows``, and one product per witness.
@@ -158,7 +160,7 @@ def on_basis(w: Subspace, alpha: GFMatrix, rest: tuple, images) -> GFMatrix:
 @lru_cache(maxsize=MEMO_BOUND)
 def _basis_inverse(w: Subspace, rest: tuple) -> GFMatrix:
     """The inverse of the matrix whose rows are W's canonical basis and
-    then ``rest``."""
+    then ``rest`` (a witness's B3 and B4)."""
     rows = w.basis + rest
     return mat_inverse(GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, rows))
 
@@ -277,11 +279,17 @@ class LInstance(RestrictedInstance):
         return tuple(d // self.p ** k % self.p for k in reversed(range(self.n)))
 
     @cached_property
+    def _free(self) -> tuple:
+        """W's non-pivot columns, worked out on first use, so a refused
+        build of a large space never lists them."""
+        return tuple(j for j in range(self.n) if j not in self.w.pivots)
+
+    @cached_property
     def _complement(self) -> tuple:
         """The unit rows at W's non-pivot columns, which complete W's
-        canonical basis to a basis of V; listed on first use, so a refused
-        build of a large space never lists them."""
-        return tuple(e for j, e in enumerate(unit_rows(self.n)) if j not in self.w.pivots)
+        canonical basis to a basis of V; listed on first use."""
+        units = unit_rows(self.n)
+        return tuple(units[j] for j in self._free)
 
     def __repr__(self) -> str:
         return (
@@ -315,9 +323,23 @@ class LInstance(RestrictedInstance):
     def extend(self, alpha: GFMatrix, images) -> GFMatrix:
         """The unique matrix restricting to alpha on W and sending the
         unit rows of ``_complement`` to the given images (vectors with
-        entries already reduced mod p), by ``on_basis``, so every instance
-        on W shares one inverse of the basis."""
-        return on_basis(self.w, alpha, self._complement, images)
+        entries already reduced mod p), by substitution: row j, for each
+        non-pivot column j of W, is its image, and W's canonical basis
+        row b_i, 1 at its pivot c_i and 0 at the other pivots, is b_i =
+        e_(c_i) + sum over non-pivot j of b_i[j] e_j, so row c_i is alpha's
+        image of b_i (``_lift``) less b_i[j] times row j for each such j.
+        No basis is inverted; ``on_basis`` is for the witnesses, whose
+        rows after W's are not unit rows."""
+        p, w, free = self.p, self.w, self._free
+        rows = [None] * self.n
+        for j, v in zip(free, images):
+            rows[j] = tuple(v)
+        for c, b, row in zip(w.pivots, w.basis, _lift(w, alpha)):
+            for j in free:
+                if b[j]:
+                    row = tuple((x - b[j] * y) % p for x, y in zip(row, rows[j]))
+            rows[c] = row
+        return GFMatrix._unchecked(p, self.n, self.n, tuple(rows))
 
 
 def _check_s_w(p: int, k: int, elements) -> list:

@@ -502,8 +502,10 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
             rep.alpha_family_failures.append({"instance": key, "clause": verdict.clause})
 
     for s in (build, inst.prescribed):
+        if len(s) > _DEFINITION_CHECK_LIMIT:
+            continue  # before its key, a frozenset of up to TABLE_CAP elements
         skey = s.key()
-        if len(s) <= _DEFINITION_CHECK_LIMIT and skey not in seen_definition_keys:
+        if skey not in seen_definition_keys:
             seen_definition_keys.add(skey)
             rep.definition_checks_run += 1
             for problem in _definition_failures(s):

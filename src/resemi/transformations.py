@@ -45,7 +45,7 @@ class Transformation:
         return cls._unchecked(tuple(range(n)))
 
     def to_text(self) -> str:
-        return ",".join(str(x) for x in self.map)
+        return ",".join(map(str, self.map))
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -104,7 +104,7 @@ class IndexSubset:
         return cls(n, sorted(set(xs)))
 
     def to_text(self) -> str:
-        return ",".join(str(x) for x in self.members)
+        return ",".join(map(str, self.members))
 
     def complement(self) -> "IndexSubset":
         return IndexSubset(self.n, [x for x in range(self.n) if x not in self._set])

@@ -810,7 +810,7 @@ inline grammar:
   matrix           ';'-separated rows of ',' entries, e.g. "1,0;1,1";
                    several elements separated by '|'   -> --sw "1|0"
   subspace         ';'-separated spanning rows          -> --w "1,0;0,1"
-exit codes: 0 ok, 2 validation error, 3 past the Cayley table, 4 disagreement/mismatch
+exit codes: 0 ok, 2 validation error, 3 work past a stated bound, 4 disagreement/mismatch
 """
 
 BUILD_HELP = """\
@@ -834,8 +834,9 @@ options:
 
 
 class TestParserPerCommand:
-    """``main`` builds only the named command's parser; what it reads,
-    prints and refuses is what the full parser would."""
+    """``main`` builds only the named command's flat parser and reads the
+    arguments after the command's name with it; what it reads, prints and
+    refuses is what the full parser would."""
 
     @pytest.fixture(autouse=True)
     def _width(self, monkeypatch):
@@ -849,13 +850,13 @@ class TestParserPerCommand:
     @pytest.mark.parametrize("argv", GOLDEN_ARGV + VALIDATION_ARGV)
     def test_command_parser_reads_as_the_full_one(self, argv):
         full = _parsed(build_parser(), argv)
-        assert _parsed(build_parser(argv[0]), argv) == full
+        assert _parsed(build_parser(argv[0]), argv[1:]) == full
         if not isinstance(full, str):
             assert full.command == argv[0]
 
     def test_full_parser_has_every_command(self):
         assert build_parser().format_usage() == HELP.splitlines()[0] + "\n"
-        assert build_parser("sweep").format_usage() == "usage: resemi [-h] {sweep} ...\n"
+        assert build_parser("sweep").format_usage().startswith("usage: resemi sweep [-h] ")
 
     @pytest.mark.parametrize("argv, err", [
         ([], "error: the following arguments are required: command\n"),

@@ -2,6 +2,7 @@
 semigroup characterization predicates, witnesses, and the index-family
 composition laws for codimension-one subgroups."""
 
+import random
 from itertools import product
 
 import pytest
@@ -109,23 +110,26 @@ class TestBuild:
 
     def test_whole_space_build_lists_no_points(self):
         # W = V: the build is S(W) itself; GF(101)^4's 104 M points are
-        # never listed and the complement basis is never inverted
+        # never listed and neither is the complement basis
         inst = LInstance(Subspace.full(101, 4), trivial_sw(101, 4))
         assert inst.build() is inst.prescribed
-        assert "_complement" not in vars(inst)
+        assert "_free" not in vars(inst) and "_complement" not in vars(inst)
 
-    def test_one_inverse_per_region(self, monkeypatch):
-        # instances on one W share the inverse of W's basis followed by
-        # its complement: two S(W) on a line of GF(2)^2, one inversion
-        lsg._basis_inverse.cache_clear()
-        calls = []
-        monkeypatch.setattr(lsg, "mat_inverse", lambda m: calls.append(m) or mat_inverse(m))
-        w = Subspace(2, 2, [[1, 0]])
-        for s, want in (([[0]], "0,0;1,1"), ([[1]], "1,0;1,1")):
-            alpha = GFMatrix(2, s)
-            inst = LInstance(w, FiniteSemigroup([alpha]))
-            assert inst.extend(alpha, [(1, 1)]).to_text() == want
-        assert len(calls) == 1
+    @pytest.mark.parametrize("p, n, regions", [
+        (2, 3, None), (3, 2, None), (101, 4, [[[0, 1, 5, 100]]]),
+    ])
+    def test_extend_is_on_basis(self, p, n, regions):
+        # the substitution on W's canonical basis gives the matrix the
+        # inverse of W's basis followed by its complement gives: every W
+        # (or a line), every alpha in L(W), seeded images
+        rng = random.Random(f"extend:{p}:{n}")
+        spaces = all_subspaces(p, n) if regions is None else [Subspace(p, n, r) for r in regions]
+        for w in spaces:
+            inst = LInstance(w, trivial_sw(p, w.dim))
+            for alpha in all_matrices(p, w.dim):
+                images = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(w.codim)]
+                assert inst.extend(alpha, images) == lsg.on_basis(
+                    w, alpha, inst._complement, images)
 
 
 class TestElementPredicate:
