@@ -22,6 +22,13 @@ terminal width once, where argparse would read it once per flag.
 ``build_parser()`` with no command is the full parser, which help, a
 missing command and an unknown one go through.
 
+A command loads only the modules it runs.  An instance command imports
+the one family module its instance's ``kind`` names
+(``family.family_class``): ``transform_semigroup`` and
+``transformations``, or ``linear_semigroup`` and ``gflinear``; help and
+a usage error load neither family, ``sweep`` is imported by the sweep
+command alone, and ``json`` only where JSON is read or written.
+
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
 selects no instance), 3 work past a stated bound, refused with one line
@@ -37,14 +44,12 @@ sweep reports any mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 from functools import partial
 
-from .family import parse_ints, parse_rows
+from .family import KINDS, family_class, parse_ints, parse_rows
 from .semigroups import SizeCapExceeded, element_oracle, semigroup_oracle
-from .sweep import FAMILIES, SweepPlan, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,6 +80,8 @@ def _read_json(path: str, load):
     """``load`` applied to the JSON in the file at ``path``.  Content of the
     wrong shape (a missing key, a value of the wrong type) is reported as
     a validation error, like malformed JSON."""
+    import json
+
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -84,11 +91,12 @@ def _read_json(path: str, load):
 
 
 def _instance_from_dict(data: dict):
-    """``from_dict`` of the class ``sweep.FAMILIES`` names by ``data["kind"]``."""
-    family = FAMILIES.get(data.get("kind"))
-    if family is None:
+    """``from_dict`` of the class ``family.family_class`` finds for
+    ``data["kind"]``, whose module alone is imported."""
+    kind = data.get("kind")
+    if kind not in KINDS:
         raise ValueError('instance JSON needs "kind": "transformation" or "linear"')
-    return family.from_dict(data)
+    return family_class(kind).from_dict(data)
 
 
 def _inline_instance(args) -> dict:
@@ -121,6 +129,8 @@ def _load_instance(args):
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         data = {k: v for k, v in payload.items() if k != "_text"}
         print(json.dumps(data, sort_keys=True, indent=2))
         return
@@ -225,7 +235,7 @@ def _inline_plan(kind=None, ns="", pn="", sizes="", source=None, samples=None, s
         raise ValueError("--samples and --seed need --source seeded")
     family = {"t": "transformation", "l": "linear"}[kind]
     plan = {"family": family, "ns": parse_ints(ns), "pns": parse_rows(pn),
-            "modes": mode or FAMILIES[family].SEMIGROUP_MODES, **element_cap}
+            "modes": mode or family_class(family).SEMIGROUP_MODES, **element_cap}
     if sizes:
         plan["subset_sizes"] = parse_ints(sizes)
     if source == "seeded":
@@ -235,6 +245,8 @@ def _inline_plan(kind=None, ns="", pn="", sizes="", source=None, samples=None, s
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepPlan, run_sweep
+
     # the sweep's plan flags default to nothing, so these are the given ones
     inline = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "input", "format")}
     if args.input is None:
@@ -368,7 +380,7 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"error: {exc}: {exc.bound}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

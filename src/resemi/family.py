@@ -1,4 +1,5 @@
-"""What the two restriction-constrained families share: the instance
+"""What the two restriction-constrained families share: the lookup from
+an instance kind to its family's class (``KINDS``), the instance
 interface and its one mode rule, the inline grammar, the build and its
 size, the four semigroup theorems, the per-region store of elements and
 their records, the element theorem and the product check of its
@@ -40,6 +41,20 @@ from .semigroups import (
 
 # The words of the modes in clauses, where they differ from the mode's name.
 LABELS = {"unit_regular": "unit-regular", "completely_regular": "completely regular"}
+
+# The module and instance class of each kind, an instance JSON's "kind" and
+# a plan's family: the one map from a kind to its family (``family_class``).
+KINDS = {"transformation": ("transform_semigroup", "TInstance"),
+         "linear": ("linear_semigroup", "LInstance")}
+
+
+def family_class(kind: str) -> type:
+    """The instance class of ``kind`` (``KINDS``), importing its module
+    alone, so a CLI command on one family never loads the other.
+    ``__import__`` is the import statement's own path, which ``python -X
+    importtime`` reports; ``importlib.import_module`` is not."""
+    module, name = KINDS[kind]
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
 class RestrictedInstance:

@@ -37,8 +37,8 @@ the inverse of W's basis followed by a completion to V).
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -467,17 +467,16 @@ def restricted_image_space(f: GFMatrix, w: Subspace) -> Subspace:
     return Subspace._unchecked(f.p, f.cols, f.point_action(w.basis))
 
 
-@dataclass(frozen=True)
-class SubspaceTransversal:
-    """A direct complement U of N(f) together with its trace on W.
+class SubspaceTransversal(namedtuple("SubspaceTransversal", "u u_meet_w")):
+    """A direct complement U of N(f) together with its trace on W, both
+    ``Subspace``s.
 
     U meets every coset of the null space exactly once (U + N(f) = V with
     trivial intersection) and U meet W does the same inside W for the
     restricted map.
     """
 
-    u: Subspace
-    u_meet_w: Subspace
+    __slots__ = ()
 
 
 def canonical_transversal_subspace(f: GFMatrix, w: Subspace) -> SubspaceTransversal:

@@ -38,7 +38,7 @@ semigroup of more than ``TABLE_CAP`` elements is refused with
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
@@ -54,21 +54,19 @@ class SizeCapExceeded(ValueError):
         self.bound = bound or f"more than {TABLE_CAP} elements, the Cayley table's TABLE_CAP"
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyVerdict:
+class PropertyVerdict(namedtuple("PropertyVerdict", "prop holds witness clause",
+                                 defaults=(None, None))):
     """Outcome of one property check, with an optional witness.
 
     For a failed universally-quantified property the witness is a concrete
     failing element (or pair); for successful existential checks it is the
     found partner.  ``clause`` records which side of a characterization
-    fired, when that is meaningful.  Slotted, as a sweep makes one for
-    every theorem verdict it checks.
+    fired, when that is meaningful.  A named tuple, cheap to make as a
+    sweep makes one for every theorem verdict it checks, and to define, so
+    a CLI command loads no ``dataclasses``.
     """
 
-    prop: str
-    holds: bool
-    witness: object = None
-    clause: str | None = None
+    __slots__ = ()
 
 
 # Element count of the largest Cayley table, hence of the largest semigroup.

@@ -17,8 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import linear_semigroup as lsg
-from . import transform_semigroup as tsg
-from .family import element_at, is_int
+from .family import KINDS, element_at, family_class, is_int
 from .gflinear import all_subspaces, is_prime
 from .semigroups import (
     TABLE_CAP,
@@ -35,7 +34,7 @@ from .transformations import IndexSubset
 SCHEMA_VERSION = 1
 
 # A plan's family names the instance class; both implement one interface.
-FAMILIES = {"transformation": tsg.TInstance, "linear": lsg.LInstance}
+FAMILIES = {kind: family_class(kind) for kind in KINDS}
 
 # The keys a schema-1 report's plan block holds besides the plan's fields,
 # which the determinism comparison and the recorded report digests read:

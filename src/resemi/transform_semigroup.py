@@ -37,7 +37,8 @@ class TElementRecord:
     test R(f) meet Y = R(f|Y) (``trace_ok``).  Lazy: the canonical transversal pair
     (``transversal``) and what is wrong with it (``transversal_problem``,
     None when nothing is), the sorted extras D(f) minus D(f|Y) and C(f) minus
-    C(f|Y) (``extras``) and their sizes (``complement_sizes``).
+    C(f|Y) (``extras``), their sizes (``complement_sizes``) and the
+    unit-regular witness on each partner (``witness``).
     """
 
     def __init__(self, y: IndexSubset, f: Transformation) -> None:
@@ -50,6 +51,12 @@ class TElementRecord:
             return
         self.fibers = fibers(f)
         self.trace_ok = {v for v in self.fibers if v in y} == {f.map[x] for x in y.members}
+
+    @cached_property
+    def _witnesses(self) -> dict[Transformation, Transformation]:
+        """Each unit-regular witness assembled, keyed on its partner; made
+        on the first witness, so a record never asked for one holds none."""
+        return {}
 
     @cached_property
     def transversal(self) -> TransversalPair:
@@ -93,21 +100,24 @@ class TElementRecord:
         ``unit_regular``, the bijective g with fgf = f assembled from three
         pieces: the S(Y)-unit ``partner`` on Y, fibre representatives on
         R(f) minus Y, and an order-preserving matching of the leftover
-        defect onto the leftover complement."""
+        defect onto the leftover complement.  Assembled once per partner."""
         if mode == "regular":
             return None
-        members, t = self.y.members, self.transversal.t
-        g = [None] * self.f.n
-        for i, x in enumerate(members):
-            g[x] = members[partner.map[i]]
-        for v, cls in self.fibers.items():
-            if v not in self.y:
-                g[v] = next(x for x in cls if x in t)
-        for src, dst in zip(*self.extras):
-            g[src] = dst
-        if None in g:
-            raise AssertionError("witness pieces do not cover X")
-        return Transformation(g)
+        found = self._witnesses.get(partner)
+        if found is None:
+            members, t = self.y.members, self.transversal.t
+            g = [None] * self.f.n
+            for i, x in enumerate(members):
+                g[x] = members[partner.map[i]]
+            for v, cls in self.fibers.items():
+                if v not in self.y:
+                    g[v] = next(x for x in cls if x in t)
+            for src, dst in zip(*self.extras):
+                g[src] = dst
+            if None in g:
+                raise AssertionError("witness pieces do not cover X")
+            found = self._witnesses[partner] = Transformation._unchecked(tuple(g))
+        return found
 
 
 class TInstance(RestrictedInstance):

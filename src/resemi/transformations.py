@@ -7,7 +7,7 @@ predicate and oracle in the package shares this single convention.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class Transformation:
@@ -132,17 +132,15 @@ class IndexSubset:
         return f"IndexSubset({self.n}, [{self.to_text()}])"
 
 
-@dataclass(frozen=True)
-class TransversalPair:
+class TransversalPair(namedtuple("TransversalPair", "t t_on_y")):
     """A transversal T of ker(f) together with T intersected with Y.
 
-    Both parts live in ambient coordinates.  T meets every fibre of f
-    exactly once, and ``t_on_y`` meets every fibre of the restricted map
-    exactly once.
+    Both parts, ``IndexSubset``s, live in ambient coordinates.  T meets
+    every fibre of f exactly once, and ``t_on_y`` meets every fibre of the
+    restricted map exactly once.
     """
 
-    t: IndexSubset
-    t_on_y: IndexSubset
+    __slots__ = ()
 
 
 def compose(f: Transformation, g: Transformation) -> Transformation:

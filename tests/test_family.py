@@ -84,11 +84,10 @@ class SharedRecordsCases:
     partner) where A and C find ``partner`` as the prescribed partner of
     f's restriction and B, which lacks it, another; ``regions()``, (A, B,
     other, f) with A and B as in ``separated()`` and f a member of
-    ``other``, on another region; and ``WITNESS_MEMO``, whether a record
-    keeps the witnesses it assembles."""
+    ``other``, on another region.  A record keeps each witness it
+    assembles, per mode and partner."""
 
     CHECKS = ("regular", "unit_regular", "transversal")
-    WITNESS_MEMO = False
 
     def test_cached_record_is_checked_against_each_instance(self):
         a, b, f = self.separated()
@@ -148,9 +147,9 @@ class SharedRecordsCases:
         # B's partner differs, so B gets its own witness, which its table accepts
         w_b = b.thm_element(f, mode).witness
         assert w_b != w_a and witness_problem(build_b, f, mode, w_b) is None
-        # an instance with A's partner gets A's witness (from the memo, if kept)
+        # an instance with A's partner gets A's witness, from the record's memo
         w_c = c.thm_element(f, mode).witness
-        assert w_c == w_a and (w_c is w_a or not self.WITNESS_MEMO)
+        assert w_c is w_a
         assert witness_problem(c.build(), f, mode, w_c) is None
 
     def test_records_are_kept_for_one_w_only(self):

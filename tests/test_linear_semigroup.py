@@ -352,7 +352,6 @@ class TestTransversalProblem:
 class TestSharedRecords(SharedRecordsCases):
     OUTSIDE = "f not in L_S(W)(V): restriction outside S(W)"
     NOT_INVARIANT = "f not in L_S(W)(V): W is not invariant"
-    WITNESS_MEMO = True
     clone = staticmethod(TestElementRecord.clone)
 
     @staticmethod
