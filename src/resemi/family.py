@@ -21,9 +21,10 @@ the points outside the region, in the order ``element_at`` numbers from
 an index alone.  Nothing in an element or its record depends on the
 prescribed semigroup, so every instance on one region shares them
 (``RegionStore``): ``extend`` runs and each record is made once per
-element of the region.  Every inline text, an element, a region or a
-sweep's sizes, is read by the grammar's two atoms, ``parse_ints`` and
-``parse_rows``.
+element of the region, and a build's Cayley table reads the point
+actions of the generators its region's earlier tables took.  Every
+inline text, an element, a region or a sweep's sizes, is read by the
+grammar's two atoms, ``parse_ints`` and ``parse_rows``.
 """
 
 from __future__ import annotations
@@ -147,6 +148,12 @@ class RestrictedInstance:
         """f's record, shared by the element predicates, their witnesses
         and the transversal check of every instance on this region; raises,
         on every call, if f is not a member of this instance."""
+        return self._record_at(f)[0]
+
+    def _record_at(self, f) -> tuple:
+        """``record(f)`` and the index of f's restriction in the prescribed
+        semigroup, which is looked up once for both the membership test
+        and the partner (``element_verdict``)."""
         if not self.in_ambient(f):
             raise ValueError(f"f not in {self.FAMILY}: wrong ambient size")
         records = _store_on(self.region).records
@@ -155,9 +162,11 @@ class RestrictedInstance:
             rec = records[f] = self.RECORD(self.region, f)
         if rec.alpha is None:
             raise ValueError(f"f not in {self.FAMILY}: {self.REGION} is not invariant")
-        if rec.alpha not in self.prescribed:
-            raise ValueError(f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}")
-        return rec
+        try:
+            return rec, self.prescribed.index_of(rec.alpha)
+        except ValueError:
+            raise ValueError(
+                f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}") from None
 
     def witness_problem(self, f, w, mode: str) -> str | None:
         """What is wrong with w as the theorem's ``mode`` witness for f, or
@@ -240,15 +249,15 @@ def build(inst: RestrictedInstance) -> FiniteSemigroup:
     if inst.codim == 0:
         return inst.prescribed
     points = [inst.point(d) for d in range(inst.point_count)]
-    store = _store_on(inst.region).elements
+    store = _store_on(inst.region)
     out = []
     for alpha in inst.prescribed.elements:
-        block = store.get(alpha)
+        block = store.elements.get(alpha)
         if block is None:
-            block = store[alpha] = [inst.extend(alpha, images)
-                                    for images in product(points, repeat=inst.codim)]
+            block = store.elements[alpha] = [inst.extend(alpha, images)
+                                             for images in product(points, repeat=inst.codim)]
         out.extend(block)
-    return FiniteSemigroup(out)
+    return FiniteSemigroup(out, store.actions)
 
 
 def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
@@ -286,13 +295,18 @@ def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
 
 class RegionStore:
     """What every instance on one region shares: ``records``, f -> f's
-    record, and ``elements``, alpha -> alpha's block, the elements
-    restricting to alpha in ``element_at`` order, made whole by the
-    first build to meet alpha."""
+    record; ``elements``, alpha -> alpha's block, the elements restricting
+    to alpha in ``element_at`` order, made whole by the first build to
+    meet alpha; ``actions``, the point actions of the elements the builds'
+    Cayley tables took as generators (``FiniteSemigroup``); and ``lifts``,
+    alpha -> alpha lifted to ambient rows, which the linear family's
+    elements and witnesses are made from (``linear_semigroup._lifted``)."""
 
     def __init__(self) -> None:
         self.records: dict = {}
         self.elements: dict = {}
+        self.actions: dict = {}
+        self.lifts: dict = {}
 
 
 @lru_cache(maxsize=1)
@@ -323,11 +337,11 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     sizes of the complements in X \\ Y.  So the clause decides only when
     X \\ Y or codim W is infinite; it is kept because it is the theorem
     as stated."""
-    rec = inst.record(f)
+    rec, i = inst._record_at(f)
     inst.check_mode(mode, "element")
     label = LABELS.get(mode, mode)
     s = inst.prescribed
-    partner = s.partner(s.index_of(rec.alpha), mode)
+    partner = s.partner(i, mode)
     if partner < 0:
         return PropertyVerdict(mode, False, clause=f"restriction not {label} in {inst.PRESCRIBED}")
     if not rec.trace_ok:

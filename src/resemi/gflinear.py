@@ -13,10 +13,12 @@ basis is the RREF of its rows, and everything else, a null space, an
 intersection, a solve of v @ M = t and so an inverse, is a left null
 space (``left_null_space_rows``).
 
-Four pure subspace functions are memoised: the canonical span of given
+Five pure subspace functions are memoised: the canonical span of given
 rows (``Subspace._unchecked``, whose result is interned, so
 ``Subspace.sum``, the span of the two bases, is memoised with it),
-``Subspace.intersect`` of a pair, ``null_space`` and ``solve_row_vector``.
+``Subspace.intersect`` of a pair, ``null_space``, ``solve_row_vector``
+and ``extension_rows``, one subspace's basis rows taken greedily outside
+another.
 Each memo is keyed on its immutable inputs and is an LRU of at most
 ``MEMO_BOUND`` entries, filled per process as calls come, never at import.
 A sweep asks for the same few spans over and over (the whole of GF(2)^3
@@ -28,10 +30,10 @@ among them, and ``GFMatrix.rank`` is the dimension of the interned row
 space (``image_space``).  ``Subspace.__init__``, ``mat_compose`` and
 ``_rref_rows`` are not memoised.  The brute-force oracles read only
 Cayley tables, so no verdict they give rests on a memo.  Besides these
-four, ``linear_semigroup`` keeps three memos of the same bound for the
+five, ``linear_semigroup`` keeps three memos of the same bound for the
 parts of its element record that read only subspaces (the transversal
 check, the unit rows completing a span and, for the witnesses alone,
-the inverse of W's basis followed by a completion to V).
+W's basis completed to a basis of V, with that basis's inverse).
 """
 
 from __future__ import annotations
@@ -449,15 +451,22 @@ def restriction_matrix(f: GFMatrix, w: Subspace) -> GFMatrix:
     dim(W) x dim(W) matrix; dim(W) = 0 yields the 0 x 0 matrix.  Raises
     when some basis image leaves W.
     """
+    return restriction_images(f, w)[0]
+
+
+def restriction_images(f: GFMatrix, w: Subspace) -> tuple[GFMatrix, tuple]:
+    """``restriction_matrix`` and the images of W's canonical basis under
+    f, in ambient rows, whose span is R(f|W): both read the one product."""
     if f.rows != f.cols:
         raise ValueError("matrix must be square")
     if f.p != w.p or f.rows != w.ambient_dim:
         raise ValueError("dimension mismatch")
-    rows = tuple(map(w.coordinates, f.point_action(w.basis)))
+    images = f.point_action(w.basis)
+    rows = tuple(map(w.coordinates, images))
     if None in rows:
         raise ValueError("not W-invariant")
     k = len(rows)
-    return GFMatrix._unchecked(f.p, k, k, rows)
+    return GFMatrix._unchecked(f.p, k, k, rows), images
 
 
 def restricted_image_space(f: GFMatrix, w: Subspace) -> Subspace:
@@ -492,9 +501,9 @@ def canonical_transversal_subspace(f: GFMatrix, w: Subspace) -> SubspaceTransver
     extended by free-variable-zero preimages of the remaining canonical
     basis vectors of R(f).
     """
-    restriction_matrix(f, w)  # raises "not W-invariant" if W is not invariant
-    return transversal_from_spaces(f, w, restricted_image_space(f, w), null_space(f),
-                                   image_space(f))
+    _, images = restriction_images(f, w)  # raises "not W-invariant" if W is not invariant
+    return transversal_from_spaces(f, w, Subspace._unchecked(f.p, f.rows, images),
+                                   null_space(f), image_space(f))
 
 
 def transversal_from_spaces(f: GFMatrix, w: Subspace, rw: Subspace, ns: Subspace,
@@ -514,7 +523,7 @@ def transversal_from_spaces(f: GFMatrix, w: Subspace, rw: Subspace, ns: Subspace
             c = Subspace._unchecked(p, ns.dim, left_null_space_rows(p, r.entries, n)).reduce(c)
             v = tuple((a + b) % p for a, b in zip(v, ns.from_coordinates(c)))
         chosen.append(v)
-    chosen += [solve_row_vector(f, r) for r in independent_extension(p, n, rw.basis, rf.basis)]
+    chosen += [solve_row_vector(f, r) for r in extension_rows(rw, rf)]
     u_space = Subspace._unchecked(p, n, chosen)
     return SubspaceTransversal(u_space, u_space.intersect(w))
 
@@ -534,6 +543,15 @@ def independent_extension(p, n, base_rows, candidates) -> list[tuple]:
             added.append(tuple(row))
             span = Subspace._unchecked(p, n, span.basis + (added[-1],))
     return added
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def extension_rows(base: Subspace, span: Subspace) -> tuple:
+    """The rows of ``span``'s canonical basis taken greedily outside
+    ``base`` (``independent_extension``), memoised on the two subspaces:
+    the transversal's extension of R(f|W) to R(f), and B3 of a witness,
+    the extension of W to R(f)."""
+    return tuple(independent_extension(base.p, base.ambient_dim, base.basis, span.basis))
 
 
 def unit_rows(n: int) -> list[tuple]:

@@ -21,16 +21,25 @@ from .gflinear import (
     Subspace,
     SubspaceTransversal,
     all_vectors,
+    extension_rows,
     image_space,
     independent_extension,
     mat_inverse,
     null_space,
-    restriction_matrix,
+    restriction_images,
     solve_row_vector,
     transversal_from_spaces,
     unit_rows,
 )
-from .family import RestrictedInstance, build, element_verdict, json_int, parse_rows, semigroup_verdict
+from .family import (
+    RestrictedInstance,
+    _store_on,
+    build,
+    element_verdict,
+    json_int,
+    parse_rows,
+    semigroup_verdict,
+)
 from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup
 
 
@@ -42,27 +51,27 @@ class ElementSubspaces:
 
     Eager: the restriction ``alpha`` (None when f does not leave W
     invariant, and then nothing else), R(f) (``rf``), R(f) meet W
-    (``r_meet_w``), R(f|W) (``rw``, the span of alpha lifted to ambient
-    rows) and the image-trace test ``trace_ok``.  Lazy: the canonical
-    transversal pair (``transversal``) and what is wrong with it
-    (``transversal_problem``, None when nothing is), codim(W + U) and
-    codim(W + R(f)) (``complement_sizes``), the bases B3 and B4 that
-    complete W's canonical basis to a basis of V (``beyond_w``), their
-    images under each witness (``regular_rows``, ``unit_regular_rows``),
-    and each witness assembled (``witness``).  N(f) and W + U are not
-    kept here: they are read from the memoised ``null_space(f)`` and the
-    interned span ``W.sum(U)``.
+    (``r_meet_w``), R(f|W) (``rw``, the span of W's basis images, which
+    the restriction is read from) and the image-trace test ``trace_ok``.
+    Lazy: the canonical transversal pair (``transversal``) and what is
+    wrong with it (``transversal_problem``, None when nothing is),
+    codim(W + U) and codim(W + R(f)) (``complement_sizes``), the
+    completion of W's canonical basis to a basis of V by B3 and B4, with
+    that basis's inverse (``completion``), the images of B3 and B4 under
+    each witness (``regular_rows``, ``unit_regular_rows``), and each
+    witness assembled (``witness``).  N(f) and W + U are not kept here:
+    they are read from the memoised ``null_space(f)`` and the interned
+    span ``W.sum(U)``.
 
-    The parts that read only subspaces are looked up in module memos keyed
-    on exactly what they read, since a sweep meets the same few subspaces
-    for many f: the transversal check on (U, U meet W, N(f), W, rank f)
-    (``_transversal_problem``); the unit rows completing a span
-    (``_complement_basis``); and the inverse of a basis of V on (W, the
-    rows after W's, B3 and B4) (``_basis_inverse``), which only the
-    witnesses read: a build's elements are made by substitution
-    (``LInstance.extend``).  Per record remain B3, the
-    transversal pair, alpha or a partner lifted to ambient rows
-    (``_lift``), the preimages in ``regular_rows`` and
+    What reads only subspaces is shared through memos keyed on exactly
+    what it reads, since a sweep meets the same few subspaces for many f:
+    the transversal check on (U, U meet W, N(f), W, rank f)
+    (``_transversal_problem``); the transversal's extension rows on
+    (R(f|W), R(f)) (``gflinear.extension_rows``); the completion and its
+    inverse on (W, R(f)) (``_completion``); and the unit rows completing
+    W + U (``_complement_basis``).  A partner lifted to ambient rows is
+    kept per partner in W's region store (``_lifted``).  Per record remain
+    the transversal pair, the preimages in ``regular_rows`` and
     ``unit_regular_rows``, and one product per witness.
     """
 
@@ -71,13 +80,13 @@ class ElementSubspaces:
         self.w = w
         self._witnesses: dict[tuple, GFMatrix] = {}
         try:
-            self.alpha = restriction_matrix(f, w)
+            self.alpha, images = restriction_images(f, w)
         except ValueError:
             self.alpha = None
             return
         self.rf = image_space(f)
         self.r_meet_w = self.rf.intersect(w)
-        self.rw = Subspace._unchecked(w.p, w.ambient_dim, _lift(w, self.alpha))
+        self.rw = Subspace._unchecked(w.p, w.ambient_dim, images)
         self.trace_ok = self.r_meet_w == self.rw
 
     @cached_property
@@ -97,39 +106,39 @@ class ElementSubspaces:
         return self.w.sum(self.transversal.u).codim, self.w.sum(self.rf).codim
 
     @cached_property
-    def beyond_w(self) -> tuple[tuple, tuple]:
-        """B3, the rows of R(f)'s basis taken greedily outside W, and B4,
-        the unit rows completing W + R(f) (``_complement_basis``): after
-        W's canonical basis, a basis of V."""
-        p, n = self.w.p, self.w.ambient_dim
-        b3 = tuple(independent_extension(p, n, self.w.basis, self.rf.basis))
-        return b3, _complement_basis(self.w.sum(self.rf))
+    def completion(self) -> tuple[tuple, tuple, GFMatrix]:
+        """B3 and B4, which complete W's canonical basis to a basis of V,
+        and the inverse of that basis (``_completion``)."""
+        return _completion(self.w, self.rf)
 
     @cached_property
-    def regular_rows(self) -> list[tuple]:
+    def regular_rows(self) -> tuple:
         """The pseudo-inverse's images of B3 (chosen preimages under f) and
         B4 (zero)."""
-        b3, b4 = self.beyond_w
-        return [solve_row_vector(self.f, v) for v in b3] + [(0,) * self.w.ambient_dim for _ in b4]
+        b3, b4, _ = self.completion
+        zero = (0,) * self.w.ambient_dim
+        return tuple(solve_row_vector(self.f, v) for v in b3) + (zero,) * len(b4)
 
     @cached_property
-    def unit_regular_rows(self) -> list[tuple]:
+    def unit_regular_rows(self) -> tuple:
         """The invertible witness's images of B3 (the inverse of f's
         corestriction to U) and B4 (a basis of a complement of W + U)."""
         p, n, f, u = self.w.p, self.w.ambient_dim, self.f, self.transversal.u
-        b3, b4 = self.beyond_w
+        b3, b4, _ = self.completion
         mu = GFMatrix._unchecked(p, u.dim, n, f.point_action(u.basis))
         # the coordinates are unique: U is a transversal of ker(f)
-        rows = [u.from_coordinates(solve_row_vector(mu, v)) for v in b3]
+        rows = tuple(u.from_coordinates(solve_row_vector(mu, v)) for v in b3)
         c4 = _complement_basis(self.w.sum(u))
         if len(c4) != len(b4):
             raise AssertionError("complement bases of W+R(f) and W+U differ in size")
-        return rows + list(c4)
+        return rows + c4
 
     def witness(self, mode: str, partner: GFMatrix) -> GFMatrix:
         """The witness for ``mode`` built on the S(W)-partner of f|W,
-        assembled once per (mode, partner) by ``on_basis``: the partner on
-        W, and the mode's images of B3 and B4 (``beyond_w``).
+        assembled once per (mode, partner) as one product: the inverse of
+        the basis [W; B3; B4] (``completion``) times the basis's images,
+        the partner lifted to ambient rows (``_lifted``) on W and the
+        mode's images of B3 and B4.
 
         regular: a pseudo-inverse h, the partner on W, chosen preimages on
         the rest of R(f) and zero on a complement of W + R(f).
@@ -142,27 +151,24 @@ class ElementSubspaces:
         key = (mode, partner)
         found = self._witnesses.get(key)
         if found is None:
-            rest = self.regular_rows if mode == "regular" else self.unit_regular_rows
-            b3, b4 = self.beyond_w
-            found = self._witnesses[key] = on_basis(self.w, partner, b3 + b4, rest)
+            n, inverse = self.w.ambient_dim, self.completion[2]
+            rows = _lifted(self.w, partner) + (
+                self.regular_rows if mode == "regular" else self.unit_regular_rows)
+            found = self._witnesses[key] = inverse * GFMatrix._unchecked(self.w.p, n, n, rows)
         return found
 
 
-def on_basis(w: Subspace, alpha: GFMatrix, rest: tuple, images) -> GFMatrix:
-    """The matrix sending W's canonical basis where alpha, a dim(W) x
-    dim(W) coordinate matrix, sends it, and the rows ``rest``, which
-    complete W's basis to a basis of V, to ``images`` (vectors with
-    entries already reduced mod p)."""
-    rows = _lift(w, alpha) + tuple(tuple(v) for v in images)
-    return _basis_inverse(w, rest) * GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, rows)
-
-
 @lru_cache(maxsize=MEMO_BOUND)
-def _basis_inverse(w: Subspace, rest: tuple) -> GFMatrix:
-    """The inverse of the matrix whose rows are W's canonical basis and
-    then ``rest`` (a witness's B3 and B4)."""
-    rows = w.basis + rest
-    return mat_inverse(GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, rows))
+def _completion(w: Subspace, rf: Subspace) -> tuple[tuple, tuple, GFMatrix]:
+    """``ElementSubspaces.completion`` for W and R(f), which are all it
+    reads: B3, the rows of R(f)'s basis taken greedily outside W
+    (``extension_rows``), B4, the unit rows completing W + R(f)
+    (``_complement_basis``), and the inverse of the matrix whose rows are
+    W's canonical basis, then B3 and B4: a basis of V."""
+    b3 = extension_rows(w, rf)
+    b4 = _complement_basis(w.sum(rf))
+    rows = w.basis + b3 + b4
+    return b3, b4, mat_inverse(GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, rows))
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -190,17 +196,22 @@ def _transversal_problem(u: Subspace, u_meet_w: Subspace, ns: Subspace, w: Subsp
 @lru_cache(maxsize=MEMO_BOUND)
 def _complement_basis(span: Subspace) -> tuple:
     """The unit rows that complete the basis of ``span`` (W + U, or W +
-    R(f) for B4 of ``ElementSubspaces.beyond_w``), greedily: which are
+    R(f) for B4 of ``_completion``), greedily: which are
     taken depends on the span alone, not on the basis it is given by."""
     n = span.ambient_dim
     return tuple(independent_extension(span.p, n, span.basis, unit_rows(n)))
 
 
-def _lift(w: Subspace, alpha: GFMatrix) -> tuple:
+def _lifted(w: Subspace, alpha: GFMatrix) -> tuple:
     """The coordinate matrix alpha lifted to ambient rows: the images of
-    W's canonical basis under every map restricting to alpha (a
-    restriction, or a witness's partner)."""
-    return tuple(w.from_coordinates(row) for row in alpha.entries)
+    W's canonical basis under every map restricting to alpha (an element
+    of a build, or a witness on its partner), kept per alpha in W's
+    region store (``family.RegionStore``)."""
+    lifts = _store_on(w).lifts
+    rows = lifts.get(alpha)
+    if rows is None:
+        rows = lifts[alpha] = tuple(w.from_coordinates(row) for row in alpha.entries)
+    return rows
 
 
 class LInstance(RestrictedInstance):
@@ -327,14 +338,14 @@ class LInstance(RestrictedInstance):
         non-pivot column j of W, is its image, and W's canonical basis
         row b_i, 1 at its pivot c_i and 0 at the other pivots, is b_i =
         e_(c_i) + sum over non-pivot j of b_i[j] e_j, so row c_i is alpha's
-        image of b_i (``_lift``) less b_i[j] times row j for each such j.
-        No basis is inverted; ``on_basis`` is for the witnesses, whose
-        rows after W's are not unit rows."""
+        image of b_i (``_lifted``) less b_i[j] times row j for each such
+        j.  No basis is inverted; the witnesses, whose rows after W's are
+        not unit rows, read the inverse of theirs (``_completion``)."""
         p, w, free = self.p, self.w, self._free
         rows = [None] * self.n
         for j, v in zip(free, images):
             rows[j] = tuple(v)
-        for c, b, row in zip(w.pivots, w.basis, _lift(w, alpha)):
+        for c, b, row in zip(w.pivots, w.basis, _lifted(w, alpha)):
             for j in free:
                 if b[j]:
                     row = tuple((x - b[j] * y) % p for x, y in zip(row, rows[j]))

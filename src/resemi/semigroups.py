@@ -21,10 +21,11 @@ the generators are taken greedily in descending rank, the number of
 distinct entries of the code (|im f| for a transformation, the distinct
 rows of a matrix), ties in element order: an element is one when the
 closure of the ones taken before it lacks it.  Only the generators'
-actions are taken, and each edge x -> x * g is gathered from x's numbered
-code.  The table holds element indices, so it depends on neither the
-numbering nor the generators taken, only on the element order; only
-points that occur in codes are used, never all of GF(p)^n.  Every oracle
+actions are taken (a build reads those its region's earlier tables took),
+and each edge x -> x * g is gathered from x's numbered code.  The table
+holds element indices, so it depends on neither the numbering nor the
+generators taken, only on the element order; only points that occur in
+codes are used, never all of GF(p)^n.  Every oracle
 then runs on small-integer indices, and each table searches for each
 element's partner once: it keeps, per element mode, every element's first
 partner index in a compact integer array made on first ask
@@ -93,11 +94,15 @@ def _check_same_kind(elements) -> None:
             raise ValueError("mixed element kinds or sizes")
 
 
-def _cayley_table(elems: list, index: dict) -> list:
+def _cayley_table(elems: list, index: dict, actions: dict | None = None) -> list:
     """The Cayley table of an element list: its generators found greedily
     in descending rank, with the right Cayley graph and a spanning tree
     (module docstring), then ``_fill_rows``.  A missing product is named
-    as the first pair in row-major order, found by object products."""
+    as the first pair in row-major order, found by object products.
+    ``actions``, when given, is kept across tables: for each numbered
+    point tuple, the numbered action of every element a table on those
+    points took as a generator, so a later table taking that generator
+    again reads its action there."""
     m = len(elems)
     # Number the points that occur in the elements' point codes.  A closed
     # semigroup maps them into themselves, so a point sent outside them
@@ -107,6 +112,7 @@ def _cayley_table(elems: list, index: dict) -> list:
     if not points:  # the one map of the empty set or the zero space
         return [[0]]
     point_index = {x: i for i, x in enumerate(points)}
+    taken = {} if actions is None else actions.setdefault(points, {})
     number = point_index.__getitem__
     # x * g has the code gathered from g's numbered action at x's code; a
     # code is keyed as its gather reads it (a bare point for one point)
@@ -124,7 +130,9 @@ def _cayley_table(elems: list, index: dict) -> list:
         if letter[k] is not None:
             continue
         # the closure of the earlier generators lacks k, so k is one
-        action = tuple(map(point_index.get, elems[k].point_action(points)))
+        action = taken.get(elems[k])
+        if action is None:
+            action = taken[elems[k]] = tuple(map(point_index.get, elems[k].point_action(points)))
         products = list(map(index_of_code, map(itemgetter.__call__, gathers, repeat(action))))
         if None in products:
             a, b = next((a, b) for a in elems for b in elems if a * b not in index)
@@ -184,11 +192,15 @@ class FiniteSemigroup:
     at construction (the verification doubles as the Cayley-table build,
     which gathers point codes and multiplies elements only to name a
     missing product), and more than ``TABLE_CAP`` distinct elements are
-    refused.  A two-sided identity is detected by scan, never assumed.
-    Instances are immutable after construction and safe to share.
+    refused.  Such a list takes one point action per generator, unless
+    ``actions`` holds it already: a build passes its region's store
+    (``family.build``), so the tables of one region share the actions of
+    the generators they have in common (``_cayley_table``).  A two-sided
+    identity is detected by scan, never assumed.  Instances are immutable
+    after construction and safe to share.
     """
 
-    def __init__(self, elements) -> None:
+    def __init__(self, elements, actions: dict | None = None) -> None:
         if isinstance(elements, Closure):  # duplicate-free, of one kind, within TABLE_CAP
             elems = elements
             index = dict(zip(elems, range(len(elems))))
@@ -206,7 +218,7 @@ class FiniteSemigroup:
             if len(elems) > TABLE_CAP:
                 raise SizeCapExceeded("size cap exceeded")
             _check_same_kind(elems)
-            table = _cayley_table(elems, index)
+            table = _cayley_table(elems, index, actions)
         self.elements = tuple(elems)
         self._index = index
         self.table = table

@@ -47,6 +47,11 @@ _EXHAUSTIVE_BASE_LIMIT = 27
 # The most row steps one seeded closure in L(GF(p)^k) may cost by
 # ``_closure_steps``: GF(2)^14 (9,633,792) is admitted, GF(2)^15 is not.
 _CLOSURE_BUDGET = 10_000_000
+# The most row steps all the draws of one seeded linear cell may cost, the
+# draw count times ``_closure_steps``: GF(2)^14 with 10 draws (96,337,920)
+# and GF(2)^10 with the default 200 (61,440,000, about half a minute) are
+# admitted; GF(2)^14 with 200 draws (1,926,758,400) is not.
+_CELL_BUDGET = 100_000_000
 _DEFINITION_CHECK_LIMIT = 200
 
 _IMPLICATIONS = (
@@ -400,15 +405,23 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     """Run every theorem-vs-oracle comparison the plan asks for.  A plan is
     refused before its first draw if any base it selects is past a bound:
     an exhaustive base (``_exhaustive_base``), or a seeded linear cell's
-    closure cost (``_closure_steps`` against ``_CLOSURE_BUDGET``)."""
+    cost, that of one closure (``_closure_steps`` against
+    ``_CLOSURE_BUDGET``) or of all its draws (against ``_CELL_BUDGET``)."""
     t0 = time.perf_counter()
     for p, _, size in _sizes(plan):
         if plan.source == ("exhaustive",):
             _exhaustive_base(plan.family, size, p)
-        elif plan.family == "linear" and _closure_steps(p, size) > _CLOSURE_BUDGET:
-            raise SizeCapExceeded(
-                f"intractable seeded request over GF({p})^{size}",
-                f"more than {_CLOSURE_BUDGET} row steps per closure, the seeded closure budget")
+        elif plan.family == "linear":
+            steps, draws = _closure_steps(p, size), plan.source[1]
+            if steps > _CLOSURE_BUDGET:
+                raise SizeCapExceeded(
+                    f"intractable seeded request over GF({p})^{size}",
+                    f"more than {_CLOSURE_BUDGET} row steps per closure, "
+                    "the seeded closure budget")
+            if steps * draws > _CELL_BUDGET:
+                raise SizeCapExceeded(
+                    f"intractable seeded request over GF({p})^{size} with {draws} draws",
+                    f"more than {_CELL_BUDGET} row steps per cell, the seeded cell budget")
     rep = SweepReport(plan=plan.to_dict())
     rep.semigroup_checks = dict.fromkeys(plan.modes, 0)
     rep.semigroup_agreements = dict.fromkeys(plan.modes, 0)

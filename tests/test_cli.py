@@ -409,6 +409,29 @@ class TestElement:
                              "--w", "1,0,0,0", "--sw", "1", "--f", "1")
         assert (code, out) == (2, "") and "f not in L_S(W)(V): wrong ambient size" in err
 
+    # The bytes of both L witnesses through ``main``: the pseudo-inverse,
+    # then the invertible witness.  A line W (CI's console-script case); a
+    # plane W that meets R(f) in a line, neither 0 nor W; W = 0, where the
+    # witnesses differ from the oracle's partners; and W = V, where each
+    # witness is the partner in S(W), here the inverse of an element of
+    # order 3.
+    @pytest.mark.parametrize("flags, witnesses", [
+        (["--p", "2", "--n", "3", "--w", "1,0,0", "--sw", "1", "--f", "1,0,0;0,0,1;0,0,0"],
+         ["1,0,0;0,0,0;0,1,0", "1,0,0;0,0,1;0,1,0"]),
+        (["--p", "2", "--n", "3", "--w", "1,0,0;0,1,0", "--gens", "0,1;1,0|1,1;0,1|1,0;0,0",
+          "--f", "1,0,0;0,0,0;0,0,1"],
+         ["1,0,0;0,0,0;0,0,1", "1,1,0;0,1,0;0,0,1"]),
+        (["--p", "2", "--n", "3", "--w", "", "--sw", "", "--f", "1,1,0;0,0,1;0,0,0"],
+         ["0,0,0;1,0,0;0,1,0", "0,0,1;1,0,1;0,1,0"]),
+        (["--p", "2", "--n", "2", "--w", "1,0;0,1", "--gens", "0,1;1,1", "--f", "0,1;1,1"],
+         ["1,1;1,0", "1,1;1,0"]),
+    ], ids=["line", "plane-meeting-R(f)-in-a-line", "W=0", "W=V"])
+    def test_linear_witness_bytes(self, capsys, flags, witnesses):
+        code, out, _ = run(capsys, "element", "--kind", "l", *flags, "--format", "json")
+        results = json.loads(out)["results"]
+        assert code == 0 and [r["mode"] for r in results] == ["regular", "unit_regular"]
+        assert [r["theorem_witness"] for r in results] == witnesses
+
 
 class TestSweep:
     @pytest.mark.parametrize("flags", [

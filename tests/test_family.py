@@ -222,6 +222,7 @@ def stub_instance(cls, rec, verdict, asked, has_identity=True):
     inst.has_identity = has_identity
     inst.prescribed = StubSemigroup(verdict, asked)
     inst.record = lambda f: rec
+    inst._record_at = lambda f: (rec, 0)  # alpha is element 0
     return inst
 
 
@@ -457,7 +458,7 @@ def gf2_4_line(*alphas):
 def test_build_refused_exactly_past_the_table_cap(inst, refused, monkeypatch):
     """The bounded power in ``build`` refuses exactly the builds larger
     than ``TABLE_CAP``, before any ``extend``; no Cayley table is made."""
-    monkeypatch.setattr(family, "FiniteSemigroup", list)
+    monkeypatch.setattr(family, "FiniteSemigroup", lambda elements, actions: list(elements))
     calls = []
     extend = inst.extend
     monkeypatch.setattr(inst, "extend", lambda *args: calls.append(1) or extend(*args))
@@ -532,6 +533,44 @@ def test_a_build_on_another_region_drops_the_store(family):
     # and the next build on the first region fills the new store
     assert list(b.build().elements) == [element_at(b, i) for i in range(len(b.build()))]
     assert fresh.elements
+
+
+@pytest.mark.parametrize("family", sorted(SHARED_REGION))
+def test_builds_on_one_region_share_their_generator_actions(family, monkeypatch):
+    """A build's Cayley table keeps the point actions of its generators in
+    the region's store, so a second build on the region takes afresh only
+    the actions of the generators the first did not take; its table is
+    still the table of object products.  Asking for another region drops
+    the shared actions, and a build on the first region then takes every
+    generator's action again."""
+    a, b, other = SHARED_REGION[family]
+    cls = type(a.prescribed.elements[0])
+    point_action = cls.point_action
+    taken = []
+
+    def counted(el, points):
+        taken.append(el)
+        return point_action(el, points)
+
+    def actions_taken(make):
+        taken.clear()
+        made = make()
+        return made, len(taken)
+
+    monkeypatch.setattr(cls, "point_action", counted)
+    _store_on.cache_clear()
+    _, first = actions_taken(a.build)
+    store = _store_on(a.region)
+    assert first and store.actions
+    build_b, shared = actions_taken(b.build)
+    elems = build_b.elements
+    _, alone = actions_taken(lambda: FiniteSemigroup(list(elems)))  # one per generator
+    assert shared < alone
+    index = {f: k for k, f in enumerate(elems)}
+    assert build_b.table == [[index[f * g] for g in elems] for f in elems]
+    other.build()
+    assert _store_on(a.region) is not store and not _store_on(a.region).actions
+    assert actions_taken(b.build)[1] == alone
 
 
 @pytest.mark.parametrize("family", sorted(SHARED_REGION))

@@ -24,6 +24,7 @@ from resemi.gflinear import (
     all_subspaces,
     all_vectors,
     canonical_transversal_subspace,
+    extension_rows,
     image_space,
     independent_extension,
     is_prime,
@@ -42,9 +43,9 @@ from resemi.semigroups import FiniteSemigroup
 from resemi.sweep import run_sweep
 from test_acceptance import CRITERION3_PLANS
 
-MEMOS = (_span_of, _intersect, null_space, _solve)
+MEMOS = (_span_of, _intersect, null_space, _solve, extension_rows)
 # the linear element record's memos, keyed on the subspaces they read
-RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._basis_inverse)
+RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._completion)
 
 
 def all_matrices(p, n):
@@ -466,7 +467,8 @@ class TestMemo:
                 calls = [
                     (lsg._transversal_problem, (tr.u, tr.u_meet_w, null_space(f), w, rec.rf.dim)),
                     (lsg._complement_basis, (w.sum(tr.u),)),
-                    (lsg._basis_inverse, (w, sum(rec.beyond_w, ()))),
+                    (lsg._completion, (w, rec.rf)),
+                    (extension_rows, (rec.rw, rec.rf)),
                 ]
                 for memo, args in calls:
                     hit = memo(*args)

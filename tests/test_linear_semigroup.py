@@ -8,13 +8,18 @@ from itertools import product
 import pytest
 
 from resemi import linear_semigroup as lsg
+from resemi import sweep
 from resemi.family import _store_on
 from resemi.gflinear import (
     GFMatrix,
     Subspace,
     SubspaceTransversal,
+    _intersect,
+    _solve,
+    _span_of,
     all_subspaces,
     canonical_transversal_subspace,
+    extension_rows,
     image_space,
     independent_extension,
     mat_inverse,
@@ -32,6 +37,7 @@ from resemi.semigroups import (
     generate,
     semigroup_oracle,
 )
+from test_acceptance import CRITERION3_PLANS
 from test_family import ElementRecordCases, SharedRecordsCases
 
 
@@ -128,8 +134,10 @@ class TestBuild:
             inst = LInstance(w, trivial_sw(p, w.dim))
             for alpha in all_matrices(p, w.dim):
                 images = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(w.codim)]
-                assert inst.extend(alpha, images) == lsg.on_basis(
-                    w, alpha, inst._complement, images)
+                basis = GFMatrix(p, w.basis + inst._complement, cols=n)
+                lifted = [w.from_coordinates(row) for row in alpha.entries]
+                assert inst.extend(alpha, images) == (
+                    mat_inverse(basis) * GFMatrix(p, lifted + images, cols=n))
 
 
 class TestElementPredicate:
@@ -298,7 +306,7 @@ class TestRecordAgainstReferences:
                     continue
                 records += 1
                 (_, _, b3, b4), _, _ = reference_chain(f, w)
-                assert [list(b) for b in rec.beyond_w] == [b3, b4]
+                assert [list(b) for b in rec.completion[:2]] == [b3, b4]
                 assert rec.rw == restricted_image_space(f, w)
                 assert rec.transversal_problem == reference_transversal_problem(f, w)
                 for mode in ("regular", "unit_regular"):
@@ -347,6 +355,64 @@ class TestTransversalProblem:
         # the check went through the memo, where the wrong pair is a key of its own
         info = lsg._transversal_problem.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+
+# Every memo the linear element record reads through.
+RECORD_SHARING = (_span_of, _intersect, null_space, _solve, extension_rows,
+                  lsg._transversal_problem, lsg._complement_basis, lsg._completion)
+
+
+class TestSharingChangesNoAnswer:
+    """What the record shares, through the memos and the region store, never
+    changes an answer.  For every element of every instance on one region,
+    the transversal pair, the complement sizes, B3 and B4, and both element
+    verdicts with their witnesses (each built on the S-partner the theorem
+    takes) are the same computed warm, after the region's earlier elements,
+    and cold, after every memo is cleared and the store made fresh; and
+    every witness passes ``witness_problem``.  The regions are the first of
+    each dimension that c3d sweeps in GF(2)^3, with the instances c3d runs
+    on it, and the first line of GF(3)^2, with c3b's."""
+
+    @staticmethod
+    def answers(inst, f):
+        rec = inst.record(f)
+        return (rec.transversal, rec.complement_sizes, rec.completion[:2],
+                [inst.thm_element(f, mode) for mode in inst.decidable(inst.ELEMENT_MODES)])
+
+    @staticmethod
+    def instances_on_first_region(plan, dim):
+        """The instances ``plan`` runs on its first region of dimension
+        ``dim``, in sweep order."""
+        region, out = None, []
+        for _, inst in sweep._instances(plan):
+            if out and inst.w != region:
+                break
+            if inst.w.dim == dim:
+                region = inst.w
+                out.append(inst)
+        return out
+
+    @pytest.mark.parametrize("plan, dim", [
+        *[(CRITERION3_PLANS[3], dim) for dim in range(4)], (CRITERION3_PLANS[1], 1),
+    ], ids=[*[f"c3d-GF(2)^3-dim-{dim}" for dim in range(4)], "c3b-GF(3)^2-line"])
+    def test_warm_equals_cold(self, plan, dim):
+        instances = self.instances_on_first_region(plan, dim)
+        _store_on.cache_clear()
+        warm = [(inst, f, self.answers(inst, f))
+                for inst in instances for f in inst.build().elements]
+        witnesses = 0
+        try:
+            for inst, f, answers in warm:
+                for memo in (*RECORD_SHARING, _store_on):
+                    memo.cache_clear()
+                assert self.answers(inst, f) == answers, (inst, f.to_text())
+                for mode, verdict in zip(inst.decidable(inst.ELEMENT_MODES), answers[3]):
+                    if verdict.holds:
+                        assert inst.witness_problem(f, verdict.witness, mode) is None
+                        witnesses += 1
+        finally:
+            _store_on.cache_clear()
+        assert len(instances) > (0 if dim == 0 else 1) and witnesses > 0
 
 
 class TestSharedRecords(SharedRecordsCases):

@@ -109,7 +109,15 @@ class TestEnumerateSubsemigroups:
         (SweepPlan("linear", pns=((2, 3), (2, 24)), source=("seeded", 5, "0")),
          "intractable seeded request over GF(2)^15",
          "more than 10000000 row steps per closure, the seeded closure budget"),
-    ], ids=["T(4)", "L(GF(3)^2)", "seeded-GF(2)^200", "seeded-GF(2)^15-after-GF(2)^3"])
+        # each closure is within its budget, but not the cell's 200 draws:
+        # ``resemi sweep --kind l --pn 2,14 --sizes 14 --source seeded
+        # --element-cap 0``
+        (SweepPlan("linear", pns=((2, 14),), subset_sizes=(14,), source=("seeded", 200, "0"),
+                   modes=LInstance.SEMIGROUP_MODES, element_cap=0),
+         "intractable seeded request over GF(2)^14 with 200 draws",
+         "more than 100000000 row steps per cell, the seeded cell budget"),
+    ], ids=["T(4)", "L(GF(3)^2)", "seeded-GF(2)^200", "seeded-GF(2)^15-after-GF(2)^3",
+            "seeded-GF(2)^14-200-draws"])
     def test_refused_past_a_bound_before_any_draw(self, capsys, monkeypatch, tmp_path, plan,
                                                   message, bound):
         # each bound is checked up front from the plan alone: no closure,
@@ -506,8 +514,8 @@ def test_only_the_running_instance_table_is_alive(monkeypatch):
     def alive():
         return [s for s in (ref() for ref in tables) if s is not None]
 
-    def tracked(self, elements):
-        init(self, elements)
+    def tracked(self, elements, actions=None):
+        init(self, elements, actions)
         tables.append(weakref.ref(self))
         most.append(len(alive()))
 
