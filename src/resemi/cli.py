@@ -35,10 +35,11 @@ selects no instance), 3 work past a stated bound, refused with one line
 naming it: a build or a ``--gens`` closure past the Cayley table's
 ``TABLE_CAP`` elements (also a sweep all of whose selected instances
 are; the report is printed first), an exhaustive sweep past its
-27-element base, or a seeded linear sweep past the closure or cell
-budget, 4 when a predicate and its oracle disagree, when ``element``
-prints a theorem witness that fails its check (run with or without the
-oracle), or when a sweep reports any mismatch.
+27-element base, a seeded linear sweep past the closure or cell budget,
+or a sweep whose instances, counted before its first cell, pass the
+sweep instance bound of 100,000; 4 when a predicate and its oracle
+disagree, when ``element`` prints a theorem witness that fails its check
+(run with or without the oracle), or when a sweep reports any mismatch.
 """
 
 from __future__ import annotations

@@ -52,6 +52,11 @@ _CLOSURE_BUDGET = 10_000_000
 # and GF(2)^10 with the default 200 (61,440,000, about half a minute) are
 # admitted; GF(2)^14 with 200 draws (1,926,758,400) is not.
 _CELL_BUDGET = 100_000_000
+# The most instances one sweep may run, counted up front (``_region_count``
+# times the draws or the exhaustive list): the 12,980 of T(3)'s 1,298
+# subsemigroups on each 3-point Y of a 5-point X are admitted, and so is
+# every acceptance plan; C(30, 15) regions with one draw each are not.
+_INSTANCE_BOUND = 100_000
 _DEFINITION_CHECK_LIMIT = 200
 
 _IMPLICATIONS = (
@@ -298,6 +303,27 @@ def _closure_steps(p: int, k: int) -> int:
     return min(p ** min(k, cap.bit_length()), cap) * 3 * k * k
 
 
+def _region_count(p: int | None, n: int, k: int, bound: int) -> int:
+    """The number of regions of size k: C(n, k) subsets Y of an n-point X
+    (p None), or the Gaussian binomial [n k]_p subspaces W of GF(p)^n.
+    Once the count passes ``bound`` some number past it is returned, so no
+    work grows with the count: for i up to min(k, n - k) the partial
+    products C(n-k+i, i) and [n-k+i i]_p are counts themselves, each at
+    least twice the last, and [n k]_p is at least 2^(n-k) when k > 0."""
+    k = min(k, n - k)
+    if p is not None and k and n - k >= bound.bit_length():
+        return bound + 1
+    count = 1
+    for i in range(1, k + 1):
+        if p is None:
+            count = count * (n - k + i) // i
+        else:
+            count = count * (p ** (n - k + i) - 1) // (p ** i - 1)
+        if count > bound:
+            break
+    return count
+
+
 def _subsemigroup_masks(table: list) -> list:
     """Every nonempty subsemigroup of the table's semigroup, as its index
     mask, in increasing order: the closure-extension walk of
@@ -406,7 +432,8 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     refused before its first draw if any base it selects is past a bound:
     an exhaustive base (``_exhaustive_base``), or a seeded linear cell's
     cost, that of one closure (``_closure_steps`` against
-    ``_CLOSURE_BUDGET``) or of all its draws (against ``_CELL_BUDGET``)."""
+    ``_CLOSURE_BUDGET``) or of all its draws (against ``_CELL_BUDGET``);
+    or if its instances together pass ``_INSTANCE_BOUND``."""
     t0 = time.perf_counter()
     for p, _, size in _sizes(plan):
         if plan.source == ("exhaustive",):
@@ -422,6 +449,16 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
                 raise SizeCapExceeded(
                     f"intractable seeded request over GF({p})^{size} with {draws} draws",
                     f"more than {_CELL_BUDGET} row steps per cell, the seeded cell budget")
+    instances = 0
+    for p, n, size in _sizes(plan):
+        if plan.source == ("exhaustive",):  # the list ``_instances`` reads
+            per_region = len(enumerate_subsemigroups(plan.family, size, plan.source, p=p))
+        else:
+            per_region = plan.source[1]
+        instances += per_region * _region_count(p, n, size, _INSTANCE_BOUND)
+        if instances > _INSTANCE_BOUND:
+            raise SizeCapExceeded("intractable sweep request",
+                                  f"more than {_INSTANCE_BOUND} instances, the sweep instance bound")
     rep = SweepReport(plan=plan.to_dict())
     rep.semigroup_checks = dict.fromkeys(plan.modes, 0)
     rep.semigroup_agreements = dict.fromkeys(plan.modes, 0)
@@ -430,7 +467,8 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     rep.element_agreements = dict.fromkeys(element_modes, 0)
     seen_definition_keys: set[frozenset] = set()
 
-    for cell, inst in _instances(plan):
+    # with no draws, the regions alone would be listed for nothing
+    for cell, inst in _instances(plan) if instances else ():
         if isinstance(inst, dict):  # a seeded draw refused at closure
             rep.skipped.append({"cell": cell, **inst})
             continue

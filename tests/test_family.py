@@ -14,16 +14,20 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resemi import family, sweep
 from resemi.family import _store_on, element_at, element_verdict
-from resemi.gflinear import GFMatrix, Subspace
+from resemi.gflinear import GFMatrix, Subspace, all_subspaces
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
     TABLE_CAP,
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
+    generate,
+    semigroup_oracle,
     witness_problem,
 )
 from resemi.sweep import SweepPlan
@@ -611,3 +615,48 @@ def test_decidable_drops_unit_regular_without_identity(inst, decidable):
     assert inst.decidable(inst.SEMIGROUP_MODES) == decidable
     assert inst.decidable(("unit_regular", "regular")) == [m for m in ("unit_regular", "regular")
                                                            if m in decidable]
+
+
+# (p, n) cells of small instances: T(n) for n <= 4 (p None), and
+# L(GF(p)^n) for some p^(n^2) <= 512, so every build has at most 512
+# elements.
+SMALL_CELLS = [(None, n) for n in range(1, 5)] + [
+    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+SUBSPACES = {(p, n): list(all_subspaces(p, n)) for p, n in SMALL_CELLS if p}
+
+
+@st.composite
+def small_instances(draw):
+    """A random region of a small cell, and S on it closed from 1-3 random
+    generators."""
+    p, n = draw(st.sampled_from(SMALL_CELLS))
+    if p is None:
+        region = IndexSubset(n, sorted(draw(st.sets(st.integers(0, n - 1)))))
+        k = len(region)
+        gen = st.lists(st.integers(0, max(k - 1, 0)), min_size=k, max_size=k).map(
+            lambda images: Transformation(tuple(images)))
+    else:
+        region = draw(st.sampled_from(SUBSPACES[p, n]))
+        k = region.dim
+        row = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+        gen = st.lists(row, min_size=k, max_size=k).map(lambda rows: GFMatrix(p, rows, cols=k))
+    s = generate(draw(st.lists(gen, min_size=1, max_size=3)))
+    return (TInstance if p is None else LInstance)(region, s)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(small_instances())
+def test_theorems_agree_with_the_oracles_on_random_small_instances(inst):
+    # every semigroup and element verdict against the oracle on the build,
+    # and every witness checked by multiplication, outside the table
+    build = inst.build()
+    for mode in inst.decidable(inst.SEMIGROUP_MODES):
+        assert inst.thm_semigroup(mode).holds == semigroup_oracle(build, mode).holds, mode
+    modes = inst.decidable(inst.ELEMENT_MODES)
+    for i, f in enumerate(build.elements):
+        for mode in modes:
+            v = inst.thm_element(f, mode)
+            assert v.holds == (build.partner(i, mode) >= 0), (f.to_text(), mode)
+            if v.witness is not None:  # T has no regular witness
+                assert v.holds and inst.witness_problem(f, v.witness, mode) is None, (
+                    f.to_text(), mode)

@@ -5,7 +5,7 @@ import json
 import re
 import time
 import weakref
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +14,7 @@ from resemi import sweep
 from resemi import transform_semigroup as tsg
 from resemi.cli import main
 from resemi.family import element_at
-from resemi.gflinear import GFMatrix, Subspace, all_vectors
+from resemi.gflinear import GFMatrix, Subspace, all_subspaces, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
     FiniteSemigroup,
@@ -116,8 +116,19 @@ class TestEnumerateSubsemigroups:
                    modes=LInstance.SEMIGROUP_MODES, element_cap=0),
          "intractable seeded request over GF(2)^14 with 200 draws",
          "more than 100000000 row steps per cell, the seeded cell budget"),
+        # C(30, 15) regions, 2^30 - 1 lines and [12 6]_2 planes, with one
+        # draw each: ``resemi sweep --kind t --ns 30 --sizes 15 --source
+        # seeded --samples 1 --element-cap 0`` and its linear twins
+        *[(SweepPlan(family, **cells, source=("seeded", 1, "0"), element_cap=0),
+           "intractable sweep request", "more than 100000 instances, the sweep instance bound")
+          for family, cells in (("transformation", dict(ns=(30,), subset_sizes=(15,))),
+                                ("linear", dict(pns=((2, 30),), subset_sizes=(1,))),
+                                ("linear", dict(pns=((2, 12),), subset_sizes=(6,))),
+                                # one past the bound
+                                ("transformation", dict(ns=(100_001,), subset_sizes=(1,))))],
     ], ids=["T(4)", "L(GF(3)^2)", "seeded-GF(2)^200", "seeded-GF(2)^15-after-GF(2)^3",
-            "seeded-GF(2)^14-200-draws"])
+            "seeded-GF(2)^14-200-draws", "T(30)-|Y|=15", "GF(2)^30-lines", "GF(2)^12-dim-6",
+            "100001-points"])
     def test_refused_past_a_bound_before_any_draw(self, capsys, monkeypatch, tmp_path, plan,
                                                   message, bound):
         # each bound is checked up front from the plan alone: no closure,
@@ -150,12 +161,41 @@ class TestEnumerateSubsemigroups:
         monkeypatch.setattr(sweep, "enumerate_subsemigroups", lambda *args, **kwargs: ())
         assert run_sweep(plan).instances_run == 0
 
+    @pytest.mark.parametrize("plan", [
+        # T(3)'s 1,298 subsemigroups on each 3-point Y of a 5-point X
+        SweepPlan("transformation", ns=(5,), subset_sizes=(3,), element_cap=0),
+        # c3d: the 16 subspaces of GF(2)^3, 50 draws each
+        SweepPlan("linear", pns=((2, 3),), source=("seeded", 50, "criterion3")),
+        # 100,000 one-point regions, one draw each: at the bound
+        SweepPlan("transformation", ns=(100_000,), subset_sizes=(1,), source=("seeded", 1, "0")),
+    ], ids=["12980-T(3)-regions-of-T(5)", "800-c3d", "100000-at-the-bound"])
+    def test_instance_bound_admits(self, monkeypatch, plan):
+        monkeypatch.setattr(sweep, "_instances", lambda plan: ())
+        assert run_sweep(plan).instances_run == 0
+
+    @pytest.mark.parametrize("p", [None, 2, 3])
+    def test_region_count(self, p):
+        # exact below the bound: the subsets of range(n), or the subspaces
+        # all_subspaces lists
+        for n in range(6 if p else 9):
+            for k in range(n + 1):
+                regions = (combinations(range(n), k) if p is None else all_subspaces(p, n, k))
+                assert sweep._region_count(p, n, k, 10 ** 6) == len(list(regions))
+        # and past it at once, without the whole count
+        start = time.perf_counter()
+        for p, n, k in ((None, 10 ** 9, 5 * 10 ** 8), (2, 12, 6), (101, 3_000_000, 1),
+                        (10000000000000061, 40, 20)):
+            assert sweep._region_count(p, n, k, 1000) > 1000
+        assert time.perf_counter() - start < 1
+
     def test_composite_p_refused_before_any_instance(self, capsys, monkeypatch):
         # the GF(2)^3 cells would run first if only GF(4) itself were refused
         ran = []
         monkeypatch.setattr(sweep, "_run_instance", lambda *args: ran.append(args))
+        start = time.perf_counter()
         code = main(["sweep", "--kind", "l", "--pn", "2,3;4,1", "--source", "seeded",
                      "--samples", "50"])
+        assert time.perf_counter() - start < 5
         captured = capsys.readouterr()
         assert (code, captured.out, not ran) == (2, "", True)
         assert captured.err.startswith("error: plan field 'pns' must be ")
