@@ -27,7 +27,8 @@ the one family module its instance's ``kind`` names
 (``family.family_class``): ``transform_semigroup`` and
 ``transformations``, or ``linear_semigroup`` and ``gflinear``; help and
 a usage error load neither family, ``sweep`` is imported by the sweep
-command alone, and ``json`` only where JSON is read or written.
+command alone and loads its plan's family alone, and ``json`` only where
+JSON is read or written.
 
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
@@ -35,7 +36,7 @@ selects no instance), 3 work past a stated bound, refused with one line
 naming it: a build or a ``--gens`` closure past the Cayley table's
 ``TABLE_CAP`` elements (also a sweep all of whose selected instances
 are; the report is printed first), an exhaustive sweep past its
-27-element base, a seeded linear sweep past the closure or cell budget,
+27-element base, a seeded sweep past the closure or cell budget,
 or a sweep whose instances, counted before its first cell, pass the
 sweep instance bound of 100,000; 4 when a predicate and its oracle
 disagree, when ``element`` prints a theorem witness that fails its check

@@ -75,8 +75,14 @@ class RestrictedInstance:
     (the element ``text`` spells in the inline grammar),
     ``decidable(modes)``, ``check_mode(mode, level)``, ``expected_size()``,
     ``exceeds(bound)``, ``build()``, ``thm_semigroup(mode)``,
-    ``thm_element(f, mode)``, ``record(f)`` and ``witness_problem(f, w,
-    mode)``.
+    ``thm_element(f, mode)``, ``record(f)``, ``witness_problem(f, w,
+    mode)`` and ``alpha_family(build)`` (the linear family's index-family
+    check of the build where it applies, else None).  What a sweep reads
+    of a family is stated on the class too: its regions of size k in an
+    ambient of size n, each with its cell's key, which seeds the cell's
+    draws (``cells(n, k, p)``), how many there are (``region_count``),
+    and a bound on the steps of one seeded closure in the base monoid
+    ``BASE`` (``closure_steps(k, p)``, in the unit ``STEPS``).
 
     A subclass names its record class (``RECORD``, whose ``alpha`` is the
     restriction of an element to the region), its unit test
@@ -167,6 +173,26 @@ class RestrictedInstance:
         except ValueError:
             raise ValueError(
                 f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}") from None
+
+    @classmethod
+    def region_count(cls, n: int, k: int, p: int | None, bound: int) -> int:
+        """The number of regions of size k (``cells``): the product over
+        i <= min(k, n - k) of q(n - k + i) / q(i), where q (``_q``) is m
+        for C(n, k) and p^m - 1 for the Gaussian binomial [n k]_p.  Once
+        the count passes ``bound`` some number past it is returned, so no
+        work grows with the count: each partial product is a count itself,
+        at least twice the last."""
+        k = min(k, n - k)
+        count = 1
+        for i in range(1, k + 1):
+            count = count * cls._q(n - k + i, p) // cls._q(i, p)
+            if count > bound:
+                break
+        return count
+
+    def alpha_family(self, build: FiniteSemigroup) -> PropertyVerdict | None:
+        """None: only the linear family has an index-family check."""
+        return None
 
     def witness_problem(self, f, w, mode: str) -> str | None:
         """What is wrong with w as the theorem's ``mode`` witness for f, or
@@ -327,7 +353,8 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     holds and, for ``unit_regular`` alone, the two complements of a
     compatible transversal pair have equal sizes (``complement_sizes``,
     C-side first).  A yes carries the witness assembled on the partner
-    (``witness(mode, partner)``), unchecked here.  A mode outside
+    (``witness(mode, partner)``), unchecked here and kept on the record
+    keyed on (mode, partner), so each is assembled once.  A mode outside
     ``ELEMENT_MODES``, or ``unit_regular`` without the identity, is
     refused (``check_mode``).
 
@@ -354,4 +381,10 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
             clause = f"complement {inst.SIZES} differ ({c_size} vs {d_size})"
             return PropertyVerdict(mode, False, clause=clause)
         clause = "all three element conditions hold"
-    return PropertyVerdict(mode, True, witness=rec.witness(mode, s.elements[partner]), clause=clause)
+    key = (mode, s.elements[partner])
+    kept = vars(rec).get("witnesses", {})  # a record holds the dict from its first witness on
+    witness = kept.get(key)
+    if witness is None and (witness := rec.witness(*key)) is not None:
+        kept[key] = witness
+        rec.witnesses = kept
+    return PropertyVerdict(mode, True, witness=witness, clause=clause)

@@ -20,6 +20,7 @@ from .gflinear import (
     GFMatrix,
     Subspace,
     SubspaceTransversal,
+    all_subspaces,
     all_vectors,
     extension_rows,
     image_space,
@@ -40,14 +41,14 @@ from .family import (
     parse_rows,
     semigroup_verdict,
 )
-from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup
+from .semigroups import TABLE_CAP, FiniteSemigroup, PropertyVerdict, prescribed_semigroup
 
 
 class ElementSubspaces:
     """What the element characterizations and their witnesses read of one
     f on one W, each part computed at most once.  Nothing here depends on
-    S(W), except that each witness is keyed on the S(W)-partner it is
-    built on.
+    S(W), except that each witness is built on the S(W)-partner it is
+    given.
 
     Eager: the restriction ``alpha`` (None when f does not leave W
     invariant, and then nothing else), R(f) (``rf``), R(f) meet W
@@ -58,10 +59,10 @@ class ElementSubspaces:
     codim(W + U) and codim(W + R(f)) (``complement_sizes``), the
     completion of W's canonical basis to a basis of V by B3 and B4, with
     that basis's inverse (``completion``), the images of B3 and B4 under
-    each witness (``regular_rows``, ``unit_regular_rows``), and each
-    witness assembled (``witness``).  N(f) and W + U are not kept here:
-    they are read from the memoised ``null_space(f)`` and the interned
-    span ``W.sum(U)``.
+    each witness (``regular_rows``, ``unit_regular_rows``); ``witness``
+    assembles a witness, which ``family.element_verdict`` keeps.  N(f) and
+    W + U are not kept here: they are read from the memoised
+    ``null_space(f)`` and the interned span ``W.sum(U)``.
 
     What reads only subspaces is shared through memos keyed on exactly
     what it reads, since a sweep meets the same few subspaces for many f:
@@ -78,7 +79,6 @@ class ElementSubspaces:
     def __init__(self, w: Subspace, f: GFMatrix) -> None:
         self.f = f
         self.w = w
-        self._witnesses: dict[tuple, GFMatrix] = {}
         try:
             self.alpha, images = restriction_images(f, w)
         except ValueError:
@@ -135,10 +135,10 @@ class ElementSubspaces:
 
     def witness(self, mode: str, partner: GFMatrix) -> GFMatrix:
         """The witness for ``mode`` built on the S(W)-partner of f|W,
-        assembled once per (mode, partner) as one product: the inverse of
-        the basis [W; B3; B4] (``completion``) times the basis's images,
-        the partner lifted to ambient rows (``_lifted``) on W and the
-        mode's images of B3 and B4.
+        assembled as one product: the inverse of the basis [W; B3; B4]
+        (``completion``) times the basis's images, the partner lifted to
+        ambient rows (``_lifted``) on W and the mode's images of B3 and
+        B4.
 
         regular: a pseudo-inverse h, the partner on W, chosen preimages on
         the rest of R(f) and zero on a complement of W + R(f).
@@ -148,14 +148,10 @@ class ElementSubspaces:
         Nothing is checked here; see ``witness_problem`` on the instance."""
         if self.w.is_full():
             return partner  # W's basis is a basis of V, so the map is the partner
-        key = (mode, partner)
-        found = self._witnesses.get(key)
-        if found is None:
-            n, inverse = self.w.ambient_dim, self.completion[2]
-            rows = _lifted(self.w, partner) + (
-                self.regular_rows if mode == "regular" else self.unit_regular_rows)
-            found = self._witnesses[key] = inverse * GFMatrix._unchecked(self.w.p, n, n, rows)
-        return found
+        n, inverse = self.w.ambient_dim, self.completion[2]
+        rows = _lifted(self.w, partner) + (
+            self.regular_rows if mode == "regular" else self.unit_regular_rows)
+        return inverse * GFMatrix._unchecked(self.w.p, n, n, rows)
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -256,6 +252,7 @@ class LInstance(RestrictedInstance):
         "L_S(W)(V)", "W", "S(W)", "invertible", "codimensions")
     UNIT_GROUP, WHOLE, FINITE = "Aut(W)", "W = V", "codim(W) is finite"
     SMALL_N, SMALL, CODIM_ONE = 1, "dim V = 1", "codim(W) = 1"
+    BASE, STEPS = "GF({p})^{k}", "row steps"
     is_unit = staticmethod(GFMatrix.is_invertible)
 
     def __init__(self, w: Subspace, s_w: FiniteSemigroup) -> None:
@@ -283,6 +280,41 @@ class LInstance(RestrictedInstance):
     def whole(cls, size: int, p: int) -> "LInstance":
         """The instance over W = 0, whose build is all of L(GF(p)^size)."""
         return cls(Subspace._unchecked(p, size, ()), FiniteSemigroup([GFMatrix(p, ())]))
+
+    @staticmethod
+    def cells(n: int, k: int, p: int):
+        """(cell key, W) for each k-dimensional subspace W of GF(p)^n, in
+        ``all_subspaces`` order."""
+        return ((f"l:{p}:{n}:{w.to_text()}", w) for w in all_subspaces(p, n, k))
+
+    @staticmethod
+    def _q(m: int, p: int) -> int:
+        """``region_count``'s q, for [n k]_p."""
+        return p ** m - 1
+
+    @classmethod
+    def region_count(cls, n: int, k: int, p: int, bound: int) -> int:
+        """[n k]_p (``RestrictedInstance.region_count``), at once past
+        ``bound`` when 0 < k < n and n - min(k, n - k) reaches its bit
+        length, as [n k]_p is at least 2^(n - min(k, n - k)) then: so no
+        power grows with n."""
+        if 0 < k < n and n - min(k, n - k) >= bound.bit_length():
+            return bound + 1
+        return super().region_count(n, k, p, bound)
+
+    @staticmethod
+    def closure_steps(k: int, p: int) -> int:
+        """A bound on the row steps of one seeded closure in L(GF(p)^k): at
+        most min(p^k, TABLE_CAP * k) points (k rows for each element), each
+        acted on by at most 3 generators at k^2 steps.  The power is bounded
+        as in ``exceeds``, so no work grows with p^k."""
+        cap = TABLE_CAP * k
+        return min(p ** min(k, cap.bit_length()), cap) * 3 * k * k
+
+    def alpha_family(self, build: FiniteSemigroup) -> PropertyVerdict | None:
+        """``alpha_family_check`` of ``build`` where it applies, codim(W) =
+        1 and S(W) a group of units; else None."""
+        return alpha_family_check(self, build) if self.codim == 1 and self.unit_group else None
 
     def point(self, d: int) -> tuple:
         """Vector d of GF(p)^n in ``all_vectors`` order: d's n digits in

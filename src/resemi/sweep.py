@@ -14,11 +14,8 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import combinations
 
-from . import linear_semigroup as lsg
 from .family import KINDS, element_at, family_class, is_int
-from .gflinear import all_subspaces, is_prime
 from .semigroups import (
     TABLE_CAP,
     FiniteSemigroup,
@@ -29,12 +26,8 @@ from .semigroups import (
     subgroup_containing,
     witness_problem,
 )
-from .transformations import IndexSubset
 
 SCHEMA_VERSION = 1
-
-# A plan's family names the instance class; both implement one interface.
-FAMILIES = {kind: family_class(kind) for kind in KINDS}
 
 # The keys a schema-1 report's plan block holds besides the plan's fields,
 # which the determinism comparison and the recorded report digests read:
@@ -44,15 +37,17 @@ SCHEMA1_PLAN_KEYS = {"definition_checks": True, "transversal_checks": True,
                      "alpha_family_checks": True, "size_cap": 1_000_000}
 
 _EXHAUSTIVE_BASE_LIMIT = 27
-# The most row steps one seeded closure in L(GF(p)^k) may cost by
-# ``_closure_steps``: GF(2)^14 (9,633,792) is admitted, GF(2)^15 is not.
+# The most steps one seeded closure may cost by its family's
+# ``closure_steps``: GF(2)^14 (9,633,792 row steps) and T(813) (9,990,144
+# point steps) are admitted, GF(2)^15 and T(814) are not.
 _CLOSURE_BUDGET = 10_000_000
-# The most row steps all the draws of one seeded linear cell may cost, the
-# draw count times ``_closure_steps``: GF(2)^14 with 10 draws (96,337,920)
-# and GF(2)^10 with the default 200 (61,440,000, about half a minute) are
-# admitted; GF(2)^14 with 200 draws (1,926,758,400) is not.
+# The most steps all the draws of one seeded cell may cost, the draw count
+# times ``closure_steps``: GF(2)^14 with 10 draws (96,337,920), GF(2)^10
+# with the default 200 (61,440,000, about half a minute) and T(200) with
+# 3 (7,372,800) are admitted; GF(2)^14 with 200 draws (1,926,758,400) is
+# not.
 _CELL_BUDGET = 100_000_000
-# The most instances one sweep may run, counted up front (``_region_count``
+# The most instances one sweep may run, counted up front (``region_count``
 # times the draws or the exhaustive list): the 12,980 of T(3)'s 1,298
 # subsemigroups on each 3-point Y of a 5-point X are admitted, and so is
 # every acceptance plan; C(30, 15) regions with one draw each are not.
@@ -101,12 +96,12 @@ class SweepPlan:
     element_cap: int = TABLE_CAP
 
     def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in KINDS:
             raise ValueError(f"unknown family {self.family!r}")
         for name, ok, expected in (
             ("ns", _naturals(self.ns), "a list of distinct non-negative integers"),
             ("pns", isinstance(self.pns, tuple)
-             and all(_ints(c) and len(c) == 2 and is_prime(c[0]) and c[1] >= 0 for c in self.pns)
+             and all(_ints(c) and len(c) == 2 and _prime(c[0]) and c[1] >= 0 for c in self.pns)
              and _distinct(self.pns), "a list of distinct [p, n] pairs with p prime and "
              "non-negative n"),
             ("subset_sizes", self.subset_sizes is None or _naturals(self.subset_sizes),
@@ -124,7 +119,7 @@ class SweepPlan:
             raise ValueError(f"plan field {other!r} must be empty for family {self.family!r}, "
                              f"not {_as_lists(getattr(self, other))!r}")
         for m in self.modes:
-            if m not in FAMILIES[self.family].SEMIGROUP_MODES:
+            if m not in family_class(self.family).SEMIGROUP_MODES:
                 raise ValueError(f"mode {m!r} not available for family {self.family!r}")
         src = self.source
         seeded = (isinstance(src, tuple) and len(src) == 3 and src[0] == "seeded"
@@ -152,6 +147,12 @@ class SweepPlan:
             raise ValueError(f"unknown plan key {', '.join(map(repr, unknown))} "
                              f"(the fields are {', '.join(names)})")
         return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
+
+
+def _prime(p: int) -> bool:
+    from .gflinear import is_prime  # only a linear plan's cells need it
+
+    return is_prime(p)
 
 
 def _ints(v) -> bool:
@@ -262,7 +263,7 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
         base = _exhaustive_base(kind, base_size, p).build()
         return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
                      for mask in _subsemigroup_masks(base.table))
-    whole = FAMILIES[kind].whole(base_size, p)
+    whole = family_class(kind).whole(base_size, p)
     m = whole.expected_size()
     _, count, seed = source
     rng = random.Random(seed)
@@ -287,41 +288,11 @@ def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
     """The family's instance over an empty region (``whole``), whose build
     is the base monoid of an exhaustive listing; refused past
     ``_EXHAUSTIVE_BASE_LIMIT`` elements, the one statement of that bound."""
-    whole = FAMILIES[kind].whole(base_size, p)
+    whole = family_class(kind).whole(base_size, p)
     if whole.exceeds(_EXHAUSTIVE_BASE_LIMIT):
         bound = f"more than {_EXHAUSTIVE_BASE_LIMIT} elements, the exhaustive base bound"
         raise SizeCapExceeded("intractable exhaustive request", bound)
     return whole
-
-
-def _closure_steps(p: int, k: int) -> int:
-    """A bound on the row steps of one seeded closure in L(GF(p)^k): at
-    most min(p^k, TABLE_CAP * k) points (k rows for each element), each
-    acted on by at most 3 generators at k^2 steps.  The power is bounded
-    as in ``exceeds``, so no work grows with p^k."""
-    cap = TABLE_CAP * k
-    return min(p ** min(k, cap.bit_length()), cap) * 3 * k * k
-
-
-def _region_count(p: int | None, n: int, k: int, bound: int) -> int:
-    """The number of regions of size k: C(n, k) subsets Y of an n-point X
-    (p None), or the Gaussian binomial [n k]_p subspaces W of GF(p)^n.
-    Once the count passes ``bound`` some number past it is returned, so no
-    work grows with the count: for i up to min(k, n - k) the partial
-    products C(n-k+i, i) and [n-k+i i]_p are counts themselves, each at
-    least twice the last, and [n k]_p is at least 2^(n-k) when k > 0."""
-    k = min(k, n - k)
-    if p is not None and k and n - k >= bound.bit_length():
-        return bound + 1
-    count = 1
-    for i in range(1, k + 1):
-        if p is None:
-            count = count * (n - k + i) // i
-        else:
-            count = count * (p ** (n - k + i) - 1) // (p ** i - 1)
-        if count > bound:
-            break
-    return count
 
 
 def _subsemigroup_masks(table: list) -> list:
@@ -378,22 +349,16 @@ def _sizes(plan: SweepPlan):
 def _instances(plan: SweepPlan):
     """Deterministically ordered (cell_key, instance) pairs for the plan,
     each instance a region and one S on it, built by the plan's family
-    (``FAMILIES``); a seeded draw refused at closure comes as (cell_key,
-    its record).  The family chooses only the regions, the subsets Y of
-    size |Y| or the subspaces W of dimension dim W, and the cell key that
-    seeds the draws on each.  A seeded S is tabled as its instance is
+    (``family_class``); a seeded draw refused at closure comes as
+    (cell_key, its record).  The family chooses only the regions of each
+    size and the cell key that seeds the draws on each (``cells``).  A
+    seeded S is tabled as its instance is
     yielded, from its closure's graph (``_tabled``), so only the running
     instance's table is alive.  It is made here, outside
     ``_run_instance``, so per-instance times do not count S's table."""
-    family = FAMILIES[plan.family]
+    family = family_class(plan.family)
     for p, n, size in _sizes(plan):
-        if plan.family == "transformation":
-            regions = (IndexSubset(n, members) for members in combinations(range(n), size))
-            prefix = f"t:{n}:"
-        else:
-            regions, prefix = all_subspaces(p, n, size), f"l:{p}:{n}:"
-        for region in regions:
-            cell = prefix + region.to_text()
+        for cell, region in family.cells(n, size, p):
             for s in enumerate_subsemigroups(plan.family, size, _cell_source(plan, cell), p=p):
                 yield cell, s if isinstance(s, dict) else family(region, _tabled(s))
 
@@ -430,39 +395,39 @@ def _definition_failures(s: FiniteSemigroup) -> list[str]:
 def run_sweep(plan: SweepPlan) -> SweepReport:
     """Run every theorem-vs-oracle comparison the plan asks for.  A plan is
     refused before its first draw if any base it selects is past a bound:
-    an exhaustive base (``_exhaustive_base``), or a seeded linear cell's
-    cost, that of one closure (``_closure_steps`` against
+    an exhaustive base (``_exhaustive_base``), or a seeded cell's cost in
+    its family's steps, that of one closure (``closure_steps`` against
     ``_CLOSURE_BUDGET``) or of all its draws (against ``_CELL_BUDGET``);
     or if its instances together pass ``_INSTANCE_BOUND``."""
     t0 = time.perf_counter()
+    family = family_class(plan.family)
     for p, _, size in _sizes(plan):
         if plan.source == ("exhaustive",):
             _exhaustive_base(plan.family, size, p)
-        elif plan.family == "linear":
-            steps, draws = _closure_steps(p, size), plan.source[1]
-            if steps > _CLOSURE_BUDGET:
-                raise SizeCapExceeded(
-                    f"intractable seeded request over GF({p})^{size}",
-                    f"more than {_CLOSURE_BUDGET} row steps per closure, "
-                    "the seeded closure budget")
-            if steps * draws > _CELL_BUDGET:
-                raise SizeCapExceeded(
-                    f"intractable seeded request over GF({p})^{size} with {draws} draws",
-                    f"more than {_CELL_BUDGET} row steps per cell, the seeded cell budget")
+            continue
+        steps, draws = family.closure_steps(size, p), plan.source[1]
+        base, unit = family.BASE.format(p=p, k=size), family.STEPS
+        if steps > _CLOSURE_BUDGET:
+            raise SizeCapExceeded(f"intractable seeded request over {base}",
+                                  f"more than {_CLOSURE_BUDGET} {unit} per closure, "
+                                  "the seeded closure budget")
+        if steps * draws > _CELL_BUDGET:
+            raise SizeCapExceeded(f"intractable seeded request over {base} with {draws} draws",
+                                  f"more than {_CELL_BUDGET} {unit} per cell, the seeded cell budget")
     instances = 0
     for p, n, size in _sizes(plan):
         if plan.source == ("exhaustive",):  # the list ``_instances`` reads
             per_region = len(enumerate_subsemigroups(plan.family, size, plan.source, p=p))
         else:
             per_region = plan.source[1]
-        instances += per_region * _region_count(p, n, size, _INSTANCE_BOUND)
+        instances += per_region * family.region_count(n, size, p, _INSTANCE_BOUND)
         if instances > _INSTANCE_BOUND:
             raise SizeCapExceeded("intractable sweep request",
                                   f"more than {_INSTANCE_BOUND} instances, the sweep instance bound")
     rep = SweepReport(plan=plan.to_dict())
     rep.semigroup_checks = dict.fromkeys(plan.modes, 0)
     rep.semigroup_agreements = dict.fromkeys(plan.modes, 0)
-    element_modes = [m for m in FAMILIES[plan.family].ELEMENT_MODES if m in plan.modes]
+    element_modes = [m for m in family.ELEMENT_MODES if m in plan.modes]
     rep.element_checks = dict.fromkeys(element_modes, 0)
     rep.element_agreements = dict.fromkeys(element_modes, 0)
     seen_definition_keys: set[frozenset] = set()
@@ -545,8 +510,8 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
             rep.transversal_failures.append(
                 {"instance": key, "element": f.to_text(), "problem": problem})
 
-    if plan.family == "linear" and inst.codim == 1 and inst.unit_group:
-        verdict = lsg.alpha_family_check(inst, build)
+    verdict = inst.alpha_family(build)
+    if verdict is not None:
         rep.alpha_family_checks_run += 1
         if not verdict.holds:
             rep.alpha_family_failures.append({"instance": key, "clause": verdict.clause})

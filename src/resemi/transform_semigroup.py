@@ -13,9 +13,10 @@ builds exist for oracle cross-checks and element classification.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 from .family import RestrictedInstance, build, element_verdict, json_int, parse_ints, semigroup_verdict
-from .semigroups import FiniteSemigroup, PropertyVerdict, prescribed_semigroup
+from .semigroups import TABLE_CAP, FiniteSemigroup, PropertyVerdict, prescribed_semigroup
 from .transformations import (
     IndexSubset,
     Transformation,
@@ -37,8 +38,9 @@ class TElementRecord:
     test R(f) meet Y = R(f|Y) (``trace_ok``).  Lazy: the canonical transversal pair
     (``transversal``) and what is wrong with it (``transversal_problem``,
     None when nothing is), the sorted extras D(f) minus D(f|Y) and C(f) minus
-    C(f|Y) (``extras``), their sizes (``complement_sizes``) and the
-    unit-regular witness on each partner (``witness``).
+    C(f|Y) (``extras``) and their sizes (``complement_sizes``).  The
+    unit-regular witness on a partner is assembled by ``witness`` and kept
+    by ``family.element_verdict``.
     """
 
     def __init__(self, y: IndexSubset, f: Transformation) -> None:
@@ -51,12 +53,6 @@ class TElementRecord:
             return
         self.fibers = fibers(f)
         self.trace_ok = {v for v in self.fibers if v in y} == {f.map[x] for x in y.members}
-
-    @cached_property
-    def _witnesses(self) -> dict[Transformation, Transformation]:
-        """Each unit-regular witness assembled, keyed on its partner; made
-        on the first witness, so a record never asked for one holds none."""
-        return {}
 
     @cached_property
     def transversal(self) -> TransversalPair:
@@ -100,24 +96,21 @@ class TElementRecord:
         ``unit_regular``, the bijective g with fgf = f assembled from three
         pieces: the S(Y)-unit ``partner`` on Y, fibre representatives on
         R(f) minus Y, and an order-preserving matching of the leftover
-        defect onto the leftover complement.  Assembled once per partner."""
+        defect onto the leftover complement."""
         if mode == "regular":
             return None
-        found = self._witnesses.get(partner)
-        if found is None:
-            members, t = self.y.members, self.transversal.t
-            g = [None] * self.f.n
-            for i, x in enumerate(members):
-                g[x] = members[partner.map[i]]
-            for v, cls in self.fibers.items():
-                if v not in self.y:
-                    g[v] = next(x for x in cls if x in t)
-            for src, dst in zip(*self.extras):
-                g[src] = dst
-            if None in g:
-                raise AssertionError("witness pieces do not cover X")
-            found = self._witnesses[partner] = Transformation._unchecked(tuple(g))
-        return found
+        members, t = self.y.members, self.transversal.t
+        g = [None] * self.f.n
+        for i, x in enumerate(members):
+            g[x] = members[partner.map[i]]
+        for v, cls in self.fibers.items():
+            if v not in self.y:
+                g[v] = next(x for x in cls if x in t)
+        for src, dst in zip(*self.extras):
+            g[src] = dst
+        if None in g:
+            raise AssertionError("witness pieces do not cover X")
+        return Transformation._unchecked(tuple(g))
 
 
 class TInstance(RestrictedInstance):
@@ -161,6 +154,7 @@ class TInstance(RestrictedInstance):
     FAMILY, REGION, PRESCRIBED, UNIT, SIZES = "T_S(Y)(X)", "Y", "S(Y)", "bijective", "counts"
     UNIT_GROUP, WHOLE, FINITE = "Sym(Y)", "Y = X", "X \\ Y is finite"
     SMALL_N, SMALL, CODIM_ONE = 2, "|X| = 2", "|X \\ Y| = 1"
+    BASE, STEPS = "T({k})", "point steps"
     is_unit = staticmethod(Transformation.is_bijective)
 
     def __init__(self, y: IndexSubset, s_y: FiniteSemigroup) -> None:
@@ -192,6 +186,28 @@ class TInstance(RestrictedInstance):
         """The instance over the empty Y, whose build is all of T(size)
         (``p`` is the linear family's and is ignored)."""
         return cls(IndexSubset(size, ()), FiniteSemigroup([Transformation(())]))
+
+    @staticmethod
+    def cells(n: int, k: int, p: None = None):
+        """(cell key, Y) for each k-point subset Y of X, in ``combinations``
+        order."""
+        for members in combinations(range(n), k):
+            y = IndexSubset(n, members)
+            yield f"t:{n}:{y.to_text()}", y
+
+    @staticmethod
+    def _q(m: int, p: None) -> int:
+        """``region_count``'s q, for C(n, k)."""
+        return m
+
+    @staticmethod
+    def closure_steps(k: int, p: None = None) -> int:
+        """A bound on the point steps of one seeded closure in T(k), one
+        step being one image gathered: at most min(k^k, TABLE_CAP)
+        elements (a larger closure is refused), each acted on by at most 3
+        generators, each of which gathers the element's k images.  The
+        power is bounded as in ``exceeds``, so no work grows with k^k."""
+        return min(k ** min(k, TABLE_CAP.bit_length()), TABLE_CAP) * 3 * k
 
     def __repr__(self) -> str:
         return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.prescribed)})"

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from resemi import semigroups
 from resemi.cli import build_parser, main
+from resemi.family import family_class
 from resemi.linear_semigroup import LInstance
-from resemi.sweep import FAMILIES
 
 
 def run(capsys, *argv):
@@ -296,7 +296,7 @@ class TestClassify:
     def test_one_mode_rule_for_theorems_and_commands(self, capsys, flags, instance, f, refused):
         # thm_semigroup and classify, and thm_element and element, refuse
         # the same modes with the same message: the instance's one rule
-        inst = FAMILIES[instance["kind"]].from_dict(instance)
+        inst = family_class(instance["kind"]).from_dict(instance)
         element = inst.parse_element(f)
         for (command, extra, theorem), expected in zip((
             ("classify", (), inst.thm_semigroup),

@@ -86,6 +86,13 @@ ROWS = {
        for name, cells in (("t30", ("--kind", "t", "--ns", "30", "--sizes", "15")),
                            ("gf2^30", ("--kind", "l", "--pn", "2,30", "--sizes", "1")),
                            ("gf2^12", ("--kind", "l", "--pn", "2,12", "--sizes", "6")))},
+    # one closure of maps on 100,000 points is past the seeded closure
+    # budget, refused before its first draw
+    "t100000-closure-budget": Row(("sweep", "--kind", "t", "--ns", "100000", "--sizes", "100000",
+                                   "--source", "seeded", "--samples", "1", "--element-cap", "0"),
+                                  3, (), ("error: intractable seeded request over T(100000): more "
+                                          "than 10000000 point steps per closure, the seeded "
+                                          "closure budget\n",), fresh=True),
     # with no draws, the plan selects no instance, and no region is listed
     "no-draws-t30": Row(("sweep", "--kind", "t", "--ns", "30", "--sizes", "15", "--source", "seeded",
                          "--samples", "0"), 2, (), ("error: the plan selects no instance\n",),

@@ -62,16 +62,17 @@ def _loaded(action: str) -> tuple[set, bool]:
     return set(ast.literal_eval(modules)), dataclasses == "True"
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["classify", "--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,1;1,0"], T_MODULES),
+@pytest.mark.parametrize("argv, expected, dataclasses", [
+    (["classify", "--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,1;1,0"], T_MODULES, False),
     (["element", "--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1",
-      "--f", "1,0;0,1", "--format", "json"], L_MODULES),
-], ids=["t", "l"])
-def test_an_instance_command_loads_its_family_alone(argv, expected):
+      "--f", "1,0;0,1", "--format", "json"], L_MODULES, False),
+    # a sweep's plan and report are dataclasses
+    (["sweep", "--kind", "t", "--ns", "2"], T_MODULES | {"resemi.sweep"}, True),
+    (["sweep", "--kind", "l", "--pn", "2,1"], L_MODULES | {"resemi.sweep"}, True),
+], ids=["t", "l", "sweep-t", "sweep-l"])
+def test_a_command_loads_its_family_alone(argv, expected, dataclasses):
     action = f"assert __import__('resemi.cli').cli.main({argv!r}) == 0"
-    modules, dataclasses = _loaded(action)
-    assert modules == expected
-    assert not dataclasses
+    assert _loaded(action) == (expected, dataclasses)
 
 
 @pytest.mark.parametrize("action", [

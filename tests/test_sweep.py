@@ -5,7 +5,7 @@ import json
 import re
 import time
 import weakref
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -13,8 +13,8 @@ from resemi import linear_semigroup as lsg
 from resemi import sweep
 from resemi import transform_semigroup as tsg
 from resemi.cli import main
-from resemi.family import element_at
-from resemi.gflinear import GFMatrix, Subspace, all_subspaces, all_vectors
+from resemi.family import element_at, family_class
+from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
     FiniteSemigroup,
@@ -26,7 +26,6 @@ from resemi.semigroups import (
 from resemi.sweep import (
     SCHEMA1_PLAN_KEYS,
     SweepPlan,
-    FAMILIES,
     SweepReport,
     enumerate_subsemigroups,
     run_sweep,
@@ -126,9 +125,17 @@ class TestEnumerateSubsemigroups:
                                 ("linear", dict(pns=((2, 12),), subset_sizes=(6,))),
                                 # one past the bound
                                 ("transformation", dict(ns=(100_001,), subset_sizes=(1,))))],
+        # one closure of maps on 30,000 or 100,000 points may act on
+        # TABLE_CAP elements before the table refuses it, for tens of
+        # seconds or more
+        *[(SweepPlan("transformation", ns=(k,), subset_sizes=(k,), source=("seeded", 1, "0"),
+                     element_cap=0),
+           f"intractable seeded request over T({k})",
+           "more than 10000000 point steps per closure, the seeded closure budget")
+          for k in (30_000, 100_000)],
     ], ids=["T(4)", "L(GF(3)^2)", "seeded-GF(2)^200", "seeded-GF(2)^15-after-GF(2)^3",
             "seeded-GF(2)^14-200-draws", "T(30)-|Y|=15", "GF(2)^30-lines", "GF(2)^12-dim-6",
-            "100001-points"])
+            "100001-points", "seeded-T(30000)", "seeded-T(100000)"])
     def test_refused_past_a_bound_before_any_draw(self, capsys, monkeypatch, tmp_path, plan,
                                                   message, bound):
         # each bound is checked up front from the plan alone: no closure,
@@ -152,12 +159,14 @@ class TestEnumerateSubsemigroups:
     @pytest.mark.parametrize("plan", [
         *[SweepPlan("linear", pns=((p, k),), subset_sizes=(k,), source=("seeded", 3, "0"))
           for p, k in ((2, 3), (3, 3), (101, 4), (2, 12), (2, 14))],
-        SweepPlan("transformation", ns=(200,), subset_sizes=(200,), source=("seeded", 3, "0")),
-    ], ids=["GF(2)^3", "GF(3)^3", "GF(101)^4", "GF(2)^12", "GF(2)^14", "T(200)"])
+        *[SweepPlan("transformation", ns=(k,), subset_sizes=(k,), source=("seeded", draws, "0"))
+          for k, draws in ((200, 3), (3, 200), (6, 40))],
+    ], ids=["GF(2)^3", "GF(3)^3", "GF(101)^4", "GF(2)^12", "GF(2)^14", "T(200)", "c1b-T(3)",
+            "T(6)-40-draws"])
     def test_closure_budget_admits(self, monkeypatch, plan):
         # c3d, CI's GF(3)^3 and GF(2)^12 plans, the small S(W) in GF(101)^4
-        # and GF(2)^14, the largest GF(2)^k the budget admits, pass the
-        # up-front check; no transformation cell is refused by it
+        # and GF(2)^14, the largest GF(2)^k the budget admits, and c1b's
+        # T(3) and the T(6) console plan pass the up-front check
         monkeypatch.setattr(sweep, "enumerate_subsemigroups", lambda *args, **kwargs: ())
         assert run_sweep(plan).instances_run == 0
 
@@ -175,17 +184,16 @@ class TestEnumerateSubsemigroups:
 
     @pytest.mark.parametrize("p", [None, 2, 3])
     def test_region_count(self, p):
-        # exact below the bound: the subsets of range(n), or the subspaces
-        # all_subspaces lists
+        # exact below the bound: the regions the family lists
+        family = family_class("transformation" if p is None else "linear")
         for n in range(6 if p else 9):
             for k in range(n + 1):
-                regions = (combinations(range(n), k) if p is None else all_subspaces(p, n, k))
-                assert sweep._region_count(p, n, k, 10 ** 6) == len(list(regions))
+                assert family.region_count(n, k, p, 10 ** 6) == len(list(family.cells(n, k, p)))
         # and past it at once, without the whole count
         start = time.perf_counter()
-        for p, n, k in ((None, 10 ** 9, 5 * 10 ** 8), (2, 12, 6), (101, 3_000_000, 1),
-                        (10000000000000061, 40, 20)):
-            assert sweep._region_count(p, n, k, 1000) > 1000
+        for n, k, p in (((10 ** 9, 5 * 10 ** 8, None),) if p is None else
+                        ((12, 6, 2), (3_000_000, 1, 101), (40, 20, 10000000000000061))):
+            assert family.region_count(n, k, p, 1000) > 1000
         assert time.perf_counter() - start < 1
 
     def test_composite_p_refused_before_any_instance(self, capsys, monkeypatch):
@@ -211,7 +219,7 @@ class TestEnumerateSubsemigroups:
         ("linear", 1, 2), ("linear", 2, 2), ("linear", 1, 3),
     ], ids=["T(1)", "T(2)", "L(GF(2)^1)", "L(GF(2)^2)", "L(GF(3)^1)"])
     def test_walk_equals_mask_scan(self, kind, size, p):
-        base = FAMILIES[kind].whole(size, p).build()
+        base = family_class(kind).whole(size, p).build()
         subs = enumerate_subsemigroups(kind, size, ("exhaustive",), p)
         scan = mask_scan(base.table)
         assert [s.elements for s in subs] == [tuple(base.elements[i] for i in idxs) for idxs in scan]
@@ -463,7 +471,7 @@ class TestBaseMonoidDecoder:
         else:
             expected = [GFMatrix(p, [flat[i * size:(i + 1) * size] for i in range(size)], cols=size)
                         for flat in product(range(p), repeat=size * size)]
-        whole = FAMILIES[kind].whole(size, p)
+        whole = family_class(kind).whole(size, p)
         decoded = [element_at(whole, i) for i in range(whole.expected_size())]
         assert decoded == expected
         assert [d.to_text() for d in decoded] == [e.to_text() for e in expected]
