@@ -9,27 +9,32 @@ The paper proves the element theorems for T_S(Y)(X) and L_S(W)(V) in one
 shape: f is regular iff its restriction is regular in the prescribed
 semigroup and the image trace matches, and unit-regular iff its
 restriction is unit-regular there, the trace matches and the complements
-of a compatible transversal pair balance.  ``element_verdict`` states
-that shape once; each family supplies only its record of f (the
-restriction, the trace test, the complement sizes and the witness
-assembly) and its words for the clauses.  All four semigroup theorems
-share one shape too, a property of the prescribed semigroup and either
-"the region is everything" or a small clause (``semigroup_verdict``),
-and so do both builds (``build``): one block for each alpha in the
-prescribed semigroup, holding one element for each choice of images of
-the points outside the region, in the order ``element_at`` numbers from
-an index alone.  Nothing in an element or its record depends on the
-prescribed semigroup, so every instance on one region shares them
+of a compatible transversal pair balance.  ``element_theorem`` states
+that shape once, from f's record and its restriction's partner in S;
+each family supplies only its record of f (the restriction, the trace
+test, the complement sizes and the witness assembly) and its words for
+the clauses.  Two paths lead to it: ``element_verdict`` looks one f up
+(its record and its restriction's index in S), and the sweep reads a
+whole build by block (``block_records``), asking S for each block's
+partner once.  All four semigroup theorems share one shape too, a
+property of the prescribed semigroup and either "the region is
+everything" or a small clause (``semigroup_verdict``), and so do both
+builds (``build``): one block for each alpha in the prescribed
+semigroup, holding one element for each choice of images of the points
+outside the region, in the order ``element_at`` numbers from an index
+alone.  Nothing in an element or its record depends on the prescribed
+semigroup, so every instance on one region shares them
 (``RegionStore``): ``extend`` runs and each record is made once per
-element of the region, and a build's Cayley table reads the point
-actions of the generators its region's earlier tables took.  Every
-inline text, an element, a region or a sweep's sizes, is read by the
-grammar's two atoms, ``parse_ints`` and ``parse_rows``.
+element of the region, its parts worked out on first use (``lazy``),
+and a build's Cayley table reads the point actions of the generators its
+region's earlier tables took.  Every inline text, an element, a region
+or a sweep's sizes, is read by the grammar's two atoms, ``parse_ints``
+and ``parse_rows``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .semigroups import (
@@ -56,6 +61,22 @@ def family_class(kind: str) -> type:
     importtime`` reports; ``importlib.import_module`` is not."""
     module, name = KINDS[kind]
     return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+
+
+class lazy:
+    """``functools.cached_property`` without its lock, which Python 3.11
+    takes on every first access: the value is worked out on first access
+    and set on the instance, whose attribute then shadows this non-data
+    descriptor.  The records and instances of both families use it."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class RestrictedInstance:
@@ -108,14 +129,14 @@ class RestrictedInstance:
         self.prescribed = prescribed
         self.has_identity = identity in prescribed
 
-    @cached_property
+    @lazy
     def unit_group(self) -> bool:
         """Asked of the oracle on first use, so an instance whose verdicts
         never read it (a sweep's base, a build or an element query) never
         runs the group check."""
         return self.has_identity and semigroup_oracle(self.prescribed, "group").holds
 
-    @cached_property
+    @lazy
     def point_count(self) -> int:
         """radix^width, worked out on first use, so a refused build of a
         large space never forms it."""
@@ -151,9 +172,11 @@ class RestrictedInstance:
         return len(self.prescribed) * self.radix ** digits > bound
 
     def record(self, f):
-        """f's record, shared by the element predicates, their witnesses
-        and the transversal check of every instance on this region; raises,
-        on every call, if f is not a member of this instance."""
+        """f's record, the one the element theorem, its witnesses and the
+        transversal check read, shared by every instance on this region
+        (the sweep reads the same records, a whole build at a time, through
+        ``block_records``); raises, on every call, if f is not a member of
+        this instance."""
         return self._record_at(f)[0]
 
     def _record_at(self, f) -> tuple:
@@ -162,10 +185,7 @@ class RestrictedInstance:
         and the partner (``element_verdict``)."""
         if not self.in_ambient(f):
             raise ValueError(f"f not in {self.FAMILY}: wrong ambient size")
-        records = _store_on(self.region).records
-        rec = records.get(f)
-        if rec is None:
-            rec = records[f] = self.RECORD(self.region, f)
+        rec = self._stored(_store_on(self.region).records, f)
         if rec.alpha is None:
             raise ValueError(f"f not in {self.FAMILY}: {self.REGION} is not invariant")
         try:
@@ -173,6 +193,13 @@ class RestrictedInstance:
         except ValueError:
             raise ValueError(
                 f"f not in {self.FAMILY}: restriction outside {self.PRESCRIBED}") from None
+
+    def _stored(self, records: dict, f):
+        """f's record in the region's ``records``, made there if missing."""
+        rec = records.get(f)
+        if rec is None:
+            rec = records[f] = self.RECORD(self.region, f)
+        return rec
 
     @classmethod
     def region_count(cls, n: int, k: int, p: int | None, bound: int) -> int:
@@ -344,19 +371,56 @@ def _store_on(region) -> RegionStore:
     return RegionStore()
 
 
+def block_records(inst: RestrictedInstance, build: FiniteSemigroup) -> list:
+    """The record of every element of ``build``, in build order, each read
+    from the region's store (and made there if missing): what the sweep's
+    element theorems and transversal checks read, with no lookup in S.
+    Element i of a build restricts to ``prescribed.elements[i // block]``,
+    block = point_count^codim (``element_at``), and each record's
+    restriction is compared with that alpha by equality, so a verdict read
+    by block never trusts the build's order: an element outside its block
+    is refused as ``record`` refuses a restriction outside S."""
+    records, alphas = _store_on(inst.region).records, inst.prescribed.elements
+    block = inst.point_count ** inst.codim
+    out = []
+    for i, f in enumerate(build.elements):
+        rec = inst._stored(records, f)
+        if rec.alpha != alphas[i // block]:
+            raise ValueError(f"f not in {inst.FAMILY}: element {i} of the build has its "
+                             f"restriction outside {inst.PRESCRIBED} element {i // block}")
+        out.append(rec)
+    return out
+
+
 def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
-    """The element theorem of both families and both modes, one path read
-    from ``inst.record(f)``: f has the property iff its restriction
-    ``alpha`` has it in the prescribed semigroup (alpha's first partner
-    in S's own Cayley table, ``FiniteSemigroup.partner``, searched for
-    once per element of S and mode), the image-trace test ``trace_ok``
-    holds and, for ``unit_regular`` alone, the two complements of a
-    compatible transversal pair have equal sizes (``complement_sizes``,
-    C-side first).  A yes carries the witness assembled on the partner
-    (``witness(mode, partner)``), unchecked here and kept on the record
-    keyed on (mode, partner), so each is assembled once.  A mode outside
-    ``ELEMENT_MODES``, or ``unit_regular`` without the identity, is
-    refused (``check_mode``).
+    """The element theorem for one f (``element_theorem``), after the one
+    lookup it needs: f's record and the index of its restriction in the
+    prescribed semigroup (``_record_at``, which refuses an f outside the
+    ambient space, one that leaves the region moving, and one restricting
+    outside S), then alpha's first partner in S's own Cayley table
+    (``FiniteSemigroup.partner``, searched for once per element of S and
+    mode).  A mode outside ``ELEMENT_MODES``, or ``unit_regular`` without
+    the identity, is refused (``check_mode``).  The CLI's ``element``
+    command and ``thm_element`` come this way; the sweep reads a whole
+    build by block instead (``block_records``)."""
+    rec, a = inst._record_at(f)
+    inst.check_mode(mode, "element")
+    return element_theorem(inst, rec, mode, inst.prescribed.partner(a, mode))
+
+
+def element_theorem(inst: RestrictedInstance, rec, mode: str, partner: int) -> PropertyVerdict:
+    """The element theorem of both families and both modes, for the f
+    whose record is ``rec``, given the index ``partner`` in the prescribed
+    semigroup S of its restriction alpha's first partner in ``mode`` (-1
+    when alpha has none): f has the property iff alpha has it in S, the
+    image-trace test ``trace_ok`` holds and, for ``unit_regular`` alone,
+    the two complements of a compatible transversal pair have equal sizes
+    (``complement_sizes``, C-side first).  Without a partner the verdict
+    reads nothing of ``rec``, so one serves a whole block.  A yes carries
+    the witness assembled on the partner (``witness(mode, partner)``),
+    unchecked here and kept on the record keyed on (mode, partner), so
+    each is assembled once.  The mode is not checked here
+    (``element_verdict`` does that).
 
     The complement clause of ``unit_regular`` never decides an instance
     that can be built.  Given the trace clause, codim(W + U) = n - dim W -
@@ -364,12 +428,8 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
     sizes of the complements in X \\ Y.  So the clause decides only when
     X \\ Y or codim W is infinite; it is kept because it is the theorem
     as stated."""
-    rec, i = inst._record_at(f)
-    inst.check_mode(mode, "element")
-    label = LABELS.get(mode, mode)
-    s = inst.prescribed
-    partner = s.partner(i, mode)
     if partner < 0:
+        label = LABELS.get(mode, mode)
         return PropertyVerdict(mode, False, clause=f"restriction not {label} in {inst.PRESCRIBED}")
     if not rec.trace_ok:
         return PropertyVerdict(mode, False, clause="image trace differs")
@@ -381,7 +441,7 @@ def element_verdict(inst: RestrictedInstance, f, mode: str) -> PropertyVerdict:
             clause = f"complement {inst.SIZES} differ ({c_size} vs {d_size})"
             return PropertyVerdict(mode, False, clause=clause)
         clause = "all three element conditions hold"
-    key = (mode, s.elements[partner])
+    key = (mode, inst.prescribed.elements[partner])
     kept = vars(rec).get("witnesses", {})  # a record holds the dict from its first witness on
     witness = kept.get(key)
     if witness is None and (witness := rec.witness(*key)) is not None:

@@ -4,8 +4,8 @@ predicates and constructive witnesses.
 
 As on the transformation side, semigroup-level predicates look only at
 (p, n, W, S(W)); the full semigroup is built solely for oracle
-cross-checks and element classification.  The element predicate is
-``family.element_verdict``, shared with the transformation family; this
+cross-checks and element classification.  The element theorem is
+``family.element_theorem``, shared with the transformation family; this
 module supplies what it reads of one f, the ``ElementSubspaces`` record
 (restriction, subspaces, trace test, complement codimensions and both
 witnesses).
@@ -13,7 +13,7 @@ witnesses).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .gflinear import (
     MEMO_BOUND,
@@ -38,6 +38,7 @@ from .family import (
     build,
     element_verdict,
     json_int,
+    lazy,
     parse_rows,
     semigroup_verdict,
 )
@@ -60,7 +61,7 @@ class ElementSubspaces:
     completion of W's canonical basis to a basis of V by B3 and B4, with
     that basis's inverse (``completion``), the images of B3 and B4 under
     each witness (``regular_rows``, ``unit_regular_rows``); ``witness``
-    assembles a witness, which ``family.element_verdict`` keeps.  N(f) and
+    assembles a witness, which ``family.element_theorem`` keeps.  N(f) and
     W + U are not kept here: they are read from the memoised
     ``null_space(f)`` and the interned span ``W.sum(U)``.
 
@@ -89,29 +90,29 @@ class ElementSubspaces:
         self.rw = Subspace._unchecked(w.p, w.ambient_dim, images)
         self.trace_ok = self.r_meet_w == self.rw
 
-    @cached_property
+    @lazy
     def transversal(self) -> SubspaceTransversal:
         return transversal_from_spaces(self.f, self.w, self.rw, null_space(self.f), self.rf)
 
-    @cached_property
+    @lazy
     def transversal_problem(self) -> str | None:
         """What is wrong with the canonical transversal subspace pair, or
         None."""
         tr = self.transversal
         return _transversal_problem(tr.u, tr.u_meet_w, null_space(self.f), self.w, self.rf.dim)
 
-    @cached_property
+    @lazy
     def complement_sizes(self) -> tuple[int, int]:
         """codim(W + U) and codim(W + R(f))."""
         return self.w.sum(self.transversal.u).codim, self.w.sum(self.rf).codim
 
-    @cached_property
+    @lazy
     def completion(self) -> tuple[tuple, tuple, GFMatrix]:
         """B3 and B4, which complete W's canonical basis to a basis of V,
         and the inverse of that basis (``_completion``)."""
         return _completion(self.w, self.rf)
 
-    @cached_property
+    @lazy
     def regular_rows(self) -> tuple:
         """The pseudo-inverse's images of B3 (chosen preimages under f) and
         B4 (zero)."""
@@ -119,7 +120,7 @@ class ElementSubspaces:
         zero = (0,) * self.w.ambient_dim
         return tuple(solve_row_vector(self.f, v) for v in b3) + (zero,) * len(b4)
 
-    @cached_property
+    @lazy
     def unit_regular_rows(self) -> tuple:
         """The invertible witness's images of B3 (the inverse of f's
         corestriction to U) and B4 (a basis of a complement of W + U)."""
@@ -321,13 +322,13 @@ class LInstance(RestrictedInstance):
         base p."""
         return tuple(d // self.p ** k % self.p for k in reversed(range(self.n)))
 
-    @cached_property
+    @lazy
     def _free(self) -> tuple:
         """W's non-pivot columns, worked out on first use, so a refused
         build of a large space never lists them."""
         return tuple(j for j in range(self.n) if j not in self.w.pivots)
 
-    @cached_property
+    @lazy
     def _complement(self) -> tuple:
         """The unit rows at W's non-pivot columns, which complete W's
         canonical basis to a basis of V; listed on first use."""

@@ -457,14 +457,14 @@ def element_oracle(s: FiniteSemigroup, a, mode: str) -> PropertyVerdict:
     return PropertyVerdict(mode, True, witness=s.elements[j])
 
 
-def witness_problem(s: FiniteSemigroup, a, mode: str, w) -> str | None:
-    """What is wrong with w as a's partner in ``mode``, or None: w must lie
-    in s with awa = a, and for ``unit_regular`` be a unit of s.  Reads
-    only the Cayley table, so it checks either family's witnesses alike;
-    a must lie in s."""
+def witness_problem(s: FiniteSemigroup, i: int, mode: str, w) -> str | None:
+    """What is wrong with w as the partner in ``mode`` of a, element i of
+    s, or None: w must lie in s with awa = a, and for ``unit_regular`` be
+    a unit of s.  Reads only the Cayley table, so it checks either
+    family's witnesses alike; a is named by its index, which the sweep
+    holds already, so only w is looked up."""
     if mode not in ("regular", "unit_regular"):
         raise ValueError(f"unknown element mode {mode!r}")
-    i = s.index_of(a)
     j = s._index.get(w)
     if j is None:
         return "witness not in the semigroup"

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .family import KINDS, element_at, family_class, is_int
+from .family import KINDS, block_records, element_at, element_theorem, family_class, is_int
 from .semigroups import (
     TABLE_CAP,
     FiniteSemigroup,
@@ -183,8 +183,10 @@ class SweepReport:
     ``transversal_checks_run`` counts the (instance, element) pairs the
     transversal check covered, and ``transversal_failures`` holds one
     entry per such pair whose check fails.  The check itself is made once
-    per element of a region, on its shared record (the
-    ``transversal_problem`` of ``RestrictedInstance.record``)."""
+    per element of a region, on its shared record: the
+    ``transversal_problem`` of the record the element pass reads for each
+    element of the build, the same list its theorems read
+    (``family.block_records``)."""
 
     plan: dict
     instances_run: int = 0
@@ -263,7 +265,7 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
         base = _exhaustive_base(kind, base_size, p).build()
         return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
                      for mask in _subsemigroup_masks(base.table))
-    whole = family_class(kind).whole(base_size, p)
+    whole = _whole(kind, base_size, p)
     m = whole.expected_size()
     _, count, seed = source
     rng = random.Random(seed)
@@ -284,11 +286,20 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     return tuple(out)
 
 
-def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
+@lru_cache(maxsize=None)
+def _whole(kind: str, base_size: int, p: int | None):
     """The family's instance over an empty region (``whole``), whose build
-    is the base monoid of an exhaustive listing; refused past
-    ``_EXHAUSTIVE_BASE_LIMIT`` elements, the one statement of that bound."""
-    whole = family_class(kind).whole(base_size, p)
+    is the base monoid T(base_size) or L(GF(p)^base_size): made once per
+    (kind, size, p), with its one-element prescribed table, however many
+    cells draw from it."""
+    return family_class(kind).whole(base_size, p)
+
+
+def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
+    """The base instance (``_whole``) of an exhaustive listing; refused
+    past ``_EXHAUSTIVE_BASE_LIMIT`` elements, the one statement of that
+    bound."""
+    whole = _whole(kind, base_size, p)
     if whole.exceeds(_EXHAUSTIVE_BASE_LIMIT):
         bound = f"more than {_EXHAUSTIVE_BASE_LIMIT} elements, the exhaustive base bound"
         raise SizeCapExceeded("intractable exhaustive request", bound)
@@ -475,6 +486,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
         rep.size_formula_violations.append(
             {"instance": key, "expected": expected, "actual": len(build)}
         )
+    records = block_records(inst, build)  # before any tally: a build out of order counts nothing
 
     oracle_holds: dict[str, bool] = {}
     for mode in inst.decidable(plan.modes):
@@ -490,21 +502,31 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
     element_modes = []
     if plan.element_cap and len(build) <= plan.element_cap:
         element_modes = [m for m in inst.decidable(inst.ELEMENT_MODES) if m in plan.modes]
-    # One pass, so that all checks on f run back to back and share the
-    # family's per-element record (``record(f)`` on the instance); the
-    # oracle's answer is f's first partner in the build's table.
-    for i, f in enumerate(build.elements):
-        for mode in element_modes:
-            thm = inst.thm_element(f, mode)
+    # One pass, so that all checks on f run back to back and share f's
+    # record; the oracle's answer is f's first partner in the build's
+    # table.  The theorem reads the build by block: element i restricts to
+    # S's element i // block (checked by ``block_records``), whose partner
+    # in each mode is asked for once, and a block without one shares one
+    # "no" verdict.
+    s, block = inst.prescribed, inst.point_count ** inst.codim
+    for i, (f, rec) in enumerate(zip(build.elements, records)):
+        if i % block == 0:
+            asks = []
+            for mode in element_modes:
+                partner = s.partner(i // block, mode)
+                asks.append((mode, partner, None if partner >= 0
+                             else element_theorem(inst, None, mode, partner)))
+        for mode, partner, no in asks:
+            thm = no or element_theorem(inst, rec, mode, partner)
             _tally(rep, key, f, mode, thm, build.partner(i, mode) >= 0)
             if thm.holds and thm.witness is not None:
-                problem = witness_problem(build, f, mode, thm.witness)
+                problem = witness_problem(build, i, mode, thm.witness)
                 if problem is None:
                     rep.witnesses_checked += 1
                 else:
                     rep.mismatches.append({"instance": key, "element": f.to_text(), "mode": mode,
                                            "witness": thm.witness.to_text(), "problem": problem})
-        problem = inst.record(f).transversal_problem
+        problem = rec.transversal_problem
         rep.transversal_checks_run += 1
         if problem is not None:
             rep.transversal_failures.append(

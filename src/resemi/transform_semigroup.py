@@ -3,7 +3,7 @@ a prescribed semigroup S(Y): construction, classification predicates and
 constructive witnesses.
 
 The semigroup-level predicates inspect only (n, Y, S(Y)); they never build
-the full semigroup.  The element predicate is ``family.element_verdict``,
+the full semigroup.  The element theorem is ``family.element_theorem``,
 shared with the linear family; this module supplies what it reads of one
 f, the ``TElementRecord`` (restriction, fibres, trace test, transversal
 pair, complement counts and the unit-regular witness).  Brute-force
@@ -12,10 +12,17 @@ builds exist for oracle cross-checks and element classification.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 
-from .family import RestrictedInstance, build, element_verdict, json_int, parse_ints, semigroup_verdict
+from .family import (
+    RestrictedInstance,
+    build,
+    element_verdict,
+    json_int,
+    lazy,
+    parse_ints,
+    semigroup_verdict,
+)
 from .semigroups import TABLE_CAP, FiniteSemigroup, PropertyVerdict, prescribed_semigroup
 from .transformations import (
     IndexSubset,
@@ -40,7 +47,7 @@ class TElementRecord:
     None when nothing is), the sorted extras D(f) minus D(f|Y) and C(f) minus
     C(f|Y) (``extras``) and their sizes (``complement_sizes``).  The
     unit-regular witness on a partner is assembled by ``witness`` and kept
-    by ``family.element_verdict``.
+    by ``family.element_theorem``.
     """
 
     def __init__(self, y: IndexSubset, f: Transformation) -> None:
@@ -54,11 +61,11 @@ class TElementRecord:
         self.fibers = fibers(f)
         self.trace_ok = {v for v in self.fibers if v in y} == {f.map[x] for x in y.members}
 
-    @cached_property
+    @lazy
     def transversal(self) -> TransversalPair:
         return canonical_transversal(self.f, self.y)
 
-    @cached_property
+    @lazy
     def transversal_problem(self) -> str | None:
         """What is wrong with the canonical transversal pair, or None.  The
         fibres of f|Y are those of f over R(f|Y), cut to Y."""
@@ -77,7 +84,7 @@ class TElementRecord:
                 return "a restricted fibre does not meet T on Y exactly once"
         return None
 
-    @cached_property
+    @lazy
     def extras(self) -> tuple[list, list]:
         """D(f) minus D(f|Y) and C(f) minus C(f|Y), each sorted: the points
         outside Y and outside R(f), resp. outside T, since R(f|Y) lies in
@@ -86,7 +93,7 @@ class TElementRecord:
         outside = [x for x in range(self.f.n) if x not in y]
         return [x for x in outside if x not in self.fibers], [x for x in outside if x not in t]
 
-    @cached_property
+    @lazy
     def complement_sizes(self) -> tuple[int, int]:
         d_extra, c_extra = self.extras
         return len(c_extra), len(d_extra)
@@ -227,7 +234,7 @@ class TInstance(RestrictedInstance):
     def parse_element(self, text: str) -> Transformation:
         return Transformation(parse_ints(text))
 
-    @cached_property
+    @lazy
     def _outside(self) -> tuple:
         """The points of X \\ Y in order; only ``extend`` needs them, so a
         refused build of a large X never lists them."""

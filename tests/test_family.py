@@ -134,11 +134,11 @@ class SharedRecordsCases:
             assert again == want, a
             for inst in (a, b):
                 build = inst.build()
-                for f in build.elements:
+                for i, f in enumerate(build.elements):
                     for mode in ("regular", "unit_regular"):
                         verdict = outcome(inst, f, mode)
                         if verdict[0] is True and verdict[2] is not None:
-                            assert witness_problem(build, f, mode, verdict[2]) is None
+                            assert witness_problem(build, i, mode, verdict[2]) is None
 
     def test_memo_witness_checked_against_each_table(self):
         a, b, c, f, mode, partner = self.partners()
@@ -146,15 +146,17 @@ class SharedRecordsCases:
         _store_on.cache_clear()
         w_a = a.thm_element(f, mode).witness
         assert a.record(w_a).alpha == partner
-        assert witness_problem(build_a, f, mode, w_a) is None
-        assert witness_problem(build_b, f, mode, w_a) == "witness not in the semigroup"
+        assert witness_problem(build_a, build_a.index_of(f), mode, w_a) is None
+        assert witness_problem(build_b, build_b.index_of(f), mode, w_a) == (
+            "witness not in the semigroup")
         # B's partner differs, so B gets its own witness, which its table accepts
         w_b = b.thm_element(f, mode).witness
-        assert w_b != w_a and witness_problem(build_b, f, mode, w_b) is None
+        assert w_b != w_a and witness_problem(build_b, build_b.index_of(f), mode, w_b) is None
         # an instance with A's partner gets A's witness, from the record's memo
         w_c = c.thm_element(f, mode).witness
         assert w_c is w_a
-        assert witness_problem(c.build(), f, mode, w_c) is None
+        build_c = c.build()
+        assert witness_problem(build_c, build_c.index_of(f), mode, w_c) is None
 
     def test_records_are_kept_for_one_w_only(self):
         a, b, other, f = self.regions()

@@ -583,7 +583,8 @@ class TestWitnessProblem:
 
     @staticmethod
     def both(inst, build, f, mode, w):
-        return witness_problem(build, f, mode, w), inst.witness_problem(f, w, mode)
+        return (witness_problem(build, build.index_of(f), mode, w),
+                inst.witness_problem(f, w, mode))
 
     def test_every_theorem_witness_accepted(self):
         for inst in self.instances():
@@ -659,7 +660,7 @@ class TestWitnessProblem:
     def test_unknown_mode_refused(self):
         s = full_t(2)
         with pytest.raises(ValueError, match="unknown element mode"):
-            witness_problem(s, s.elements[0], "inverse", s.elements[0])
+            witness_problem(s, 0, "inverse", s.elements[0])
 
 
 # -- the answers each table keeps ------------------------------------------------

@@ -1,19 +1,20 @@
 """Tests for the sweep harness: subsemigroup enumeration, differential
 runs, report determinism and serialization."""
 
+import collections
 import json
 import re
+import sys
 import time
 import weakref
 from itertools import product
 
 import pytest
 
-from resemi import linear_semigroup as lsg
-from resemi import sweep
+from resemi import family, sweep
 from resemi import transform_semigroup as tsg
 from resemi.cli import main
-from resemi.family import element_at, family_class
+from resemi.family import element_at, element_verdict, family_class
 from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
@@ -370,33 +371,144 @@ class TestRunSweep:
         assert rep.clean and rep.instances_run == len(
             enumerate_subsemigroups("transformation", 2, ("exhaustive",)))
 
-    @pytest.mark.parametrize("family, outsider, plan", [
-        (tsg.TInstance, lambda inst: Transformation(tuple(range(inst.n + 1))),
+    @pytest.mark.parametrize("outsider, plan", [
+        (lambda inst: Transformation(tuple(range(inst.n + 1))),
          SweepPlan(family="transformation", ns=(2, 3), subset_sizes=(1, 2),
                    source=("exhaustive",), modes=("regular", "unit_regular"))),
-        (lsg.LInstance, lambda inst: GFMatrix.identity(inst.p, inst.n + 1),
+        (lambda inst: GFMatrix.identity(inst.p, inst.n + 1),
          SweepPlan(family="linear", pns=((2, 2),), source=("exhaustive",),
                    modes=("regular", "unit_regular"))),
     ], ids=["transformation", "linear"])
-    def test_wrong_witness_is_a_mismatch_and_not_counted(self, monkeypatch, family,
-                                                         outsider, plan):
+    def test_wrong_witness_is_a_mismatch_and_not_counted(self, monkeypatch, outsider, plan):
         honest = run_sweep(plan)
         assert honest.clean and honest.witnesses_checked > 0
-        predicate = family.thm_element
+        predicate = sweep.element_theorem  # the theorem the sweep's block pass calls
 
-        def wrong(inst, f, mode):
-            v = predicate(inst, f, mode)
+        def wrong(inst, rec, mode, partner):
+            v = predicate(inst, rec, mode, partner)
             if v.witness is None:
                 return v
             return PropertyVerdict(v.prop, v.holds, witness=outsider(inst), clause=v.clause)
 
-        monkeypatch.setattr(family, "thm_element", wrong)
+        monkeypatch.setattr(sweep, "element_theorem", wrong)
         rep = run_sweep(plan)
         assert rep.witnesses_checked == 0 and not rep.clean
         assert len(rep.mismatches) == honest.witnesses_checked
         assert {m["problem"] for m in rep.mismatches} == {"witness not in the semigroup"}
         assert all(m["element"] and m["mode"] in plan.modes for m in rep.mismatches)
         assert rep.element_agreements == honest.element_agreements
+
+
+class TestBlockPass:
+    """The sweep reads each build by block (``family.block_records``): S's
+    partner once per block and mode, one record per element, and the one
+    element theorem (``family.element_theorem``) behind both it and the
+    lookup of ``family.element_verdict``."""
+
+    T_PLAN = SweepPlan(family="transformation", ns=(1, 2, 3), subset_sizes=(0, 1, 2),
+                       source=("exhaustive",), modes=("regular", "inverse", "unit_regular"))
+    L_PLAN = SweepPlan(family="linear", pns=((2, 2),), source=("exhaustive",),
+                       modes=("regular", "inverse", "unit_regular", "completely_regular"))
+
+    @staticmethod
+    def running(monkeypatch):
+        """A list that holds, while ``_run_instance`` runs, its instance."""
+        current = []
+        run_instance = sweep._run_instance
+
+        def tracked(plan, rep, inst, *args):
+            current[:] = [inst]
+            run_instance(plan, rep, inst, *args)
+
+        monkeypatch.setattr(sweep, "_run_instance", tracked)
+        return current
+
+    @pytest.mark.parametrize("plan", [T_PLAN, L_PLAN], ids=["transformation", "linear"])
+    def test_block_pass_equals_the_lookup(self, monkeypatch, plan):
+        current, seen = self.running(monkeypatch), []
+        tally = sweep._tally
+
+        def kept(rep, key, f, mode, thm, oracle_holds):
+            if f is not None:
+                seen.append((current[0], f, mode, thm))
+            tally(rep, key, f, mode, thm, oracle_holds)
+
+        monkeypatch.setattr(sweep, "_tally", kept)
+        rep = run_sweep(plan)
+        assert rep.clean and len(seen) == sum(rep.element_checks.values()) > 0
+        # every element of every instance, in every element mode it decides
+        instances = {inst for inst, *_ in seen}
+        assert len(seen) == sum(len(inst.build()) * len(inst.decidable(inst.ELEMENT_MODES))
+                                for inst in instances)
+        # the region is everything (codim 0) on some, and empty on others
+        assert {0, plan.ns[-1] if plan.ns else plan.pns[0][1]} <= {i.codim for i in instances}
+        for inst, f, mode, thm in seen:
+            want = element_verdict(inst, f, mode)
+            assert (thm.holds, thm.clause, thm.witness) == (want.holds, want.clause, want.witness)
+
+    @pytest.mark.parametrize("cls, plan", [
+        (TInstance, SweepPlan(family="transformation", ns=(3,), subset_sizes=(2,),
+                              source=("exhaustive",), modes=("regular", "unit_regular"))),
+        (LInstance, SweepPlan(family="linear", pns=((2, 2),), subset_sizes=(1,),
+                              source=("exhaustive",), modes=("regular", "unit_regular"))),
+    ], ids=["transformation", "linear"])
+    def test_element_outside_its_block_reported(self, monkeypatch, cls, plan):
+        # a build holding the same elements, with the first element of the
+        # first two blocks swapped: every membership test passes, and only
+        # the block check sees that element 0 does not restrict to alpha 0
+        honest = cls.build
+        swapped = []
+
+        def build(inst):
+            elements = list(honest(inst).elements)
+            if len(inst.prescribed) < 2:
+                return FiniteSemigroup(elements)
+            block = len(elements) // len(inst.prescribed)
+            elements[0], elements[block] = elements[block], elements[0]
+            swapped.append(inst.key())
+            return FiniteSemigroup(elements)
+
+        monkeypatch.setattr(cls, "build", build)
+        rep = run_sweep(plan)
+        assert swapped and not rep.clean
+        assert [m["instance"] for m in rep.mismatches] == swapped
+        assert all(m["mode"] == "error" and "restriction outside" in m["detail"]
+                   for m in rep.mismatches)
+        # only the one-block instances are counted, and they all agree
+        single = [inst for _, inst in sweep._instances(plan) if len(inst.prescribed) < 2]
+        assert rep.element_checks == {
+            mode: sum(len(honest(inst)) for inst in single if mode in inst.decidable(plan.modes))
+            for mode in plan.modes}
+        assert rep.element_agreements == rep.element_checks
+        assert rep.semigroup_checks["regular"] == len(single)
+
+    @pytest.mark.parametrize("plan", [
+        SweepPlan(family="transformation", ns=(3,), subset_sizes=(1, 2),
+                  source=("exhaustive",), modes=("regular", "unit_regular")),
+        SweepPlan(family="linear", pns=((2, 2),), subset_sizes=(1,),
+                  source=("exhaustive",), modes=("regular", "unit_regular")),
+    ], ids=["transformation", "linear"])
+    def test_no_lookup_and_one_partner_ask_per_block(self, monkeypatch, plan):
+        # every region is proper, so the build is never S itself: the asks
+        # of S made from the element pass are the theorem's, not the oracle's
+        element_pass = sweep._run_instance.__code__
+        current, looked_up = self.running(monkeypatch), []
+        asks = collections.Counter()
+        monkeypatch.setattr(family.RestrictedInstance, "_record_at",
+                            lambda inst, f: looked_up.append(f))
+        partner = FiniteSemigroup.partner
+
+        def counted(s, i, mode):
+            if s is current[0].prescribed and sys._getframe(1).f_code is element_pass:
+                asks[current[0]] += 1
+            return partner(s, i, mode)
+
+        monkeypatch.setattr(FiniteSemigroup, "partner", counted)
+        rep = run_sweep(plan)
+        assert rep.clean and sum(rep.element_checks.values()) > 0 and not looked_up
+        assert len(asks) == rep.instances_run
+        assert all(n <= len(inst.prescribed) * len(plan.modes) for inst, n in asks.items())
+        assert any(len(inst.build()) > n for inst, n in asks.items())
 
 
 class TestDeterminismAndSerialization:
@@ -554,7 +666,12 @@ class TestRefusedDraws:
 def test_only_the_running_instance_table_is_alive(monkeypatch):
     # a seeded cell's closures are kept as element lists with their
     # graphs, and each S is tabled only for its own instance: while an
-    # instance runs, its S and its build are the only tables alive
+    # instance runs, its S and its build are the only tables alive.  The
+    # base monoids' instances, with their one-element tables, are kept once
+    # per (kind, size, p) by design (``sweep._whole``); they are made
+    # before the count starts, so it does not depend on which tests ran first
+    for size in (2, 3):
+        sweep._whole("transformation", size, None)
     tables = []  # a weak reference to every table made
     most = []  # the tables alive each time one is made
     init = FiniteSemigroup.__init__
