@@ -32,13 +32,15 @@ JSON is read or written.
 
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
-selects no instance), 3 work past a stated bound, refused with one line
-naming it: a build or a ``--gens`` closure past the Cayley table's
-``TABLE_CAP`` elements (also a sweep all of whose selected instances
-are; the report is printed first), an exhaustive sweep past its
-27-element base, a seeded sweep past the closure or cell budget,
-or a sweep whose instances, counted before its first cell, pass the
-sweep instance bound of 100,000; 4 when a predicate and its oracle
+selects no instance; an input file is refused as its inline flags would
+be, by the field its loader names, and an error raised while loading a
+well-formed file is not a validation error), 3 work past a stated bound,
+refused with one line naming it: a build or a ``--gens`` closure past
+the Cayley table's ``TABLE_CAP`` elements (also a sweep all of whose
+selected instances are; the report is printed first), an exhaustive
+sweep past its 27-element base, a seeded sweep past the closure or cell
+budget, or a sweep whose instances, counted before its first cell, pass
+the sweep instance bound of 100,000; 4 when a predicate and its oracle
 disagree, when ``element`` prints a theorem witness that fails its check
 (run with or without the oracle), or when a sweep reports any mismatch.
 """
@@ -78,25 +80,22 @@ def _witness_text(witness) -> object:
     return witness.to_text()
 
 
-def _read_json(path: str, load):
-    """``load`` applied to the JSON in the file at ``path``.  Content of the
-    wrong shape (a missing key, a value of the wrong type) is reported as
-    a validation error, like malformed JSON."""
+def _read_json(path: str):
+    """The JSON in the file at ``path``, as it is: text that is not JSON
+    is a validation error (a ``JSONDecodeError`` is a ``ValueError``), and
+    the loader it goes to checks its shape field by field, so an error
+    raised while loading a well-formed file surfaces as the error it is."""
     import json
 
     with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return load(data)
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed JSON in {path}: {exc!r}") from None
+        return json.load(fh)
 
 
-def _instance_from_dict(data: dict):
+def _instance_from_dict(data):
     """``from_dict`` of the class ``family.family_class`` finds for
     ``data["kind"]``, whose module alone is imported."""
-    kind = data.get("kind")
-    if kind not in KINDS:
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if not (isinstance(kind, str) and kind in KINDS):
         raise ValueError('instance JSON needs "kind": "transformation" or "linear"')
     return family_class(kind).from_dict(data)
 
@@ -126,7 +125,7 @@ def _load_instance(args):
     inline = [args.kind, args.n, args.y, args.sy, args.p, args.w, args.sw, args.gens]
     if any(v is not None for v in inline):
         raise ValueError("--input and inline instance flags are mutually exclusive")
-    return _read_json(args.input, _instance_from_dict)
+    return _instance_from_dict(_read_json(args.input))
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -256,7 +255,7 @@ def _cmd_sweep(args) -> int:
     elif inline:
         raise ValueError("--input and inline plan flags are mutually exclusive")
     else:
-        plan = _read_json(args.input, SweepPlan.from_dict)
+        plan = SweepPlan.from_dict(_read_json(args.input))
     report = run_sweep(plan)
     none_run = report.instances_run == 0 and report.clean
     if none_run and not report.skipped:

@@ -29,7 +29,8 @@ element of the region, its parts worked out on first use (``lazy``),
 and a build's Cayley table reads the point actions of the generators its
 region's earlier tables took.  Every inline text, an element, a region
 or a sweep's sizes, is read by the grammar's two atoms, ``parse_ints``
-and ``parse_rows``.
+and ``parse_rows``, and every instance JSON by one loader, which checks
+it against its family's declared ``FIELDS`` (``checked_fields``).
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class RestrictedInstance:
     L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
     it holds the identity and is a group, as a finite group of bijections
     holds the identity map, and a group holding it has it as identity),
-    ``from_dict(data)`` (the instance of its JSON form), ``whole(size, p)``
+    ``from_dict(data)`` (the instance of its JSON form, one loader for
+    both families, below), ``whole(size, p)``
     (the instance over an empty region, whose build is all of T(size) or
     L(GF(p)^size)), ``key()``, ``parse_element(text)``
     (the element ``text`` spells in the inline grammar),
@@ -120,6 +122,17 @@ class RestrictedInstance:
     image number d (``point(d)``, worked out from d alone, so a draw from
     a large space lists none of it) and the one element restricting to
     alpha with the given images (``extend(alpha, images)``).
+
+    The instance JSON is declared once per family, as ``FIELDS``: (name,
+    form) pairs, each form "int", "ints" (a list of integers) or "rows" (a
+    list of rows), the last pair the prescribed block, {"elements" |
+    "generators": [...]} of items of its form.  ``from_dict`` checks the
+    JSON against them (``checked_fields``, which refuses a wrong form by
+    the field's name) and gives the values, in order, to the family's
+    ``from_fields``, which keeps only the rules on what they mean: the
+    region (distinct members of Y, or W's rows), the shape of S's
+    elements, and S closed over its generators or its elements already
+    closed (``prescribed_semigroup``).
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -141,6 +154,15 @@ class RestrictedInstance:
         """radix^width, worked out on first use, so a refused build of a
         large space never forms it."""
         return self.radix ** self.width
+
+    @classmethod
+    def from_dict(cls, data) -> "RestrictedInstance":
+        """The instance of its JSON form: the values at the family's
+        ``FIELDS``, checked against their forms (``checked_fields``), go to
+        its ``from_fields``, the prescribed block's as its "generators" and
+        its "elements", each None when not given."""
+        *values, block = checked_fields(data, cls.FIELDS)
+        return cls.from_fields(*values, block.get("generators"), block.get("elements"))
 
     def decidable(self, modes) -> list[str]:
         """``modes`` in order, without ``unit_regular`` when the prescribed
@@ -257,13 +279,50 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def json_int(value, name: str) -> int:
-    """``value``, read from the instance JSON field ``name`` (n, p, or an
-    entry of Y, sY, W or sW), refused unless it is an integer
-    (``is_int``)."""
-    if not is_int(value):
-        raise ValueError(f"instance field {name!r} must hold integers, not {value!r}")
-    return value
+# The JSON forms of an instance's ``FIELDS``: how many lists deep the
+# integers are, and the words of a refusal.
+FORMS = {"int": (0, "an integer"), "ints": (1, "a list of integers"),
+         "rows": (2, "a list of rows of integers")}
+
+
+def _has_form(value, depth: int) -> bool:
+    """Whether ``value`` is an integer (``is_int``) nested in ``depth``
+    lists: each item of each list a list, down to the integers."""
+    if not depth:
+        return is_int(value)
+    return isinstance(value, list) and all(_has_form(v, depth - 1) for v in value)
+
+
+def checked_fields(data, fields) -> list:
+    """The values at an instance's ``fields`` (its family's ``FIELDS``) in
+    its JSON ``data``, in order, each checked against its form; other keys
+    are ignored.  The last field is the prescribed block, an object whose
+    "elements" and "generators", each where given and not null, list items
+    of that field's form.  A ``data`` that is not an object, a missing
+    field and a value of another form are refused by name.  What the
+    values mean (a repeated member of Y, an element of the wrong size,
+    both or neither of "elements" and "generators") is left to the
+    family's ``from_fields``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"instance JSON must be an object, not {_shown(data)}")
+    for name, form in fields:
+        if name not in data:
+            raise ValueError(f"instance field {name!r} is missing")
+        value, (depth, words) = data[name], FORMS[form]
+        if name == fields[-1][0]:  # the block: the lists it gives, each of items of the form
+            value = isinstance(value, dict) and [
+                value[k] for k in ("elements", "generators") if value.get(k) is not None]
+            depth, words = depth + 2, f'{{"elements" | "generators": [...]}} with each item {words}'
+        if not _has_form(value, depth):
+            raise ValueError(f"instance field {name!r} must be {words}, not {_shown(data[name])}")
+    return [data[name] for name, _ in fields]
+
+
+def _shown(value) -> str:
+    """``value`` as JSON text, for a refusal."""
+    import json  # only a refusal reads it
+
+    return json.dumps(value, default=repr)
 
 
 def element_at(inst: RestrictedInstance, i: int):

@@ -37,7 +37,6 @@ from .family import (
     _store_on,
     build,
     element_verdict,
-    json_int,
     lazy,
     parse_rows,
     semigroup_verdict,
@@ -254,6 +253,7 @@ class LInstance(RestrictedInstance):
     UNIT_GROUP, WHOLE, FINITE = "Aut(W)", "W = V", "codim(W) is finite"
     SMALL_N, SMALL, CODIM_ONE = 1, "dim V = 1", "codim(W) = 1"
     BASE, STEPS = "GF({p})^{k}", "row steps"
+    FIELDS = (("p", "int"), ("n", "int"), ("W", "rows"), ("sW", "rows"))
     is_unit = staticmethod(GFMatrix.is_invertible)
 
     def __init__(self, w: Subspace, s_w: FiniteSemigroup) -> None:
@@ -264,18 +264,13 @@ class LInstance(RestrictedInstance):
         super().__init__(w, s_w, GFMatrix.identity(p, w.dim))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LInstance":
-        """The instance of its JSON form: spanning rows for ``W``; ``sW``
-        holds ``elements`` or ``generators`` of dim(W)-sized matrices."""
-        p = json_int(data["p"], "p")
-        n = json_int(data["n"], "n")
-        w = Subspace(p, n, [[json_int(x, "W") for x in row] for row in data["W"]])
-        block = data["sW"]
-        s_w = prescribed_semigroup(
-            lambda items: _check_s_w(p, w.dim, [
-                GFMatrix(p, [[json_int(x, "sW") for x in row] for row in e]) for e in items]),
-            block.get("generators"), block.get("elements"))
-        return cls(w, s_w)
+    def from_fields(cls, p: int, n: int, rows: list, generators, elements) -> "LInstance":
+        """The instance of ``from_dict``'s checked values: spanning ``rows``
+        for W, and S(W) closed over its ``generators``, or its ``elements``,
+        which must already be closed, each a dim(W)-sized matrix."""
+        w = Subspace(p, n, rows)
+        parse = lambda items: _check_s_w(p, w.dim, [GFMatrix(p, e) for e in items])
+        return cls(w, prescribed_semigroup(parse, generators, elements))
 
     @classmethod
     def whole(cls, size: int, p: int) -> "LInstance":

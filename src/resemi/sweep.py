@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .family import KINDS, block_records, element_at, element_theorem, family_class, is_int
+from .family import KINDS, _shown, block_records, element_at, element_theorem, family_class, is_int
 from .semigroups import (
     TABLE_CAP,
     FiniteSemigroup,
@@ -140,7 +140,12 @@ class SweepPlan:
         """Inverse of ``to_dict``; missing keys take their defaults.  The
         ``SCHEMA1_PLAN_KEYS`` of a report's plan block are read past,
         whatever their values; any other key is refused, so a misspelled
-        field cannot leave its default in force."""
+        field cannot leave its default in force.  A ``d`` that is not an
+        object, or that has no ``family``, is refused by name."""
+        if not isinstance(d, dict):
+            raise ValueError(f"plan JSON must be an object, not {_shown(d)}")
+        if "family" not in d:
+            raise ValueError("plan field 'family' is missing")
         names = [f.name for f in fields(cls)]
         unknown = [k for k in d if k not in names and k not in SCHEMA1_PLAN_KEYS]
         if unknown:

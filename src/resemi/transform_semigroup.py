@@ -18,7 +18,6 @@ from .family import (
     RestrictedInstance,
     build,
     element_verdict,
-    json_int,
     lazy,
     parse_ints,
     semigroup_verdict,
@@ -162,6 +161,7 @@ class TInstance(RestrictedInstance):
     UNIT_GROUP, WHOLE, FINITE = "Sym(Y)", "Y = X", "X \\ Y is finite"
     SMALL_N, SMALL, CODIM_ONE = 2, "|X| = 2", "|X \\ Y| = 1"
     BASE, STEPS = "T({k})", "point steps"
+    FIELDS = (("n", "int"), ("Y", "ints"), ("sY", "ints"))
     is_unit = staticmethod(Transformation.is_bijective)
 
     def __init__(self, y: IndexSubset, s_y: FiniteSemigroup) -> None:
@@ -173,20 +173,15 @@ class TInstance(RestrictedInstance):
         super().__init__(y, s_y, Transformation.identity(k))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TInstance":
-        """The instance of its JSON form.  ``Y`` lists distinct integers in
-        any order; ``sY`` holds either ``elements`` (must already be closed)
-        or ``generators`` (closed over)."""
-        n = json_int(data["n"], "n")
-        members = [json_int(x, "Y") for x in data["Y"]]
+    def from_fields(cls, n: int, members: list, generators, elements) -> "TInstance":
+        """The instance of ``from_dict``'s checked values: ``Y`` lists
+        distinct integers in any order, and S(Y) is closed over its
+        ``generators``, or its ``elements`` must already be closed."""
         if len(set(members)) != len(members):
             raise ValueError(f"instance field 'Y' must list distinct integers, not {members!r}")
-        y, block = IndexSubset(n, sorted(members)), data["sY"]
-        s_y = prescribed_semigroup(
-            lambda items: _check_s_y(len(y), [
-                Transformation([json_int(x, "sY") for x in e]) for e in items]),
-            block.get("generators"), block.get("elements"))
-        return cls(y, s_y)
+        y = IndexSubset(n, sorted(members))
+        parse = lambda items: _check_s_y(len(y), [Transformation(e) for e in items])
+        return cls(y, prescribed_semigroup(parse, generators, elements))
 
     @classmethod
     def whole(cls, size: int, p: int | None = None) -> "TInstance":

@@ -1,5 +1,7 @@
 """CLI tests: commands, inline grammar, JSON output, exit codes."""
 
+import contextlib
+import io
 import json
 import re
 import time
@@ -12,6 +14,13 @@ from resemi import semigroups
 from resemi.cli import build_parser, main
 from resemi.family import family_class
 from resemi.linear_semigroup import LInstance
+from resemi.transform_semigroup import TInstance
+
+
+KIND_LINE = 'instance JSON needs "kind": "transformation" or "linear"'
+# A Python exception's repr in an error line: a shape refused by accident
+EXCEPTION_REPR = re.compile(r"(Key|Type|Index|Attribute)Error\(")
+MISSING = object()  # no input file (``None`` is the JSON null)
 
 
 def run(capsys, *argv):
@@ -587,63 +596,89 @@ class TestInputFile:
         code, _, _ = run(capsys, "classify", "--input", str(path))
         assert code == 2
 
-    @pytest.mark.parametrize("command, data", [
-        ("classify", {"kind": "transformation", "Y": [0]}),  # no "n"
-        ("classify", {"kind": "transformation", "n": 2, "Y": 0, "sY": {"elements": [[0]]}}),
-        ("classify", [{"kind": "transformation"}]),  # not an object
+    # each row with a text its one error line must hold: the field whose
+    # form is wrong, or the kind or plan line where no field is; or None
+    @pytest.mark.parametrize("command, data, names", [
+        ("classify", {"kind": "transformation", "Y": [0]}, "'n'"),  # no "n"
+        ("classify", {"kind": "transformation", "n": 2, "Y": 0, "sY": {"elements": [[0]]}}, "'Y'"),
+        ("classify", [{"kind": "transformation"}], KIND_LINE),  # not an object
+        ("classify", None, KIND_LINE),
+        ("classify", [], KIND_LINE),
+        ("classify", {"kind": [[0]]}, KIND_LINE),  # a kind that is not a string
         # non-integer sizes and moduli, which would be truncated
-        ("classify", {"kind": "transformation", "n": 3.9, "Y": [0], "sY": {"elements": [[0]]}}),
-        ("classify", {"kind": "transformation", "n": "3", "Y": [0], "sY": {"elements": [[0]]}}),
-        ("classify", {"kind": "transformation", "n": True, "Y": [0], "sY": {"elements": [[0]]}}),
-        ("classify", {"kind": "linear", "p": 2.9, "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}}),
-        ("classify", {"kind": "linear", "p": 2, "n": True, "W": [[1]], "sW": {"elements": [[[1]]]}}),
-        ("classify", {"kind": "linear", "p": "2", "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}}),
+        ("classify", {"kind": "transformation", "n": 3.9, "Y": [0], "sY": {"elements": [[0]]}},
+         "'n'"),
+        ("classify", {"kind": "transformation", "n": "3", "Y": [0], "sY": {"elements": [[0]]}},
+         "'n'"),
+        ("classify", {"kind": "transformation", "n": True, "Y": [0], "sY": {"elements": [[0]]}},
+         "'n'"),
+        ("classify", {"kind": "linear", "p": 2.9, "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}},
+         "'p'"),
+        ("classify", {"kind": "linear", "p": 2, "n": True, "W": [[1]],
+                      "sW": {"elements": [[[1]]]}}, "'n'"),
+        ("classify", {"kind": "linear", "p": "2", "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}},
+         "'p'"),
         # a repeated member of Y, which would be dropped, and a boolean,
         # which would be read as 0 or 1
-        ("build", {"kind": "transformation", "n": 3, "Y": [0, 0], "sY": {"elements": [[0]]}}),
-        ("build", {"kind": "transformation", "n": 3, "Y": [1, 0, 1], "sY": {"elements": [[0]]}}),
-        ("build", {"kind": "transformation", "n": 3, "Y": [True], "sY": {"elements": [[0]]}}),
-        ("build", {"kind": "transformation", "n": 3, "Y": [0, False], "sY": {"elements": [[0]]}}),
-        ("sweep", {"ns": [2], "source": ["exhaustive"]}),  # plan without "family"
+        ("build", {"kind": "transformation", "n": 3, "Y": [0, 0], "sY": {"elements": [[0]]}},
+         "'Y'"),
+        ("build", {"kind": "transformation", "n": 3, "Y": [1, 0, 1], "sY": {"elements": [[0]]}},
+         "'Y'"),
+        ("build", {"kind": "transformation", "n": 3, "Y": [True], "sY": {"elements": [[0]]}},
+         "'Y'"),
+        ("build", {"kind": "transformation", "n": 3, "Y": [0, False], "sY": {"elements": [[0]]}},
+         "'Y'"),
+        # elements given as inline text, not as lists
+        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": "0,0"}}, "'sY'"),
+        ("sweep", {"ns": [2], "source": ["exhaustive"]}, "'family'"),  # plan without "family"
+        ("sweep", {"ns": [2]}, "'family'"),
+        # a plan that is not an object
+        *[("sweep", plan, "plan JSON must be an object") for plan in (5, None, [], "ab")],
         # wrongly typed plan fields
-        ("sweep", {"family": "transformation", "ns": 3}),
-        ("sweep", {"family": "transformation", "ns": [2], "subset_sizes": 5}),
-        ("sweep", {"family": "linear", "pns": [2]}),
+        ("sweep", {"family": "transformation", "ns": 3}, "'ns'"),
+        ("sweep", {"family": "transformation", "ns": [2], "subset_sizes": 5}, "'subset_sizes'"),
+        ("sweep", {"family": "linear", "pns": [2]}, "'pns'"),
         # negative sizes and counts, which would run nothing and read clean
-        ("sweep", {"family": "transformation", "ns": [-1]}),
-        ("sweep", {"family": "transformation", "ns": [3], "subset_sizes": [-2]}),
-        ("sweep", {"family": "linear", "pns": [[2, -1]]}),
-        ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", -1, "0"]}),
-        ("sweep", {"family": "transformation", "ns": [2], "element_cap": -1}),
+        ("sweep", {"family": "transformation", "ns": [-1]}, "'ns'"),
+        ("sweep", {"family": "transformation", "ns": [3], "subset_sizes": [-2]}, "'subset_sizes'"),
+        ("sweep", {"family": "linear", "pns": [[2, -1]]}, "'pns'"),
+        ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", -1, "0"]}, None),
+        ("sweep", {"family": "transformation", "ns": [2], "element_cap": -1}, "'element_cap'"),
         # a repeated mode, which would count every semigroup check twice
-        ("sweep", {"family": "transformation", "ns": [2], "modes": ["regular", "regular"]}),
+        ("sweep", {"family": "transformation", "ns": [2], "modes": ["regular", "regular"]},
+         "'modes'"),
         # a boolean seed, which would be read as True
-        ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", 3, True]}),
+        ("sweep", {"family": "transformation", "ns": [2], "source": ["seeded", 3, True]}, None),
         # a boolean inside S(Y), W or S(W), which would be read as 0 or 1
-        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[False]]}}),
-        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"generators": [[False]]}}),
+        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[False]]}},
+         "'sY'"),
+        ("build", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"generators": [[False]]}},
+         "'sY'"),
         ("build", {"kind": "linear", "p": 2, "n": 2, "W": [[True, False]],
-                   "sW": {"elements": [[[1]]]}}),
-        ("build", {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[True]]]}}),
+                   "sW": {"elements": [[[1]]]}}, "'W'"),
+        ("build", {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]], "sW": {"elements": [[[True]]]}},
+         "'sW'"),
         # a flag the command ignores: build has no oracle and no modes
-        *[(f"build {flag}", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[0]]}})
-          for flag in ("--mode regular", "--no-oracle")],
+        *[(f"build {flag}", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[0]]}},
+           None) for flag in ("--mode regular", "--no-oracle")],
         # an inline plan flag next to a plan file, which would be ignored
-        *[(f"sweep {flag}", {"family": "transformation", "ns": [2]})
+        *[(f"sweep {flag}", {"family": "transformation", "ns": [2]}, None)
           for flag in ("--mode regular", "--source exhaustive", "--samples 5", "--seed 1",
                        "--element-cap 10")],
         # --samples or --seed without a seeded source (no input file)
-        ("sweep --kind t --ns 2 --samples 5", None),
-        ("sweep --kind t --ns 2 --seed 1", None),
+        ("sweep --kind t --ns 2 --samples 5", MISSING, None),
+        ("sweep --kind t --ns 2 --seed 1", MISSING, None),
     ])
-    def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data):
+    def test_malformed_shape_is_validation_error(self, capsys, tmp_path, command, data, names):
         argv = command.split()
-        if data is not None:
+        if data is not MISSING:
             path = tmp_path / "input.json"
             path.write_text(json.dumps(data))
             argv += ["--input", str(path)]
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ")
+        assert err.count("\n") == 1 and not EXCEPTION_REPR.search(err)
+        assert names is None or names in err
 
     @pytest.mark.parametrize("command, data, message", [
         ("build", {"n": 2, "Y": [0], "sY": {"elements": [[0]]}},
@@ -663,6 +698,113 @@ class TestInputFile:
             argv += ["--input", str(path)]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+    def test_report_instance_key_is_refused_by_field(self, capsys, tmp_path):
+        # a sweep report names an instance by its key, whose sY lists element
+        # texts, not the {"elements" | "generators": [...]} block a file holds
+        code, out, _ = run(capsys, "sweep", "--kind", "t", "--ns", "6", "--sizes", "1")
+        assert code == 3
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps(json.loads(out)["skipped"][0]["instance"]))
+        code, out, err = run(capsys, "classify", "--input", str(path))
+        assert (code, out) == (2, "") and err.count("\n") == 1 and "'sY'" in err
+
+    @pytest.mark.parametrize("cls, data", [
+        (TInstance, {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[0]]}}),
+        (LInstance, {"kind": "linear", "p": 2, "n": 1, "W": [[1]], "sW": {"elements": [[[1]]]}}),
+    ], ids=["t", "l"])
+    def test_internal_error_while_loading_is_not_a_validation_error(
+            self, tmp_path, monkeypatch, cls, data):
+        # only the declared shape decides exit 2: an error raised inside the
+        # loader of a well-formed file surfaces as the error it is
+        def broken(cls, *values):
+            raise TypeError("internal")
+
+        monkeypatch.setattr(cls, "from_fields", classmethod(broken))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TypeError, match="internal"):
+            main(["classify", "--input", str(path)])
+
+
+# Valid instance and plan files, small enough that every mutant that still
+# loads runs in milliseconds, and one value of each JSON type a mutation
+# puts in place of a value of another.
+VALID_INPUTS = [
+    ("classify", {"kind": "transformation", "n": 2, "Y": [0], "sY": {"elements": [[0]]}}),
+    ("classify", {"kind": "transformation", "n": 3, "Y": [0, 1], "sY": {"generators": [[1, 0]]}}),
+    ("classify", {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0]],
+                  "sW": {"elements": [[[1]], [[0]]]}}),
+    ("classify", {"kind": "linear", "p": 2, "n": 1, "W": [], "sW": {"generators": [[]]}}),
+    ("sweep", {"family": "transformation", "ns": [2], "subset_sizes": [1], "modes": ["regular"],
+               "source": ["seeded", 2, "0"], "element_cap": 10}),
+    ("sweep", {"family": "linear", "pns": [[2, 1]], "modes": ["regular", "inverse"]}),
+]
+OTHER_VALUES = [None, True, 0, 0.5, "0", [0], {"n": 0}]
+
+
+def _json_type(value) -> str:
+    """A value's JSON type, an integer apart from other numbers."""
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+def _paths(value, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, v in items:
+        yield from _paths(v, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A valid input with one mutation: the value at one path (the whole
+    document at the root) replaced by one of another JSON type, or one key
+    dropped; with the command, the path and the new value (``MISSING``
+    for a dropped key)."""
+    command, doc = draw(st.sampled_from(VALID_INPUTS))
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return command, draw(st.sampled_from(OTHER_VALUES)), path, None
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    new = draw(st.sampled_from([v for v in OTHER_VALUES if _json_type(v) != _json_type(old)]))
+    if isinstance(path[-1], str) and draw(st.booleans()):
+        del parent[path[-1]]
+        return command, doc, path, MISSING
+    parent[path[-1]] = new
+    return command, doc, path, new
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(mutated_inputs())
+def test_mutated_input_files_are_refused_by_field(tmp_path_factory, mutant):
+    # whatever one mutation makes of a valid file, main answers with an
+    # exit code, and a refusal is one line from the declared shapes, never
+    # a Python exception's repr; one that breaks an instance field's form
+    # (drops it, or retypes it or a value inside it; a null or dropped
+    # "elements" or "generators" is read as not given) names the field
+    command, doc, path, new = mutant
+    file = tmp_path_factory.mktemp("mutant") / "input.json"
+    file.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(file)])
+    assert code in (0, 2, 3, 4)
+    err = err.getvalue()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not EXCEPTION_REPR.search(err)
+    if command == "classify" and path and path[0] != "kind":  # kind intact, so fields known
+        fields = family_class(doc["kind"]).FIELDS
+        not_given = len(path) == 2 and path[0] == fields[-1][0] and new in (None, MISSING)
+        if path[0] in dict(fields) and not not_given:
+            assert code == 2 and repr(path[0]) in err
 
 
 def _grammar_texts(digits: str, max_size: int):
@@ -700,7 +842,7 @@ def inline_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(inline_argv())
 def test_grammar_fuzz_never_raises(argv):
     # one parser reads every inline text: malformed input exits 2, never a

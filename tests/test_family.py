@@ -607,6 +607,47 @@ def test_a_transversal_problem_is_reported_for_each_instance_holding_f(family, m
     assert rep.mismatches == []
 
 
+BLOCK = '{"elements" | "generators": [...]} with each item'
+
+
+@pytest.mark.parametrize("cls, data, message", [
+    (TInstance, None, "instance JSON must be an object, not null"),
+    (LInstance, [], "instance JSON must be an object, not []"),
+    (TInstance, {"n": 2, "sY": {"elements": [[0]]}}, "instance field 'Y' is missing"),
+    (TInstance, {"n": 2, "Y": 0, "sY": {"elements": [[0]]}},
+     "instance field 'Y' must be a list of integers, not 0"),
+    (TInstance, {"n": 2, "Y": [0], "sY": {"generators": [[0], "1"]}},
+     f"instance field 'sY' must be {BLOCK} a list of integers, "
+     'not {"generators": [[0], "1"]}'),
+    (LInstance, {"p": 2, "n": True, "W": [], "sW": {"elements": [[]]}},
+     "instance field 'n' must be an integer, not true"),
+    (LInstance, {"p": 2, "n": 1, "W": {}, "sW": {"elements": [[]]}},
+     "instance field 'W' must be a list of rows of integers, not {}"),
+    (LInstance, {"p": 2, "n": 1, "W": [[1]], "sW": [[[1]]]},
+     f"instance field 'sW' must be {BLOCK} a list of rows of integers, not [[[1]]]"),
+], ids=["t-not-object", "l-not-object", "missing", "int-for-list", "text-element", "bool-int",
+        "object-for-rows", "list-for-block"])
+def test_one_loader_checks_each_familys_fields(cls, data, message):
+    # the one from_dict reads the family's declared FIELDS and names the
+    # field, and its form, that a value breaks
+    assert "from_dict" not in vars(cls)
+    with pytest.raises(ValueError) as exc:
+        cls.from_dict(data)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, data", [
+    (TInstance, {"n": 3, "Y": [1, 0], "sY": {"generators": [[1, 0]]}}),
+    (LInstance, {"p": 2, "n": 2, "W": [[1, 1]], "sW": {"elements": [[[1]], [[0]]]}}),
+], ids=["transformation", "linear"])
+def test_extra_keys_and_a_null_block_entry_are_ignored(cls, data):
+    block = cls.FIELDS[-1][0]
+    padded = {**data, "note": [None], block: {**data[block], "note": 1,
+                                              ("elements" if "generators" in data[block]
+                                               else "generators"): None}}
+    assert cls.from_dict(padded).key() == cls.from_dict(data).key()
+
+
 @pytest.mark.parametrize("inst, decidable", [
     (TInstance(IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])])),
      ["regular", "inverse", "unit_regular"]),
