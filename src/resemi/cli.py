@@ -83,12 +83,16 @@ def _witness_text(witness) -> object:
 def _read_json(path: str):
     """The JSON in the file at ``path``, as it is: text that is not JSON
     is a validation error (a ``JSONDecodeError`` is a ``ValueError``), and
-    the loader it goes to checks its shape field by field, so an error
-    raised while loading a well-formed file surfaces as the error it is."""
+    so is JSON nested past the decoder's recursion limit.  The loader it
+    goes to checks its shape field by field, so an error raised while
+    loading a well-formed file surfaces as the error it is."""
     import json
 
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _instance_from_dict(data):

@@ -68,9 +68,10 @@ class ElementSubspaces:
     what it reads, since a sweep meets the same few subspaces for many f:
     the transversal check on (U, U meet W, N(f), W, rank f)
     (``_transversal_problem``); the transversal's extension rows on
-    (R(f|W), R(f)) (``gflinear.extension_rows``); the completion and its
-    inverse on (W, R(f)) (``_completion``); and the unit rows completing
-    W + U (``_complement_basis``).  A partner lifted to ambient rows is
+    (R(f|W), R(f)) (``gflinear.extension_rows``); the completion on (W,
+    R(f)) (``_completion``), and its inverse on the basis itself
+    (``_basis_inverse``); and the unit rows completing W + U
+    (``_complement_basis``).  A partner lifted to ambient rows is
     kept per partner in W's region store (``_lifted``).  Per record remain
     the transversal pair, the preimages in ``regular_rows`` and
     ``unit_regular_rows``, and one product per witness.
@@ -160,11 +161,18 @@ def _completion(w: Subspace, rf: Subspace) -> tuple[tuple, tuple, GFMatrix]:
     reads: B3, the rows of R(f)'s basis taken greedily outside W
     (``extension_rows``), B4, the unit rows completing W + R(f)
     (``_complement_basis``), and the inverse of the matrix whose rows are
-    W's canonical basis, then B3 and B4: a basis of V."""
+    W's canonical basis, then B3 and B4: a basis of V, which many R(f) on
+    one W share (``_basis_inverse``)."""
     b3 = extension_rows(w, rf)
     b4 = _complement_basis(w.sum(rf))
-    rows = w.basis + b3 + b4
-    return b3, b4, mat_inverse(GFMatrix._unchecked(w.p, len(rows), w.ambient_dim, rows))
+    return b3, b4, _basis_inverse(w.p, w.basis + b3 + b4)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _basis_inverse(p: int, rows: tuple) -> GFMatrix:
+    """The inverse of the square matrix over GF(p) with these rows, a
+    basis of V (``_completion``), made once per basis."""
+    return mat_inverse(GFMatrix._unchecked(p, len(rows), len(rows), rows))
 
 
 @lru_cache(maxsize=MEMO_BOUND)

@@ -528,35 +528,38 @@ def inverse_by_unique_inverses(s: FiniteSemigroup) -> PropertyVerdict:
     return PropertyVerdict("inverse", True)
 
 
-def _is_group_subset(s: FiniteSemigroup, idxs: set) -> bool:
-    t = s.table
-    ident = None
-    for e in idxs:
-        if all(t[e][x] == x == t[x][e] for x in idxs):
-            ident = e
-            break
-    if ident is None:
-        return False
-    for x in idxs:
-        if not any(t[x][y] == ident == t[y][x] for y in idxs):
-            return False
-    return True
-
-
-def subgroup_containing(s: FiniteSemigroup, a):
-    """A subgroup of s containing a, as a tuple of its elements, or None.
+def subgroup_containing(s: FiniteSemigroup, i: int):
+    """The indices of a subgroup of s containing element i, in increasing
+    order, or None.
 
     In a finite semigroup a lies in some subgroup exactly when the
-    monogenic subsemigroup generated by a is a group, so only that one
-    is tried.
+    monogenic subsemigroup <a> generated by a is a group, so only that one
+    is tried.  Its members are the powers of a, walked in the table from a
+    until a power repeats; it is a group when one member is a two-sided
+    identity on every member and each member has a two-sided inverse
+    among them.  The test is that definition over table indices: it reads
+    neither the elements nor the partners the table keeps.
     """
-    i = s.index_of(a)
     t = s.table
-    own = {i}
-    power = t[i][i]  # walk a, a^2, ... until a power repeats
-    while power not in own:
-        own.add(power)
+    powers = [i]
+    power = t[i][i]
+    while power not in powers:
+        powers.append(power)
         power = t[power][i]
-    if _is_group_subset(s, own):
-        return tuple(s.elements[k] for k in sorted(own))
-    return None
+    for e in powers:  # a two-sided identity of <a>
+        row = t[e]
+        for x in powers:
+            if row[x] != x or t[x][e] != x:
+                break
+        else:
+            break
+    else:
+        return None
+    for x in powers:  # each with a two-sided inverse in <a>
+        row = t[x]
+        for y in powers:
+            if row[y] == e == t[y][x]:
+                break
+        else:
+            return None
+    return tuple(sorted(powers))

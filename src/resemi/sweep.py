@@ -13,7 +13,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .family import KINDS, _shown, block_records, element_at, element_theorem, family_class, is_int
 from .semigroups import (
@@ -97,7 +97,7 @@ class SweepPlan:
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in KINDS:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"plan field 'family' names an unknown family, {_shown(self.family)}")
         for name, ok, expected in (
             ("ns", _naturals(self.ns), "a list of distinct non-negative integers"),
             ("pns", isinstance(self.pns, tuple)
@@ -125,7 +125,7 @@ class SweepPlan:
         seeded = (isinstance(src, tuple) and len(src) == 3 and src[0] == "seeded"
                   and is_int(src[1]) and (isinstance(src[2], str) or is_int(src[2])))
         if src != ("exhaustive",) and not seeded:
-            raise ValueError(f"unknown source {src!r}")
+            raise ValueError(f"plan field 'source' names an unknown source, {_shown(src)}")
         if seeded and src[1] < 0:
             raise ValueError(f"seeded source count must be non-negative, not {src[1]}")
 
@@ -261,11 +261,14 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     partners they keep, by every region of the size.  A seeded entry is a
     ``Closure``, the element list with the right Cayley graph its pass
     found, and no table: each is tabled only while its one instance runs
-    (``_instances``), so the cache keeps no seeded table.  Seeded closures
-    are deduplicated on their element set (``FiniteSemigroup.key``).  A
-    seeded draw whose closure passes the Cayley table appears, in draw
-    order, as the record ``{"generators": [texts], "reason": ...}`` in
-    place of a closure."""
+    (``_instances``), so the cache keeps no seeded table.  A draw is
+    closed only when its base has not closed its generator set before
+    (``_closures_on``): a repeated set reuses that ``Closure`` object, and
+    a refused set its reason.  Seeded closures are deduplicated on their
+    element set (``FiniteSemigroup.key``).  A seeded draw whose closure
+    passes the Cayley table appears, in draw order, as the record
+    ``{"generators": [texts], "reason": ...}`` in place of a closure,
+    listing that draw's own generators."""
     if source[0] == "exhaustive":
         base = _exhaustive_base(kind, base_size, p).build()
         return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
@@ -274,21 +277,44 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     m = whole.expected_size()
     _, count, seed = source
     rng = random.Random(seed)
+    closures = _closures_on(kind, base_size, p)
     out = []
     seen: set[frozenset] = set()
     for _ in range(count):
         k = rng.randint(1, 3)
         gens = [element_at(whole, rng.randrange(m)) for _ in range(k)]
-        try:
-            elems = closure_elements(gens)
-        except SizeCapExceeded as exc:
-            out.append({"generators": [g.to_text() for g in gens], "reason": str(exc)})
+        elems = closures.get(drawn := frozenset(gens))
+        if elems is None:
+            try:
+                elems = closure_elements(gens)
+            except SizeCapExceeded as exc:
+                elems = str(exc)
+            closures[drawn] = elems
+        if isinstance(elems, str):
+            out.append({"generators": [g.to_text() for g in gens], "reason": elems})
             continue
         key = frozenset(elems)
         if key not in seen:
             seen.add(key)
             out.append(elems)
     return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def _closures_on(kind: str, base_size: int, p: int | None) -> dict:
+    """The seeded draws' closures on one base monoid, (kind, size, p):
+    each distinct generator set drawn, as a frozenset, maps to its
+    ``Closure``, or to the reason its closure was refused.  A closure
+    reads only the set of its generators (``closure_elements`` sorts them
+    first), so a repeated set reuses its object, and a refused one its
+    reason.  It holds no table, and the closures its base's cell lists
+    hold are the same objects, not copies; a closure that its cell drops
+    as a repeat of an earlier element set is kept here alone, for a later
+    cell that draws the set again.  Asking about another base drops it,
+    as ``family._store_on`` drops a region: the cells of one size run
+    back to back (``_instances``), and a base's closures are nothing to
+    another's."""
+    return {}
 
 
 @lru_cache(maxsize=None)
@@ -391,20 +417,21 @@ def _tabled(s) -> FiniteSemigroup:
 
 def _definition_failures(s: FiniteSemigroup) -> list[str]:
     """Dual-definition agreement: inverse via unique inverses, completely
-    regular via an explicit containing-subgroup search.  The second
-    definitions read only the table, never the answers it keeps."""
+    regular via an explicit containing-subgroup search, asked of each
+    element by its table index (``subgroup_containing``).  The second
+    definitions read only the table, never the answers it keeps, and an
+    element is formatted only where they disagree."""
     out = []
     by_idem = semigroup_oracle(s, "inverse").holds
     by_unique = inverse_by_unique_inverses(s).holds
     if by_idem != by_unique:
         out.append(f"inverse definitions disagree ({by_idem} vs {by_unique})")
-    for i, a in enumerate(s.elements):
+    for i in range(len(s)):
         std = s.partner(i, "completely_regular") >= 0
-        sub = subgroup_containing(s, a) is not None
+        sub = subgroup_containing(s, i) is not None
         if std != sub:
-            out.append(
-                f"completely-regular definitions disagree on {a.to_text()} ({std} vs {sub})"
-            )
+            out.append(f"completely-regular definitions disagree on "
+                       f"{s.elements[i].to_text()} ({std} vs {sub})")
     return out
 
 
@@ -453,23 +480,24 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
         if isinstance(inst, dict):  # a seeded draw refused at closure
             rep.skipped.append({"cell": cell, **inst})
             continue
-        key = inst.key()
+        key = cache(inst.key)  # formatted only for an entry that names the instance
         try:
             _run_instance(plan, rep, inst, key, seen_definition_keys)
         except SizeCapExceeded as exc:
-            rep.skipped.append({"instance": key, "reason": str(exc)})
+            rep.skipped.append({"instance": key(), "reason": str(exc)})
         except Exception as exc:  # recorded, not fatal: the report must survive
             rep.mismatches.append(
-                {"instance": key, "element": None, "mode": "error", "detail": repr(exc)}
+                {"instance": key(), "element": None, "mode": "error", "detail": repr(exc)}
             )
     rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
-def _tally(rep: SweepReport, key: dict, f, mode: str, thm, oracle_holds: bool) -> None:
+def _tally(rep: SweepReport, key, f, mode: str, thm, oracle_holds: bool) -> None:
     """Count one check of the theorem's verdict ``thm`` against the
     oracle's answer, of the build (f None) or of its element f, and record
-    a mismatch.  f is formatted only then."""
+    a mismatch.  f, and the instance (``key()``, its key made once), are
+    formatted only then."""
     if f is None:
         checks, agreements = rep.semigroup_checks, rep.semigroup_agreements
     else:
@@ -478,7 +506,7 @@ def _tally(rep: SweepReport, key: dict, f, mode: str, thm, oracle_holds: bool) -
     if thm.holds == oracle_holds:
         agreements[mode] += 1
     else:
-        rep.mismatches.append({"instance": key, "element": None if f is None else f.to_text(),
+        rep.mismatches.append({"instance": key(), "element": None if f is None else f.to_text(),
                                "mode": mode, "theorem": thm.holds, "oracle": oracle_holds,
                                "clause": thm.clause})
 
@@ -489,7 +517,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
     expected = inst.expected_size()
     if len(build) != expected:
         rep.size_formula_violations.append(
-            {"instance": key, "expected": expected, "actual": len(build)}
+            {"instance": key(), "expected": expected, "actual": len(build)}
         )
     records = block_records(inst, build)  # before any tally: a build out of order counts nothing
 
@@ -501,7 +529,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
     for strong, weak in _IMPLICATIONS:
         if oracle_holds.get(strong) and weak in oracle_holds and not oracle_holds[weak]:
             rep.implication_violations.append(
-                {"instance": key, "implication": f"{strong} => {weak}"}
+                {"instance": key(), "implication": f"{strong} => {weak}"}
             )
 
     element_modes = []
@@ -529,19 +557,19 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                 if problem is None:
                     rep.witnesses_checked += 1
                 else:
-                    rep.mismatches.append({"instance": key, "element": f.to_text(), "mode": mode,
+                    rep.mismatches.append({"instance": key(), "element": f.to_text(), "mode": mode,
                                            "witness": thm.witness.to_text(), "problem": problem})
         problem = rec.transversal_problem
         rep.transversal_checks_run += 1
         if problem is not None:
             rep.transversal_failures.append(
-                {"instance": key, "element": f.to_text(), "problem": problem})
+                {"instance": key(), "element": f.to_text(), "problem": problem})
 
     verdict = inst.alpha_family(build)
     if verdict is not None:
         rep.alpha_family_checks_run += 1
         if not verdict.holds:
-            rep.alpha_family_failures.append({"instance": key, "clause": verdict.clause})
+            rep.alpha_family_failures.append({"instance": key(), "clause": verdict.clause})
 
     for s in (build, inst.prescribed):
         if len(s) > _DEFINITION_CHECK_LIMIT:
@@ -551,4 +579,4 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
             seen_definition_keys.add(skey)
             rep.definition_checks_run += 1
             for problem in _definition_failures(s):
-                rep.definition_failures.append({"instance": key, "problem": problem})
+                rep.definition_failures.append({"instance": key(), "problem": problem})

@@ -596,6 +596,16 @@ class TestInputFile:
         code, _, _ = run(capsys, "classify", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_deeply_nested_json(self, capsys, tmp_path, command):
+        # past the decoder's recursion limit: one error line, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n")
+
     # each row with a text its one error line must hold: the field whose
     # form is wrong, or the kind or plan line where no field is; or None
     @pytest.mark.parametrize("command, data, names", [
@@ -634,6 +644,10 @@ class TestInputFile:
         ("sweep", {"ns": [2]}, "'family'"),
         # a plan that is not an object
         *[("sweep", plan, "plan JSON must be an object") for plan in (5, None, [], "ab")],
+        # a family or source that is no name: the field, and the value as JSON text
+        ("sweep", {"family": [[0]]}, "plan field 'family' names an unknown family, [[0]]"),
+        ("sweep", {"family": "transformation", "ns": [2], "source": [{"n": 0}]},
+         'plan field \'source\' names an unknown source, [{"n": 0}]'),
         # wrongly typed plan fields
         ("sweep", {"family": "transformation", "ns": 3}, "'ns'"),
         ("sweep", {"family": "transformation", "ns": [2], "subset_sizes": 5}, "'subset_sizes'"),

@@ -45,7 +45,8 @@ from test_acceptance import CRITERION3_PLANS
 
 MEMOS = (_span_of, _intersect, null_space, _solve, extension_rows)
 # the linear element record's memos, keyed on the subspaces they read
-RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._completion)
+RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._completion,
+                lsg._basis_inverse)
 
 
 def all_matrices(p, n):

@@ -359,7 +359,29 @@ class TestTransversalProblem:
 
 # Every memo the linear element record reads through.
 RECORD_SHARING = (_span_of, _intersect, null_space, _solve, extension_rows,
-                  lsg._transversal_problem, lsg._complement_basis, lsg._completion)
+                  lsg._transversal_problem, lsg._complement_basis, lsg._completion,
+                  lsg._basis_inverse)
+
+
+def test_one_inverse_per_distinct_basis(monkeypatch):
+    # the four criterion-3 plans, with no memo or region store filled
+    # before: their 294 completions, one per (W, R(f)), hold 98 distinct
+    # bases [W; B3; B4] of V, and each is inverted once
+    for memo in (*RECORD_SHARING, _store_on):
+        memo.cache_clear()
+    inverted = []
+
+    def counted(m):
+        inverted.append(m)
+        return mat_inverse(m)
+
+    monkeypatch.setattr(lsg, "mat_inverse", counted)
+    try:
+        assert all(sweep.run_sweep(plan).clean for plan in CRITERION3_PLANS)
+    finally:
+        _store_on.cache_clear()
+    assert len(inverted) == len(set(inverted)) == 98
+    assert lsg._completion.cache_info().misses == 294
 
 
 class TestSharingChangesNoAnswer:

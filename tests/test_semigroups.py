@@ -24,7 +24,7 @@ from resemi.semigroups import (
     subgroup_containing,
     witness_problem,
 )
-from resemi.sweep import SweepPlan, run_sweep
+from resemi.sweep import SweepPlan, enumerate_subsemigroups, run_sweep
 from resemi.transform_semigroup import TInstance
 from resemi.transformations import IndexSubset, Transformation
 
@@ -557,13 +557,45 @@ class TestDualDefinitions:
 
     def test_completely_regular_subgroup_search_equivalence(self):
         for s in self.samples():
-            for a in s.elements:
+            for i, a in enumerate(s.elements):
                 std = element_oracle(s, a, "completely_regular").holds
-                sub = subgroup_containing(s, a)
+                sub = subgroup_containing(s, i)
                 assert std == (sub is not None)
                 if sub is not None:
-                    g = FiniteSemigroup(list(sub))
+                    g = FiniteSemigroup([s.elements[k] for k in sub])
                     assert semigroup_oracle(g, "group").holds and a in g
+
+
+def subgroup_by_products(s, a):
+    """The elements of the subgroup of s containing a, in s's order, or
+    None, found by multiplying elements: the powers of a until one
+    repeats, tested for a two-sided identity and two-sided inverses."""
+    powers = [a]
+    while (power := powers[-1] * a) not in powers:
+        powers.append(power)
+    identities = [e for e in powers if all(e * x == x == x * e for x in powers)]
+    if not identities or not all(any(x * y == identities[0] == y * x for y in powers)
+                                 for x in powers):
+        return None
+    return tuple(sorted(powers, key=s.index_of))
+
+
+@pytest.mark.parametrize("kind, size, p, everywhere", [
+    ("transformation", 2, None, True), ("transformation", 3, None, False),
+    ("linear", 2, 2, False),
+], ids=["T(2)", "T(3)", "L(GF(2)^2)"])
+def test_subgroup_by_index_equals_subgroup_by_products(kind, size, p, everywhere):
+    # every element of every subsemigroup of the base monoid; each element
+    # of T(2) lies in a subgroup, and some of T(3) and L(GF(2)^2) do not
+    checked = found = 0
+    for s in enumerate_subsemigroups(kind, size, ("exhaustive",), p):
+        for i, a in enumerate(s.elements):
+            sub = subgroup_containing(s, i)
+            want = subgroup_by_products(s, a)
+            assert (None if sub is None else tuple(s.elements[k] for k in sub)) == want
+            checked += 1
+            found += want is not None
+    assert 0 < found and (found == checked) == everywhere
 
 
 class TestWitnessProblem:

@@ -3,10 +3,12 @@ runs, report determinism and serialization."""
 
 import collections
 import json
+import random
 import re
 import sys
 import time
 import weakref
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -661,6 +663,137 @@ class TestRefusedDraws:
     def test_enumeration_keeps_draw_order(self):
         subs = enumerate_subsemigroups("transformation", 6, ("seeded", 4, "233:t:6:0,1,2,3,4,5"))
         assert [isinstance(s, dict) for s in subs] == [False, True, False, False]
+
+
+class TestSeededClosureMemo:
+    """Each distinct generator set drawn from one base monoid is closed
+    once (``sweep._closures_on``).  The draws are recounted here from each
+    cell's seed, the enumeration's own recipe (k = 1-3 numbers below
+    |T(k)|), with no call into the enumeration: a set of draw numbers is a
+    set of generators, as ``element_at`` gives each number its own
+    element."""
+
+    C2 = SweepPlan(family="transformation", ns=(4,), subset_sizes=(1, 2, 3),
+                   source=("seeded", 50, "criterion2"),
+                   modes=("regular", "inverse", "unit_regular"), element_cap=0)
+
+    @staticmethod
+    def cold(monkeypatch, closure=closure_elements):
+        """Every closure the sweep runs from now on, as (base size, its
+        generator set), with the enumeration's caches empty for this test
+        alone (the cached lists other tests made stay as they are)."""
+        for name in ("enumerate_subsemigroups", "_closures_on"):
+            cached = getattr(sweep, name)
+            monkeypatch.setattr(sweep, name, lru_cache(**cached.cache_parameters())(cached.__wrapped__))
+        closed = []
+
+        def counted(gens):
+            closed.append((gens[0].n, frozenset(gens)))
+            return closure(gens)
+
+        monkeypatch.setattr(sweep, "closure_elements", counted)
+        return closed
+
+    @staticmethod
+    def draws(plan, n, size):
+        """Per cell of the plan's regions of ``size`` in T(n): its cell key
+        and the draw numbers of each of its draws, in draw order."""
+        _, count, seed = plan.source
+        for cell, _ in TInstance.cells(n, size):
+            rng = random.Random(f"{seed}:{cell}")
+            yield cell, [[rng.randrange(size ** size) for _ in range(rng.randint(1, 3))]
+                         for _ in range(count)]
+
+    def test_each_distinct_set_closed_once_per_base(self, monkeypatch):
+        closed = self.cold(monkeypatch)
+        assert run_sweep(self.C2).clean
+        drawn = {size: {frozenset(d) for _, draws in self.draws(self.C2, 4, size) for d in draws}
+                 for size in self.C2.subset_sizes}
+        assert len(closed) == len(set(closed))  # no set closed twice
+        assert collections.Counter(size for size, _ in closed) == {
+            size: len(sets) for size, sets in drawn.items()}
+        assert len(closed) < 700 // 2  # of 14 cells x 50 draws
+
+    def test_refused_set_closed_once_and_each_draw_skipped(self, monkeypatch):
+        # every set of two or more distinct maps is refused; in this cell
+        # such a set is drawn more than once, and in more than one order
+        def refusing(gens):
+            if len(set(gens)) > 1:
+                raise SizeCapExceeded("size cap exceeded")
+            return closure_elements(gens)
+
+        closed = self.cold(monkeypatch, refusing)
+        plan = SweepPlan(family="transformation", ns=(2,), subset_sizes=(2,),
+                         source=("seeded", 12, "refused"), modes=("regular",), element_cap=0)
+        rep = run_sweep(plan)
+        ((cell, draws),) = self.draws(plan, 2, 2)
+        whole = TInstance.whole(2)
+        texts = [[element_at(whole, i).to_text() for i in d] for d in draws]
+        refused = [t for t in texts if len(set(t)) > 1]
+        assert rep.skipped == [{"cell": cell, "generators": t, "reason": "size cap exceeded"}
+                               for t in refused]
+        orders = collections.defaultdict(set)
+        for t in refused:
+            orders[frozenset(t)].add(tuple(t))
+        assert any(len(o) > 1 for o in orders.values())
+        assert len(closed) == len(set(closed)) == len({frozenset(d) for d in draws})
+
+
+class TestInstanceKeys:
+    """An entry names its instance by ``inst.key()``, which is formatted
+    only for an instance that an entry names, and then once."""
+
+    @staticmethod
+    def keyed(monkeypatch):
+        """The instances whose key is formatted, once per call."""
+        calls = []
+        for cls in (TInstance, LInstance):
+            def counted(inst, key=cls.key):
+                calls.append(inst)
+                return key(inst)
+
+            monkeypatch.setattr(cls, "key", counted)
+        return calls
+
+    def test_clean_plans_format_no_key(self, monkeypatch):
+        calls = self.keyed(monkeypatch)
+        for plan in (
+            SweepPlan(family="transformation", ns=(3,), subset_sizes=(1, 2, 3),
+                      source=("seeded", 20, "keys"), modes=("regular", "inverse", "unit_regular")),
+            SweepPlan(family="linear", pns=((2, 2),), source=("exhaustive",),
+                      modes=("regular", "inverse", "unit_regular", "completely_regular")),
+        ):
+            rep = run_sweep(plan)
+            assert rep.clean and not rep.skipped and rep.instances_run > 10
+        assert calls == []
+
+    def test_skipped_builds_name_their_instances(self, monkeypatch):
+        # |S| = 1 on a point of a 6-point X: 6^5 = 7,776 elements, past the table
+        plan = SweepPlan(family="transformation", ns=(6,), subset_sizes=(1,), element_cap=0)
+        want = [{"instance": inst.key(), "reason": "size cap exceeded"}
+                for _, inst in sweep._instances(plan)]
+        calls = self.keyed(monkeypatch)
+        rep = run_sweep(plan)
+        assert len(want) == 6 and rep.skipped == want and len(calls) == 6
+
+    def test_mismatches_name_their_instances(self, monkeypatch):
+        # both semigroup theorems turned round: two mismatches on every
+        # instance, whose key is formatted once
+        plan = SweepPlan(family="transformation", ns=(2,), subset_sizes=(1, 2),
+                         modes=("regular", "inverse"))
+        want = [inst.key() for _, inst in sweep._instances(plan)]
+        thm = TInstance.thm_semigroup
+
+        def turned(inst, mode):
+            verdict = thm(inst, mode)
+            return verdict._replace(holds=not verdict.holds)
+
+        monkeypatch.setattr(TInstance, "thm_semigroup", turned)
+        calls = self.keyed(monkeypatch)
+        rep = run_sweep(plan)
+        assert [(m["instance"], m["mode"]) for m in rep.mismatches] == [
+            (key, mode) for key in want for mode in plan.modes]
+        assert len(calls) == len(want) == len(set(map(id, calls))) > 5
 
 
 def test_only_the_running_instance_table_is_alive(monkeypatch):
