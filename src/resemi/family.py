@@ -23,19 +23,19 @@ builds (``build``): one block for each alpha in the prescribed
 semigroup, holding one element for each choice of images of the points
 outside the region, in the order ``element_at`` numbers from an index
 alone.  Nothing in an element or its record depends on the prescribed
-semigroup, so every instance on one region shares them
-(``RegionStore``): ``extend`` runs and each record is made once per
-element of the region, its parts worked out on first use (``lazy``),
-and a build's Cayley table reads the point actions of the generators its
-region's earlier tables took.  Every inline text, an element, a region
-or a sweep's sizes, is read by the grammar's two atoms, ``parse_ints``
-and ``parse_rows``, and every instance JSON by one loader, which checks
-it against its family's declared ``FIELDS`` (``checked_fields``).
+semigroup, so the instances on one region that hold one store
+(``RegionStore``, one per region in a sweep) share them: ``extend`` runs
+and each record is made once per element, its parts worked out on first
+use (``lazy``), and a build's Cayley table reads the point actions of
+the generators the store's earlier tables took.  Every inline text, an
+element, a region or a sweep's sizes, is read by the grammar's two
+atoms, ``parse_ints`` and ``parse_rows``, and every instance JSON by one
+loader, which checks it against its family's declared ``FIELDS``
+(``checked_fields``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .semigroups import (
@@ -84,19 +84,19 @@ class RestrictedInstance:
     """A region (Y or W) of an ambient space and a closed semigroup S(Y) or
     S(W) prescribed on it.
 
-    ``TInstance(y, s_y)`` and ``LInstance(w, s_w)``, each built from the
-    region and S alone, share one interface: the family's
-    ``SEMIGROUP_MODES`` and ``ELEMENT_MODES``, ``prescribed`` (S(Y) or
-    S(W)), ``has_identity`` (whether it holds the identity of T(Y) or
-    L(W)), ``unit_group`` (whether it is a subgroup of Sym(Y) or Aut(W):
-    it holds the identity and is a group, as a finite group of bijections
-    holds the identity map, and a group holding it has it as identity),
-    ``from_dict(data)`` (the instance of its JSON form, one loader for
-    both families, below), ``whole(size, p)``
-    (the instance over an empty region, whose build is all of T(size) or
-    L(GF(p)^size)), ``key()``, ``parse_element(text)``
-    (the element ``text`` spells in the inline grammar),
-    ``decidable(modes)``, ``check_mode(mode, level)``, ``expected_size()``,
+    ``TInstance(y, s_y, store=None)`` and ``LInstance(w, s_w, store=None)``,
+    each built from the region and S alone, share one interface: ``store``
+    (the ``RegionStore`` given, or a fresh one; the sweep gives one to
+    every instance on a region), the family's ``SEMIGROUP_MODES`` and
+    ``ELEMENT_MODES``, ``prescribed`` (S(Y) or S(W)), ``has_identity``
+    (whether it holds the identity of T(Y) or L(W)), ``unit_group``
+    (whether it is a subgroup of Sym(Y) or Aut(W): it holds the identity
+    and is a group, as a finite group of bijections holds the identity
+    map, and a group holding it has it as identity), ``from_dict(data)``
+    (the instance of its JSON form, one loader for both families, below),
+    ``whole(size, p)`` (the instance over an empty region, whose build is
+    all of T(size) or L(GF(p)^size)), ``key()``, ``parse_element(text)``
+    (the element ``text`` spells in the inline grammar), ``decidable(modes)``, ``check_mode(mode, level)``, ``expected_size()``,
     ``exceeds(bound)``, ``build()``, ``thm_semigroup(mode)``,
     ``thm_element(f, mode)``, ``record(f)``, ``witness_problem(f, w,
     mode)`` and ``alpha_family(build)`` (the linear family's index-family
@@ -137,10 +137,11 @@ class RestrictedInstance:
 
     ELEMENT_MODES = ("regular", "unit_regular")
 
-    def __init__(self, region, prescribed: FiniteSemigroup, identity) -> None:
+    def __init__(self, region, prescribed: FiniteSemigroup, identity, store) -> None:
         self.region = region
         self.prescribed = prescribed
         self.has_identity = identity in prescribed
+        self.store = RegionStore() if store is None else store
 
     @lazy
     def unit_group(self) -> bool:
@@ -195,10 +196,10 @@ class RestrictedInstance:
 
     def record(self, f):
         """f's record, the one the element theorem, its witnesses and the
-        transversal check read, shared by every instance on this region
-        (the sweep reads the same records, a whole build at a time, through
-        ``block_records``); raises, on every call, if f is not a member of
-        this instance."""
+        transversal check read, shared by every instance holding this
+        one's ``store`` (the sweep reads the same records, a whole build at
+        a time, through ``block_records``); raises, on every call, if f is
+        not a member of this instance."""
         return self._record_at(f)[0]
 
     def _record_at(self, f) -> tuple:
@@ -207,7 +208,7 @@ class RestrictedInstance:
         and the partner (``element_verdict``)."""
         if not self.in_ambient(f):
             raise ValueError(f"f not in {self.FAMILY}: wrong ambient size")
-        rec = self._stored(_store_on(self.region).records, f)
+        rec = self._stored(self.store.records, f)
         if rec.alpha is None:
             raise ValueError(f"f not in {self.FAMILY}: {self.REGION} is not invariant")
         try:
@@ -319,10 +320,12 @@ def checked_fields(data, fields) -> list:
 
 
 def _shown(value) -> str:
-    """``value`` as JSON text, for a refusal."""
+    """``value`` as JSON text, for a refusal, cut after 60 characters, so
+    a refusal stays one short line however large the value."""
     import json  # only a refusal reads it
 
-    return json.dumps(value, default=repr)
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def element_at(inst: RestrictedInstance, i: int):
@@ -351,17 +354,17 @@ def build(inst: RestrictedInstance) -> FiniteSemigroup:
     Cayley table's ``TABLE_CAP``, the only bound on work (``exceeds``, so
     a refusal forms no huge integer and costs no work that grows with the
     space).  When the region is everything the build is S itself, table
-    reused.  Otherwise each alpha's block is taken whole from the region's
-    store, where the first build on the region to meet alpha put it, so
-    every instance on the region shares its element objects and ``extend``
-    runs once per element of the region.
+    reused.  Otherwise each alpha's block is taken whole from the
+    instance's store, where the first build on that store to meet alpha
+    put it, so every instance holding the store shares its element objects
+    and ``extend`` runs once per element of the region.
     """
     if inst.exceeds(TABLE_CAP):
         raise SizeCapExceeded("size cap exceeded")
     if inst.codim == 0:
         return inst.prescribed
     points = [inst.point(d) for d in range(inst.point_count)]
-    store = _store_on(inst.region)
+    store = inst.store
     out = []
     for alpha in inst.prescribed.elements:
         block = store.elements.get(alpha)
@@ -406,40 +409,31 @@ def semigroup_verdict(inst: RestrictedInstance, mode: str) -> PropertyVerdict:
 
 
 class RegionStore:
-    """What every instance on one region shares: ``records``, f -> f's
-    record; ``elements``, alpha -> alpha's block, the elements restricting
-    to alpha in ``element_at`` order, made whole by the first build to
-    meet alpha; ``actions``, the point actions of the elements the builds'
-    Cayley tables took as generators (``FiniteSemigroup``); and ``lifts``,
-    alpha -> alpha lifted to ambient rows, which the linear family's
-    elements and witnesses are made from (``linear_semigroup._lifted``)."""
+    """What the instances holding it share, all on one region (Y or W):
+    ``records``, f -> f's record; ``elements``, alpha -> alpha's block,
+    the elements restricting to alpha in ``element_at`` order, made whole
+    by the first build to meet alpha; and ``actions``, the point actions
+    of the elements the builds' Cayley tables took as generators
+    (``FiniteSemigroup``).  It lives as long as the instances that hold
+    it: the sweep makes one per region (``sweep._instances``), and every
+    other instance has its own."""
 
     def __init__(self) -> None:
         self.records: dict = {}
         self.elements: dict = {}
         self.actions: dict = {}
-        self.lifts: dict = {}
-
-
-@lru_cache(maxsize=1)
-def _store_on(region) -> RegionStore:
-    """The store of one region (Y or W, of either family); asking about
-    another region drops it.  A sweep takes the instances of one region
-    back to back, so that loses no reuse, and keying on every region
-    would hold the elements and records of every region at once."""
-    return RegionStore()
 
 
 def block_records(inst: RestrictedInstance, build: FiniteSemigroup) -> list:
     """The record of every element of ``build``, in build order, each read
-    from the region's store (and made there if missing): what the sweep's
+    from the instance's store (and made there if missing): what the sweep's
     element theorems and transversal checks read, with no lookup in S.
     Element i of a build restricts to ``prescribed.elements[i // block]``,
     block = point_count^codim (``element_at``), and each record's
     restriction is compared with that alpha by equality, so a verdict read
     by block never trusts the build's order: an element outside its block
     is refused as ``record`` refuses a restriction outside S."""
-    records, alphas = _store_on(inst.region).records, inst.prescribed.elements
+    records, alphas = inst.store.records, inst.prescribed.elements
     block = inst.point_count ** inst.codim
     out = []
     for i, f in enumerate(build.elements):

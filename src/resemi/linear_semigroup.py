@@ -34,7 +34,6 @@ from .gflinear import (
 )
 from .family import (
     RestrictedInstance,
-    _store_on,
     build,
     element_verdict,
     lazy,
@@ -70,11 +69,11 @@ class ElementSubspaces:
     (``_transversal_problem``); the transversal's extension rows on
     (R(f|W), R(f)) (``gflinear.extension_rows``); the completion on (W,
     R(f)) (``_completion``), and its inverse on the basis itself
-    (``_basis_inverse``); and the unit rows completing W + U
-    (``_complement_basis``).  A partner lifted to ambient rows is
-    kept per partner in W's region store (``_lifted``).  Per record remain
-    the transversal pair, the preimages in ``regular_rows`` and
-    ``unit_regular_rows``, and one product per witness.
+    (``_basis_inverse``); the unit rows completing W + U
+    (``_complement_basis``); and a partner lifted to ambient rows on (W,
+    the partner) (``_lifted``).  Per record remain the transversal pair,
+    the preimages in ``regular_rows`` and ``unit_regular_rows``, and one
+    product per witness.
     """
 
     def __init__(self, w: Subspace, f: GFMatrix) -> None:
@@ -206,23 +205,19 @@ def _complement_basis(span: Subspace) -> tuple:
     return tuple(independent_extension(span.p, n, span.basis, unit_rows(n)))
 
 
+@lru_cache(maxsize=MEMO_BOUND)
 def _lifted(w: Subspace, alpha: GFMatrix) -> tuple:
     """The coordinate matrix alpha lifted to ambient rows: the images of
     W's canonical basis under every map restricting to alpha (an element
-    of a build, or a witness on its partner), kept per alpha in W's
-    region store (``family.RegionStore``)."""
-    lifts = _store_on(w).lifts
-    rows = lifts.get(alpha)
-    if rows is None:
-        rows = lifts[alpha] = tuple(w.from_coordinates(row) for row in alpha.entries)
-    return rows
+    of a build, or a witness on its partner), made once per (W, alpha)."""
+    return tuple(w.from_coordinates(row) for row in alpha.entries)
 
 
 class LInstance(RestrictedInstance):
     """A subspace W of V = GF(p)^n and a closed S(W): ``LInstance(w,
-    s_w)``.  The prime p and the ambient dimension n are W's own (``w.p``,
-    ``w.ambient_dim``), so a region and an ambient that disagree cannot be
-    given.
+    s_w, store=None)``.  The prime p and the ambient dimension n are W's
+    own (``w.p``, ``w.ambient_dim``), so a region and an ambient that
+    disagree cannot be given.
 
     Elements of S(W) (``prescribed``) are dim(W) x dim(W) coordinate
     matrices in W's canonical basis.  dim(W) = 0 is fully supported: S(W)
@@ -264,12 +259,12 @@ class LInstance(RestrictedInstance):
     FIELDS = (("p", "int"), ("n", "int"), ("W", "rows"), ("sW", "rows"))
     is_unit = staticmethod(GFMatrix.is_invertible)
 
-    def __init__(self, w: Subspace, s_w: FiniteSemigroup) -> None:
+    def __init__(self, w: Subspace, s_w: FiniteSemigroup, store=None) -> None:
         self.p, self.n = p, n = w.p, w.ambient_dim
         _check_s_w(p, w.dim, s_w.elements)
         self.w = w
         self.radix, self.width, self.codim = p, n, w.codim
-        super().__init__(w, s_w, GFMatrix.identity(p, w.dim))
+        super().__init__(w, s_w, GFMatrix.identity(p, w.dim), store)
 
     @classmethod
     def from_fields(cls, p: int, n: int, rows: list, generators, elements) -> "LInstance":
@@ -418,7 +413,7 @@ def alpha_family_check(inst: LInstance, build: FiniteSemigroup) -> PropertyVerdi
     """For codim(W) = 1 and S(W) a group of units, the whole semigroup is
     the family of maps indexed by (z, lam): restrict to lam on W and send
     the distinguished complement vector x to z.  Verifies the family, made
-    by ``inst.extend`` apart from the build and the region's store of
+    by ``inst.extend`` apart from the build and the instance's store of
     elements, equals ``build``, the instance's build (``inst.build()``,
     which the sweep has already made), elementwise and that composition
     acts on indices by (z, lam)(z', del) = (x, lam.del) when z = x, and

@@ -193,8 +193,8 @@ class FiniteSemigroup:
     which gathers point codes and multiplies elements only to name a
     missing product), and more than ``TABLE_CAP`` distinct elements are
     refused.  Such a list takes one point action per generator, unless
-    ``actions`` holds it already: a build passes its region's store
-    (``family.build``), so the tables of one region share the actions of
+    ``actions`` holds it already: a build passes its instance's store
+    (``family.build``), so the tables on one store share the actions of
     the generators they have in common (``_cayley_table``).  A two-sided
     identity is detected by scan, never assumed.  Instances are immutable
     after construction and safe to share.

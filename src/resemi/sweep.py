@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache
 
-from .family import KINDS, _shown, block_records, element_at, element_theorem, family_class, is_int
+from .family import (KINDS, RegionStore, _shown, block_records, element_at, element_theorem,
+                     family_class, is_int)
 from .semigroups import (
     TABLE_CAP,
     FiniteSemigroup,
@@ -113,11 +114,11 @@ class SweepPlan:
         ):
             if not ok:
                 raise ValueError(f"plan field {name!r} must be {expected}, "
-                                 f"not {_as_lists(getattr(self, name))!r}")
+                                 f"not {_shown(getattr(self, name))}")
         other = "pns" if self.family == "transformation" else "ns"
         if getattr(self, other):
             raise ValueError(f"plan field {other!r} must be empty for family {self.family!r}, "
-                             f"not {_as_lists(getattr(self, other))!r}")
+                             f"not {_shown(getattr(self, other))}")
         for m in self.modes:
             if m not in family_class(self.family).SEMIGROUP_MODES:
                 raise ValueError(f"mode {m!r} not available for family {self.family!r}")
@@ -141,7 +142,8 @@ class SweepPlan:
         ``SCHEMA1_PLAN_KEYS`` of a report's plan block are read past,
         whatever their values; any other key is refused, so a misspelled
         field cannot leave its default in force.  A ``d`` that is not an
-        object, or that has no ``family``, is refused by name."""
+        object, or that has no ``family``, is refused by name, and so is a
+        field nesting lists past ``pns``'s two deep."""
         if not isinstance(d, dict):
             raise ValueError(f"plan JSON must be an object, not {_shown(d)}")
         if "family" not in d:
@@ -151,7 +153,7 @@ class SweepPlan:
         if unknown:
             raise ValueError(f"unknown plan key {', '.join(map(repr, unknown))} "
                              f"(the fields are {', '.join(names)})")
-        return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
+        return cls(**{name: _as_tuples(name, d[name], 2) for name in names if name in d})
 
 
 def _prime(p: int) -> bool:
@@ -177,8 +179,11 @@ def _as_lists(v):
     return [_as_lists(x) for x in v] if isinstance(v, tuple) else v
 
 
-def _as_tuples(v):
-    return tuple(_as_tuples(x) for x in v) if isinstance(v, list) else v
+def _as_tuples(name: str, v, depth: int):
+    """Field ``name``'s ``v`` with lists as tuples, refused past ``depth`` lists deep."""
+    if isinstance(v, list) and not depth:
+        raise ValueError(f"plan field {name!r} nests lists too deeply")
+    return tuple(_as_tuples(name, x, depth - 1) for x in v) if isinstance(v, list) else v
 
 
 @dataclass
@@ -310,10 +315,9 @@ def _closures_on(kind: str, base_size: int, p: int | None) -> dict:
     reason.  It holds no table, and the closures its base's cell lists
     hold are the same objects, not copies; a closure that its cell drops
     as a repeat of an earlier element set is kept here alone, for a later
-    cell that draws the set again.  Asking about another base drops it,
-    as ``family._store_on`` drops a region: the cells of one size run
-    back to back (``_instances``), and a base's closures are nothing to
-    another's."""
+    cell that draws the set again.  Asking about another base drops it:
+    the cells of one size run back to back (``_instances``), and a base's
+    closures are nothing to another's."""
     return {}
 
 
@@ -393,16 +397,19 @@ def _instances(plan: SweepPlan):
     each instance a region and one S on it, built by the plan's family
     (``family_class``); a seeded draw refused at closure comes as
     (cell_key, its record).  The family chooses only the regions of each
-    size and the cell key that seeds the draws on each (``cells``).  A
-    seeded S is tabled as its instance is
-    yielded, from its closure's graph (``_tabled``), so only the running
+    size and the cell key that seeds the draws on each (``cells``).  Here
+    alone instances share a store (``RegionStore``): one per region, so it
+    is dropped once the sweep leaves the region and its instances are
+    gone.  A seeded S is tabled as its instance is yielded, from its
+    closure's graph (``_tabled``), so only the running
     instance's table is alive.  It is made here, outside
     ``_run_instance``, so per-instance times do not count S's table."""
     family = family_class(plan.family)
     for p, n, size in _sizes(plan):
         for cell, region in family.cells(n, size, p):
+            store = RegionStore()
             for s in enumerate_subsemigroups(plan.family, size, _cell_source(plan, cell), p=p):
-                yield cell, s if isinstance(s, dict) else family(region, _tabled(s))
+                yield cell, s if isinstance(s, dict) else family(region, _tabled(s), store)
 
 
 def _tabled(s) -> FiniteSemigroup:

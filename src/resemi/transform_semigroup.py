@@ -121,7 +121,7 @@ class TElementRecord:
 
 class TInstance(RestrictedInstance):
     """A subset Y of X = {0, ..., n-1} and a closed semigroup S(Y) on |Y|
-    points: ``TInstance(y, s_y)``.  The ambient size n is Y's own
+    points: ``TInstance(y, s_y, store=None)``.  The ambient size n is Y's own
     (``y.n``), so a region and an ambient that disagree cannot be given.
 
     Elements of S(Y) (``prescribed``) act on the dense range 0..|Y|-1 (Y
@@ -164,13 +164,13 @@ class TInstance(RestrictedInstance):
     FIELDS = (("n", "int"), ("Y", "ints"), ("sY", "ints"))
     is_unit = staticmethod(Transformation.is_bijective)
 
-    def __init__(self, y: IndexSubset, s_y: FiniteSemigroup) -> None:
+    def __init__(self, y: IndexSubset, s_y: FiniteSemigroup, store=None) -> None:
         k = len(y)
         _check_s_y(k, s_y.elements)
         self.n = n = y.n
         self.y = y
         self.radix, self.width, self.codim = n, 1, n - k
-        super().__init__(y, s_y, Transformation.identity(k))
+        super().__init__(y, s_y, Transformation.identity(k), store)
 
     @classmethod
     def from_fields(cls, n: int, members: list, generators, elements) -> "TInstance":

@@ -606,6 +606,21 @@ class TestInputFile:
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n")
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("classify", '{"kind": "transformation", "n": 2, "Y": %s, "sY": {"elements": [[0]]}}',
+         "instance field 'Y' must be a list of integers, not [[[["),
+        ("sweep", '{"family": "transformation", "ns": %s}', "plan field 'ns' nests lists too deeply"),
+    ])
+    def test_nested_field_is_refused_in_one_short_line(self, capsys, tmp_path, command, text,
+                                                       message):
+        # within the decoder's recursion limit, 900 lists deep: refused by
+        # the field's name, and the value quoted in the refusal is cut short
+        path = tmp_path / "nested.json"
+        path.write_text(text % ("[" * 900 + "]" * 900))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and len(err) < 200
+
     # each row with a text its one error line must hold: the field whose
     # form is wrong, or the kind or plan line where no field is; or None
     @pytest.mark.parametrize("command, data, names", [

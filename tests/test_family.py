@@ -12,13 +12,15 @@ import gc
 import hashlib
 import json
 import weakref
+from dataclasses import replace
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resemi import family, sweep
-from resemi.family import _store_on, element_at, element_verdict
+from resemi.family import RegionStore, element_at, element_verdict
 from resemi.gflinear import GFMatrix, Subspace, all_subspaces
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
@@ -33,6 +35,7 @@ from resemi.semigroups import (
 from resemi.sweep import SweepPlan
 from resemi.transform_semigroup import TInstance
 from resemi.transformations import IndexSubset, Transformation
+from test_acceptance import CRITERION2_PLANS, CRITERION3_PLANS
 
 
 def outcome(inst, f, check):
@@ -76,26 +79,26 @@ class ElementRecordCases:
 
 
 class SharedRecordsCases:
-    """Every instance on one region (Y or W) shares each element's record,
-    kept for one region at a time; membership in the asking instance is
-    still decided on every call.
+    """Instances on one region (Y or W) that hold one store share each
+    element's record; membership in the asking instance is still decided
+    on every call.
 
-    A subclass gives ``clone(inst)``; the messages ``OUTSIDE`` and
+    A subclass gives ``clone(inst)``, the instance on inst's region and S
+    with a store of its own; the messages ``OUTSIDE`` and
     ``NOT_INVARIANT``; ``separated()``, (A, B, f) with f regular in A and
     f's restriction outside S_B; ``non_invariant()``, (inst, f) with f
     leaving the region; ``pairs()``, pairs (A, B) on one region where A's
-    build holds elements outside B's; ``partners()``, (A, B, C, f, mode,
-    partner) where A and C find ``partner`` as the prescribed partner of
-    f's restriction and B, which lacks it, another; ``regions()``, (A, B,
-    other, f) with A and B as in ``separated()`` and f a member of
-    ``other``, on another region.  A record keeps each witness it
-    assembles, per mode and partner."""
+    build holds elements outside B's; and ``partners()``, (A, B, C, f,
+    mode, partner) where A and C find ``partner`` as the prescribed
+    partner of f's restriction and B, which lacks it, another.  The
+    instances of one ``separated()``, pair or ``partners()`` hold one
+    store.  A record keeps each witness it assembles, per mode and
+    partner."""
 
     CHECKS = ("regular", "unit_regular", "transversal")
 
     def test_cached_record_is_checked_against_each_instance(self):
         a, b, f = self.separated()
-        _store_on.cache_clear()
         for _ in range(2):
             assert a.thm_element(f, "regular").holds
             assert a.record(f).transversal_problem is None
@@ -106,7 +109,6 @@ class SharedRecordsCases:
 
     def test_non_invariant_f_raises_on_every_call(self):
         inst, f = self.non_invariant()
-        _store_on.cache_clear()
         for _ in range(3):
             for check in self.CHECKS:
                 assert outcome(inst, f, check) == ("raises", self.NOT_INVARIANT)
@@ -118,13 +120,9 @@ class SharedRecordsCases:
             elements = list(dict.fromkeys(a.build().elements + b.build().elements))
             assert set(elements) - set(b.build().elements)
 
-            def fresh(inst, f, check):
-                _store_on.cache_clear()
-                return outcome(self.clone(inst), f, check)
-
-            want = [fresh(inst, f, check)
+            assert a.store is b.store
+            want = [outcome(self.clone(inst), f, check)
                     for f in elements for inst in (a, b) for check in self.CHECKS]
-            _store_on.cache_clear()
             got = [outcome(inst, f, check)
                    for f in elements for inst in (a, b) for check in self.CHECKS]
             assert got == want, a
@@ -142,8 +140,8 @@ class SharedRecordsCases:
 
     def test_memo_witness_checked_against_each_table(self):
         a, b, c, f, mode, partner = self.partners()
+        assert a.store is b.store is c.store
         build_a, build_b = a.build(), b.build()
-        _store_on.cache_clear()
         w_a = a.thm_element(f, mode).witness
         assert a.record(w_a).alpha == partner
         assert witness_problem(build_a, build_a.index_of(f), mode, w_a) is None
@@ -157,32 +155,6 @@ class SharedRecordsCases:
         assert w_c is w_a
         build_c = c.build()
         assert witness_problem(build_c, build_c.index_of(f), mode, w_c) is None
-
-    def test_records_are_kept_for_one_w_only(self):
-        a, b, other, f = self.regions()
-        _store_on.cache_clear()
-        dropped = weakref.ref(a.record(f))
-        assert dropped() is not None
-        other.record(f)
-        gc.collect()
-        assert dropped() is None
-        assert _store_on.cache_info().currsize == 1
-        # back on the first region, a new record is made and still checked per instance
-        assert a.record(f) is a.record(f)
-        with pytest.raises(ValueError, match="restriction outside S"):
-            b.record(f)
-
-
-def test_a_query_on_one_family_drops_the_other_familys_records():
-    lin = LInstance(Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])]))
-    tra = TInstance(IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])]))
-    queries = ((lin, GFMatrix.identity(2, 2)), (tra, Transformation([0, 0])))
-    _store_on.cache_clear()
-    for (first, f), (second, g) in (queries, queries[::-1]):
-        dropped = weakref.ref(first.record(f))
-        second.record(g)
-        gc.collect()
-        assert dropped() is None and _store_on.cache_info().currsize == 1
 
 
 # -- the element theorem on stub records ---------------------------------------
@@ -468,7 +440,6 @@ def test_build_refused_exactly_past_the_table_cap(inst, refused, monkeypatch):
     calls = []
     extend = inst.extend
     monkeypatch.setattr(inst, "extend", lambda *args: calls.append(1) or extend(*args))
-    _store_on.cache_clear()
     assert (inst.expected_size() > TABLE_CAP) == refused
     if refused:
         with pytest.raises(SizeCapExceeded):
@@ -491,28 +462,26 @@ def test_exceeds_is_the_size_compared_with_the_bound(inst):
         assert inst.exceeds(bound) == (inst.expected_size() > bound)
 
 
-# Two instances on one region, with different prescribed semigroups that
-# share elements, and a third instance on another region.
-SHARED_REGION = {
-    "transformation": (
-        TInstance(IndexSubset(3, [0, 1]), FiniteSemigroup([Transformation([0, 1])])),
-        TInstance(IndexSubset(3, [0, 1]),
-                  FiniteSemigroup([Transformation([0, 1]), Transformation([0, 0])])),
-        TInstance(IndexSubset(3, [0]), FiniteSemigroup([Transformation([0])])),
-    ),
-    "linear": (
-        LInstance(Subspace(2, 2, [[1, 0]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
-        LInstance(Subspace(2, 2, [[1, 0]]),
-                  FiniteSemigroup([GFMatrix(2, [[0]]), GFMatrix(2, [[1]])])),
-        LInstance(Subspace(2, 2, [[0, 1]]), FiniteSemigroup([GFMatrix(2, [[1]])])),
-    ),
-}
+def shared_region(family):
+    """Two instances on one region, holding one store, with different
+    prescribed semigroups that share elements."""
+    store = RegionStore()
+    if family == "transformation":
+        y = IndexSubset(3, [0, 1])
+        return (TInstance(y, FiniteSemigroup([Transformation([0, 1])]), store),
+                TInstance(y, FiniteSemigroup([Transformation([0, 1]), Transformation([0, 0])]),
+                          store))
+    w = Subspace(2, 2, [[1, 0]])
+    return (LInstance(w, FiniteSemigroup([GFMatrix(2, [[1]])]), store),
+            LInstance(w, FiniteSemigroup([GFMatrix(2, [[0]]), GFMatrix(2, [[1]])]), store))
 
 
-@pytest.mark.parametrize("family", sorted(SHARED_REGION))
+FAMILIES = ("linear", "transformation")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_instances_on_one_region_share_their_elements(family):
-    a, b, _ = SHARED_REGION[family]
-    _store_on.cache_clear()
+    a, b = shared_region(family)
     build_a, build_b = a.build(), b.build()
     for inst, built in ((a, build_a), (b, build_b)):
         assert list(built.elements) == [element_at(inst, i) for i in range(len(built))]
@@ -524,32 +493,13 @@ def test_instances_on_one_region_share_their_elements(family):
     assert all(f is g for f, g in zip(a.build().elements, build_a.elements))
 
 
-@pytest.mark.parametrize("family", sorted(SHARED_REGION))
-def test_a_build_on_another_region_drops_the_store(family):
-    a, b, other = SHARED_REGION[family]
-    _store_on.cache_clear()
-    f = a.build().elements[0]
-    a.record(f)
-    store = _store_on(a.region)
-    assert store.elements and store.records
-    other.build()
-    assert _store_on.cache_info().currsize == 1
-    fresh = _store_on(a.region)
-    assert fresh is not store and not fresh.elements and not fresh.records
-    # and the next build on the first region fills the new store
-    assert list(b.build().elements) == [element_at(b, i) for i in range(len(b.build()))]
-    assert fresh.elements
-
-
-@pytest.mark.parametrize("family", sorted(SHARED_REGION))
+@pytest.mark.parametrize("family", FAMILIES)
 def test_builds_on_one_region_share_their_generator_actions(family, monkeypatch):
     """A build's Cayley table keeps the point actions of its generators in
-    the region's store, so a second build on the region takes afresh only
+    the instance's store, so a second build on the store takes afresh only
     the actions of the generators the first did not take; its table is
-    still the table of object products.  Asking for another region drops
-    the shared actions, and a build on the first region then takes every
-    generator's action again."""
-    a, b, other = SHARED_REGION[family]
+    still the table of object products."""
+    a, b = shared_region(family)
     cls = type(a.prescribed.elements[0])
     point_action = cls.point_action
     taken = []
@@ -564,26 +514,88 @@ def test_builds_on_one_region_share_their_generator_actions(family, monkeypatch)
         return made, len(taken)
 
     monkeypatch.setattr(cls, "point_action", counted)
-    _store_on.cache_clear()
     _, first = actions_taken(a.build)
-    store = _store_on(a.region)
-    assert first and store.actions
+    assert first and a.store.actions
     build_b, shared = actions_taken(b.build)
     elems = build_b.elements
     _, alone = actions_taken(lambda: FiniteSemigroup(list(elems)))  # one per generator
     assert shared < alone
     index = {f: k for k, f in enumerate(elems)}
     assert build_b.table == [[index[f * g] for g in elems] for f in elems]
-    other.build()
-    assert _store_on(a.region) is not store and not _store_on(a.region).actions
-    assert actions_taken(b.build)[1] == alone
 
 
-@pytest.mark.parametrize("family", sorted(SHARED_REGION))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_instances_with_their_own_stores_share_no_record(family):
+    """An instance made without a store has its own, so nothing made for
+    another instance on its region, an element or a record, is shared."""
+    a, b = shared_region(family)
+    own = type(b)(b.region, b.prescribed)
+    assert own.store is not b.store
+    build_b, build_own = b.build(), own.build()
+    assert build_own.elements == build_b.elements
+    assert not any(f is g for f, g in zip(build_own.elements, build_b.elements))
+    for f in build_b.elements:
+        assert own.record(f) is own.record(f) is not b.record(f)
+        assert own.record(f).alpha == b.record(f).alpha
+    shared = [f for f in build_b.elements if f in a.build()]
+    assert shared and all(a.record(f) is b.record(f) for f in shared)
+
+
+@pytest.mark.parametrize("plan", [
+    SweepPlan(family="transformation", ns=(3,), subset_sizes=(2,)),
+    SweepPlan(family="linear", pns=((2, 2),), subset_sizes=(1,)),
+], ids=["T(3)", "L(GF(2)^2)"])
+def test_the_sweep_drops_a_region_store_when_it_leaves_the_region(plan):
+    """While ``_instances`` stays on a region its store lives, though the
+    caller keeps no instance; once the generator yields an instance of the
+    next region, nothing holds the first region's store."""
+    instances = sweep._instances(plan)
+    _, inst = next(instances)
+    region, f = inst.region, inst.build().elements[-1]
+    kept = weakref.ref(inst.record(f))
+    del inst
+    on_first = 0
+    for _, inst in instances:
+        gc.collect()
+        if inst.region != region:
+            break
+        on_first += 1
+        assert kept() is not None and inst.store.records[f] is kept()
+        del inst
+    assert on_first and kept() is None
+
+
+@pytest.mark.parametrize("plan, count", [
+    (replace(CRITERION2_PLANS[0], subset_sizes=(2,)), 2 * 64),
+    (replace(CRITERION3_PLANS[3], subset_sizes=(2,)), 2 * 128),
+], ids=["c2e-|Y|=2", "c3d-dim-W=2"])
+def test_alternating_regions_extend_each_element_once(plan, count, monkeypatch):
+    """The instances of a plan's first two regions (c2e's first two Y of
+    size 2, 9 instances each, and c3d's first two planes W, 32 and 31),
+    built in turn, one instance of each region after the other: each
+    region keeps its own store, so ``extend`` runs once per element of
+    the two regions, as when the regions run back to back."""
+    regions = {}
+    for _, inst in sweep._instances(plan):
+        if inst.region not in regions and len(regions) == 2:
+            break
+        regions.setdefault(inst.region, []).append(inst)
+    first, second = regions.values()
+    cls = type(first[0])
+    extend = cls.extend
+    calls = []
+    monkeypatch.setattr(cls, "extend", lambda *args: calls.append(1) or extend(*args))
+    elements = {region: set() for region in regions}
+    for inst in (i for pair in zip_longest(first, second) for i in pair if i is not None):
+        elements[inst.region].update(inst.build().elements)
+    assert len(calls) == sum(map(len, elements.values())) == count
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_a_transversal_problem_is_reported_for_each_instance_holding_f(family, monkeypatch):
     """The check is made once per record, but the sweep still records a
     failure for every (instance, element) pair it covers."""
-    a, _, _ = SHARED_REGION[family]
+    a, _ = shared_region(family)
     plan = (SweepPlan(family="transformation", ns=(3,), subset_sizes=(2,))
             if family == "transformation" else SweepPlan(family="linear", pns=((2, 2),)))
     target = a.build().elements[-1]
@@ -596,11 +608,7 @@ def test_a_transversal_problem_is_reported_for_each_instance_holding_f(family, m
         return "forced" if rec.f == target else None
 
     monkeypatch.setattr(a.RECORD, "transversal_problem", property(forced))
-    _store_on.cache_clear()
-    try:
-        rep = sweep.run_sweep(plan)
-    finally:
-        _store_on.cache_clear()
+    rep = sweep.run_sweep(plan)
     assert rep.transversal_failures == [
         {"instance": key, "element": target.to_text(), "problem": "forced"} for key in holding]
     assert rep.transversal_checks_run == len(made)

@@ -37,16 +37,15 @@ from resemi.gflinear import (
     transversal_from_spaces,
     unit_rows,
 )
-from resemi.family import _store_on
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import FiniteSemigroup
 from resemi.sweep import run_sweep
 from test_acceptance import CRITERION3_PLANS
 
 MEMOS = (_span_of, _intersect, null_space, _solve, extension_rows)
-# the linear element record's memos, keyed on the subspaces they read
+# the linear family's memos for its elements and records, keyed on what they read
 RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._completion,
-                lsg._basis_inverse)
+                lsg._basis_inverse, lsg._lifted)
 
 
 def all_matrices(p, n):
@@ -458,7 +457,6 @@ class TestMemo:
         for w in all_subspaces(3, 2):
             l_w = all_matrices(3, w.dim)
             inst = LInstance(w, FiniteSemigroup(l_w))
-            _store_on.cache_clear()
             for f in all_matrices(3, 2):
                 try:
                     rec = inst.record(f)
@@ -470,16 +468,15 @@ class TestMemo:
                     (lsg._complement_basis, (w.sum(tr.u),)),
                     (lsg._completion, (w, rec.rf)),
                     (extension_rows, (rec.rw, rec.rf)),
+                    (lsg._lifted, (w, rec.alpha)),
                 ]
                 for memo, args in calls:
                     hit = memo(*args)
                     assert memo(*args) is hit == memo.__wrapped__(*args)
-        _store_on.cache_clear()
 
     def test_memos_stay_within_the_bound(self):
         for memo in MEMOS + RECORD_MEMOS:
             memo.cache_clear()
-        _store_on.cache_clear()  # no record kept from an earlier test
         assert run_sweep(CRITERION3_PLANS[-1]).clean  # c3d
         for memo in MEMOS + RECORD_MEMOS:
             info = memo.cache_info()

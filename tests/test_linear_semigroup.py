@@ -9,7 +9,7 @@ import pytest
 
 from resemi import linear_semigroup as lsg
 from resemi import sweep
-from resemi.family import _store_on
+from resemi.family import RegionStore
 from resemi.gflinear import (
     GFMatrix,
     Subspace,
@@ -295,7 +295,6 @@ class TestRecordAgainstReferences:
             p, n = w.p, w.ambient_dim
             l_w = all_matrices(p, w.dim)
             inst = LInstance(w, FiniteSemigroup(l_w))
-            _store_on.cache_clear()
             for f in all_matrices(p, n):
                 try:
                     alpha = restriction_matrix(f, w)
@@ -322,7 +321,6 @@ class TestRecordAgainstReferences:
                         if genuine and rec.trace_ok and got != "raises":
                             assert inst.witness_problem(f, got, mode) is None
                             checked += 1
-        _store_on.cache_clear()
         return records, checked
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -339,35 +337,31 @@ class TestTransversalProblem:
     @pytest.mark.parametrize("wrong", [[], [[0, 1]]], ids=["too_small", "outside_w"])
     def test_wrong_trace_is_found(self, monkeypatch, wrong):
         # f = 1 on GF(2)^2 with W = <(1,0)>: U = V, so U meet W is W
-        inst = LInstance(Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1))
+        w, s_w = Subspace(2, 2, [[1, 0]]), trivial_sw(2, 1)
         f = GFMatrix.identity(2, 2)
-        _store_on.cache_clear()
         lsg._transversal_problem.cache_clear()
-        assert inst.record(f).transversal_problem is None
+        assert LInstance(w, s_w).record(f).transversal_problem is None
         build_pair = lsg.transversal_from_spaces
         monkeypatch.setattr(lsg, "transversal_from_spaces", lambda *args: SubspaceTransversal(
             build_pair(*args).u, Subspace(2, 2, wrong)))
-        _store_on.cache_clear()  # f's record holds the right pair
-        try:
-            assert inst.record(f).transversal_problem == "U meet W is not the trace of U"
-        finally:
-            _store_on.cache_clear()  # and now the wrong one
+        # a new instance has a store of its own, where f's record is made afresh
+        assert LInstance(w, s_w).record(f).transversal_problem == "U meet W is not the trace of U"
         # the check went through the memo, where the wrong pair is a key of its own
         info = lsg._transversal_problem.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
 
 
-# Every memo the linear element record reads through.
+# Every memo the linear elements and their records read through.
 RECORD_SHARING = (_span_of, _intersect, null_space, _solve, extension_rows,
                   lsg._transversal_problem, lsg._complement_basis, lsg._completion,
-                  lsg._basis_inverse)
+                  lsg._basis_inverse, lsg._lifted)
 
 
 def test_one_inverse_per_distinct_basis(monkeypatch):
-    # the four criterion-3 plans, with no memo or region store filled
-    # before: their 294 completions, one per (W, R(f)), hold 98 distinct
-    # bases [W; B3; B4] of V, and each is inverted once
-    for memo in (*RECORD_SHARING, _store_on):
+    # the four criterion-3 plans, with no memo filled before: their 294
+    # completions, one per (W, R(f)), hold 98 distinct bases [W; B3; B4]
+    # of V, and each is inverted once
+    for memo in RECORD_SHARING:
         memo.cache_clear()
     inverted = []
 
@@ -376,10 +370,7 @@ def test_one_inverse_per_distinct_basis(monkeypatch):
         return mat_inverse(m)
 
     monkeypatch.setattr(lsg, "mat_inverse", counted)
-    try:
-        assert all(sweep.run_sweep(plan).clean for plan in CRITERION3_PLANS)
-    finally:
-        _store_on.cache_clear()
+    assert all(sweep.run_sweep(plan).clean for plan in CRITERION3_PLANS)
     assert len(inverted) == len(set(inverted)) == 98
     assert lsg._completion.cache_info().misses == 294
 
@@ -389,9 +380,10 @@ class TestSharingChangesNoAnswer:
     changes an answer.  For every element of every instance on one region,
     the transversal pair, the complement sizes, B3 and B4, and both element
     verdicts with their witnesses (each built on the S-partner the theorem
-    takes) are the same computed warm, after the region's earlier elements,
-    and cold, after every memo is cleared and the store made fresh; and
-    every witness passes ``witness_problem``.  The regions are the first of
+    takes) are the same computed warm, on the sweep's instances after the
+    region's earlier elements, and cold, after every memo is cleared, on a
+    new instance with a store of its own; and every witness passes
+    ``witness_problem``.  The regions are the first of
     each dimension that c3d sweeps in GF(2)^3, with the instances c3d runs
     on it, and the first line of GF(3)^2, with c3b's."""
 
@@ -419,21 +411,19 @@ class TestSharingChangesNoAnswer:
     ], ids=[*[f"c3d-GF(2)^3-dim-{dim}" for dim in range(4)], "c3b-GF(3)^2-line"])
     def test_warm_equals_cold(self, plan, dim):
         instances = self.instances_on_first_region(plan, dim)
-        _store_on.cache_clear()
+        assert all(inst.store is instances[0].store for inst in instances)
         warm = [(inst, f, self.answers(inst, f))
                 for inst in instances for f in inst.build().elements]
         witnesses = 0
-        try:
-            for inst, f, answers in warm:
-                for memo in (*RECORD_SHARING, _store_on):
-                    memo.cache_clear()
-                assert self.answers(inst, f) == answers, (inst, f.to_text())
-                for mode, verdict in zip(inst.decidable(inst.ELEMENT_MODES), answers[3]):
-                    if verdict.holds:
-                        assert inst.witness_problem(f, verdict.witness, mode) is None
-                        witnesses += 1
-        finally:
-            _store_on.cache_clear()
+        for inst, f, answers in warm:
+            for memo in RECORD_SHARING:
+                memo.cache_clear()
+            assert self.answers(LInstance(inst.w, inst.prescribed), f) == answers, (
+                inst, f.to_text())
+            for mode, verdict in zip(inst.decidable(inst.ELEMENT_MODES), answers[3]):
+                if verdict.holds:
+                    assert inst.witness_problem(f, verdict.witness, mode) is None
+                    witnesses += 1
         assert len(instances) > (0 if dim == 0 else 1) and witnesses > 0
 
 
@@ -443,14 +433,16 @@ class TestSharedRecords(SharedRecordsCases):
     clone = staticmethod(TestElementRecord.clone)
 
     @staticmethod
-    def line(*values):
-        """W = span{(1, 0)} in GF(2)^2 with S(W) holding the given 1 x 1 entries."""
+    def line(*values, store=None):
+        """W = span{(1, 0)} in GF(2)^2 with S(W) holding the given 1 x 1
+        entries, on ``store`` (its own if None)."""
         return LInstance(Subspace(2, 2, [[1, 0]]),
-                         FiniteSemigroup([GFMatrix(2, [[a]]) for a in values]))
+                         FiniteSemigroup([GFMatrix(2, [[a]]) for a in values]), store)
 
     def separated(self):
         # f|W = [1]: in S_A(W), not in S_B(W)
-        return self.line(1), self.line(0), GFMatrix.identity(2, 2)
+        store = RegionStore()
+        return self.line(1, store=store), self.line(0, store=store), GFMatrix.identity(2, 2)
 
     def non_invariant(self):
         return self.line(1), GFMatrix(2, [[0, 1], [0, 0]])  # sends (1, 0) out of W
@@ -467,20 +459,18 @@ class TestSharedRecords(SharedRecordsCases):
             (2, 3, [[1, 0, 0]], [[[0]], [[1]]], [[[1]]]),
         ]
         for p, n, basis, elems_a, elems_b in cases:
-            w = Subspace(p, n, basis)
-            yield tuple(LInstance(w, FiniteSemigroup([GFMatrix(p, e) for e in elems]))
+            w, store = Subspace(p, n, basis), RegionStore()
+            yield tuple(LInstance(w, FiniteSemigroup([GFMatrix(p, e) for e in elems]), store)
                         for elems in (elems_a, elems_b))
 
     def partners(self):
         w = Subspace(2, 2, [[1, 0]])
         zero = GFMatrix(2, [[0, 0], [0, 0]])  # f|W = [0], in both S(W)
         # A lists [1] first, so the partner of [0] it finds is [1]; B holds only [0]
-        a = LInstance(w, FiniteSemigroup([GFMatrix(2, [[1]]), GFMatrix(2, [[0]])]))
-        return a, self.line(0), self.line(1, 0), zero, "regular", GFMatrix(2, [[1]])
-
-    def regions(self):
-        other_w = LInstance(Subspace(2, 2, [[0, 1]]), trivial_sw(2, 1))
-        return self.line(1), self.line(0), other_w, GFMatrix.identity(2, 2)
+        store = RegionStore()
+        a = LInstance(w, FiniteSemigroup([GFMatrix(2, [[1]]), GFMatrix(2, [[0]])]), store)
+        return (a, self.line(0, store=store), self.line(1, 0, store=store), zero, "regular",
+                GFMatrix(2, [[1]]))
 
 
 class TestSemigroupPredicate:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from resemi.cli import main
+from resemi.family import RegionStore
 from resemi.semigroups import (
     FiniteSemigroup,
     SizeCapExceeded,
@@ -191,33 +192,37 @@ class TestSharedRecords(SharedRecordsCases):
     clone = staticmethod(TestElementRecord.clone)
 
     @staticmethod
-    def on_y(*elements, n=3, y=(0, 1)):
+    def on_y(*elements, n=3, y=(0, 1), store=None):
         """An instance on Y (default {0, 1} in 3 points) with S(Y) holding
-        the given elements."""
-        return TInstance(IndexSubset(n, y), FiniteSemigroup(elements))
+        the given elements, on ``store`` (its own if None)."""
+        return TInstance(IndexSubset(n, y), FiniteSemigroup(elements), store)
 
     def separated(self):
         # f|Y is the identity: in S_A(Y), not in S_B(Y)
-        return self.on_y(ID2), self.on_y(C0), t(0, 1, 2)
+        store = RegionStore()
+        return self.on_y(ID2, store=store), self.on_y(C0, store=store), t(0, 1, 2)
 
     def non_invariant(self):
         return self.on_y(ID2), t(2, 0, 1)  # sends 0 out of Y
 
     def pairs(self):
-        yield self.on_y(ID2), self.on_y(C0)
-        yield self.on_y(ID2, SWAP), self.on_y(ID2)
-        yield self.on_y(C0, C1), self.on_y(C0)
-        yield self.on_y(ID2, C0, y=(0, 2)), self.on_y(ID2, C1, y=(0, 2))
-        yield self.on_y(*all_transformations(2), n=4), self.on_y(ID2, SWAP, n=4)
+        cases = [
+            ((ID2,), (C0,), {}),
+            ((ID2, SWAP), (ID2,), {}),
+            ((C0, C1), (C0,), {}),
+            ((ID2, C0), (ID2, C1), {"y": (0, 2)}),
+            (all_transformations(2), (ID2, SWAP), {"n": 4}),
+        ]
+        for elems_a, elems_b, where in cases:
+            store = RegionStore()
+            yield tuple(self.on_y(*elems, store=store, **where) for elems in (elems_a, elems_b))
 
     def partners(self):
         # f|Y is constant, so every unit of S(Y) is a partner and each
         # instance takes its first: A and C list the swap first, B lacks it
-        return (self.on_y(SWAP, ID2, C0, C1), self.on_y(ID2, C0, C1),
-                self.on_y(SWAP, ID2, C1, C0), t(0, 0, 2), "unit_regular", SWAP)
-
-    def regions(self):
-        return self.on_y(ID2), self.on_y(C0), self.on_y(t(0), y=(2,)), t(0, 1, 2)
+        store = RegionStore()
+        return (self.on_y(SWAP, ID2, C0, C1, store=store), self.on_y(ID2, C0, C1, store=store),
+                self.on_y(SWAP, ID2, C1, C0, store=store), t(0, 0, 2), "unit_regular", SWAP)
 
 
 class TestSemigroupPredicate:
