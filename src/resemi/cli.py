@@ -53,7 +53,7 @@ import sys
 from functools import partial
 
 from .family import KINDS, family_class, parse_ints, parse_rows
-from .semigroups import SizeCapExceeded, element_oracle, semigroup_oracle
+from .semigroups import SizeCapExceeded, _shown, element_oracle, semigroup_oracle
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -169,7 +169,7 @@ def _cmd_classify(args) -> int:
     """``classify`` (semigroup level) and ``element`` (one element): the
     theorem's verdict next to the oracle's, per mode."""
     if args.mode and len(set(args.mode)) != len(args.mode):
-        raise ValueError(f"--mode must name distinct modes, not {args.mode!r}")
+        raise ValueError(f"--mode must name distinct modes, not {_shown(args.mode)}")
     inst = _load_instance(args)
     if args.command == "element":
         if args.f is None:

@@ -43,6 +43,8 @@ from .semigroups import (
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
+    _shown,
+    lazy,
     semigroup_oracle,
 )
 
@@ -62,22 +64,6 @@ def family_class(kind: str) -> type:
     importtime`` reports; ``importlib.import_module`` is not."""
     module, name = KINDS[kind]
     return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
-
-
-class lazy:
-    """``functools.cached_property`` without its lock, which Python 3.11
-    takes on every first access: the value is worked out on first access
-    and set on the instance, whose attribute then shadows this non-data
-    descriptor.  The records and instances of both families use it."""
-
-    def __init__(self, func) -> None:
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 class RestrictedInstance:
@@ -178,7 +164,7 @@ class RestrictedInstance:
         is ``unit_regular``, which ``decidable`` drops, without the
         identity."""
         if mode not in (self.ELEMENT_MODES if level == "element" else self.SEMIGROUP_MODES):
-            raise ValueError(f"unknown {level} mode {mode!r} for {self.FAMILY}")
+            raise ValueError(f"unknown {level} mode {_shown(mode)} for {self.FAMILY}")
         if mode == "unit_regular" and not self.has_identity:
             raise ValueError("identity required")
 
@@ -317,15 +303,6 @@ def checked_fields(data, fields) -> list:
         if not _has_form(value, depth):
             raise ValueError(f"instance field {name!r} must be {words}, not {_shown(data[name])}")
     return [data[name] for name, _ in fields]
-
-
-def _shown(value) -> str:
-    """``value`` as JSON text, for a refusal, cut after 60 characters, so
-    a refusal stays one short line however large the value."""
-    import json  # only a refusal reads it
-
-    text = json.dumps(value, default=repr)
-    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def element_at(inst: RestrictedInstance, i: int):

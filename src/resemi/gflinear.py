@@ -19,11 +19,12 @@ rows (``Subspace._unchecked``, whose result is interned, so
 ``Subspace.intersect`` of a pair, ``null_space``, ``solve_row_vector``
 and ``extension_rows``, one subspace's basis rows taken greedily outside
 another.
-Each memo is keyed on its immutable inputs and is an LRU of at most
-``MEMO_BOUND`` entries, filled per process as calls come, never at import.
-A sweep asks for the same few spans over and over (the whole of GF(2)^3
-has 16 subspaces), and in a large space a miss costs one dict probe.  The
-validating ``Subspace.__init__`` is for rows from outside (parsed input,
+Each memo follows the package's one caching rule (``semigroups.MEMO_BOUND``):
+keyed on its immutable inputs, it is an LRU of at most ``MEMO_BOUND``
+entries.  A sweep asks for the same few spans over and over (the whole of
+GF(2)^3 has 16 subspaces), and in a large space a miss costs one dict
+probe.
+The validating ``Subspace.__init__`` is for rows from outside (parsed input,
 ``zero``, ``full``, ``all_subspaces``); the spans made inside, of rows
 already reduced mod p, go through the memo, ``independent_extension``'s
 among them, and ``GFMatrix.rank`` is the dimension of the interned row
@@ -45,17 +46,13 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, product
 
+from .semigroups import MEMO_BOUND
 
 # The prime bases up to 37: no composite below 3.18e23 is a strong
 # pseudoprime to all of them (Sorenson & Webster 2015), so Miller-Rabin on
 # them decides every p below _PRIME_BOUND.
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_BOUND = 2 ** 64
-
-# Entries kept by each memo of the subspace kernel (module docstring).  The
-# four criterion-3 plans fill none past 1,760 entries; the span, solve and
-# null-space memos filled to the bound over GF(101)^4 hold 6.6 MB.
-MEMO_BOUND = 4096
 
 
 def is_prime(p: int) -> bool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gflinear import (
-    MEMO_BOUND,
     GFMatrix,
     Subspace,
     SubspaceTransversal,
@@ -36,11 +35,11 @@ from .family import (
     RestrictedInstance,
     build,
     element_verdict,
-    lazy,
     parse_rows,
     semigroup_verdict,
 )
-from .semigroups import TABLE_CAP, FiniteSemigroup, PropertyVerdict, prescribed_semigroup
+from .semigroups import (MEMO_BOUND, TABLE_CAP, FiniteSemigroup, PropertyVerdict, lazy,
+                         prescribed_semigroup)
 
 
 class ElementSubspaces:

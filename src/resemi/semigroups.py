@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
@@ -73,11 +72,46 @@ class PropertyVerdict(namedtuple("PropertyVerdict", "prop holds witness clause",
 # Element count of the largest Cayley table, hence of the largest semigroup.
 TABLE_CAP = 4096
 
+# The one caching rule of the package: a cache is state on the object that
+# owns it (a region store, a record, a Cayley table's partners, a ``lazy``
+# attribute) or a pure ``lru_cache(maxsize=MEMO_BOUND)`` on immutable
+# inputs, filled per process as calls come, never at import.  The one
+# exception is ``sweep.enumerate_subsemigroups``, unbounded, whose
+# ``cache_info`` the benchmark's tracer reads.  The four criterion-3 plans
+# fill no memo past 1,760 entries; the span, solve and null-space memos
+# filled to the bound over GF(101)^4 hold 6.6 MB.
+MEMO_BOUND = 4096
+
 # The modes of ``FiniteSemigroup.partner``, and its mark of an element not
 # yet searched (-1 is "no partner").  Its arrays are of signed 16-bit
 # entries, which hold every index below ``TABLE_CAP``.
 ELEMENT_MODES = ("regular", "unit_regular", "completely_regular")
 _UNASKED = -2
+
+
+class lazy:
+    """``functools.cached_property`` without its lock, which Python 3.11
+    takes on every first access: the value is worked out on first access
+    and set on the instance, whose attribute then shadows this non-data
+    descriptor.  Tables, records and instances of both families use it."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def _shown(value) -> str:
+    """``value`` as JSON text, for a refusal, cut after 60 characters, so
+    a refusal stays one short line however large the value."""
+    import json  # only a refusal reads it
+
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _element_text(el) -> str:
@@ -136,7 +170,7 @@ def _cayley_table(elems: list, index: dict, actions: dict | None = None) -> list
         products = list(map(index_of_code, map(itemgetter.__call__, gathers, repeat(action))))
         if None in products:
             a, b = next((a, b) for a in elems for b in elems if a * b not in index)
-            raise ValueError(f"not closed under composition: {a!r} * {b!r} missing")
+            raise ValueError(f"not closed under composition: {_shown(a)} * {_shown(b)} missing")
         h = len(gens)
         gens.append(k)
         right.append(products)
@@ -275,11 +309,11 @@ class FiniteSemigroup:
 
     # -- cached element classes ------------------------------------------
 
-    @cached_property
+    @lazy
     def idempotent_indices(self) -> list[int]:
         return [i for i, row in enumerate(self.table) if row[i] == i]
 
-    @cached_property
+    @lazy
     def unit_indices(self) -> list[int]:
         """Indices of elements with a two-sided inverse (empty when there is
         no identity)."""
@@ -297,7 +331,7 @@ class FiniteSemigroup:
                     units.append(u)
         return units
 
-    @cached_property
+    @lazy
     def unit_index_set(self) -> frozenset[int]:
         """``unit_indices`` as a set, for membership tests."""
         return frozenset(self.unit_indices)

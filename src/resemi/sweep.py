@@ -15,12 +15,14 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache
 
-from .family import (KINDS, RegionStore, _shown, block_records, element_at, element_theorem,
+from .family import (KINDS, RegionStore, block_records, element_at, element_theorem,
                      family_class, is_int)
 from .semigroups import (
+    MEMO_BOUND,
     TABLE_CAP,
     FiniteSemigroup,
     SizeCapExceeded,
+    _shown,
     closure_elements,
     inverse_by_unique_inverses,
     semigroup_oracle,
@@ -121,7 +123,7 @@ class SweepPlan:
                              f"not {_shown(getattr(self, other))}")
         for m in self.modes:
             if m not in family_class(self.family).SEMIGROUP_MODES:
-                raise ValueError(f"mode {m!r} not available for family {self.family!r}")
+                raise ValueError(f"mode {_shown(m)} not available for family {self.family!r}")
         src = self.source
         seeded = (isinstance(src, tuple) and len(src) == 3 and src[0] == "seeded"
                   and is_int(src[1]) and (isinstance(src[2], str) or is_int(src[2])))
@@ -150,8 +152,8 @@ class SweepPlan:
             raise ValueError("plan field 'family' is missing")
         names = [f.name for f in fields(cls)]
         unknown = [k for k in d if k not in names and k not in SCHEMA1_PLAN_KEYS]
-        if unknown:
-            raise ValueError(f"unknown plan key {', '.join(map(repr, unknown))} "
+        if unknown:  # the first named, so the line stays short however many there are
+            raise ValueError(f"unknown plan key {_shown(unknown[0])} "
                              f"(the fields are {', '.join(names)})")
         return cls(**{name: _as_tuples(name, d[name], 2) for name in names if name in d})
 
@@ -266,35 +268,31 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     partners they keep, by every region of the size.  A seeded entry is a
     ``Closure``, the element list with the right Cayley graph its pass
     found, and no table: each is tabled only while its one instance runs
-    (``_instances``), so the cache keeps no seeded table.  A draw is
-    closed only when its base has not closed its generator set before
-    (``_closures_on``): a repeated set reuses that ``Closure`` object, and
-    a refused set its reason.  Seeded closures are deduplicated on their
-    element set (``FiniteSemigroup.key``).  A seeded draw whose closure
-    passes the Cayley table appears, in draw order, as the record
-    ``{"generators": [texts], "reason": ...}`` in place of a closure,
-    listing that draw's own generators."""
+    (``_instances``), so the cache keeps no seeded table.  Each draw's
+    generator set is closed through ``_closure_of``, so a set drawn again
+    reuses its ``Closure`` object or its refusal.  Seeded closures are
+    deduplicated on their element set (``FiniteSemigroup.key``).  A
+    seeded draw whose closure passes the Cayley table appears, in draw
+    order, as the record ``{"generators": [texts], "reason": ...}`` in
+    place of a closure, listing that draw's own generators.
+
+    This cache is unbounded, the one exception to the package's caching
+    rule (``semigroups.MEMO_BOUND``): the benchmark's tracer reads its
+    ``cache_info``."""
     if source[0] == "exhaustive":
         base = _exhaustive_base(kind, base_size, p).build()
         return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
                      for mask in _subsemigroup_masks(base.table))
-    whole = _whole(kind, base_size, p)
+    whole = family_class(kind).whole(base_size, p)
     m = whole.expected_size()
     _, count, seed = source
     rng = random.Random(seed)
-    closures = _closures_on(kind, base_size, p)
     out = []
     seen: set[frozenset] = set()
     for _ in range(count):
         k = rng.randint(1, 3)
         gens = [element_at(whole, rng.randrange(m)) for _ in range(k)]
-        elems = closures.get(drawn := frozenset(gens))
-        if elems is None:
-            try:
-                elems = closure_elements(gens)
-            except SizeCapExceeded as exc:
-                elems = str(exc)
-            closures[drawn] = elems
+        elems = _closure_of(frozenset(gens))
         if isinstance(elems, str):
             out.append({"generators": [g.to_text() for g in gens], "reason": elems})
             continue
@@ -305,36 +303,25 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def _closures_on(kind: str, base_size: int, p: int | None) -> dict:
-    """The seeded draws' closures on one base monoid, (kind, size, p):
-    each distinct generator set drawn, as a frozenset, maps to its
-    ``Closure``, or to the reason its closure was refused.  A closure
-    reads only the set of its generators (``closure_elements`` sorts them
-    first), so a repeated set reuses its object, and a refused one its
-    reason.  It holds no table, and the closures its base's cell lists
-    hold are the same objects, not copies; a closure that its cell drops
-    as a repeat of an earlier element set is kept here alone, for a later
-    cell that draws the set again.  Asking about another base drops it:
-    the cells of one size run back to back (``_instances``), and a base's
-    closures are nothing to another's."""
-    return {}
-
-
-@lru_cache(maxsize=None)
-def _whole(kind: str, base_size: int, p: int | None):
-    """The family's instance over an empty region (``whole``), whose build
-    is the base monoid T(base_size) or L(GF(p)^base_size): made once per
-    (kind, size, p), with its one-element prescribed table, however many
-    cells draw from it."""
-    return family_class(kind).whole(base_size, p)
+@lru_cache(maxsize=MEMO_BOUND)
+def _closure_of(gens: frozenset):
+    """The ``Closure`` of a drawn generator set, or the reason its closure
+    was refused.  A closure reads only the set of its generators
+    (``closure_elements`` sorts them first), so this is a pure memo on
+    the set: a set drawn again, in any cell or plan, reuses its object or
+    its reason.  It holds no table."""
+    try:
+        return closure_elements(gens)
+    except SizeCapExceeded as exc:
+        return str(exc)
 
 
 def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
-    """The base instance (``_whole``) of an exhaustive listing; refused
-    past ``_EXHAUSTIVE_BASE_LIMIT`` elements, the one statement of that
+    """The family's instance over an empty region (``whole``), whose
+    build is the base monoid of an exhaustive listing; refused past
+    ``_EXHAUSTIVE_BASE_LIMIT`` elements, the one statement of that
     bound."""
-    whole = _whole(kind, base_size, p)
+    whole = family_class(kind).whole(base_size, p)
     if whole.exceeds(_EXHAUSTIVE_BASE_LIMIT):
         bound = f"more than {_EXHAUSTIVE_BASE_LIMIT} elements, the exhaustive base bound"
         raise SizeCapExceeded("intractable exhaustive request", bound)

@@ -18,11 +18,11 @@ from .family import (
     RestrictedInstance,
     build,
     element_verdict,
-    lazy,
     parse_ints,
     semigroup_verdict,
 )
-from .semigroups import TABLE_CAP, FiniteSemigroup, PropertyVerdict, prescribed_semigroup
+from .semigroups import (TABLE_CAP, FiniteSemigroup, PropertyVerdict, _shown, lazy,
+                         prescribed_semigroup)
 from .transformations import (
     IndexSubset,
     Transformation,
@@ -178,7 +178,7 @@ class TInstance(RestrictedInstance):
         distinct integers in any order, and S(Y) is closed over its
         ``generators``, or its ``elements`` must already be closed."""
         if len(set(members)) != len(members):
-            raise ValueError(f"instance field 'Y' must list distinct integers, not {members!r}")
+            raise ValueError(f"instance field 'Y' must list distinct integers, not {_shown(members)}")
         y = IndexSubset(n, sorted(members))
         parse = lambda items: _check_s_y(len(y), [Transformation(e) for e in items])
         return cls(y, prescribed_semigroup(parse, generators, elements))

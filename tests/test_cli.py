@@ -270,9 +270,9 @@ class TestClassify:
         assert code == 2 and out == "" and err.startswith("error: --mode")
 
     @pytest.mark.parametrize("sw, argv, message", [
-        ("1", ("classify", "--mode", "bogus"), "unknown semigroup mode 'bogus' for L_S(W)(V)"),
+        ("1", ("classify", "--mode", "bogus"), 'unknown semigroup mode "bogus" for L_S(W)(V)'),
         ("1", ("element", "--f", "1,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0", "--mode", "inverse"),
-         "unknown element mode 'inverse' for L_S(W)(V)"),
+         'unknown element mode "inverse" for L_S(W)(V)'),
         ("0", ("classify", "--mode", "unit_regular"), "identity required"),
         ("0", ("element", "--f", "0,0,0,0;0,0,0,0;0,0,0,0;0,0,0,0", "--mode", "unit_regular"),
          "identity required"),
@@ -498,7 +498,7 @@ class TestSweep:
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"family": "transformation", "ns": [2], key: value}))
         code, out, err = run(capsys, "sweep", "--input", str(path), "--format", "text")
-        assert code == 2 and out == "" and err.startswith(f"error: unknown plan key '{key}' ")
+        assert code == 2 and out == "" and err.startswith(f'error: unknown plan key "{key}" ')
         assert err.count("\n") == 1
 
     def test_explicit_empty_y(self, capsys):
@@ -620,6 +620,34 @@ class TestInputFile:
         code, out, err = run(capsys, command, "--input", str(path))
         assert (code, out) == (2, "") and err.startswith(f"error: {message}")
         assert err.count("\n") == 1 and len(err) < 200
+
+    LONG = "x" * 5000
+    T2 = ("--kind", "t", "--n", "2", "--y", "0,1", "--sy", "0,1")
+    # 3,000 points: the transposition of 0 and 1 and the map fusing them,
+    # whose products (the identity among them) are missing
+    POINTS = ",".join(map(str, range(2, 3000)))
+    UNCLOSED = f"1,0,{POINTS};0,0,{POINTS}"
+
+    @pytest.mark.parametrize("argv, plan, message", [
+        (("sweep",), {"family": "transformation", "ns": [2], LONG: 1}, "unknown plan key"),
+        (("sweep", "--kind", "t", "--ns", "2", "--mode", LONG), None, "mode"),
+        (("classify", *T2, "--mode", LONG), None, "unknown semigroup mode"),
+        (("classify", *T2, "--mode", LONG, "--mode", LONG), None, "--mode must name distinct"),
+        (("classify", "--kind", "t", "--n", "1", "--y", ",".join(["0"] * 20_000), "--sy", "0"),
+         None, "instance field 'Y' must list distinct integers"),
+        (("build", "--kind", "t", "--n", "3000", "--y", f"0,1,{POINTS}", "--sy", UNCLOSED),
+         None, "not closed under composition"),
+    ], ids=["plan-key", "plan-mode", "instance-mode", "repeated-mode", "repeated-y", "unclosed"])
+    def test_outside_input_is_quoted_in_one_short_line(self, capsys, tmp_path, argv, plan,
+                                                       message):
+        # each refusal quotes the value it refuses cut short, however long
+        if plan is not None:
+            path = tmp_path / "plan.json"
+            path.write_text(json.dumps(plan))
+            argv = (*argv, "--input", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and len(err.encode()) <= 200
 
     # each row with a text its one error line must hold: the field whose
     # form is wrong, or the kind or plan line where no field is; or None

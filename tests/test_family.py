@@ -241,7 +241,7 @@ def test_element_verdict_refusals(cls):
     with pytest.raises(ValueError, match="identity required"):
         element_verdict(inst, "f", "unit_regular")
     for mode in ("inverse", "completely_regular"):
-        with pytest.raises(ValueError, match=f"unknown element mode '{mode}'"):
+        with pytest.raises(ValueError, match=f'unknown element mode "{mode}"'):
             element_verdict(inst, "f", mode)
     assert asked == []
 

@@ -216,7 +216,7 @@ class TestPointCodeTables:
     ])
     def test_first_missing_product_named(self, elems):
         a, b = next((a, b) for a in elems for b in elems if a * b not in elems)
-        message = f"not closed under composition: {a!r} * {b!r} missing"
+        message = f'not closed under composition: "{a!r}" * "{b!r}" missing'
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             FiniteSemigroup(elems)
 
@@ -284,7 +284,7 @@ class TestGeneratorOrder:
             elems = t3[:drop] + t3[drop + 1:]
             for order in (elems, elems[::-1], rng.sample(elems, len(elems))):
                 a, b = next((a, b) for a in order for b in order if a * b not in order)
-                message = f"not closed under composition: {a!r} * {b!r} missing"
+                message = f'not closed under composition: "{a!r}" * "{b!r}" missing'
                 with pytest.raises(ValueError, match=re.escape(message) + "$"):
                     FiniteSemigroup(order)
 

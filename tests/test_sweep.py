@@ -554,13 +554,13 @@ class TestDeterminismAndSerialization:
         # refused, not ignored
         plan = SweepPlan.from_dict({"family": "linear", "pns": [[2, 1]]})
         assert plan == SweepPlan(family="linear", pns=((2, 1),))
-        with pytest.raises(ValueError, match="^unknown plan key 'unknown' "):
+        with pytest.raises(ValueError, match='^unknown plan key "unknown" '):
             SweepPlan.from_dict({"family": "linear", "pns": [[2, 1]], "unknown": 1})
 
     @pytest.mark.parametrize("key, value", [("modez", ["inverse"]), ("element_capp", 0)])
     def test_plan_from_dict_misspelled_field_refused(self, key, value):
         # each would otherwise leave its field's default in force
-        with pytest.raises(ValueError, match=f"^unknown plan key '{key}' "):
+        with pytest.raises(ValueError, match=f'^unknown plan key "{key}" '):
             SweepPlan.from_dict({"family": "transformation", "ns": [2], key: value})
 
     def test_report_round_trip(self):
@@ -667,7 +667,7 @@ class TestRefusedDraws:
 
 class TestSeededClosureMemo:
     """Each distinct generator set drawn from one base monoid is closed
-    once (``sweep._closures_on``).  The draws are recounted here from each
+    once (``sweep._closure_of``).  The draws are recounted here from each
     cell's seed, the enumeration's own recipe (k = 1-3 numbers below
     |T(k)|), with no call into the enumeration: a set of draw numbers is a
     set of generators, as ``element_at`` gives each number its own
@@ -682,13 +682,13 @@ class TestSeededClosureMemo:
         """Every closure the sweep runs from now on, as (base size, its
         generator set), with the enumeration's caches empty for this test
         alone (the cached lists other tests made stay as they are)."""
-        for name in ("enumerate_subsemigroups", "_closures_on"):
+        for name in ("enumerate_subsemigroups", "_closure_of"):
             cached = getattr(sweep, name)
             monkeypatch.setattr(sweep, name, lru_cache(**cached.cache_parameters())(cached.__wrapped__))
         closed = []
 
         def counted(gens):
-            closed.append((gens[0].n, frozenset(gens)))
+            closed.append((next(iter(gens)).n, frozenset(gens)))
             return closure(gens)
 
         monkeypatch.setattr(sweep, "closure_elements", counted)
@@ -799,12 +799,7 @@ class TestInstanceKeys:
 def test_only_the_running_instance_table_is_alive(monkeypatch):
     # a seeded cell's closures are kept as element lists with their
     # graphs, and each S is tabled only for its own instance: while an
-    # instance runs, its S and its build are the only tables alive.  The
-    # base monoids' instances, with their one-element tables, are kept once
-    # per (kind, size, p) by design (``sweep._whole``); they are made
-    # before the count starts, so it does not depend on which tests ran first
-    for size in (2, 3):
-        sweep._whole("transformation", size, None)
+    # instance runs, its S and its build are the only tables alive
     tables = []  # a weak reference to every table made
     most = []  # the tables alive each time one is made
     init = FiniteSemigroup.__init__
