@@ -316,17 +316,25 @@ class FiniteSemigroup:
     @lazy
     def unit_indices(self) -> list[int]:
         """Indices of elements with a two-sided inverse (empty when there is
-        no identity)."""
+        no identity).
+
+        Only rows that can hold the identity e are read: u * v = e needs
+        rank(u) >= rank(e), the distinct entries of the point codes,
+        because a product's code is its right factor's action on its left
+        factor's code, so no product outranks its left factor (the rule
+        ``_cayley_table`` orders its generators by).  A row of lower rank
+        is skipped; every other candidate u is checked both ways in the
+        table, u * v = e and v * u = e."""
         units: list[int] = []
         e = self.identity_index
         if e is not None:
-            table = self.table
+            table, elements = self.table, self.elements
+            rank = len(set(elements[e].point_code()))
             for u, row in enumerate(table):
-                # in a finite monoid a right inverse is unique when it exists
-                try:
-                    v = row.index(e)
-                except ValueError:
+                if len(set(elements[u].point_code())) < rank or e not in row:
                     continue
+                # in a finite monoid a right inverse is unique when it exists
+                v = row.index(e)
                 if table[v][u] == e:
                     units.append(u)
         return units

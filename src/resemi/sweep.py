@@ -258,12 +258,15 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     region (``whole``), and a seeded draw of number i is its element i
     (``family.element_at``).  The exhaustive list is a closure-extension
     walk by index in the base's Cayley table (East, Egri-Nagy, Mitchell &
-    Peresse 2019): from each subsemigroup S found, and from the empty
-    set, it closes S with each x outside S.  Its work grows with the
-    number of subsemigroups, not of subsets; the list is in increasing
-    index mask (the sum of 2^i over S's indices), each S's elements in
-    index order.  It is refused past a 27-element base monoid, so T(3)
-    (1,298 subsemigroups) is listed and T(4) and L(GF(3)^2) are not.
+    Peresse 2019) along greedy generator chains (``_subsemigroup_masks``):
+    it closes each subsemigroup S found, and the empty set, with each x
+    past S's last generator, and keeps only the closures whose least new
+    element is x, so it reaches each subsemigroup once.  Its work grows
+    with the number of subsemigroups, not of subsets; the list is in
+    increasing index mask (the sum of 2^i over S's indices), each S's
+    elements in index order.  It is refused past a 27-element base
+    monoid, so T(3) (1,298 subsemigroups) is listed and T(4) and
+    L(GF(3)^2) are not.
     Exhaustive entries are tabled ``FiniteSemigroup``s, shared, with the
     partners they keep, by every region of the size.  A seeded entry is a
     ``Closure``, the element list with the right Cayley graph its pass
@@ -331,15 +334,20 @@ def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
 def _subsemigroup_masks(table: list) -> list:
     """Every nonempty subsemigroup of the table's semigroup, as its index
     mask, in increasing order: the closure-extension walk of
-    ``enumerate_subsemigroups``.  Each new element y of a closure is
-    multiplied on both sides by every member at the time; members that
-    come later multiply y in their own turn."""
+    ``enumerate_subsemigroups``, along greedy generator chains.  From S =
+    <g_1, ..., g_k> (k = 0 for the empty set) it closes S with each x >
+    g_k outside S, and keeps the closure only when x is the least element
+    it adds, abandoning it as soon as a smaller new element appears.  The
+    kept chain of a subsemigroup T takes each g_(i+1) as the least member
+    of T outside <g_1, ..., g_i>, so T is reached exactly once.  Each new
+    element y of a closure is multiplied on both sides by every member at
+    the time; members that come later multiply y in their own turn."""
     columns = list(zip(*table))
-    found = set()
-    todo = [frozenset()]
+    masks = []
+    todo = [(frozenset(), -1)]
     while todo:
-        s = todo.pop()
-        for x in range(len(table)):
+        s, last = todo.pop()
+        for x in range(last + 1, len(table)):
             if x in s:
                 continue
             members = {*s, x}
@@ -349,13 +357,15 @@ def _subsemigroup_masks(table: list) -> list:
                 known = list(members)
                 products = {*map(table[y].__getitem__, known), *map(columns[y].__getitem__, known)}
                 products -= members
+                if products and min(products) < x:
+                    break  # reached through a smaller generator
                 members |= products
                 fresh.extend(products)
-            t = frozenset(members)
-            if t not in found:
-                found.add(t)
-                todo.append(t)
-    return sorted(sum(1 << i for i in t) for t in found)
+            else:
+                t = frozenset(members)
+                masks.append(sum(1 << i for i in t))
+                todo.append((t, x))
+    return sorted(masks)
 
 
 def _cell_source(plan: SweepPlan, cell_key: str) -> tuple:

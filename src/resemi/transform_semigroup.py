@@ -46,7 +46,8 @@ class TElementRecord:
     None when nothing is), the sorted extras D(f) minus D(f|Y) and C(f) minus
     C(f|Y) (``extras``) and their sizes (``complement_sizes``).  The
     unit-regular witness on a partner is assembled by ``witness`` and kept
-    by ``family.element_theorem``.
+    by ``family.element_theorem``.  Every membership test in Y or in T
+    reads the subset's frozenset (``IndexSubset._set``) directly.
     """
 
     def __init__(self, y: IndexSubset, f: Transformation) -> None:
@@ -58,7 +59,7 @@ class TElementRecord:
             self.alpha = None
             return
         self.fibers = fibers(f)
-        self.trace_ok = {v for v in self.fibers if v in y} == {f.map[x] for x in y.members}
+        self.trace_ok = y._set.intersection(self.fibers) == set(map(f.map.__getitem__, y.members))
 
     @lazy
     def transversal(self) -> TransversalPair:
@@ -68,18 +69,17 @@ class TElementRecord:
     def transversal_problem(self) -> str | None:
         """What is wrong with the canonical transversal pair, or None.  The
         fibres of f|Y are those of f over R(f|Y), cut to Y."""
-        y = self.y
-        t_set = set(self.transversal.t.members)
-        ty_set = set(self.transversal.t_on_y.members)
+        y_set = self.y._set
+        t_set, ty_set = self.transversal.t._set, self.transversal.t_on_y._set
         if len(t_set) != len(self.fibers):
             return "transversal size differs from image size"
         for cls in self.fibers.values():
             if len(t_set.intersection(cls)) != 1:
                 return "a fibre does not meet T exactly once"
-        if ty_set != t_set.intersection(y.members):
+        if ty_set != t_set & y_set:
             return "T on Y is not the trace of T"
-        for v in {self.f.map[x] for x in y.members}:
-            if len(ty_set.intersection(x for x in self.fibers[v] if x in y)) != 1:
+        for v in {self.f.map[x] for x in self.y.members}:
+            if len(ty_set.intersection(x for x in self.fibers[v] if x in y_set)) != 1:
                 return "a restricted fibre does not meet T on Y exactly once"
         return None
 
@@ -88,9 +88,9 @@ class TElementRecord:
         """D(f) minus D(f|Y) and C(f) minus C(f|Y), each sorted: the points
         outside Y and outside R(f), resp. outside T, since R(f|Y) lies in
         R(f) and T on Y in T."""
-        t, y = self.transversal.t, self.y
-        outside = [x for x in range(self.f.n) if x not in y]
-        return [x for x in outside if x not in self.fibers], [x for x in outside if x not in t]
+        t_set, y_set = self.transversal.t._set, self.y._set
+        outside = [x for x in range(self.f.n) if x not in y_set]
+        return [x for x in outside if x not in self.fibers], [x for x in outside if x not in t_set]
 
     @lazy
     def complement_sizes(self) -> tuple[int, int]:
@@ -105,13 +105,13 @@ class TElementRecord:
         defect onto the leftover complement."""
         if mode == "regular":
             return None
-        members, t = self.y.members, self.transversal.t
+        members, y_set, t_set = self.y.members, self.y._set, self.transversal.t._set
         g = [None] * self.f.n
         for i, x in enumerate(members):
             g[x] = members[partner.map[i]]
         for v, cls in self.fibers.items():
-            if v not in self.y:
-                g[v] = next(x for x in cls if x in t)
+            if v not in y_set:
+                g[v] = next(x for x in cls if x in t_set)
         for src, dst in zip(*self.extras):
             g[src] = dst
         if None in g:

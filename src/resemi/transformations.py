@@ -100,6 +100,16 @@ class IndexSubset:
         self._set = frozenset(members)
 
     @classmethod
+    def _unchecked(cls, n: int, members: tuple) -> "IndexSubset":
+        """The subset of the sorted, distinct, in-range tuple ``members``,
+        unchecked: for subsets built from such members by construction."""
+        s = object.__new__(cls)
+        s.n = n
+        s.members = members
+        s._set = frozenset(members)
+        return s
+
+    @classmethod
     def from_iterable(cls, n, xs) -> "IndexSubset":
         return cls(n, sorted(set(xs)))
 
@@ -210,13 +220,30 @@ def canonical_transversal(f: Transformation, y: IndexSubset) -> TransversalPair:
     preimage overall.  Ties therefore never arise and repeated runs give
     identical output.  For an empty Y, ``t_on_y`` is empty and T holds
     the smallest preimage of each fibre.
+
+    One pass: R(f|Y) is read as f's images of Y's members, without making
+    the restriction (refused as ``restriction`` refuses), f's fibres are
+    taken once, and each restricted fibre's least point of Y is found
+    through Y's member set.  Both subsets are sorted, distinct and in
+    range by construction, so they are made unchecked.
     """
-    ry = {y.members[i] for i in restriction(f, y).map}  # R(f|Y); raises as ``restriction`` does
-    fibres = fibers(f)
-    reps_y = [next(x for x in fibres[v] if x in y._set) for v in ry]
-    # fibres of image points outside Yf never meet Y
-    reps = reps_y + [cls[0] for v, cls in fibres.items() if v not in ry]
+    if f.n != y.n:
+        raise ValueError("dimension mismatch")
+    fmap, y_set = f.map, y._set
+    ry = set(map(fmap.__getitem__, y.members))  # R(f|Y)
+    if not ry <= y_set:
+        raise ValueError("not Y-invariant")
+    reps, reps_y = [], []
+    for v, cls in fibers(f).items():
+        if v in ry:
+            x = next(x for x in cls if x in y_set)
+            reps_y.append(x)
+        else:  # fibres of image points outside Yf never meet Y
+            x = cls[0]
+        reps.append(x)
+    reps.sort()
+    reps_y.sort()
     return TransversalPair(
-        IndexSubset.from_iterable(f.n, reps),
-        IndexSubset.from_iterable(f.n, reps_y),
+        IndexSubset._unchecked(f.n, tuple(reps)),
+        IndexSubset._unchecked(f.n, tuple(reps_y)),
     )

@@ -8,7 +8,7 @@ from itertools import islice, product
 
 import pytest
 
-from resemi import gflinear, semigroups, transformations
+from resemi import gflinear, semigroups, sweep, transformations
 from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
@@ -27,6 +27,7 @@ from resemi.semigroups import (
 from resemi.sweep import SweepPlan, enumerate_subsemigroups, run_sweep
 from resemi.transform_semigroup import TInstance
 from resemi.transformations import IndexSubset, Transformation
+from test_acceptance import CRITERION1_PLANS, CRITERION2_PLANS, CRITERION3_PLANS
 
 
 def full_t(n):
@@ -314,6 +315,40 @@ class TestUnitIndices:
     def test_no_identity_means_no_units(self):
         s = FiniteSemigroup([Transformation([0, 0]), Transformation([1, 1])])
         assert s.unit_indices == []
+
+    def test_every_table_of_plans_c1a_to_c3c(self, monkeypatch):
+        # each S and each build the plans run, whatever the rank of its identity
+        tables = {}
+        run = sweep._run_instance
+
+        def recording(plan, rep, inst, key, seen):
+            for s in (inst.prescribed, inst.build()):
+                tables[id(s)] = s
+            return run(plan, rep, inst, key, seen)
+
+        monkeypatch.setattr(sweep, "_run_instance", recording)
+        for plan in (*CRITERION1_PLANS, *CRITERION2_PLANS, *CRITERION3_PLANS[:3]):
+            assert run_sweep(plan).clean
+        skipping = 0  # tables in which some row is skipped, outranked by the identity
+        for s in tables.values():
+            assert s.unit_indices == self.brute_units(s)
+            if s.has_identity:
+                ranks = [len(set(el.point_code())) for el in s.elements]
+                skipping += min(ranks) < ranks[s.identity_index]
+        assert len(tables) > 800 and skipping > 100
+
+    def test_full_gf2_cube(self):
+        s = FiniteSemigroup(full_l(2, 3))
+        assert s.unit_indices == self.brute_units(s)
+        assert len(s.unit_indices) == 168  # |GL(3, 2)|
+
+    def test_identity_of_lower_rank(self):
+        # the identity (0,0,2) has rank 2; the rank-1 (0,0,0) is skipped
+        s = generate([Transformation(t) for t in ((0, 0, 2), (2, 2, 0), (0, 0, 0))])
+        assert s.identity == Transformation([0, 0, 2])
+        units = {s.elements[u] for u in s.unit_indices}
+        assert units == {Transformation([0, 0, 2]), Transformation([2, 2, 0])}
+        assert s.unit_indices == self.brute_units(s)
 
 
 class TestGenerate:

@@ -49,6 +49,34 @@ def mask_scan(table):
     return out
 
 
+def closure_extension_masks(table):
+    """The earlier closure-extension walk: from each subsemigroup found,
+    and from the empty set, close S with every x outside S, keeping each
+    closure not found before."""
+    columns = list(zip(*table))
+    found = set()
+    todo = [frozenset()]
+    while todo:
+        s = todo.pop()
+        for x in range(len(table)):
+            if x in s:
+                continue
+            members = {*s, x}
+            fresh = [x]
+            while fresh:
+                y = fresh.pop()
+                known = list(members)
+                products = {*map(table[y].__getitem__, known), *map(columns[y].__getitem__, known)}
+                products -= members
+                members |= products
+                fresh.extend(products)
+            t = frozenset(members)
+            if t not in found:
+                found.add(t)
+                todo.append(t)
+    return sorted(sum(1 << i for i in t) for t in found)
+
+
 class TestEnumerateSubsemigroups:
     def test_singleton_base(self):
         subs = enumerate_subsemigroups("transformation", 1, ("exhaustive",))
@@ -228,6 +256,16 @@ class TestEnumerateSubsemigroups:
         assert [s.elements for s in subs] == [tuple(base.elements[i] for i in idxs) for idxs in scan]
         assert [s.table for s in subs] == [
             [[idxs.index(base.table[a][b]) for b in idxs] for a in idxs] for idxs in scan]
+
+    @pytest.mark.parametrize("kind,size,p", [
+        ("transformation", 3, None), ("linear", 2, 2), ("linear", 1, 3),
+    ], ids=["T(3)", "L(GF(2)^2)", "L(GF(3)^1)"])
+    def test_chain_walk_equals_closure_extension_walk(self, kind, size, p):
+        # each subsemigroup reached once, and the same masks as the earlier walk
+        base = family_class(kind).whole(size, p).build()
+        masks = sweep._subsemigroup_masks(base.table)
+        assert len(masks) == len(set(masks))
+        assert masks == closure_extension_masks(base.table)
 
     def test_seeded_deterministic_and_closed(self):
         a = enumerate_subsemigroups("transformation", 3, ("seeded", 25, "s1"))

@@ -202,7 +202,34 @@ def compatible_transversal_values(f, y):
     return values
 
 
+def reference_canonical_transversal(f, y):
+    """The earlier body of ``canonical_transversal``: R(f|Y) read off the
+    restriction, every subset made through the validating constructor."""
+    ry = {y.members[i] for i in restriction(f, y).map}
+    fibres = fibers(f)
+    reps_y = [next(x for x in fibres[v] if x in y) for v in ry]
+    reps = reps_y + [cls[0] for v, cls in fibres.items() if v not in ry]
+    return (IndexSubset.from_iterable(f.n, reps), IndexSubset.from_iterable(f.n, reps_y))
+
+
 class TestCanonicalTransversal:
+    def test_equals_reference_on_t4(self):
+        # every f in T(4) and every Y, the empty one too, that f leaves invariant
+        cases = 0
+        for f in all_transformations(4):
+            for mask in range(1 << 4):
+                y = IndexSubset(4, [i for i in range(4) if mask >> i & 1])
+                if not all(f.map[x] in y for x in y.members):
+                    continue
+                pair = canonical_transversal(f, y)
+                assert tuple(pair) == reference_canonical_transversal(f, y)
+                for part in pair:
+                    assert part.n == 4 and part._set == frozenset(part.members)
+                    assert list(part.members) == sorted(set(part.members))
+                    assert all(0 <= x < 4 for x in part.members)
+                cases += 1
+        assert cases == 1_584
+
     def test_examples(self):
         pair = canonical_transversal(Transformation([0, 0, 1, 1]), IndexSubset(4, [0, 1, 2]))
         assert pair.t.members == (0, 2)
@@ -250,12 +277,12 @@ class TestCanonicalTransversal:
                     assert set(values) == {canonical_value}
 
     def test_not_invariant_raises(self):
-        with pytest.raises(ValueError, match="not Y-invariant"):
+        with pytest.raises(ValueError, match="^not Y-invariant$"):
             canonical_transversal(Transformation([1, 2, 0]), IndexSubset(3, [0, 1]))
 
     def test_size_mismatch_raises(self):
         # checked before invariance: point 2 of Y is not even a point of f
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
             canonical_transversal(Transformation([1, 0]), IndexSubset(3, [0, 2]))
 
 
@@ -267,6 +294,12 @@ class TestIndexSubset:
             IndexSubset(3, [2, 1])
         with pytest.raises(ValueError):
             IndexSubset(3, [3])
+
+    def test_unchecked_equals_validated(self):
+        for members in ((), (0,), (1, 3), (0, 1, 2, 3)):
+            y = IndexSubset._unchecked(4, members)
+            assert y == IndexSubset(4, members) and hash(y) == hash(IndexSubset(4, members))
+            assert y._set == frozenset(members) and list(y) == list(members)
 
     def test_complement_and_text(self):
         y = IndexSubset(4, parse_ints("0,2"))
