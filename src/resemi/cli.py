@@ -8,9 +8,15 @@ skipped.  ``--f``, ``--ns``, ``--pn`` and ``--sizes`` follow the same
 grammar; every inline text is read by ``family.parse_ints`` and
 ``family.parse_rows``.  The inline instance flags are read as the
 instance JSON they spell, through the loader ``--input`` uses (the
-``from_dict`` of the family class its ``kind`` names), and the inline
-plan flags as the plan JSON they spell, through ``SweepPlan.from_dict``;
-``--input`` excludes them all.
+``from_dict`` of the family class its ``kind`` names): one flag per
+field of that family's ``FIELDS``, named as the field in lower case and
+read by the field's form (``family.INLINE``), and the ``--kind`` letters
+are the first letters of ``family.KINDS``, so no code here branches on
+the family or spells a kind or a field name.  Only the parsers and
+``_load_instance``'s check against ``--input`` list the flags, so that
+a parser is built, and a parse error refused, with neither family
+module loaded.  The inline plan flags are read as the plan JSON they spell, through
+``SweepPlan.from_dict``; ``--input`` excludes them all.
 
 Each command takes only the flags that change what it does: ``build``
 has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
@@ -52,7 +58,7 @@ import shutil
 import sys
 from functools import partial
 
-from .family import KINDS, family_class, parse_ints, parse_rows
+from .family import INLINE, KINDS, family_class, parse_ints, parse_rows
 from .semigroups import SizeCapExceeded, _shown, element_oracle, semigroup_oracle
 
 EXIT_OK = 0
@@ -60,15 +66,9 @@ EXIT_VALIDATION = 2
 EXIT_SIZE_CAP = 3
 EXIT_MISMATCH = 4
 
-
-def _transformations(text: str) -> list[list[int]]:
-    """';'-separated transformations; "" is the empty map (of an empty Y)."""
-    return parse_rows(text) or [[]]
-
-
-def _matrices(text: str) -> list[list[list[int]]]:
-    """'|'-separated matrices of ';'-separated rows."""
-    return [parse_rows(m) for m in text.split("|")]
+# Each kind of ``family.KINDS`` by its letter, the first of its name: the
+# ``--kind`` choices of both parsers.
+_KIND_LETTERS = {kind[0]: kind for kind in KINDS}
 
 
 def _witness_text(witness) -> object:
@@ -100,26 +100,31 @@ def _instance_from_dict(data):
     ``data["kind"]``, whose module alone is imported."""
     kind = data.get("kind") if isinstance(data, dict) else None
     if not (isinstance(kind, str) and kind in KINDS):
-        raise ValueError('instance JSON needs "kind": "transformation" or "linear"')
+        raise ValueError('instance JSON needs "kind": ' + " or ".join(f'"{k}"' for k in KINDS))
     return family_class(kind).from_dict(data)
 
 
 def _inline_instance(args) -> dict:
-    """The instance JSON that the inline flags spell (see ``_GRAMMAR``)."""
+    """The instance JSON that the inline flags spell (see ``_GRAMMAR``):
+    ``--kind`` names the family, and each of its ``FIELDS`` is the flag
+    named as the field in lower case, read by its form's inline reading
+    (``family.INLINE``); the prescribed block's text, given by its own
+    flag or by ``--gens``, is read as its items."""
     if args.kind is None:
         raise ValueError("--kind t|l (or --input) is required")
-    t = args.kind == "t"
-    region, block = (args.y, args.sy) if t else (args.w, args.sw)
-    if None in ((args.n, region) if t else (args.p, args.n, region)):
-        raise ValueError("--kind t needs --n and --y" if t else "--kind l needs --p, --n and --w")
-    if block is None and args.gens is None:
-        raise ValueError(f"--kind {args.kind} needs --{'sy' if t else 'sw'} or --gens")
-    parse = _transformations if t else _matrices
-    given = {key: parse(text) for key, text in (("elements", block), ("generators", args.gens))
-             if text is not None}
-    if t:
-        return {"kind": "transformation", "n": args.n, "Y": parse_ints(region), "sY": given}
-    return {"kind": "linear", "p": args.p, "n": args.n, "W": parse_rows(region), "sW": given}
+    kind = _KIND_LETTERS[args.kind]
+    *fields, (block, form) = family_class(kind).FIELDS
+    flags = [f"--{name.lower()}" for name, _ in fields]
+    texts = [getattr(args, name.lower()) for name, _ in fields]
+    if None in texts:
+        raise ValueError(f"--kind {args.kind} needs {', '.join(flags[:-1])} and {flags[-1]}")
+    items = INLINE[form][1]
+    given = {key: items(text) for key, text in (("elements", getattr(args, block.lower())),
+                                                ("generators", args.gens)) if text is not None}
+    if not given:
+        raise ValueError(f"--kind {args.kind} needs --{block.lower()} or --gens")
+    values = {name: INLINE[of][0](text) for (name, of), text in zip(fields, texts)}
+    return {"kind": kind, **values, block: given}
 
 
 def _load_instance(args):
@@ -238,7 +243,7 @@ def _inline_plan(kind=None, ns="", pn="", sizes="", source=None, samples=None, s
         raise ValueError("sweep needs --kind t|l or --input plan.json")
     if source != "seeded" and (samples, seed) != (None, None):
         raise ValueError("--samples and --seed need --source seeded")
-    family = {"t": "transformation", "l": "linear"}[kind]
+    family = _KIND_LETTERS[kind]
     plan = {"family": family, "ns": parse_ints(ns), "pns": parse_rows(pn),
             "modes": mode or family_class(family).SEMIGROUP_MODES, **element_cap}
     if sizes:
@@ -285,7 +290,7 @@ def _instance_command(sp, name: str) -> None:
     instance flags, the modes for the two that classify, and the element
     for ``element``."""
     sp.add_argument("--input", help="instance JSON file (exclusive with inline flags)")
-    sp.add_argument("--kind", choices=("t", "l"), help="t: transformations, l: linear maps")
+    sp.add_argument("--kind", choices=_KIND_LETTERS, help="t: transformations, l: linear maps")
     sp.add_argument("--n", type=int, help="ambient size (|X| or dim V)")
     sp.add_argument("--y", help="subset Y as comma list, e.g. 0,1")
     sp.add_argument("--sy", help="S(Y) elements, ';'-separated transformations")
@@ -308,7 +313,7 @@ def _sweep_command(sp, name: str) -> None:
     None, when not given (see ``_cmd_sweep``)."""
     sp.argument_default = argparse.SUPPRESS
     sp.add_argument("--input", default=None, help="plan JSON file (exclusive with plan flags)")
-    sp.add_argument("--kind", choices=("t", "l"))
+    sp.add_argument("--kind", choices=_KIND_LETTERS)
     sp.add_argument("--ns", help="ambient sizes, e.g. 1,2,3")
     sp.add_argument("--pn", help="(p,n) cells, e.g. 2,2;3,2")
     sp.add_argument("--sizes", help="|Y| or dim W values to include, e.g. 1,2")

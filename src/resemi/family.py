@@ -31,7 +31,9 @@ the generators the store's earlier tables took.  Every inline text, an
 element, a region or a sweep's sizes, is read by the grammar's two
 atoms, ``parse_ints`` and ``parse_rows``, and every instance JSON by one
 loader, which checks it against its family's declared ``FIELDS``
-(``checked_fields``).
+(``checked_fields``).  The same ``FIELDS`` are the one statement of an
+instance's shape: they spell its ``key()``, and the CLI reads one inline
+flag per field by its form's inline reading (``INLINE``).
 """
 
 from __future__ import annotations
@@ -81,12 +83,14 @@ class RestrictedInstance:
     map, and a group holding it has it as identity), ``from_dict(data)``
     (the instance of its JSON form, one loader for both families, below),
     ``whole(size, p)`` (the instance over an empty region, whose build is
-    all of T(size) or L(GF(p)^size)), ``key()``, ``parse_element(text)``
-    (the element ``text`` spells in the inline grammar), ``decidable(modes)``, ``check_mode(mode, level)``, ``expected_size()``,
-    ``exceeds(bound)``, ``build()``, ``thm_semigroup(mode)``,
-    ``thm_element(f, mode)``, ``record(f)``, ``witness_problem(f, w,
-    mode)`` and ``alpha_family(build)`` (the linear family's index-family
-    check of the build where it applies, else None).  What a sweep reads
+    all of T(size) or L(GF(p)^size)), ``key()`` (below),
+    ``parse_element(text)`` (the element ``text`` spells in the inline
+    grammar), ``decidable(modes)``, ``check_mode(mode, level)``,
+    ``expected_size()``, ``block_size``, ``exceeds(bound)``, ``build()``,
+    ``thm_semigroup(mode)``, ``thm_element(f, mode)``, ``record(f)``,
+    ``witness_problem(f, w, mode)`` and ``alpha_family(build)`` (the
+    linear family's index-family check of the build where it applies,
+    else None).  What a sweep reads
     of a family is stated on the class too: its regions of size k in an
     ambient of size n, each with its cell's key, which seeds the cell's
     draws (``cells(n, k, p)``), how many there are (``region_count``),
@@ -118,7 +122,11 @@ class RestrictedInstance:
     ``from_fields``, which keeps only the rules on what they mean: the
     region (distinct members of Y, or W's rows), the shape of S's
     elements, and S closed over its generators or its elements already
-    closed (``prescribed_semigroup``).
+    closed (``prescribed_semigroup``).  The same ``FIELDS`` give the
+    instance's ``key()``, with the family's ``KIND`` (its name in
+    ``KINDS``) and ``field_values()`` (the value of each field but the
+    block), and the CLI's inline flags, one per field, each read by its
+    form's ``INLINE`` reading.
     """
 
     ELEMENT_MODES = ("regular", "unit_regular")
@@ -141,6 +149,12 @@ class RestrictedInstance:
         """radix^width, worked out on first use, so a refused build of a
         large space never forms it."""
         return self.radix ** self.width
+
+    @lazy
+    def block_size(self) -> int:
+        """point_count^codim, the elements of the build restricting to one
+        alpha (``element_at``), worked out on first use as ``point_count``."""
+        return self.point_count ** self.codim
 
     @classmethod
     def from_dict(cls, data) -> "RestrictedInstance":
@@ -168,9 +182,19 @@ class RestrictedInstance:
         if mode == "unit_regular" and not self.has_identity:
             raise ValueError("identity required")
 
+    def key(self) -> dict:
+        """JSON-friendly identifying record, stable across runs: the
+        ``KIND``, each of the ``FIELDS`` but the block at its value
+        (``field_values``), and the block as the sorted texts of S's
+        elements."""
+        *fields, (block, _) = self.FIELDS
+        values = {name: value for (name, _), value in zip(fields, self.field_values())}
+        return {"kind": self.KIND, **values,
+                block: sorted(el.to_text() for el in self.prescribed.elements)}
+
     def expected_size(self) -> int:
-        """|S| * point_count^codim, the size of the build."""
-        return len(self.prescribed) * self.point_count ** self.codim
+        """|S| * point_count^codim (``block_size``), the size of the build."""
+        return len(self.prescribed) * self.block_size
 
     def exceeds(self, bound: int) -> bool:
         """Whether ``expected_size()`` passes ``bound``, found without a
@@ -271,6 +295,13 @@ def is_int(value) -> bool:
 FORMS = {"int": (0, "an integer"), "ints": (1, "a list of integers"),
          "rows": (2, "a list of rows of integers")}
 
+# The inline reading of each form: a flag's text as a value of the form,
+# and a prescribed block's text as its items, ';'-separated "ints" ("" is
+# the one empty map of an empty Y) or '|'-separated "rows".
+INLINE = {"int": (int, None),
+          "ints": (parse_ints, lambda text: parse_rows(text) or [[]]),
+          "rows": (parse_rows, lambda text: [parse_rows(m) for m in text.split("|")])}
+
 
 def _has_form(value, depth: int) -> bool:
     """Whether ``value`` is an integer (``is_int``) nested in ``depth``
@@ -308,7 +339,7 @@ def checked_fields(data, fields) -> list:
 def element_at(inst: RestrictedInstance, i: int):
     """Element i of the build, in the one order every build has, worked
     out from i alone (a seeded draw from a large space makes no build):
-    alpha is ``prescribed.elements[i // point_count**codim]``, and the
+    alpha is ``prescribed.elements[i // block_size]``, and the
     images of the points outside the region are the points at the digits
     of the remainder in base ``point_count``, most significant first."""
     images = [None] * inst.codim
@@ -406,12 +437,11 @@ def block_records(inst: RestrictedInstance, build: FiniteSemigroup) -> list:
     from the instance's store (and made there if missing): what the sweep's
     element theorems and transversal checks read, with no lookup in S.
     Element i of a build restricts to ``prescribed.elements[i // block]``,
-    block = point_count^codim (``element_at``), and each record's
+    block = ``block_size`` (``element_at``), and each record's
     restriction is compared with that alpha by equality, so a verdict read
     by block never trusts the build's order: an element outside its block
     is refused as ``record`` refuses a restriction outside S."""
-    records, alphas = inst.store.records, inst.prescribed.elements
-    block = inst.point_count ** inst.codim
+    records, alphas, block = inst.store.records, inst.prescribed.elements, inst.block_size
     out = []
     for i, f in enumerate(build.elements):
         rec = inst._stored(records, f)

@@ -255,7 +255,7 @@ class LInstance(RestrictedInstance):
     UNIT_GROUP, WHOLE, FINITE = "Aut(W)", "W = V", "codim(W) is finite"
     SMALL_N, SMALL, CODIM_ONE = 1, "dim V = 1", "codim(W) = 1"
     BASE, STEPS = "GF({p})^{k}", "row steps"
-    FIELDS = (("p", "int"), ("n", "int"), ("W", "rows"), ("sW", "rows"))
+    KIND, FIELDS = "linear", (("p", "int"), ("n", "int"), ("W", "rows"), ("sW", "rows"))
     is_unit = staticmethod(GFMatrix.is_invertible)
 
     def __init__(self, w: Subspace, s_w: FiniteSemigroup, store=None) -> None:
@@ -337,14 +337,8 @@ class LInstance(RestrictedInstance):
             f"LInstance(p={self.p}, n={self.n}, dim W={self.w.dim}, |S(W)|={len(self.prescribed)})"
         )
 
-    def key(self) -> dict:
-        return {
-            "kind": "linear",
-            "p": self.p,
-            "n": self.n,
-            "W": [list(r) for r in self.w.basis],
-            "sW": sorted(el.to_text() for el in self.prescribed.elements),
-        }
+    def field_values(self) -> tuple:
+        return self.p, self.n, [list(r) for r in self.w.basis]
 
     def in_ambient(self, f: GFMatrix) -> bool:
         return f.p == self.p and f.rows == self.n and f.cols == self.n

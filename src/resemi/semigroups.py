@@ -75,11 +75,9 @@ TABLE_CAP = 4096
 # The one caching rule of the package: a cache is state on the object that
 # owns it (a region store, a record, a Cayley table's partners, a ``lazy``
 # attribute) or a pure ``lru_cache(maxsize=MEMO_BOUND)`` on immutable
-# inputs, filled per process as calls come, never at import.  The one
-# exception is ``sweep.enumerate_subsemigroups``, unbounded, whose
-# ``cache_info`` the benchmark's tracer reads.  The four criterion-3 plans
-# fill no memo past 1,760 entries; the span, solve and null-space memos
-# filled to the bound over GF(101)^4 hold 6.6 MB.
+# inputs, filled per process as calls come, never at import.  The four
+# criterion-3 plans fill no memo past 1,760 entries; the span, solve and
+# null-space memos filled to the bound over GF(101)^4 hold 6.6 MB.
 MEMO_BOUND = 4096
 
 # The modes of ``FiniteSemigroup.partner``, and its mark of an element not

@@ -248,7 +248,7 @@ class SweepReport:
 # -- subsemigroup sources -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_BOUND)
 def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | None = None) -> tuple:
     """Nonempty composition-closed subsets of the base monoid T(base_size)
     or L(GF(p)^base_size), exhaustively or as deduplicated seeded-random
@@ -279,9 +279,9 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     order, as the record ``{"generators": [texts], "reason": ...}`` in
     place of a closure, listing that draw's own generators.
 
-    This cache is unbounded, the one exception to the package's caching
-    rule (``semigroups.MEMO_BOUND``): the benchmark's tracer reads its
-    ``cache_info``."""
+    The lists are a pure ``lru_cache`` of at most ``MEMO_BOUND`` entries,
+    keyed on the call's arguments, as the package's caching rule has it
+    (``semigroups.MEMO_BOUND``)."""
     if source[0] == "exhaustive":
         base = _exhaustive_base(kind, base_size, p).build()
         return tuple(FiniteSemigroup([x for i, x in enumerate(base.elements) if mask >> i & 1])
@@ -545,7 +545,7 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
     # S's element i // block (checked by ``block_records``), whose partner
     # in each mode is asked for once, and a block without one shares one
     # "no" verdict.
-    s, block = inst.prescribed, inst.point_count ** inst.codim
+    s, block = inst.prescribed, inst.block_size
     for i, (f, rec) in enumerate(zip(build.elements, records)):
         if i % block == 0:
             asks = []

@@ -161,7 +161,7 @@ class TInstance(RestrictedInstance):
     UNIT_GROUP, WHOLE, FINITE = "Sym(Y)", "Y = X", "X \\ Y is finite"
     SMALL_N, SMALL, CODIM_ONE = 2, "|X| = 2", "|X \\ Y| = 1"
     BASE, STEPS = "T({k})", "point steps"
-    FIELDS = (("n", "int"), ("Y", "ints"), ("sY", "ints"))
+    KIND, FIELDS = "transformation", (("n", "int"), ("Y", "ints"), ("sY", "ints"))
     is_unit = staticmethod(Transformation.is_bijective)
 
     def __init__(self, y: IndexSubset, s_y: FiniteSemigroup, store=None) -> None:
@@ -214,14 +214,8 @@ class TInstance(RestrictedInstance):
     def __repr__(self) -> str:
         return f"TInstance(n={self.n}, Y=[{self.y.to_text()}], |S(Y)|={len(self.prescribed)})"
 
-    def key(self) -> dict:
-        """JSON-friendly identifying record, stable across runs."""
-        return {
-            "kind": "transformation",
-            "n": self.n,
-            "Y": list(self.y.members),
-            "sY": sorted(el.to_text() for el in self.prescribed.elements),
-        }
+    def field_values(self) -> tuple:
+        return self.n, list(self.y.members)
 
     def in_ambient(self, f: Transformation) -> bool:
         return f.n == self.n

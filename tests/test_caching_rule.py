@@ -10,10 +10,8 @@ import pkgutil
 import resemi
 from resemi.semigroups import MEMO_BOUND
 
-# The one unbounded memo: the benchmark's tracer reads its ``cache_info``,
-# so it stays an unbounded ``lru_cache`` until the benchmark is re-pointed
-# (ROADMAP items 1 and 22).
-UNBOUNDED = {("resemi.sweep", "enumerate_subsemigroups")}
+# The memos exempt from the bound: none.
+UNBOUNDED = set()
 
 
 def _modules():
@@ -40,9 +38,9 @@ def test_every_memo_is_bounded_at_memo_bound():
     assert UNBOUNDED <= memos.keys()
     assert {key: bound for key, bound in memos.items()
             if key not in UNBOUNDED and bound != MEMO_BOUND} == {}
-    # the ten kernel and record memos of the linear family and the seeded
-    # closure memo of the sweep
-    assert len(memos) - len(UNBOUNDED) == 11
+    # the ten kernel and record memos of the linear family, and the seeded
+    # closure memo and the subsemigroup lists of the sweep
+    assert len(memos) - len(UNBOUNDED) == 12
 
 
 def test_no_class_uses_cached_property():

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -83,7 +84,17 @@ class TestBuild:
         # Y's members may come in any order
         (["--kind", "t", "--n", "3", "--y", "2,0", "--gens", "1,0"],
          {"kind": "transformation", "n": 3, "Y": [2, 0], "sY": {"generators": [[1, 0]]}}),
-    ], ids=["l", "l-zero-w", "t-gens", "t-unsorted-y"])
+        (["--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,1;1,0"],
+         {"kind": "transformation", "n": 3, "Y": [0, 1], "sY": {"elements": [[0, 1], [1, 0]]}}),
+        (["--kind", "l", "--p", "3", "--n", "2", "--w", "2,2", "--gens", "2"],
+         {"kind": "linear", "p": 3, "n": 2, "W": [[2, 2]], "sW": {"generators": [[[2]]]}}),
+        (["--kind", "l", "--p", "2", "--n", "2", "--w", "1,1;0,1", "--sw", "0,1;1,0|1,0;0,1"],
+         {"kind": "linear", "p": 2, "n": 2, "W": [[1, 1], [0, 1]],
+          "sW": {"elements": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}}),
+        (["--kind", "t", "--n", "2", "--y", "", "--sy", ""],
+         {"kind": "transformation", "n": 2, "Y": [], "sY": {"elements": [[]]}}),
+    ], ids=["l", "l-zero-w", "t-gens", "t-unsorted-y", "t-elements", "l-gens", "l-w-is-v",
+            "t-empty-y"])
     def test_inline_equals_json(self, capsys, tmp_path, flags, data):
         # inline flags are read as the instance JSON they spell
         path = tmp_path / "inst.json"
@@ -91,6 +102,39 @@ class TestBuild:
         from_file = run(capsys, "classify", "--input", str(path), "--format", "json")
         assert run(capsys, "classify", *flags, "--format", "json") == from_file
         assert from_file[0] == 0
+
+    # Each family's non-block flags with a value, its block flag with a
+    # value, and the refusal of a missing non-block flag.
+    INLINE_FLAGS = {
+        "t": ({"--n": "3", "--y": "0,1"}, ("--sy", "0,1"), "--kind t needs --n and --y"),
+        "l": ({"--p": "2", "--n": "2", "--w": "1,0"}, ("--sw", "1"),
+              "--kind l needs --p, --n and --w"),
+    }
+
+    @pytest.mark.parametrize("kind, missing, with_block", [
+        (kind, missing, with_block)
+        for kind, (flags, _, _) in INLINE_FLAGS.items()
+        for r in range(1, len(flags) + 1) for missing in combinations(flags, r)
+        for with_block in (True, False)])
+    def test_a_missing_inline_flag_is_refused_by_the_familys_flags(
+            self, capsys, kind, missing, with_block):
+        # the refusal lists every non-block flag, whichever are missing, and
+        # comes before the one of a missing block
+        flags, block_argv, message = self.INLINE_FLAGS[kind]
+        argv = ["build", "--kind", kind, *(a for flag, value in flags.items()
+                                          if flag not in missing for a in (flag, value))]
+        if with_block:
+            argv += block_argv
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind", ["t", "l"])
+    def test_a_missing_block_is_refused_by_the_familys_block_flag(self, capsys, kind):
+        flags, block_argv, _ = self.INLINE_FLAGS[kind]
+        argv = ["build", "--kind", kind, *(a for item in flags.items() for a in item)]
+        message = f"error: --kind {kind} needs {block_argv[0]} or --gens\n"
+        assert run(capsys, *argv) == (2, "", message)
+        assert run(capsys, *argv, *block_argv)[0] == 0
+        assert run(capsys, *argv, "--gens", block_argv[1])[0] == 0
 
     @pytest.mark.parametrize("y", ["0,0", "1,0,1"])
     def test_repeated_y_members_refused(self, capsys, y):

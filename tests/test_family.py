@@ -656,6 +656,29 @@ def test_extra_keys_and_a_null_block_entry_are_ignored(cls, data):
     assert cls.from_dict(padded).key() == cls.from_dict(data).key()
 
 
+@pytest.mark.parametrize("inst, key", [
+    (TInstance.from_dict({"n": 3, "Y": [2, 0], "sY": {"generators": [[1, 0]]}}),
+     {"kind": "transformation", "n": 3, "Y": [0, 2], "sY": ["0,1", "1,0"]}),
+    (TInstance.whole(2),
+     {"kind": "transformation", "n": 2, "Y": [], "sY": [""]}),
+    (TInstance.from_dict({"n": 2, "Y": [1, 0], "sY": {"elements": [[0, 1], [0, 0]]}}),
+     {"kind": "transformation", "n": 2, "Y": [0, 1], "sY": ["0,0", "0,1"]}),
+    (LInstance.whole(2, 3),
+     {"kind": "linear", "p": 3, "n": 2, "W": [], "sW": [""]}),
+    (LInstance.from_dict({"p": 3, "n": 2, "W": [[2, 2]], "sW": {"elements": [[[1]], [[2]]]}}),
+     {"kind": "linear", "p": 3, "n": 2, "W": [[1, 1]], "sW": ["1", "2"]}),
+    (LInstance.from_dict({"p": 2, "n": 2, "W": [[1, 1], [0, 1]],
+                          "sW": {"generators": [[[0, 1], [1, 0]]]}}),
+     {"kind": "linear", "p": 2, "n": 2, "W": [[1, 0], [0, 1]], "sW": ["0,1;1,0", "1,0;0,1"]}),
+], ids=["t", "t-empty-y", "t-y-is-x", "l-zero-w", "l", "l-w-is-v"])
+def test_key_is_the_kind_the_field_values_and_the_sorted_element_texts(inst, key):
+    # one key() for both families, read from each family's KIND and FIELDS:
+    # Y's members sorted, W's canonical basis, S's element texts sorted
+    assert "key" not in vars(type(inst))
+    assert inst.key() == key and list(inst.key()) == list(key)
+    assert family.KINDS[inst.KIND][1] == type(inst).__name__
+
+
 @pytest.mark.parametrize("inst, decidable", [
     (TInstance(IndexSubset(2, [0]), FiniteSemigroup([Transformation([0])])),
      ["regular", "inverse", "unit_regular"]),
