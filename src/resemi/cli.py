@@ -12,10 +12,11 @@ instance JSON they spell, through the loader ``--input`` uses (the
 field of that family's ``FIELDS``, named as the field in lower case and
 read by the field's form (``family.INLINE``), and the ``--kind`` letters
 are the first letters of ``family.KINDS``, so no code here branches on
-the family or spells a kind or a field name.  Only the parsers and
-``_load_instance``'s check against ``--input`` list the flags, so that
-a parser is built, and a parse error refused, with neither family
-module loaded.  The inline plan flags are read as the plan JSON they spell, through
+the family or spells a kind or a field name.  Only ``_FIELD_FLAGS``
+lists the field flags of both families, so that a parser is built and a
+parse error refused with neither family module loaded, and a field flag
+of the other family is refused with the given family's module alone.
+The inline plan flags are read as the plan JSON they spell, through
 ``SweepPlan.from_dict``; ``--input`` excludes them all.
 
 Each command takes only the flags that change what it does: ``build``
@@ -70,6 +71,17 @@ EXIT_MISMATCH = 4
 # ``--kind`` choices of both parsers.
 _KIND_LETTERS = {kind[0]: kind for kind in KINDS}
 
+# The inline instance field flags of both families, each a field of one or
+# both families' ``FIELDS`` in lower case, with its type and help.
+_FIELD_FLAGS = {
+    "--n": (int, "ambient size (|X| or dim V)"),
+    "--y": (str, "subset Y as comma list, e.g. 0,1"),
+    "--sy": (str, "S(Y) elements, ';'-separated transformations"),
+    "--p": (int, "prime modulus"),
+    "--w": (str, "subspace W as ';'-separated spanning rows"),
+    "--sw": (str, "S(W) elements, '|'-separated matrices"),
+}
+
 
 def _witness_text(witness) -> object:
     """None, an element's text, or the texts of the inverse oracle's pair."""
@@ -109,12 +121,18 @@ def _inline_instance(args) -> dict:
     ``--kind`` names the family, and each of its ``FIELDS`` is the flag
     named as the field in lower case, read by its form's inline reading
     (``family.INLINE``); the prescribed block's text, given by its own
-    flag or by ``--gens``, is read as its items."""
+    flag or by ``--gens``, is read as its items.  A field flag of the
+    other family only is refused."""
     if args.kind is None:
         raise ValueError("--kind t|l (or --input) is required")
     kind = _KIND_LETTERS[args.kind]
     *fields, (block, form) = family_class(kind).FIELDS
     flags = [f"--{name.lower()}" for name, _ in fields]
+    taken = (*flags, f"--{block.lower()}")
+    foreign = [flag for flag in _FIELD_FLAGS
+               if flag not in taken and getattr(args, flag[2:]) is not None]
+    if foreign:
+        raise ValueError(f"--kind {args.kind} does not take {', '.join(foreign)}")
     texts = [getattr(args, name.lower()) for name, _ in fields]
     if None in texts:
         raise ValueError(f"--kind {args.kind} needs {', '.join(flags[:-1])} and {flags[-1]}")
@@ -131,7 +149,7 @@ def _load_instance(args):
     """Instance from --input JSON or from inline flags, through one loader."""
     if args.input is None:
         return _instance_from_dict(_inline_instance(args))
-    inline = [args.kind, args.n, args.y, args.sy, args.p, args.w, args.sw, args.gens]
+    inline = [args.kind, args.gens, *(getattr(args, flag[2:]) for flag in _FIELD_FLAGS)]
     if any(v is not None for v in inline):
         raise ValueError("--input and inline instance flags are mutually exclusive")
     return _instance_from_dict(_read_json(args.input))
@@ -291,12 +309,8 @@ def _instance_command(sp, name: str) -> None:
     for ``element``."""
     sp.add_argument("--input", help="instance JSON file (exclusive with inline flags)")
     sp.add_argument("--kind", choices=_KIND_LETTERS, help="t: transformations, l: linear maps")
-    sp.add_argument("--n", type=int, help="ambient size (|X| or dim V)")
-    sp.add_argument("--y", help="subset Y as comma list, e.g. 0,1")
-    sp.add_argument("--sy", help="S(Y) elements, ';'-separated transformations")
-    sp.add_argument("--p", type=int, help="prime modulus")
-    sp.add_argument("--w", help="subspace W as ';'-separated spanning rows")
-    sp.add_argument("--sw", help="S(W) elements, '|'-separated matrices")
+    for flag, (read, text) in _FIELD_FLAGS.items():
+        sp.add_argument(flag, type=read, help=text)
     sp.add_argument("--gens", help="generators instead of elements (closure is applied)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     if name != "build":

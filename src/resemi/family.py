@@ -274,9 +274,17 @@ class RestrictedInstance:
         return None
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {_shown(text)}") from None
+
+
 def parse_ints(text: str) -> list[int]:
-    """A comma list of integers, e.g. "0,0,1"; "" is the empty list."""
-    return [int(v) for v in text.split(",")] if text.strip() else []
+    """A comma list of integers, e.g. "0,0,1"; "" is the empty list.  The
+    first part that is not an integer is refused by its text."""
+    return list(map(_int, text.split(","))) if text.strip() else []
 
 
 def parse_rows(text: str) -> list[list[int]]:

@@ -9,39 +9,49 @@ code.  Every semigroup carries its full Cayley table, built from integer
 tuples alone by a Froidure-Pin pass (Froidure & Pin 1997) that finds the
 right Cayley graph, the index of x * g for every element x and generator
 g, and a breadth-first spanning tree of it, which writes every element
-but a generator as x * g with x earlier.  The generators' rows are read
-along the tree and every other row is one C-level gather of earlier
-rows, row(x * g) = row(x) after row(g) (``_fill_rows``, the one row
-fill).  A closure is such a pass: ``closure_elements`` gathers the code
-of each x * g from x's code through g's images of points, makes each new
-element from its code, and returns its order with the graph
-(``Closure``), from which ``FiniteSemigroup`` fills the rows.  Given an
-element list instead, the points occurring in its codes are numbered, and
-the generators are taken greedily in descending rank, the number of
-distinct entries of the code (|im f| for a transformation, the distinct
-rows of a matrix), ties in element order: an element is one when the
-closure of the ones taken before it lacks it.  Only the generators'
-actions are taken (a build reads those its region's earlier tables took),
-and each edge x -> x * g is gathered from x's numbered code.  The table
-holds element indices, so it depends on neither the numbering nor the
-generators taken, only on the element order; only points that occur in
-codes are used, never all of GF(p)^n.  Every oracle
-then runs on small-integer indices, and each table searches for each
-element's partner once: it keeps, per element mode, every element's first
-partner index in a compact integer array made on first ask
-(``FiniteSemigroup.partner``, the one search), which the semigroup verdicts
-(``semigroup_oracle``) read.  A refusal (an unknown mode, "identity
-required", a non-member) is raised on every ask and never kept.  A
-semigroup of more than ``TABLE_CAP`` elements is refused with
-``SizeCapExceeded``, and so are closures and builds that would exceed it.
+but a generator as x * g with x earlier (``_fill_rows``, the one fill).
+A table of at most 256 elements, whose indices fit a byte, is a byte
+table: its rows are ``bytes`` of its length, and ``columns`` holds its
+columns as ``bytes`` padded to 256, the length of a translation table.
+A generator's column is its products in the graph, every other column
+is one ``bytes.translate`` of an earlier one, col(x * g) = col(x)
+translated by col(g), and row x is a stride through the columns.  A
+larger table has list rows: the generators' rows are read along the
+tree and every other row is one C-level gather of earlier rows, row(x *
+g) = row(x) after row(g).  A closure is such a pass: ``closure_elements``
+gathers the code of each x * g from x's code through g's images of
+points, makes each new element from its code, and returns its order
+with the graph (``Closure``), from which ``FiniteSemigroup`` fills the
+table.  Given an element list instead, the points occurring in its
+codes are numbered, and the generators are taken greedily in descending
+rank, the number of distinct entries of the code (|im f| for a
+transformation, the distinct rows of a matrix), ties in element order:
+an element is one when the closure of the ones taken before it lacks
+it.  Only the generators' actions are taken (a build reads those its
+region's earlier tables took), and each edge x -> x * g is gathered from
+x's numbered code; over at most 256 points, all of g's edges are one
+``bytes.translate`` of the codes laid end to end (``_products_by``).
+The table holds element indices, so it depends on neither the numbering
+nor the generators taken, only on the element order; only points that
+occur in codes are used, never all of GF(p)^n.  Every oracle then runs
+on small-integer indices, and each table searches for each element's
+partner once: it keeps, per element mode, every element's first partner
+index in a compact integer array made on first ask
+(``FiniteSemigroup.partner``, the one search), which the semigroup
+verdicts (``semigroup_oracle``) read; in a byte table the candidates
+for element i are found in row(i) translated by col(i), which holds i *
+j * i at j.  A refusal (an unknown mode, "identity required", a
+non-member) is raised on every ask and never kept.  A semigroup of more
+than ``TABLE_CAP`` elements is refused with ``SizeCapExceeded``, and so
+are closures and builds that would exceed it.
 """
-
 from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
+from struct import Struct
 
 
 class SizeCapExceeded(ValueError):
@@ -126,15 +136,46 @@ def _check_same_kind(elements) -> None:
             raise ValueError("mixed element kinds or sizes")
 
 
-def _cayley_table(elems: list, index: dict, actions: dict | None = None) -> list:
-    """The Cayley table of an element list: its generators found greedily
-    in descending rank, with the right Cayley graph and a spanning tree
-    (module docstring), then ``_fill_rows``.  A missing product is named
-    as the first pair in row-major order, found by object products.
-    ``actions``, when given, is kept across tables: for each numbered
-    point tuple, the numbered action of every element a table on those
-    points took as a generator, so a later table taking that generator
-    again reads its action there."""
+def _products_by(codes: list, point_index: dict):
+    """The function that maps a generator g, given by its numbered action
+    (None for a point sent outside the numbered ones), to the index of
+    x * g for every element x, in element order, with None for a product
+    that is not an element.  x * g has the code gathered from g's action
+    at x's numbered code.  Over at most 256 points every numbered code is
+    a fixed-width field of one ``bytes`` blob, so all of g's products are
+    one ``blob.translate``, one ``Struct.unpack`` into the fields and a
+    lookup per field; over more points each code has its getter, and a
+    code is keyed as its getter reads it (a bare point for one point)."""
+    number = point_index.__getitem__
+    if len(point_index) > 256:
+        gathers = [itemgetter(*map(number, code)) for code in codes]
+        numbered = range(len(point_index))
+        index_of_code = {gather(numbered): k for k, gather in enumerate(gathers)}.get
+        return lambda action: list(map(index_of_code,
+                                       map(itemgetter.__call__, gathers, repeat(action))))
+    blob = bytes(map(number, chain.from_iterable(codes)))
+    split = Struct(f"{len(codes[0])}s" * len(codes)).unpack  # a blob into its codes
+    index_of_code = dict(zip(split(blob), range(len(codes)))).get
+
+    def products(action):
+        if None in action:
+            return [None]
+        # padded to a translation table's 256 bytes; the blob's bytes are
+        # numbered points, so the padding is never read
+        return list(map(index_of_code, split(blob.translate(bytes(action).ljust(256)))))
+    return products
+
+
+def _cayley_table(elems: list, index: dict, actions: dict | None = None) -> tuple:
+    """The Cayley table of an element list, as ``_fill_rows`` returns it:
+    its generators found greedily in descending rank, with the right
+    Cayley graph and a spanning tree (module docstring), then
+    ``_fill_rows``.  A missing product is named as the first pair in
+    row-major order, found by object products.  ``actions``, when given,
+    is kept across tables: for each numbered point tuple, the numbered
+    action of every element a table on those points took as a generator,
+    so a later table taking that generator again reads its action
+    there."""
     m = len(elems)
     # Number the points that occur in the elements' point codes.  A closed
     # semigroup maps them into themselves, so a point sent outside them
@@ -142,14 +183,10 @@ def _cayley_table(elems: list, index: dict, actions: dict | None = None) -> list
     codes = [el.point_code() for el in elems]
     points = tuple(sorted({x for code in codes for x in code}))
     if not points:  # the one map of the empty set or the zero space
-        return [[0]]
+        return [b"\0"], [bytes(256)]
     point_index = {x: i for i, x in enumerate(points)}
     taken = {} if actions is None else actions.setdefault(points, {})
-    number = point_index.__getitem__
-    # x * g has the code gathered from g's numbered action at x's code; a
-    # code is keyed as its gather reads it (a bare point for one point)
-    gathers = [itemgetter(*map(number, code)) for code in codes]
-    index_of_code = {gather(range(len(points))): k for k, gather in enumerate(gathers)}.get
+    products_by = _products_by(codes, point_index)
     gens, right = [], []  # right[h][x] is the index of x * gens[h]
     # The spanning tree: a generator has parent -1, any other y is
     # parent[y] * gens[letter[y]]; ``order`` lists parents before children.
@@ -165,7 +202,7 @@ def _cayley_table(elems: list, index: dict, actions: dict | None = None) -> list
         action = taken.get(elems[k])
         if action is None:
             action = taken[elems[k]] = tuple(map(point_index.get, elems[k].point_action(points)))
-        products = list(map(index_of_code, map(itemgetter.__call__, gathers, repeat(action))))
+        products = products_by(action)
         if None in products:
             a, b = next((a, b) for a in elems for b in elems if a * b not in index)
             raise ValueError(f"not closed under composition: {_shown(a)} * {_shown(b)} missing")
@@ -189,36 +226,48 @@ def _cayley_table(elems: list, index: dict, actions: dict | None = None) -> list
                 if letter[y] is None:
                     parent[y], letter[y] = x, g
                     order.append(y)
-    del gathers, index_of_code  # freed before the bulk of the table is made
+    del products_by  # freed before the bulk of the table is made
     return _fill_rows(gens, right, [(y, parent[y], letter[y]) for y in order])
 
 
-def _fill_rows(gens, right, tree) -> list:
+def _fill_rows(gens, right, tree) -> tuple:
     """The Cayley table from a right Cayley graph and a spanning tree of
-    it, the one row fill of every table.  ``right[h][x]`` is the index of
+    it, the one fill of every table, as its rows and, for at most 256
+    elements, its columns (else None).  ``right[h][x]`` is the index of
     x * gens[h]; ``tree`` lists (y, x, h) with y = x * gens[h], or x = -1
     for y = gens[h] itself, parents before children."""
     m = len(tree)
-    table = [None] * m
-    for e in gens:  # e * y = (e * x) * gens[h]
-        row = [0] * m + [e]  # parent -1 reads e
+    if m > 256:
+        table = [None] * m
+        for e in gens:  # e * y = (e * x) * gens[h]
+            row = [0] * m + [e]  # parent -1 reads e
+            for y, x, h in tree:
+                row[y] = right[h][row[x]]
+            table[e] = row[:m]
+        # row(x * g) = row(x) after row(g): one getter per generator row,
+        # whose tuple lists at its exact length
+        after = [itemgetter(*table[e]) for e in gens]
         for y, x, h in tree:
-            row[y] = right[h][row[x]]
-        table[e] = row[:m]
-    # row(x * g) = row(x) after row(g): one getter per generator row, whose
-    # tuple lists at its exact length
-    after = [itemgetter(*table[e]) for e in gens]
+            if x >= 0:
+                table[y] = list(after[h](table[x]))
+        return table, None
+    # A byte table, filled by columns: col(g) holds the products by g in
+    # ``right``, and col(x * g) is col(x) translated by col(g).  A column
+    # is padded to 256 bytes, the length of a translation table, so row x,
+    # entry x of every column, is a stride of 256 through the columns.
+    pad = bytes(256 - m)
+    columns = [None] * m
     for y, x, h in tree:
-        if x >= 0:
-            table[y] = list(after[h](table[x]))
-    return table
+        columns[y] = bytes(right[h]) + pad if x < 0 else columns[x].translate(columns[gens[h]])
+    joined = b"".join(columns)
+    return [joined[x::256] for x in range(m)], columns
 
 
 class FiniteSemigroup:
     """Explicit finite semigroup: a duplicate-free element list closed
     under ``a * b``.
 
-    Made from a ``Closure``, its rows are filled along the right Cayley
+    Made from a ``Closure``, its table is filled along the right Cayley
     graph the closure's pass found, with no point numbered or action
     taken again.  Made from any other element list, closure is verified
     at construction (the verification doubles as the Cayley-table build,
@@ -227,17 +276,20 @@ class FiniteSemigroup:
     refused.  Such a list takes one point action per generator, unless
     ``actions`` holds it already: a build passes its instance's store
     (``family.build``), so the tables on one store share the actions of
-    the generators they have in common (``_cayley_table``).  A two-sided
-    identity is detected by scan, never assumed.  Instances are immutable
-    after construction and safe to share.
+    the generators they have in common (``_cayley_table``).  ``table[i][j]``
+    is the index of element i * element j; its rows are ``bytes``, with
+    its ``columns`` kept too, for at most 256 elements, else lists, with
+    ``columns`` None.  A two-sided identity is detected by scan, never
+    assumed.  Instances are immutable after construction and safe to
+    share.
     """
 
     def __init__(self, elements, actions: dict | None = None) -> None:
         if isinstance(elements, Closure):  # duplicate-free, of one kind, within TABLE_CAP
             elems = elements
             index = dict(zip(elems, range(len(elems))))
-            table = _fill_rows(range(len(elems.right)), elems.right,
-                               list(zip(range(len(elems)), elems.parent, elems.letter)))
+            table, columns = _fill_rows(range(len(elems.right)), elems.right,
+                                        list(zip(range(len(elems)), elems.parent, elems.letter)))
         else:
             elems = []
             index = {}
@@ -250,10 +302,11 @@ class FiniteSemigroup:
             if len(elems) > TABLE_CAP:
                 raise SizeCapExceeded("size cap exceeded")
             _check_same_kind(elems)
-            table = _cayley_table(elems, index, actions)
+            table, columns = _cayley_table(elems, index, actions)
         self.elements = tuple(elems)
         self._index = index
         self.table = table
+        self.columns = columns
         self.identity_index = self._find_identity()
         self._partners: dict = {}  # element mode -> first partner per element
 
@@ -298,10 +351,11 @@ class FiniteSemigroup:
         return self.elements[self.identity_index]
 
     def _find_identity(self):
-        table = self.table
-        ident = list(range(len(table)))
+        table, columns = self.table, self.columns
+        ident = list(range(len(table))) if columns is None else bytes(range(len(table)))
         for e, row in enumerate(table):
-            if row == ident and all(table[j][e] == j for j in ident):
+            if row == ident and (all(table[j][e] == j for j in ident) if columns is None
+                                 else columns[e].startswith(ident)):
                 return e
         return None
 
@@ -369,9 +423,23 @@ class FiniteSemigroup:
         return j
 
     def _search(self, i: int, mode: str) -> int:
-        """The exhaustive search behind ``partner``, in the table alone."""
-        t = self.table
+        """The exhaustive search behind ``partner``, in the table alone.
+        In a byte table, ``hits = row(i).translate(col(i))`` holds i * j * i
+        at j, so the candidates are the j with hits[j] == i, in order."""
+        t, columns = self.table, self.columns
         row = t[i]
+        if columns is not None:
+            col = columns[i]
+            hits = row.translate(col)
+            j = hits.find(i)
+            if mode == "unit_regular":
+                units = self.unit_index_set
+                while j >= 0 and j not in units:
+                    j = hits.find(i, j + 1)
+            elif mode == "completely_regular":
+                while j >= 0 and row[j] != col[j]:
+                    j = hits.find(i, j + 1)
+            return j
         if mode == "regular":
             for j, ij in enumerate(row):
                 if t[ij][i] == i:
@@ -394,7 +462,7 @@ class Closure(list):
     ``right[h][x]`` is the index of x * generator h.  Every later element
     y was first met as ``parent[y] * generator letter[y]``, with parent[y]
     < y (a generator h has parent -1 and letter h): the spanning tree that
-    ``FiniteSemigroup`` fills its rows along.  The graph describes the list
+    ``FiniteSemigroup`` fills its table along.  The graph describes the list
     as returned, so the list is not to be changed."""
 
     __slots__ = ("right", "parent", "letter")

@@ -127,6 +127,31 @@ class TestBuild:
             argv += block_argv
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    # The field flags of the other family only, with a value each.
+    FOREIGN_FLAGS = {"t": {"--p": "5", "--w": "1,0", "--sw": "7"},
+                     "l": {"--y": "0,1", "--sy": "0,1"}}
+
+    @pytest.mark.parametrize("command", ["build", "classify", "element"])
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag) for kind, flags in FOREIGN_FLAGS.items() for flag in flags])
+    def test_a_field_flag_of_the_other_family_is_refused(self, capsys, command, kind, flag):
+        flags, block_argv, _ = self.INLINE_FLAGS[kind]
+        argv = [command, "--kind", kind, *(a for item in flags.items() for a in item),
+                *block_argv, flag, self.FOREIGN_FLAGS[kind][flag]]
+        if command == "element":
+            argv += ["--f", "0,1,0" if kind == "t" else "1,0;0,1"]
+        assert run(capsys, *argv) == (2, "", f"error: --kind {kind} does not take {flag}\n")
+
+    @pytest.mark.parametrize("kind", ["t", "l"])
+    def test_every_field_flag_of_the_other_family_is_named(self, capsys, kind):
+        flags, block_argv, message = self.INLINE_FLAGS[kind]
+        foreign = self.FOREIGN_FLAGS[kind]
+        # refused before a missing flag of the family's own
+        argv = ["build", "--kind", kind, *(a for item in foreign.items() for a in item)]
+        refusal = f"error: --kind {kind} does not take {', '.join(foreign)}\n"
+        assert run(capsys, *argv) == (2, "", refusal)
+        assert run(capsys, *argv[:3]) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("kind", ["t", "l"])
     def test_a_missing_block_is_refused_by_the_familys_block_flag(self, capsys, kind):
         flags, block_argv, _ = self.INLINE_FLAGS[kind]
@@ -962,6 +987,19 @@ T_FLAGS = ["--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,1;1,0"]
 L_FLAGS = ["--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1|0"]
 T_KEY = {"Y": [0, 1], "kind": "transformation", "n": 3, "sY": ["0,1", "1,0"]}
 L_KEY = {"W": [[1, 0]], "kind": "linear", "n": 2, "p": 2, "sW": ["0", "1"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["element", *T_FLAGS, "--f", "0,a,1"],
+    ["element", *T_FLAGS, "--f", "a"],
+    ["element", *L_FLAGS, "--f", "1,0;a,1"],
+    ["build", "--kind", "t", "--n", "3", "--y", "0,a", "--sy", "0,1"],
+    ["classify", "--kind", "t", "--n", "3", "--y", "a", "--gens", "0"],
+    ["sweep", "--kind", "t", "--ns", "1,a"],
+    ["sweep", "--kind", "t", "--ns", "a", "--format", "text"],
+], ids=["f-t", "f-t-alone", "f-l", "y", "y-alone", "ns", "ns-alone"])
+def test_a_part_that_is_not_an_integer_is_refused_by_its_text(capsys, argv):
+    assert run(capsys, *argv) == (2, "", 'error: not an integer: "a"\n')
 
 
 def _result(mode, clause, theorem, oracle_witness, witness_key, witness=None):

@@ -521,7 +521,7 @@ def test_builds_on_one_region_share_their_generator_actions(family, monkeypatch)
     _, alone = actions_taken(lambda: FiniteSemigroup(list(elems)))  # one per generator
     assert shared < alone
     index = {f: k for k, f in enumerate(elems)}
-    assert build_b.table == [[index[f * g] for g in elems] for f in elems]
+    assert [list(r) for r in build_b.table] == [[index[f * g] for g in elems] for f in elems]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -575,10 +575,13 @@ class TestAlphaFamily:
         build = inst.build()
         assert alpha_family_check(inst, build).holds
         # the row of (0, 1): 0 sends every (z, del) to (0, del), so the row
-        # holds two distinct entries; swap them
-        row = build.table[build.index_of(inst.extend(s_w.identity, [(0, 0)]))]
+        # holds two distinct entries; swap them in a replaced row, since a
+        # byte table's rows are immutable
+        i = build.index_of(inst.extend(s_w.identity, [(0, 0)]))
+        row = list(build.table[i])
         j = next(j for j, v in enumerate(row) if v != row[0])
         row[0], row[j] = row[j], row[0]
+        build.table[i] = bytes(row)
         v = alpha_family_check(inst, build)
         assert not v.holds and v.clause == "index composition law fails"
 

@@ -142,7 +142,8 @@ class TestPointCodeTables:
                 pos = [0] * m
                 for k, i in enumerate(perm):
                     pos[i] = k
-                assert s.table == [[pos[table[i][j]] for j in perm] for i in perm]
+                assert [list(r) for r in s.table] == [[pos[table[i][j]] for j in perm]
+                                                      for i in perm]
             several += len(actions) > 1  # the generators taken on the shuffled list
         # the shuffled lists make the pass take several generators
         assert several >= (4 if len(base) > 2 else 0)
@@ -158,28 +159,29 @@ class TestPointCodeTables:
         for elems in (full_l(3, 2), full_l(2, 2), [Transformation(t) for t in product(range(3), repeat=3)]):
             s = FiniteSemigroup(elems)
             assert list(s.elements) == elems
-            assert s.table == [[elems.index(a * b) for b in elems] for a in elems]
+            assert [list(r) for r in s.table] == [[elems.index(a * b) for b in elems]
+                                                  for a in elems]
 
     def test_empty_transformation(self):
         e = Transformation(())
         assert e.point_code() == () and e.point_action(()) == ()
         s = FiniteSemigroup([e])
-        assert s.table == [[0]] and s.identity == e
+        assert [list(r) for r in s.table] == [[0]] and s.identity == e
 
     def test_zero_by_zero_matrix(self):
         z = GFMatrix(3, (), cols=0)
         assert z.point_code() == () and z.point_action(()) == ()
         s = FiniteSemigroup([z])
-        assert s.table == [[0]] and s.identity == z
+        assert [list(r) for r in s.table] == [[0]] and s.identity == z
 
     def test_one_point_codes(self):
         s = FiniteSemigroup([Transformation([0])])
-        assert s.table == [[0]] and s.identity_index == 0
+        assert [list(r) for r in s.table] == [[0]] and s.identity_index == 0
         scalars = full_l(5, 1)
         assert [m.point_code() for m in scalars] == [((k,),) for k in range(5)]
         assert scalars[2].point_action([(1,), (3,), (0,)]) == ((2,), (1,), (0,))
         s = FiniteSemigroup(scalars)
-        assert s.table == [[a * b % 5 for b in range(5)] for a in range(5)]
+        assert [list(r) for r in s.table] == [[a * b % 5 for b in range(5)] for a in range(5)]
         assert s.unit_indices == [1, 2, 3, 4]
 
     def test_matrix_point_code_and_action(self):
@@ -193,14 +195,15 @@ class TestPointCodeTables:
         # only the points in the codes are used, never all p^n vectors
         one = GFMatrix.identity(p, n)
         s = FiniteSemigroup([one])
-        assert s.table == [[0]] and s.identity == one
+        assert [list(r) for r in s.table] == [[0]] and s.identity == one
         proj = GFMatrix(p, [[1] + [0] * (n - 1)] + [[0] * n] * (n - 1))
         swap = GFMatrix(p, [[0, 1] + [0] * (n - 2), [1] + [0] * (n - 1)]
                         + [[0] * i + [1] + [0] * (n - i - 1) for i in range(2, n)])
         elems = closure_elements([proj, swap])
         s = FiniteSemigroup(elems)
         index = {el: k for k, el in enumerate(s.elements)}
-        assert s.table == [[index[a * b] for b in s.elements] for a in s.elements]
+        assert [list(r) for r in s.table] == [[index[a * b] for b in s.elements]
+                                              for a in s.elements]
         with pytest.raises(ValueError, match="not closed"):
             FiniteSemigroup([one, proj, swap])
 
@@ -244,7 +247,8 @@ class TestGeneratorOrder:
         build = self.t5_build()
         index = {el: k for k, el in enumerate(build.elements)}
         assert len(build) == 300
-        assert build.table == [[index[a * b] for b in build.elements] for a in build.elements]
+        assert [list(r) for r in build.table] == [[index[a * b] for b in build.elements]
+                                                  for a in build.elements]
 
     def test_large_build_takes_few_generators(self, monkeypatch):
         elems = list(self.t5_build().elements)
@@ -276,7 +280,7 @@ class TestGeneratorOrder:
             for k, i in enumerate(perm):
                 pos[i] = k
             built = FiniteSemigroup([elems[i] for i in perm]).table
-            assert built == [[pos[table[i][j]] for j in perm] for i in perm]
+            assert [list(r) for r in built] == [[pos[table[i][j]] for j in perm] for i in perm]
 
     def test_missing_product_named_in_any_order(self):
         t3 = [Transformation(t) for t in product(range(3), repeat=3)]
@@ -427,8 +431,13 @@ class TestOnePass:
         s = FiniteSemigroup(closure)
         assert list(s.elements) == closure
         index = {el: k for k, el in enumerate(closure)}
-        assert s.table == FiniteSemigroup(list(closure)).table
-        assert s.table == [[index[a * b] for b in closure] for a in closure]
+        t = FiniteSemigroup(list(closure))
+        assert s.table == t.table
+        assert [list(r) for r in s.table] == [[index[a * b] for b in closure] for a in closure]
+        # the two fills walk different spanning trees; a column's padding
+        # past the elements is never read, and differs with the tree
+        m = len(closure)
+        assert [col[:m] for col in s.columns or ()] == [col[:m] for col in t.columns or ()]
 
     def test_table_from_the_graph_takes_no_point_action(self, name, gens, closure, monkeypatch):
         monkeypatch.setattr(type(closure[0]), "point_action",
@@ -851,3 +860,66 @@ def test_each_question_is_searched_once_per_table(monkeypatch):
                               modes=("regular", "inverse", "unit_regular", "completely_regular")))
     assert rep.clean and searched
     assert max(searched.values()) == 1
+
+
+# -- the four fills: byte or list rows, byte or gathered products ----------------
+
+def reference_partner(s, i, mode):
+    """The partner search of a list table, the reference for every fill: the
+    first j with i * j * i = i (units only, in unit order, for
+    ``unit_regular``; with i * j = j * i too for ``completely_regular``)."""
+    t = [list(row) for row in s.table]
+    row = t[i]
+    if mode == "regular":
+        for j, ij in enumerate(row):
+            if t[ij][i] == i:
+                return j
+    elif mode == "unit_regular":
+        for j in s.unit_indices:
+            if t[row[j]][i] == i:
+                return j
+    else:
+        for j, ij in enumerate(row):
+            if t[ij][i] == i and ij == t[j][i]:
+                return j
+    return -1
+
+
+def wide_closure():
+    """A closure of maps on 300 points: 116 elements, whose codes hold all
+    300 points, 36 of them regular but not unit-regular."""
+    n = 300
+    return closure_elements([Transformation([x ^ 1 for x in range(n)]),
+                             Transformation([x ^ 2 for x in range(n)]),
+                             Transformation([x - 1 if x % 4 else x for x in range(n)])])
+
+
+def fills():
+    # (name, elements, byte rows, byte products)
+    yield "T(3)", [Transformation(t) for t in product(range(3), repeat=3)], True, True
+    yield "L(GF(2)^3)", full_l(2, 3), False, True
+    yield "300 points", list(wide_closure()), True, False
+    trivial = generate([GFMatrix.identity(17, 1)])
+    yield "L(GF(17)^2)", list(LInstance(Subspace(17, 2, [[1, 0]]), trivial).build()), False, False
+
+
+FILLS = list(fills())
+
+
+@pytest.mark.parametrize("name,elems,byte_rows,byte_products", FILLS,
+                         ids=[name for name, *_ in FILLS])
+def test_each_fill_equals_products_and_the_reference_search(name, elems, byte_rows, byte_products):
+    points = {x for el in elems for x in el.point_code()}
+    assert (len(elems) <= 256, len(points) <= 256) == (byte_rows, byte_products)
+    s = FiniteSemigroup(elems)
+    index = {el: k for k, el in enumerate(elems)}
+    products = [[index[a * b] for b in elems] for a in elems]
+    assert all(type(row) is (bytes if byte_rows else list) for row in s.table)
+    assert [list(row) for row in s.table] == products
+    if byte_rows:
+        assert [list(col[:len(elems)]) for col in s.columns] == [list(c) for c in zip(*products)]
+    else:
+        assert s.columns is None
+    for mode in modes_of(s):
+        assert [s.partner(i, mode) for i in range(len(s))] == \
+            [reference_partner(s, i, mode) for i in range(len(s))], mode

@@ -75,6 +75,16 @@ def test_a_command_loads_its_family_alone(argv, expected, dataclasses):
     assert _loaded(action) == (expected, dataclasses)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["build", "--kind", "t", "--n", "3", "--y", "0,1", "--sy", "0,1", "--w", "1,0"], T_MODULES),
+    (["build", "--kind", "l", "--p", "2", "--n", "2", "--w", "1,0", "--sw", "1", "--y", "0"],
+     L_MODULES),
+], ids=["t", "l"])
+def test_a_field_flag_of_the_other_family_is_refused_by_its_family_alone(argv, expected):
+    action = f"assert __import__('resemi.cli').cli.main({argv!r}) == 2"
+    assert _loaded(action) == (expected, False)
+
+
 @pytest.mark.parametrize("action", [
     "__import__('resemi.cli').cli.build_parser()",
     "assert __import__('resemi.cli').cli.main(['build', '--bogus']) == 2",

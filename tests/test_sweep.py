@@ -254,7 +254,7 @@ class TestEnumerateSubsemigroups:
         subs = enumerate_subsemigroups(kind, size, ("exhaustive",), p)
         scan = mask_scan(base.table)
         assert [s.elements for s in subs] == [tuple(base.elements[i] for i in idxs) for idxs in scan]
-        assert [s.table for s in subs] == [
+        assert [[list(r) for r in s.table] for s in subs] == [
             [[idxs.index(base.table[a][b]) for b in idxs] for a in idxs] for idxs in scan]
 
     @pytest.mark.parametrize("kind,size,p", [
