@@ -38,9 +38,10 @@ on small-integer indices, and each table searches for each element's
 partner once: it keeps, per element mode, every element's first partner
 index in a compact integer array made on first ask
 (``FiniteSemigroup.partner``, the one search), which the semigroup
-verdicts (``semigroup_oracle``) read; in a byte table the candidates
-for element i are found in row(i) translated by col(i), which holds i *
-j * i at j.  A refusal (an unknown mode, "identity required", a
+verdicts (``semigroup_oracle``) read.  The unit-regular search walks
+the units in every table; the others, in a byte table, find the
+candidates for element i in row(i) translated by col(i), which holds i
+* j * i at j.  A refusal (an unknown mode, "identity required", a
 non-member) is raised on every ask and never kept.  A semigroup of more
 than ``TABLE_CAP`` elements is refused with ``SizeCapExceeded``, and so
 are closures and builds that would exceed it.
@@ -279,9 +280,11 @@ class FiniteSemigroup:
     the generators they have in common (``_cayley_table``).  ``table[i][j]``
     is the index of element i * element j; its rows are ``bytes``, with
     its ``columns`` kept too, for at most 256 elements, else lists, with
-    ``columns`` None.  A two-sided identity is detected by scan, never
-    assumed.  Instances are immutable after construction and safe to
-    share.
+    ``columns`` None.  The columns serve the regular and completely
+    regular partner searches; the unit-regular one walks ``unit_indices``
+    in either kind of table.  A two-sided identity is detected by scan,
+    never assumed.  Instances are immutable after construction and safe
+    to share.
     """
 
     def __init__(self, elements, actions: dict | None = None) -> None:
@@ -401,9 +404,10 @@ class FiniteSemigroup:
     def partner(self, i: int, mode: str) -> int:
         """Index of element i's first partner in ``mode``, or -1 if it has
         none: the first b in element order with aba = a (``regular``), the
-        first unit u in ``unit_indices`` order with aua = a
-        (``unit_regular``, identity required), or the first b with aba = a
-        and ab = ba (``completely_regular``).  The search runs on the first
+        first unit u in ``unit_indices`` order with aua = a, found by
+        walking the units in every table (``unit_regular``, identity
+        required), or the first b with aba = a and ab = ba
+        (``completely_regular``).  The search runs on the first
         ask for (i, mode) and its answer is kept in the mode's array, made
         on the mode's first ask; a refused mode gets no array, so it is
         refused on every ask.  A negative i is refused too: the search
@@ -424,34 +428,28 @@ class FiniteSemigroup:
 
     def _search(self, i: int, mode: str) -> int:
         """The exhaustive search behind ``partner``, in the table alone.
-        In a byte table, ``hits = row(i).translate(col(i))`` holds i * j * i
-        at j, so the candidates are the j with hits[j] == i, in order."""
+        ``unit_regular`` walks ``unit_indices``, its only candidates, in
+        every table.  The other modes try every j: in a byte table, ``hits
+        = row(i).translate(col(i))`` holds i * j * i at j, so the candidates
+        are the j with hits[j] == i, in order."""
         t, columns = self.table, self.columns
         row = t[i]
+        if mode == "unit_regular":
+            for j in self.unit_indices:
+                if t[row[j]][i] == i:
+                    return j
+            return -1
+        complete = mode == "completely_regular"
         if columns is not None:
             col = columns[i]
             hits = row.translate(col)
             j = hits.find(i)
-            if mode == "unit_regular":
-                units = self.unit_index_set
-                while j >= 0 and j not in units:
-                    j = hits.find(i, j + 1)
-            elif mode == "completely_regular":
-                while j >= 0 and row[j] != col[j]:
-                    j = hits.find(i, j + 1)
+            while complete and j >= 0 and row[j] != col[j]:
+                j = hits.find(i, j + 1)
             return j
-        if mode == "regular":
-            for j, ij in enumerate(row):
-                if t[ij][i] == i:
-                    return j
-        elif mode == "unit_regular":
-            for j in self.unit_indices:
-                if t[row[j]][i] == i:
-                    return j
-        else:
-            for j, ij in enumerate(row):
-                if t[ij][i] == i and ij == t[j][i]:
-                    return j
+        for j, ij in enumerate(row):
+            if t[ij][i] == i and (not complete or ij == t[j][i]):
+                return j
         return -1
 
 

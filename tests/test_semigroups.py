@@ -4,7 +4,7 @@ detection, and the brute-force property oracles."""
 import collections
 import random
 import re
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -895,12 +895,18 @@ def wide_closure():
 
 
 def fills():
-    # (name, elements, byte rows, byte products)
+    # (name, elements, byte rows, byte products); the groups, where every
+    # element is a unit, are where the unit-regular search walks longest
     yield "T(3)", [Transformation(t) for t in product(range(3), repeat=3)], True, True
     yield "L(GF(2)^3)", full_l(2, 3), False, True
     yield "300 points", list(wide_closure()), True, False
     trivial = generate([GFMatrix.identity(17, 1)])
     yield "L(GF(17)^2)", list(LInstance(Subspace(17, 2, [[1, 0]]), trivial).build()), False, False
+    yield "Sym(4)", [Transformation(t) for t in permutations(range(4))], True, True
+    yield "GL(3,2)", [m for m in full_l(2, 3) if m.is_invertible()], True, True
+    # the 272 affine maps x -> ax + b of GF(17), a != 0
+    yield "AGL(1,17)", [Transformation([(a * x + b) % 17 for x in range(17)])
+                        for a in range(1, 17) for b in range(17)], False, True
 
 
 FILLS = list(fills())
@@ -920,6 +926,13 @@ def test_each_fill_equals_products_and_the_reference_search(name, elems, byte_ro
         assert [list(col[:len(elems)]) for col in s.columns] == [list(c) for c in zip(*products)]
     else:
         assert s.columns is None
+    # the identity and the units by their two-sided definitions
+    m = len(elems)
+    identities = [e for e in range(m)
+                  if all(products[e][j] == j == products[j][e] for j in range(m))]
+    assert s.identity_index == (identities[0] if identities else None)
+    assert s.unit_indices == [u for u in range(m) if identities and any(
+        products[u][v] == identities[0] == products[v][u] for v in range(m))]
     for mode in modes_of(s):
         assert [s.partner(i, mode) for i in range(len(s))] == \
             [reference_partner(s, i, mode) for i in range(len(s))], mode
