@@ -14,6 +14,7 @@ from resemi import (
     image_kernel,
     restriction,
 )
+from resemi.transformations import fibers
 
 # f sends 0->1, 1->2, 2->0; g collapses everything onto {0, 1}
 f = Transformation([1, 2, 0])
@@ -44,7 +45,7 @@ except ValueError as exc:
 # smallest-index rule makes it deterministic.
 k = Transformation([0, 0, 0, 2])
 y2 = IndexSubset(4, [0, 1])
-pair = canonical_transversal(k, y2)
+pair = canonical_transversal(k, y2, fibers(k))
 print("\nk =", k.to_text(), " Y =", y2.to_text())
 print("T      =", pair.t.to_text())
 print("T on Y =", pair.t_on_y.to_text())

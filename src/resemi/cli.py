@@ -397,8 +397,10 @@ def main(argv=None) -> int:
         # only the named command's parser (see the module docstring)
         command = argv[0] if argv and argv[0] in _COMMANDS else None
         args = build_parser(command).parse_args(argv if command is None else argv[1:])
-        if [] in [*vars(args).values(), *(vars(args).get("mode") or ())]:
-            # argparse reads "--flag=--" as an empty list, not as the text "--"
+        values = [*vars(args).values(), *(vars(args).get("mode") or ())]
+        if [] in values or "--" in values:
+            # argparse reads "--flag=--" as an empty list before Python 3.13,
+            # and as the text "--" from 3.13 on
             raise ValueError("'--' is not an option value")
         return args.fn(args)
     except SizeCapExceeded as exc:

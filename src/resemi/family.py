@@ -484,11 +484,10 @@ def element_theorem(inst: RestrictedInstance, rec, mode: str, partner: int) -> P
     image-trace test ``trace_ok`` holds and, for ``unit_regular`` alone,
     the two complements of a compatible transversal pair have equal sizes
     (``complement_sizes``, C-side first).  Without a partner the verdict
-    reads nothing of ``rec``, so one serves a whole block.  A yes carries
-    the witness assembled on the partner (``witness(mode, partner)``),
-    unchecked here and kept on the record keyed on (mode, partner), so
-    each is assembled once.  The mode is not checked here
-    (``element_verdict`` does that).
+    reads nothing of ``rec``.  A yes carries the witness assembled on the
+    partner (``witness(mode, partner)``), unchecked here and kept on the
+    record keyed on (mode, partner), so each is assembled once.  The mode
+    is not checked here (``element_verdict`` does that).
 
     The complement clause of ``unit_regular`` never decides an instance
     that can be built.  Given the trace clause, codim(W + U) = n - dim W -

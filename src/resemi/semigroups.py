@@ -394,11 +394,6 @@ class FiniteSemigroup:
                     units.append(u)
         return units
 
-    @lazy
-    def unit_index_set(self) -> frozenset[int]:
-        """``unit_indices`` as a set, for membership tests."""
-        return frozenset(self.unit_indices)
-
     # -- the element oracle's answers ------------------------------------
 
     def partner(self, i: int, mode: str) -> int:
@@ -577,7 +572,7 @@ def witness_problem(s: FiniteSemigroup, i: int, mode: str, w) -> str | None:
     t = s.table
     if t[t[i][j]][i] != i:
         return "witness fails awa = a"
-    if mode == "unit_regular" and j not in s.unit_index_set:
+    if mode == "unit_regular" and j not in s.unit_indices:
         return "witness is not a unit"
     return None
 
@@ -589,10 +584,12 @@ def semigroup_oracle(s: FiniteSemigroup, mode: str) -> PropertyVerdict:
     if mode == "group":
         if not s.has_identity:
             return PropertyVerdict(mode, False, clause="no two-sided identity")
-        units = s.unit_index_set
-        for i in range(len(s.elements)):
-            if i not in units:
-                return PropertyVerdict(mode, False, witness=s.elements[i], clause="non-unit element")
+        # the units ascend, so the first non-unit is the first i with
+        # units[i] != i, or len(units) when they are a prefix
+        units = s.unit_indices
+        i = next((i for i, u in enumerate(units) if i != u), len(units))
+        if i < len(s.elements):
+            return PropertyVerdict(mode, False, witness=s.elements[i], clause="non-unit element")
         return PropertyVerdict(mode, True)
     if mode == "inverse":
         reg = semigroup_oracle(s, "regular")

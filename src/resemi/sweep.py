@@ -543,18 +543,15 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
     # record; the oracle's answer is f's first partner in the build's
     # table.  The theorem reads the build by block: element i restricts to
     # S's element i // block (checked by ``block_records``), whose partner
-    # in each mode is asked for once, and a block without one shares one
-    # "no" verdict.
+    # in each mode is asked for once.
     s, block = inst.prescribed, inst.block_size
     for i, (f, rec) in enumerate(zip(build.elements, records)):
         if i % block == 0:
             asks = []
             for mode in element_modes:
-                partner = s.partner(i // block, mode)
-                asks.append((mode, partner, None if partner >= 0
-                             else element_theorem(inst, None, mode, partner)))
-        for mode, partner, no in asks:
-            thm = no or element_theorem(inst, rec, mode, partner)
+                asks.append((mode, s.partner(i // block, mode)))
+        for mode, partner in asks:
+            thm = element_theorem(inst, rec, mode, partner)
             _tally(rep, key, f, mode, thm, build.partner(i, mode) >= 0)
             if thm.holds and thm.witness is not None:
                 problem = witness_problem(build, i, mode, thm.witness)

@@ -63,7 +63,7 @@ class TElementRecord:
 
     @lazy
     def transversal(self) -> TransversalPair:
-        return canonical_transversal(self.f, self.y)
+        return canonical_transversal(self.f, self.y, self.fibers)
 
     @lazy
     def transversal_problem(self) -> str | None:

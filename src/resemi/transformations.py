@@ -212,7 +212,8 @@ def restriction(f: Transformation, y: IndexSubset) -> Transformation:
     return Transformation._unchecked(tuple(images))
 
 
-def canonical_transversal(f: Transformation, y: IndexSubset) -> TransversalPair:
+def canonical_transversal(f: Transformation, y: IndexSubset,
+                          fibres: dict[int, list[int]]) -> TransversalPair:
     """Deterministic compatible transversal pair for ker(f) and ker(f|Y).
 
     For every image point of the restricted map the smallest preimage
@@ -223,7 +224,8 @@ def canonical_transversal(f: Transformation, y: IndexSubset) -> TransversalPair:
 
     One pass: R(f|Y) is read as f's images of Y's members, without making
     the restriction (refused as ``restriction`` refuses), f's fibres are
-    taken once, and each restricted fibre's least point of Y is found
+    read from ``fibres``, which must be ``fibers(f)`` (a record holds them
+    already), and each restricted fibre's least point of Y is found
     through Y's member set.  Both subsets are sorted, distinct and in
     range by construction, so they are made unchecked.
     """
@@ -234,7 +236,7 @@ def canonical_transversal(f: Transformation, y: IndexSubset) -> TransversalPair:
     if not ry <= y_set:
         raise ValueError("not Y-invariant")
     reps, reps_y = [], []
-    for v, cls in fibers(f).items():
+    for v, cls in fibres.items():
         if v in ry:
             x = next(x for x in cls if x in y_set)
             reps_y.append(x)

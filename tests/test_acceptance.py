@@ -24,6 +24,7 @@ from resemi.transformations import (
     IndexSubset,
     Transformation,
     canonical_transversal,
+    fibers,
     image_kernel,
     restricted_image,
 )
@@ -224,7 +225,7 @@ def test_criterion_8_transversal_lemmas(sweep_reports):
             for f in _all_transformations(n):
                 if not all(f.map[x] in y for x in y.members):
                     continue
-                pair = canonical_transversal(f, y)
+                pair = canonical_transversal(f, y, fibers(f))
                 canonical = len(
                     (set(range(n)) - set(pair.t.members))
                     - (set(y.members) - set(pair.t_on_y.members))

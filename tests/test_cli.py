@@ -1,5 +1,6 @@
 """CLI tests: commands, inline grammar, JSON output, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -28,6 +29,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def choices_shown(*choices):
+    """The choice list of argparse's invalid-choice error as this Python
+    prints it: each choice by its repr up to 3.13.0, by its str in later
+    3.13 releases (found by asking argparse itself)."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("x", choices=["a"])
+    try:
+        probe.parse_args(["b"])
+    except argparse.ArgumentError as exc:
+        show = str if "(choose from a)" in str(exc) else repr
+    return ", ".join(map(show, choices))
 
 
 class TestBuild:
@@ -1171,11 +1185,11 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize("argv, err", [
         ([], "error: the following arguments are required: command\n"),
-        (["bogus"], "error: argument command: invalid choice: 'bogus' "
-                    "(choose from 'build', 'classify', 'element', 'sweep')\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from "
+                    f"{choices_shown('build', 'classify', 'element', 'sweep')})\n"),
         (["build", "--bogus"], "error: unrecognized arguments: --bogus\n"),
         (["sweep", "--kind", "x"], "error: argument --kind: invalid choice: 'x' "
-                                   "(choose from 't', 'l')\n"),
+                                   f"(choose from {choices_shown('t', 'l')})\n"),
     ])
     def test_usage_errors(self, capsys, argv, err):
         assert run(capsys, *argv) == (2, "", err)

@@ -44,8 +44,7 @@ from test_acceptance import CRITERION3_PLANS
 
 MEMOS = (_span_of, _intersect, null_space, _solve, extension_rows)
 # the linear family's memos for its elements and records, keyed on what they read
-RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._completion,
-                lsg._basis_inverse, lsg._lifted)
+RECORD_MEMOS = (lsg._transversal_problem, lsg._complement_basis, lsg._completion, lsg._lifted)
 
 
 def all_matrices(p, n):

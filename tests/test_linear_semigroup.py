@@ -354,13 +354,13 @@ class TestTransversalProblem:
 # Every memo the linear elements and their records read through.
 RECORD_SHARING = (_span_of, _intersect, null_space, _solve, extension_rows,
                   lsg._transversal_problem, lsg._complement_basis, lsg._completion,
-                  lsg._basis_inverse, lsg._lifted)
+                  lsg._lifted)
 
 
-def test_one_inverse_per_distinct_basis(monkeypatch):
+def test_one_inverse_per_completion(monkeypatch):
     # the four criterion-3 plans, with no memo filled before: their 294
     # completions, one per (W, R(f)), hold 98 distinct bases [W; B3; B4]
-    # of V, and each is inverted once
+    # of V, and each completion inverts its basis once
     for memo in RECORD_SHARING:
         memo.cache_clear()
     inverted = []
@@ -371,8 +371,8 @@ def test_one_inverse_per_distinct_basis(monkeypatch):
 
     monkeypatch.setattr(lsg, "mat_inverse", counted)
     assert all(sweep.run_sweep(plan).clean for plan in CRITERION3_PLANS)
-    assert len(inverted) == len(set(inverted)) == 98
-    assert lsg._completion.cache_info().misses == 294
+    assert len(inverted) == lsg._completion.cache_info().misses == 294
+    assert len(set(inverted)) == 98
 
 
 class TestSharingChangesNoAnswer:

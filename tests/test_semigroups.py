@@ -554,6 +554,17 @@ class TestSemigroupOracle:
         consts = FiniteSemigroup([Transformation([0, 0]), Transformation([1, 1])])
         assert not semigroup_oracle(consts, "group").holds
 
+    @pytest.mark.parametrize("order, first", [((0, 1, 2, 3), 1), ((0, 2, 1, 3), 2)])
+    def test_group_witness_is_the_first_non_unit(self, order, first):
+        # T(2) as identity, constant 0, swap, constant 1, in two orders: the
+        # units are not a prefix of the elements in the first, and are in
+        # the second
+        t2 = [Transformation(m) for m in ([0, 1], [0, 0], [1, 0], [1, 1])]
+        s = FiniteSemigroup([t2[i] for i in order])
+        v = semigroup_oracle(s, "group")
+        assert (v.holds, v.clause) == (False, "non-unit element")
+        assert v.witness == s.elements[first] == Transformation([0, 0])
+
     def test_full_t_is_regular_not_unit_regular_free(self):
         t3 = full_t(3)
         assert semigroup_oracle(t3, "regular").holds
@@ -677,7 +688,7 @@ class TestWitnessProblem:
     def test_member_with_awa_not_a_rejected(self):
         for inst in self.instances():
             build = inst.build()
-            units = build.unit_index_set  # a unit gets past the bijectivity test
+            units = build.unit_indices  # a unit gets past the bijectivity test
             f, w = next((f, w) for f in build.elements for j, w in enumerate(build.elements)
                         if j in units and f * w * f != f)
             for mode in self.MODES:
@@ -688,7 +699,7 @@ class TestWitnessProblem:
     def test_non_unit_rejected_for_unit_regular(self):
         for inst in self.instances():
             build = inst.build()
-            units = build.unit_index_set
+            units = build.unit_indices
             f, w = next((f, w) for f in build.elements for j, w in enumerate(build.elements)
                         if j not in units and f * w * f == f)
             assert self.both(inst, build, f, "unit_regular", w) == (

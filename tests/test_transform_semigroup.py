@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from resemi import transform_semigroup, transformations
 from resemi.cli import main
 from resemi.family import RegionStore
 from resemi.semigroups import (
@@ -14,11 +15,13 @@ from resemi.semigroups import (
     generate,
     semigroup_oracle,
 )
-from resemi.transform_semigroup import TInstance
+from resemi.sweep import SweepPlan, run_sweep
+from resemi.transform_semigroup import TElementRecord, TInstance
 from resemi.transformations import (
     IndexSubset,
     Transformation,
     canonical_transversal,
+    fibers,
     restriction,
 )
 from test_family import ElementRecordCases, SharedRecordsCases
@@ -183,7 +186,33 @@ class TestElementRecord(ElementRecordCases):
 
     @staticmethod
     def canonical(f, inst):
-        return canonical_transversal(f, inst.y)
+        return canonical_transversal(f, inst.y, fibers(f))
+
+
+def test_one_fibre_map_per_record(monkeypatch):
+    # a record's transversal reads the fibres the record holds: over a
+    # sweep, whose transversal checks read the transversal of every record
+    # (shared by the instances on its region), f's fibres are worked out
+    # once per record
+    made, worked_out = [], []
+    init = TElementRecord.__init__
+
+    def counted_init(rec, y, f):
+        init(rec, y, f)
+        made.append(rec)
+
+    def counted_fibers(f):
+        worked_out.append(f)
+        return fibers(f)
+
+    monkeypatch.setattr(TElementRecord, "__init__", counted_init)
+    monkeypatch.setattr(transform_semigroup, "fibers", counted_fibers)
+    monkeypatch.setattr(transformations, "fibers", counted_fibers)
+    plan = SweepPlan(family="transformation", ns=(1, 2, 3), subset_sizes=(0, 1, 2),
+                     source=("exhaustive",), modes=("regular", "unit_regular"))
+    rep = run_sweep(plan)
+    assert rep.clean and rep.transversal_checks_run >= len(made) > 0
+    assert len(worked_out) == len(made)
 
 
 class TestSharedRecords(SharedRecordsCases):
@@ -327,7 +356,8 @@ class TestEmptyY:
 
     def test_canonical_transversal_takes_smallest_preimages(self):
         # fibres {1, 3} (of 0) and {0, 2} (of 2)
-        pair = canonical_transversal(Transformation([2, 0, 2, 0]), IndexSubset(4, []))
+        f = Transformation([2, 0, 2, 0])
+        pair = canonical_transversal(f, IndexSubset(4, []), fibers(f))
         assert pair.t == IndexSubset(4, [0, 1]) and len(pair.t_on_y) == 0
 
     @pytest.mark.parametrize("argv", [

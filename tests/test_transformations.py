@@ -221,7 +221,7 @@ class TestCanonicalTransversal:
                 y = IndexSubset(4, [i for i in range(4) if mask >> i & 1])
                 if not all(f.map[x] in y for x in y.members):
                     continue
-                pair = canonical_transversal(f, y)
+                pair = canonical_transversal(f, y, fibers(f))
                 assert tuple(pair) == reference_canonical_transversal(f, y)
                 for part in pair:
                     assert part.n == 4 and part._set == frozenset(part.members)
@@ -231,15 +231,18 @@ class TestCanonicalTransversal:
         assert cases == 1_584
 
     def test_examples(self):
-        pair = canonical_transversal(Transformation([0, 0, 1, 1]), IndexSubset(4, [0, 1, 2]))
+        f = Transformation([0, 0, 1, 1])
+        pair = canonical_transversal(f, IndexSubset(4, [0, 1, 2]), fibers(f))
         assert pair.t.members == (0, 2)
         assert pair.t_on_y.members == (0, 2)
 
-        pair = canonical_transversal(Transformation([0, 0, 0, 2]), IndexSubset(4, [0, 1]))
+        f = Transformation([0, 0, 0, 2])
+        pair = canonical_transversal(f, IndexSubset(4, [0, 1]), fibers(f))
         assert pair.t.members == (0, 3)
         assert pair.t_on_y.members == (0,)
 
-        pair = canonical_transversal(Transformation.identity(3), IndexSubset(3, [0, 1]))
+        f = Transformation.identity(3)
+        pair = canonical_transversal(f, IndexSubset(3, [0, 1]), fibers(f))
         assert pair.t.members == (0, 1, 2)
         assert pair.t_on_y.members == (0, 1)
 
@@ -250,7 +253,7 @@ class TestCanonicalTransversal:
                 for f in all_transformations(n):
                     if not all(f.map[x] in y for x in y.members):
                         continue
-                    pair = canonical_transversal(f, y)
+                    pair = canonical_transversal(f, y, fibers(f))
                     image, _, classes = image_kernel(f)
                     t_set = set(pair.t.members)
                     assert len(t_set) == len(image)
@@ -268,7 +271,7 @@ class TestCanonicalTransversal:
                     if not all(f.map[x] in y for x in y.members):
                         continue
                     values = compatible_transversal_values(f, y)
-                    pair = canonical_transversal(f, y)
+                    pair = canonical_transversal(f, y, fibers(f))
                     x_set = set(range(n))
                     canonical_value = len(
                         (x_set - set(pair.t.members))
@@ -277,13 +280,15 @@ class TestCanonicalTransversal:
                     assert set(values) == {canonical_value}
 
     def test_not_invariant_raises(self):
+        f = Transformation([1, 2, 0])
         with pytest.raises(ValueError, match="^not Y-invariant$"):
-            canonical_transversal(Transformation([1, 2, 0]), IndexSubset(3, [0, 1]))
+            canonical_transversal(f, IndexSubset(3, [0, 1]), fibers(f))
 
     def test_size_mismatch_raises(self):
         # checked before invariance: point 2 of Y is not even a point of f
+        f = Transformation([1, 0])
         with pytest.raises(ValueError, match="^dimension mismatch$"):
-            canonical_transversal(Transformation([1, 0]), IndexSubset(3, [0, 2]))
+            canonical_transversal(f, IndexSubset(3, [0, 2]), fibers(f))
 
 
 class TestIndexSubset:
