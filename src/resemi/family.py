@@ -440,23 +440,29 @@ class RegionStore:
         self.actions: dict = {}
 
 
-def block_records(inst: RestrictedInstance, build: FiniteSemigroup) -> list:
-    """The record of every element of ``build``, in build order, each read
-    from the instance's store (and made there if missing): what the sweep's
-    element theorems and transversal checks read, with no lookup in S.
-    Element i of a build restricts to ``prescribed.elements[i // block]``,
-    block = ``block_size`` (``element_at``), and each record's
-    restriction is compared with that alpha by equality, so a verdict read
-    by block never trusts the build's order: an element outside its block
-    is refused as ``record`` refuses a restriction outside S."""
-    records, alphas, block = inst.store.records, inst.prescribed.elements, inst.block_size
+def block_records(inst: RestrictedInstance, build: FiniteSemigroup, modes) -> list:
+    """(i, f, record, asks) for every element f of ``build``, in build
+    order: what the sweep's element theorems and transversal checks read,
+    with no lookup in S.  Each record is read from the instance's store
+    (and made there if missing).  Element i of a build restricts to
+    ``prescribed.elements[i // block]``, block = ``block_size``
+    (``element_at``), and ``asks``, shared by the block, is that alpha's
+    first partner in S in each of ``modes``, [(mode, partner index)],
+    asked once per block.  Each record's restriction is compared with its
+    block's alpha by equality, so a verdict read by block never trusts the
+    build's order: an element outside its block is refused, before the
+    sweep counts anything, as ``record`` refuses a restriction outside S."""
+    records, s, block = inst.store.records, inst.prescribed, inst.block_size
     out = []
     for i, f in enumerate(build.elements):
+        a, offset = divmod(i, block)
         rec = inst._stored(records, f)
-        if rec.alpha != alphas[i // block]:
+        if rec.alpha != s.elements[a]:
             raise ValueError(f"f not in {inst.FAMILY}: element {i} of the build has its "
-                             f"restriction outside {inst.PRESCRIBED} element {i // block}")
-        out.append(rec)
+                             f"restriction outside {inst.PRESCRIBED} element {a}")
+        if not offset:
+            asks = [(mode, s.partner(a, mode)) for mode in modes]
+        out.append((i, f, rec, asks))
     return out
 
 

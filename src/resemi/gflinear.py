@@ -31,11 +31,11 @@ among them, and ``GFMatrix.rank`` is the dimension of the interned row
 space (``image_space``).  ``Subspace.__init__``, ``mat_compose`` and
 ``_rref_rows`` are not memoised.  The brute-force oracles read only
 Cayley tables, so no verdict they give rests on a memo.  Besides these
-five, ``linear_semigroup`` keeps five memos of the same bound for the
+five, ``linear_semigroup`` keeps four memos of the same bound for the
 parts of its elements and records that read only subspaces and
 coordinate matrices (the transversal check, the unit rows completing a
 span, a map on W lifted to ambient rows and, for the witnesses alone,
-W's basis completed to a basis of V, and that basis's inverse).
+W's basis completed to a basis of V, with that basis's inverse).
 """
 
 from __future__ import annotations

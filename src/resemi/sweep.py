@@ -271,10 +271,13 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     partners they keep, by every region of the size.  A seeded entry is a
     ``Closure``, the element list with the right Cayley graph its pass
     found, and no table: each is tabled only while its one instance runs
-    (``_instances``), so the cache keeps no seeded table.  Each draw's
-    generator set is closed through ``_closure_of``, so a set drawn again
-    reuses its ``Closure`` object or its refusal.  Seeded closures are
-    deduplicated on their element set (``FiniteSemigroup.key``).  A
+    (``_instances``), so the cache keeps no seeded table.  A cell closes
+    each distinct generator set once (a closure reads only the set of its
+    generators: ``closure_elements`` sorts them first), so a set drawn
+    again in the cell reuses its ``Closure`` object or its refusal; no
+    other cell or call shares it, so a closure the cell drops lives no
+    longer than the call.  Seeded closures are deduplicated on their
+    element set (``FiniteSemigroup.key``).  A
     seeded draw whose closure passes the Cayley table appears, in draw
     order, as the record ``{"generators": [texts], "reason": ...}`` in
     place of a closure, listing that draw's own generators.
@@ -292,10 +295,17 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
     rng = random.Random(seed)
     out = []
     seen: set[frozenset] = set()
+    closures = {}  # each drawn generator set -> its Closure, or why it was refused
     for _ in range(count):
         k = rng.randint(1, 3)
         gens = [element_at(whole, rng.randrange(m)) for _ in range(k)]
-        elems = _closure_of(frozenset(gens))
+        drawn = frozenset(gens)
+        if drawn not in closures:
+            try:
+                closures[drawn] = closure_elements(drawn)
+            except SizeCapExceeded as exc:
+                closures[drawn] = str(exc)
+        elems = closures[drawn]
         if isinstance(elems, str):
             out.append({"generators": [g.to_text() for g in gens], "reason": elems})
             continue
@@ -304,19 +314,6 @@ def enumerate_subsemigroups(kind: str, base_size: int, source: tuple, p: int | N
             seen.add(key)
             out.append(elems)
     return tuple(out)
-
-
-@lru_cache(maxsize=MEMO_BOUND)
-def _closure_of(gens: frozenset):
-    """The ``Closure`` of a drawn generator set, or the reason its closure
-    was refused.  A closure reads only the set of its generators
-    (``closure_elements`` sorts them first), so this is a pure memo on
-    the set: a set drawn again, in any cell or plan, reuses its object or
-    its reason.  It holds no table."""
-    try:
-        return closure_elements(gens)
-    except SizeCapExceeded as exc:
-        return str(exc)
 
 
 def _exhaustive_base(kind: str, base_size: int, p: int | None = None):
@@ -523,7 +520,11 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
         rep.size_formula_violations.append(
             {"instance": key(), "expected": expected, "actual": len(build)}
         )
-    records = block_records(inst, build)  # before any tally: a build out of order counts nothing
+    element_modes = []
+    if plan.element_cap and len(build) <= plan.element_cap:
+        element_modes = [m for m in inst.decidable(inst.ELEMENT_MODES) if m in plan.modes]
+    # before any tally: a build out of order counts nothing
+    elements = block_records(inst, build, element_modes)
 
     oracle_holds: dict[str, bool] = {}
     for mode in inst.decidable(plan.modes):
@@ -536,20 +537,10 @@ def _run_instance(plan, rep, inst, key, seen_definition_keys):
                 {"instance": key(), "implication": f"{strong} => {weak}"}
             )
 
-    element_modes = []
-    if plan.element_cap and len(build) <= plan.element_cap:
-        element_modes = [m for m in inst.decidable(inst.ELEMENT_MODES) if m in plan.modes]
     # One pass, so that all checks on f run back to back and share f's
     # record; the oracle's answer is f's first partner in the build's
-    # table.  The theorem reads the build by block: element i restricts to
-    # S's element i // block (checked by ``block_records``), whose partner
-    # in each mode is asked for once.
-    s, block = inst.prescribed, inst.block_size
-    for i, (f, rec) in enumerate(zip(build.elements, records)):
-        if i % block == 0:
-            asks = []
-            for mode in element_modes:
-                asks.append((mode, s.partner(i // block, mode)))
+    # table, and the theorem's is the partner in S of f's block.
+    for i, f, rec, asks in elements:
         for mode, partner in asks:
             thm = element_theorem(inst, rec, mode, partner)
             _tally(rep, key, f, mode, thm, build.partner(i, mode) >= 0)

@@ -47,9 +47,6 @@ class Transformation:
     def to_text(self) -> str:
         return ",".join(map(str, self.map))
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def __mul__(self, other: "Transformation") -> "Transformation":
         return compose(self, other)
 

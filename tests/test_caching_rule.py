@@ -38,9 +38,9 @@ def test_every_memo_is_bounded_at_memo_bound():
     assert UNBOUNDED <= memos.keys()
     assert {key: bound for key, bound in memos.items()
             if key not in UNBOUNDED and bound != MEMO_BOUND} == {}
-    # the nine kernel and record memos of the linear family, and the seeded
-    # closure memo and the subsemigroup lists of the sweep
-    assert len(memos) - len(UNBOUNDED) == 11
+    # the nine kernel and record memos of the linear family, and the
+    # subsemigroup lists of the sweep
+    assert len(memos) - len(UNBOUNDED) == 10
 
 
 def test_no_class_uses_cached_property():

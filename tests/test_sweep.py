@@ -2,10 +2,10 @@
 runs, report determinism and serialization."""
 
 import collections
+import gc
 import json
 import random
 import re
-import sys
 import time
 import weakref
 from functools import lru_cache
@@ -20,6 +20,7 @@ from resemi.family import element_at, element_verdict, family_class
 from resemi.gflinear import GFMatrix, Subspace, all_vectors
 from resemi.linear_semigroup import LInstance
 from resemi.semigroups import (
+    Closure,
     FiniteSemigroup,
     PropertyVerdict,
     SizeCapExceeded,
@@ -529,26 +530,37 @@ class TestBlockPass:
                   source=("exhaustive",), modes=("regular", "unit_regular")),
     ], ids=["transformation", "linear"])
     def test_no_lookup_and_one_partner_ask_per_block(self, monkeypatch, plan):
-        # every region is proper, so the build is never S itself: the asks
-        # of S made from the element pass are the theorem's, not the oracle's
-        element_pass = sweep._run_instance.__code__
-        current, looked_up = self.running(monkeypatch), []
-        asks = collections.Counter()
+        # S's partner asks counted while ``block_records`` runs, whatever
+        # frame makes them (a comprehension has its own before Python 3.12);
+        # every region is proper, so the build is never S itself
+        looked_up, passes, inside, asks = [], [], [], collections.Counter()
         monkeypatch.setattr(family.RestrictedInstance, "_record_at",
                             lambda inst, f: looked_up.append(f))
-        partner = FiniteSemigroup.partner
+        partner, block_records = FiniteSemigroup.partner, sweep.block_records
 
         def counted(s, i, mode):
-            if s is current[0].prescribed and sys._getframe(1).f_code is element_pass:
-                asks[current[0]] += 1
+            if inside and s is inside[0].prescribed:
+                asks[inside[0]] += 1
             return partner(s, i, mode)
 
+        def running(inst, build, modes):
+            passes.append(inst)
+            inside[:] = [inst]
+            try:
+                return block_records(inst, build, modes)
+            finally:
+                inside.clear()
+
         monkeypatch.setattr(FiniteSemigroup, "partner", counted)
+        monkeypatch.setattr(sweep, "block_records", running)
         rep = run_sweep(plan)
         assert rep.clean and sum(rep.element_checks.values()) > 0 and not looked_up
-        assert len(asks) == rep.instances_run
-        assert all(n <= len(inst.prescribed) * len(plan.modes) for inst, n in asks.items())
-        assert any(len(inst.build()) > n for inst, n in asks.items())
+        assert len(passes) == rep.instances_run
+        # one ask per block (alpha in S) and element mode the instance decides
+        for inst in passes:
+            modes = [m for m in inst.decidable(inst.ELEMENT_MODES) if m in plan.modes]
+            assert asks[inst] == len(inst.prescribed) * len(modes)
+        assert any(len(inst.build()) > asks[inst] for inst in passes)
 
 
 class TestDeterminismAndSerialization:
@@ -704,12 +716,11 @@ class TestRefusedDraws:
 
 
 class TestSeededClosureMemo:
-    """Each distinct generator set drawn from one base monoid is closed
-    once (``sweep._closure_of``).  The draws are recounted here from each
-    cell's seed, the enumeration's own recipe (k = 1-3 numbers below
-    |T(k)|), with no call into the enumeration: a set of draw numbers is a
-    set of generators, as ``element_at`` gives each number its own
-    element."""
+    """A seeded cell closes each distinct generator set it draws once, in a
+    dict of its own ``enumerate_subsemigroups`` call that no other cell
+    shares.  The draws are recounted here from each cell's seed, the
+    enumeration's own recipe (k = 1-3 numbers below |T(k)|, each read as
+    its element by ``element_at``), with no call into the enumeration."""
 
     C2 = SweepPlan(family="transformation", ns=(4,), subset_sizes=(1, 2, 3),
                    source=("seeded", 50, "criterion2"),
@@ -717,16 +728,16 @@ class TestSeededClosureMemo:
 
     @staticmethod
     def cold(monkeypatch, closure=closure_elements):
-        """Every closure the sweep runs from now on, as (base size, its
-        generator set), with the enumeration's caches empty for this test
-        alone (the cached lists other tests made stay as they are)."""
-        for name in ("enumerate_subsemigroups", "_closure_of"):
-            cached = getattr(sweep, name)
-            monkeypatch.setattr(sweep, name, lru_cache(**cached.cache_parameters())(cached.__wrapped__))
+        """Every generator set the sweep closes from now on, in order, with
+        the enumeration's cache empty for this test alone (the cached lists
+        other tests made stay as they are)."""
+        cached = sweep.enumerate_subsemigroups
+        monkeypatch.setattr(sweep, "enumerate_subsemigroups",
+                            lru_cache(**cached.cache_parameters())(cached.__wrapped__))
         closed = []
 
         def counted(gens):
-            closed.append((next(iter(gens)).n, frozenset(gens)))
+            closed.append(frozenset(gens))
             return closure(gens)
 
         monkeypatch.setattr(sweep, "closure_elements", counted)
@@ -735,25 +746,29 @@ class TestSeededClosureMemo:
     @staticmethod
     def draws(plan, n, size):
         """Per cell of the plan's regions of ``size`` in T(n): its cell key
-        and the draw numbers of each of its draws, in draw order."""
+        and the generators of each of its draws, in draw order."""
         _, count, seed = plan.source
+        whole = TInstance.whole(size)
         for cell, _ in TInstance.cells(n, size):
             rng = random.Random(f"{seed}:{cell}")
-            yield cell, [[rng.randrange(size ** size) for _ in range(rng.randint(1, 3))]
-                         for _ in range(count)]
+            yield cell, [[element_at(whole, rng.randrange(size ** size))
+                          for _ in range(rng.randint(1, 3))] for _ in range(count)]
 
-    def test_each_distinct_set_closed_once_per_base(self, monkeypatch):
+    @staticmethod
+    def once_per_cell(cells):
+        """Each cell's distinct generator sets, in order of first draw."""
+        return [s for _, draws in cells for s in dict.fromkeys(map(frozenset, draws))]
+
+    def test_each_distinct_set_closed_once_per_cell(self, monkeypatch):
         closed = self.cold(monkeypatch)
         assert run_sweep(self.C2).clean
-        drawn = {size: {frozenset(d) for _, draws in self.draws(self.C2, 4, size) for d in draws}
-                 for size in self.C2.subset_sizes}
-        assert len(closed) == len(set(closed))  # no set closed twice
-        assert collections.Counter(size for size, _ in closed) == {
-            size: len(sets) for size, sets in drawn.items()}
+        cells = [c for size in self.C2.subset_sizes for c in self.draws(self.C2, 4, size)]
+        assert closed == self.once_per_cell(cells)
+        assert len(closed) > len(set(closed))  # a set drawn in two cells is closed in each
         assert len(closed) < 700 // 2  # of 14 cells x 50 draws
 
-    def test_refused_set_closed_once_and_each_draw_skipped(self, monkeypatch):
-        # every set of two or more distinct maps is refused; in this cell
+    def test_refused_set_closed_once_per_cell_and_each_draw_skipped(self, monkeypatch):
+        # every set of two or more distinct maps is refused; in some cell
         # such a set is drawn more than once, and in more than one order
         def refusing(gens):
             if len(set(gens)) > 1:
@@ -761,20 +776,43 @@ class TestSeededClosureMemo:
             return closure_elements(gens)
 
         closed = self.cold(monkeypatch, refusing)
-        plan = SweepPlan(family="transformation", ns=(2,), subset_sizes=(2,),
+        plan = SweepPlan(family="transformation", ns=(3,), subset_sizes=(2,),
                          source=("seeded", 12, "refused"), modes=("regular",), element_cap=0)
         rep = run_sweep(plan)
-        ((cell, draws),) = self.draws(plan, 2, 2)
-        whole = TInstance.whole(2)
-        texts = [[element_at(whole, i).to_text() for i in d] for d in draws]
-        refused = [t for t in texts if len(set(t)) > 1]
+        cells = list(self.draws(plan, 3, 2))
+        refused = [(cell, [g.to_text() for g in d])
+                   for cell, draws in cells for d in draws if len(set(d)) > 1]
         assert rep.skipped == [{"cell": cell, "generators": t, "reason": "size cap exceeded"}
-                               for t in refused]
+                               for cell, t in refused]
         orders = collections.defaultdict(set)
-        for t in refused:
-            orders[frozenset(t)].add(tuple(t))
+        for cell, t in refused:
+            orders[cell, frozenset(t)].add(tuple(t))
         assert any(len(o) > 1 for o in orders.values())
-        assert len(closed) == len(set(closed)) == len({frozenset(d) for d in draws})
+        assert closed == self.once_per_cell(cells)
+
+    def test_dropped_closure_unreachable_after_the_call(self, monkeypatch):
+        # a closure whose element set repeats an earlier draw's, from
+        # another generator set, is dropped by its cell, and nothing keeps
+        # it once the enumeration returns
+        made = []  # (element set, weak reference) of every closure made
+
+        class Tracked(Closure):
+            __slots__ = ("__weakref__",)
+
+        def tracked(gens):
+            c = closure_elements(gens)
+            c = Tracked(c, c.right, c.parent, c.letter)
+            made.append((frozenset(c), weakref.ref(c)))
+            return c
+
+        self.cold(monkeypatch, tracked)
+        subs = sweep.enumerate_subsemigroups("transformation", 3, ("seeded", 40, "dropped"))
+        gc.collect()
+        kept = [s for s in subs if not isinstance(s, dict)]
+        dropped = [elems for elems, ref in made if ref() is None]
+        assert dropped and len(made) == len(dropped) + len(kept)
+        assert {id(ref()) for _, ref in made if ref() is not None} == set(map(id, kept))
+        assert set(dropped) <= set(map(frozenset, kept))
 
 
 class TestInstanceKeys:
