@@ -21,21 +21,30 @@ The inline plan flags are read as the plan JSON they spell, through
 
 Each command takes only the flags that change what it does: ``build``
 has no ``--mode`` or ``--no-oracle``, and a sweep's ``--samples`` and
-``--seed`` need ``--source seeded``.  ``main`` builds one flat parser
-for the command its first argument names, ``build_parser(command)``,
-filled by the same function that fills that command's subparser in the
-full parser, and reads the rest of the arguments with it; it reads the
-terminal width once, where argparse would read it once per flag.
+``--seed`` need ``--source seeded``.  Each command's flags are declared
+once, in ``_COMMANDS``, as (flag, type, choices, action, default, help).
+``main`` first reads the arguments after the command's name plainly from
+that table (``_read_plain``): exact flags only, each as ``--flag value``
+or ``--flag=value`` and a store-true flag bare, each value converted by
+its type and checked against its choices.  It declines anything else:
+help, an abbreviation, an unknown flag, a positional argument, a missing
+value, a value that starts with '-', and a value its type or choices
+refuse.  Only then is argparse built: one flat parser for the command
+the first argument names, ``build_parser(command)``, declared from the
+same table as that command's subparser in the full parser, which reads
+the terminal width once, where argparse would read it once per flag.
 ``build_parser()`` with no command is the full parser, which help, a
-missing command and an unknown one go through.
+missing command and an unknown one go through.  Both readings give the
+same namespace, and argparse alone prints help and usage errors.
 
-A command loads only the modules it runs.  An instance command imports
-the one family module its instance's ``kind`` names
-(``family.family_class``): ``transform_semigroup`` and
-``transformations``, or ``linear_semigroup`` and ``gflinear``; help and
-a usage error load neither family, ``sweep`` is imported by the sweep
-command alone and loads its plan's family alone, and ``json`` only where
-JSON is read or written.
+A command loads only the modules it runs.  ``argparse`` and ``shutil``
+are imported by ``build_parser`` alone, so a well-formed command loads
+neither.  An instance command imports the one family module its
+instance's ``kind`` names (``family.family_class``):
+``transform_semigroup`` and ``transformations``, or ``linear_semigroup``
+and ``gflinear``; help and a usage error load neither family, ``sweep``
+is imported by the sweep command alone and loads its plan's family
+alone, and ``json`` only where JSON is read or written.
 
 Exit codes: 0 success, 2 validation error (also a flag the command does
 not take, a mode the family does not decide, and a sweep whose plan
@@ -54,10 +63,9 @@ disagree, when ``element`` prints a theorem witness that fails its check
 
 from __future__ import annotations
 
-import argparse
-import shutil
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 from .family import INLINE, KINDS, family_class, parse_ints, parse_rows
 from .semigroups import SizeCapExceeded, _shown, element_oracle, semigroup_oracle
@@ -303,46 +311,93 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
 
-def _instance_command(sp, name: str) -> None:
-    """Fills the parser of ``build``, ``classify`` or ``element``: the
-    instance flags, the modes for the two that classify, and the element
-    for ``element``."""
-    sp.add_argument("--input", help="instance JSON file (exclusive with inline flags)")
-    sp.add_argument("--kind", choices=_KIND_LETTERS, help="t: transformations, l: linear maps")
-    for flag, (read, text) in _FIELD_FLAGS.items():
-        sp.add_argument(flag, type=read, help=text)
-    sp.add_argument("--gens", help="generators instead of elements (closure is applied)")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    if name != "build":
-        sp.add_argument("--mode", action="append", help="property to check (repeatable)")
-        sp.add_argument("--no-oracle", action="store_true",
-                        help="skip the brute-force oracle (reported as 'skipped')")
-    if name == "element":
-        sp.add_argument("--f", help="the element to classify (same grammar as elements)")
-    sp.set_defaults(fn=_cmd_build if name == "build" else _cmd_classify)
+# A flag absent from the namespace when not given (argparse's ``SUPPRESS``,
+# which is not imported here).
+_ABSENT = object()
+_FORMATS = ("text", "json")
+
+# The flags of each command, in the order its help lists them, as (flag,
+# type, choices, action, default, help), None where argparse has its own:
+# what ``build_parser`` declares and ``_read_plain`` reads.
+_INSTANCE_FLAGS = (
+    ("--input", None, None, None, None, "instance JSON file (exclusive with inline flags)"),
+    ("--kind", None, _KIND_LETTERS, None, None, "t: transformations, l: linear maps"),
+    *((flag, read, None, None, None, text) for flag, (read, text) in _FIELD_FLAGS.items()),
+    ("--gens", None, None, None, None, "generators instead of elements (closure is applied)"),
+    ("--format", None, _FORMATS, None, "text", None),
+)
+_MODE_FLAGS = (
+    ("--mode", None, None, "append", None, "property to check (repeatable)"),
+    ("--no-oracle", None, None, "store_true", False,
+     "skip the brute-force oracle (reported as 'skipped')"),
+)
+# a sweep's plan flags are absent, not None, when not given (see ``_cmd_sweep``)
+_SWEEP_FLAGS = (
+    ("--input", None, None, None, None, "plan JSON file (exclusive with plan flags)"),
+    ("--kind", None, _KIND_LETTERS, None, _ABSENT, None),
+    ("--ns", None, None, None, _ABSENT, "ambient sizes, e.g. 1,2,3"),
+    ("--pn", None, None, None, _ABSENT, "(p,n) cells, e.g. 2,2;3,2"),
+    ("--sizes", None, None, None, _ABSENT, "|Y| or dim W values to include, e.g. 1,2"),
+    ("--source", None, ("exhaustive", "seeded"), None, _ABSENT, None),
+    ("--samples", int, None, None, _ABSENT, "with --source seeded (default 200)"),
+    ("--seed", None, None, None, _ABSENT, "with --source seeded (default 0)"),
+    ("--mode", None, None, "append", _ABSENT, None),
+    ("--element-cap", int, None, None, _ABSENT, None),
+    ("--format", None, _FORMATS, None, "json", None),
+)
+
+# Each command, in the order help lists them: its function and its flags.
+_COMMANDS = {
+    "build": (_cmd_build, _INSTANCE_FLAGS),
+    "classify": (_cmd_classify, _INSTANCE_FLAGS + _MODE_FLAGS),
+    "element": (_cmd_classify, (
+        *_INSTANCE_FLAGS, *_MODE_FLAGS,
+        ("--f", None, None, None, None, "the element to classify (same grammar as elements)"),
+    )),
+    "sweep": (_cmd_sweep, _SWEEP_FLAGS),
+}
 
 
-def _sweep_command(sp, name: str) -> None:
-    """Fills the parser of ``sweep``: the plan flags, each absent, not
-    None, when not given (see ``_cmd_sweep``)."""
-    sp.argument_default = argparse.SUPPRESS
-    sp.add_argument("--input", default=None, help="plan JSON file (exclusive with plan flags)")
-    sp.add_argument("--kind", choices=_KIND_LETTERS)
-    sp.add_argument("--ns", help="ambient sizes, e.g. 1,2,3")
-    sp.add_argument("--pn", help="(p,n) cells, e.g. 2,2;3,2")
-    sp.add_argument("--sizes", help="|Y| or dim W values to include, e.g. 1,2")
-    sp.add_argument("--source", choices=("exhaustive", "seeded"))
-    sp.add_argument("--samples", type=int, help="with --source seeded (default 200)")
-    sp.add_argument("--seed", help="with --source seeded (default 0)")
-    sp.add_argument("--mode", action="append")
-    sp.add_argument("--element-cap", type=int)
-    sp.add_argument("--format", choices=("text", "json"), default="json")
-    sp.set_defaults(fn=_cmd_sweep)
+def _dest(flag: str) -> str:
+    """The namespace attribute of ``flag``, named as argparse names it."""
+    return flag.lstrip("-").replace("-", "_")
 
 
-# Each command and what fills its parser, in the order help lists them.
-_COMMANDS = {"build": _instance_command, "classify": _instance_command,
-             "element": _instance_command, "sweep": _sweep_command}
+def _read_plain(command: str, argv):
+    """The namespace ``build_parser(command).parse_args(argv)`` reads, read
+    from ``command``'s flags in ``_COMMANDS`` without argparse, or None
+    where this plain reading declines ``argv``.  Each argument must be an
+    exact flag, as ``--flag value`` or ``--flag=value`` (a store-true flag
+    bare), whose value does not start with '-', converts by the flag's
+    type and is one of its choices; so help, an abbreviation, an unknown
+    flag, a positional argument, a missing value and every value argparse
+    would refuse are declined."""
+    fn, flags = _COMMANDS[command]
+    declared = {flag: rest for flag, *rest in flags}
+    values = {_dest(flag): default for flag, *_, default, _ in flags if default is not _ABSENT}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in declared:
+            return None
+        read, choices, action, _, _ = declared[flag]
+        if action == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            value = value if eq else next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                value = value if read is None else read(value)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        dest = _dest(flag)
+        values[dest] = [*(values.get(dest) or ()), value] if action == "append" else value
+    return SimpleNamespace(**values, fn=fn, command=command)
 
 
 _GRAMMAR = """\
@@ -357,28 +412,36 @@ exit codes: 0 ok, 2 validation error, 3 work past a stated bound, 4 disagreement
 """
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors (an unknown flag, a missing
-    value, a value outside its choices) are validation errors, reported by
-    ``main`` like any other: exit 2."""
+def build_parser(command: str | None = None):
+    """The full argparse parser, one subparser per command, or the flat
+    parser of ``command`` alone, which reads that command's arguments
+    (without the command's name) to the same namespace.  Its usage errors
+    (an unknown flag, a missing value, a value outside its choices) are
+    validation errors, reported by ``main`` like any other: exit 2."""
+    import argparse
+    import shutil
 
-    def error(self, message):
-        raise ValueError(message)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
 
+    def declare(parser, name: str) -> None:
+        fn, flags = _COMMANDS[name]
+        for flag, read, choices, action, default, text in flags:
+            given = {"type": read, "choices": choices, "action": action, "help": text}
+            parser.add_argument(flag, default=argparse.SUPPRESS if default is _ABSENT else default,
+                                **{key: v for key, v in given.items() if v is not None})
+        parser.set_defaults(fn=fn)
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, one subparser per command, or the flat parser of
-    ``command`` alone, which reads that command's arguments (without the
-    command's name) to the same namespace."""
     if command is not None:
         # the width HelpFormatter would read again for every flag added
         width = shutil.get_terminal_size().columns - 2
-        ap = _Parser(prog=f"resemi {command}",
-                     formatter_class=partial(argparse.HelpFormatter, width=width))
-        _COMMANDS[command](ap, command)
+        ap = Parser(prog=f"resemi {command}",
+                    formatter_class=partial(argparse.HelpFormatter, width=width))
+        declare(ap, command)
         ap.set_defaults(command=command)
         return ap
-    ap = _Parser(
+    ap = Parser(
         prog="resemi",
         description="Build and classify semigroups of (linear) transformations "
                     "constrained by their restriction to an invariant subset/subspace.",
@@ -386,17 +449,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fill in _COMMANDS.items():
-        fill(sub.add_parser(name), name)
+    for name in _COMMANDS:
+        declare(sub.add_parser(name), name)
     return ap
 
 
 def main(argv=None) -> int:
+    """Runs the command ``argv`` names and returns its exit code.  The
+    arguments are read plainly (``_read_plain``) where they can be, and by
+    argparse otherwise: help, a missing or unknown command, and whatever
+    the plain reading declines (see the module docstring)."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # only the named command's parser (see the module docstring)
         command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv if command is None else argv[1:])
+        rest = argv if command is None else argv[1:]
+        args = None if command is None else _read_plain(command, rest)
+        if args is None:
+            args = build_parser(command).parse_args(rest)
         values = [*vars(args).values(), *(vars(args).get("mode") or ())]
         if [] in values or "--" in values:
             # argparse reads "--flag=--" as an empty list before Python 3.13,

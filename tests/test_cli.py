@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resemi import semigroups
+from resemi import cli, semigroups
 from resemi.cli import build_parser, main
 from resemi.family import family_class
 from resemi.linear_semigroup import LInstance
@@ -1117,6 +1117,19 @@ def _parsed(parser, argv):
         return f"error: {exc}"
 
 
+def _declined_or_equal(argv):
+    """Asserts that the plain reading of ``argv`` declines it or reads the
+    namespace that the command's argparse parser reads; returns the plain
+    reading."""
+    command, rest = argv[0], argv[1:]
+    read = cli._read_plain(command, rest)
+    if read is not None:
+        parsed = _parsed(build_parser(command), rest)
+        assert not isinstance(parsed, str), (argv, parsed)
+        assert vars(read) == vars(parsed)
+    return read
+
+
 HELP = """\
 usage: resemi [-h] {build,classify,element,sweep} ...
 
@@ -1179,6 +1192,14 @@ class TestParserPerCommand:
         if not isinstance(full, str):
             assert full.command == argv[0]
 
+    @pytest.mark.parametrize("argv", GOLDEN_ARGV)
+    def test_plain_reading_reads_every_golden_argv(self, argv):
+        assert _declined_or_equal(argv) is not None
+
+    @pytest.mark.parametrize("argv", VALIDATION_ARGV)
+    def test_plain_reading_declines_or_reads_as_argparse(self, argv):
+        _declined_or_equal(argv)
+
     def test_full_parser_has_every_command(self):
         assert build_parser().format_usage() == HELP.splitlines()[0] + "\n"
         assert build_parser("sweep").format_usage().startswith("usage: resemi sweep [-h] ")
@@ -1208,3 +1229,47 @@ class TestParserPerCommand:
                 parse([command, "--help"])
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and texts[0].startswith(f"usage: resemi {command} ")
+
+
+# Values for the plain reading's fuzz: empty, negative, the separator, not
+# an int, ints, an inline text, a mode, and none of any flag's choices.
+PLAIN_VALUES = ["", "-1", "--", "x", "0", "3", "0,1", "regular", "bogus"]
+
+
+@st.composite
+def flag_table_argv(draw):
+    """A command and arguments drawn from its flags in ``cli._COMMANDS``:
+    flags given as ``flag value`` or ``flag=value`` (a store-true flag
+    bare), repeated or not, each value one that fits the flag (one of its
+    choices, an int, an inline text) three times in four and one of
+    ``PLAIN_VALUES`` or any flag's choices otherwise; then up to two odd
+    tokens put anywhere: a flag bare (so also a trailing flag with no
+    value), an abbreviation, an unknown flag, a store-true flag with a
+    value, or a stray value."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[command][1]
+    names = [flag for flag, *_ in flags]
+    choices = sorted({choice for _, _, among, *_ in flags for choice in among or ()})
+    any_value = st.sampled_from(PLAIN_VALUES + choices)
+    argv = []
+    for flag, read, among, action, _, _ in draw(st.lists(st.sampled_from(flags), max_size=6)):
+        if action == "store_true":
+            argv.append(flag)
+            continue
+        fits = st.sampled_from(sorted(among) if among else
+                               ["0", "3"] if read is int else ["", "0,1", "regular"])
+        value = draw(st.one_of(fits, fits, fits, any_value))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    abbreviated = st.sampled_from([f for f in names if len(f) > 4]).flatmap(
+        lambda f: st.integers(3, len(f) - 1).map(lambda k: f[:k]))
+    unknown = st.sampled_from(["--bogus", "--size-cap", "-n", "--no-oracle=x"])
+    for token in draw(st.lists(st.sampled_from(names) | abbreviated | unknown | any_value,
+                               max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return [command, *argv]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(flag_table_argv())
+def test_fuzzed_argv_is_declined_or_read_as_argparse(argv):
+    _declined_or_equal(argv)

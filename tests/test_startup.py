@@ -38,28 +38,29 @@ T_MODULES = FRONT | {"resemi.transform_semigroup", "resemi.transformations"}
 L_MODULES = FRONT | {"resemi.linear_semigroup", "resemi.gflinear"}
 
 # Runs ``action`` in a fresh interpreter and prints, last, the resemi
-# modules loaded and whether ``dataclasses`` was loaded by the action.
+# modules loaded and whether the action loaded ``dataclasses`` and
+# ``argparse``.
 PROBE = """\
 import contextlib, io, sys
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     {action}
 print(sorted(m for m in sys.modules if m == "resemi" or m.startswith("resemi.")),
-      "dataclasses" in sys.modules and "dataclasses" not in before)
+      *(m in sys.modules and m not in before for m in ("dataclasses", "argparse")))
 """
 
 
-def _loaded(action: str) -> tuple[set, bool]:
+def _loaded(action: str) -> tuple[set, bool, bool]:
     """The resemi modules a fresh interpreter holds after ``action``, and
-    whether the action loaded ``dataclasses``."""
+    whether the action loaded ``dataclasses`` and ``argparse``."""
     path = os.path.dirname(os.path.dirname(resemi.__file__))
     paths = filter(None, [path, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     proc = subprocess.run([sys.executable, "-c", PROBE.format(action=action)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    modules, dataclasses = proc.stdout.strip().splitlines()[-1].rsplit(" ", 1)
-    return set(ast.literal_eval(modules)), dataclasses == "True"
+    modules, dataclasses, argparse = proc.stdout.strip().splitlines()[-1].rsplit(" ", 2)
+    return set(ast.literal_eval(modules)), dataclasses == "True", argparse == "True"
 
 
 @pytest.mark.parametrize("argv, expected, dataclasses", [
@@ -71,8 +72,9 @@ def _loaded(action: str) -> tuple[set, bool]:
     (["sweep", "--kind", "l", "--pn", "2,1"], L_MODULES | {"resemi.sweep"}, True),
 ], ids=["t", "l", "sweep-t", "sweep-l"])
 def test_a_command_loads_its_family_alone(argv, expected, dataclasses):
+    # a well-formed command is read without argparse
     action = f"assert __import__('resemi.cli').cli.main({argv!r}) == 0"
-    assert _loaded(action) == (expected, dataclasses)
+    assert _loaded(action) == (expected, dataclasses, False)
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -82,7 +84,7 @@ def test_a_command_loads_its_family_alone(argv, expected, dataclasses):
 ], ids=["t", "l"])
 def test_a_field_flag_of_the_other_family_is_refused_by_its_family_alone(argv, expected):
     action = f"assert __import__('resemi.cli').cli.main({argv!r}) == 2"
-    assert _loaded(action) == (expected, False)
+    assert _loaded(action) == (expected, False, False)
 
 
 @pytest.mark.parametrize("action", [
@@ -90,7 +92,8 @@ def test_a_field_flag_of_the_other_family_is_refused_by_its_family_alone(argv, e
     "assert __import__('resemi.cli').cli.main(['build', '--bogus']) == 2",
 ], ids=["parser", "parse-error"])
 def test_the_parser_loads_neither_family(action):
-    assert _loaded(action)[0] == FRONT
+    modules, _, argparse = _loaded(action)
+    assert (modules, argparse) == (FRONT, True)
 
 
 def test_import_resemi_loads_no_submodule():
